@@ -25,6 +25,7 @@ FUZZ_TARGETS = \
 	./internal/dataset:FuzzReadCSV \
 	./internal/core:FuzzLoadJobClassifier \
 	./internal/loadgen:FuzzLoadConfig \
+	./internal/loadgen:FuzzIngestLoadConfig \
 	./internal/ml/compile:FuzzCompileParity \
 	./internal/ingest:FuzzIngestFrame \
 	./internal/lifecycle:FuzzLifecycleConfig
@@ -35,12 +36,10 @@ FUZZ_TARGETS = \
 BENCH_COUNT ?= 1
 BENCH_TIME ?= 1s
 
-# Compiled-engine CI ratchet (see bench-gate): allowed relative speedup
-# regression vs BENCH_baseline.json and the absolute per-algorithm
-# speedup floor. The tolerance is wider than the in-flag 15% default
-# because the checked-in baseline and the CI runner are different
-# machines; the ratio is portable, but not perfectly so.
-BENCH_TOLERANCE ?= 0.25
+# Compiled-engine CI floor (see bench-gate): the per-algorithm
+# compiled-vs-interpreted speedup every run must clear. A ratio, so it is
+# portable across machines; commit-to-commit regressions are judged by
+# the BENCHMARK.json run (bench/README.md), not by a checked-in baseline.
 BENCH_MIN_SPEEDUP ?= 1.5
 
 # staticcheck is pinned so CI results are reproducible; bump deliberately.
@@ -57,6 +56,7 @@ SOAK_INGEST_JOBS ?= 48
 SOAK_INGEST_OUT ?= soak-ingest-report.json
 
 .PHONY: all build test vet fmt-check race bench bench-smoke bench-gate alloc-gate \
+	bench-module \
 	flight-overhead-gate staticcheck paper trace serve-debug clean \
 	testkit testkit-update test-shuffle cover fuzz-smoke serve-batch-smoke chaos soak \
 	soak-ingest lifecycle-sim
@@ -71,6 +71,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is its own module (repro/bench, replace repro => ../), so the
+# root module's build and test cannot see an internal-API break against
+# it; this is the step that does.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Fails when any file is not gofmt-clean (gofmt -l prints offenders).
 fmt-check:
@@ -134,23 +141,21 @@ bench-smoke:
 	$(GO) run ./cmd/supremm-bench -jobs 800 -exp e1,e2,table2,fig1 \
 		-train 25 -test 400 -unknown 200 -trees 60 -out $(BENCH_OUT)
 
-# The compiled-inference perf ratchet: re-measures the compiled-vs-
-# interpreted speedup per algorithm and fails when any ratio regresses
-# beyond BENCH_TOLERANCE against the checked-in BENCH_baseline.json or
-# drops below BENCH_MIN_SPEEDUP outright. Regenerate the baseline with
-#   go run ./cmd/supremm-bench -jobs 800 -trees 60 -skip-suite -rev baseline -out .
-# (see EXPERIMENTS.md before committing a new baseline).
+# The compiled-inference perf floor: re-measures the compiled-vs-
+# interpreted speedup per algorithm and fails when any ratio drops below
+# BENCH_MIN_SPEEDUP. Baseline-free, so it is green on a fresh clone.
 bench-gate:
 	$(GO) run ./cmd/supremm-bench -jobs 800 -trees 60 -skip-suite \
-		-compare BENCH_baseline.json -tolerance $(BENCH_TOLERANCE) \
 		-min-speedup $(BENCH_MIN_SPEEDUP) -out $(BENCH_OUT)
 
 # The zero-allocation gate: every TestAlloc* test asserts
 # testing.AllocsPerRun == 0 on a compiled-engine serving call (RF, SVM
-# and NB predictors, single and batch rows, plus JobClassifier.Classify
-# through the scratch pool).
+# and NB predictors, single and batch rows, JobClassifier.Classify
+# through the scratch pool, and the governed-row pipeline's per-row
+# stage over a compiled RF view).
 alloc-gate:
-	$(GO) test -count=1 -run 'TestAlloc' -v ./internal/ml/compile ./internal/core
+	$(GO) test -count=1 -run 'TestAlloc' -v ./internal/ml/compile ./internal/core \
+		./internal/server
 
 # The flight-recorder overhead ratchet: benchmarks the full serving
 # path with the recorder armed vs disarmed and fails when the armed
@@ -231,9 +236,6 @@ soak-ingest:
 	SOAK_INGEST_OUT=$(SOAK_INGEST_OUT) \
 		$(GO) test -count=1 -tags soak -run TestSoakIngestConservation -v -timeout 10m .
 
-# BENCH_baseline.json is the checked-in perf-ratchet baseline, not a
-# build product — keep it.
 clean:
-	find . -maxdepth 1 -name 'BENCH_*.json' ! -name BENCH_baseline.json -delete
-	rm -f trace.json coverage.out soak-report.json soak-ingest-report.json \
-		lifecycle-sim-trace.txt
+	rm -f BENCH_*.json trace.json coverage.out soak-report.json \
+		soak-ingest-report.json lifecycle-sim-trace.txt

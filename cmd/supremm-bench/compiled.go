@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -17,7 +15,7 @@ import (
 // single-row classification latency through the serving entry point
 // (JobClassifier.Classify) on both engines, plus a bitwise parity sweep
 // over every probe row. Speedup (interpreted ns / compiled ns) is the
-// machine-portable number the CI ratchet gates on; the absolute
+// machine-portable number the -min-speedup floor gates on; the absolute
 // nanoseconds are informational.
 type compiledLeg struct {
 	Algo        string  `json:"algo"`
@@ -133,67 +131,4 @@ func runCompiledLegs(ds *dataset.Dataset, seed uint64, trees int) []compiledLeg 
 		legs = append(legs, leg)
 	}
 	return legs
-}
-
-// compareBaseline gates the current compiled-engine speedups against a
-// checked-in baseline report: per algorithm the speedup ratio must not
-// fall below baseline*(1-tolerance) nor below minSpeedup. Ratios, not
-// absolute nanoseconds, are compared, so the gate is portable across
-// the (different) machines that produced the baseline and run CI. The
-// delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is set, to
-// the job summary; the returned failures fail the run.
-func compareBaseline(legs []compiledLeg, path string, tolerance, minSpeedup float64) []string {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return []string{fmt.Sprintf("read baseline %s: %v", path, err)}
-	}
-	var base report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return []string{fmt.Sprintf("parse baseline %s: %v", path, err)}
-	}
-	baseBy := map[string]compiledLeg{}
-	for _, l := range base.Compiled {
-		baseBy[l.Algo] = l
-	}
-
-	var failures []string
-	var b strings.Builder
-	fmt.Fprintf(&b, "### Compiled-engine speedup vs `%s` (tolerance %.0f%%, floor %.2fx)\n\n", path, tolerance*100, minSpeedup)
-	b.WriteString("| algo | baseline speedup | current speedup | delta | current ns/row | status |\n")
-	b.WriteString("|------|-----------------:|----------------:|------:|---------------:|--------|\n")
-	for _, l := range legs {
-		bl, ok := baseBy[l.Algo]
-		status := "ok"
-		switch {
-		case !l.Parity:
-			status = "PARITY BROKEN"
-			failures = append(failures, fmt.Sprintf("%s: compiled/interpreted parity broken: %s", l.Algo, l.Detail))
-		case !ok:
-			status = "no baseline"
-			failures = append(failures, fmt.Sprintf("%s: baseline %s has no entry for this algorithm", l.Algo, path))
-		case l.Speedup < minSpeedup:
-			status = "BELOW FLOOR"
-			failures = append(failures, fmt.Sprintf("%s: speedup %.2fx below the %.2fx floor", l.Algo, l.Speedup, minSpeedup))
-		case l.Speedup < bl.Speedup*(1-tolerance):
-			status = "REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s: speedup %.2fx regressed beyond tolerance (baseline %.2fx, floor after tolerance %.2fx)",
-				l.Algo, l.Speedup, bl.Speedup, bl.Speedup*(1-tolerance)))
-		}
-		baseStr, delta := "-", "-"
-		if ok {
-			baseStr = fmt.Sprintf("%.2fx", bl.Speedup)
-			delta = fmt.Sprintf("%+.1f%%", (l.Speedup/bl.Speedup-1)*100)
-		}
-		fmt.Fprintf(&b, "| %s | %s | %.2fx | %s | %.0f | %s |\n",
-			l.Algo, baseStr, l.Speedup, delta, l.CompiledNs, status)
-	}
-	table := b.String()
-	fmt.Println(table)
-	if summary := os.Getenv("GITHUB_STEP_SUMMARY"); summary != "" {
-		if f, err := os.OpenFile(summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); err == nil {
-			fmt.Fprintln(f, table)
-			f.Close()
-		}
-	}
-	return failures
 }

@@ -13,6 +13,7 @@
 //
 //	supremm-bench [-seed N] [-jobs N] [-exp id,id,...] [-train N] [-test N]
 //	              [-unknown N] [-trees N] [-out DIR] [-rev REV] [-skip-suite]
+//	              [-min-speedup X]
 package main
 
 import (
@@ -71,8 +72,8 @@ type report struct {
 	SVM         section  `json:"svm"`
 	Suite       *section `json:"suite,omitempty"`
 	// Compiled holds the compiled-vs-interpreted inference engine legs
-	// (one per paper algorithm); the CI bench gate ratchets on their
-	// Speedup ratios via -compare.
+	// (one per paper algorithm); the CI bench gate holds their Speedup
+	// ratios above the -min-speedup floor.
 	Compiled []compiledLeg `json:"compiled,omitempty"`
 	Obs      *obsDump      `json:"obs,omitempty"`
 	OK       bool          `json:"ok"`
@@ -111,9 +112,7 @@ func main() {
 	out := flag.String("out", ".", "output directory for BENCH_<rev>.json")
 	rev := flag.String("rev", "", "revision tag for the output name (default: GITHUB_SHA or 'dev')")
 	skipSuite := flag.Bool("skip-suite", false, "skip the experiment-suite comparison")
-	comparePath := flag.String("compare", "", "baseline BENCH_*.json to ratchet compiled-engine speedups against")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed relative speedup regression vs the -compare baseline")
-	minSpeedup := flag.Float64("min-speedup", 1.0, "absolute compiled-vs-interpreted speedup floor per algorithm")
+	minSpeedup := flag.Float64("min-speedup", 1.0, "compiled-vs-interpreted speedup floor per algorithm")
 	flag.Parse()
 
 	r := report{
@@ -311,12 +310,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "supremm-bench: serial and parallel paths diverged")
 		os.Exit(1)
 	}
-	if *comparePath != "" {
-		if failures := compareBaseline(r.Compiled, *comparePath, *tolerance, *minSpeedup); len(failures) > 0 {
-			for _, f := range failures {
-				fmt.Fprintf(os.Stderr, "supremm-bench: bench gate: %s\n", f)
-			}
-			os.Exit(1)
+	// The baseline-free perf floor: a ratio, so portable across machines;
+	// commit-to-commit regressions are the BENCHMARK.json run's job.
+	for _, leg := range r.Compiled {
+		if leg.Speedup < *minSpeedup {
+			fatal("bench gate: %s: compiled speedup %.2fx below the %.2fx floor", leg.Algo, leg.Speedup, *minSpeedup)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "supremm-bench: all parity checks passed, report at %s\n", path)

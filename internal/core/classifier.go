@@ -156,6 +156,14 @@ func (c *JobClassifier) EnsureCompiled() error {
 // zero-allocation engine.
 func (c *JobClassifier) IsCompiled() bool { return c.compiled != nil }
 
+// FeatureNames and Serving make the classifier Servable behind a
+// ModelManager.
+func (c *JobClassifier) FeatureNames() []string { return c.Features }
+
+func (c *JobClassifier) Serving() (algo string, compiled bool) {
+	return string(c.Algo), c.IsCompiled()
+}
+
 // compiledScratch returns a pooled scratch when the compiled path is
 // usable for a row of len(x) raw features (the row buffer is sized to
 // the model schema, so other widths fall back to the interpreted path

@@ -5,14 +5,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/lariat"
 	"repro/internal/ml/kmeans"
 	"repro/internal/ml/pca"
-	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/stats"
 	"repro/internal/warehouse"
 )
@@ -117,6 +113,12 @@ type DiscoveryModel struct {
 	AnomalyDistance float64
 	AnomalyZ        float64
 }
+
+// FeatureNames and Serving make the fit Servable behind a
+// DiscoveryManager; discovery has no compiled form.
+func (m *DiscoveryModel) FeatureNames() []string { return m.Features }
+
+func (m *DiscoveryModel) Serving() (algo string, compiled bool) { return "pca+kmeans", false }
 
 // Assignment scores one job against a fitted discovery model.
 type Assignment struct {
@@ -290,121 +292,4 @@ func UnlabeledRows(store *warehouse.Store, opt FeatureOptions) [][]float64 {
 		rows[i] = Featurize(rec.Summary, opt)
 	}
 	return rows
-}
-
-// DiscoveryView is one immutable generation of the serving discovery
-// model, mirroring ModelView: capture it once per request and every
-// read within the request observes a single self-consistent fit.
-type DiscoveryView struct {
-	Model      *DiscoveryModel
-	Generation uint64
-
-	index map[string]int
-}
-
-// FeatureIndex resolves a feature name to its position in the model's
-// feature vector.
-func (v *DiscoveryView) FeatureIndex(name string) (int, bool) {
-	i, ok := v.index[name]
-	return i, ok
-}
-
-// NumFeatures returns the model's feature vector width.
-func (v *DiscoveryView) NumFeatures() int { return len(v.Model.Features) }
-
-// Annotate stamps the serving discovery fit's identity onto an in-flight
-// wide event. Nil-safe on both sides.
-func (v *DiscoveryView) Annotate(a *flight.Active) {
-	if v == nil {
-		return
-	}
-	a.SetModel(v.Generation, false, "pca+kmeans")
-}
-
-// DiscoveryManager publishes a DiscoveryModel behind an atomic pointer
-// with the same swap discipline as ModelManager: readers load the
-// current view with one atomic load; refits install a fully-built
-// replacement after schema validation.
-type DiscoveryManager struct {
-	cur atomic.Pointer[DiscoveryView]
-
-	mu  sync.Mutex
-	gen uint64
-
-	generation *obs.Gauge
-	swapOK     *obs.Counter
-	swapRej    *obs.Counter
-	swapErr    *obs.Counter
-}
-
-// NewDiscoveryManager returns an empty manager (View returns nil until
-// the first Swap). reg may be nil; when set, the manager exports
-// discover_generation and discover_swap_total{outcome}.
-func NewDiscoveryManager(reg *obs.Registry) *DiscoveryManager {
-	reg.Help("discover_generation", "Generation number of the serving discovery fit (0 = none loaded).")
-	reg.Help("discover_swap_total", "Discovery refit hot-swap attempts by outcome.")
-	return &DiscoveryManager{
-		generation: reg.Gauge("discover_generation"),
-		swapOK:     reg.Counter("discover_swap_total", "outcome", "ok"),
-		swapRej:    reg.Counter("discover_swap_total", "outcome", "rejected"),
-		swapErr:    reg.Counter("discover_swap_total", "outcome", "error"),
-	}
-}
-
-// View returns the current discovery view, or nil when no fit is loaded.
-func (m *DiscoveryManager) View() *DiscoveryView {
-	if m == nil {
-		return nil
-	}
-	return m.cur.Load()
-}
-
-// Generation returns the serving fit's generation (0 before the first
-// successful swap).
-func (m *DiscoveryManager) Generation() uint64 {
-	v := m.View()
-	if v == nil {
-		return 0
-	}
-	return v.Generation
-}
-
-// Swap validates and atomically installs a refit. Like ModelManager, a
-// refit may change K freely but must keep the feature name set of the
-// fit it replaces — clients address features by name and a silent schema
-// change would misroute every in-flight request body.
-func (m *DiscoveryManager) Swap(next *DiscoveryModel) (uint64, error) {
-	if next == nil {
-		m.swapErr.Inc()
-		return 0, errors.New("core: cannot swap in a nil discovery model")
-	}
-	idx, err := buildIndex(next.Features)
-	if err != nil {
-		m.swapErr.Inc()
-		return 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cur := m.cur.Load(); cur != nil {
-		if len(cur.Model.Features) != len(next.Features) {
-			m.swapRej.Inc()
-			return 0, fmt.Errorf("%w: serving discovery fit has %d features, incoming has %d",
-				ErrSchemaMismatch, len(cur.Model.Features), len(next.Features))
-		}
-		var missing []string
-		for _, f := range cur.Model.Features {
-			if _, ok := idx[f]; !ok {
-				missing = append(missing, f)
-			}
-		}
-		if len(missing) > 0 {
-			m.swapRej.Inc()
-			return 0, fmt.Errorf("%w: incoming discovery fit lacks %v", ErrSchemaMismatch, missing)
-		}
-	}
-	m.gen++
-	m.cur.Store(&DiscoveryView{Model: next, Generation: m.gen, index: idx})
-	m.generation.Set(float64(m.gen))
-	m.swapOK.Inc()
-	return m.gen, nil
 }

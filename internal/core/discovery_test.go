@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/summarize"
 	"repro/internal/testkit"
@@ -217,67 +215,6 @@ func TestGoldenDiscovery(t *testing.T) {
 	testkit.Section(&b, "labels")
 	fmt.Fprintf(&b, "labels = %s\n", testkit.HashInts(m.Labels))
 	testkit.GoldenString(t, "discovery.golden", b.String())
-}
-
-func TestDiscoveryManagerSwap(t *testing.T) {
-	reg := obs.NewRegistry()
-	dm := NewDiscoveryManager(reg)
-	if dm.View() != nil || dm.Generation() != 0 {
-		t.Fatal("empty manager not empty")
-	}
-	rows := discoveryRows(2, 2, 20, 4)
-	feats := discoveryFeatures(4)
-	m1, err := FitDiscovery(rows, feats, DiscoveryConfig{K: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := dm.Swap(m1)
-	if err != nil || gen != 1 {
-		t.Fatalf("first swap: gen=%d err=%v", gen, err)
-	}
-	v := dm.View()
-	if v.Model != m1 || v.Generation != 1 || v.NumFeatures() != 4 {
-		t.Fatal("view does not reflect the swap")
-	}
-	if i, ok := v.FeatureIndex("F02"); !ok || i != 2 {
-		t.Fatalf("FeatureIndex(F02) = (%d,%v)", i, ok)
-	}
-
-	// A refit with a different K but the same schema installs.
-	m2, err := FitDiscovery(rows, feats, DiscoveryConfig{K: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen, err = dm.Swap(m2); err != nil || gen != 2 {
-		t.Fatalf("refit swap: gen=%d err=%v", gen, err)
-	}
-
-	// A schema change is rejected and leaves the serving view untouched.
-	alien, err := FitDiscovery(discoveryRows(2, 2, 20, 3), discoveryFeatures(3), DiscoveryConfig{K: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dm.Swap(alien); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatalf("schema mismatch not rejected: %v", err)
-	}
-	if _, err := dm.Swap(nil); err == nil {
-		t.Fatal("nil model accepted")
-	}
-	if got := dm.View(); got.Model != m2 || got.Generation != 2 {
-		t.Fatal("rejected swaps perturbed the serving view")
-	}
-	if g := reg.Gauge("discover_generation").Value(); g != 2 {
-		t.Fatalf("discover_generation = %v", g)
-	}
-	if c := reg.Counter("discover_swap_total", "outcome", "ok").Value(); c != 2 {
-		t.Fatalf("swap ok counter = %d", c)
-	}
-	if c := reg.Counter("discover_swap_total", "outcome", "rejected").Value(); c != 1 {
-		t.Fatalf("swap rejected counter = %d", c)
-	}
-	if c := reg.Counter("discover_swap_total", "outcome", "error").Value(); c != 1 {
-		t.Fatalf("swap error counter = %d", c)
-	}
 }
 
 func TestLabelByRuntimeClass(t *testing.T) {

@@ -10,16 +10,15 @@
 //
 // and every edge is observable (lifecycle_* metrics, /api/lifecycle)
 // and fault-injectable (lifecycle.retrain / lifecycle.promote /
-// lifecycle.shadow). A deterministic simulation harness (sim.go)
+// lifecycle.shadow). A deterministic simulation harness (sim_test.go)
 // replays the whole arc bit-identically at any worker count.
 package lifecycle
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
+
+	"repro/internal/kvspec"
 )
 
 // Config parameterizes the loop. The canonical wire form is the spec
@@ -142,6 +141,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// table is the config's spec grammar; ParseSpec and Spec both derive
+// from it.
+func (c *Config) table() kvspec.Table {
+	return kvspec.Table{Prefix: "lifecycle", Noun: "spec", Fields: []kvspec.Field{
+		{Key: "window", Ptr: &c.Window},
+		{Key: "bins", Ptr: &c.Bins},
+		{Key: "min", Ptr: &c.MinRows},
+		{Key: "every", Ptr: &c.Every},
+		{Key: "drift", Ptr: &c.DriftThreshold},
+		{Key: "pdrift", Ptr: &c.PosteriorThreshold},
+		{Key: "shadowmin", Ptr: &c.ShadowMin},
+		{Key: "alpha", Ptr: &c.Alpha},
+		{Key: "margin", Ptr: &c.Margin},
+		{Key: "cooldown", Ptr: &c.Cooldown},
+		{Key: "train", Ptr: &c.TrainWindow},
+		{Key: "algo", Ptr: &c.Algo},
+		{Key: "seed", Ptr: &c.Seed},
+		{Key: "auto", Ptr: &c.Auto},
+	}}
+}
+
 // ParseSpec parses a lifecycle spec: comma- or whitespace-separated k=v
 // pairs, e.g.
 //
@@ -153,62 +173,11 @@ func (c Config) Validate() error {
 // passes Validate.
 func ParseSpec(s string) (Config, error) {
 	cfg := DefaultConfig()
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t' || r == '\n'
-	})
-	seen := map[string]bool{}
-	minSet := false
-	for _, field := range fields {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || key == "" || val == "" {
-			return Config{}, fmt.Errorf("lifecycle: spec entry %q is not key=value", field)
-		}
-		if seen[key] {
-			return Config{}, fmt.Errorf("lifecycle: spec key %q given twice", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "window":
-			cfg.Window, err = parseInt(key, val)
-		case "bins":
-			cfg.Bins, err = parseInt(key, val)
-		case "min":
-			cfg.MinRows, err = parseInt(key, val)
-			minSet = true
-		case "every":
-			cfg.Every, err = parseInt(key, val)
-		case "drift":
-			cfg.DriftThreshold, err = parseFloat(key, val)
-		case "pdrift":
-			cfg.PosteriorThreshold, err = parseFloat(key, val)
-		case "shadowmin":
-			cfg.ShadowMin, err = parseInt(key, val)
-		case "alpha":
-			cfg.Alpha, err = parseFloat(key, val)
-		case "margin":
-			cfg.Margin, err = parseFloat(key, val)
-		case "cooldown":
-			cfg.Cooldown, err = parseInt(key, val)
-		case "train":
-			cfg.TrainWindow, err = parseInt(key, val)
-		case "algo":
-			cfg.Algo = val
-		case "seed":
-			cfg.Seed, err = parseUint(key, val)
-		case "auto":
-			cfg.Auto, err = strconv.ParseBool(val)
-			if err != nil {
-				err = fmt.Errorf("lifecycle: bad auto %q: not a bool", val)
-			}
-		default:
-			return Config{}, fmt.Errorf("lifecycle: unknown spec key %q", key)
-		}
-		if err != nil {
-			return Config{}, err
-		}
+	seen, err := cfg.table().Parse(s)
+	if err != nil {
+		return Config{}, err
 	}
-	if !minSet {
+	if !seen["min"] {
 		// The min default tracks the configured window, not the default
 		// window: "evaluate once the window is full" unless overridden.
 		cfg.MinRows = cfg.Window
@@ -221,55 +190,4 @@ func ParseSpec(s string) (Config, error) {
 
 // Spec renders the config canonically; ParseSpec(c.Spec()) returns an
 // identical config (keys sorted, floats in shortest form).
-func (c Config) Spec() string {
-	pairs := map[string]string{
-		"window":    strconv.Itoa(c.Window),
-		"bins":      strconv.Itoa(c.Bins),
-		"min":       strconv.Itoa(c.MinRows),
-		"every":     strconv.Itoa(c.Every),
-		"drift":     strconv.FormatFloat(c.DriftThreshold, 'g', -1, 64),
-		"pdrift":    strconv.FormatFloat(c.PosteriorThreshold, 'g', -1, 64),
-		"shadowmin": strconv.Itoa(c.ShadowMin),
-		"alpha":     strconv.FormatFloat(c.Alpha, 'g', -1, 64),
-		"margin":    strconv.FormatFloat(c.Margin, 'g', -1, 64),
-		"cooldown":  strconv.Itoa(c.Cooldown),
-		"train":     strconv.Itoa(c.TrainWindow),
-		"algo":      c.Algo,
-		"seed":      strconv.FormatUint(c.Seed, 10),
-		"auto":      strconv.FormatBool(c.Auto),
-	}
-	keys := make([]string, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"="+pairs[k])
-	}
-	return strings.Join(parts, ",")
-}
-
-func parseFloat(key, val string) (float64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, fmt.Errorf("lifecycle: bad %s %q: %v", key, val, err)
-	}
-	return f, nil
-}
-
-func parseInt(key, val string) (int, error) {
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, fmt.Errorf("lifecycle: bad %s %q: %v", key, val, err)
-	}
-	return n, nil
-}
-
-func parseUint(key, val string) (uint64, error) {
-	n, err := strconv.ParseUint(val, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("lifecycle: bad %s %q: %v", key, val, err)
-	}
-	return n, nil
-}
+func (c Config) Spec() string { return c.table().Render() }

@@ -3,10 +3,10 @@ package loadgen
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/kvspec"
 )
 
 // Config parameterizes one open-loop load run. The canonical wire form
@@ -93,6 +93,25 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// table is the config's spec grammar; ParseSpec and Spec both derive
+// from it.
+func (c *Config) table() kvspec.Table {
+	return kvspec.Table{Prefix: "loadgen", Noun: "spec", Fields: []kvspec.Field{
+		{Key: "url", Ptr: &c.BaseURL},
+		{Key: "rps", Ptr: &c.RPS},
+		{Key: "dur", Ptr: &c.Duration},
+		{Key: "ramp", Ptr: &c.Ramp},
+		{Key: "mix", Ptr: &c.BatchMix},
+		{Key: "dmix", Ptr: &c.DiscoverMix},
+		{Key: "rmix", Ptr: &c.RuntimeMix},
+		{Key: "batch", Ptr: &c.BatchSize},
+		{Key: "threshold", Ptr: &c.Threshold},
+		{Key: "seed", Ptr: &c.Seed},
+		{Key: "timeout", Ptr: &c.Timeout},
+		{Key: "inflight", Ptr: &c.MaxInFlight},
+	}}
+}
+
 // ParseSpec parses a load spec: comma- or whitespace-separated k=v
 // pairs, e.g.
 //
@@ -109,54 +128,12 @@ func ParseSpec(s string) (Config, error) {
 		Timeout:     defTimeout,
 		MaxInFlight: defMaxInFlight,
 	}
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t' || r == '\n'
-	})
-	if len(fields) == 0 {
-		return Config{}, fmt.Errorf("loadgen: empty spec")
+	seen, err := cfg.table().Parse(s)
+	if err != nil {
+		return Config{}, err
 	}
-	seen := map[string]bool{}
-	for _, field := range fields {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || key == "" || val == "" {
-			return Config{}, fmt.Errorf("loadgen: spec entry %q is not key=value", field)
-		}
-		if seen[key] {
-			return Config{}, fmt.Errorf("loadgen: spec key %q given twice", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "url":
-			cfg.BaseURL = val
-		case "rps":
-			cfg.RPS, err = parseFloat(key, val)
-		case "dur":
-			cfg.Duration, err = parseDuration(key, val)
-		case "ramp":
-			cfg.Ramp, err = parseDuration(key, val)
-		case "mix":
-			cfg.BatchMix, err = parseFloat(key, val)
-		case "dmix":
-			cfg.DiscoverMix, err = parseFloat(key, val)
-		case "rmix":
-			cfg.RuntimeMix, err = parseFloat(key, val)
-		case "batch":
-			cfg.BatchSize, err = parseInt(key, val)
-		case "threshold":
-			cfg.Threshold, err = parseFloat(key, val)
-		case "seed":
-			cfg.Seed, err = parseUint(key, val)
-		case "timeout":
-			cfg.Timeout, err = parseDuration(key, val)
-		case "inflight":
-			cfg.MaxInFlight, err = parseInt(key, val)
-		default:
-			return Config{}, fmt.Errorf("loadgen: unknown spec key %q", key)
-		}
-		if err != nil {
-			return Config{}, err
-		}
+	if len(seen) == 0 {
+		return Config{}, fmt.Errorf("loadgen: empty spec")
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
@@ -166,61 +143,4 @@ func ParseSpec(s string) (Config, error) {
 
 // Spec renders the config canonically; ParseSpec(c.Spec()) returns an
 // identical config (keys sorted, durations in Go syntax).
-func (c Config) Spec() string {
-	pairs := map[string]string{
-		"url":       c.BaseURL,
-		"rps":       strconv.FormatFloat(c.RPS, 'g', -1, 64),
-		"dur":       c.Duration.String(),
-		"ramp":      c.Ramp.String(),
-		"mix":       strconv.FormatFloat(c.BatchMix, 'g', -1, 64),
-		"dmix":      strconv.FormatFloat(c.DiscoverMix, 'g', -1, 64),
-		"rmix":      strconv.FormatFloat(c.RuntimeMix, 'g', -1, 64),
-		"batch":     strconv.Itoa(c.BatchSize),
-		"threshold": strconv.FormatFloat(c.Threshold, 'g', -1, 64),
-		"seed":      strconv.FormatUint(c.Seed, 10),
-		"timeout":   c.Timeout.String(),
-		"inflight":  strconv.Itoa(c.MaxInFlight),
-	}
-	keys := make([]string, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"="+pairs[k])
-	}
-	return strings.Join(parts, ",")
-}
-
-func parseFloat(key, val string) (float64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, fmt.Errorf("loadgen: bad %s %q: %v", key, val, err)
-	}
-	return f, nil
-}
-
-func parseInt(key, val string) (int, error) {
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, fmt.Errorf("loadgen: bad %s %q: %v", key, val, err)
-	}
-	return n, nil
-}
-
-func parseUint(key, val string) (uint64, error) {
-	n, err := strconv.ParseUint(val, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("loadgen: bad %s %q: %v", key, val, err)
-	}
-	return n, nil
-}
-
-func parseDuration(key, val string) (time.Duration, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil {
-		return 0, fmt.Errorf("loadgen: bad %s %q: %v", key, val, err)
-	}
-	return d, nil
-}
+func (c Config) Spec() string { return c.table().Render() }

@@ -46,3 +46,38 @@ func FuzzLoadConfig(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIngestLoadConfig holds the ingest firehose spec to the same
+// properties as FuzzLoadConfig: never panic, accept only configs that
+// pass Validate, and render a canonical form that is a parse fixed
+// point.
+func FuzzIngestLoadConfig(f *testing.F) {
+	f.Add("addr=127.0.0.1:9301")
+	f.Add("addr=127.0.0.1:9301,jobs=64,conns=8,hosts=2,wall=1e3,dur=10s,chunk=16,seed=7")
+	f.Add("addr=h:1 jobs=1\tdur=1500ms")
+	f.Add("jobs=10")
+	f.Add("addr=h:1,wall=NaN")
+	f.Add("addr=h:1,jobs=1,jobs=2")
+	f.Add("garbage")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseIngestSpec(spec)
+		if err != nil {
+			return // rejection is always acceptable; panics are not
+		}
+		if verr := cfg.Validate(); verr != nil {
+			t.Fatalf("ParseIngestSpec(%q) accepted a config failing Validate: %v", spec, verr)
+		}
+		canon := cfg.IngestSpec()
+		back, err := ParseIngestSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical spec %q (from %q) does not re-parse: %v", canon, spec, err)
+		}
+		if back != cfg {
+			t.Fatalf("round trip diverged for %q:\n cfg:  %+v\n back: %+v", spec, cfg, back)
+		}
+		if back.IngestSpec() != canon {
+			t.Fatalf("canonical render unstable for %q: %q vs %q", spec, canon, back.IngestSpec())
+		}
+	})
+}

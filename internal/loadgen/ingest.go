@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/ingest"
+	"repro/internal/kvspec"
 	"repro/internal/rng"
 	"repro/internal/taccstats"
 )
@@ -67,7 +68,7 @@ func (c IngestConfig) Validate() error {
 		return fmt.Errorf("loadgen: conns %d outside [1,256]", c.Conns)
 	case c.MaxHosts <= 0 || c.MaxHosts > 64:
 		return fmt.Errorf("loadgen: hosts %d outside [1,64]", c.MaxHosts)
-	case c.WallCap <= 0:
+	case math.IsNaN(c.WallCap) || c.WallCap <= 0:
 		return fmt.Errorf("loadgen: wall must be positive, got %v", c.WallCap)
 	case c.Duration <= 0:
 		return fmt.Errorf("loadgen: dur must be positive, got %v", c.Duration)
@@ -75,6 +76,21 @@ func (c IngestConfig) Validate() error {
 		return fmt.Errorf("loadgen: chunk %d outside [1,65535]", c.ChunkSize)
 	}
 	return nil
+}
+
+// table is the config's spec grammar; ParseIngestSpec and IngestSpec
+// both derive from it.
+func (c *IngestConfig) table() kvspec.Table {
+	return kvspec.Table{Prefix: "loadgen", Noun: "ingest spec", Fields: []kvspec.Field{
+		{Key: "addr", Ptr: &c.Addr},
+		{Key: "jobs", Ptr: &c.Jobs},
+		{Key: "conns", Ptr: &c.Conns},
+		{Key: "hosts", Ptr: &c.MaxHosts},
+		{Key: "wall", Ptr: &c.WallCap},
+		{Key: "dur", Ptr: &c.Duration},
+		{Key: "chunk", Ptr: &c.ChunkSize},
+		{Key: "seed", Ptr: &c.Seed},
+	}}
 }
 
 // ParseIngestSpec parses an ingest load spec: comma- or
@@ -93,46 +109,12 @@ func ParseIngestSpec(s string) (IngestConfig, error) {
 		ChunkSize: defIngestChunk,
 		Duration:  defIngestDur,
 	}
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t' || r == '\n'
-	})
-	if len(fields) == 0 {
-		return IngestConfig{}, fmt.Errorf("loadgen: empty ingest spec")
+	seen, err := cfg.table().Parse(s)
+	if err != nil {
+		return IngestConfig{}, err
 	}
-	seen := map[string]bool{}
-	for _, field := range fields {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || key == "" || val == "" {
-			return IngestConfig{}, fmt.Errorf("loadgen: spec entry %q is not key=value", field)
-		}
-		if seen[key] {
-			return IngestConfig{}, fmt.Errorf("loadgen: spec key %q given twice", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "addr":
-			cfg.Addr = val
-		case "jobs":
-			cfg.Jobs, err = parseInt(key, val)
-		case "conns":
-			cfg.Conns, err = parseInt(key, val)
-		case "hosts":
-			cfg.MaxHosts, err = parseInt(key, val)
-		case "wall":
-			cfg.WallCap, err = parseFloat(key, val)
-		case "dur":
-			cfg.Duration, err = parseDuration(key, val)
-		case "chunk":
-			cfg.ChunkSize, err = parseInt(key, val)
-		case "seed":
-			cfg.Seed, err = parseUint(key, val)
-		default:
-			return IngestConfig{}, fmt.Errorf("loadgen: unknown ingest spec key %q", key)
-		}
-		if err != nil {
-			return IngestConfig{}, err
-		}
+	if len(seen) == 0 {
+		return IngestConfig{}, fmt.Errorf("loadgen: empty ingest spec")
 	}
 	if err := cfg.Validate(); err != nil {
 		return IngestConfig{}, err
@@ -142,28 +124,7 @@ func ParseIngestSpec(s string) (IngestConfig, error) {
 
 // IngestSpec renders the config canonically;
 // ParseIngestSpec(c.IngestSpec()) returns an identical config.
-func (c IngestConfig) IngestSpec() string {
-	pairs := map[string]string{
-		"addr":  c.Addr,
-		"jobs":  strconv.Itoa(c.Jobs),
-		"conns": strconv.Itoa(c.Conns),
-		"hosts": strconv.Itoa(c.MaxHosts),
-		"wall":  strconv.FormatFloat(c.WallCap, 'g', -1, 64),
-		"dur":   c.Duration.String(),
-		"chunk": strconv.Itoa(c.ChunkSize),
-		"seed":  strconv.FormatUint(c.Seed, 10),
-	}
-	keys := make([]string, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"="+pairs[k])
-	}
-	return strings.Join(parts, ",")
-}
+func (c IngestConfig) IngestSpec() string { return c.table().Render() }
 
 // IngestReport is the firehose run's record of truth: exactly how many
 // records were generated and how many the server acknowledged. Because
@@ -368,7 +329,7 @@ func ReconcileIngest(ctx context.Context, base string, rep *IngestReport) (*Inge
 	client := &http.Client{Timeout: 5 * time.Second}
 	var st ingest.Status
 	for {
-		if err := getJSON(ctx, client, base+"/debug/ingest", &st); err != nil {
+		if _, err := getJSON(ctx, client, base+"/debug/ingest", &st); err != nil {
 			return nil, err
 		}
 		if st.Pending == 0 && st.OpenJobs == 0 {
@@ -381,8 +342,12 @@ func ReconcileIngest(ctx context.Context, base string, rep *IngestReport) (*Inge
 				st.Pending, st.OpenJobs, ctx.Err())
 		}
 	}
-	metrics, err := getText(ctx, client, base+"/metrics")
-	if err != nil {
+	var metrics string
+	if _, err := get(ctx, client, base+"/metrics", func(r io.Reader) error {
+		b, err := io.ReadAll(r)
+		metrics = string(b)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 
@@ -417,39 +382,33 @@ func ReconcileIngest(ctx context.Context, base string, rep *IngestReport) (*Inge
 	return chk, nil
 }
 
-// getJSON fetches and decodes a JSON endpoint.
-func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
+// get is the one GET helper: request, status check, then read hands the
+// 200 body to the caller's decoder. The HTTP status comes back alongside
+// the error (0 when the target was never reached), so a caller can treat
+// one specific refusal -- 503 from a subsystem that is not armed -- as an
+// answer rather than a failure.
+func get(ctx context.Context, client *http.Client, url string, read func(io.Reader) error) (status int, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("loadgen: cannot reach %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: GET %s: %s", url, resp.Status)
+		return resp.StatusCode, fmt.Errorf("loadgen: GET %s answered %d", url, resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := read(resp.Body); err != nil {
+		return resp.StatusCode, fmt.Errorf("loadgen: decoding %s: %w", url, err)
+	}
+	return resp.StatusCode, nil
 }
 
-// getText fetches a text endpoint.
-func getText(ctx context.Context, client *http.Client, url string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("loadgen: GET %s: %s", url, resp.Status)
-	}
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
+// getJSON fetches a JSON endpoint into out.
+func getJSON(ctx context.Context, client *http.Client, url string, out any) (status int, err error) {
+	return get(ctx, client, url, func(r io.Reader) error { return json.NewDecoder(r).Decode(out) })
 }
 
 // promSum sums every sample of a counter family whose label block

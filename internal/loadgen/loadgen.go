@@ -147,23 +147,11 @@ func buildBody(cfg Config, sch routeSchemas, k int64) (path string, body []byte)
 // fetchFeatures asks the target for the feature schema served at path
 // (a GET endpoint answering a JSON body with a "features" array).
 func fetchFeatures(ctx context.Context, client *http.Client, base, path string) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: cannot reach %s: %w", base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: %s%s answered %d (model or fit not loaded?)", base, path, resp.StatusCode)
-	}
 	var meta struct {
 		Features []string `json:"features"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
-		return nil, fmt.Errorf("loadgen: decoding %s: %w", path, err)
+	if _, err := getJSON(ctx, client, base+path, &meta); err != nil {
+		return nil, fmt.Errorf("%w (model or fit not loaded?)", err)
 	}
 	if len(meta.Features) == 0 {
 		return nil, fmt.Errorf("loadgen: %s reports an empty feature schema", path)
@@ -348,24 +336,12 @@ var drivenRoutes = []string{
 // debugRequests fetches the target's /debug/requests with the given
 // query string.
 func debugRequests(ctx context.Context, client *http.Client, base, query string) (flight.Stats, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/debug/requests?"+query, nil)
-	if err != nil {
-		return flight.Stats{}, 0, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return flight.Stats{}, 0, fmt.Errorf("loadgen: cannot reach %s/debug/requests: %w", base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return flight.Stats{}, 0, fmt.Errorf("loadgen: %s/debug/requests answered %d (flight recorder not armed?)", base, resp.StatusCode)
-	}
 	var out struct {
 		Stats   flight.Stats `json:"stats"`
 		Matched int          `json:"matched"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return flight.Stats{}, 0, fmt.Errorf("loadgen: decoding /debug/requests: %w", err)
+	if _, err := getJSON(ctx, client, base+"/debug/requests?"+query, &out); err != nil {
+		return flight.Stats{}, 0, fmt.Errorf("%w (flight recorder not armed?)", err)
 	}
 	return out.Stats, out.Matched, nil
 }
@@ -490,9 +466,9 @@ func ReconcileRecorder(ctx context.Context, base string, rep *Report) (*Recorder
 	// flight recorder's independently-summed shadow tallies. A 503
 	// means the loop is off; that is not a mismatch.
 	chk.ShadowRows, chk.ShadowAgree = st.ShadowRows, st.ShadowAgree
-	if lg, ok, err := lifecycleLedger(ctx, client, base); err != nil {
-		flag("lifecycle ledger unavailable: %v", err)
-	} else if ok {
+	var lc lifecycle.Status
+	if status, err := getJSON(ctx, client, base+"/api/lifecycle", &lc); err == nil {
+		lg := lc.Ledger
 		chk.Lifecycle = &lg
 		if lg.Eligible != lg.Scored+lg.Errors || lg.Scored != lg.Agree+lg.Disagree {
 			flag("lifecycle ledger unbalanced: %+v", lg)
@@ -501,37 +477,14 @@ func ReconcileRecorder(ctx context.Context, base string, rep *Report) (*Recorder
 			flag("shadow books disagree: recorder rows=%d agree=%d, lifecycle ledger scored=%d agree=%d",
 				st.ShadowRows, st.ShadowAgree, lg.Scored, lg.Agree)
 		}
+	} else if status != http.StatusServiceUnavailable {
+		flag("lifecycle ledger unavailable: %v", err)
 	} else if st.ShadowRows != 0 {
 		flag("recorder saw %d shadow-scored rows but the target reports no lifecycle loop", st.ShadowRows)
 	}
 
 	rep.Recorder = chk
 	return chk, nil
-}
-
-// lifecycleLedger fetches the target's lifecycle ledger; ok=false means
-// the loop is not armed (the endpoint answered 503).
-func lifecycleLedger(ctx context.Context, client *http.Client, base string) (lifecycle.Ledger, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/lifecycle", nil)
-	if err != nil {
-		return lifecycle.Ledger{}, false, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return lifecycle.Ledger{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		return lifecycle.Ledger{}, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return lifecycle.Ledger{}, false, fmt.Errorf("loadgen: GET /api/lifecycle: status %d", resp.StatusCode)
-	}
-	var st lifecycle.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return lifecycle.Ledger{}, false, fmt.Errorf("loadgen: decoding /api/lifecycle: %w", err)
-	}
-	return st.Ledger, true, nil
 }
 
 // summarize computes the latency stats from raw millisecond samples.

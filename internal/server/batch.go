@@ -2,44 +2,15 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/obs/flight"
 	"repro/internal/parallel"
-	"repro/internal/resilience"
 )
-
-// rowError maps a failed row classification (single or batch) to its
-// response: deadline overruns are 504s counted in http_timeouts_total,
-// isolated row panics and injected faults are 500s. Nothing has been
-// written yet in either caller, so the status always commits cleanly.
-// The request's wide event picks up the terminal error (and, for an
-// isolated row panic, the panic flag) so /debug/requests can attribute
-// the 5xx to its cause.
-func (s *Server) rowError(w http.ResponseWriter, r *http.Request, err error) {
-	fe := flight.From(r.Context())
-	var pe *parallel.PanicError
-	switch {
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.timedOut(w, r, "handler")
-	case errors.As(err, &pe):
-		fe.MarkPanic()
-		fe.SetErr(fmt.Sprintf("row %d inference panicked: %v", pe.Index, pe.Value))
-		s.metrics.Counter("classify_row_panics_total").Inc()
-		s.log.Error("classify row panic isolated", "task", pe.Index, "panic", pe.Value)
-		s.writeError(w, http.StatusInternalServerError,
-			"internal error: row %d inference panicked (isolated)", pe.Index)
-	default:
-		fe.SetErr(err.Error())
-		s.writeError(w, http.StatusInternalServerError, "internal error: %v", err)
-	}
-}
 
 // maxBatchRows caps how many feature rows one batch request may carry.
 // Larger workloads should be chunked client-side; the cap keeps a single
@@ -49,16 +20,6 @@ const maxBatchRows = 4096
 // maxBatchBody caps the batch request body (a full 4096x~40-feature
 // request is a few MB of JSON).
 const maxBatchBody = 16 << 20
-
-// rowLatencyBuckets spans per-row inference latency, which sits in the
-// microsecond-to-millisecond range -- far below the default HTTP
-// request buckets.
-func rowLatencyBuckets() []float64 {
-	return []float64{
-		1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
-		1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 0.1,
-	}
-}
 
 // batchSizeBuckets spans request batch sizes from single rows to the
 // maxBatchRows cap.
@@ -93,15 +54,12 @@ type batchResponse struct {
 	Generation uint64           `json:"generation"`
 }
 
-// batchBadRequest counts and writes a batch-level validation failure.
-func (s *Server) batchBadRequest(w http.ResponseWriter, format string, args ...any) {
-	s.classifyOutcome("bad_request")
-	s.writeError(w, http.StatusBadRequest, format, args...)
-}
-
 // resolveColumns validates a column-major batch and materializes it into
 // per-row feature vectors. All columns must be known features and share
-// one length; features without a column default to zero for every row.
+// one length within the row cap; features without a column default to
+// zero for every row. Every refusal precedes the n x F allocation, so a
+// hostile body cannot make the server build a buffer it will then
+// reject.
 func resolveColumns(v *core.ModelView, cols map[string][]float64) (rows [][]float64, defaulted []string, err error) {
 	n := -1
 	var unknown []string
@@ -122,6 +80,9 @@ func resolveColumns(v *core.ModelView, cols map[string][]float64) (rows [][]floa
 	}
 	if n <= 0 {
 		return nil, nil, errors.New("columns form carries no rows")
+	}
+	if n > maxBatchRows {
+		return nil, nil, fmt.Errorf("batch carries %d rows, limit is %d", n, maxBatchRows)
 	}
 	rows = make([][]float64, n)
 	flat := make([]float64, n*v.NumFeatures())
@@ -144,35 +105,26 @@ func resolveColumns(v *core.ModelView, cols map[string][]float64) (rows [][]floa
 }
 
 // handleClassifyBatch classifies up to maxBatchRows feature rows in one
-// request, fanning inference across the worker pool. The model view is
-// captured once, so every row in a batch is classified by the same model
-// generation even if a hot-swap lands mid-request.
+// request: the classify pipeline's stages with the per-row stage fanned
+// across the worker pool. The model view is captured once, so every row
+// in a batch is classified by the same model generation even if a
+// hot-swap lands mid-request.
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	v := s.models.View()
+	p := &s.classify
+	v := p.view(w, r)
 	if v == nil {
-		s.classifyOutcome("no_model")
-		s.writeError(w, http.StatusServiceUnavailable, "no classifier loaded")
 		return
 	}
-	v.Annotate(flight.From(r.Context()))
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.classifyOutcome("oversized")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.batchBadRequest(w, "bad request body: %v", err)
+	if !p.decode(w, r, maxBatchBody, &req) {
 		return
 	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		s.batchBadRequest(w, "threshold must be in [0,1]")
+	if err := threshold01(req.Threshold); err != nil {
+		p.bad(w, "%v", err)
 		return
 	}
 	if len(req.Rows) > 0 && len(req.Columns) > 0 {
-		s.batchBadRequest(w, "request sets both rows and columns; pick one form")
+		p.bad(w, "request sets both rows and columns; pick one form")
 		return
 	}
 
@@ -182,34 +134,23 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	var rows [][]float64
 	var defaulted [][]string
 	switch {
+	case len(req.Rows) > maxBatchRows:
+		p.bad(w, "batch carries %d rows, limit is %d", len(req.Rows), maxBatchRows)
+		return
 	case len(req.Rows) > 0:
-		if len(req.Rows) > maxBatchRows {
-			s.batchBadRequest(w, "batch carries %d rows, limit is %d", len(req.Rows), maxBatchRows)
-			return
-		}
 		rows = make([][]float64, len(req.Rows))
 		defaulted = make([][]string, len(req.Rows))
 		for i, features := range req.Rows {
-			if len(features) == 0 {
-				s.batchBadRequest(w, "row %d: empty or missing features map", i)
+			var err error
+			if rows[i], defaulted[i], err = resolveRow(v, features); err != nil {
+				p.bad(w, "row %d: %v", i, err)
 				return
 			}
-			row, def, unknown := resolveRow(v, features)
-			if len(unknown) > 0 {
-				sort.Strings(unknown)
-				s.batchBadRequest(w, "row %d: unknown features: %v", i, unknown)
-				return
-			}
-			rows[i], defaulted[i] = row, def
 		}
 	case len(req.Columns) > 0:
 		cols, def, err := resolveColumns(v, req.Columns)
 		if err != nil {
-			s.batchBadRequest(w, "%v", err)
-			return
-		}
-		if len(cols) > maxBatchRows {
-			s.batchBadRequest(w, "batch carries %d rows, limit is %d", len(cols), maxBatchRows)
+			p.bad(w, "%v", err)
 			return
 		}
 		rows = cols
@@ -218,23 +159,25 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 			defaulted[i] = def
 		}
 	default:
-		s.batchBadRequest(w, "empty batch: set rows or columns")
+		p.bad(w, "empty batch: set rows or columns")
 		return
 	}
 
-	s.metrics.Histogram("classify_batch_rows", batchSizeBuckets()).Observe(float64(len(rows)))
+	s.batchRows.Observe(float64(len(rows)))
 
 	// All-or-nothing fan-out: rows share the request context, so an
 	// expired deadline (or an isolated row panic) fails the whole batch
 	// with one error response -- a batch never returns partial results.
 	// The timed variant sums per-row inference time into the request's
 	// wide event across however many goroutines the pool spreads over.
+	one := classifyRequest{Threshold: req.Threshold}
 	results := make([]classifyResult, len(rows))
 	err := parallel.ForEachCtxTimed(r.Context(), s.batchWorkers, len(rows), flight.From(r.Context()).Timer(), func(ctx context.Context, i int) error {
-		res, err := s.classifyRow(ctx, v, rows[i], defaulted[i], req.Threshold)
+		res, err := p.row(ctx, v, &one, rows[i])
 		if err != nil {
 			return err
 		}
+		res.Defaulted = defaulted[i]
 		results[i] = res
 		return nil
 	})
@@ -272,25 +215,14 @@ type reloadRequest struct {
 // with a Retry-After hint and never touch the manager; in-flight
 // requests are never disturbed either way.
 func (s *Server) handleModelReload(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxClassifyBody)
 	var req reloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if s.decodeBody(w, r, maxClassifyBody, &req, true) != 0 {
 		return
 	}
 	gen, err := s.ReloadModel(req.Path)
 	if err != nil {
 		s.log.Warn("model reload failed", "path", req.Path, "err", err)
-		switch {
-		case errors.Is(err, resilience.ErrBreakerOpen):
-			w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.RetryAfter()))
-			s.writeError(w, http.StatusServiceUnavailable,
-				"model reload breaker open after repeated failures: %v", err)
-		case errors.Is(err, core.ErrSchemaMismatch):
-			s.writeError(w, http.StatusConflict, "model rejected: %v", err)
-		default:
-			s.writeError(w, http.StatusBadRequest, "model reload failed: %v", err)
-		}
+		s.controlError(w, "model reload", http.StatusBadRequest, err)
 		return
 	}
 	v := s.models.View()

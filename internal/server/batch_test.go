@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -240,6 +241,23 @@ func TestBatchValidation(t *testing.T) {
 	sb.WriteString(`],"threshold":0.5}`)
 	if status, msg := post(sb.String()); status != http.StatusBadRequest || !strings.Contains(msg, "limit") {
 		t.Errorf("over-cap batch: status %d msg %q", status, msg)
+	}
+	// Over the cap in column-major form: refused before the rows x
+	// features buffer is materialised. One ~8 MB column of 4M zeros would
+	// be a 4M x F x 8 B (gigabyte) allocation if the cap were checked
+	// after resolveColumns built it; decoding the column itself is ~32 MB.
+	const hostileRows = 4 << 20
+	hostile := fmt.Sprintf(`{"columns":{"%s":[%s0]},"threshold":0.5}`, names[0], strings.Repeat("0,", hostileRows-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status, msg := post(hostile)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusBadRequest || !strings.Contains(msg, "limit") {
+		t.Errorf("over-cap columns: status %d msg %q", status, msg)
+	}
+	if grown, full := after.TotalAlloc-before.TotalAlloc, uint64(hostileRows)*uint64(len(names))*8; grown > full/4 {
+		t.Errorf("over-cap columns allocated %d MB; the %d MB rows x features buffer must never be built",
+			grown>>20, full>>20)
 	}
 	if got := reg.Histogram("classify_row_seconds", nil).Count(); got != 0 {
 		t.Errorf("rejected batches ran %d rows of inference", got)

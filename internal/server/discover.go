@@ -1,16 +1,12 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
-	"io"
+	"fmt"
 	"net/http"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs/flight"
-	"repro/internal/resilience"
 )
 
 // This file serves the unknown-app discovery and runtime-class workload
@@ -38,32 +34,6 @@ func WithRuntimeManager(mm *core.ModelManager) Option {
 	return func(s *Server) { s.runtime = mm }
 }
 
-// Discovery exposes the server's discovery manager.
-func (s *Server) Discovery() *core.DiscoveryManager { return s.discovery }
-
-// RuntimeModels exposes the server's runtime-class model manager.
-func (s *Server) RuntimeModels() *core.ModelManager { return s.runtime }
-
-func (s *Server) discoverOutcome(outcome string) {
-	s.metrics.Counter("discover_assign_outcomes_total", "outcome", outcome).Inc()
-}
-
-func (s *Server) runtimeOutcome(outcome string) {
-	s.metrics.Counter("runtime_class_outcomes_total", "outcome", outcome).Inc()
-}
-
-// clusterJSON is one served cluster summary; Center keys encode sorted
-// (encoding/json orders map keys), so responses are byte-deterministic.
-type clusterJSON struct {
-	ID            int                     `json:"id"`
-	Size          int                     `json:"size"`
-	Share         float64                 `json:"share"`
-	Anomalous     bool                    `json:"anomalous"`
-	MeanDistance  float64                 `json:"meanDistance"`
-	Center        map[string]float64      `json:"center"`
-	TopDeviations []core.FeatureDeviation `json:"topDeviations"`
-}
-
 // handleDiscoverGet reports the serving discovery fit: the cluster
 // table, the explained-variance curve (read the knee to see how many
 // directions the unlabeled population spans), and the anomaly
@@ -75,14 +45,9 @@ func (s *Server) handleDiscoverGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v.Annotate(flight.From(r.Context()))
+	// Center keys encode sorted (encoding/json orders map keys), so the
+	// response is byte-deterministic.
 	m := v.Model
-	clusters := make([]clusterJSON, len(m.Clusters))
-	for i, c := range m.Clusters {
-		clusters[i] = clusterJSON{
-			ID: c.ID, Size: c.Size, Share: c.Share, Anomalous: c.Anomalous,
-			MeanDistance: c.MeanDistance, Center: c.Center, TopDeviations: c.TopDeviations,
-		}
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"generation":        v.Generation,
 		"k":                 m.K,
@@ -92,7 +57,7 @@ func (s *Server) handleDiscoverGet(w http.ResponseWriter, r *http.Request) {
 		"explainedVariance": m.ExplainedVariance,
 		"anomalyDistance":   m.AnomalyDistance,
 		"inertia":           m.Inertia,
-		"clusters":          clusters,
+		"clusters":          m.Clusters,
 	})
 }
 
@@ -111,10 +76,8 @@ type refitRequest struct {
 // reload circuit breaker: repeated failures trip it and further
 // attempts answer 503 fast without touching the store.
 func (s *Server) handleDiscoverRefit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxClassifyBody)
 	var req refitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if s.decodeBody(w, r, maxClassifyBody, &req, true) != 0 {
 		return
 	}
 	if req.K < 0 || req.Components < 0 || req.Restarts < 0 {
@@ -127,16 +90,7 @@ func (s *Server) handleDiscoverRefit(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		s.log.Warn("discovery refit failed", "err", err)
-		switch {
-		case errors.Is(err, resilience.ErrBreakerOpen):
-			w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.RetryAfter()))
-			s.writeError(w, http.StatusServiceUnavailable,
-				"refit breaker open after repeated failures: %v", err)
-		case errors.Is(err, core.ErrSchemaMismatch):
-			s.writeError(w, http.StatusConflict, "refit rejected: %v", err)
-		default:
-			s.writeError(w, http.StatusBadRequest, "discovery refit failed: %v", err)
-		}
+		s.controlError(w, "discovery refit", http.StatusBadRequest, err)
 		return
 	}
 	v := s.discovery.View()
@@ -151,28 +105,23 @@ func (s *Server) handleDiscoverRefit(w http.ResponseWriter, r *http.Request) {
 // RefitDiscovery fits PCA + k-means over the warehouse's current
 // unlabeled population and swaps the result in, through the shared
 // control-plane breaker and the discover.fit fault site. SIGHUP-driven
-// refits and the admin endpoint both route here.
-func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (uint64, error) {
-	if err := s.breaker.Allow(); err != nil {
-		s.metrics.Counter("model_breaker_rejections_total").Inc()
-		return s.discovery.Generation(), err
-	}
-	gen, err := s.refitOnce(cfg)
-	s.breaker.Record(err)
+// refits and the admin endpoint both route here. On failure the
+// still-serving generation is returned.
+func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (gen uint64, err error) {
+	gen = s.discovery.Generation()
+	err = s.controlGuard(func() error {
+		if err := s.faults.Inject(FaultDiscoverFit); err != nil {
+			return err
+		}
+		opt := core.DefaultFeatures()
+		m, err := core.FitDiscovery(core.UnlabeledRows(s.store, opt), core.FeatureNames(opt), cfg)
+		if err != nil {
+			return err
+		}
+		gen, err = s.discovery.Swap(m)
+		return err
+	})
 	return gen, err
-}
-
-func (s *Server) refitOnce(cfg core.DiscoveryConfig) (uint64, error) {
-	if err := s.faults.Inject(FaultDiscoverFit); err != nil {
-		return s.discovery.Generation(), err
-	}
-	opt := core.DefaultFeatures()
-	rows := core.UnlabeledRows(s.store, opt)
-	m, err := core.FitDiscovery(rows, core.FeatureNames(opt), cfg)
-	if err != nil {
-		return s.discovery.Generation(), err
-	}
-	return s.discovery.Swap(m)
 }
 
 // assignRequest scores one job against the discovery fit.
@@ -180,87 +129,11 @@ type assignRequest struct {
 	Features map[string]float64 `json:"features"`
 }
 
-// handleDiscoverAssign scores one job row against the serving discovery
-// fit: which discovered cluster it belongs to, how far from the center
-// it sits, and whether that distance (or the cluster itself) is
-// anomalous. Mirrors handleClassify's contract: 503 with no fit, 400
-// for malformed/unknown features, 504 past the deadline.
-func (s *Server) handleDiscoverAssign(w http.ResponseWriter, r *http.Request) {
-	v := s.discovery.View()
-	if v == nil {
-		s.discoverOutcome("no_model")
-		s.writeError(w, http.StatusServiceUnavailable, "no discovery fit loaded")
-		return
-	}
-	v.Annotate(flight.From(r.Context()))
-	r.Body = http.MaxBytesReader(w, r.Body, maxClassifyBody)
-	var req assignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.discoverOutcome("oversized")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.discoverOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Features) == 0 {
-		s.discoverOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "empty or missing features map")
-		return
-	}
-	row := make([]float64, v.NumFeatures())
-	defaulted := []string{}
-	var unknown []string
-	for name, val := range req.Features {
-		idx, ok := v.FeatureIndex(name)
-		if !ok {
-			unknown = append(unknown, name)
-			continue
-		}
-		row[idx] = val
-	}
-	for _, name := range v.Model.Features {
-		if _, ok := req.Features[name]; !ok {
-			defaulted = append(defaulted, name)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		s.discoverOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "unknown features: %v", unknown)
-		return
-	}
-	if fired, err := s.faults.InjectReport(FaultDiscoverAssign); fired {
-		flight.From(r.Context()).MarkFault()
-		if err != nil {
-			s.discoverOutcome("error")
-			s.rowError(w, r, err)
-			return
-		}
-	}
-	if err := r.Context().Err(); err != nil {
-		s.discoverOutcome("timeout")
-		s.rowError(w, r, err)
-		return
-	}
-	start := time.Now()
-	a, err := v.Model.Assign(row)
-	s.metrics.Histogram("discover_assign_seconds", rowLatencyBuckets()).ObserveDuration(start)
-	flight.From(r.Context()).Timer().Observe(time.Since(start))
-	if err != nil {
-		s.discoverOutcome("error")
-		s.rowError(w, r, err)
-		return
-	}
-	if a.Anomalous {
-		s.discoverOutcome("anomalous")
-	} else {
-		s.discoverOutcome("assigned")
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+// assignReply is the /api/discover/assign body: which discovered
+// cluster the job belongs to, how far from the center it sits, and
+// whether that distance (or the cluster itself) is anomalous.
+func assignReply(v *core.DiscoveryView, _ *assignRequest, a *core.Assignment, defaulted []string) any {
+	return map[string]any{
 		"cluster":          a.Cluster,
 		"distance":         a.Distance,
 		"anomalous":        a.Anomalous,
@@ -268,7 +141,7 @@ func (s *Server) handleDiscoverAssign(w http.ResponseWriter, r *http.Request) {
 		"projection":       a.Projection,
 		"generation":       v.Generation,
 		"defaulted":        defaulted,
-	})
+	}
 }
 
 // runtimeRequest asks for a submit-time runtime/outcome class. The
@@ -281,121 +154,60 @@ type runtimeRequest struct {
 	Thresholds map[string]float64 `json:"thresholds"`
 }
 
-// handleRuntimeFeatures reports the runtime-class model's schema so
-// clients (and the load generator) can build valid request bodies.
-func (s *Server) handleRuntimeFeatures(w http.ResponseWriter, r *http.Request) {
-	v := s.runtime.View()
-	if v == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no runtime-class model loaded")
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"algorithm":  v.Model.Algo,
-		"features":   v.Model.Features,
-		"classes":    v.Model.Classes(),
-		"generation": v.Generation,
-		"compiled":   v.Compiled(),
-	})
+// runtimeScore is one runtime-class inference: the argmax class, the
+// full posterior, and the thresholded verdict.
+type runtimeScore struct {
+	pred       int
+	probs      []float64
+	classified bool
 }
 
-// handleRuntimeClass predicts a job's runtime/outcome class at submit
-// time from whatever features the client has (missing ones default to 0
-// and are reported back). The full per-class probability vector is
-// returned so scheduler-side policies can apply their own decision
-// rules beyond the thresholded verdict.
-func (s *Server) handleRuntimeClass(w http.ResponseWriter, r *http.Request) {
-	v := s.runtime.View()
-	if v == nil {
-		s.runtimeOutcome("no_model")
-		s.writeError(w, http.StatusServiceUnavailable, "no runtime-class model loaded")
-		return
-	}
-	v.Annotate(flight.From(r.Context()))
-	r.Body = http.MaxBytesReader(w, r.Body, maxClassifyBody)
-	var req runtimeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.runtimeOutcome("oversized")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.runtimeOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		s.runtimeOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "threshold must be in [0,1]")
-		return
+// runtimeFeatures validates the threshold knobs against the serving
+// model's class vocabulary and hands back the feature map.
+func runtimeFeatures(v *core.ModelView, req *runtimeRequest) (map[string]float64, error) {
+	if err := threshold01(req.Threshold); err != nil {
+		return nil, err
 	}
 	classes := v.Model.Classes()
-	known := make(map[string]bool, len(classes))
-	for _, c := range classes {
-		known[c] = true
-	}
 	for name, t := range req.Thresholds {
-		if !known[name] {
-			s.runtimeOutcome("bad_request")
-			s.writeError(w, http.StatusBadRequest, "unknown class %q in thresholds (classes: %v)", name, classes)
-			return
+		if !slices.Contains(classes, name) {
+			return nil, fmt.Errorf("unknown class %q in thresholds (classes: %v)", name, classes)
 		}
 		if t < 0 || t > 1 {
-			s.runtimeOutcome("bad_request")
-			s.writeError(w, http.StatusBadRequest, "thresholds[%q] must be in [0,1]", name)
-			return
+			return nil, fmt.Errorf("thresholds[%q] must be in [0,1]", name)
 		}
 	}
-	if len(req.Features) == 0 {
-		s.runtimeOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "empty or missing features map")
-		return
-	}
-	row, defaulted, unknownFeats := resolveRow(v, req.Features)
-	if len(unknownFeats) > 0 {
-		sort.Strings(unknownFeats)
-		s.runtimeOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "unknown features: %v", unknownFeats)
-		return
-	}
-	if fired, err := s.faults.InjectReport(FaultRuntimeRow); fired {
-		flight.From(r.Context()).MarkFault()
-		if err != nil {
-			s.runtimeOutcome("error")
-			s.rowError(w, r, err)
-			return
-		}
-	}
-	if err := r.Context().Err(); err != nil {
-		s.runtimeOutcome("timeout")
-		s.rowError(w, r, err)
-		return
-	}
-	start := time.Now()
+	return req.Features, nil
+}
+
+// scoreRuntime predicts a job's runtime/outcome class at submit time
+// from whatever features the client has, applying the winning class's
+// own threshold when the request overrides it.
+func scoreRuntime(v *core.ModelView, req *runtimeRequest, row []float64) (runtimeScore, bool, error) {
 	pred, probs := v.Model.PredictProb(row)
-	s.metrics.Histogram("runtime_class_row_seconds", rowLatencyBuckets()).ObserveDuration(start)
-	flight.From(r.Context()).Timer().Observe(time.Since(start))
-	label := classes[pred]
 	threshold := req.Threshold
-	if t, ok := req.Thresholds[label]; ok {
+	if t, ok := req.Thresholds[v.Model.Classes()[pred]]; ok {
 		threshold = t
 	}
 	classified := probs[pred] >= threshold
-	if classified {
-		s.runtimeOutcome("classified")
-	} else {
-		s.runtimeOutcome("below_threshold")
-	}
+	return runtimeScore{pred: pred, probs: probs, classified: classified}, classified, nil
+}
+
+// runtimeReply is the /api/runtime-class body. The full per-class
+// probability vector is returned so scheduler-side policies can apply
+// their own decision rules beyond the thresholded verdict.
+func runtimeReply(v *core.ModelView, _ *runtimeRequest, res runtimeScore, defaulted []string) any {
+	classes := v.Model.Classes()
 	probabilities := make(map[string]float64, len(classes))
 	for i, c := range classes {
-		probabilities[c] = probs[i]
+		probabilities[c] = res.probs[i]
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"class":         label,
-		"probability":   probs[pred],
-		"classified":    classified,
+	return map[string]any{
+		"class":         classes[res.pred],
+		"probability":   res.probs[res.pred],
+		"classified":    res.classified,
 		"probabilities": probabilities,
 		"generation":    v.Generation,
 		"defaulted":     defaulted,
-	})
+	}
 }

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 
 	"repro/internal/lifecycle"
-	"repro/internal/resilience"
 )
 
 // lifecycleSetup carries the WithLifecycle arguments until New has
@@ -74,19 +72,6 @@ func (s *Server) initLifecycle() {
 	s.lifecycle = loop
 }
 
-// controlGuard is the shared control-plane gate: lifecycle retrains and
-// promotions pass through the same breaker as model reloads, so
-// repeated failures from any control-plane source fail fast together.
-func (s *Server) controlGuard(op func() error) error {
-	if err := s.breaker.Allow(); err != nil {
-		s.metrics.Counter("model_breaker_rejections_total").Inc()
-		return err
-	}
-	err := op()
-	s.breaker.Record(err)
-	return err
-}
-
 // Lifecycle exposes the loop (nil when WithLifecycle was not used); the
 // host process uses it for signal-driven retrains and Step-draining.
 func (s *Server) Lifecycle() *lifecycle.Loop { return s.lifecycle }
@@ -96,86 +81,27 @@ func (s *Server) Lifecycle() *lifecycle.Loop { return s.lifecycle }
 // lifecycle is disabled or the caller supplied its own Notify.
 func (s *Server) LifecycleNotify() <-chan struct{} { return s.lifecycleCh }
 
-// requireLifecycle answers 503 when the loop is not armed.
-func (s *Server) requireLifecycle(w http.ResponseWriter) *lifecycle.Loop {
-	if s.lifecycle == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "lifecycle loop not enabled")
-		return nil
+// lifecycleOp serves one lifecycle endpoint: 503 when the loop is not
+// armed, otherwise run the control-plane step (nil for the read-only
+// status route) and answer with the loop's full state snapshot, or the
+// step's failure through controlError. retrain forces a challenger
+// retrain and leaves the loop shadowing it; promote runs the promotion
+// gate now (a gate rejection is a 200 whose reason is in the status);
+// rollback swaps the pre-promotion champion back in.
+func (s *Server) lifecycleOp(name string, step func(*lifecycle.Loop) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		l := s.lifecycle
+		if l == nil {
+			s.writeError(w, http.StatusServiceUnavailable, "lifecycle loop not enabled")
+			return
+		}
+		if step != nil {
+			if err := step(l); err != nil {
+				s.log.Warn("lifecycle "+name+" failed", "err", err)
+				s.controlError(w, "lifecycle "+name, http.StatusInternalServerError, err)
+				return
+			}
+		}
+		s.writeJSON(w, http.StatusOK, l.Status())
 	}
-	return s.lifecycle
-}
-
-// handleLifecycleStatus serves GET /api/lifecycle: the loop's full
-// state snapshot (state machine, drift statistics, shadow ledger,
-// transitions, last promotion decision).
-func (s *Server) handleLifecycleStatus(w http.ResponseWriter, r *http.Request) {
-	l := s.requireLifecycle(w)
-	if l == nil {
-		return
-	}
-	s.writeJSON(w, http.StatusOK, l.Status())
-}
-
-// lifecycleOpError maps a control-plane operation failure onto an HTTP
-// status: breaker-open fails fast with Retry-After, precondition
-// failures are conflicts, anything else is a 500.
-func (s *Server) lifecycleOpError(w http.ResponseWriter, op string, err error) {
-	s.log.Warn("lifecycle "+op+" failed", "err", err)
-	switch {
-	case errors.Is(err, resilience.ErrBreakerOpen):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.RetryAfter()))
-		s.writeError(w, http.StatusServiceUnavailable,
-			"control-plane breaker open after repeated failures: %v", err)
-	case errors.Is(err, lifecycle.ErrNoTrainer),
-		errors.Is(err, lifecycle.ErrNoChallenger),
-		errors.Is(err, lifecycle.ErrNoHistory):
-		s.writeError(w, http.StatusConflict, "lifecycle %s: %v", op, err)
-	default:
-		s.writeError(w, http.StatusInternalServerError, "lifecycle %s failed: %v", op, err)
-	}
-}
-
-// handleLifecycleRetrain serves POST /admin/lifecycle/retrain: force a
-// challenger retrain (drift need not have fired). On success the loop
-// is shadowing the fresh challenger.
-func (s *Server) handleLifecycleRetrain(w http.ResponseWriter, r *http.Request) {
-	l := s.requireLifecycle(w)
-	if l == nil {
-		return
-	}
-	if err := l.Retrain(); err != nil {
-		s.lifecycleOpError(w, "retrain", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, l.Status())
-}
-
-// handleLifecyclePromote serves POST /admin/lifecycle/promote: run the
-// promotion gate now. A gate rejection is a successful request — the
-// decision (with its reason) comes back in the status; only
-// control-plane failures are errors.
-func (s *Server) handleLifecyclePromote(w http.ResponseWriter, r *http.Request) {
-	l := s.requireLifecycle(w)
-	if l == nil {
-		return
-	}
-	if err := l.Decide(); err != nil {
-		s.lifecycleOpError(w, "promote", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, l.Status())
-}
-
-// handleLifecycleRollback serves POST /admin/lifecycle/rollback: swap
-// the pre-promotion champion back in (one generation of history).
-func (s *Server) handleLifecycleRollback(w http.ResponseWriter, r *http.Request) {
-	l := s.requireLifecycle(w)
-	if l == nil {
-		return
-	}
-	if err := l.Rollback(); err != nil {
-		s.lifecycleOpError(w, "rollback", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, l.Status())
 }

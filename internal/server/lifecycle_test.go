@@ -31,7 +31,7 @@ const (
 )
 
 // lcCenter is the same collision-free class layout the lifecycle
-// simulation uses (see internal/lifecycle/sim.go).
+// simulation uses (see internal/lifecycle/simharness_test.go).
 func lcCenter(k, f int) float64 { return float64((5*k+3*f)%11) + 0.5*float64(k) }
 
 // lcTraffic draws n labeled rows round-robin over the classes. When

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -58,26 +57,15 @@ func WithFlightRecorder(rec *flight.Recorder) Option {
 	return func(s *Server) { s.flight = rec }
 }
 
-// knownPaths bounds the cardinality of the path label: anything not
-// registered on the API is reported as "other".
-var knownPaths = map[string]bool{
-	"/api/overview": true, "/api/groupby": true, "/api/drilldown": true,
-	"/api/utilization": true, "/api/features": true, "/api/classify": true,
-	"/api/classify/batch": true, "/admin/model/reload": true,
-	"/api/discover": true, "/api/discover/assign": true,
-	"/api/runtime-class": true, "/api/runtime-class/features": true,
-	"/api/lifecycle": true, "/admin/lifecycle/retrain": true,
-	"/admin/lifecycle/promote": true, "/admin/lifecycle/rollback": true,
-	"/metrics": true, "/healthz": true, "/readyz": true,
-	"/debug/requests": true, "/debug/slo": true, "/debug/bundle": true,
-}
-
-func pathLabel(p string) string {
-	if knownPaths[p] {
-		return p
-	}
+// pathLabel bounds the cardinality of the path metric label: a path in
+// the route table reports as itself, pprof's subtree as one label, and
+// anything else as "other".
+func (s *Server) pathLabel(p string) string {
 	if strings.HasPrefix(p, "/debug/pprof") {
 		return "/debug/pprof"
+	}
+	if _, ok := s.governedPath[p]; ok {
+		return p
 	}
 	return "other"
 }
@@ -146,7 +134,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 		// armed this whole block is one nil check.
 		var fe *flight.Active
 		if s.flight != nil {
-			fe = flight.NewActive(id, r.Method, pathLabel(r.URL.Path), start)
+			fe = flight.NewActive(id, r.Method, s.pathLabel(r.URL.Path), start)
 			r = r.WithContext(flight.With(r.Context(), fe))
 		}
 
@@ -173,7 +161,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				sw.status = http.StatusOK
 			}
 			if s.metrics != nil {
-				pl := pathLabel(r.URL.Path)
+				pl := s.pathLabel(r.URL.Path)
 				s.metrics.Counter("http_requests_total",
 					"path", pl, "code", strconv.Itoa(sw.status)).Inc()
 				s.metrics.Histogram("http_request_seconds", nil, "path", pl).
@@ -190,7 +178,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 		// deadline via context, then bounded admission. Everything else
 		// (warehouse reads, /metrics, pprof) bypasses it, so operators
 		// can always observe an overloaded server.
-		if governed(r) && (s.limiter != nil || s.resilience.RequestTimeout > 0) {
+		if s.governedPath[r.URL.Path] && (s.limiter != nil || s.resilience.RequestTimeout > 0) {
 			s.govern(sw, r, func(r *http.Request) { next.ServeHTTP(sw, r) })
 			return
 		}
@@ -198,69 +186,49 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 	})
 }
 
-// classifyOutcome counts classification endpoint outcomes: classified,
-// below_threshold, bad_request, oversized, no_model.
-func (s *Server) classifyOutcome(outcome string) {
-	s.metrics.Counter("classify_outcomes_total", "outcome", outcome).Inc()
+// declareMetrics pre-declares the metric families' HELP text so /metrics
+// carries it before the first request lands (nil-safe without a
+// registry).
+func (s *Server) declareMetrics() {
+	s.metrics.Help("http_requests_total", "HTTP requests by path and status code.")
+	s.metrics.Help("http_request_seconds", "HTTP request latency in seconds by path.")
+	s.metrics.Help("http_in_flight_requests", "Requests currently being served.")
+	s.metrics.Help("http_panics_total", "Requests that panicked in a handler.")
+	s.metrics.Help("classify_outcomes_total", "Classification outcomes, counted per row for batch requests.")
+	s.metrics.Help("classify_batch_rows", "Rows per batch classification request.")
+	s.metrics.Help("classify_row_seconds", "Per-row model inference latency in seconds.")
+	s.metrics.Help("http_encode_errors_total", "JSON response bodies that failed to encode after the status was committed.")
+	s.metrics.Help("http_shed_total", "Requests rejected by admission control (429), by reason.")
+	s.metrics.Help("http_timeouts_total", "Requests that exceeded their deadline (504), by stage (queue or handler).")
+	s.metrics.Help("model_breaker_state", "Model-reload circuit breaker position: 0 closed, 1 half-open, 2 open.")
+	s.metrics.Help("model_breaker_rejections_total", "Model reload attempts rejected because the breaker was open.")
+	s.metrics.Help("classify_row_panics_total", "Row inference panics isolated by the worker pool.")
+	s.metrics.Help("discover_assign_outcomes_total", "Discovery assignment outcomes (assigned, anomalous, bad_request, oversized, no_model, timeout, error).")
+	s.metrics.Help("discover_assign_seconds", "Per-row discovery assignment latency in seconds.")
+	s.metrics.Help("runtime_class_outcomes_total", "Runtime-class prediction outcomes (classified, below_threshold, bad_request, oversized, no_model, timeout, error).")
+	s.metrics.Help("runtime_class_row_seconds", "Per-row runtime-class inference latency in seconds.")
+	s.metrics.Help("go_goroutines", "Live goroutines (runtime/metrics, sampled per scrape).")
+	s.metrics.Help("go_heap_bytes", "Bytes of live heap objects (runtime/metrics, sampled per scrape).")
+	s.metrics.Help("go_gc_pause_seconds", "GC pause distribution quantiles (runtime/metrics).")
+	s.metrics.Help("go_sched_latency_seconds", "Goroutine scheduling latency quantiles (runtime/metrics).")
+	if s.flight != nil {
+		s.metrics.Help("flight_events", "Flight-recorder event ledger by disposition (observed = kept + sampled_out; kept = live + evicted).")
+		s.metrics.Help("flight_shadow_rows", "Shadow-scored rows recorded on wide events, by disposition (scored, agree); reconciles exactly with lifecycle_shadow_rows_total.")
+		s.metrics.Help("flight_live_events", "Wide events currently held in the flight-recorder ring.")
+		s.metrics.Help("flight_bundles", "Diagnostic bundle captures by outcome.")
+		s.metrics.Help("slo_burn_rate", "Error-budget burn rate per objective and window (1.0 = budget spent exactly at the sustainable pace).")
+		s.metrics.Help("slo_target", "Configured SLO target per objective.")
+		s.metrics.Help("slo_budget_left", "Fraction of the run's error budget still unspent, per objective.")
+	}
 }
 
-// mountDebug registers the optional /metrics and /debug/pprof routes and
-// pre-declares the HTTP metric families so /metrics carries HELP text
-// before the first request lands.
-func (s *Server) mountDebug() {
-	if s.metrics != nil {
-		s.metrics.Help("http_requests_total", "HTTP requests by path and status code.")
-		s.metrics.Help("http_request_seconds", "HTTP request latency in seconds by path.")
-		s.metrics.Help("http_in_flight_requests", "Requests currently being served.")
-		s.metrics.Help("http_panics_total", "Requests that panicked in a handler.")
-		s.metrics.Help("classify_outcomes_total", "Classification outcomes, counted per row for batch requests.")
-		s.metrics.Help("classify_batch_rows", "Rows per batch classification request.")
-		s.metrics.Help("classify_row_seconds", "Per-row model inference latency in seconds.")
-		s.metrics.Help("http_encode_errors_total", "JSON response bodies that failed to encode after the status was committed.")
-		s.metrics.Help("http_shed_total", "Requests rejected by admission control (429), by reason.")
-		s.metrics.Help("http_timeouts_total", "Requests that exceeded their deadline (504), by stage (queue or handler).")
-		s.metrics.Help("model_breaker_state", "Model-reload circuit breaker position: 0 closed, 1 half-open, 2 open.")
-		s.metrics.Help("model_breaker_rejections_total", "Model reload attempts rejected because the breaker was open.")
-		s.metrics.Help("classify_row_panics_total", "Row inference panics isolated by the worker pool.")
-		s.metrics.Help("discover_assign_outcomes_total", "Discovery assignment outcomes (assigned, anomalous, bad_request, oversized, no_model, timeout, error).")
-		s.metrics.Help("discover_assign_seconds", "Per-row discovery assignment latency in seconds.")
-		s.metrics.Help("runtime_class_outcomes_total", "Runtime-class prediction outcomes (classified, below_threshold, bad_request, oversized, no_model, timeout, error).")
-		s.metrics.Help("runtime_class_row_seconds", "Per-row runtime-class inference latency in seconds.")
-		s.metrics.Help("go_goroutines", "Live goroutines (runtime/metrics, sampled per scrape).")
-		s.metrics.Help("go_heap_bytes", "Bytes of live heap objects (runtime/metrics, sampled per scrape).")
-		s.metrics.Help("go_gc_pause_seconds", "GC pause distribution quantiles (runtime/metrics).")
-		s.metrics.Help("go_sched_latency_seconds", "Goroutine scheduling latency quantiles (runtime/metrics).")
-		if s.flight != nil {
-			s.metrics.Help("flight_events", "Flight-recorder event ledger by disposition (observed = kept + sampled_out; kept = live + evicted).")
-			s.metrics.Help("flight_shadow_rows", "Shadow-scored rows recorded on wide events, by disposition (scored, agree); reconciles exactly with lifecycle_shadow_rows_total.")
-			s.metrics.Help("flight_live_events", "Wide events currently held in the flight-recorder ring.")
-			s.metrics.Help("flight_bundles", "Diagnostic bundle captures by outcome.")
-			s.metrics.Help("slo_burn_rate", "Error-budget burn rate per objective and window (1.0 = budget spent exactly at the sustainable pace).")
-			s.metrics.Help("slo_target", "Configured SLO target per objective.")
-			s.metrics.Help("slo_budget_left", "Fraction of the run's error budget still unspent, per objective.")
-		}
-		s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			// Scrape-time collection hooks: Go runtime gauges and the
-			// flight recorder's ledger/burn gauges refresh here, so the
-			// exposition is always current without a background ticker.
-			obs.CollectRuntime(s.metrics)
-			s.flight.Export(s.metrics)
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = s.metrics.WritePrometheus(w)
-		})
-	}
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	if s.flight != nil {
-		s.mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-		s.mux.HandleFunc("GET /debug/slo", s.handleDebugSLO)
-		s.mux.HandleFunc("GET /debug/bundle", s.handleDebugBundle)
-	}
-	if s.pprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+// handleMetrics serves the Prometheus exposition. Scrape-time collection
+// hooks: Go runtime gauges and the flight recorder's ledger/burn gauges
+// refresh here, so the exposition is always current without a
+// background ticker.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	obs.CollectRuntime(s.metrics)
+	s.flight.Export(s.metrics)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.metrics.WritePrometheus(w)
 }

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/lifecycle"
 	"repro/internal/obs/flight"
 	"repro/internal/resilience"
 )
@@ -105,17 +107,6 @@ func (s *Server) initResilience() {
 	s.breaker = resilience.NewBreaker(s.breakerCfg)
 }
 
-// governed reports whether the admission queue and request deadline
-// apply to this request: the model-serving endpoints (classification,
-// discovery assignment, runtime-class prediction). Control-plane
-// mutations (model reload, discovery refit) are guarded by the breaker
-// instead, and warehouse reads stay ungoverned.
-func governed(r *http.Request) bool {
-	p := r.URL.Path
-	return p == "/api/classify" || p == "/api/classify/batch" ||
-		p == "/api/discover/assign" || p == "/api/runtime-class"
-}
-
 // retryAfterSeconds renders a Retry-After header value, always >= 1.
 func retryAfterSeconds(d time.Duration) string {
 	secs := int(d.Round(time.Second) / time.Second)
@@ -179,25 +170,55 @@ func (s *Server) govern(w http.ResponseWriter, r *http.Request, next func(*http.
 	next(r)
 }
 
+// controlGuard is the shared control-plane gate: model reloads,
+// discovery refits and lifecycle retrains/promotions all pass through
+// the same breaker, so repeated failures from any control-plane source
+// fail fast together. While open, op never runs and the error is
+// resilience.ErrBreakerOpen.
+func (s *Server) controlGuard(op func() error) error {
+	if err := s.breaker.Allow(); err != nil {
+		s.metrics.Counter("model_breaker_rejections_total").Inc()
+		return err
+	}
+	err := op()
+	s.breaker.Record(err)
+	return err
+}
+
+// controlError maps a failed control-plane operation onto its response:
+// breaker-open fails fast with a Retry-After hint (503), a refused
+// precondition -- an incompatible schema, or a lifecycle step with
+// nothing to act on -- is a conflict (409), and anything else answers
+// with the operation's fallback status.
+func (s *Server) controlError(w http.ResponseWriter, op string, fallback int, err error) {
+	switch {
+	case errors.Is(err, resilience.ErrBreakerOpen):
+		w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.RetryAfter()))
+		s.writeError(w, http.StatusServiceUnavailable,
+			"%s: control-plane breaker open after repeated failures: %v", op, err)
+	case errors.Is(err, core.ErrSchemaMismatch),
+		errors.Is(err, lifecycle.ErrNoTrainer),
+		errors.Is(err, lifecycle.ErrNoChallenger),
+		errors.Is(err, lifecycle.ErrNoHistory):
+		s.writeError(w, http.StatusConflict, "%s rejected: %v", op, err)
+	default:
+		s.writeError(w, fallback, "%s failed: %v", op, err)
+	}
+}
+
 // ReloadModel swaps the serving model from path (empty = the remembered
-// default) through the reload circuit breaker and the FaultReload
+// default) through the control-plane breaker and the FaultReload
 // injection site. Both the admin endpoint and SIGHUP use it, so repeated
 // failures from either source trip the same breaker; while open,
 // attempts fail fast with resilience.ErrBreakerOpen and never touch the
-// manager.
-func (s *Server) ReloadModel(path string) (uint64, error) {
-	if err := s.breaker.Allow(); err != nil {
-		s.metrics.Counter("model_breaker_rejections_total").Inc()
-		return s.models.Generation(), err
-	}
-	gen, err := s.reloadOnce(path)
-	s.breaker.Record(err)
+// manager. On failure the still-serving generation is returned.
+func (s *Server) ReloadModel(path string) (gen uint64, err error) {
+	gen = s.models.Generation()
+	err = s.controlGuard(func() (err error) {
+		if err = s.faults.Inject(FaultReload); err == nil {
+			gen, err = s.models.ReloadFromFile(path)
+		}
+		return err
+	})
 	return gen, err
-}
-
-func (s *Server) reloadOnce(path string) (uint64, error) {
-	if err := s.faults.Inject(FaultReload); err != nil {
-		return s.models.Generation(), err
-	}
-	return s.models.ReloadFromFile(path)
 }

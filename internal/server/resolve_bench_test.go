@@ -59,8 +59,8 @@ func BenchmarkFeatureResolution(b *testing.B) {
 		b.Run(fmt.Sprintf("indexed-F%d", f), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				row, _, unknown := resolveRow(view, req)
-				if len(unknown) != 0 || len(row) != f {
+				row, _, err := resolveRow(view, req)
+				if err != nil || len(row) != f {
 					b.Fatal("bad resolution")
 				}
 			}

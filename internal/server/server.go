@@ -14,9 +14,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"sort"
+	"net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -37,6 +39,17 @@ type Server struct {
 	machineNodes int
 	mux          *http.ServeMux
 	handler      http.Handler
+	// governedPath holds every routed path and whether the admission
+	// queue and request deadline apply to it; derived from the route
+	// table, it also bounds the cardinality of the path metric label.
+	governedPath map[string]bool
+
+	// The governed-row pipelines, one per served model family (the batch
+	// endpoint rides the classify pipeline).
+	classify     rowRoute[*core.JobClassifier, classifyRequest, classifyResult]
+	assign       rowRoute[*core.DiscoveryModel, assignRequest, *core.Assignment]
+	runtimeClass rowRoute[*core.JobClassifier, runtimeRequest, runtimeScore]
+	batchRows    *obs.Histogram
 
 	metrics      *obs.Registry
 	log          *obs.Logger
@@ -54,6 +67,56 @@ type Server struct {
 	lifecyclePending *lifecycleSetup
 	lifecycle        *lifecycle.Loop
 	lifecycleCh      chan struct{}
+}
+
+// route is one row of the route table: the single source for mux
+// registration, the path metric label set and the governed flag.
+type route struct {
+	method   string // "" = any method (pprof)
+	path     string
+	handler  http.HandlerFunc
+	governed bool // the request deadline and admission queue apply
+	mounted  bool // false: labelled but not registered (subsystem not armed)
+}
+
+// routes is the route table. The governed rows are the model-serving
+// endpoints (the expensive paths); control-plane mutations are guarded
+// by the breaker instead, and warehouse reads, /metrics and /debug stay
+// ungoverned so operators can always observe an overloaded server. A new
+// served model family is one governed row here plus one score func.
+func (s *Server) routes() []route {
+	metrics, armed := s.metrics != nil, s.flight != nil
+	return []route{
+		// method, path, handler, governed, mounted
+		{"GET", "/api/overview", s.handleOverview, false, true},
+		{"GET", "/api/groupby", s.handleGroupBy, false, true},
+		{"GET", "/api/drilldown", s.handleDrillDown, false, true},
+		{"GET", "/api/utilization", s.handleUtilization, false, true},
+		{"GET", "/api/features", s.schemaHandler(s.models, s.classify.noModel), false, true},
+		{"POST", "/api/classify", s.classify.ServeHTTP, true, true},
+		{"POST", "/api/classify/batch", s.handleClassifyBatch, true, true},
+		{"GET", "/api/discover", s.handleDiscoverGet, false, true},
+		{"POST", "/api/discover", s.handleDiscoverRefit, false, true},
+		{"POST", "/api/discover/assign", s.assign.ServeHTTP, true, true},
+		{"GET", "/api/runtime-class/features", s.schemaHandler(s.runtime, s.runtimeClass.noModel), false, true},
+		{"POST", "/api/runtime-class", s.runtimeClass.ServeHTTP, true, true},
+		{"POST", "/admin/model/reload", s.handleModelReload, false, true},
+		{"GET", "/api/lifecycle", s.lifecycleOp("status", nil), false, true},
+		{"POST", "/admin/lifecycle/retrain", s.lifecycleOp("retrain", (*lifecycle.Loop).Retrain), false, true},
+		{"POST", "/admin/lifecycle/promote", s.lifecycleOp("promote", (*lifecycle.Loop).Decide), false, true},
+		{"POST", "/admin/lifecycle/rollback", s.lifecycleOp("rollback", (*lifecycle.Loop).Rollback), false, true},
+		{"GET", "/metrics", s.handleMetrics, false, metrics},
+		{"GET", "/healthz", s.handleHealthz, false, true},
+		{"GET", "/readyz", s.handleReadyz, false, true},
+		{"GET", "/debug/requests", s.handleDebugRequests, false, armed},
+		{"GET", "/debug/slo", s.handleDebugSLO, false, armed},
+		{"GET", "/debug/bundle", s.handleDebugBundle, false, armed},
+		{"", "/debug/pprof/", pprof.Index, false, s.pprof},
+		{"", "/debug/pprof/cmdline", pprof.Cmdline, false, s.pprof},
+		{"", "/debug/pprof/profile", pprof.Profile, false, s.pprof},
+		{"", "/debug/pprof/symbol", pprof.Symbol, false, s.pprof},
+		{"", "/debug/pprof/trace", pprof.Trace, false, s.pprof},
+	}
 }
 
 // New builds a server. model may be nil (the classify endpoints then
@@ -85,32 +148,19 @@ func New(store *warehouse.Store, model *core.JobClassifier, machineNodes int, op
 	if s.runtime == nil {
 		s.runtime = core.NewNamedModelManager(s.metrics, "runtime_class")
 	}
-	s.mux.HandleFunc("GET /api/overview", s.handleOverview)
-	s.mux.HandleFunc("GET /api/groupby", s.handleGroupBy)
-	s.mux.HandleFunc("GET /api/drilldown", s.handleDrillDown)
-	s.mux.HandleFunc("GET /api/utilization", s.handleUtilization)
-	s.mux.HandleFunc("GET /api/features", s.handleFeatures)
-	s.mux.HandleFunc("POST /api/classify", s.handleClassify)
-	s.mux.HandleFunc("POST /api/classify/batch", s.handleClassifyBatch)
-	s.mux.HandleFunc("GET /api/discover", s.handleDiscoverGet)
-	s.mux.HandleFunc("POST /api/discover", s.handleDiscoverRefit)
-	s.mux.HandleFunc("POST /api/discover/assign", s.handleDiscoverAssign)
-	s.mux.HandleFunc("GET /api/runtime-class/features", s.handleRuntimeFeatures)
-	s.mux.HandleFunc("POST /api/runtime-class", s.handleRuntimeClass)
-	s.mux.HandleFunc("POST /admin/model/reload", s.handleModelReload)
 	s.initLifecycle()
-	s.mux.HandleFunc("GET /api/lifecycle", s.handleLifecycleStatus)
-	s.mux.HandleFunc("POST /admin/lifecycle/retrain", s.handleLifecycleRetrain)
-	s.mux.HandleFunc("POST /admin/lifecycle/promote", s.handleLifecyclePromote)
-	s.mux.HandleFunc("POST /admin/lifecycle/rollback", s.handleLifecycleRollback)
-	s.mountDebug()
+	s.declareMetrics()
+	s.initRowRoutes()
+	s.governedPath = map[string]bool{}
+	for _, rt := range s.routes() {
+		s.governedPath[rt.path] = rt.governed
+		if rt.mounted {
+			s.mux.HandleFunc(strings.TrimSpace(rt.method+" "+rt.path), rt.handler)
+		}
+	}
 	s.handler = s.wrap(s.mux)
 	return s
 }
-
-// Models exposes the server's model manager (for boot-time loading and
-// signal-driven reloads).
-func (s *Server) Models() *core.ModelManager { return s.models }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
@@ -232,19 +282,24 @@ func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, pts)
 }
 
-func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
-	v := s.models.View()
-	if v == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no classifier loaded")
-		return
+// schemaHandler reports the schema of a served classifier (features,
+// classes, generation, engine), so clients and the load generator can
+// build valid request bodies.
+func (s *Server) schemaHandler(mgr *core.ModelManager, noModel string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v := mgr.View()
+		if v == nil {
+			s.writeError(w, http.StatusServiceUnavailable, "%s", noModel)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, map[string]any{
+			"algorithm":  v.Model.Algo,
+			"features":   v.Model.Features,
+			"classes":    v.Model.Classes(),
+			"generation": v.Generation,
+			"compiled":   v.Compiled(),
+		})
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"algorithm":  v.Model.Algo,
-		"features":   v.Model.Features,
-		"classes":    v.Model.Classes(),
-		"generation": v.Generation,
-		"compiled":   v.Compiled(),
-	})
 }
 
 // classifyRequest is the classification endpoint's body: a feature map
@@ -266,122 +321,86 @@ type classifyResult struct {
 	Defaulted   []string `json:"defaulted"`
 }
 
-// maxClassifyBody caps the classification request body. A legitimate
-// request is a small feature map; anything beyond this is hostile or
-// misrouted and is rejected before the JSON decoder buffers it.
+// maxClassifyBody caps a single-row (or control-plane) request body. A
+// legitimate request is a small feature map; anything beyond this is
+// hostile or misrouted and is rejected before the JSON decoder buffers
+// it.
 const maxClassifyBody = 1 << 20
 
-// resolveRow maps a name-keyed feature map onto the model's feature
-// vector using the view's prebuilt index: O(F + len(features)) total,
-// replacing the old per-attribute linear scan over Features (O(F^2) for
-// a full request). defaulted lists model features absent from the
-// request (in model feature order); unknown lists request keys the model
-// does not recognize.
-func resolveRow(v *core.ModelView, features map[string]float64) (row []float64, defaulted, unknown []string) {
-	row = make([]float64, v.NumFeatures())
-	defaulted = []string{}
-	for name, val := range features {
-		idx, ok := v.FeatureIndex(name)
-		if !ok {
-			unknown = append(unknown, name)
-			continue
+// decodeBody is the one place a request body is read: cap it at limit,
+// decode exactly one JSON value into dst. On failure it writes the
+// response and returns its status -- 413 past the cap, 400 for malformed
+// JSON or anything but whitespace after the value -- and 0 on success.
+// emptyOK lets the control-plane routes whose every field is optional
+// accept a bodyless POST.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, dst any, emptyOK bool) int {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(dst)
+	switch {
+	case err == nil:
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return 0
 		}
-		row[idx] = val
-	}
-	for _, name := range v.Model.Features {
-		if _, ok := features[name]; !ok {
-			defaulted = append(defaulted, name)
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
 		}
+	case errors.Is(err, io.EOF) && emptyOK:
+		return 0
 	}
-	return row, defaulted, unknown
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return http.StatusBadRequest
 }
 
-// classifyRow runs one resolved row through the model, recording the
-// per-row outcome counter and latency histogram. It honours the request
-// deadline and the classify.row fault site: an expired context aborts
-// the row before inference (callers map it to 504), an injected error
-// fails it, and an injected panic propagates so the isolation layers
-// (pool PanicError for batch, middleware recovery for single) can prove
-// they contain it.
-func (s *Server) classifyRow(ctx context.Context, v *core.ModelView, row []float64, defaulted []string, threshold float64) (classifyResult, error) {
-	if fired, err := s.faults.InjectReport(FaultClassifyRow); fired {
-		// Injected latency and errors alike are fault hits the wide
-		// event attributes; a fired latency fault falls through to real
-		// inference with err == nil.
-		flight.From(ctx).MarkFault()
-		if err != nil {
-			s.classifyOutcome("error")
-			return classifyResult{}, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		s.classifyOutcome("timeout")
-		return classifyResult{}, err
-	}
-	start := time.Now()
-	label, prob, ok := v.Model.Classify(row, threshold)
-	s.metrics.Histogram("classify_row_seconds", rowLatencyBuckets()).ObserveDuration(start)
-	if ok {
-		s.classifyOutcome("classified")
-	} else {
-		s.classifyOutcome("below_threshold")
-	}
-	// The lifecycle loop observes every successfully inferred row: the
-	// served answer above is already final, so drift accounting and
-	// shadow scoring cannot perturb it (nil-safe no-op when disabled).
-	s.lifecycle.Observe(ctx, row, label)
-	return classifyResult{Label: label, Probability: prob, Classified: ok, Defaulted: defaulted}, nil
-}
+// initRowRoutes instantiates the governed-row pipeline once per served
+// model family, binding each one's metric handles.
+func (s *Server) initRowRoutes() {
+	s.batchRows = s.metrics.Histogram("classify_batch_rows", batchSizeBuckets())
 
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	v := s.models.View()
-	if v == nil {
-		s.classifyOutcome("no_model")
-		s.writeError(w, http.StatusServiceUnavailable, "no classifier loaded")
-		return
+	s.classify = rowRoute[*core.JobClassifier, classifyRequest, classifyResult]{
+		s: s, mgr: s.models, noModel: "no classifier loaded", site: FaultClassifyRow,
+		features: func(_ *core.ModelView, req *classifyRequest) (map[string]float64, error) {
+			return req.Features, threshold01(req.Threshold)
+		},
+		score: func(v *core.ModelView, req *classifyRequest, row []float64) (classifyResult, bool, error) {
+			label, prob, ok := v.Model.Classify(row, req.Threshold)
+			return classifyResult{Label: label, Probability: prob, Classified: ok}, ok, nil
+		},
+		// The lifecycle loop observes every successfully inferred row: the
+		// served answer is already final, so drift accounting and shadow
+		// scoring cannot perturb it (nil-safe no-op when disabled).
+		observed: func(ctx context.Context, row []float64, res classifyResult) {
+			s.lifecycle.Observe(ctx, row, res.Label)
+		},
+		reply: func(_ *core.ModelView, _ *classifyRequest, res classifyResult, defaulted []string) any {
+			res.Defaulted = defaulted
+			return res
+		},
 	}
-	v.Annotate(flight.From(r.Context()))
-	r.Body = http.MaxBytesReader(w, r.Body, maxClassifyBody)
-	var req classifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.classifyOutcome("oversized")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.classifyOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+	s.classify.bindMetrics("classify_outcomes_total", "classify_row_seconds", "classified", "below_threshold")
+
+	s.assign = rowRoute[*core.DiscoveryModel, assignRequest, *core.Assignment]{
+		s: s, mgr: s.discovery, noModel: "no discovery fit loaded", site: FaultDiscoverAssign,
+		features: func(_ *core.DiscoveryView, req *assignRequest) (map[string]float64, error) {
+			return req.Features, nil
+		},
+		score: func(v *core.DiscoveryView, _ *assignRequest, row []float64) (*core.Assignment, bool, error) {
+			a, err := v.Model.Assign(row)
+			return a, err == nil && a.Anomalous, err
+		},
+		reply: assignReply,
 	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		s.classifyOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "threshold must be in [0,1]")
-		return
+	s.assign.bindMetrics("discover_assign_outcomes_total", "discover_assign_seconds", "anomalous", "assigned")
+
+	s.runtimeClass = rowRoute[*core.JobClassifier, runtimeRequest, runtimeScore]{
+		s: s, mgr: s.runtime, noModel: "no runtime-class model loaded", site: FaultRuntimeRow,
+		features: runtimeFeatures,
+		score:    scoreRuntime,
+		reply:    runtimeReply,
 	}
-	if len(req.Features) == 0 {
-		// An empty map would silently classify an all-zero row; reject it
-		// so schema drift on the client shows up as an error, not as a
-		// confident nonsense label.
-		s.classifyOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "empty or missing features map")
-		return
-	}
-	row, defaulted, unknown := resolveRow(v, req.Features)
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		s.classifyOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "unknown features: %v", unknown)
-		return
-	}
-	// Observe the single row's inference time into the wide event the
-	// same way the batch fan-out does, so RowNS/Rows mean one thing.
-	rowStart := time.Now()
-	res, err := s.classifyRow(r.Context(), v, row, defaulted, req.Threshold)
-	flight.From(r.Context()).Timer().Observe(time.Since(rowStart))
-	if err != nil {
-		s.rowError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, res)
+	s.runtimeClass.bindMetrics("runtime_class_outcomes_total", "runtime_class_row_seconds", "classified", "below_threshold")
 }
