@@ -68,13 +68,12 @@ func (t Table) Parse(s string) (seen map[string]bool, err error) {
 // shortest round-trip form, durations in Go syntax. Parse(Render()) is a
 // fixed point.
 func (t Table) Render() string {
-	parts := make([]string, len(t.Fields))
-	for i, f := range t.Fields {
+	fields := append([]Field(nil), t.Fields...)
+	sort.Slice(fields, func(i, j int) bool { return fields[i].Key < fields[j].Key })
+	parts := make([]string, len(fields))
+	for i, f := range fields {
 		parts[i] = f.Key + "=" + format(f.Ptr)
 	}
-	// Keys are lowercase letters and '=' sorts below every letter, so
-	// sorting whole entries is sorting by key.
-	sort.Strings(parts)
 	return strings.Join(parts, ",")
 }
 

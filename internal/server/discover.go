@@ -41,7 +41,7 @@ func WithRuntimeManager(mm *core.ModelManager) Option {
 func (s *Server) handleDiscoverGet(w http.ResponseWriter, r *http.Request) {
 	v := s.discovery.View()
 	if v == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no discovery fit loaded")
+		s.writeError(w, http.StatusServiceUnavailable, "%s", s.assign.noModel)
 		return
 	}
 	v.Annotate(flight.From(r.Context()))
@@ -107,9 +107,9 @@ func (s *Server) handleDiscoverRefit(w http.ResponseWriter, r *http.Request) {
 // control-plane breaker and the discover.fit fault site. SIGHUP-driven
 // refits and the admin endpoint both route here. On failure the
 // still-serving generation is returned.
-func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (gen uint64, err error) {
-	gen = s.discovery.Generation()
-	err = s.controlGuard(func() error {
+func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (uint64, error) {
+	gen := s.discovery.Generation()
+	err := s.controlGuard(func() error {
 		if err := s.faults.Inject(FaultDiscoverFit); err != nil {
 			return err
 		}

@@ -127,6 +127,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 		w.Header().Set("X-Request-ID", id)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
+		pl := s.pathLabel(r.URL.Path)
 
 		// The wide event rides the request context so every layer below
 		// (admission control, fault sites, the batch row fan-out) can
@@ -134,7 +135,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 		// armed this whole block is one nil check.
 		var fe *flight.Active
 		if s.flight != nil {
-			fe = flight.NewActive(id, r.Method, s.pathLabel(r.URL.Path), start)
+			fe = flight.NewActive(id, r.Method, pl, start)
 			r = r.WithContext(flight.With(r.Context(), fe))
 		}
 
@@ -161,7 +162,6 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				sw.status = http.StatusOK
 			}
 			if s.metrics != nil {
-				pl := s.pathLabel(r.URL.Path)
 				s.metrics.Counter("http_requests_total",
 					"path", pl, "code", strconv.Itoa(sw.status)).Inc()
 				s.metrics.Histogram("http_request_seconds", nil, "path", pl).

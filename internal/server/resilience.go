@@ -212,12 +212,14 @@ func (s *Server) controlError(w http.ResponseWriter, op string, fallback int, er
 // failures from either source trip the same breaker; while open,
 // attempts fail fast with resilience.ErrBreakerOpen and never touch the
 // manager. On failure the still-serving generation is returned.
-func (s *Server) ReloadModel(path string) (gen uint64, err error) {
-	gen = s.models.Generation()
-	err = s.controlGuard(func() (err error) {
-		if err = s.faults.Inject(FaultReload); err == nil {
-			gen, err = s.models.ReloadFromFile(path)
+func (s *Server) ReloadModel(path string) (uint64, error) {
+	gen := s.models.Generation()
+	err := s.controlGuard(func() error {
+		if err := s.faults.Inject(FaultReload); err != nil {
+			return err
 		}
+		var err error
+		gen, err = s.models.ReloadFromFile(path)
 		return err
 	})
 	return gen, err
