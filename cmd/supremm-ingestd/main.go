@@ -17,9 +17,12 @@
 //
 //	GET /metrics          Prometheus text exposition
 //	GET /healthz          liveness (always 200 while serving)
-//	GET /readyz           readiness (200 once both listeners are up)
+//	GET /readyz           readiness (200 once both listeners are up, 503 once draining)
 //	GET /debug/ingest     conservation ledger + gauges (JSON)
-//	GET /debug/requests   flight-recorder query over finalized jobs
+//	GET /debug/requests   flight-recorder query over finalized jobs (supremm-serve's
+//	                      filters: status, route, outcome, min-ms, since, limit)
+//	GET /debug/slo        burn-rate view ({"enabled":false}: no objectives configured)
+//	GET /debug/bundle     on-demand diagnostic bundle (503: no bundle directory)
 //	GET /api/warehouse/groupby?dim=application|category|user|population|jobsize|month
 //	GET /api/warehouse/rollup
 //	GET /api/warehouse/totals
@@ -47,7 +50,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -55,7 +57,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -132,49 +133,39 @@ func main() {
 		fatal(err)
 	}
 
+	// The operator endpoints are the ones supremm-serve mounts.
+	ops := flight.Ops{Reg: reg, Rec: rec, Log: log}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		rec.Export(reg)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := reg.WritePrometheus(w); err != nil {
-			log.Warn("metrics write failed", "err", err)
-		}
-	})
+	mux.HandleFunc("/metrics", ops.Metrics)
+	mux.HandleFunc("/debug/requests", ops.Requests)
+	mux.HandleFunc("/debug/slo", ops.SLO)
+	mux.HandleFunc("/debug/bundle", ops.Bundle)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		if srv.Draining() {
+			ops.WriteError(w, http.StatusServiceUnavailable, "draining")
+			return
+		}
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("/debug/ingest", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, log, srv.Status())
-	})
-	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		limit := 100
-		if s := r.URL.Query().Get("limit"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil {
-				limit = n
-			}
-		}
-		events, matched := rec.Query(flight.Filter{Outcome: r.URL.Query().Get("outcome"), Limit: limit})
-		writeJSON(w, log, map[string]any{"matched": matched, "events": events})
+		ops.WriteJSON(w, http.StatusOK, srv.Status())
 	})
 	mux.HandleFunc("/api/warehouse/groupby", func(w http.ResponseWriter, r *http.Request) {
-		dim := warehouse.Dimension(r.URL.Query().Get("dim"))
-		switch dim {
-		case warehouse.ByApplication, warehouse.ByCategory, warehouse.ByUser,
-			warehouse.ByPopulation, warehouse.ByJobSize, warehouse.ByMonth:
-		default:
-			http.Error(w, fmt.Sprintf("unknown dim %q", dim), http.StatusBadRequest)
+		dim, err := warehouse.ParseDimension(r.URL.Query().Get("dim"))
+		if err != nil {
+			ops.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		writeJSON(w, log, sink.Snapshot().GroupBy(dim))
+		ops.WriteJSON(w, http.StatusOK, sink.Snapshot().GroupBy(dim))
 	})
 	mux.HandleFunc("/api/warehouse/rollup", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, log, sink.Snapshot().Rollup)
+		ops.WriteJSON(w, http.StatusOK, sink.Snapshot().Rollup)
 	})
 	mux.HandleFunc("/api/warehouse/totals", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, log, sink.Snapshot().Totals())
+		ops.WriteJSON(w, http.StatusOK, sink.Snapshot().Totals())
 	})
 	hsrv := &http.Server{Handler: mux}
 
@@ -215,14 +206,6 @@ func main() {
 	_ = hsrv.Shutdown(shctx)
 	if err := st.Ledger.Check(0); err != nil {
 		os.Exit(1)
-	}
-}
-
-// writeJSON encodes v, logging (not masking) encode failures.
-func writeJSON(w http.ResponseWriter, log *obs.Logger, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Warn("json encode failed", "err", err)
 	}
 }
 

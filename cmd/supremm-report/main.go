@@ -27,12 +27,9 @@ func main() {
 	util := flag.Bool("util", false, "print the monthly utilization timeseries instead of a group-by report")
 	flag.Parse()
 
-	dim := warehouse.Dimension(*by)
-	switch dim {
-	case warehouse.ByApplication, warehouse.ByCategory, warehouse.ByUser,
-		warehouse.ByPopulation, warehouse.ByJobSize, warehouse.ByMonth:
-	default:
-		fmt.Fprintf(os.Stderr, "supremm-report: unknown dimension %q\n", *by)
+	dim, err := warehouse.ParseDimension(*by)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "supremm-report:", err)
 		os.Exit(2)
 	}
 

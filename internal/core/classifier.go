@@ -61,11 +61,11 @@ type JobClassifier struct {
 
 	model  eval.ProbClassifier
 	scaler *stats.Scaler
-	rf     *forest.Classifier // retained for importance analysis
 
 	// compiled is the flat zero-allocation serving form (see
-	// internal/ml/compile), built once by EnsureCompiled; nil keeps the
-	// interpreted path. Predictions are bit-identical either way.
+	// internal/ml/compile) of a forest, SVM or NB model, built by
+	// newJobClassifier. It is nil only for the stack, which has no
+	// compiled form and serves through model directly.
 	compiled compile.Model
 	scratch  sync.Pool // of *classifyScratch
 }
@@ -90,66 +90,64 @@ func TrainJobClassifier(train *dataset.Dataset, cfg ClassifierConfig) (*JobClass
 	sp.SetAttr("classes", len(train.ClassNames))
 	work := train.Subset(indexRange(train.Len())) // deep copy
 	scaler := work.Standardize()
-	c := &JobClassifier{Algo: cfg.Algo, Features: train.FeatureNames, scaler: scaler}
+	var model eval.ProbClassifier
+	var err error
 	switch cfg.Algo {
 	case AlgoSVM:
 		cfg.SVM.Span = sp
-		m, err := svm.Train(work, cfg.SVM)
-		if err != nil {
-			return nil, err
-		}
-		c.model = m
+		model, err = svm.Train(work, cfg.SVM)
 	case AlgoForest:
 		cfg.Forest.Span = sp
-		m, err := forest.TrainClassifier(work, cfg.Forest)
-		if err != nil {
-			return nil, err
-		}
-		c.model = m
-		c.rf = m
+		model, err = forest.TrainClassifier(work, cfg.Forest)
 	case AlgoBayes:
-		m, err := bayes.Train(work)
-		if err != nil {
-			return nil, err
-		}
-		c.model = m
+		model, err = bayes.Train(work)
 	case AlgoStack:
 		cfg.Stack.Span = sp
-		m, err := ensemble.Train(work, cfg.Stack)
-		if err != nil {
-			return nil, err
-		}
-		c.model = m
+		model, err = ensemble.Train(work, cfg.Stack)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", cfg.Algo)
 	}
-	// A freshly trained model of any known family always compiles; the
-	// error path only exists for exotic or malformed models, which keep
-	// serving interpreted.
-	_ = c.EnsureCompiled()
-	return c, nil
+	if err != nil {
+		return nil, err
+	}
+	return newJobClassifier(cfg.Algo, train.FeatureNames, scaler, model)
 }
 
-// EnsureCompiled lowers the model into its zero-allocation serving form
-// (idempotent; see internal/ml/compile). It is not safe to call
-// concurrently with itself — build the classifier fully before
-// publishing it to readers, as ModelManager.Swap does. On error the
-// classifier keeps serving through the interpreted path, which is
-// behaviourally identical.
-func (c *JobClassifier) EnsureCompiled() error {
-	if c.compiled != nil {
-		return nil
+// newJobClassifier is the one gate every classifier passes on its way
+// to serving, trained or restored: it decides "fit to serve" once and
+// picks the engine from the model family alone. A forest, SVM or NB
+// model is lowered into its compiled form, and a model the compiler's
+// structural validation rejects is an error here, never a slower
+// classifier; the stack, which has no compiled form, serves through the
+// model itself (ensemble.UnmarshalBinary validates a restored one).
+// Either way the scaler and the model must agree with the feature
+// schema on the row width, so a served row can never index past a
+// table.
+func newJobClassifier(algo Algorithm, features []string, scaler *stats.Scaler, model eval.ProbClassifier) (*JobClassifier, error) {
+	p := len(features)
+	if len(scaler.Means) != p || len(scaler.Stds) != p {
+		return nil, fmt.Errorf("core: scaler has %d means and %d stds for %d features",
+			len(scaler.Means), len(scaler.Stds), p)
 	}
-	cm, err := compile.Compile(c.model)
+	c := &JobClassifier{Algo: algo, Features: features, model: model, scaler: scaler}
+	if stack, ok := model.(*ensemble.Model); ok {
+		if stack.NumFeatures() != p {
+			return nil, fmt.Errorf("core: stack was fit on %d features, schema has %d", stack.NumFeatures(), p)
+		}
+		return c, nil
+	}
+	cm, err := compile.Compile(model)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("core: %s model is not fit to serve: %w", algo, err)
+	}
+	if !cm.Fits(p) {
+		return nil, fmt.Errorf("core: %s model does not fit the %d-feature schema", algo, p)
 	}
 	c.compiled = cm
-	p := len(c.Features)
 	c.scratch.New = func() any {
 		return &classifyScratch{row: make([]float64, p), cs: cm.NewScratch()}
 	}
-	return nil
+	return c, nil
 }
 
 // IsCompiled reports whether the classifier serves through the compiled
@@ -164,10 +162,10 @@ func (c *JobClassifier) Serving() (algo string, compiled bool) {
 	return string(c.Algo), c.IsCompiled()
 }
 
-// compiledScratch returns a pooled scratch when the compiled path is
-// usable for a row of len(x) raw features (the row buffer is sized to
-// the model schema, so other widths fall back to the interpreted path
-// and fail exactly as they always did).
+// compiledScratch returns a pooled scratch when the classifier has a
+// compiled form and x has the schema's width (the row buffer is sized
+// to the schema; any other width goes to the interpreted model and
+// fails there exactly as it always did).
 func (c *JobClassifier) compiledScratch(x []float64) (*classifyScratch, bool) {
 	if c.compiled == nil || len(x) != len(c.Features) {
 		return nil, false
@@ -307,10 +305,11 @@ func (c *JobClassifier) Accuracy(d *dataset.Dataset) float64 {
 // for the random-forest algorithm (as the paper notes, the R e1071 SVM
 // exposes no importance; randomForest does).
 func (c *JobClassifier) Importance() ([]float64, error) {
-	if c.rf == nil {
+	rf, ok := c.model.(*forest.Classifier)
+	if !ok {
 		return nil, fmt.Errorf("core: importance requires the rf algorithm")
 	}
-	imp := c.rf.Importance()
+	imp := rf.Importance()
 	if imp == nil {
 		return nil, fmt.Errorf("core: importance unavailable on a restored model")
 	}

@@ -3,36 +3,25 @@ package core_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/core"
-	"repro/internal/rng"
-	"repro/internal/testkit"
 )
-
-// fuzzSeedModel builds one small valid serialized classifier so the fuzz
-// corpus starts from a structurally correct gob stream.
-func fuzzSeedModel() []byte {
-	d := testkit.SynthClassification(testkit.SynthConfig{Seed: 3, Classes: 2, RowsPerCls: 8, Features: 3})
-	train, _ := d.Split(rng.New(3), 0.7)
-	c, err := core.TrainJobClassifier(train, core.ClassifierConfig{Algo: core.AlgoBayes})
-	if err != nil {
-		panic(err)
-	}
-	blob, err := c.SaveBytes()
-	if err != nil {
-		panic(err)
-	}
-	return blob
-}
 
 // FuzzLoadJobClassifier feeds arbitrary bytes to the model loader. A
 // hostile or truncated snapshot must produce an error, never a panic —
-// the serving path loads models from disk at startup. Valid models must
-// round-trip: saving a loaded model and loading it again must work.
+// the serving path loads models from disk at startup and on reload. A
+// snapshot that does load is fit to serve: classifying a row may
+// neither panic nor hang, and the model must round-trip through Save.
 func FuzzLoadJobClassifier(f *testing.F) {
-	seed := fuzzSeedModel()
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
+	valid, hostile := hostileSnapshots(f)
+	for _, blob := range valid {
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+	}
+	for _, blob := range hostile {
+		f.Add(blob)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -42,6 +31,16 @@ func FuzzLoadJobClassifier(f *testing.F) {
 		}
 		if c == nil {
 			t.Fatal("nil classifier with nil error")
+		}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			c.Classify(make([]float64, len(c.Features)), 0.5)
+		}()
+		select {
+		case <-served:
+		case <-time.After(time.Second):
+			t.Fatal("a loaded model did not answer one row within 1s")
 		}
 		blob, err := c.SaveBytes()
 		if err != nil {

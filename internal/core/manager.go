@@ -59,9 +59,9 @@ func (v *View[M]) FeatureIndex(name string) (int, bool) {
 func (v *View[M]) NumFeatures() int { return len(v.index) }
 
 // Compiled reports whether the published model serves through the
-// compiled engine (always, for the paper's three families: the
-// classifier manager compiles at install; a failed lowering serves
-// interpreted).
+// compiled engine: always for a forest, SVM or NB classifier, never for
+// the stack or a discovery fit. The engine follows from the family; a
+// model that fails to compile is never constructed, let alone published.
 func (v *View[M]) Compiled() bool {
 	_, compiled := v.Model.Serving()
 	return compiled
@@ -92,10 +92,9 @@ type Manager[M Servable] struct {
 	gen  uint64     // generation of the last installed view (under mu)
 	path string     // default file for ReloadFromFile("") (under mu)
 
-	// install runs on a validated model before its view is published;
-	// load decodes a serialized model for file reload. Either may be nil.
-	install func(M)
-	load    func(io.Reader) (M, error)
+	// load decodes a serialized model for file reload; nil for a family
+	// with no serialized form.
+	load func(io.Reader) (M, error)
 
 	generation *obs.Gauge
 	swapOK     *obs.Counter
@@ -134,12 +133,6 @@ func NewModelManager(reg *obs.Registry) *ModelManager {
 // series instead of colliding with the primary classifier's.
 func NewNamedModelManager(reg *obs.Registry, prefix string) *ModelManager {
 	m := newManager[*JobClassifier](reg, prefix, prefix+" classifier")
-	// Compile once at install time, before the view is published, so no
-	// request ever pays the lowering cost and every reader of the view
-	// sees the same serving form. Models that cannot compile (exotic
-	// types, malformed snapshots) serve interpreted — bit-identical,
-	// just slower — so the error is deliberately dropped.
-	m.install = func(c *JobClassifier) { _ = c.EnsureCompiled() }
 	m.load = LoadJobClassifier
 	return m
 }
@@ -237,9 +230,6 @@ func (m *Manager[M]) Swap(next M) (uint64, error) {
 			m.swapErr.Inc()
 		}
 		return m.gen, err
-	}
-	if m.install != nil {
-		m.install(next)
 	}
 	m.gen++
 	m.cur.Store(&View[M]{Model: next, Generation: m.gen, index: idx})

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/gob"
 	"fmt"
 	"io"
 
 	"repro/internal/ml/bayes"
 	"repro/internal/ml/ensemble"
+	"repro/internal/ml/eval"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/svm"
 	"repro/internal/stats"
@@ -27,20 +29,11 @@ type classifierSnapshot struct {
 // identically; training-side state (e.g. the forest's OOB bookkeeping
 // behind Importance) is not retained.
 func (c *JobClassifier) Save(w io.Writer) error {
-	var modelBytes []byte
-	var err error
-	switch m := c.model.(type) {
-	case *svm.Model:
-		modelBytes, err = m.MarshalBinary()
-	case *forest.Classifier:
-		modelBytes, err = m.MarshalBinary()
-	case *bayes.Model:
-		modelBytes, err = m.MarshalBinary()
-	case *ensemble.Model:
-		modelBytes, err = m.MarshalBinary()
-	default:
+	m, ok := c.model.(encoding.BinaryMarshaler)
+	if !ok {
 		return fmt.Errorf("core: cannot serialize model type %T", c.model)
 	}
+	modelBytes, err := m.MarshalBinary()
 	if err != nil {
 		return err
 	}
@@ -53,52 +46,34 @@ func (c *JobClassifier) Save(w io.Writer) error {
 	})
 }
 
-// LoadJobClassifier restores a classifier saved with Save.
+// LoadJobClassifier restores a classifier saved with Save. The snapshot
+// is outside input: one whose model fails structural validation, or
+// whose scaler or model disagrees with its feature list, is an error.
 func LoadJobClassifier(r io.Reader) (*JobClassifier, error) {
 	var snap classifierSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, err
 	}
-	c := &JobClassifier{
-		Algo:     snap.Algo,
-		Features: snap.Features,
-		scaler:   stats.RestoreScaler(snap.Means, snap.Stds),
+	var model interface {
+		eval.ProbClassifier
+		encoding.BinaryUnmarshaler
 	}
 	switch snap.Algo {
 	case AlgoSVM:
-		m := &svm.Model{}
-		if err := m.UnmarshalBinary(snap.Model); err != nil {
-			return nil, err
-		}
-		c.model = m
+		model = &svm.Model{}
 	case AlgoForest:
-		m := &forest.Classifier{}
-		if err := m.UnmarshalBinary(snap.Model); err != nil {
-			return nil, err
-		}
-		c.model = m
-		c.rf = m
+		model = &forest.Classifier{}
 	case AlgoBayes:
-		m := &bayes.Model{}
-		if err := m.UnmarshalBinary(snap.Model); err != nil {
-			return nil, err
-		}
-		c.model = m
+		model = &bayes.Model{}
 	case AlgoStack:
-		m := &ensemble.Model{}
-		if err := m.UnmarshalBinary(snap.Model); err != nil {
-			return nil, err
-		}
-		c.model = m
+		model = &ensemble.Model{}
 	default:
 		return nil, fmt.Errorf("core: snapshot has unknown algorithm %q", snap.Algo)
 	}
-	// Lower the restored model into the compiled serving form. A
-	// structurally invalid snapshot (the loader is fuzzed with hostile
-	// bytes) fails compilation cleanly and keeps the interpreted path —
-	// exactly the pre-compile behaviour.
-	_ = c.EnsureCompiled()
-	return c, nil
+	if err := model.UnmarshalBinary(snap.Model); err != nil {
+		return nil, err
+	}
+	return newJobClassifier(snap.Algo, snap.Features, stats.RestoreScaler(snap.Means, snap.Stds), model)
 }
 
 // SaveBytes is a convenience wrapper returning the serialized classifier.

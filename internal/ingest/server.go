@@ -337,6 +337,10 @@ func (s *Server) Drain() {
 	}
 }
 
+// Draining reports whether Drain has begun: the wire is closed for good,
+// so a readiness probe should fail from here on.
+func (s *Server) Draining() bool { return s.drained.Load() }
+
 // Close drains and shuts down (idempotent).
 func (s *Server) Close() { s.Drain() }
 

@@ -1,11 +1,15 @@
 package lifecycle
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -64,6 +68,65 @@ func TestChaosLifecycleRetrainErrorNeverDisturbsChampion(t *testing.T) {
 	st := l.Status()
 	if w.mgr.Generation() != gen0 || st.ChallengerReady || st.State != StateStable {
 		t.Fatalf("failed retrains disturbed the loop: gen=%d st=%+v", w.mgr.Generation(), st)
+	}
+}
+
+// TestChaosLifecycleGateRefusedChallenger covers a trainer whose
+// challenger fails core's fit-to-serve gate (here: restored from a
+// snapshot whose scaler is one entry short of its feature list, which
+// would index out of range on the first served row). The gate's error
+// is the trainer's error: a counted retrain failure, no challenger
+// installed, and the champion's generation and answers exactly as
+// before.
+func TestChaosLifecycleGateRefusedChallenger(t *testing.T) {
+	w := newTestWorld(t)
+	// Mirrors core's unexported snapshot form; gob matches by field name.
+	var snap struct {
+		Algo        string
+		Features    []string
+		Means, Stds []float64
+		Model       []byte
+	}
+	saved, err := w.champ.SaveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Means = snap.Means[:len(snap.Means)-1]
+	var hostile bytes.Buffer
+	if err := gob.NewEncoder(&hostile).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	l, err := New(smallCfg(), Options{
+		Manager: w.mgr, Baseline: w.base, Registry: reg,
+		Trainer: func() (TrainResult, error) {
+			m, err := core.LoadJobClassifier(bytes.NewReader(hostile.Bytes()))
+			return TrainResult{Model: m}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, len(w.names))
+	gen0 := w.mgr.Generation()
+	label0, prob0, _ := w.mgr.View().Model.Classify(row, 0)
+
+	if err := l.Retrain(); err == nil || !strings.Contains(err.Error(), "scaler") {
+		t.Fatalf("retrain err = %v, want the gate's scaler-width refusal", err)
+	}
+	if got := reg.Counter("lifecycle_retrain_total", "outcome", "error").Value(); got != 1 {
+		t.Errorf("lifecycle_retrain_total{outcome=error} = %d, want 1", got)
+	}
+	st := l.Status()
+	if w.mgr.Generation() != gen0 || st.ChallengerReady || st.State != StateStable {
+		t.Fatalf("refused challenger disturbed the loop: gen=%d st=%+v", w.mgr.Generation(), st)
+	}
+	if label, prob, _ := w.mgr.View().Model.Classify(row, 0); label != label0 || prob != prob0 {
+		t.Errorf("champion answers (%s, %v), answered (%s, %v) before the refused retrain", label, prob, label0, prob0)
 	}
 }
 

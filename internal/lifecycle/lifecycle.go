@@ -124,6 +124,19 @@ type Ledger struct {
 	Disagree uint64 `json:"disagree"`
 }
 
+// Check asserts the ledger's conservation identity.
+func (l Ledger) Check() error {
+	if l.Eligible != l.Scored+l.Errors {
+		return fmt.Errorf("lifecycle: ledger unbalanced: eligible %d != scored %d + errors %d",
+			l.Eligible, l.Scored, l.Errors)
+	}
+	if l.Scored != l.Agree+l.Disagree {
+		return fmt.Errorf("lifecycle: ledger unbalanced: scored %d != agree %d + disagree %d",
+			l.Scored, l.Agree, l.Disagree)
+	}
+	return nil
+}
+
 // Decision is one promotion gate evaluation: both models scored on the
 // labeled evaluation window, a McNemar paired test over their
 // disagreements, and the paper's threshold sweep for the winner.

@@ -110,11 +110,8 @@ func (w *testWorld) observeAll(ctx context.Context, l *Loop, rows [][]float64) {
 
 func checkLedger(t *testing.T, lg Ledger) {
 	t.Helper()
-	if lg.Eligible != lg.Scored+lg.Errors {
-		t.Fatalf("ledger leaks rows: eligible=%d != scored=%d + errors=%d", lg.Eligible, lg.Scored, lg.Errors)
-	}
-	if lg.Scored != lg.Agree+lg.Disagree {
-		t.Fatalf("ledger leaks verdicts: scored=%d != agree=%d + disagree=%d", lg.Scored, lg.Agree, lg.Disagree)
+	if err := lg.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

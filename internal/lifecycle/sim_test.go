@@ -63,8 +63,8 @@ func TestLifecycleSimArc(t *testing.T) {
 	// Conservation: the shadow ledger balances, and the flight
 	// recorder's shadow tallies reconcile against it exactly.
 	lg := res.Ledger
-	if lg.Eligible != lg.Scored+lg.Errors || lg.Scored != lg.Agree+lg.Disagree {
-		t.Fatalf("ledger does not balance: %+v", lg)
+	if err := lg.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if lg.Scored == 0 {
 		t.Fatal("no rows were shadow-scored")
@@ -171,8 +171,8 @@ func TestLifecycleSimStackChallenger(t *testing.T) {
 		t.Fatal("the stack challenger never retrained")
 	}
 	lg := res.Ledger
-	if lg.Eligible != lg.Scored+lg.Errors || lg.Scored != lg.Agree+lg.Disagree || lg.Scored == 0 {
-		t.Fatalf("stack ledger does not balance: %+v", lg)
+	if err := lg.Check(); err != nil || lg.Scored == 0 {
+		t.Fatalf("stack ledger does not balance (%v): %+v", err, lg)
 	}
 	// Determinism with the heavier challenger, tick digests included.
 	again := runSim(t, cfg)

@@ -409,11 +409,8 @@ func ReconcileRecorder(ctx context.Context, base string, rep *Report) (*Recorder
 		chk.Mismatches = append(chk.Mismatches, fmt.Sprintf(format, args...))
 	}
 
-	if st.Observed != st.Kept+st.SampledOut {
-		flag("ledger unbalanced: observed %d != kept %d + sampledOut %d", st.Observed, st.Kept, st.SampledOut)
-	}
-	if st.Kept != uint64(st.Live)+st.Evicted {
-		flag("ledger unbalanced: kept %d != live %d + evicted %d", st.Kept, st.Live, st.Evicted)
+	if err := st.Check(); err != nil {
+		flag("%v", err)
 	}
 
 	if rep.ClientErrors > 0 {
@@ -470,8 +467,8 @@ func ReconcileRecorder(ctx context.Context, base string, rep *Report) (*Recorder
 	if status, err := getJSON(ctx, client, base+"/api/lifecycle", &lc); err == nil {
 		lg := lc.Ledger
 		chk.Lifecycle = &lg
-		if lg.Eligible != lg.Scored+lg.Errors || lg.Scored != lg.Agree+lg.Disagree {
-			flag("lifecycle ledger unbalanced: %+v", lg)
+		if err := lg.Check(); err != nil {
+			flag("%v", err)
 		}
 		if st.ShadowRows != lg.Scored || st.ShadowAgree != lg.Agree {
 			flag("shadow books disagree: recorder rows=%d agree=%d, lifecycle ledger scored=%d agree=%d",

@@ -61,6 +61,9 @@ func CompileBayes(spec *bayes.Spec) (*Bayes, error) {
 // Classes returns the class vocabulary.
 func (m *Bayes) Classes() []string { return m.classes }
 
+// Fits reports whether p is the parameter tables' width.
+func (m *Bayes) Fits(p int) bool { return m.p == p }
+
 // NewScratch allocates a scratch sized for this model.
 func (m *Bayes) NewScratch() *Scratch {
 	k := len(m.classes)

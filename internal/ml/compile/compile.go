@@ -18,9 +18,10 @@
 //
 // Compile validates model structure up front (index bounds, tree
 // acyclicity, matrix shapes) and returns an error instead of lowering a
-// malformed model; callers fall back to the interpreted path. This
-// keeps hostile or truncated snapshots — which the persistence fuzzers
-// feed the loader — from panicking inside the compiler.
+// malformed model; callers reject the model. It is the repo's one
+// structural validator for model snapshots: hostile or truncated ones —
+// which the persistence fuzzers feed the loader — fail here, at load,
+// instead of panicking or spinning inside a serving call.
 package compile
 
 import (
@@ -42,6 +43,9 @@ type Model interface {
 	Classes() []string
 	// NewScratch allocates a scratch sized for this model.
 	NewScratch() *Scratch
+	// Fits reports whether rows of p features can be scored without
+	// indexing past the row or the model's own tables.
+	Fits(p int) bool
 	// Predict returns the plain predicted class index (majority vote /
 	// max posterior), bit-identical to the interpreted model's Predict.
 	Predict(row []float64, s *Scratch) int
@@ -67,8 +71,7 @@ type Scratch struct {
 
 // Compile lowers a trained model into its compiled serving form. It
 // accepts the three classifier families the paper evaluates; any other
-// type (or a structurally invalid model) returns an error and the
-// caller keeps serving the interpreted form.
+// type (or a structurally invalid model) returns an error.
 func Compile(model any) (Model, error) {
 	switch m := model.(type) {
 	case *forest.Classifier:

@@ -27,6 +27,7 @@ type Forest struct {
 	roots   []int32
 	depths  []int32 // max node depth per tree (root = 0)
 	trees   int
+	maxFeat int // largest feature index any split tests (-1: all leaves)
 }
 
 // CompileForest lowers a forest spec, validating that every tree is a
@@ -49,6 +50,7 @@ func CompileForest(spec *forest.Spec) (*Forest, error) {
 		nodes:   make([]forestNode, 0, total),
 		roots:   make([]int32, 0, len(spec.Trees)),
 		trees:   len(spec.Trees),
+		maxFeat: -1,
 	}
 	f.depths = make([]int32, 0, len(spec.Trees))
 	for t, ts := range spec.Trees {
@@ -131,6 +133,9 @@ func (f *Forest) layoutTree(ts []forest.NodeSpec, numClasses int) (int32, int32,
 		if n.Feature >= 0 {
 			fn.feature = int32(n.Feature)
 			fn.first = newIndex[n.Left]
+			if n.Feature > f.maxFeat {
+				f.maxFeat = n.Feature
+			}
 		}
 		f.nodes = append(f.nodes, fn)
 	}
@@ -139,6 +144,9 @@ func (f *Forest) layoutTree(ts []forest.NodeSpec, numClasses int) (int32, int32,
 
 // Classes returns the class vocabulary.
 func (f *Forest) Classes() []string { return f.classes }
+
+// Fits reports whether every split tests a feature index below p.
+func (f *Forest) Fits(p int) bool { return f.maxFeat < p }
 
 // NewScratch allocates a scratch sized for this forest.
 func (f *Forest) NewScratch() *Scratch {

@@ -150,6 +150,9 @@ func CompileSVM(spec *svm.Spec) (*SVM, error) {
 // Classes returns the class vocabulary.
 func (m *SVM) Classes() []string { return m.classes }
 
+// Fits reports whether p is the support vectors' width.
+func (m *SVM) Fits(p int) bool { return m.features == p }
+
 // NewScratch allocates a scratch sized for this model.
 func (m *SVM) NewScratch() *Scratch {
 	k := len(m.classes)

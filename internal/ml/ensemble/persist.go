@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"repro/internal/ml/bayes"
+	"repro/internal/ml/compile"
 	"repro/internal/ml/eval"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/svm"
@@ -49,7 +51,13 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores an ensemble saved with MarshalBinary.
+// UnmarshalBinary restores an ensemble saved with MarshalBinary. The
+// snapshot is outside input, and the stack serves through these
+// structures directly, so everything a prediction indexes is checked
+// here: each base passes the structural validator the compiled families
+// use (internal/ml/compile; only its verdict is kept) and shares the
+// stack's class vocabulary and feature width, and the meta matrix is
+// classes x (bases*classes + 1).
 func (m *Model) UnmarshalBinary(data []byte) error {
 	var snap modelSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
@@ -58,6 +66,9 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	if len(snap.Bases) != len(snap.BaseBlob) {
 		return fmt.Errorf("ensemble: snapshot names %d bases but carries %d payloads",
 			len(snap.Bases), len(snap.BaseBlob))
+	}
+	if len(snap.Bases) == 0 {
+		return fmt.Errorf("ensemble: snapshot has no base learners")
 	}
 	bases := make([]eval.ProbClassifier, len(snap.Bases))
 	for i, name := range snap.Bases {
@@ -78,7 +89,26 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 		if err := base.UnmarshalBinary(snap.BaseBlob[i]); err != nil {
 			return fmt.Errorf("ensemble: base %s: %w", name, err)
 		}
+		cm, err := compile.Compile(base)
+		if err != nil {
+			return fmt.Errorf("ensemble: base %s: %w", name, err)
+		}
+		if !cm.Fits(snap.Features) {
+			return fmt.Errorf("ensemble: base %s does not fit the stack's %d features", name, snap.Features)
+		}
+		if !slices.Equal(base.Classes(), snap.Classes) {
+			return fmt.Errorf("ensemble: base %s disagrees with the stack's %d-class vocabulary (has %d classes)",
+				name, len(snap.Classes), len(base.Classes()))
+		}
 		bases[i] = base
+	}
+	k, width := len(snap.Classes), len(bases)*len(snap.Classes)+1
+	shaped := len(snap.Meta) == k
+	for _, row := range snap.Meta {
+		shaped = shaped && len(row) == width
+	}
+	if !shaped {
+		return fmt.Errorf("ensemble: meta matrix is not %d x %d (classes x bases*classes+1)", k, width)
 	}
 	m.classes = snap.Classes
 	m.features = snap.Features

@@ -1,6 +1,9 @@
 package flight
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,11 +40,8 @@ func TestLedgerInvariantsUnderMixedTraffic(t *testing.T) {
 	if st.Observed != 500 {
 		t.Fatalf("observed %d, recorded 500", st.Observed)
 	}
-	if st.Observed != st.Kept+st.SampledOut {
-		t.Errorf("ledger unbalanced: observed %d != kept %d + sampledOut %d", st.Observed, st.Kept, st.SampledOut)
-	}
-	if st.Kept != uint64(st.Live)+st.Evicted {
-		t.Errorf("ledger unbalanced: kept %d != live %d + evicted %d", st.Kept, st.Live, st.Evicted)
+	if err := st.Check(); err != nil {
+		t.Error(err)
 	}
 	var byRouteTotal uint64
 	for _, byStatus := range st.ByRoute {
@@ -458,10 +458,52 @@ func TestConcurrentRecordQueryExport(t *testing.T) {
 	if st.Observed != writers*perWriter {
 		t.Errorf("observed %d, recorded %d", st.Observed, writers*perWriter)
 	}
-	if st.Observed != st.Kept+st.SampledOut {
-		t.Errorf("ledger unbalanced: observed %d != kept %d + sampledOut %d", st.Observed, st.Kept, st.SampledOut)
+	if err := st.Check(); err != nil {
+		t.Error(err)
 	}
-	if st.Kept != uint64(st.Live)+st.Evicted {
-		t.Errorf("ledger unbalanced: kept %d != live %d + evicted %d", st.Kept, st.Live, st.Evicted)
+}
+
+// TestOpsHandlers drives the operator endpoints both daemons mount, on
+// an armed recorder and on none (supremm-ingestd -flight=false): a
+// malformed filter is a 400 either way, and the reply always carries
+// the stats block next to the matches.
+func TestOpsHandlers(t *testing.T) {
+	armed := NewRecorder(Config{Capacity: 8, SampleEvery: 1})
+	record(armed, "/api/classify", 504, time.Millisecond)
+	for name, rec := range map[string]*Recorder{"armed": armed, "no recorder": nil} {
+		ops := Ops{Reg: obs.NewRegistry(), Rec: rec}
+		get := func(h http.HandlerFunc, query string) (int, map[string]any) {
+			w := httptest.NewRecorder()
+			h(w, httptest.NewRequest("GET", "/?"+query, nil))
+			var body map[string]any
+			if strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
+				if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+					t.Fatalf("%s: undecodable reply %q: %v", name, w.Body, err)
+				}
+			}
+			return w.Code, body
+		}
+		for _, q := range []string{"limit=ten", "status=x", "min-ms=-1", "since=yesterday"} {
+			if code, body := get(ops.Requests, q); code != 400 || body["error"] == nil {
+				t.Errorf("%s: /debug/requests?%s = %d %v, want 400 with an error", name, q, code, body)
+			}
+		}
+		code, body := get(ops.Requests, "status=504&route=/api/classify")
+		want := 0.0
+		if rec != nil {
+			want = 1
+		}
+		if code != 200 || body["matched"] != want || body["stats"] == nil || body["events"] == nil {
+			t.Errorf("%s: /debug/requests = %d %v, want %v matched with stats and events", name, code, body, want)
+		}
+		if code, body := get(ops.SLO, ""); code != 200 || body["enabled"] != false {
+			t.Errorf("%s: /debug/slo = %d %v, want enabled=false with no objectives", name, code, body)
+		}
+		if code, _ := get(ops.Bundle, ""); code != 503 {
+			t.Errorf("%s: /debug/bundle = %d, want 503 with no bundle directory", name, code)
+		}
+		if code, _ := get(ops.Metrics, ""); code != 200 {
+			t.Errorf("%s: /metrics = %d", name, code)
+		}
 	}
 }

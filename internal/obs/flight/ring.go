@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,6 +112,19 @@ type Stats struct {
 	// code (string-keyed for JSON), independent of sampling -- the
 	// denominator the soak reconciliation joins client counts against.
 	ByRoute map[string]map[string]uint64 `json:"byRoute"`
+}
+
+// Check asserts the ledger's conservation identity.
+func (s Stats) Check() error {
+	if s.Observed != s.Kept+s.SampledOut {
+		return fmt.Errorf("flight: ledger unbalanced: observed %d != kept %d + sampledOut %d",
+			s.Observed, s.Kept, s.SampledOut)
+	}
+	if s.Kept != uint64(s.Live)+s.Evicted {
+		return fmt.Errorf("flight: ledger unbalanced: kept %d != live %d + evicted %d",
+			s.Kept, s.Live, s.Evicted)
+	}
+	return nil
 }
 
 // Recorder is the serving path's flight recorder: a fixed-size,

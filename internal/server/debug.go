@@ -1,12 +1,8 @@
 package server
 
 import (
-	"errors"
 	"net/http"
-	"strconv"
-	"time"
 
-	"repro/internal/obs/flight"
 	"repro/internal/resilience"
 )
 
@@ -42,97 +38,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"status":     "ok",
 		"generation": s.models.Generation(),
 	})
-}
-
-// debugRequestsDefaultLimit bounds an unqualified /debug/requests reply;
-// pass limit=-1 (or any negative) to dump the whole ring.
-const debugRequestsDefaultLimit = 100
-
-// handleDebugRequests queries the flight recorder's ring. Filters:
-//
-//	status=504          exact response code
-//	route=/api/classify path-label prefix
-//	outcome=shed        derived disposition
-//	min-ms=250          minimum request duration in milliseconds
-//	since=RFC3339       only requests that started at/after this instant
-//	limit=N             most recent N matches (default 100; -1 = all,
-//	                    0 = count only)
-//
-// The reply carries the reconciliation stats alongside the matches, so
-// one call answers both "show me the 504s" and "is the ledger balanced".
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	f := flight.Filter{Route: q.Get("route"), Outcome: q.Get("outcome"), Limit: debugRequestsDefaultLimit}
-	if v := q.Get("status"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad status parameter %q", v)
-			return
-		}
-		f.Status = n
-	}
-	if v := q.Get("min-ms"); v != "" {
-		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			s.writeError(w, http.StatusBadRequest, "bad min-ms parameter %q", v)
-			return
-		}
-		f.MinDuration = time.Duration(ms * float64(time.Millisecond))
-	}
-	if v := q.Get("since"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad since parameter %q (want RFC3339)", v)
-			return
-		}
-		f.Since = t
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad limit parameter %q", v)
-			return
-		}
-		f.Limit = n
-	}
-	events, matched := s.flight.Query(f)
-	if events == nil {
-		events = []flight.Event{}
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"stats":   s.flight.Stats(),
-		"matched": matched,
-		"events":  events,
-	})
-}
-
-// handleDebugSLO reports the burn-rate engine's current view of every
-// objective and window.
-func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	st := s.flight.SLOStatus()
-	if st == nil {
-		s.writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, st)
-}
-
-// handleDebugBundle captures a diagnostic bundle on operator demand,
-// bypassing the automatic-capture rate limit (an operator asking twice
-// means they want two bundles). 503 when bundles are disabled (no
-// -bundle-dir), 500 when the capture itself failed.
-func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
-	reason := r.URL.Query().Get("reason")
-	if reason == "" {
-		reason = "manual"
-	}
-	b, err := s.flight.Capture(reason, true)
-	switch {
-	case errors.Is(err, flight.ErrBundlesDisabled):
-		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		s.writeError(w, http.StatusInternalServerError, "bundle capture failed: %v", err)
-	default:
-		s.writeJSON(w, http.StatusOK, b)
-	}
 }

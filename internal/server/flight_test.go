@@ -392,8 +392,8 @@ func TestFlightStormReconciliation(t *testing.T) {
 			t.Errorf("status %d: clients saw %d, recorder observed %d", status, n, rec)
 		}
 	}
-	if st.Observed != st.Kept+st.SampledOut {
-		t.Errorf("ledger unbalanced: observed %d != kept %d + sampledOut %d", st.Observed, st.Kept, st.SampledOut)
+	if err := st.Check(); err != nil {
+		t.Error(err)
 	}
 	if st.Evicted != 0 {
 		t.Fatalf("storm evicted %d events from a 4096 ring; retrievability check would be vacuous", st.Evicted)

@@ -257,8 +257,8 @@ func TestLifecycleArcOverHTTP(t *testing.T) {
 	if lg.Eligible != uint64(len(shadowRows)) {
 		t.Fatalf("ledger eligible %d, want %d", lg.Eligible, len(shadowRows))
 	}
-	if lg.Eligible != lg.Scored+lg.Errors || lg.Scored != lg.Agree+lg.Disagree {
-		t.Fatalf("ledger does not balance: %+v", lg)
+	if err := lg.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if lg.Scored == 0 {
 		t.Fatal("no rows shadow-scored over HTTP")

@@ -221,14 +221,3 @@ func (s *Server) declareMetrics() {
 		s.metrics.Help("slo_budget_left", "Fraction of the run's error budget still unspent, per objective.")
 	}
 }
-
-// handleMetrics serves the Prometheus exposition. Scrape-time collection
-// hooks: Go runtime gauges and the flight recorder's ledger/burn gauges
-// refresh here, so the exposition is always current without a
-// background ticker.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	obs.CollectRuntime(s.metrics)
-	s.flight.Export(s.metrics)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.WritePrometheus(w)
-}

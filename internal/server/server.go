@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -57,6 +56,9 @@ type Server struct {
 	batchWorkers int
 	bootStamp    int64
 	flight       *flight.Recorder
+	// ops serves /metrics and /debug/{requests,slo,bundle}, the handlers
+	// shared with supremm-ingestd, and writes every JSON reply.
+	ops flight.Ops
 
 	resilience ResilienceConfig
 	limiter    *resilience.Limiter
@@ -105,12 +107,12 @@ func (s *Server) routes() []route {
 		{"POST", "/admin/lifecycle/retrain", s.lifecycleOp("retrain", (*lifecycle.Loop).Retrain), false, true},
 		{"POST", "/admin/lifecycle/promote", s.lifecycleOp("promote", (*lifecycle.Loop).Decide), false, true},
 		{"POST", "/admin/lifecycle/rollback", s.lifecycleOp("rollback", (*lifecycle.Loop).Rollback), false, true},
-		{"GET", "/metrics", s.handleMetrics, false, metrics},
+		{"GET", "/metrics", s.ops.Metrics, false, metrics},
 		{"GET", "/healthz", s.handleHealthz, false, true},
 		{"GET", "/readyz", s.handleReadyz, false, true},
-		{"GET", "/debug/requests", s.handleDebugRequests, false, armed},
-		{"GET", "/debug/slo", s.handleDebugSLO, false, armed},
-		{"GET", "/debug/bundle", s.handleDebugBundle, false, armed},
+		{"GET", "/debug/requests", s.ops.Requests, false, armed},
+		{"GET", "/debug/slo", s.ops.SLO, false, armed},
+		{"GET", "/debug/bundle", s.ops.Bundle, false, armed},
 		{"", "/debug/pprof/", pprof.Index, false, s.pprof},
 		{"", "/debug/pprof/cmdline", pprof.Cmdline, false, s.pprof},
 		{"", "/debug/pprof/profile", pprof.Profile, false, s.pprof},
@@ -133,6 +135,7 @@ func New(store *warehouse.Store, model *core.JobClassifier, machineNodes int, op
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.ops = flight.Ops{Reg: s.metrics, Rec: s.flight, Log: s.log}
 	s.initResilience()
 	if s.models == nil {
 		s.models = core.NewModelManager(s.metrics)
@@ -165,21 +168,12 @@ func New(store *warehouse.Store, model *core.JobClassifier, machineNodes int, op
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// writeJSON encodes v after committing status. Encode failures past that
-// point cannot change the response code, so they are logged and counted
-// in http_encode_errors_total instead of silently dropped: a truncated
-// response body is observable, not invisible.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.metrics.Counter("http_encode_errors_total").Inc()
-		s.log.Warn("response encode failed", "status", status, "err", err)
-	}
+	s.ops.WriteJSON(w, status, v)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	s.ops.WriteError(w, status, format, args...)
 }
 
 func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
@@ -191,19 +185,8 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// validDims lists the dimensions the API accepts.
-var validDims = map[warehouse.Dimension]bool{
-	warehouse.ByApplication: true, warehouse.ByCategory: true,
-	warehouse.ByUser: true, warehouse.ByPopulation: true,
-	warehouse.ByJobSize: true, warehouse.ByMonth: true,
-}
-
 func parseDim(r *http.Request, param string) (warehouse.Dimension, error) {
-	d := warehouse.Dimension(r.URL.Query().Get(param))
-	if !validDims[d] {
-		return "", fmt.Errorf("unknown or missing dimension %q", d)
-	}
-	return d, nil
+	return warehouse.ParseDimension(r.URL.Query().Get(param))
 }
 
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {

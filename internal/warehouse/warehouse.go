@@ -55,6 +55,20 @@ const (
 	ByMonth       Dimension = "month"
 )
 
+// Dimensions lists every supported grouping dimension: the set each
+// query surface (both daemons' APIs, supremm-report) accepts.
+var Dimensions = []Dimension{ByApplication, ByCategory, ByUser, ByPopulation, ByJobSize, ByMonth}
+
+// ParseDimension validates a dimension named by outside input.
+func ParseDimension(name string) (Dimension, error) {
+	for _, d := range Dimensions {
+		if string(d) == name {
+			return d, nil
+		}
+	}
+	return "", fmt.Errorf("unknown or missing dimension %q", name)
+}
+
 // dimensionKey extracts the group key of a record along a dimension.
 func dimensionKey(r *Record, dim Dimension) string {
 	switch dim {
