@@ -8,9 +8,7 @@
 //
 //	supremm-ingestd [-listen 127.0.0.1:9301] [-http 127.0.0.1:9302]
 //	                [-shards N] [-queue-depth N] [-idle-timeout 30s]
-//	                [-max-payload N] [-warehouse-shards N] [-rollup 1h]
 //	                [-faults SPEC] [-fault-seed N]
-//	                [-flight] [-flight-capacity N]
 //	                [-log-level debug|info|warn|error]
 //
 // Endpoints (on -http):
@@ -73,13 +71,8 @@ func main() {
 	shards := flag.Int("shards", 4, "ingest shard count (a job's records are owned by exactly one shard)")
 	queueDepth := flag.Int("queue-depth", 1024, "per-shard queue depth; overflow sheds records as dropped{queue_full}")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "finalize a job whose stream has gone quiet without an epilog (0 disables)")
-	maxPayload := flag.Int("max-payload", ingest.DefaultMaxPayload, "maximum frame payload bytes")
-	whShards := flag.Int("warehouse-shards", 4, "warehouse partition count")
-	rollup := flag.Duration("rollup", time.Hour, "warehouse rollup bucket width")
 	faultSpec := flag.String("faults", "", "arm fault injection: site=kind:rate[:latency],... (sites: ingest.conn, ingest.shard, ingest.finalize)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault-injection dice")
-	flightOn := flag.Bool("flight", true, "record one flight-recorder wide event per finalized job (/debug/requests)")
-	flightCapacity := flag.Int("flight-capacity", 2048, "flight-recorder ring capacity in events")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 
@@ -98,22 +91,14 @@ func main() {
 		log.Warn("fault injection armed", "sites", fmt.Sprint(faults.Sites()), "spec", faults.String(), "seed", *faultSeed)
 	}
 
-	var rec *flight.Recorder
-	if *flightOn {
-		fcfg := flight.DefaultConfig()
-		fcfg.Capacity = *flightCapacity
-		rec = flight.NewRecorder(fcfg)
-	}
-
-	sink := warehouse.NewSharded(warehouse.ShardedConfig{
-		Shards:        *whShards,
-		RollupSeconds: int64(*rollup / time.Second),
-	})
+	// One wide event per finalized job; the payload cap, the warehouse
+	// partitioning and the rollup width are their packages' defaults.
+	rec := flight.NewRecorder(flight.DefaultConfig())
+	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
 	srv, err := ingest.NewServer(ingest.Config{
 		Shards:      *shards,
 		QueueDepth:  *queueDepth,
 		IdleTimeout: *idleTimeout,
-		MaxPayload:  *maxPayload,
 		Sink:        sink,
 		Obs:         reg,
 		Log:         log,

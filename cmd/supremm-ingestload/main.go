@@ -6,18 +6,19 @@
 //
 // Usage:
 //
-//	supremm-ingestload -addr 127.0.0.1:9301 [-http http://127.0.0.1:9302]
-//	                   [-jobs 32] [-conns 4] [-hosts 4] [-wall 4000]
-//	                   [-dur 2s] [-chunk 4] [-seed 1] [-out report.json]
+//	supremm-ingestload [-http http://127.0.0.1:9302] [-out report.json] [-timeout 2m]
+//	                   addr=127.0.0.1:9301 [jobs=32] [conns=4] [hosts=4]
+//	                   [wall=4000] [dur=2s] [chunk=4] [seed=0]
 //
-// or equivalently with a single spec string:
-//
-//	supremm-ingestload -spec addr=127.0.0.1:9301,jobs=64,dur=10s,seed=7
+// The arguments are one ingest load spec (see
+// internal/loadgen.ParseIngestSpec): k=v pairs separated by spaces or
+// commas, so addr=A,jobs=64,dur=10s is the same run. addr is required;
+// one seed reproduces the exact frame sequence.
 //
 // The JSON report is printed to stdout (and to -out when given). Exit
 // status: 0 when the run completed and every reconciliation join is
-// exact, 2 when the run completed but the books do not balance, 1 on
-// any other failure.
+// exact, 2 when the run completed but the books do not balance (or on a
+// flag the command does not have), 1 on any other failure.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -34,21 +36,16 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "", "ingest daemon TCP address (required unless -spec)")
 	httpBase := flag.String("http", "", "daemon HTTP base URL, e.g. http://127.0.0.1:9302; enables exact reconciliation")
-	jobs := flag.Int("jobs", 0, "cluster jobs to generate and stream")
-	conns := flag.Int("conns", 0, "client connections (simulated collector hosts)")
-	hosts := flag.Int("hosts", 0, "max nodes per job")
-	wall := flag.Float64("wall", 0, "wall-seconds cap per job")
-	dur := flag.Duration("dur", 0, "replay window the send schedule is compressed into")
-	chunk := flag.Int("chunk", 0, "samples per data frame")
-	seed := flag.Uint64("seed", 1, "workload seed; one seed reproduces the exact frame sequence")
-	spec := flag.String("spec", "", "full load spec (overrides the individual flags)")
 	out := flag.String("out", "", "also write the JSON report to this file")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall run deadline")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: supremm-ingestload [-http URL] [-out FILE] [-timeout D] addr=HOST:PORT [key=value ...]")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
-	cfg, err := buildConfig(*spec, *addr, *jobs, *conns, *hosts, *wall, *dur, *chunk, *seed)
+	cfg, err := loadgen.ParseIngestSpec(strings.Join(flag.Args(), " "))
 	if err != nil {
 		fatal(err)
 	}
@@ -82,41 +79,6 @@ func main() {
 		}
 		os.Exit(2)
 	}
-}
-
-// buildConfig resolves the spec-vs-flags precedence: -spec wins whole;
-// otherwise flags overlay the spec defaults.
-func buildConfig(spec, addr string, jobs, conns, hosts int, wall float64, dur time.Duration, chunk int, seed uint64) (loadgen.IngestConfig, error) {
-	if spec != "" {
-		return loadgen.ParseIngestSpec(spec)
-	}
-	if addr == "" {
-		return loadgen.IngestConfig{}, fmt.Errorf("either -addr or -spec is required")
-	}
-	cfg, err := loadgen.ParseIngestSpec("addr=" + addr)
-	if err != nil {
-		return loadgen.IngestConfig{}, err
-	}
-	if jobs != 0 {
-		cfg.Jobs = jobs
-	}
-	if conns != 0 {
-		cfg.Conns = conns
-	}
-	if hosts != 0 {
-		cfg.MaxHosts = hosts
-	}
-	if wall != 0 {
-		cfg.WallCap = wall
-	}
-	if dur != 0 {
-		cfg.Duration = dur
-	}
-	if chunk != 0 {
-		cfg.ChunkSize = chunk
-	}
-	cfg.Seed = seed
-	return cfg, cfg.Validate()
 }
 
 // emit writes the report to stdout and optionally to a file.

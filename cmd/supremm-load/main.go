@@ -9,20 +9,20 @@
 //
 // Usage:
 //
-//	supremm-load -url http://127.0.0.1:8080 -rps 200 -dur 30s
-//	             [-ramp 5s] [-mix 0.25] [-dmix 0.1] [-rmix 0.1]
-//	             [-batch 64] [-threshold 0.5]
-//	             [-seed 7] [-timeout 10s] [-inflight 512]
-//	             [-spec k=v,...] [-out report.json] [-reconcile]
+//	supremm-load [-out report.json] [-reconcile] url=http://127.0.0.1:8080 rps=200 dur=30s
+//	             [ramp=5s] [mix=0.25] [dmix=0.1] [rmix=0.1] [batch=64]
+//	             [threshold=0.5] [seed=7] [timeout=10s] [inflight=512]
 //
-// -dmix and -rmix route a fraction of arrivals to the discovery
+// The arguments are one load spec (see internal/loadgen.ParseSpec):
+// k=v pairs separated by spaces or commas, so url=U,rps=200,dur=30s is
+// the same run. url, rps and dur are required. The canonical spec is
+// echoed on stderr and embedded in the report, so any run can be
+// reproduced from its artifact.
+//
+// dmix and rmix route a fraction of arrivals to the discovery
 // assignment (/api/discover/assign) and runtime-class
 // (/api/runtime-class) endpoints; the target must have the matching
 // model fitted or the run refuses to start.
-//
-// -spec takes a full load spec (see internal/loadgen.ParseSpec) and
-// overrides the individual flags; the report embeds the canonical spec
-// either way, so any run can be reproduced from its artifact.
 //
 // -reconcile cross-checks the run against the target's flight recorder
 // (/debug/requests): the recorder's per-status classify counts must
@@ -33,7 +33,8 @@
 //
 // Exit status: 0 when the run completed and the serving contract held
 // (every 429 carried Retry-After; -reconcile found no drift), 1 on
-// configuration or target errors, 2 on contract violations.
+// spec or target errors, 2 on contract violations or a flag the command
+// does not have.
 package main
 
 import (
@@ -45,49 +46,20 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/loadgen"
 )
 
 func main() {
-	url := flag.String("url", "http://127.0.0.1:8080", "target server base URL")
-	rps := flag.Float64("rps", 100, "steady-state arrival rate (requests/second)")
-	dur := flag.Duration("dur", 10*time.Second, "run length")
-	ramp := flag.Duration("ramp", 0, "linear ramp from 0 to -rps over this prefix of the run")
-	mix := flag.Float64("mix", 0.2, "fraction of arrivals sent as batch requests")
-	dmix := flag.Float64("dmix", 0, "fraction of arrivals sent to /api/discover/assign")
-	rmix := flag.Float64("rmix", 0, "fraction of arrivals sent to /api/runtime-class")
-	batch := flag.Int("batch", 32, "rows per batch request")
-	threshold := flag.Float64("threshold", 0.5, "classification threshold")
-	seed := flag.Uint64("seed", 1, "seed for request bodies and the batch/single dice")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request client timeout")
-	inflight := flag.Int("inflight", 512, "client-side cap on outstanding requests (arrivals beyond it are counted dropped)")
-	spec := flag.String("spec", "", "full load spec (k=v,... -- overrides the individual flags)")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	reconcile := flag.Bool("reconcile", false, "cross-check client-observed counts against the target's flight recorder after the run")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: supremm-load [-out FILE] [-reconcile] url=http://HOST:PORT rps=N dur=D [key=value ...]")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
-	var cfg loadgen.Config
-	var err error
-	if *spec != "" {
-		cfg, err = loadgen.ParseSpec(*spec)
-	} else {
-		cfg, err = loadgen.ParseSpec(strings.Join([]string{
-			"url=" + *url,
-			fmt.Sprintf("rps=%g", *rps),
-			"dur=" + dur.String(),
-			"ramp=" + ramp.String(),
-			fmt.Sprintf("mix=%g", *mix),
-			fmt.Sprintf("dmix=%g", *dmix),
-			fmt.Sprintf("rmix=%g", *rmix),
-			fmt.Sprintf("batch=%d", *batch),
-			fmt.Sprintf("threshold=%g", *threshold),
-			fmt.Sprintf("seed=%d", *seed),
-			"timeout=" + timeout.String(),
-			fmt.Sprintf("inflight=%d", *inflight),
-		}, ","))
-	}
+	cfg, err := loadgen.ParseSpec(strings.Join(flag.Args(), " "))
 	if err != nil {
 		fatal(1, err)
 	}

@@ -8,16 +8,11 @@
 //
 //	supremm-serve [-addr :8080] [-jobs N] [-seed N] [-model saved.bin]
 //	              [-model-snapshot out.bin] [-batch-workers N]
-//	              [-discover] [-discover-k N] [-discover-components N]
-//	              [-discover-restarts N]
 //	              [-request-timeout 30s] [-max-concurrent N] [-max-queue N]
 //	              [-breaker-threshold N] [-breaker-open-for 30s]
 //	              [-faults SPEC] [-fault-seed N]
 //	              [-lifecycle] [-lifecycle-spec window=256,algo=stack,...]
-//	              [-flight] [-flight-capacity N] [-flight-sample N] [-flight-topk N]
-//	              [-slo-availability 0.999] [-slo-latency-target 0.99] [-slo-latency 500ms]
-//	              [-slo-burn-threshold 10] [-bundle-dir DIR] [-bundle-profile heap|cpu|off]
-//	              [-bundle-min-interval 5m]
+//	              [-flight-capacity N] [-bundle-dir DIR]
 //	              [-pprof] [-log-level debug|info|warn|error]
 //
 // Endpoints:
@@ -49,17 +44,16 @@
 //	GET  /debug/pprof/*       (with -pprof)
 //
 // Observability: every request lands one wide event in the in-process
-// flight recorder (-flight, on by default): identity, route, status,
-// outcome, queue/handler/row timings, batch size, model generation,
-// fault hits. The ring tail-samples -- errors, timeouts, sheds, panics
-// and the rolling latency top-K are always kept; healthy traffic is
-// 1-in--flight-sample counter-sampled. An SLO burn-rate engine watches
-// availability (-slo-availability) and latency (-slo-latency-target
-// within -slo-latency) over multiple windows, and when the short-window
-// burn crosses -slo-burn-threshold (or the reload breaker opens) a
-// diagnostic bundle -- ring snapshot, SLO state, metrics dump, runtime
-// profile -- is captured into -bundle-dir, rate-limited to one per
-// -bundle-min-interval.
+// flight recorder: identity, route, status, outcome, queue/handler/row
+// timings, batch size, model generation, fault hits. The ring
+// (-flight-capacity events) tail-samples -- errors, timeouts, sheds,
+// panics and the rolling latency top-K are always kept; healthy traffic
+// is counter-sampled. An SLO burn-rate engine watches availability and
+// latency over multiple windows, and when the short-window burn crosses
+// its threshold (or the reload breaker opens) a diagnostic bundle --
+// ring snapshot, SLO state, metrics dump, heap profile -- is captured
+// into -bundle-dir, rate-limited. Sampling, objectives and bundle
+// policy are flight.DefaultConfig's.
 //
 // Resilience: the model-serving endpoints (classification, discovery
 // assignment, runtime-class) carry a per-request deadline
@@ -81,7 +75,8 @@
 // paired test -- all through the same schema-validated swap and
 // circuit breaker as model reloads. -lifecycle-spec tunes the loop
 // (key=value,... -- window, bins, min, every, drift, pdrift,
-// shadowmin, alpha, margin, cooldown, train, algo, seed, auto).
+// shadowmin, alpha, margin, cooldown, train, algo, seed, auto) and is a
+// startup error without -lifecycle.
 //
 // The listen address may end in :0 to pick a free port; the chosen
 // address is printed in the "serving api" log line (addr=...), which
@@ -90,8 +85,7 @@
 // SIGHUP atomically reloads the model from the configured path (the
 // -model flag, -model-snapshot, or the last successful reload) without
 // dropping a request. The server shuts down gracefully on
-// SIGINT/SIGTERM, draining in-flight requests for up to
-// -shutdown-timeout.
+// SIGINT/SIGTERM, draining in-flight requests for up to 10 s.
 package main
 
 import (
@@ -116,6 +110,10 @@ import (
 	"repro/internal/server"
 )
 
+// shutdownTimeout is the grace period for in-flight requests on
+// SIGINT/SIGTERM.
+const shutdownTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (port 0 picks a free port, logged as addr=...)")
 	jobs := flag.Int("jobs", 2000, "workload size to generate and serve")
@@ -123,10 +121,6 @@ func main() {
 	modelPath := flag.String("model", "", "load a saved classifier (default: train a category RF on the workload)")
 	snapshotPath := flag.String("model-snapshot", "", "write the boot model to this file (becomes the SIGHUP reload path when -model is unset)")
 	batchWorkers := flag.Int("batch-workers", 0, "worker goroutines per batch classify request (0 = GOMAXPROCS)")
-	discoverOn := flag.Bool("discover", true, "fit the unknown-app discovery model (PCA + k-means over Uncategorized/NA jobs) at boot")
-	discoverK := flag.Int("discover-k", 0, "discovery cluster count (0 = module default)")
-	discoverComponents := flag.Int("discover-components", 0, "discovery PCA components (0 = module default)")
-	discoverRestarts := flag.Int("discover-restarts", 0, "discovery k-means restarts (0 = module default)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline on classification endpoints (0 disables; overruns answer 504)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "classification requests allowed to execute at once (0 = unlimited, admission control off)")
 	maxQueue := flag.Int("max-queue", 64, "classification requests allowed to wait beyond -max-concurrent before shedding with 429")
@@ -135,22 +129,15 @@ func main() {
 	faultSpec := flag.String("faults", "", "arm fault injection: site=kind:rate[:latency],... (sites: reload, classify.row, discover.fit, discover.assign, runtime.row, lifecycle.retrain, lifecycle.promote, lifecycle.shadow; kinds: error, latency, panic)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault-injection dice")
 	lifecycleOn := flag.Bool("lifecycle", false, "arm the closed-loop model lifecycle: drift monitors, shadow retraining, gated champion-challenger promotion")
-	lifecycleSpec := flag.String("lifecycle-spec", "", "lifecycle loop tuning: key=value,... (window, bins, min, every, drift, pdrift, shadowmin, alpha, margin, cooldown, train, algo, seed, auto; empty = defaults)")
-	flightOn := flag.Bool("flight", true, "arm the serving-path flight recorder (/debug/requests, /debug/slo)")
-	flightCapacity := flag.Int("flight-capacity", 2048, "flight-recorder ring capacity in events (half reserved for errors)")
-	flightSample := flag.Int("flight-sample", 16, "keep 1 in N healthy requests outside the latency top-K (1 = all, 0 = none)")
-	flightTopK := flag.Int("flight-topk", 64, "healthy requests kept because they rank in the rolling latency top-K")
-	sloAvailability := flag.Float64("slo-availability", 0.999, "availability SLO target on /api/classify* (fraction of requests not failing 5xx; 0 disables)")
-	sloLatencyTarget := flag.Float64("slo-latency-target", 0.99, "latency SLO target (fraction of 200s within -slo-latency; 0 disables)")
-	sloLatency := flag.Duration("slo-latency", 500*time.Millisecond, "latency SLO threshold")
-	sloBurnThreshold := flag.Float64("slo-burn-threshold", 10, "short-window burn rate that triggers an automatic diagnostic bundle (0 disables)")
+	lifecycleSpec := flag.String("lifecycle-spec", "", "lifecycle loop tuning, needs -lifecycle: key=value,... (window, bins, min, every, drift, pdrift, shadowmin, alpha, margin, cooldown, train, algo, seed, auto; empty = defaults)")
+	flightCapacity := flag.Int("flight-capacity", flight.DefaultConfig().Capacity, "flight-recorder ring capacity in events (half reserved for errors)")
 	bundleDir := flag.String("bundle-dir", "", "directory for diagnostic bundles (empty disables capture)")
-	bundleProfile := flag.String("bundle-profile", "heap", "runtime profile captured into bundles: heap, cpu, off")
-	bundleMinInterval := flag.Duration("bundle-min-interval", 5*time.Minute, "minimum spacing between automatic bundle captures")
 	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof endpoints")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	flag.Parse()
+	if *lifecycleSpec != "" && !*lifecycleOn {
+		fatal(errors.New("-lifecycle-spec is set but -lifecycle is not: the spec would be ignored"))
+	}
 
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
@@ -230,22 +217,17 @@ func main() {
 	// name. A thin unlabeled population is a warning, not a boot failure:
 	// POST /api/discover refits once more data lands in the warehouse.
 	discovery := core.NewDiscoveryManager(reg)
-	if *discoverOn {
-		dm, err := core.FitDiscovery(
-			core.UnlabeledRows(res.Store, core.DefaultFeatures()),
-			core.FeatureNames(core.DefaultFeatures()),
-			core.DiscoveryConfig{
-				K: *discoverK, Components: *discoverComponents,
-				Restarts: *discoverRestarts, Seed: *seed, Workers: *batchWorkers,
-			})
-		if err != nil {
-			log.Warn("discovery fit skipped", "err", err)
-		} else if _, err := discovery.Swap(dm); err != nil {
-			fatal(err)
-		} else {
-			log.Info("fitted unknown-app discovery model",
-				"rows", dm.Rows, "k", dm.K, "inertia", fmt.Sprintf("%.3f", dm.Inertia))
-		}
+	dm, err := core.FitDiscovery(
+		core.UnlabeledRows(res.Store, core.DefaultFeatures()),
+		core.FeatureNames(core.DefaultFeatures()),
+		core.DiscoveryConfig{Seed: *seed, Workers: *batchWorkers})
+	if err != nil {
+		log.Warn("discovery fit skipped", "err", err)
+	} else if _, err := discovery.Swap(dm); err != nil {
+		fatal(err)
+	} else {
+		log.Info("fitted unknown-app discovery model",
+			"rows", dm.Rows, "k", dm.K, "inertia", fmt.Sprintf("%.3f", dm.Inertia))
 	}
 
 	opts := []server.Option{
@@ -319,29 +301,14 @@ func main() {
 		}))
 		log.Info("lifecycle loop armed", "spec", lcCfg.Spec())
 	}
-	if *flightOn {
-		fcfg := flight.Config{
-			Capacity:    *flightCapacity,
-			SampleEvery: *flightSample,
-			TopK:        *flightTopK,
-			SLO: flight.SLOConfig{
-				AvailabilityTarget: *sloAvailability,
-				LatencyTarget:      *sloLatencyTarget,
-				LatencyThreshold:   *sloLatency,
-				BurnThreshold:      *sloBurnThreshold,
-			},
-			Bundle: flight.BundleConfig{
-				Dir:         *bundleDir,
-				Profile:     *bundleProfile,
-				MinInterval: *bundleMinInterval,
-				Registry:    reg,
-			},
-		}
-		opts = append(opts, server.WithFlightRecorder(flight.NewRecorder(fcfg)))
-		log.Info("flight recorder armed",
-			"capacity", *flightCapacity, "sample", *flightSample, "topk", *flightTopK,
-			"slo", fcfg.SLO.String(), "bundle-dir", *bundleDir)
-	}
+	fcfg := flight.DefaultConfig()
+	fcfg.Capacity = *flightCapacity
+	fcfg.Bundle.Dir = *bundleDir
+	fcfg.Bundle.Registry = reg
+	opts = append(opts, server.WithFlightRecorder(flight.NewRecorder(fcfg)))
+	log.Info("flight recorder armed",
+		"capacity", fcfg.Capacity, "sample", fcfg.SampleEvery, "topk", fcfg.TopK,
+		"slo", fcfg.SLO.String(), "bundle-dir", *bundleDir)
 	if *pprofOn {
 		opts = append(opts, server.WithPprof())
 	}
@@ -412,8 +379,8 @@ func main() {
 		}
 	case <-ctx.Done():
 		stop() // restore default signal handling so a second ^C kills us
-		log.Info("shutting down", "grace", *shutdownTimeout)
-		sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+		log.Info("shutting down", "grace", shutdownTimeout)
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			log.Warn("shutdown incomplete", "err", err)

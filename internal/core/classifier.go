@@ -162,18 +162,22 @@ func (c *JobClassifier) Serving() (algo string, compiled bool) {
 	return string(c.Algo), c.IsCompiled()
 }
 
-// compiledScratch returns a pooled scratch when the classifier has a
-// compiled form and x has the schema's width (the row buffer is sized
-// to the schema; any other width goes to the interpreted model and
-// fails there exactly as it always did).
-func (c *JobClassifier) compiledScratch(x []float64) (*classifyScratch, bool) {
-	if c.compiled == nil || len(x) != len(c.Features) {
-		return nil, false
+// compiledScratch is the one door every served row passes: it checks x
+// against the schema's width (a wrong-width row is a caller bug, named
+// here instead of as an index fault inside a scaler or a tree walk) and,
+// on a compiled family, returns a pooled scratch holding the scaled
+// row. The stack gets nil and serves its interpreted models.
+func (c *JobClassifier) compiledScratch(x []float64) *classifyScratch {
+	if len(x) != len(c.Features) {
+		panic(fmt.Sprintf("core: row has %d values, model expects %d", len(x), len(c.Features)))
+	}
+	if c.compiled == nil {
+		return nil
 	}
 	s := c.scratch.Get().(*classifyScratch)
 	copy(s.row, x)
 	c.scaler.Transform(s.row)
-	return s, true
+	return s
 }
 
 func indexRange(n int) []int {
@@ -192,7 +196,7 @@ func (c *JobClassifier) Classes() []string { return c.model.Classes() }
 // and interpreted paths return byte-identical results; the returned
 // slice is always caller-owned.
 func (c *JobClassifier) PredictProb(x []float64) (int, []float64) {
-	if s, ok := c.compiledScratch(x); ok {
+	if s := c.compiledScratch(x); s != nil {
 		cls, probs := c.compiled.PredictProb(s.row, s.cs)
 		out := append([]float64(nil), probs...)
 		c.scratch.Put(s)
@@ -203,8 +207,8 @@ func (c *JobClassifier) PredictProb(x []float64) (int, []float64) {
 
 // PredictProbInterpreted is PredictProb through the original
 // pointer-walking model, bypassing the compiled engine. It exists as
-// the parity reference: tests and supremm-bench compare it bit-for-bit
-// against the compiled path.
+// the parity reference: tests compare it bit-for-bit against the
+// compiled path.
 func (c *JobClassifier) PredictProbInterpreted(x []float64) (int, []float64) {
 	row := append([]float64(nil), x...)
 	c.scaler.Transform(row)
@@ -221,7 +225,7 @@ type predictor interface {
 // index, bypassing probability calibration. Use this for accuracy;
 // PredictProb/Classify for threshold analyses.
 func (c *JobClassifier) Predict(x []float64) int {
-	if s, ok := c.compiledScratch(x); ok {
+	if s := c.compiledScratch(x); s != nil {
 		cls := c.compiled.Predict(s.row, s.cs)
 		c.scratch.Put(s)
 		return cls
@@ -230,7 +234,7 @@ func (c *JobClassifier) Predict(x []float64) int {
 }
 
 // PredictInterpreted is Predict through the original model, bypassing
-// the compiled engine (the parity reference for tests and benches).
+// the compiled engine (the tests' parity reference).
 func (c *JobClassifier) PredictInterpreted(x []float64) int {
 	row := append([]float64(nil), x...)
 	c.scaler.Transform(row)
@@ -247,7 +251,7 @@ func (c *JobClassifier) PredictInterpreted(x []float64) int {
 // Uncategorized/NA analysis). On the compiled path this is the serving
 // hot call: the pooled scratch makes it allocation-free per row.
 func (c *JobClassifier) Classify(x []float64, threshold float64) (label string, prob float64, ok bool) {
-	if s, ok := c.compiledScratch(x); ok {
+	if s := c.compiledScratch(x); s != nil {
 		cls, probs := c.compiled.PredictProb(s.row, s.cs)
 		label := c.model.Classes()[cls]
 		prob := probs[cls]
@@ -258,7 +262,7 @@ func (c *JobClassifier) Classify(x []float64, threshold float64) (label string, 
 }
 
 // ClassifyInterpreted is Classify through the original model, bypassing
-// the compiled engine (the parity reference for tests and benches).
+// the compiled engine (the tests' parity reference).
 func (c *JobClassifier) ClassifyInterpreted(x []float64, threshold float64) (label string, prob float64, ok bool) {
 	cls, probs := c.PredictProbInterpreted(x)
 	label = c.model.Classes()[cls]

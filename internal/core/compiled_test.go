@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -67,6 +68,42 @@ func TestCompiledServingParity(t *testing.T) {
 			t.Fatalf("%s: freshly trained classifier is not compiled", algo)
 		}
 		assertServingParity(t, c, rows)
+	}
+}
+
+// TestWrongWidthRowPanicsByName: every family, the stack included,
+// refuses a row that is not schema-wide at the classifier's door with a
+// panic naming both widths, never an index fault inside a scaler, a
+// tree walk or an interpreted model.
+func TestWrongWidthRowPanicsByName(t *testing.T) {
+	models, rows := trainCompiledTrio(t)
+	stack, err := TrainJobClassifier(
+		testkit.SynthClassification(testkit.SynthConfig{Seed: 91, Classes: 3, Features: 5, RowsPerCls: 20}),
+		ClassifierConfig{Algo: AlgoStack, Forest: forest.Config{Trees: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models[AlgoStack] = stack
+
+	short, long := rows[0][:4], append(append([]float64(nil), rows[0]...), 0)
+	for algo, c := range models {
+		for _, row := range [][]float64{short, long} {
+			want := fmt.Sprintf("core: row has %d values, model expects 5", len(row))
+			for name, call := range map[string]func(){
+				"Predict":     func() { c.Predict(row) },
+				"PredictProb": func() { c.PredictProb(row) },
+				"Classify":    func() { c.Classify(row, 0.5) },
+			} {
+				func() {
+					defer func() {
+						if got := recover(); got != want {
+							t.Errorf("%s %s on a %d-wide row: recovered %v, want %q", algo, name, len(row), got, want)
+						}
+					}()
+					call()
+				}()
+			}
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestRunSelectedParallelParity runs two cheap experiments through the
+// TestRunSelectedParallelParity runs four cheap experiments through the
 // concurrent runner and through the drivers directly on an identically
 // seeded environment, and requires bit-identical metrics and rendered
 // lines. The two environments are separate so the lazily-built datasets
@@ -15,7 +15,7 @@ func TestRunSelectedParallelParity(t *testing.T) {
 		t.Skip("experiment drivers are expensive")
 	}
 	cfg := Config{Seed: 123, TrainPerClass: 20, TestJobs: 300, UnknownJobs: 120}
-	ids := []string{"e1", "e2"}
+	ids := []string{"e1", "e2", "table2", "fig1"}
 
 	serial := NewEnv(cfg)
 	var want []*Result

@@ -10,9 +10,9 @@ import (
 )
 
 // Config parameterizes one open-loop load run. The canonical wire form
-// is the spec string (ParseSpec / Spec), which supremm-load's flags
-// compile down to and which the soak harness records verbatim in its
-// JSON report so a run is reproducible from the artifact alone.
+// is the spec string (ParseSpec / Spec), which is supremm-load's whole
+// command line and which the soak harness records verbatim in its JSON
+// report so a run is reproducible from the artifact alone.
 type Config struct {
 	// BaseURL is the target server root, e.g. http://127.0.0.1:8080.
 	BaseURL string

@@ -11,9 +11,9 @@ import (
 	"repro/internal/testkit"
 )
 
-// The interpreted-vs-compiled microbenchmarks back the supremm-bench
-// compiled leg with `go test -bench`-native numbers; compare revisions
-// with `make bench BENCH_COUNT=10` plus benchstat (see EXPERIMENTS.md).
+// The interpreted-vs-compiled microbenchmarks are the human-facing
+// ratio check (no CI floor holds it); compare revisions with
+// `make bench BENCH_COUNT=10` plus benchstat (see EXPERIMENTS.md).
 
 var benchModels struct {
 	once  sync.Once

@@ -7,8 +7,7 @@ import (
 
 // TestWorkerCountParity: the ensemble, its OOB error and its permutation
 // importance are bit-identical whether trees are built serially or on
-// many workers, at GOMAXPROCS 1 and 8. This is the guarantee the bench
-// gate (cmd/supremm-bench) enforces end-to-end.
+// many workers, at GOMAXPROCS 1 and 8.
 func TestWorkerCountParity(t *testing.T) {
 	d := blobs(5, [][]float64{{0, 0, 0}, {3, 1, 0}, {0, 3, 2}}, 0.8, 40)
 	ref, err := TrainClassifier(d, Config{Trees: 40, Seed: 9, Workers: 1})

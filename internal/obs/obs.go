@@ -9,5 +9,5 @@
 // library code can be instrumented unconditionally and pay near-zero cost
 // when no observer is attached. Instrumentation never touches any RNG
 // stream, so enabling it cannot perturb the deterministic experiment
-// results; the supremm-bench parity gate asserts exactly that.
+// results; core's TestInstrumentedPipelineParity asserts exactly that.
 package obs

@@ -409,7 +409,7 @@ type SeriesSnapshot struct {
 }
 
 // Snapshot returns every series sorted by name, for embedding into JSON
-// reports (e.g. supremm-bench's BENCH_<rev>.json).
+// reports (e.g. the benchmark's per-layer counters).
 func (r *Registry) Snapshot() []SeriesSnapshot {
 	if r == nil {
 		return nil

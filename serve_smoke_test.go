@@ -11,9 +11,11 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -23,6 +25,22 @@ import (
 
 func TestServeBatchSmoke(t *testing.T) {
 	bin := buildServe(t, false)
+
+	// A lifecycle spec without -lifecycle must refuse to boot rather
+	// than boot clean with no loop (the deadline reaps a server that
+	// did boot, which then fails the message check).
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var orphan bytes.Buffer
+	bad := exec.CommandContext(ctx, bin, "-lifecycle-spec", "window=64")
+	bad.Stderr = &orphan
+	if err := bad.Run(); err == nil {
+		t.Fatal("-lifecycle-spec without -lifecycle booted")
+	}
+	if msg := orphan.String(); !strings.Contains(msg, "-lifecycle-spec") || !strings.Contains(msg, "-lifecycle is not") {
+		t.Fatalf("orphan -lifecycle-spec: stderr %q does not name both flags", msg)
+	}
+
 	snapshot := filepath.Join(t.TempDir(), "model.bin")
 	// -log-level info: the address discovery in startServe reads the
 	// info-level "serving api" line.
