@@ -6,13 +6,14 @@
 // Usage:
 //
 //	supremm-classify -data train.csv [-testdata test.csv] [-algo svm|rf|nb]
-//	                 [-gamma 0.1] [-C 1000] [-trees 200] [-threshold 0.8]
-//	                 [-save model.bin]
-//	supremm-classify -load model.bin -testdata test.csv [-threshold 0.8]
+//	                 [-tune] [-seed N] [-save model.bin]
+//	supremm-classify -load model.bin -testdata test.csv
 //
-// With -save the trained model is written to disk; with -load a saved
-// model is evaluated on -testdata without retraining. With -tune the tool
-// grid-searches (gamma, C) by cross-validation before training.
+// The SVM and forest are the paper's configurations (core.PaperSVM: RBF
+// gamma=0.1, C=1000; core.PaperForest: 200 trees). With -save the trained
+// model is written to disk; with -load a saved model is evaluated on
+// -testdata without retraining. With -tune the tool grid-searches
+// (gamma, C) by cross-validation before training the SVM.
 package main
 
 import (
@@ -23,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ml/eval"
-	"repro/internal/ml/forest"
 	"repro/internal/ml/svm"
 	"repro/internal/rng"
 )
@@ -32,10 +32,6 @@ func main() {
 	dataPath := flag.String("data", "", "training CSV (required)")
 	testPath := flag.String("testdata", "", "test CSV (default: 30% withheld from -data)")
 	algo := flag.String("algo", "svm", "classifier: svm, rf, or nb")
-	gamma := flag.Float64("gamma", 0.1, "SVM RBF gamma")
-	c := flag.Float64("C", 1000, "SVM cost parameter")
-	trees := flag.Int("trees", 200, "random forest size")
-	threshold := flag.Float64("threshold", 0.8, "probability threshold for the classified fraction report")
 	seed := flag.Uint64("seed", 1, "random seed for splits and training")
 	savePath := flag.String("save", "", "write the trained model to this file")
 	loadPath := flag.String("load", "", "load a saved model instead of training")
@@ -54,7 +50,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		report(model, test, *threshold)
+		report(model, test)
 		return
 	}
 
@@ -75,24 +71,21 @@ func main() {
 		train, test = train.Split(rng.New(*seed), 0.7)
 	}
 
-	if *tune && *algo == "svm" {
-		results, err := svm.Tune(train, svm.Grid{}, 3, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		best := results[0]
-		fmt.Printf("tuned: gamma=%v C=%v (CV accuracy %.4f)\n", best.Gamma, best.C, best.Accuracy)
-		*gamma, *c = best.Gamma, best.C
-	}
-
 	var cfg core.ClassifierConfig
 	switch *algo {
 	case "svm":
-		cfg = core.ClassifierConfig{Algo: core.AlgoSVM, SVM: svm.Config{
-			Kernel: svm.RBF{Gamma: *gamma}, C: *c, Probability: true, Seed: *seed,
-		}}
+		cfg = core.PaperSVM(*seed)
+		if *tune {
+			results, err := svm.Tune(train, svm.Grid{}, 3, *seed)
+			if err != nil {
+				fatal(err)
+			}
+			best := results[0]
+			fmt.Printf("tuned: gamma=%v C=%v (CV accuracy %.4f)\n", best.Gamma, best.C, best.Accuracy)
+			cfg.SVM.Kernel, cfg.SVM.C = svm.RBF{Gamma: best.Gamma}, best.C
+		}
 	case "rf":
-		cfg = core.ClassifierConfig{Algo: core.AlgoForest, Forest: forest.Config{Trees: *trees, Seed: *seed}}
+		cfg = core.PaperForest(*seed)
 	case "nb":
 		cfg = core.ClassifierConfig{Algo: core.AlgoBayes}
 	default:
@@ -118,7 +111,7 @@ func main() {
 	}
 	fmt.Printf("algorithm: %s; train %d rows, %d features, %d classes\n",
 		*algo, train.Len(), train.NumFeatures(), train.NumClasses())
-	report(model, test, *threshold)
+	report(model, test)
 }
 
 // loadModel reads a saved classifier from disk.
@@ -131,8 +124,12 @@ func loadModel(path string) (*core.JobClassifier, error) {
 	return core.LoadJobClassifier(f)
 }
 
+// threshold is the probability cut for the classified-fraction line (the
+// paper's working point in Figures 1 and 3).
+const threshold = 0.8
+
 // report prints the evaluation for a model on a test set.
-func report(model *core.JobClassifier, test *dataset.Dataset, threshold float64) {
+func report(model *core.JobClassifier, test *dataset.Dataset) {
 	preds := model.Score(test)
 	cm := eval.NewConfusionMatrix(test.ClassNames, preds)
 	fmt.Printf("test rows: %d\n", test.Len())

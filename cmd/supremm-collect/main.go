@@ -1,14 +1,14 @@
 // Command supremm-collect runs the raw side of the SUPReMM pipeline on
 // disk, the way production deployments do: a collection stage writes raw
-// per-host node archives into a spool directory (TACC_Stats text format or
-// PCP-style JSON lines), and a summarization stage later scans the spool,
-// reduces each job to its SUPReMM summary, and emits the labeled feature
-// CSV that the classifiers consume.
+// per-host node archives into a spool directory (TACC_Stats text format),
+// and a summarization stage later scans the spool, reduces each job to
+// its SUPReMM summary, and emits the labeled feature CSV that the
+// classifiers consume.
 //
 // Usage:
 //
-//	supremm-collect -spool DIR [-jobs N] [-seed N] [-format tacc|pcp]   # stage 1
-//	supremm-collect -spool DIR -summarize -o data.csv                   # stage 2
+//	supremm-collect -spool DIR [-jobs N] [-seed N]        # stage 1
+//	supremm-collect -spool DIR -summarize [-o data.csv]   # stage 2
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/lariat"
-	"repro/internal/pcp"
 	"repro/internal/rng"
 	"repro/internal/summarize"
 	"repro/internal/taccstats"
@@ -33,7 +32,6 @@ func main() {
 	spool := flag.String("spool", "", "spool directory (required)")
 	jobs := flag.Int("jobs", 500, "jobs to collect (stage 1)")
 	seed := flag.Uint64("seed", 2014, "random seed")
-	format := flag.String("format", "tacc", "raw archive format: tacc or pcp")
 	doSummarize := flag.Bool("summarize", false, "run stage 2: summarize the spool to CSV")
 	out := flag.String("o", "", "stage 2 output CSV (default stdout)")
 	flag.Parse()
@@ -46,7 +44,7 @@ func main() {
 	if *doSummarize {
 		err = summarizeSpool(*spool, *out)
 	} else {
-		err = collect(*spool, *jobs, *seed, *format)
+		err = collect(*spool, *jobs, *seed)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "supremm-collect:", err)
@@ -58,10 +56,7 @@ func main() {
 const labelsFile = "labels.csv"
 
 // collect generates a workload and writes raw archives into the spool.
-func collect(spool string, jobs int, seed uint64, format string) error {
-	if format != "tacc" && format != "pcp" {
-		return fmt.Errorf("unknown format %q", format)
-	}
+func collect(spool string, jobs int, seed uint64) error {
 	if err := os.MkdirAll(spool, 0o755); err != nil {
 		return err
 	}
@@ -83,20 +78,10 @@ func collect(spool string, jobs int, seed uint64, format string) error {
 	for i := 0; i < jobs; i++ {
 		j := gen.Next()
 		arch := taccstats.Collect(cfg, taccstats.JobInfo{ID: j.ID, Start: j.Start, Hosts: j.Hosts}, j.Draw, root.Split(uint64(i)))
-		switch format {
-		case "tacc":
-			if err := taccstats.WriteSpool(spool, arch); err != nil {
-				return err
-			}
-		case "pcp":
-			if err := writePCP(spool, arch); err != nil {
-				return err
-			}
+		if err := taccstats.WriteSpool(spool, arch); err != nil {
+			return err
 		}
-		label := lariat.NA
-		if j.App.ExecPath != "" {
-			label = matcher.Match(&lariat.Record{JobID: j.ID, ExecPath: j.App.ExecPath})
-		}
+		label, _ := matcher.LabelJob(j)
 		if err := lw.Write([]string{j.ID, label}); err != nil {
 			return err
 		}
@@ -105,24 +90,8 @@ func collect(spool string, jobs int, seed uint64, format string) error {
 	if err := lw.Error(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "collected %d jobs into %s (%s format)\n", jobs, spool, format)
+	fmt.Fprintf(os.Stderr, "collected %d jobs into %s\n", jobs, spool)
 	return nil
-}
-
-func writePCP(spool string, a *taccstats.Archive) error {
-	dir := filepath.Join(spool, a.JobID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "archive.pcp.json"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := pcp.Export(a, f); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 // summarizeSpool scans the spool, summarizes every job, joins the labels
@@ -142,7 +111,7 @@ func summarizeSpool(spool, out string) error {
 	var rowLabels []string
 	summarized := 0
 	for _, id := range jobIDs {
-		arch, err := readJob(spool, id)
+		arch, err := taccstats.ReadSpool(spool, id)
 		if err != nil {
 			return fmt.Errorf("job %s: %w", id, err)
 		}
@@ -176,16 +145,6 @@ func summarizeSpool(spool, out string) error {
 	}
 	fmt.Fprintf(os.Stderr, "summarized %d jobs from %s\n", summarized, spool)
 	return nil
-}
-
-// readJob loads a job's archive in whichever format the spool holds.
-func readJob(spool, id string) (*taccstats.Archive, error) {
-	pcpPath := filepath.Join(spool, id, "archive.pcp.json")
-	if f, err := os.Open(pcpPath); err == nil {
-		defer f.Close()
-		return pcp.Import(f)
-	}
-	return taccstats.ReadSpool(spool, id)
 }
 
 func readLabels(path string) (map[string]string, error) {

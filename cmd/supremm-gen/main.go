@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	supremm-gen [-seed N] [-jobs N] [-label lariat|category|exit] [-o file]
+//	supremm-gen [-seed N] [-jobs N] [-o file]
 //
-// Jobs labeled by Lariat as Uncategorized or NA appear with those labels
-// when -include-unknown is set; otherwise only community jobs are emitted.
+// Only jobs Lariat could name are emitted: the Uncategorized and NA
+// populations carry no training label.
 package main
 
 import (
@@ -22,47 +22,14 @@ import (
 func main() {
 	seed := flag.Uint64("seed", 2014, "random seed")
 	jobs := flag.Int("jobs", 10000, "number of jobs to generate")
-	label := flag.String("label", "lariat", "label column: lariat, category, or exit")
 	out := flag.String("o", "", "output file (default stdout)")
-	includeUnknown := flag.Bool("include-unknown", false, "keep Uncategorized and NA jobs")
-	segments := flag.Int("segments", 0, "also compute per-time-slice features with this many slices")
 	flag.Parse()
 
-	cfg := core.DefaultPipelineConfig(*seed, *jobs)
-	cfg.Segments = *segments
-	res, err := core.RunPipeline(cfg)
+	res, err := core.RunPipeline(core.DefaultPipelineConfig(*seed, *jobs))
 	if err != nil {
 		fatal(err)
 	}
-
-	var labelFn core.LabelFunc
-	switch *label {
-	case "lariat":
-		labelFn = core.LabelByLariat
-		if *includeUnknown {
-			labelFn = func(r *core.JobRecord) (string, bool) { return r.Label, true }
-		}
-	case "category":
-		labelFn = core.LabelByCategory
-		if *includeUnknown {
-			labelFn = func(r *core.JobRecord) (string, bool) {
-				if c, ok := core.LabelByCategory(r); ok {
-					return c, true
-				}
-				return r.Label, true
-			}
-		}
-	case "exit":
-		labelFn = core.LabelByExit
-	default:
-		fatal(fmt.Errorf("unknown label mode %q", *label))
-	}
-
-	opt := core.DefaultFeatures()
-	if *segments > 0 {
-		opt.Segments = *segments
-	}
-	ds, err := core.BuildDataset(res.Records, labelFn, opt)
+	ds, err := core.BuildDataset(res.Records, core.LabelByLariat, core.DefaultFeatures())
 	if err != nil {
 		fatal(err)
 	}

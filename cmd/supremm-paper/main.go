@@ -4,7 +4,7 @@
 // Usage:
 //
 //	supremm-paper [-seed N] [-exp id[,id...]] [-train N] [-test N] [-unknown N]
-//	              [-workers N] [-trace out.json] [-log-level LEVEL]
+//	              [-workers N] [-trace out.json]
 //
 // With no -exp it runs the full suite in paper order (e1, e2, table2,
 // fig1, fig2, fig3, table3, fig4, fig5, fig6, x1, x2, x3, x4).
@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,25 +37,10 @@ func main() {
 	test := flag.Int("test", 0, "native-mix test jobs (default 4000)")
 	unknown := flag.Int("unknown", 0, "jobs per unknown pool (default 1200)")
 	workers := flag.Int("workers", 0, "concurrent experiments (0 = all cores, 1 = serial)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	jsonOut := flag.Bool("json", false, "emit results as JSON instead of text")
 	trace := flag.String("trace", "", "write a span-tree trace of the run to this JSON file")
-	logLevel := flag.String("log-level", "warn", "log level: debug, info, warn, error")
 	flag.Parse()
 
-	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
-		}
-		return
-	}
-
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "supremm-paper:", err)
-		os.Exit(2)
-	}
-	log := obs.NewLogger(os.Stderr, level)
+	log := obs.NewLogger(os.Stderr, obs.LevelWarn)
 	var root *obs.Span // nil (no-op) unless -trace is set
 	if *trace != "" {
 		root = obs.NewSpan("suite")
@@ -84,7 +68,7 @@ func main() {
 	}
 	for _, id := range ids {
 		if _, ok := experiments.ByID(id); !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", id, strings.Join(experiments.IDs(), ", "))
 			os.Exit(2)
 		}
 	}
@@ -112,23 +96,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *jsonOut {
-		results := make([]*experiments.Result, len(out))
-		for i, t := range out {
-			results[i] = t.res
-			fmt.Fprintf(os.Stderr, "(%s in %v)\n", t.res.ID, t.dur.Round(time.Millisecond))
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintln(os.Stderr, "supremm-paper:", err)
-			os.Exit(1)
-		}
-	} else {
-		for _, t := range out {
-			fmt.Print(t.res.String())
-			fmt.Printf("(%s in %v)\n\n", t.res.ID, t.dur.Round(time.Millisecond))
-		}
+	for _, t := range out {
+		fmt.Print(t.res.String())
+		fmt.Printf("(%s in %v)\n\n", t.res.ID, t.dur.Round(time.Millisecond))
 	}
 	fmt.Fprintf(os.Stderr, "(suite: %d experiments in %v on %d workers)\n",
 		len(ids), time.Since(suiteStart).Round(time.Millisecond), parallel.Workers(*workers))

@@ -4,7 +4,12 @@
 //
 // Usage:
 //
-//	supremm-report [-seed N] [-jobs N] [-by application|category|user|population|jobsize|month]
+//	supremm-report [-seed N] [-jobs N] [-sched] [-util]
+//	               [-by application|category|user|population|jobsize|month]
+//
+// -sched routes the workload through the batch scheduler (FCFS + EASY
+// backfill) so queue waits are emergent; -util prints the monthly
+// utilization series instead of a group-by table.
 package main
 
 import (
@@ -17,13 +22,15 @@ import (
 	"repro/internal/warehouse"
 )
 
+// maxGroups caps the group-by table: the user and application dimensions
+// have long tails.
+const maxGroups = 25
+
 func main() {
 	seed := flag.Uint64("seed", 2014, "random seed")
 	jobs := flag.Int("jobs", 5000, "number of jobs to generate")
 	by := flag.String("by", "application", "grouping dimension: application, category, user, population, jobsize, month")
-	top := flag.Int("top", 25, "show at most this many groups")
-	sched := flag.Bool("sched", false, "run the workload through the batch-scheduler simulation (emergent waits)")
-	backfill := flag.Bool("backfill", true, "with -sched, enable EASY backfill")
+	sched := flag.Bool("sched", false, "run the workload through the batch-scheduler simulation (FCFS + EASY backfill, emergent waits)")
 	util := flag.Bool("util", false, "print the monthly utilization timeseries instead of a group-by report")
 	flag.Parse()
 
@@ -35,7 +42,7 @@ func main() {
 
 	cfg := core.DefaultPipelineConfig(*seed, *jobs)
 	cfg.UseScheduler = *sched
-	cfg.Backfill = *backfill
+	cfg.Backfill = true
 	res, err := core.RunPipeline(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "supremm-report:", err)
@@ -60,7 +67,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "%s\tjobs\t%% mix\tcpu hours\tavg nodes\tavg wait (h)\tavg cpu user\n", dim)
 	for i, g := range res.Store.GroupBy(dim) {
-		if i >= *top {
+		if i >= maxGroups {
 			break
 		}
 		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.0f\t%.1f\t%.2f\t%.3f\n",

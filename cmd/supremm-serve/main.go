@@ -102,12 +102,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/parallel"
 	"repro/internal/resilience"
 	"repro/internal/server"
+	"repro/internal/warehouse"
 )
 
 // shutdownTimeout is the grace period for in-flight requests on
@@ -162,6 +164,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The training corpus is whatever the served warehouse holds when
+	// asked. The boot model, the lifecycle's drift baseline and every
+	// challenger retrain featurize through categoryCorpus, so retraining
+	// on jobs that ran since boot means pointing corpus at a warehouse
+	// that grows (an ingest-fed warehouse.Sharded snapshot), nothing more.
+	corpus := func() []*warehouse.Record { return res.Store.Records() }
+	categoryCorpus := func() (*dataset.Dataset, error) {
+		return core.BuildDataset(corpus(), core.LabelByCategory, core.DefaultFeatures())
+	}
 
 	models := core.NewModelManager(reg)
 	if *modelPath != "" {
@@ -170,7 +181,7 @@ func main() {
 		}
 		log.Info("loaded classifier", "algo", models.View().Model.Algo, "path", *modelPath)
 	} else {
-		ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
+		ds, err := categoryCorpus()
 		if err != nil {
 			fatal(err)
 		}
@@ -204,7 +215,7 @@ func main() {
 	// submit time; it always trains on the generated workload since no
 	// snapshot format carries it yet.
 	runtimeModels := core.NewNamedModelManager(reg, "runtime_class")
-	rtModel, err := core.TrainRuntimeClassifier(res.Records, core.PaperForest(*seed))
+	rtModel, err := core.TrainRuntimeClassifier(corpus(), core.PaperForest(*seed))
 	if err != nil {
 		fatal(err)
 	}
@@ -218,7 +229,7 @@ func main() {
 	// POST /api/discover refits once more data lands in the warehouse.
 	discovery := core.NewDiscoveryManager(reg)
 	dm, err := core.FitDiscovery(
-		core.UnlabeledRows(res.Store, core.DefaultFeatures()),
+		core.FeaturizeAll(res.Store.Filter((*warehouse.Record).Unlabeled), core.DefaultFeatures()),
 		core.FeatureNames(core.DefaultFeatures()),
 		core.DiscoveryConfig{Seed: *seed, Workers: *batchWorkers})
 	if err != nil {
@@ -255,10 +266,9 @@ func main() {
 		if lcCfg.Seed == 0 {
 			lcCfg.Seed = *seed
 		}
-		// The labeled corpus the loop retrains challengers on and
-		// freezes its drift baseline from: the warehouse's records under
-		// the same featurization the champion serves.
-		ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
+		// The drift baseline freezes the corpus as it stands at boot,
+		// under the same featurization the champion serves.
+		ds, err := categoryCorpus()
 		if err != nil {
 			fatal(err)
 		}
@@ -272,16 +282,11 @@ func main() {
 			fatal(err)
 		}
 		trainer := func() (lifecycle.TrainResult, error) {
-			// Re-featurize the warehouse at retrain time, so the sliding
-			// window covers whatever the record corpus holds when drift
-			// fires, not a snapshot frozen at boot. Today supremm-serve
-			// never ingests labeled rows after boot (live classify traffic
-			// carries no ground truth), so until a warehouse reload or
-			// ingest path lands, retrains refit the boot corpus: the loop's
-			// serve-mode value is drift visibility plus the shadow and
-			// promotion machinery, while the simulation harness exercises
-			// the fully adaptive arc against a moving corpus.
-			wds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
+			// Re-featurize at retrain time, so the sliding window covers
+			// whatever the corpus holds when drift fires. Nothing ingests
+			// into this binary's warehouse after boot, so today that is
+			// still the boot corpus.
+			wds, err := categoryCorpus()
 			if err != nil {
 				return lifecycle.TrainResult{}, err
 			}

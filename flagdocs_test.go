@@ -12,33 +12,69 @@ import (
 	"testing"
 )
 
-// TestFlagTablesMatchCode keeps each daemon's README flag table and its
+// TestFlagTablesMatchCode keeps every command's documented flags and its
 // flag definitions in step: the set of flag.<Type>("name", ...) literals
-// in the command's main.go must equal the set of `-name` cells in the
-// first column of the table under that daemon's heading.
+// in the command's main.go must equal the set of -name tokens in the
+// "Usage:" block of its doc comment and, for the two daemons, the set of
+// `-name` cells in the first column of the README table under the
+// daemon's heading.
 func TestFlagTablesMatchCode(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, daemon := range []string{"supremm-serve", "supremm-ingestd"} {
-		code := definedFlags(t, "cmd/"+daemon+"/main.go")
-		docs := tabulatedFlags(t, string(readme), "### `"+daemon+"` flags")
-		if got, want := strings.Join(docs, " "), strings.Join(code, " "); got != want {
-			t.Errorf("%s: README tabulates\n  %s\nmain.go defines\n  %s", daemon, got, want)
+	for _, c := range []struct {
+		cmd         string
+		readmeTable bool
+	}{
+		{"supremm-serve", true}, {"supremm-ingestd", true},
+		{"supremm-load", false}, {"supremm-ingestload", false},
+		{"supremm-gen", false}, {"supremm-collect", false}, {"supremm-classify", false},
+		{"supremm-report", false}, {"supremm-paper", false},
+	} {
+		code, usage := definedFlags(t, "cmd/"+c.cmd+"/main.go")
+		want := strings.Join(code, " ")
+		if got := strings.Join(usage, " "); got != want {
+			t.Errorf("%s: Usage comment names\n  %s\nmain.go defines\n  %s", c.cmd, got, want)
+		}
+		if !c.readmeTable {
+			continue
+		}
+		docs := tabulatedFlags(t, string(readme), "### `"+c.cmd+"` flags")
+		if got := strings.Join(docs, " "); got != want {
+			t.Errorf("%s: README tabulates\n  %s\nmain.go defines\n  %s", c.cmd, got, want)
 		}
 	}
 }
 
-// definedFlags returns, sorted, the name of every flag.X("name", ...)
-// call in a Go source file.
-func definedFlags(t *testing.T, path string) []string {
+var usageFlag = regexp.MustCompile(`(?:^|[\s\[|])(-[A-Za-z][A-Za-z-]*)`)
+
+// definedFlags returns, each sorted and de-duplicated, the name of every
+// flag.X("name", ...) call in a command's source file, and every -name
+// token in the indented synopsis under "Usage:" in its doc comment.
+func definedFlags(t *testing.T, path string) (names, usage []string) {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	_, synopsis, ok := strings.Cut(f.Doc.Text(), "Usage:\n")
+	if !ok {
+		t.Fatalf("%s: doc comment has no Usage: block", path)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimLeft(synopsis, "\n"), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break // the synopsis is the indented block; prose follows
+		}
+		for _, m := range usageFlag.FindAllStringSubmatch(line, -1) {
+			if !seen[m[1]] {
+				seen[m[1]] = true
+				usage = append(usage, m[1])
+			}
+		}
+	}
+	sort.Strings(usage)
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
@@ -61,7 +97,7 @@ func definedFlags(t *testing.T, path string) []string {
 		return true
 	})
 	sort.Strings(names)
-	return names
+	return names, usage
 }
 
 var flagCell = regexp.MustCompile("`(-[a-z-]+)`")

@@ -65,7 +65,7 @@ func TestWarehouseConsistentWithRecords(t *testing.T) {
 	}
 	byLabel := map[string]int{}
 	for _, r := range res.Records {
-		byLabel[r.Label]++
+		byLabel[r.AppLabel]++
 	}
 	for _, g := range res.Store.GroupBy(warehouse.ByApplication) {
 		if g.Jobs != byLabel[g.Key] {
@@ -81,23 +81,31 @@ func TestWarehouseConsistentWithRecords(t *testing.T) {
 // TestPopulationLabelContract verifies the Lariat three-way labeling
 // matches the generated populations across the whole pipeline.
 func TestPopulationLabelContract(t *testing.T) {
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(779, 500))
+	cfg := core.DefaultPipelineConfig(779, 500)
+	res, err := core.RunPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Records {
-		switch r.Job.Population {
+	// Ground truth is the generator's, regenerated from the same seed
+	// (jobs[i] is the job behind Records[i]); a record carries only what
+	// Lariat could see.
+	jobs := cluster.NewGenerator(cfg.Machine, cfg.Cluster).Generate(cfg.NumJobs)
+	for i, r := range res.Records {
+		if r.JobID != jobs[i].ID || r.Pop != jobs[i].Population {
+			t.Fatalf("record %d (%s, %v) is not generated job %s (%v)", i, r.JobID, r.Pop, jobs[i].ID, jobs[i].Population)
+		}
+		switch jobs[i].Population {
 		case cluster.PopNA:
-			if r.Label != lariat.NA {
-				t.Fatalf("NA job labeled %q", r.Label)
+			if r.AppLabel != lariat.NA {
+				t.Fatalf("NA job labeled %q", r.AppLabel)
 			}
 		case cluster.PopUncategorized:
-			if r.Label != lariat.Uncategorized {
-				t.Fatalf("uncategorized job labeled %q", r.Label)
+			if r.AppLabel != lariat.Uncategorized {
+				t.Fatalf("uncategorized job labeled %q", r.AppLabel)
 			}
 		default:
-			if r.Label == lariat.NA || r.Label == lariat.Uncategorized {
-				t.Fatalf("community job labeled %q", r.Label)
+			if r.AppLabel != jobs[i].App.Name || r.Unlabeled() {
+				t.Fatalf("community job %s labeled %q", jobs[i].App.Name, r.AppLabel)
 			}
 		}
 	}

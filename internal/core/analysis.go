@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/dataset"
 	"repro/internal/stats"
+	"repro/internal/warehouse"
 )
 
 // RankedFeature pairs a feature name with its importance.
@@ -103,7 +104,7 @@ func DefaultEfficiencyRule() EfficiencyRule {
 }
 
 // Inefficient applies the rule to a summary-derived feature row.
-func (r EfficiencyRule) Inefficient(rec *JobRecord) bool {
+func (r EfficiencyRule) Inefficient(rec *warehouse.Record) bool {
 	s := rec.Summary
 	if s.Means[apps.CPUUser] < r.MaxCPUUser {
 		return true
@@ -128,7 +129,7 @@ func (r EfficiencyRule) Inefficient(rec *JobRecord) bool {
 // boundary). The paper's Section II dataset "were selected to be
 // completely separable"; selecting jobs with Margin above a band
 // reproduces that selection.
-func (r EfficiencyRule) Margin(rec *JobRecord) float64 {
+func (r EfficiencyRule) Margin(rec *warehouse.Record) float64 {
 	s := rec.Summary
 	margin := math.Inf(1)
 	rel := func(value, threshold float64) {
@@ -154,7 +155,7 @@ func (r EfficiencyRule) Margin(rec *JobRecord) float64 {
 
 // LabelByEfficiency returns a LabelFunc applying the rule.
 func LabelByEfficiency(rule EfficiencyRule) LabelFunc {
-	return func(rec *JobRecord) (string, bool) {
+	return func(rec *warehouse.Record) (string, bool) {
 		if rule.Inefficient(rec) {
 			return "inefficient", true
 		}

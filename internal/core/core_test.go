@@ -10,6 +10,7 @@ import (
 	"repro/internal/ml/eval"
 	"repro/internal/rng"
 	"repro/internal/summarize"
+	"repro/internal/warehouse"
 )
 
 func rngFor(seed uint64) *rng.Rand { return rng.New(seed) }
@@ -29,6 +30,14 @@ func runSmall(t *testing.T, seed uint64, n int) *PipelineResult {
 	}
 	pipelineCache[seed] = res
 	return res
+}
+
+// generatedJobs regenerates the jobs runSmall's pipeline processed. The
+// generator is deterministic in the seed, so jobs[i] is the ground truth
+// behind res.Records[i]; a record itself carries only what Lariat saw.
+func generatedJobs(seed uint64, n int) []*cluster.Job {
+	cfg := DefaultPipelineConfig(seed, n)
+	return cluster.NewGenerator(cfg.Machine, cfg.Cluster).Generate(n)
 }
 
 func TestFeatureNamesAndFeaturizeAgree(t *testing.T) {
@@ -70,25 +79,32 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if res.Store.Len() != 300 {
 		t.Fatalf("warehouse = %d", res.Store.Len())
 	}
+	jobs := generatedJobs(42, 300)
 	pops := map[cluster.Population]int{}
-	for _, r := range res.Records {
-		pops[r.Job.Population]++
+	for i, r := range res.Records {
+		if r.JobID != jobs[i].ID {
+			t.Fatalf("record %d is job %s, generated job is %s", i, r.JobID, jobs[i].ID)
+		}
+		if stored, ok := res.Store.Lookup(r.JobID); !ok || stored != r {
+			t.Fatalf("warehouse holds a different record for job %s", r.JobID)
+		}
+		pops[r.Pop]++
 		if r.Summary == nil {
 			t.Fatal("record missing summary")
 		}
 		// Lariat label consistency with population.
-		switch r.Job.Population {
+		switch r.Pop {
 		case cluster.PopNA:
-			if r.Label != lariat.NA {
-				t.Errorf("NA job labeled %q", r.Label)
+			if r.AppLabel != lariat.NA {
+				t.Errorf("NA job labeled %q", r.AppLabel)
 			}
 		case cluster.PopUncategorized:
-			if r.Label != lariat.Uncategorized {
-				t.Errorf("uncategorized job labeled %q", r.Label)
+			if r.AppLabel != lariat.Uncategorized {
+				t.Errorf("uncategorized job labeled %q", r.AppLabel)
 			}
 		case cluster.PopCommunity:
-			if r.Label != r.TrueApp() {
-				t.Errorf("community job %s labeled %q", r.TrueApp(), r.Label)
+			if r.AppLabel != jobs[i].App.Name {
+				t.Errorf("community job %s labeled %q", jobs[i].App.Name, r.AppLabel)
 			}
 		}
 	}
@@ -109,7 +125,7 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 	for i := range r1.Records {
 		a, b := r1.Records[i], r2.Records[i]
-		if a.Job.ID != b.Job.ID || a.Label != b.Label || a.Summary.Means != b.Summary.Means {
+		if a.JobID != b.JobID || a.AppLabel != b.AppLabel || a.Summary.Means != b.Summary.Means {
 			t.Fatalf("pipeline not deterministic at record %d", i)
 		}
 	}
@@ -143,20 +159,32 @@ func TestBuildDatasetLariat(t *testing.T) {
 
 func TestLabelFuncs(t *testing.T) {
 	res := runSmall(t, 42, 300)
-	var rec *JobRecord
-	for _, r := range res.Records {
-		if r.Job.Population == cluster.PopCommunity {
-			rec = r
+	var rec *warehouse.Record
+	var app *apps.App
+	for i, j := range generatedJobs(42, 300) {
+		if j.Population == cluster.PopCommunity {
+			rec, app = res.Records[i], j.App
 			break
 		}
 	}
 	name, ok := LabelByLariat(rec)
-	if !ok || name != rec.TrueApp() {
+	if !ok || name != app.Name {
 		t.Errorf("LabelByLariat = %q, %v", name, ok)
 	}
 	cat, ok := LabelByCategory(rec)
-	if !ok || cat != rec.TrueCategory() {
+	if !ok || cat != string(app.Category) {
 		t.Errorf("LabelByCategory = %q, %v", cat, ok)
+	}
+	for _, r := range res.Records {
+		if !r.Unlabeled() {
+			continue
+		}
+		if l, ok := LabelByLariat(r); ok {
+			t.Errorf("LabelByLariat kept unlabeled job %s as %q", r.JobID, l)
+		}
+		if c, ok := LabelByCategory(r); ok {
+			t.Errorf("LabelByCategory kept unlabeled job %s as %q", r.JobID, c)
+		}
 	}
 	exit, ok := LabelByExit(rec)
 	if !ok || (exit != "success" && exit != "failure") {

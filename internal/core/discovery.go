@@ -6,11 +6,9 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/lariat"
 	"repro/internal/ml/kmeans"
 	"repro/internal/ml/pca"
 	"repro/internal/stats"
-	"repro/internal/warehouse"
 )
 
 // This file is the reusable unsupervised-discovery module extracted from
@@ -277,19 +275,4 @@ func euclid(a, b []float64) float64 {
 		d += diff * diff
 	}
 	return math.Sqrt(d)
-}
-
-// UnlabeledRows featurizes the warehouse's Uncategorized/NA population —
-// the jobs the supervised path cannot name, and exactly the ones
-// discovery exists for. Store iteration order is ingest order, so the
-// same store yields the same rows.
-func UnlabeledRows(store *warehouse.Store, opt FeatureOptions) [][]float64 {
-	recs := store.Filter(func(r *warehouse.Record) bool {
-		return (r.AppLabel == lariat.Uncategorized || r.AppLabel == lariat.NA) && r.Summary != nil
-	})
-	rows := make([][]float64, len(recs))
-	for i, rec := range recs {
-		rows[i] = Featurize(rec.Summary, opt)
-	}
-	return rows
 }

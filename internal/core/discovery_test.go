@@ -7,10 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/rng"
-	"repro/internal/summarize"
 	"repro/internal/testkit"
+	"repro/internal/warehouse"
 )
 
 // discoveryRows builds well-separated synthetic blobs so the k-means fit
@@ -218,11 +217,8 @@ func TestGoldenDiscovery(t *testing.T) {
 }
 
 func TestLabelByRuntimeClass(t *testing.T) {
-	rec := func(exit int, wall float64) *JobRecord {
-		return &JobRecord{
-			Job:     &cluster.Job{ExitCode: exit},
-			Summary: &summarize.Summary{WallSeconds: wall},
-		}
+	rec := func(exit int, wall float64) *warehouse.Record {
+		return &warehouse.Record{ExitCode: exit, WallSeconds: wall}
 	}
 	cases := []struct {
 		exit int

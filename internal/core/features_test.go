@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/summarize"
+	"repro/internal/warehouse"
 )
 
 // mockSummary builds a summary with distinguishable segment values.
@@ -107,7 +108,7 @@ func TestEfficiencyMargin(t *testing.T) {
 	s.Means[apps.CPLD] = rule.MinCPLD / 2
 	s.Catastrophe = 0.9
 	s.CPUUserImbalance = 0.05
-	rec := &JobRecord{Summary: s}
+	rec := &warehouse.Record{Summary: s}
 	if m := rule.Margin(rec); m != 0 {
 		t.Errorf("on-boundary margin = %v, want 0", m)
 	}

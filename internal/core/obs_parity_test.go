@@ -16,8 +16,8 @@ func digestRecords(t *testing.T, res *PipelineResult) uint64 {
 	rows := FeaturizeAll(res.Records, DefaultFeatures())
 	var b [8]byte
 	for i, rec := range res.Records {
-		h.Write([]byte(rec.Job.ID))
-		h.Write([]byte(rec.Label))
+		h.Write([]byte(rec.JobID))
+		h.Write([]byte(rec.AppLabel))
 		for _, v := range rows[i] {
 			bits := math.Float64bits(v)
 			for k := 0; k < 8; k++ {

@@ -28,11 +28,11 @@ func TestPipelineWorkerParity(t *testing.T) {
 		}
 		rows := FeaturizeAll(got.Records, DefaultFeatures())
 		for i := range ref.Records {
-			if got.Records[i].Job.ID != ref.Records[i].Job.ID {
+			if got.Records[i].JobID != ref.Records[i].JobID {
 				t.Fatalf("workers=%d: job order diverged at %d", w, i)
 			}
-			if got.Records[i].Label != ref.Records[i].Label {
-				t.Fatalf("workers=%d: label diverged for job %s", w, got.Records[i].Job.ID)
+			if got.Records[i].AppLabel != ref.Records[i].AppLabel {
+				t.Fatalf("workers=%d: label diverged for job %s", w, got.Records[i].JobID)
 			}
 			for f := range refRows[i] {
 				if math.Float64bits(rows[i][f]) != math.Float64bits(refRows[i][f]) {

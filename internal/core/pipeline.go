@@ -31,23 +31,9 @@ type Instrumentation struct {
 // uninstrumented hot path skips even the time.Now calls.
 func (ins Instrumentation) enabled() bool { return ins.Span != nil || ins.Metrics != nil }
 
-// JobRecord is one fully processed job: scheduler metadata, the SUPReMM
-// summary, and the Lariat-derived label (which is what a production
-// classifier would see; Job.App.Name is generation-side ground truth kept
-// for evaluation).
-type JobRecord struct {
-	Job     *cluster.Job
-	Summary *summarize.Summary
-	// Label is the Lariat classification: a community application name,
-	// lariat.Uncategorized, or lariat.NA.
-	Label string
-}
-
-// TrueApp returns the generating application's name.
-func (r *JobRecord) TrueApp() string { return r.Job.App.Name }
-
-// TrueCategory returns the generating application's broad category.
-func (r *JobRecord) TrueCategory() string { return string(r.Job.App.Category) }
+// JobRecord is the warehouse record under its old name, kept because
+// bench/ spells []*core.JobRecord; everything else says warehouse.Record.
+type JobRecord = warehouse.Record
 
 // PipelineConfig configures an end-to-end dataset generation run.
 type PipelineConfig struct {
@@ -93,9 +79,10 @@ func DefaultPipelineConfig(seed uint64, numJobs int) PipelineConfig {
 	}
 }
 
-// PipelineResult is the output of RunPipeline.
+// PipelineResult is the output of RunPipeline: the processed jobs in
+// generation order, and the warehouse holding those same records.
 type PipelineResult struct {
-	Records []*JobRecord
+	Records []*warehouse.Record
 	Store   *warehouse.Store
 }
 
@@ -138,12 +125,6 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	gsp.End()
 
 	matcher := lariat.NewMatcher(apps.Catalog())
-	launches := lariat.NewStore()
-	for _, j := range jobs {
-		if j.App.ExecPath != "" { // NA jobs launched outside ibrun
-			launches.Add(&lariat.Record{JobID: j.ID, ExecPath: j.App.ExecPath, User: j.User})
-		}
-	}
 
 	// Collection and summarization are fused per job, so the stage span
 	// covers both; the per-phase split is recovered from worker-summed
@@ -162,7 +143,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	// Job i's collection noise comes from Split(i), so the archives are
 	// identical at any worker count.
 	root := rng.New(cfg.Seed ^ 0xc011ec7)
-	records, err := parallel.MapSeeded(root, cfg.Workers, len(jobs), func(i int, r *rng.Rand) (*JobRecord, error) {
+	records, err := parallel.MapSeeded(root, cfg.Workers, len(jobs), func(i int, r *rng.Rand) (*warehouse.Record, error) {
 		j := jobs[i]
 		var t0 time.Time
 		if timed {
@@ -186,7 +167,21 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job %s: %w", j.ID, err)
 		}
-		return &JobRecord{Job: j, Summary: sum, Label: launches.Label(matcher, j.ID)}, nil
+		label, category := matcher.LabelJob(j)
+		return &warehouse.Record{
+			JobID:       j.ID,
+			User:        j.User,
+			AppLabel:    label,
+			Category:    category,
+			Pop:         j.Population,
+			Nodes:       sum.Nodes,
+			Cores:       sum.Nodes * cfg.Collector.CoresPerNode,
+			Submit:      j.Submit,
+			Start:       j.Start,
+			WallSeconds: sum.WallSeconds,
+			ExitCode:    j.ExitCode,
+			Summary:     sum,
+		}, nil
 	})
 	if err != nil {
 		csp.End()
@@ -202,24 +197,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	isp := sp.Child("ingest")
 	store := warehouse.NewStore()
 	for _, rec := range records {
-		cat := "Unknown"
-		if a, ok := apps.ByName(rec.Label); ok {
-			cat = string(a.Category)
-		}
-		if err := store.Ingest(&warehouse.Record{
-			JobID:       rec.Job.ID,
-			User:        rec.Job.User,
-			AppLabel:    rec.Label,
-			Category:    cat,
-			Pop:         rec.Job.Population,
-			Nodes:       rec.Summary.Nodes,
-			Cores:       rec.Summary.Nodes * cfg.Collector.CoresPerNode,
-			Submit:      rec.Job.Submit,
-			Start:       rec.Job.Start,
-			WallSeconds: rec.Summary.WallSeconds,
-			ExitCode:    rec.Job.ExitCode,
-			Summary:     rec.Summary,
-		}); err != nil {
+		if err := store.Ingest(rec); err != nil {
 			return nil, err
 		}
 	}
@@ -229,44 +207,34 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	return &PipelineResult{Records: records, Store: store}, nil
 }
 
-// LabelFunc maps a job record to a training label; returning false skips
-// the record.
-type LabelFunc func(*JobRecord) (string, bool)
+// LabelFunc maps a warehouse record to a training label; returning false
+// skips the record.
+type LabelFunc func(*warehouse.Record) (string, bool)
 
 // LabelByLariat labels jobs with their Lariat application name, skipping
 // Uncategorized and NA jobs -- exactly the labeled population the paper
 // trains on.
-func LabelByLariat(r *JobRecord) (string, bool) {
-	if r.Label == lariat.Uncategorized || r.Label == lariat.NA {
-		return "", false
-	}
-	return r.Label, true
+func LabelByLariat(r *warehouse.Record) (string, bool) {
+	return r.AppLabel, !r.Unlabeled()
 }
 
 // LabelByCategory labels jobs with the broad category of their Lariat
-// application, skipping unlabeled jobs.
-func LabelByCategory(r *JobRecord) (string, bool) {
-	name, ok := LabelByLariat(r)
-	if !ok {
-		return "", false
-	}
-	a, found := apps.ByName(name)
-	if !found {
-		return "", false
-	}
-	return string(a.Category), true
+// application (derived once, when the record was built), skipping
+// unlabeled jobs.
+func LabelByCategory(r *warehouse.Record) (string, bool) {
+	return r.Category, !r.Unlabeled()
 }
 
 // LabelByExit labels jobs "success"/"failure" from the script exit code.
-func LabelByExit(r *JobRecord) (string, bool) {
-	if r.Job.ExitCode == 0 {
+func LabelByExit(r *warehouse.Record) (string, bool) {
+	if r.ExitCode == 0 {
 		return "success", true
 	}
 	return "failure", true
 }
 
 // BuildDataset featurizes records under a labeling function.
-func BuildDataset(records []*JobRecord, label LabelFunc, opt FeatureOptions) (*dataset.Dataset, error) {
+func BuildDataset(records []*warehouse.Record, label LabelFunc, opt FeatureOptions) (*dataset.Dataset, error) {
 	names := FeatureNames(opt)
 	var rows [][]float64
 	var labels []string
@@ -282,10 +250,10 @@ func BuildDataset(records []*JobRecord, label LabelFunc, opt FeatureOptions) (*d
 }
 
 // FilterPopulation returns the records of one population.
-func FilterPopulation(records []*JobRecord, pop cluster.Population) []*JobRecord {
-	var out []*JobRecord
+func FilterPopulation(records []*warehouse.Record, pop cluster.Population) []*warehouse.Record {
+	var out []*warehouse.Record
 	for _, r := range records {
-		if r.Job.Population == pop {
+		if r.Pop == pop {
 			out = append(out, r)
 		}
 	}
@@ -294,7 +262,7 @@ func FilterPopulation(records []*JobRecord, pop cluster.Population) []*JobRecord
 
 // FeaturizeAll returns raw feature rows for records (for unlabeled
 // populations scored with eval.ScoreUnlabeled).
-func FeaturizeAll(records []*JobRecord, opt FeatureOptions) [][]float64 {
+func FeaturizeAll(records []*warehouse.Record, opt FeatureOptions) [][]float64 {
 	rows := make([][]float64, len(records))
 	for i, r := range records {
 		rows[i] = Featurize(r.Summary, opt)
@@ -303,7 +271,7 @@ func FeaturizeAll(records []*JobRecord, opt FeatureOptions) [][]float64 {
 }
 
 // BuildDatasetObs is BuildDataset wrapped in a "featurize" stage span.
-func BuildDatasetObs(ins Instrumentation, records []*JobRecord, label LabelFunc, opt FeatureOptions) (*dataset.Dataset, error) {
+func BuildDatasetObs(ins Instrumentation, records []*warehouse.Record, label LabelFunc, opt FeatureOptions) (*dataset.Dataset, error) {
 	sp := ins.Span.Child("featurize")
 	ds, err := BuildDataset(records, label, opt)
 	if err == nil && sp != nil {
@@ -315,7 +283,7 @@ func BuildDatasetObs(ins Instrumentation, records []*JobRecord, label LabelFunc,
 }
 
 // FeaturizeAllObs is FeaturizeAll wrapped in a "featurize" stage span.
-func FeaturizeAllObs(ins Instrumentation, records []*JobRecord, opt FeatureOptions) [][]float64 {
+func FeaturizeAllObs(ins Instrumentation, records []*warehouse.Record, opt FeatureOptions) [][]float64 {
 	sp := ins.Span.Child("featurize")
 	rows := FeaturizeAll(records, opt)
 	sp.SetAttr("rows", len(rows))

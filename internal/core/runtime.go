@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/warehouse"
+
 // Runtime-class decision support: predict at submit time which
 // runtime/outcome bucket a job will land in (arXiv 1605.00388 frames the
 // same problem for scheduler backfill). The classes are deliberately
@@ -18,11 +20,11 @@ const (
 // LabelByRuntimeClass buckets every job into a submit-time decision
 // class: "failed" when the job script exited non-zero, otherwise
 // "short" / "medium" / "long" by measured wall time.
-func LabelByRuntimeClass(r *JobRecord) (string, bool) {
-	if r.Job.ExitCode != 0 {
+func LabelByRuntimeClass(r *warehouse.Record) (string, bool) {
+	if r.ExitCode != 0 {
 		return "failed", true
 	}
-	switch w := r.Summary.WallSeconds; {
+	switch w := r.WallSeconds; {
 	case w < RuntimeShortMax:
 		return "short", true
 	case w < RuntimeLongMin:
@@ -35,7 +37,7 @@ func LabelByRuntimeClass(r *JobRecord) (string, bool) {
 // TrainRuntimeClassifier trains the runtime-class model over every
 // record (unlike app classification, runtime class needs no Lariat
 // label, so the Uncategorized/NA population trains too).
-func TrainRuntimeClassifier(records []*JobRecord, cfg ClassifierConfig) (*JobClassifier, error) {
+func TrainRuntimeClassifier(records []*warehouse.Record, cfg ClassifierConfig) (*JobClassifier, error) {
 	ds, err := BuildDataset(records, LabelByRuntimeClass, DefaultFeatures())
 	if err != nil {
 		return nil, err

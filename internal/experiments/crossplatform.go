@@ -45,8 +45,7 @@ func ExpX3CrossPlatform(e *Env) (*Result, error) {
 	shifted := platformShift(balanced)
 
 	genAt := func(seed uint64, community []apps.App) (*core.PipelineResult, error) {
-		cfg := core.DefaultPipelineConfig(seed, 20*e.Cfg.TrainPerClass)
-		cfg.Cluster = communityOnly(seed, community)
+		cfg := communityPipeline(seed, 20*e.Cfg.TrainPerClass, community)
 		cfg.Segments = 3
 		return core.RunPipeline(cfg)
 	}

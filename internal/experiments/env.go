@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ml/eval"
@@ -196,11 +195,35 @@ func (e *Env) stage(name string) (*obs.Span, core.Instrumentation) {
 	return sp, ins
 }
 
-// pipelineObs binds the env's metrics/logger to a fresh child span of sp,
-// for one RunPipeline call; the caller ends the returned span.
-func (e *Env) pipelineObs(sp *obs.Span, name string) (core.Instrumentation, *obs.Span) {
-	c := sp.Child(name)
-	return core.Instrumentation{Span: c, Metrics: e.Cfg.Obs.Metrics, Log: e.Cfg.Obs.Log}, c
+// runPipeline runs cfg under a child span of ins.Span called name, with
+// the stage's metrics and logger bound.
+func runPipeline(ins core.Instrumentation, name string, cfg core.PipelineConfig) (*core.PipelineResult, error) {
+	cfg.Obs = ins
+	cfg.Obs.Span = ins.Span.Child(name)
+	defer cfg.Obs.Span.End()
+	return core.RunPipeline(cfg)
+}
+
+// pipelineDataset runs cfg (span name) and featurizes the labeled part of
+// its records (span "featurize", a sibling of the pipeline's).
+func pipelineDataset(ins core.Instrumentation, name string, cfg core.PipelineConfig, label core.LabelFunc) (*dataset.Dataset, error) {
+	run, err := runPipeline(ins, name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return core.BuildDatasetObs(ins, run.Records, label, core.DefaultFeatures())
+}
+
+// trainTestData builds a training set and a test set from two pipeline
+// runs, the test vocabulary aligned with training's classes.
+func trainTestData(ins core.Instrumentation, label core.LabelFunc, trainCfg, testCfg core.PipelineConfig) (train, test *dataset.Dataset, err error) {
+	if train, err = pipelineDataset(ins, "pipeline.train", trainCfg, label); err != nil {
+		return nil, nil, err
+	}
+	if test, err = pipelineDataset(ins, "pipeline.test", testCfg, label); err != nil {
+		return nil, nil, err
+	}
+	return train, alignClasses(test, train.ClassNames), nil
 }
 
 // NewEnv returns an experiment environment; datasets generate lazily.
@@ -243,12 +266,13 @@ func categoryBalancedApps() []apps.App {
 	return out
 }
 
-// communityOnly returns a cluster config with no Uncategorized/NA jobs.
-func communityOnly(seed uint64, community []apps.App) cluster.Config {
-	cfg := cluster.DefaultConfig(seed)
-	cfg.UncategorizedFrac = 0
-	cfg.NAFrac = 0
-	cfg.Community = community
+// communityPipeline configures a run of n jobs drawn from the given
+// community mix, with no Uncategorized/NA jobs.
+func communityPipeline(seed uint64, n int, community []apps.App) core.PipelineConfig {
+	cfg := core.DefaultPipelineConfig(seed, n)
+	cfg.Cluster.UncategorizedFrac = 0
+	cfg.Cluster.NAFrac = 0
+	cfg.Cluster.Community = community
 	return cfg
 }
 
@@ -259,37 +283,9 @@ func (e *Env) AppData() (train, test *dataset.Dataset, err error) {
 		sp, ins := e.stage("env.appdata")
 		defer sp.End()
 		t2 := apps.Table2Apps()
-		trainCfg := core.DefaultPipelineConfig(e.Cfg.Seed+1, 20*e.Cfg.TrainPerClass)
-		trainCfg.Cluster = communityOnly(e.Cfg.Seed+1, balancedApps(t2))
-		var psp *obs.Span
-		trainCfg.Obs, psp = e.pipelineObs(sp, "pipeline.train")
-		trainRun, err := core.RunPipeline(trainCfg)
-		psp.End()
-		if err != nil {
-			e.appErr = err
-			return
-		}
-		e.appTrain, e.appErr = core.BuildDatasetObs(ins, trainRun.Records, core.LabelByLariat, core.DefaultFeatures())
-		if e.appErr != nil {
-			return
-		}
-
-		testCfg := core.DefaultPipelineConfig(e.Cfg.Seed+2, e.Cfg.TestJobs)
-		testCfg.Cluster = communityOnly(e.Cfg.Seed+2, t2)
-		testCfg.Obs, psp = e.pipelineObs(sp, "pipeline.test")
-		testRun, err := core.RunPipeline(testCfg)
-		psp.End()
-		if err != nil {
-			e.appErr = err
-			return
-		}
-		var testDS *dataset.Dataset
-		testDS, e.appErr = core.BuildDatasetObs(ins, testRun.Records, core.LabelByLariat, core.DefaultFeatures())
-		if e.appErr != nil {
-			return
-		}
-		// Align the test vocabulary with training (same 20 classes).
-		e.appTest = alignClasses(testDS, e.appTrain.ClassNames)
+		e.appTrain, e.appTest, e.appErr = trainTestData(ins, core.LabelByLariat,
+			communityPipeline(e.Cfg.Seed+1, 20*e.Cfg.TrainPerClass, balancedApps(t2)),
+			communityPipeline(e.Cfg.Seed+2, e.Cfg.TestJobs, t2))
 	})
 	return e.appTrain, e.appTest, e.appErr
 }
@@ -300,36 +296,9 @@ func (e *Env) CategoryData() (train, test *dataset.Dataset, err error) {
 	e.once.catData.Do(func() {
 		sp, ins := e.stage("env.catdata")
 		defer sp.End()
-		trainCfg := core.DefaultPipelineConfig(e.Cfg.Seed+3, 12*2*e.Cfg.TrainPerClass)
-		trainCfg.Cluster = communityOnly(e.Cfg.Seed+3, categoryBalancedApps())
-		var psp *obs.Span
-		trainCfg.Obs, psp = e.pipelineObs(sp, "pipeline.train")
-		trainRun, err := core.RunPipeline(trainCfg)
-		psp.End()
-		if err != nil {
-			e.catErr = err
-			return
-		}
-		e.catTrain, e.catErr = core.BuildDatasetObs(ins, trainRun.Records, core.LabelByCategory, core.DefaultFeatures())
-		if e.catErr != nil {
-			return
-		}
-
-		testCfg := core.DefaultPipelineConfig(e.Cfg.Seed+4, e.Cfg.TestJobs)
-		testCfg.Cluster = communityOnly(e.Cfg.Seed+4, apps.Catalog())
-		testCfg.Obs, psp = e.pipelineObs(sp, "pipeline.test")
-		testRun, err := core.RunPipeline(testCfg)
-		psp.End()
-		if err != nil {
-			e.catErr = err
-			return
-		}
-		var testDS *dataset.Dataset
-		testDS, e.catErr = core.BuildDatasetObs(ins, testRun.Records, core.LabelByCategory, core.DefaultFeatures())
-		if e.catErr != nil {
-			return
-		}
-		e.catTest = alignClasses(testDS, e.catTrain.ClassNames)
+		e.catTrain, e.catTest, e.catErr = trainTestData(ins, core.LabelByCategory,
+			communityPipeline(e.Cfg.Seed+3, 12*2*e.Cfg.TrainPerClass, categoryBalancedApps()),
+			communityPipeline(e.Cfg.Seed+4, e.Cfg.TestJobs, apps.Catalog()))
 	})
 	return e.catTrain, e.catTest, e.catErr
 }
@@ -339,32 +308,20 @@ func (e *Env) UnknownPools() (uncat, na [][]float64, err error) {
 	e.once.pools.Do(func() {
 		sp, ins := e.stage("env.unknownpools")
 		defer sp.End()
-		uncatCfg := core.DefaultPipelineConfig(e.Cfg.Seed+5, e.Cfg.UnknownJobs)
-		uncatCfg.Cluster = cluster.DefaultConfig(e.Cfg.Seed + 5)
-		uncatCfg.Cluster.UncategorizedFrac = 1
-		uncatCfg.Cluster.NAFrac = 0
-		var psp *obs.Span
-		uncatCfg.Obs, psp = e.pipelineObs(sp, "pipeline.uncategorized")
-		uncatRun, err := core.RunPipeline(uncatCfg)
-		psp.End()
-		if err != nil {
-			e.poolErr = err
+		pool := func(name string, seed uint64, uncatFrac, naFrac float64) ([][]float64, error) {
+			cfg := core.DefaultPipelineConfig(seed, e.Cfg.UnknownJobs)
+			cfg.Cluster.UncategorizedFrac = uncatFrac
+			cfg.Cluster.NAFrac = naFrac
+			run, err := runPipeline(ins, name, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return core.FeaturizeAllObs(ins, run.Records, core.DefaultFeatures()), nil
+		}
+		if e.uncatRows, e.poolErr = pool("pipeline.uncategorized", e.Cfg.Seed+5, 1, 0); e.poolErr != nil {
 			return
 		}
-		e.uncatRows = core.FeaturizeAllObs(ins, uncatRun.Records, core.DefaultFeatures())
-
-		naCfg := core.DefaultPipelineConfig(e.Cfg.Seed+6, e.Cfg.UnknownJobs)
-		naCfg.Cluster = cluster.DefaultConfig(e.Cfg.Seed + 6)
-		naCfg.Cluster.UncategorizedFrac = 0
-		naCfg.Cluster.NAFrac = 1
-		naCfg.Obs, psp = e.pipelineObs(sp, "pipeline.na")
-		naRun, err := core.RunPipeline(naCfg)
-		psp.End()
-		if err != nil {
-			e.poolErr = err
-			return
-		}
-		e.naRows = core.FeaturizeAllObs(ins, naRun.Records, core.DefaultFeatures())
+		e.naRows, e.poolErr = pool("pipeline.na", e.Cfg.Seed+6, 0, 1)
 	})
 	return e.uncatRows, e.naRows, e.poolErr
 }
@@ -373,14 +330,10 @@ func (e *Env) UnknownPools() (uncat, na [][]float64, err error) {
 // experiments (efficiency + exit-code labels).
 func (e *Env) NativeRun() (*core.PipelineResult, error) {
 	e.once.native.Do(func() {
-		sp, _ := e.stage("env.native")
+		sp, ins := e.stage("env.native")
 		defer sp.End()
-		cfg := core.DefaultPipelineConfig(e.Cfg.Seed+7, e.Cfg.TestJobs)
-		cfg.Cluster = communityOnly(e.Cfg.Seed+7, apps.Catalog())
-		var psp *obs.Span
-		cfg.Obs, psp = e.pipelineObs(sp, "pipeline.native")
-		e.nativeRun, e.nativeErr = core.RunPipeline(cfg)
-		psp.End()
+		e.nativeRun, e.nativeErr = runPipeline(ins, "pipeline.native",
+			communityPipeline(e.Cfg.Seed+7, e.Cfg.TestJobs, apps.Catalog()))
 	})
 	return e.nativeRun, e.nativeErr
 }
@@ -391,13 +344,9 @@ func (e *Env) SegmentData() (segTrain, segTest, meanTrain, meanTest *dataset.Dat
 	e.once.segments.Do(func() {
 		sp, ins := e.stage("env.segments")
 		defer sp.End()
-		cfg := core.DefaultPipelineConfig(e.Cfg.Seed+8, 20*e.Cfg.TrainPerClass)
-		cfg.Cluster = communityOnly(e.Cfg.Seed+8, balancedApps(apps.Table2Apps()))
+		cfg := communityPipeline(e.Cfg.Seed+8, 20*e.Cfg.TrainPerClass, balancedApps(apps.Table2Apps()))
 		cfg.Segments = 3
-		var psp *obs.Span
-		cfg.Obs, psp = e.pipelineObs(sp, "pipeline.segments")
-		run, err := core.RunPipeline(cfg)
-		psp.End()
+		run, err := runPipeline(ins, "pipeline.segments", cfg)
 		if err != nil {
 			e.segErr = err
 			return

@@ -4,6 +4,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/ml/svm"
+	"repro/internal/warehouse"
 )
 
 // ExpE1Efficiency reproduces the Section II efficient/inefficient study:
@@ -20,16 +21,14 @@ func ExpE1Efficiency(e *Env) (*Result, error) {
 	for i := range community {
 		community[i].Sig.CatastropheProb = 0.06
 	}
-	cfg := core.DefaultPipelineConfig(e.Cfg.Seed+20, e.Cfg.TestJobs)
-	cfg.Cluster = communityOnly(e.Cfg.Seed+20, community)
-	run, err := core.RunPipeline(cfg)
+	run, err := core.RunPipeline(communityPipeline(e.Cfg.Seed+20, e.Cfg.TestJobs, community))
 	if err != nil {
 		return nil, err
 	}
 	rule := core.DefaultEfficiencyRule()
 	// The paper's Section II set "were selected to be completely
 	// separable": drop jobs within 10% of any rule boundary.
-	label := func(rec *core.JobRecord) (string, bool) {
+	label := func(rec *warehouse.Record) (string, bool) {
 		if rule.Margin(rec) < 0.10 {
 			return "", false
 		}

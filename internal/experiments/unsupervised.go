@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"repro/internal/core"
-	"repro/internal/lariat"
 	"repro/internal/ml/kmeans"
+	"repro/internal/warehouse"
 )
 
 // ExpX4Unsupervised exercises the other two "data discovery techniques"
@@ -63,13 +63,7 @@ func ExpX4Unsupervised(e *Env) (*Result, error) {
 
 	// Discovery over the population the supervised path cannot name: the
 	// Uncategorized/NA jobs. This is the serving artifact's exact fit.
-	var unlabeled []*core.JobRecord
-	for _, rec := range run.Records {
-		if rec.Label == lariat.Uncategorized || rec.Label == lariat.NA {
-			unlabeled = append(unlabeled, rec)
-		}
-	}
-	rows := core.FeaturizeAll(unlabeled, core.DefaultFeatures())
+	rows := core.FeaturizeAll(run.Store.Filter((*warehouse.Record).Unlabeled), core.DefaultFeatures())
 	if len(rows) < 16 { // too few Uncategorized/NA jobs for a meaningful fit
 		r.Metrics["discovery_rows"] = float64(len(rows))
 		r.addf("")

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/lariat"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/summarize"
@@ -31,6 +33,7 @@ type testJob struct {
 func genTestJobs(t *testing.T, seed uint64, n, maxHosts int, wallCap float64) []*testJob {
 	t.Helper()
 	gen := cluster.NewGenerator(cluster.Stampede(), cluster.DefaultConfig(seed))
+	matcher := lariat.NewMatcher(apps.Catalog())
 	cfg := taccstats.DefaultConfig()
 	r := rng.New(seed ^ 0x1A2B3C)
 	out := make([]*testJob, 0, n)
@@ -47,12 +50,13 @@ func genTestJobs(t *testing.T, seed uint64, n, maxHosts int, wallCap float64) []
 		for i := range arch.Nodes {
 			recs += uint64(len(arch.Nodes[i].Samples))
 		}
+		label, category := matcher.LabelJob(j)
 		out = append(out, &testJob{
 			meta: &JobMeta{
 				JobID:    j.ID,
 				User:     j.User,
-				AppLabel: j.App.Name,
-				Category: string(j.App.Category),
+				AppLabel: label,
+				Category: category,
 				Pop:      j.Population.String(),
 				Nodes:    len(j.Hosts),
 				Cores:    len(j.Hosts) * cfg.CoresPerNode,

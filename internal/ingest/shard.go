@@ -5,7 +5,9 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/lariat"
 	"repro/internal/obs/flight"
 	"repro/internal/summarize"
 	"repro/internal/taccstats"
@@ -31,8 +33,11 @@ const (
 	SiteFinalize = "ingest.finalize"
 )
 
-// Sink receives finalized job records. *warehouse.Sharded and
-// *warehouse.Store both satisfy it.
+// Sink receives finalized job records: the same warehouse.Record the
+// batch pipeline builds, so whatever a sink holds is a training corpus
+// for core.BuildDataset. Every shard goroutine calls Ingest, so a sink
+// must be safe for concurrent use: *warehouse.Sharded is, the serial
+// *warehouse.Store is not.
 type Sink interface {
 	Ingest(*warehouse.Record) error
 }
@@ -347,8 +352,8 @@ func buildRecord(id string, meta *JobMeta, sum *summarize.Summary, coresPerNode 
 	rec := &warehouse.Record{
 		JobID:       id,
 		User:        "unknown",
-		AppLabel:    "NA",
-		Category:    "Unknown",
+		AppLabel:    lariat.NA,
+		Category:    string(apps.CatUnknown),
 		Pop:         cluster.PopNA,
 		Nodes:       sum.Nodes,
 		Cores:       sum.Nodes * coresPerNode,

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/lariat"
 )
 
-// FuzzMatch drives the Lariat matcher and store with arbitrary launch
-// records. The matcher must never panic and must only ever answer with a
-// catalogue application name, Uncategorized, or NA — and NA exactly when
-// there is no usable launch record.
+// FuzzMatch drives the Lariat matcher with arbitrary launch records. The
+// matcher must never panic and must only ever answer with a catalogue
+// application name, Uncategorized, or NA — and NA exactly when there is
+// no usable launch record.
 func FuzzMatch(f *testing.F) {
 	f.Add("1234", "/opt/apps/vasp/bin/vasp", "user1")
 	f.Add("1", "/opt/apps/namd/NAMD2", "u")
@@ -36,16 +37,10 @@ func FuzzMatch(f *testing.F) {
 			t.Fatalf("non-empty exec path %q answered NA", execPath)
 		}
 
-		s := lariat.NewStore()
-		if s.Label(m, jobID) != lariat.NA {
-			t.Fatal("empty store must label every job NA")
-		}
-		s.Add(rec)
-		if s.Len() != 1 {
-			t.Fatalf("store holds %d records after one Add", s.Len())
-		}
-		if lbl := s.Label(m, jobID); lbl != got {
-			t.Fatalf("Label %q disagrees with Match %q", lbl, got)
+		// The generated-job join is Match on the job's launch path.
+		job := &cluster.Job{ID: jobID, User: user, App: &apps.App{ExecPath: execPath}}
+		if lbl, _ := m.LabelJob(job); lbl != got {
+			t.Fatalf("LabelJob %q disagrees with Match %q", lbl, got)
 		}
 	})
 }

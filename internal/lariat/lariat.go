@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 )
 
 // Labels for jobs that cannot be matched to a community application.
@@ -72,30 +73,16 @@ func (m *Matcher) Match(rec *Record) string {
 	return Uncategorized
 }
 
-// Store holds launch records by job id.
-type Store struct {
-	records map[string]*Record
-}
-
-// NewStore returns an empty record store.
-func NewStore() *Store { return &Store{records: map[string]*Record{}} }
-
-// Add inserts (or replaces) a record.
-func (s *Store) Add(rec *Record) { s.records[rec.JobID] = rec }
-
-// Lookup returns the record for a job, or nil if the job was launched
-// outside ibrun.
-func (s *Store) Lookup(jobID string) *Record { return s.records[jobID] }
-
-// Len returns the number of stored records.
-func (s *Store) Len() int { return len(s.records) }
-
-// Label classifies a job: the community-application name, Uncategorized,
-// or NA when the store has no record for the job.
-func (s *Store) Label(m *Matcher, jobID string) string {
-	rec := s.Lookup(jobID)
-	if rec == nil {
-		return NA
+// LabelJob is the whole Lariat join for one generated job: the label its
+// launch capture earns (NA for a job started outside ibrun, which leaves
+// no capture) and that label's broad category (apps.CatUnknown when the
+// label names no catalogue application). The batch pipeline, the
+// on-disk collector and the ingest load generator all label through
+// here, so none of them can leak the generator's ground-truth name.
+func (m *Matcher) LabelJob(j *cluster.Job) (label, category string) {
+	label = m.Match(&Record{JobID: j.ID, ExecPath: j.App.ExecPath, User: j.User})
+	if a, ok := apps.ByName(label); ok {
+		return label, string(a.Category)
 	}
-	return m.Match(rec)
+	return label, string(apps.CatUnknown)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 )
 
 func TestMatchCommunityPaths(t *testing.T) {
@@ -60,31 +61,24 @@ func TestMatchNA(t *testing.T) {
 	}
 }
 
-func TestStoreLabel(t *testing.T) {
+// TestLabelJob: the one generated-job join answers what Match answers for
+// the job's launch path, NA for a job that left no capture, and the
+// catalogue's category for the label (CatUnknown when there is none).
+func TestLabelJob(t *testing.T) {
 	m := NewMatcher(apps.Catalog())
-	s := NewStore()
 	vasp, _ := apps.ByName("VASP")
-	s.Add(&Record{JobID: "100", ExecPath: vasp.ExecPath})
-	s.Add(&Record{JobID: "101", ExecPath: "/home1/x/a.out"})
-	if got := s.Label(m, "100"); got != "VASP" {
-		t.Errorf("job 100 label = %q", got)
-	}
-	if got := s.Label(m, "101"); got != Uncategorized {
-		t.Errorf("job 101 label = %q", got)
-	}
-	if got := s.Label(m, "999"); got != NA {
-		t.Errorf("missing job label = %q", got)
-	}
-	if s.Len() != 2 {
-		t.Errorf("store len = %d", s.Len())
-	}
-}
-
-func TestStoreReplace(t *testing.T) {
-	s := NewStore()
-	s.Add(&Record{JobID: "1", ExecPath: "/a"})
-	s.Add(&Record{JobID: "1", ExecPath: "/b"})
-	if s.Len() != 1 || s.Lookup("1").ExecPath != "/b" {
-		t.Error("Add should replace records with the same job id")
+	for _, c := range []struct {
+		app             apps.App
+		label, category string
+	}{
+		{vasp, "VASP", string(vasp.Category)},
+		{apps.App{Name: "custom-003", Category: apps.CatMD, ExecPath: "/home1/x/a.out"}, Uncategorized, string(apps.CatUnknown)},
+		{apps.App{Name: "custom-007", Category: apps.CatMD}, NA, string(apps.CatUnknown)},
+	} {
+		app := c.app
+		label, category := m.LabelJob(&cluster.Job{ID: "100", User: "u", App: &app})
+		if label != c.label || category != c.category {
+			t.Errorf("LabelJob(%s) = (%q, %q), want (%q, %q)", app.Name, label, category, c.label, c.category)
+		}
 	}
 }

@@ -12,9 +12,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/ingest"
 	"repro/internal/kvspec"
+	"repro/internal/lariat"
 	"repro/internal/rng"
 	"repro/internal/taccstats"
 )
@@ -174,6 +176,7 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 
 	// Generate the workload exactly like the batch pipeline would.
 	gen := cluster.NewGenerator(cluster.Stampede(), cluster.DefaultConfig(cfg.Seed))
+	matcher := lariat.NewMatcher(apps.Catalog())
 	col := taccstats.DefaultConfig()
 	r := rng.NewStream(cfg.Seed, 0x16E57)
 	queues := make([][]sendUnit, cfg.Conns)
@@ -187,11 +190,14 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 		}
 		arch := taccstats.Collect(col, taccstats.JobInfo{ID: j.ID, Start: j.Start, Hosts: j.Hosts},
 			j.Draw, r.Split(uint64(i)))
+		// The prolog knows what Lariat captured, never the generator's
+		// ground truth: a custom code streams as Uncategorized or NA.
+		label, category := matcher.LabelJob(j)
 		meta := &ingest.JobMeta{
 			JobID:    j.ID,
 			User:     j.User,
-			AppLabel: j.App.Name,
-			Category: string(j.App.Category),
+			AppLabel: label,
+			Category: category,
 			Pop:      j.Population.String(),
 			Nodes:    len(j.Hosts),
 			Cores:    len(j.Hosts) * col.CoresPerNode,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/warehouse"
@@ -143,6 +144,22 @@ func TestRunIngestReconciles(t *testing.T) {
 	// The sink holds exactly the jobs the workload generated.
 	if got := sink.Len(); got != cfg.Jobs {
 		t.Fatalf("warehouse holds %d jobs, want %d", got, cfg.Jobs)
+	}
+	// The streamed metadata is Lariat's view of each job, not the
+	// generator's: a custom code lands Uncategorized or NA, never under
+	// its generated name.
+	custom := 0
+	for _, rec := range sink.Snapshot().Records {
+		if rec.Pop == cluster.PopCommunity {
+			continue
+		}
+		custom++
+		if !rec.Unlabeled() {
+			t.Errorf("%v job %s streamed with application label %q", rec.Pop, rec.JobID, rec.AppLabel)
+		}
+	}
+	if custom == 0 {
+		t.Fatal("seeded workload holds no custom-code job; the label check is vacuous")
 	}
 }
 

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -68,15 +69,15 @@ func TestCrossValidateWorkerParity(t *testing.T) {
 // TestCrossValidateErrorPropagation: a failing fold surfaces its error.
 func TestCrossValidateErrorPropagation(t *testing.T) {
 	d := parityData(60, 3)
-	calls := 0
+	var calls atomic.Int32 // folds train on two workers
 	_, err := CrossValidateWorkers(d, 3, 1, 2, func(train *dataset.Dataset) (ProbClassifier, error) {
-		calls++
+		calls.Add(1)
 		return nil, fmt.Errorf("train failed")
 	})
 	if err == nil || err.Error() != "train failed" {
 		t.Fatalf("err = %v, want train failed", err)
 	}
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Fatal("trainFn never called")
 	}
 }

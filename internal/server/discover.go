@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs/flight"
+	"repro/internal/warehouse"
 )
 
 // This file serves the unknown-app discovery and runtime-class workload
@@ -114,7 +115,8 @@ func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (uint64, error) {
 			return err
 		}
 		opt := core.DefaultFeatures()
-		m, err := core.FitDiscovery(core.UnlabeledRows(s.store, opt), core.FeatureNames(opt), cfg)
+		rows := core.FeaturizeAll(s.store.Filter((*warehouse.Record).Unlabeled), opt)
+		m, err := core.FitDiscovery(rows, core.FeatureNames(opt), cfg)
 		if err != nil {
 			return err
 		}

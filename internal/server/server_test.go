@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/warehouse"
 )
 
 // testServer builds a server over a small real pipeline run.
@@ -143,7 +144,7 @@ func TestFeaturesAndClassify(t *testing.T) {
 	}
 
 	// Classify a real community job's summary through the API.
-	var rec *core.JobRecord
+	var rec *warehouse.Record
 	for _, r := range res.Records {
 		if _, ok := core.LabelByCategory(r); ok {
 			rec = r

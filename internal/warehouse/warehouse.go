@@ -12,11 +12,14 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/lariat"
 	"repro/internal/summarize"
 )
 
-// Record is one ingested job: accounting joined with its SUPReMM summary
-// and Lariat-derived application label.
+// Record is one processed job, the only such type from collector to
+// classifier: accounting joined with its SUPReMM summary and
+// Lariat-derived application label. The batch pipeline and the ingest
+// daemon both produce it; queries, labelers and featurization consume it.
 type Record struct {
 	JobID    string
 	User     string
@@ -32,6 +35,13 @@ type Record struct {
 	ExitCode    int
 
 	Summary *summarize.Summary
+}
+
+// Unlabeled reports whether Lariat could not name the job's application
+// (Uncategorized or NA): the population supervised training skips and
+// unknown-app discovery exists for.
+func (r *Record) Unlabeled() bool {
+	return r.AppLabel == lariat.Uncategorized || r.AppLabel == lariat.NA
 }
 
 // WaitSeconds returns the queue wait.
@@ -168,6 +178,9 @@ func (s *Store) Lookup(jobID string) (*Record, bool) {
 	r, ok := s.byJobID[jobID]
 	return r, ok
 }
+
+// Records returns every record in ingest order.
+func (s *Store) Records() []*Record { return append([]*Record(nil), s.records...) }
 
 // Filter returns records matching the predicate.
 func (s *Store) Filter(pred func(*Record) bool) []*Record {
