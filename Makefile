@@ -187,7 +187,8 @@ chaos:
 # scoring never perturbs served answers (byte parity vs a loop-disabled
 # reference), promotion happens iff the McNemar gate passes, ledgers
 # reconcile exactly, and the trace is bit-identical at workers 1 vs N.
-# The trace artifact lands at LIFECYCLE_SIM_OUT (CI uploads it).
+# The trace artifact lands at LIFECYCLE_SIM_OUT (CI sets it on `make
+# race`, which runs the same tests, and uploads the file).
 LIFECYCLE_SIM_OUT ?= lifecycle-sim-trace.txt
 lifecycle-sim:
 	LIFECYCLE_SIM_OUT=$(abspath $(LIFECYCLE_SIM_OUT)) \

@@ -91,8 +91,8 @@ func main() {
 		log.Warn("fault injection armed", "sites", fmt.Sprint(faults.Sites()), "spec", faults.String(), "seed", *faultSeed)
 	}
 
-	// One wide event per finalized job; the payload cap, the warehouse
-	// partitioning and the rollup width are their packages' defaults.
+	// One wide event per finalized job; the payload cap and the
+	// warehouse partitioning are their packages' defaults.
 	rec := flight.NewRecorder(flight.DefaultConfig())
 	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
 	srv, err := ingest.NewServer(ingest.Config{
@@ -147,7 +147,7 @@ func main() {
 		ops.WriteJSON(w, http.StatusOK, sink.Snapshot().GroupBy(dim))
 	})
 	mux.HandleFunc("/api/warehouse/rollup", func(w http.ResponseWriter, _ *http.Request) {
-		ops.WriteJSON(w, http.StatusOK, sink.Snapshot().Rollup)
+		ops.WriteJSON(w, http.StatusOK, sink.Snapshot().Rollup())
 	})
 	mux.HandleFunc("/api/warehouse/totals", func(w http.ResponseWriter, _ *http.Request) {
 		ops.WriteJSON(w, http.StatusOK, sink.Snapshot().Totals())

@@ -9,7 +9,8 @@
 // With no -exp it runs the full suite in paper order (e1, e2, table2,
 // fig1, fig2, fig3, table3, fig4, fig5, fig6, x1, x2, x3, x4).
 // Independent experiments run concurrently (bounded by -workers); results
-// are printed in paper order and are bit-identical at any worker count.
+// are printed in paper order and are bit-identical at any worker count
+// (wall times go to stderr, so stdout is the transcript).
 //
 // -trace writes a hierarchical span tree (JSON) covering every shared
 // dataset build, pipeline stage and experiment, and prints a rendered
@@ -97,8 +98,8 @@ func main() {
 	}
 
 	for _, t := range out {
-		fmt.Print(t.res.String())
-		fmt.Printf("(%s in %v)\n\n", t.res.ID, t.dur.Round(time.Millisecond))
+		fmt.Println(t.res.String())
+		fmt.Fprintf(os.Stderr, "(%s in %v)\n", t.res.ID, t.dur.Round(time.Millisecond))
 	}
 	fmt.Fprintf(os.Stderr, "(suite: %d experiments in %v on %d workers)\n",
 		len(ids), time.Since(suiteStart).Round(time.Millisecond), parallel.Workers(*workers))

@@ -26,6 +26,25 @@ func env(t *testing.T) *Env {
 	return tiny
 }
 
+// tinyResults holds each driver's result on the shared tiny
+// environment, so a shape test and TestGoldenExtensions pay for one run.
+var tinyResults = map[string]*Result{}
+
+func tinyResult(t *testing.T, id string) *Result {
+	t.Helper()
+	e := env(t)
+	if r, ok := tinyResults[id]; ok {
+		return r
+	}
+	driver, _ := ByID(id)
+	r, err := driver(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tinyResults[id] = r
+	return r
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"e1", "e2", "table2", "fig1", "fig2", "fig3", "table3", "fig4", "fig5", "fig6", "x1", "x2", "x3", "x4"}
 	got := IDs()
@@ -187,20 +206,14 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestE1E2Shapes(t *testing.T) {
-	e1, err := ExpE1Efficiency(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := tinyResult(t, "e1")
 	if e1.Metrics["rf_test"] < 0.9 {
 		t.Errorf("e1 rf test = %v", e1.Metrics["rf_test"])
 	}
 	if e1.Metrics["nb_test"] > e1.Metrics["rf_test"] {
 		t.Errorf("e1: NB (%v) should not beat RF (%v)", e1.Metrics["nb_test"], e1.Metrics["rf_test"])
 	}
-	e2, err := ExpE2ExitCode(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e2 := tinyResult(t, "e2")
 	if e2.Metrics["rf_train"] < 0.95 {
 		t.Errorf("e2 rf train = %v, should memorize", e2.Metrics["rf_train"])
 	}
@@ -211,18 +224,12 @@ func TestE1E2Shapes(t *testing.T) {
 }
 
 func TestX1X2Shapes(t *testing.T) {
-	x1, err := ExpX1TimeDependent(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	x1 := tinyResult(t, "x1")
 	diff := x1.Metrics["segment_accuracy"] - x1.Metrics["mean_accuracy"]
 	if diff < -0.1 || diff > 0.1 {
 		t.Errorf("segment vs mean accuracy gap = %v, want approximately equal", diff)
 	}
-	x2, err := ExpX2KernelRegression(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	x2 := tinyResult(t, "x2")
 	if x2.Metrics["rf_r2"] < 0.85 || x2.Metrics["svr_r2"] < 0.85 {
 		t.Errorf("kernel regression R2: rf %v svr %v", x2.Metrics["rf_r2"], x2.Metrics["svr_r2"])
 	}
@@ -232,10 +239,7 @@ func TestX1X2Shapes(t *testing.T) {
 }
 
 func TestX3Shape(t *testing.T) {
-	r, err := ExpX3CrossPlatform(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := tinyResult(t, "x3")
 	meanSame := r.Metrics["mean_same"]
 	meanCross := r.Metrics["mean_cross"]
 	shapeCross := r.Metrics["time-shape_cross"]
@@ -248,10 +252,7 @@ func TestX3Shape(t *testing.T) {
 }
 
 func TestX4Shape(t *testing.T) {
-	r, err := ExpX4Unsupervised(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := tinyResult(t, "x4")
 	// Clusters must beat the majority-class baseline decisively, and the
 	// PCA spectrum must be cumulative and bounded.
 	if r.Metrics["category_purity"] < 0.6 {
@@ -264,6 +265,10 @@ func TestX4Shape(t *testing.T) {
 			t.Fatalf("PCA explained variance not cumulative: %v after %v", ev, prev)
 		}
 		prev = ev
+	}
+	// Discovery runs over both unknown pools, never skipped.
+	if got, want := r.Metrics["discovery_rows"], float64(2*env(t).Cfg.UnknownJobs); got != want {
+		t.Errorf("discovery fit %v unlabeled jobs, want %v", got, want)
 	}
 }
 

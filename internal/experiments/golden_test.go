@@ -62,7 +62,14 @@ func TestGoldenSectionIVV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, id := range sectionIVVIDs {
+	pinResults(t, sectionIVVIDs, resSerial, resParallel)
+}
+
+// pinResults requires each experiment's two renderings to be
+// byte-identical and to match its committed golden file.
+func pinResults(t *testing.T, ids []string, resSerial, resParallel []*Result) {
+	t.Helper()
+	for i, id := range ids {
 		got := renderResult(resSerial[i])
 		if par := renderResult(resParallel[i]); par != got {
 			line, a, b := diffLine(got, par)
@@ -71,6 +78,27 @@ func TestGoldenSectionIVV(t *testing.T) {
 		}
 		testkit.GoldenString(t, id+".golden", got)
 	}
+}
+
+// extensionIDs are the Section II experiments and the extensions: the
+// transcript entries no paper table pins, where drift went unnoticed.
+var extensionIDs = []string{"e1", "e2", "x1", "x2", "x3", "x4"}
+
+// TestGoldenExtensions pins e1, e2 and x1-x4 the way TestGoldenSectionIVV
+// pins the paper's tables, at the driver tests' reduced scale: the
+// drivers run one at a time on the shared tiny environment against a
+// fresh environment running two at a time, byte-identical and equal to
+// the committed golden files.
+func TestGoldenExtensions(t *testing.T) {
+	resSerial := make([]*Result, len(extensionIDs))
+	for i, id := range extensionIDs {
+		resSerial[i] = tinyResult(t, id)
+	}
+	resParallel, err := RunSelected(NewEnv(env(t).Cfg), extensionIDs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinResults(t, extensionIDs, resSerial, resParallel)
 }
 
 // diffLine reports the first differing line between two renderings.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/ml/kmeans"
-	"repro/internal/warehouse"
 )
 
 // ExpX4Unsupervised exercises the other two "data discovery techniques"
@@ -62,8 +61,13 @@ func ExpX4Unsupervised(e *Env) (*Result, error) {
 	}
 
 	// Discovery over the population the supervised path cannot name: the
-	// Uncategorized/NA jobs. This is the serving artifact's exact fit.
-	rows := core.FeaturizeAll(run.Store.Filter((*warehouse.Record).Unlabeled), core.DefaultFeatures())
+	// Uncategorized and NA pools of Figures 3 and 4 (the native run above
+	// is all community codes). This is the serving artifact's exact fit.
+	uncat, na, err := e.UnknownPools()
+	if err != nil {
+		return nil, err
+	}
+	rows := append(append([][]float64(nil), uncat...), na...)
 	if len(rows) < 16 { // too few Uncategorized/NA jobs for a meaningful fit
 		r.Metrics["discovery_rows"] = float64(len(rows))
 		r.addf("")

@@ -112,6 +112,7 @@ func TestJobMetaRoundTrip(t *testing.T) {
 		Cores:    128,
 		Submit:   1400000000,
 		Start:    1400003600,
+		ExitCode: 137,
 	}
 	b, err := m.Encode()
 	if err != nil {
@@ -123,6 +124,11 @@ func TestJobMetaRoundTrip(t *testing.T) {
 	}
 	if *got != *m {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, m)
+	}
+	// A collector that predates the exit field still parses: exit 0.
+	old, err := ParseJobMeta([]byte("job=\"1\"\nnodes=2\n"))
+	if err != nil || old.ExitCode != 0 {
+		t.Fatalf("meta without exit= parsed as %+v, %v", old, err)
 	}
 }
 

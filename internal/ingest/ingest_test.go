@@ -62,6 +62,7 @@ func genTestJobs(t *testing.T, seed uint64, n, maxHosts int, wallCap float64) []
 				Cores:    len(j.Hosts) * cfg.CoresPerNode,
 				Submit:   j.Submit,
 				Start:    j.Start,
+				ExitCode: j.ExitCode,
 			},
 			arch:    arch,
 			records: recs,

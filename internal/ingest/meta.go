@@ -21,6 +21,7 @@ type JobMeta struct {
 	Cores    int
 	Submit   int64
 	Start    int64
+	ExitCode int // job-script exit status (what the failed labels are cut from)
 }
 
 // Encode renders the metadata as sorted key=value lines (the meta-frame
@@ -43,6 +44,7 @@ func (m *JobMeta) Encode() ([]byte, error) {
 		"cores":    strconv.Itoa(m.Cores),
 		"submit":   strconv.FormatInt(m.Submit, 10),
 		"start":    strconv.FormatInt(m.Start, 10),
+		"exit":     strconv.Itoa(m.ExitCode),
 	}
 	keys := make([]string, 0, len(pairs))
 	for k := range pairs {
@@ -93,6 +95,8 @@ func ParseJobMeta(b []byte) (*JobMeta, error) {
 			m.Submit, err = strconv.ParseInt(val, 10, 64)
 		case "start":
 			m.Start, err = strconv.ParseInt(val, 10, 64)
+		case "exit":
+			m.ExitCode, err = strconv.Atoi(val)
 		default:
 			return nil, fmt.Errorf("ingest: meta line %d: unknown key %q", ln+1, key)
 		}

@@ -372,7 +372,7 @@ func buildRecord(id string, meta *JobMeta, sum *summarize.Summary, coresPerNode 
 		if meta.Cores > 0 {
 			rec.Cores = meta.Cores
 		}
-		rec.Submit, rec.Start = meta.Submit, meta.Start
+		rec.Submit, rec.Start, rec.ExitCode = meta.Submit, meta.Start, meta.ExitCode
 	}
 	return rec
 }

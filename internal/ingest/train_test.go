@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -19,8 +20,9 @@ import (
 // warehouse.Sharded featurizes, labels and trains exactly as the batch
 // pipeline's records do, with no conversion step in between.
 func TestTrainFromStream(t *testing.T) {
+	const seed, wallCap = 77, 2400
 	h := newHarness(t, Config{Shards: 4})
-	jobs := genTestJobs(t, 77, 120, 2, 2400)
+	jobs := genTestJobs(t, seed, 120, 2, wallCap)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -82,12 +84,38 @@ func TestTrainFromStream(t *testing.T) {
 			unlabeled, groups[lariat.Uncategorized]+groups[lariat.NA], len(jobs)-len(want))
 	}
 
-	// (c) A classifier trained on the stream hot-swaps over a champion
-	// trained on a batch pipeline run: same schema, by construction.
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(78, 120))
+	// (c) The exit code rides the meta frame, so outcome labels survive
+	// the stream: the runtime classes of the snapshot are the batch
+	// pipeline's over the same seeded jobs under the same wall cap, the
+	// failed class among them.
+	res, err := core.RunPipeline(core.DefaultPipelineConfig(seed, len(jobs)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	capped := make([]*warehouse.Record, len(res.Records))
+	for i, r := range res.Records {
+		c := *r
+		c.WallSeconds = min(c.WallSeconds, wallCap)
+		capped[i] = &c
+	}
+	classCounts := func(recs []*warehouse.Record) map[string]int {
+		ds, err := core.BuildDataset(recs, core.LabelByRuntimeClass, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]int{}
+		for i, n := range ds.ClassCounts() {
+			counts[ds.ClassNames[i]] = n
+		}
+		return counts
+	}
+	streamed, batched := classCounts(snap.Records), classCounts(capped)
+	if !reflect.DeepEqual(streamed, batched) || streamed["failed"] == 0 {
+		t.Fatalf("runtime classes over the stream %v, over the batch pipeline %v (want equal, with failed jobs)", streamed, batched)
+	}
+
+	// (d) A classifier trained on the stream hot-swaps over a champion
+	// trained on that batch run: same schema, by construction.
 	batch, err := core.BuildDataset(res.Records, core.LabelByCategory, opt)
 	if err != nil {
 		t.Fatal(err)

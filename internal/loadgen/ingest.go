@@ -203,6 +203,7 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 			Cores:    len(j.Hosts) * col.CoresPerNode,
 			Submit:   j.Submit,
 			Start:    j.Start,
+			ExitCode: j.ExitCode,
 		}
 		queues[fnvStr(j.ID)%uint64(cfg.Conns)] = append(queues[fnvStr(j.ID)%uint64(cfg.Conns)],
 			sendUnit{meta: meta})

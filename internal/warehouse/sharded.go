@@ -1,50 +1,30 @@
 package warehouse
 
 import (
-	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"sync"
 )
-
-// DefaultRollupSeconds is the default rollup bucket width (one hour).
-const DefaultRollupSeconds = 3600
 
 // ShardedConfig parameterizes a Sharded store.
 type ShardedConfig struct {
 	// Shards is the number of independent partitions (default 4).
 	Shards int
-	// RollupSeconds is the time-bucket width for rollups, keyed by job
-	// start time (default DefaultRollupSeconds).
-	RollupSeconds int64
 }
 
-// whShard is one partition: records plus the incrementally maintained
-// rollup, both mutated only under mu so any consistent cut of the shard
-// sees rollups that exactly match its records.
+// whShard is one partition: a serial Store behind a mutex.
 type whShard struct {
-	mu          sync.Mutex
-	rollupWidth int64
-	records     []*Record
-	byJob       map[string]*Record
-	rollup      map[int64]*RollupBucket
+	mu    sync.Mutex
+	store *Store
 }
 
-// Sharded is a concurrency-safe warehouse store partitioned by job id.
-// Writers on different shards never contend; Snapshot locks all shards
-// at once to take a point-in-time, fully-consistent cut. Records are
-// treated as immutable once ingested (re-ingesting a job id swaps the
-// pointer); callers must not mutate a Record after handing it over.
-//
-// Rollup accumulators are integer-exact (milliseconds and counts), so
-// incremental maintenance — including the subtract-then-add of a job
-// replacement — is associative and order-insensitive: the incremental
-// rollup is bit-equal to a from-scratch recompute no matter how ingest
-// interleaved across shards. That exactness is what lets the property
-// tests demand digest equality instead of tolerances.
+// Sharded is a concurrency-safe warehouse partitioned by job id: N
+// locked Stores. Writers on different shards never contend; Snapshot
+// locks all shards at once to take a point-in-time, fully-consistent
+// cut, and every query runs on that cut. Records are treated as
+// immutable once ingested (re-ingesting a job id swaps the pointer);
+// callers must not mutate a Record after handing it over.
 type Sharded struct {
-	cfg    ShardedConfig
 	shards []*whShard
 }
 
@@ -53,16 +33,9 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	if cfg.RollupSeconds <= 0 {
-		cfg.RollupSeconds = DefaultRollupSeconds
-	}
-	s := &Sharded{cfg: cfg, shards: make([]*whShard, cfg.Shards)}
+	s := &Sharded{shards: make([]*whShard, cfg.Shards)}
 	for i := range s.shards {
-		s.shards[i] = &whShard{
-			rollupWidth: cfg.RollupSeconds,
-			byJob:       map[string]*Record{},
-			rollup:      map[int64]*RollupBucket{},
-		}
+		s.shards[i] = &whShard{store: NewStore()}
 	}
 	return s
 }
@@ -74,49 +47,13 @@ func (s *Sharded) shardFor(jobID string) *whShard {
 	return s.shards[h.Sum64()%uint64(len(s.shards))]
 }
 
-// Ingest adds a record; re-ingesting a job id replaces the prior record
-// and exactly retracts its rollup contribution. Satisfies ingest.Sink.
+// Ingest adds a record to its shard; re-ingesting a job id replaces the
+// prior record. Satisfies ingest.Sink.
 func (s *Sharded) Ingest(r *Record) error {
-	if r.JobID == "" {
-		return fmt.Errorf("warehouse: record without job id")
-	}
 	sh := s.shardFor(r.JobID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if old, ok := sh.byJob[r.JobID]; ok {
-		for i, rec := range sh.records {
-			if rec == old {
-				sh.records[i] = r
-				break
-			}
-		}
-		sh.applyRollup(old, -1)
-	} else {
-		sh.records = append(sh.records, r)
-	}
-	sh.byJob[r.JobID] = r
-	sh.applyRollup(r, +1)
-	return nil
-}
-
-// applyRollup adds (sign=+1) or retracts (sign=-1) one record's
-// integer-exact contribution to its time bucket.
-func (sh *whShard) applyRollup(r *Record, sign int64) {
-	key := rollupKey(r.Start, sh.rollupWidth)
-	b := sh.rollup[key]
-	if b == nil {
-		b = &RollupBucket{Bucket: key}
-		sh.rollup[key] = b
-	}
-	wall, core, wait, nodes := rollupDelta(r)
-	b.Jobs += sign
-	b.WallMillis += sign * wall
-	b.CoreMillis += sign * core
-	b.WaitSeconds += sign * wait
-	b.Nodes += sign * nodes
-	if b.Jobs == 0 {
-		delete(sh.rollup, key)
-	}
+	return sh.store.Ingest(r)
 }
 
 // Len returns the number of ingested jobs across all shards.
@@ -124,7 +61,7 @@ func (s *Sharded) Len() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += len(sh.records)
+		n += sh.store.Len()
 		sh.mu.Unlock()
 	}
 	return n
@@ -135,167 +72,36 @@ func (s *Sharded) Lookup(jobID string) (*Record, bool) {
 	sh := s.shardFor(jobID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r, ok := sh.byJob[jobID]
-	return r, ok
+	return sh.store.Lookup(jobID)
 }
 
 // Shards returns the partition count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
 // Snapshot takes a point-in-time cut: all shard locks are held
-// simultaneously while records and rollups are copied, so no snapshot
-// can observe a half-applied ingest or a rollup that disagrees with its
-// records. Records come out in canonical job-id order, which makes
-// every derived aggregation byte-for-byte identical across shard
-// counts and ingest interleavings for the same record set.
+// simultaneously while the records are copied, so no snapshot can
+// observe a half-applied ingest. Records come out in canonical job-id
+// order, which makes every derived aggregation byte-for-byte identical
+// across shard counts and ingest interleavings for the same record set.
 func (s *Sharded) Snapshot() *WarehouseSnapshot {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
-	snap := &WarehouseSnapshot{
-		Shards:        len(s.shards),
-		RollupSeconds: s.cfg.RollupSeconds,
-	}
-	rollup := map[int64]*RollupBucket{}
+	var recs Records
 	for _, sh := range s.shards {
-		snap.Records = append(snap.Records, sh.records...)
-		for k, b := range sh.rollup {
-			dst := rollup[k]
-			if dst == nil {
-				dst = &RollupBucket{Bucket: k}
-				rollup[k] = dst
-			}
-			dst.Jobs += b.Jobs
-			dst.WallMillis += b.WallMillis
-			dst.CoreMillis += b.CoreMillis
-			dst.WaitSeconds += b.WaitSeconds
-			dst.Nodes += b.Nodes
-		}
+		recs = append(recs, sh.store.records...)
 	}
 	for _, sh := range s.shards {
 		sh.mu.Unlock()
 	}
-	sort.Slice(snap.Records, func(i, j int) bool { return snap.Records[i].JobID < snap.Records[j].JobID })
-	snap.Rollup = make([]RollupBucket, 0, len(rollup))
-	for _, b := range rollup {
-		snap.Rollup = append(snap.Rollup, *b)
-	}
-	sort.Slice(snap.Rollup, func(i, j int) bool { return snap.Rollup[i].Bucket < snap.Rollup[j].Bucket })
-	return snap
-}
-
-// RollupBucket is one time bucket's integer-exact totals. The float
-// views are derived at read time, so bucket arithmetic never loses
-// associativity to floating-point rounding.
-type RollupBucket struct {
-	Bucket      int64 `json:"bucket"` // unix seconds, inclusive start
-	Jobs        int64 `json:"jobs"`
-	WallMillis  int64 `json:"wallMillis"`
-	CoreMillis  int64 `json:"coreMillis"`
-	WaitSeconds int64 `json:"waitSeconds"`
-	Nodes       int64 `json:"nodes"`
-}
-
-// CPUHours derives core-hours from the exact accumulator.
-func (b *RollupBucket) CPUHours() float64 { return float64(b.CoreMillis) / (1000 * 3600) }
-
-// WallHours derives wall-hours from the exact accumulator.
-func (b *RollupBucket) WallHours() float64 { return float64(b.WallMillis) / (1000 * 3600) }
-
-// AvgWaitHours derives the mean queue wait in hours.
-func (b *RollupBucket) AvgWaitHours() float64 {
-	if b.Jobs == 0 {
-		return 0
-	}
-	return float64(b.WaitSeconds) / float64(b.Jobs) / 3600
-}
-
-// rollupKey truncates a start time to its bucket.
-func rollupKey(start, width int64) int64 {
-	k := start - start%width
-	if start < 0 && start%width != 0 {
-		k -= width
-	}
-	return k
-}
-
-// rollupDelta converts one record into integer-exact rollup terms:
-// wall time rounded to milliseconds (each record rounds independently,
-// so the sum is order-free), core-milliseconds, integer wait seconds,
-// and nodes.
-func rollupDelta(r *Record) (wallMillis, coreMillis, waitSec, nodes int64) {
-	wallMillis = int64(math.Round(r.WallSeconds * 1000))
-	coreMillis = int64(r.Cores) * wallMillis
-	waitSec = r.Start - r.Submit
-	nodes = int64(r.Nodes)
-	return
+	sort.Slice(recs, func(i, j int) bool { return recs[i].JobID < recs[j].JobID })
+	return &WarehouseSnapshot{Records: recs}
 }
 
 // WarehouseSnapshot is an immutable point-in-time cut of a Sharded
-// store: canonical (job-id sorted) records plus merged rollups. All
-// query methods run on the frozen cut, so interleaved writers cannot
-// smear a result.
+// store: the records in canonical (job-id) order, answering every query
+// the record set does. Queries run on the frozen cut, so interleaved
+// writers cannot smear a result.
 type WarehouseSnapshot struct {
-	Records       []*Record
-	Rollup        []RollupBucket
-	Shards        int
-	RollupSeconds int64
-}
-
-// Len returns the number of records in the cut.
-func (v *WarehouseSnapshot) Len() int { return len(v.Records) }
-
-// GroupBy aggregates the cut along a dimension.
-func (v *WarehouseSnapshot) GroupBy(dim Dimension) []*Aggregate {
-	return groupRecords(v.Records, dim, len(v.Records))
-}
-
-// GroupByFiltered aggregates a filtered subset of the cut.
-func (v *WarehouseSnapshot) GroupByFiltered(dim Dimension, pred func(*Record) bool) []*Aggregate {
-	var recs []*Record
-	for _, r := range v.Records {
-		if pred(r) {
-			recs = append(recs, r)
-		}
-	}
-	return groupRecords(recs, dim, len(recs))
-}
-
-// Totals aggregates the whole cut.
-func (v *WarehouseSnapshot) Totals() Aggregate {
-	gs := groupRecords(v.Records, Dimension("__all__"), len(v.Records))
-	if len(gs) == 0 {
-		return Aggregate{Key: "total"}
-	}
-	t := *gs[0]
-	t.Key = "total"
-	return t
-}
-
-// RecomputeRollup rebuilds the rollup from the cut's records from
-// scratch. The property tests assert it equals the incrementally
-// maintained Rollup exactly — the snapshot-consistency proof for the
-// rollup path.
-func (v *WarehouseSnapshot) RecomputeRollup() []RollupBucket {
-	acc := map[int64]*RollupBucket{}
-	for _, r := range v.Records {
-		key := rollupKey(r.Start, v.RollupSeconds)
-		b := acc[key]
-		if b == nil {
-			b = &RollupBucket{Bucket: key}
-			acc[key] = b
-		}
-		wall, core, wait, nodes := rollupDelta(r)
-		b.Jobs++
-		b.WallMillis += wall
-		b.CoreMillis += core
-		b.WaitSeconds += wait
-		b.Nodes += nodes
-	}
-	out := make([]RollupBucket, 0, len(acc))
-	for _, b := range acc {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
-	return out
+	Records
 }

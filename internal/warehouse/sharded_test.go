@@ -2,7 +2,7 @@ package warehouse
 
 import (
 	"fmt"
-	"reflect"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -63,74 +63,96 @@ func aggLine(a *Aggregate) string {
 	}, "|")
 }
 
-var allDims = []Dimension{ByApplication, ByCategory, ByUser, ByPopulation, ByJobSize, ByMonth}
+// queries is the surface Store and WarehouseSnapshot both take from
+// Records.
+type queries interface {
+	GroupBy(Dimension) []*Aggregate
+	Totals() Aggregate
+	DrillDown(outer, inner Dimension) []*DrillDownGroup
+	Utilization(machineNodes int) []UtilizationPoint
+	Rollup() []RollupBucket
+}
 
-// snapDigest hashes every dimensional aggregation plus totals and the
-// rollup of a snapshot into one comparable string.
-func snapDigest(v *WarehouseSnapshot) string {
+// queryDigests hashes every query the warehouse answers — each
+// dimension's GroupBy, Totals, every DrillDown pair, Utilization and
+// Rollup — one digest per query, so a mismatch names what diverged.
+func queryDigests(q queries) map[string]string {
+	out := map[string]string{}
 	var b strings.Builder
-	for _, dim := range allDims {
-		b.WriteString(string(dim))
-		b.WriteByte('\n')
-		for _, a := range v.GroupBy(dim) {
+	flush := func(name string) {
+		out[name] = testkit.HashBytes([]byte(b.String()))
+		b.Reset()
+	}
+	aggs := func(as []*Aggregate) {
+		for _, a := range as {
 			b.WriteString(aggLine(a))
 			b.WriteByte('\n')
 		}
 	}
-	t := v.Totals()
-	b.WriteString(aggLine(&t))
-	b.WriteByte('\n')
-	for _, rb := range v.Rollup {
-		fmt.Fprintf(&b, "rollup|%d|%d|%d|%d|%d|%d\n",
+	for _, dim := range Dimensions {
+		aggs(q.GroupBy(dim))
+		flush("groupby/" + string(dim))
+		for _, inner := range Dimensions {
+			for _, g := range q.DrillDown(dim, inner) {
+				fmt.Fprintf(&b, "%s|%d\n", g.Key, g.Jobs)
+				aggs(g.Inner)
+			}
+			flush("drilldown/" + string(dim) + "/" + string(inner))
+		}
+	}
+	t := q.Totals()
+	aggs([]*Aggregate{&t})
+	flush("totals")
+	for _, p := range q.Utilization(128) {
+		fmt.Fprintf(&b, "%s|%d|%s|%s|%s|%s\n", p.Month, p.Jobs, testkit.Float(p.NodeHours),
+			testkit.Float(p.CPUHours), testkit.Float(p.Utilization), testkit.Float(p.AvgWaitHours))
+	}
+	flush("utilization")
+	for _, rb := range q.Rollup() {
+		fmt.Fprintf(&b, "%d|%d|%d|%d|%d|%d\n",
 			rb.Bucket, rb.Jobs, rb.WallMillis, rb.CoreMillis, rb.WaitSeconds, rb.Nodes)
 	}
-	return testkit.HashBytes([]byte(b.String()))
+	flush("rollup")
+	return out
 }
 
-// storeDigest runs the same aggregations through the serial reference
-// Store (no rollup section — the reference has none).
-func storeDigest(st *Store) string {
-	var b strings.Builder
-	for _, dim := range allDims {
-		b.WriteString(string(dim))
-		b.WriteByte('\n')
-		for _, a := range st.GroupBy(dim) {
-			b.WriteString(aggLine(a))
-			b.WriteByte('\n')
+// sameQueries fails the test on every query whose digests differ.
+func sameQueries(t *testing.T, what string, got, want map[string]string) {
+	t.Helper()
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: %s digest %s, want %s", what, name, got[name], w)
 		}
 	}
-	t := st.Totals()
-	b.WriteString(aggLine(&t))
-	b.WriteByte('\n')
-	return testkit.HashBytes([]byte(b.String()))
 }
 
-// snapQueryDigest is snapDigest without the rollup lines, comparable to
-// storeDigest.
-func snapQueryDigest(v *WarehouseSnapshot) string {
-	var b strings.Builder
-	for _, dim := range allDims {
-		b.WriteString(string(dim))
-		b.WriteByte('\n')
-		for _, a := range v.GroupBy(dim) {
-			b.WriteString(aggLine(a))
-			b.WriteByte('\n')
-		}
-	}
-	t := v.Totals()
-	b.WriteString(aggLine(&t))
-	b.WriteByte('\n')
-	return testkit.HashBytes([]byte(b.String()))
-}
-
-// checkSnapshot asserts the two snapshot-consistency invariants: the
-// incremental rollup equals a from-scratch recompute exactly, and every
-// query result is bit-equal to the serial reference Store ingesting the
-// snapshot's records in snapshot order.
+// checkSnapshot asserts the snapshot-consistency invariants: the cut
+// holds each job once, its rollup accounts for exactly the jobs, wall
+// time and core time its Totals report, and every query result is
+// bit-equal to the serial reference Store ingesting the snapshot's
+// records in snapshot order.
 func checkSnapshot(t *testing.T, v *WarehouseSnapshot) {
 	t.Helper()
-	if got, want := v.Rollup, v.RecomputeRollup(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("incremental rollup diverged from recompute:\n got %+v\nwant %+v", got, want)
+	var jobs, wallMillis, coreMillis int64
+	for _, b := range v.Rollup() {
+		jobs += b.Jobs
+		wallMillis += b.WallMillis
+		coreMillis += b.CoreMillis
+	}
+	var cores float64
+	for _, r := range v.Records {
+		cores += float64(r.Cores)
+	}
+	// The rollup rounds each job's wall time to the millisecond once, so
+	// its sums sit within half a millisecond per job (per core, for core
+	// time) of the float totals.
+	near := func(millis int64, hours, terms float64) bool {
+		return math.Abs(float64(millis)/3.6e6-hours) <= terms*0.0005/3600+1e-9*hours
+	}
+	tot := v.Totals()
+	if jobs != int64(tot.Jobs) || !near(wallMillis, tot.WallHours, float64(jobs)) || !near(coreMillis, tot.CPUHours, cores) {
+		t.Fatalf("rollup sums %d jobs, %d wall ms, %d core ms; totals %d jobs, %v wall h, %v cpu h",
+			jobs, wallMillis, coreMillis, tot.Jobs, tot.WallHours, tot.CPUHours)
 	}
 	seen := map[string]bool{}
 	ref := NewStore()
@@ -143,9 +165,7 @@ func checkSnapshot(t *testing.T, v *WarehouseSnapshot) {
 			t.Fatalf("reference ingest: %v", err)
 		}
 	}
-	if got, want := snapQueryDigest(v), storeDigest(ref); got != want {
-		t.Fatalf("snapshot queries diverged from serial reference: %s != %s", got, want)
-	}
+	sameQueries(t, "snapshot vs serial reference", queryDigests(v), queryDigests(ref))
 }
 
 func TestShardedSerialMatchesReference(t *testing.T) {
@@ -215,8 +235,9 @@ func TestShardedSnapshotTorture(t *testing.T) {
 }
 
 // TestShardedShardCountInvariance ingests the same record set (in
-// different interleavings) at shard counts 1 and 8 and demands
-// digest-equal snapshots: partitioning is invisible to every query.
+// different interleavings) at shard counts 1, 4, 7 and 8 and demands
+// digest-equal snapshots, each also equal to the serial Store:
+// partitioning is invisible to every query.
 func TestShardedShardCountInvariance(t *testing.T) {
 	build := func(shards, writers int) *WarehouseSnapshot {
 		s := NewSharded(ShardedConfig{Shards: shards})
@@ -243,22 +264,22 @@ func TestShardedShardCountInvariance(t *testing.T) {
 	// Writer w seeds its own rng, so record contents depend only on
 	// (writer, position), not on shard count.
 	v1 := build(1, 4)
-	v8 := build(8, 4)
-	if v1.Len() != v8.Len() {
-		t.Fatalf("record counts differ: %d vs %d", v1.Len(), v8.Len())
-	}
-	d1, d8 := snapDigest(v1), snapDigest(v8)
-	if d1 != d8 {
-		t.Fatalf("shard count changed query results: 1 shard %s, 8 shards %s", d1, d8)
-	}
 	checkSnapshot(t, v1)
-	checkSnapshot(t, v8)
+	want := queryDigests(v1)
+	for _, shards := range []int{4, 7, 8} {
+		v := build(shards, 4)
+		if v.Len() != v1.Len() {
+			t.Fatalf("record counts differ: %d at 1 shard, %d at %d", v1.Len(), v.Len(), shards)
+		}
+		sameQueries(t, fmt.Sprintf("%d shards vs 1", shards), queryDigests(v), want)
+		checkSnapshot(t, v)
+	}
 }
 
 // TestRollupReplacementExact replaces a job and checks the rollup
-// retraction is exact, including bucket deletion when a bucket empties.
+// holds only the replacement: the bucket the old record filled is gone.
 func TestRollupReplacementExact(t *testing.T) {
-	s := NewSharded(ShardedConfig{Shards: 2, RollupSeconds: 3600})
+	s := NewSharded(ShardedConfig{Shards: 2})
 	a := &Record{JobID: "j1", Nodes: 2, Cores: 32, Submit: 90, Start: 100, WallSeconds: 1000.25}
 	b := &Record{JobID: "j1", Nodes: 4, Cores: 64, Submit: 3600, Start: 7300, WallSeconds: 10.75}
 	if err := s.Ingest(a); err != nil {
@@ -271,27 +292,28 @@ func TestRollupReplacementExact(t *testing.T) {
 	if len(v.Records) != 1 || v.Records[0] != b {
 		t.Fatalf("replacement did not swap the record: %+v", v.Records)
 	}
-	if len(v.Rollup) != 1 {
-		t.Fatalf("stale rollup bucket survived retraction: %+v", v.Rollup)
+	rollup := v.Rollup()
+	if len(rollup) != 1 {
+		t.Fatalf("stale rollup bucket survived the replacement: %+v", rollup)
 	}
-	if got := v.Rollup[0]; got.Bucket != 7200 || got.Jobs != 1 || got.WallMillis != 10750 {
+	if got := rollup[0]; got.Bucket != 7200 || got.Jobs != 1 || got.WallMillis != 10750 {
 		t.Fatalf("bad rollup after replacement: %+v", got)
 	}
 	checkSnapshot(t, v)
 }
 
 func TestRollupKeyNegative(t *testing.T) {
-	cases := []struct{ start, width, want int64 }{
-		{0, 3600, 0},
-		{3599, 3600, 0},
-		{3600, 3600, 3600},
-		{-1, 3600, -3600},
-		{-3600, 3600, -3600},
-		{-3601, 3600, -7200},
+	cases := []struct{ start, want int64 }{
+		{0, 0},
+		{3599, 0},
+		{3600, 3600},
+		{-1, -3600},
+		{-3600, -3600},
+		{-3601, -7200},
 	}
 	for _, c := range cases {
-		if got := rollupKey(c.start, c.width); got != c.want {
-			t.Errorf("rollupKey(%d,%d) = %d, want %d", c.start, c.width, got, c.want)
+		if got := rollupKey(c.start); got != c.want {
+			t.Errorf("rollupKey(%d) = %d, want %d", c.start, got, c.want)
 		}
 	}
 }

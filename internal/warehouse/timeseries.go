@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"math"
 	"sort"
 	"time"
 )
@@ -19,8 +20,8 @@ type UtilizationPoint struct {
 // Utilization computes the monthly utilization series for a machine of
 // the given node count. Job node-hours are apportioned to months by
 // overlap, so a job spanning a month boundary contributes to both.
-func (s *Store) Utilization(machineNodes int) []UtilizationPoint {
-	if machineNodes <= 0 || len(s.records) == 0 {
+func (rs Records) Utilization(machineNodes int) []UtilizationPoint {
+	if machineNodes <= 0 || len(rs) == 0 {
 		return nil
 	}
 	type agg struct {
@@ -40,7 +41,7 @@ func (s *Store) Utilization(machineNodes int) []UtilizationPoint {
 		return a
 	}
 
-	for _, r := range s.records {
+	for _, r := range rs {
 		start := r.Start
 		end := r.Start + int64(r.WallSeconds)
 		if end <= start {
@@ -51,8 +52,8 @@ func (s *Store) Utilization(machineNodes int) []UtilizationPoint {
 		cursor := time.Date(t.Year(), t.Month(), 1, 0, 0, 0, 0, time.UTC)
 		for cursor.Unix() < end {
 			next := cursor.AddDate(0, 1, 0)
-			overlapStart := max64(start, cursor.Unix())
-			overlapEnd := min64v(end, next.Unix())
+			overlapStart := max(start, cursor.Unix())
+			overlapEnd := min(end, next.Unix())
 			if overlapEnd > overlapStart {
 				key := cursor.Format("2006-01")
 				a := get(key)
@@ -94,16 +95,71 @@ func (s *Store) Utilization(machineNodes int) []UtilizationPoint {
 	return out
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+// rollupBucketSeconds is the rollup bucket width: one hour, keyed by job
+// start time.
+const rollupBucketSeconds = 3600
+
+// RollupBucket is one time bucket's integer-exact totals. The float
+// views are derived at read time, so bucket arithmetic never loses
+// associativity to floating-point rounding and the same jobs roll up
+// bit-identically in any order.
+type RollupBucket struct {
+	Bucket      int64 `json:"bucket"` // unix seconds, inclusive start
+	Jobs        int64 `json:"jobs"`
+	WallMillis  int64 `json:"wallMillis"`
+	CoreMillis  int64 `json:"coreMillis"`
+	WaitSeconds int64 `json:"waitSeconds"`
+	Nodes       int64 `json:"nodes"`
 }
 
-func min64v(a, b int64) int64 {
-	if a < b {
-		return a
+// CPUHours derives core-hours from the exact accumulator.
+func (b *RollupBucket) CPUHours() float64 { return float64(b.CoreMillis) / (1000 * 3600) }
+
+// WallHours derives wall-hours from the exact accumulator.
+func (b *RollupBucket) WallHours() float64 { return float64(b.WallMillis) / (1000 * 3600) }
+
+// AvgWaitHours derives the mean queue wait in hours.
+func (b *RollupBucket) AvgWaitHours() float64 {
+	if b.Jobs == 0 {
+		return 0
 	}
-	return b
+	return float64(b.WaitSeconds) / float64(b.Jobs) / 3600
+}
+
+// rollupKey truncates a start time to its bucket (floor, so a negative
+// start lands in the bucket below zero).
+func rollupKey(start int64) int64 {
+	k := start - start%rollupBucketSeconds
+	if start < 0 && start%rollupBucketSeconds != 0 {
+		k -= rollupBucketSeconds
+	}
+	return k
+}
+
+// Rollup totals the records into hourly buckets by start time, in
+// bucket order. Each record contributes integer-exact terms: wall time
+// rounded to milliseconds (independently per record, so the sum is
+// order-free), core-milliseconds, integer wait seconds, and nodes.
+func (rs Records) Rollup() []RollupBucket {
+	acc := map[int64]*RollupBucket{}
+	for _, r := range rs {
+		key := rollupKey(r.Start)
+		b := acc[key]
+		if b == nil {
+			b = &RollupBucket{Bucket: key}
+			acc[key] = b
+		}
+		wallMillis := int64(math.Round(r.WallSeconds * 1000))
+		b.Jobs++
+		b.WallMillis += wallMillis
+		b.CoreMillis += int64(r.Cores) * wallMillis
+		b.WaitSeconds += r.Start - r.Submit
+		b.Nodes += int64(r.Nodes)
+	}
+	out := make([]RollupBucket, 0, len(acc))
+	for _, b := range acc {
+		out = append(out, *b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
+	return out
 }

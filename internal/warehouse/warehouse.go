@@ -140,9 +140,11 @@ func (a *Aggregate) MinWaitHours() float64 { return a.minWait / 3600 }
 // MaxWaitHours returns the maximum queue wait in hours.
 func (a *Aggregate) MaxWaitHours() float64 { return a.maxWait / 3600 }
 
-// Store is the in-memory warehouse.
+// Store is the serial warehouse: records in ingest order plus a job-id
+// index, with no lock. It is what the batch pipeline fills, what one
+// shard of Sharded is, and the reference Sharded is checked against.
 type Store struct {
-	records []*Record
+	records Records
 	byJobID map[string]*Record
 }
 
@@ -151,7 +153,8 @@ func NewStore() *Store {
 	return &Store{byJobID: map[string]*Record{}}
 }
 
-// Ingest adds a record; re-ingesting a job id replaces the prior record.
+// Ingest adds a record; re-ingesting a job id replaces the prior record
+// in place, so ingest order is the order of first arrival.
 func (s *Store) Ingest(r *Record) error {
 	if r.JobID == "" {
 		return fmt.Errorf("warehouse: record without job id")
@@ -170,22 +173,61 @@ func (s *Store) Ingest(r *Record) error {
 	return nil
 }
 
-// Len returns the number of ingested jobs.
-func (s *Store) Len() int { return len(s.records) }
-
 // Lookup returns a record by job id.
 func (s *Store) Lookup(jobID string) (*Record, bool) {
 	r, ok := s.byJobID[jobID]
 	return r, ok
 }
 
-// Records returns every record in ingest order.
-func (s *Store) Records() []*Record { return append([]*Record(nil), s.records...) }
+// Records returns a copy of the record set, in ingest order.
+func (s *Store) Records() Records { return append(Records(nil), s.records...) }
+
+// Store's queries are the record set's, over its records in ingest order.
+
+// Len returns the number of ingested jobs.
+func (s *Store) Len() int { return len(s.records) }
 
 // Filter returns records matching the predicate.
-func (s *Store) Filter(pred func(*Record) bool) []*Record {
-	var out []*Record
-	for _, r := range s.records {
+func (s *Store) Filter(pred func(*Record) bool) Records { return s.records.Filter(pred) }
+
+// GroupBy aggregates all records along a dimension.
+func (s *Store) GroupBy(dim Dimension) []*Aggregate { return s.records.GroupBy(dim) }
+
+// GroupByFiltered aggregates the records matching the predicate.
+func (s *Store) GroupByFiltered(dim Dimension, pred func(*Record) bool) []*Aggregate {
+	return s.records.GroupByFiltered(dim, pred)
+}
+
+// Totals returns machine-wide aggregate metrics.
+func (s *Store) Totals() Aggregate { return s.records.Totals() }
+
+// DrillDown groups records by outer, then by inner within each group.
+func (s *Store) DrillDown(outer, inner Dimension) []*DrillDownGroup {
+	return s.records.DrillDown(outer, inner)
+}
+
+// Utilization computes the monthly utilization series.
+func (s *Store) Utilization(machineNodes int) []UtilizationPoint {
+	return s.records.Utilization(machineNodes)
+}
+
+// Rollup totals the records into hourly buckets.
+func (s *Store) Rollup() []RollupBucket { return s.records.Rollup() }
+
+// Records is a set of processed jobs in a fixed order, and owns the
+// only body of every query: Store answers them over its records in
+// ingest order, WarehouseSnapshot over a cut in job-id order. Float
+// sums accumulate in slice order, so the same jobs in the same order
+// aggregate bit-identically wherever they are held.
+type Records []*Record
+
+// Len returns the number of jobs in the set.
+func (rs Records) Len() int { return len(rs) }
+
+// Filter returns the records matching the predicate, in set order.
+func (rs Records) Filter(pred func(*Record) bool) Records {
+	var out Records
+	for _, r := range rs {
 		if pred(r) {
 			out = append(out, r)
 		}
@@ -195,20 +237,9 @@ func (s *Store) Filter(pred func(*Record) bool) []*Record {
 
 // GroupBy aggregates all records along a dimension, sorted by descending
 // job count.
-func (s *Store) GroupBy(dim Dimension) []*Aggregate {
-	return groupRecords(s.records, dim, len(s.records))
-}
-
-// GroupByFiltered aggregates a filtered subset; mix percentages are
-// relative to the subset.
-func (s *Store) GroupByFiltered(dim Dimension, pred func(*Record) bool) []*Aggregate {
-	recs := s.Filter(pred)
-	return groupRecords(recs, dim, len(recs))
-}
-
-func groupRecords(recs []*Record, dim Dimension, total int) []*Aggregate {
+func (rs Records) GroupBy(dim Dimension) []*Aggregate {
 	groups := map[string]*Aggregate{}
-	for _, r := range recs {
+	for _, r := range rs {
 		key := dimensionKey(r, dim)
 		a, ok := groups[key]
 		if !ok {
@@ -236,9 +267,7 @@ func groupRecords(recs []*Record, dim Dimension, total int) []*Aggregate {
 	for _, a := range groups {
 		a.AvgWaitHrs = a.totalWait / float64(a.Jobs) / 3600
 		a.AvgNodes = a.totalNodes / float64(a.Jobs)
-		if total > 0 {
-			a.MixPercent = 100 * float64(a.Jobs) / float64(total)
-		}
+		a.MixPercent = 100 * float64(a.Jobs) / float64(len(rs))
 		if a.nSummaries > 0 {
 			a.AvgCPUUser = a.totalCPUUsr / float64(a.nSummaries)
 		}
@@ -253,9 +282,15 @@ func groupRecords(recs []*Record, dim Dimension, total int) []*Aggregate {
 	return out
 }
 
+// GroupByFiltered aggregates a filtered subset; mix percentages are
+// relative to the subset.
+func (rs Records) GroupByFiltered(dim Dimension, pred func(*Record) bool) []*Aggregate {
+	return rs.Filter(pred).GroupBy(dim)
+}
+
 // Totals returns machine-wide aggregate metrics.
-func (s *Store) Totals() Aggregate {
-	gs := groupRecords(s.records, Dimension("__all__"), len(s.records))
+func (rs Records) Totals() Aggregate {
+	gs := rs.GroupBy("__all__")
 	if len(gs) == 0 {
 		return Aggregate{Key: "total"}
 	}
@@ -264,29 +299,25 @@ func (s *Store) Totals() Aggregate {
 	return t
 }
 
-// DrillDown aggregates along two dimensions (XDMoD's drill-down view):
-// the outer groups are returned in descending job order, each carrying its
-// inner breakdown. Inner mix percentages are relative to the outer group.
+// DrillDownGroup is one outer group of XDMoD's drill-down view with its
+// inner breakdown; inner mix percentages are relative to the outer group.
 type DrillDownGroup struct {
 	Key   string
 	Jobs  int
 	Inner []*Aggregate
 }
 
-// DrillDown groups records by outer, then by inner within each group.
-func (s *Store) DrillDown(outer, inner Dimension) []*DrillDownGroup {
-	byOuter := map[string][]*Record{}
-	for _, r := range s.records {
+// DrillDown groups records by outer, then by inner within each group;
+// the outer groups come in descending job order.
+func (rs Records) DrillDown(outer, inner Dimension) []*DrillDownGroup {
+	byOuter := map[string]Records{}
+	for _, r := range rs {
 		k := dimensionKey(r, outer)
 		byOuter[k] = append(byOuter[k], r)
 	}
 	out := make([]*DrillDownGroup, 0, len(byOuter))
 	for k, recs := range byOuter {
-		out = append(out, &DrillDownGroup{
-			Key:   k,
-			Jobs:  len(recs),
-			Inner: groupRecords(recs, inner, len(recs)),
-		})
+		out = append(out, &DrillDownGroup{Key: k, Jobs: len(recs), Inner: recs.GroupBy(inner)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Jobs != out[j].Jobs {
