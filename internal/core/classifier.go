@@ -251,14 +251,22 @@ func (c *JobClassifier) PredictInterpreted(x []float64) int {
 // Uncategorized/NA analysis). On the compiled path this is the serving
 // hot call: the pooled scratch makes it allocation-free per row.
 func (c *JobClassifier) Classify(x []float64, threshold float64) (label string, prob float64, ok bool) {
+	cls, prob := c.top(x)
+	return c.model.Classes()[cls], prob, prob >= threshold
+}
+
+// top returns the winning class and its probability. On the compiled
+// path it reads the one value out of the pooled scratch instead of
+// copying the posterior out, as PredictProb must.
+func (c *JobClassifier) top(x []float64) (cls int, prob float64) {
 	if s := c.compiledScratch(x); s != nil {
 		cls, probs := c.compiled.PredictProb(s.row, s.cs)
-		label := c.model.Classes()[cls]
-		prob := probs[cls]
+		prob = probs[cls]
 		c.scratch.Put(s)
-		return label, prob, prob >= threshold
+		return cls, prob
 	}
-	return c.ClassifyInterpreted(x, threshold)
+	cls, probs := c.PredictProbInterpreted(x)
+	return cls, probs[cls]
 }
 
 // ClassifyInterpreted is Classify through the original model, bypassing
@@ -275,8 +283,8 @@ func (c *JobClassifier) ClassifyInterpreted(x []float64, threshold float64) (lab
 func (c *JobClassifier) Score(d *dataset.Dataset) []eval.Prediction {
 	preds := make([]eval.Prediction, d.Len())
 	for i, row := range d.X {
-		cls, probs := c.PredictProb(row)
-		preds[i] = eval.Prediction{True: d.Y[i], Pred: cls, MaxProb: probs[cls]}
+		cls, prob := c.top(row)
+		preds[i] = eval.Prediction{True: d.Y[i], Pred: cls, MaxProb: prob}
 	}
 	return preds
 }
@@ -285,8 +293,8 @@ func (c *JobClassifier) Score(d *dataset.Dataset) []eval.Prediction {
 func (c *JobClassifier) ScoreRows(rows [][]float64) []eval.Prediction {
 	preds := make([]eval.Prediction, len(rows))
 	for i, row := range rows {
-		cls, probs := c.PredictProb(row)
-		preds[i] = eval.Prediction{True: -1, Pred: cls, MaxProb: probs[cls]}
+		cls, prob := c.top(row)
+		preds[i] = eval.Prediction{True: -1, Pred: cls, MaxProb: prob}
 	}
 	return preds
 }

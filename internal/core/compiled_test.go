@@ -169,5 +169,12 @@ func TestAllocCompiledClassify(t *testing.T) {
 		}); avg != 0 {
 			t.Errorf("%s: batch Classify allocates %.2f per run, want 0", algo, avg)
 		}
+		// Scoring reads one probability per row out of the scratch: the
+		// only allocation is the prediction slice it returns.
+		if avg := testing.AllocsPerRun(50, func() {
+			_ = c.ScoreRows(rows)
+		}); avg != 1 {
+			t.Errorf("%s: ScoreRows over %d rows allocates %.2f per run, want 1", algo, len(rows), avg)
+		}
 	}
 }

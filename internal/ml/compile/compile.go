@@ -4,9 +4,14 @@
 //   - random forests become one contiguous breadth-first node array with
 //     a branch-minimal descent (children of every split occupy adjacent
 //     slots, so the walk is an add of the comparison result);
-//   - SVMs become a contiguous row-major support-vector matrix with the
-//     kernel evaluated inline (no interface dispatch) and the pairwise
-//     coupling solved in a reusable scratch buffer;
+//   - SVMs become a contiguous row-major matrix of the support vectors
+//     the one-vs-one pairs share, each kernel value computed once per
+//     row, inline (no interface dispatch). A float64 sum is a serial
+//     add chain, so within a row four support vectors' feature sums and
+//     four pair machines' decision sums run side by side; every sum
+//     still adds its own terms in the interpreted order, which is all
+//     parity asks. The pairwise coupling is solved in a reusable scratch
+//     buffer;
 //   - Gaussian NB becomes precomputed log-space lookup tables, removing
 //     every math.Log from the predict path.
 //
@@ -67,6 +72,7 @@ type Scratch struct {
 	q     []float64 // coupling quadratic form, ka*ka
 	qp    []float64 // coupling Q*p product, len ka
 	kv    []float64 // SVM per-row kernel values, one per unique support vector
+	dec   []float64 // SVM per-row decision values, one per pair machine
 }
 
 // Compile lowers a trained model into its compiled serving form. It

@@ -36,10 +36,19 @@ type svmPair struct {
 // in one-vs-one, where each row can appear in k-1 machines) has its
 // kernel value computed once per classified row and reused by every
 // pair that references it. Each pair keeps its own (id, coefficient)
-// window in the original support-vector order, so its decision sum
-// accumulates the exact same float64 values in the exact same order as
-// the interpreted machine — bit parity holds while the dominant kernel
-// work drops by the duplication factor.
+// window in the original support-vector order.
+//
+// Scoring a row is two batches of float64 sums, one per unique vector
+// over the features and one per pair over its window, and each sum is a
+// chain of dependent adds that leaves the FP ports mostly idle when run
+// alone. Sums are independent of each other, so both batches advance
+// four at a time (sqDistsInto / dotsInto, decisions). Overlap changes
+// when an add issues, never what it adds: each sum accumulates the
+// exact same float64 values in the exact same order as the interpreted
+// machine, with the same expression shapes (acc += d*d, s += c*kv), so
+// an architecture that fuses multiply-adds fuses both engines alike.
+// Bit parity holds while the kernel work drops by the duplication
+// factor and the chains overlap.
 type SVM struct {
 	classes  []string
 	features int
@@ -165,58 +174,139 @@ func (m *SVM) NewScratch() *Scratch {
 		q:     make([]float64, ka*ka),
 		qp:    make([]float64, ka),
 		kv:    make([]float64, m.numUniq),
+		dec:   make([]float64, len(m.pairs)),
 	}
 }
 
 // kernelInto evaluates K(sv, x) for every unique support vector into
-// kv. The kernel arithmetic matches the interpreted Kernel.Eval exactly
-// (same expressions, same accumulation order over features); evaluating
-// each unique vector once instead of once per pair is pure reuse of an
-// identical float64.
+// kv. The kernel arithmetic matches the interpreted Kernel.Compute
+// exactly (same expressions, same accumulation order over features);
+// evaluating each unique vector once instead of once per pair is pure
+// reuse of an identical float64. The feature sums land in kv first and
+// the kernel's closing transform runs over kv in place.
 func (m *SVM) kernelInto(x []float64, kv []float64) {
-	nf := m.features
-	base := 0
+	x = x[:m.features]
 	switch m.kind {
 	case kernelRBF:
-		for u := range kv {
-			sv := m.uniq[base : base+nf : base+nf]
-			base += nf
-			var d2 float64
-			for i, v := range sv {
-				d := v - x[i]
-				d2 += d * d
-			}
+		sqDistsInto(m.uniq, x, kv)
+		for u, d2 := range kv {
 			kv[u] = math.Exp(-m.gamma * d2)
 		}
 	case kernelLinear:
-		for u := range kv {
-			sv := m.uniq[base : base+nf : base+nf]
-			base += nf
-			var dot float64
-			for i, v := range sv {
-				dot += v * x[i]
-			}
-			kv[u] = dot
-		}
+		dotsInto(m.uniq, x, kv)
 	case kernelPoly:
-		for u := range kv {
-			sv := m.uniq[base : base+nf : base+nf]
-			base += nf
-			var dot float64
-			for i, v := range sv {
-				dot += v * x[i]
-			}
-			kv[u] = math.Pow(m.gamma*dot+m.coef0, float64(m.degree))
+		dotsInto(m.uniq, x, kv)
+		degree := float64(m.degree)
+		for u, dot := range kv {
+			kv[u] = math.Pow(m.gamma*dot+m.coef0, degree)
 		}
 	}
 }
 
-// decision evaluates one pair machine, sum_t coef_t K(sv_t, x) - rho,
-// from the precomputed kernel values. The accumulation order matches
-// the interpreted binaryMachine.decision exactly.
-func (m *SVM) decision(p *svmPair, kv []float64) float64 {
-	var s float64
-	for t := p.svOff; t < p.svOff+p.svNum; t++ {
+// sqDistsInto writes ||sv_u - x||^2 for every row sv_u of the row-major
+// matrix uniq into out. A float64 sum over features is a serial add
+// chain, so four vectors run per trip: four independent chains for the
+// FP ports to overlap, each still summing its own features first to
+// last. The trailing len(out) % 4 vectors run one at a time.
+func sqDistsInto(uniq, x, out []float64) {
+	nf := len(x)
+	u, base := 0, 0
+	for ; u+4 <= len(out); u, base = u+4, base+4*nf {
+		s0 := uniq[base : base+nf]
+		s1 := uniq[base+nf : base+2*nf]
+		s2 := uniq[base+2*nf : base+3*nf]
+		s3 := uniq[base+3*nf : base+4*nf]
+		var a0, a1, a2, a3 float64
+		for i, xi := range x {
+			d0 := s0[i] - xi
+			a0 += d0 * d0
+			d1 := s1[i] - xi
+			a1 += d1 * d1
+			d2 := s2[i] - xi
+			a2 += d2 * d2
+			d3 := s3[i] - xi
+			a3 += d3 * d3
+		}
+		out[u], out[u+1], out[u+2], out[u+3] = a0, a1, a2, a3
+	}
+	for ; u < len(out); u, base = u+1, base+nf {
+		sv := uniq[base : base+nf]
+		var a float64
+		for i, xi := range x {
+			d := sv[i] - xi
+			a += d * d
+		}
+		out[u] = a
+	}
+}
+
+// dotsInto writes sv_u . x for every row of uniq into out, the sum the
+// linear and polynomial kernels share, four rows per trip like
+// sqDistsInto.
+func dotsInto(uniq, x, out []float64) {
+	nf := len(x)
+	u, base := 0, 0
+	for ; u+4 <= len(out); u, base = u+4, base+4*nf {
+		s0 := uniq[base : base+nf]
+		s1 := uniq[base+nf : base+2*nf]
+		s2 := uniq[base+2*nf : base+3*nf]
+		s3 := uniq[base+3*nf : base+4*nf]
+		var a0, a1, a2, a3 float64
+		for i, xi := range x {
+			a0 += s0[i] * xi
+			a1 += s1[i] * xi
+			a2 += s2[i] * xi
+			a3 += s3[i] * xi
+		}
+		out[u], out[u+1], out[u+2], out[u+3] = a0, a1, a2, a3
+	}
+	for ; u < len(out); u, base = u+1, base+nf {
+		sv := uniq[base : base+nf]
+		var a float64
+		for i, xi := range x {
+			a += sv[i] * xi
+		}
+		out[u] = a
+	}
+}
+
+// decisions evaluates every pair machine, sum_t coef_t K(sv_t, x) - rho,
+// from the precomputed kernel values into dec. Like the feature sums,
+// each pair's sum is a serial add chain, so four pairs advance together
+// over their common length and each finishes its own remainder; every
+// pair still accumulates in its own support-vector order, the order of
+// the interpreted binaryMachine.decision.
+func (m *SVM) decisions(kv, dec []float64) {
+	pairs := m.pairs
+	pi := 0
+	for ; pi+4 <= len(pairs); pi += 4 {
+		p0, p1, p2, p3 := &pairs[pi], &pairs[pi+1], &pairs[pi+2], &pairs[pi+3]
+		n := min(p0.svNum, p1.svNum, p2.svNum, p3.svNum)
+		c0, id0 := m.coef[p0.svOff:p0.svOff+n], m.svID[p0.svOff:p0.svOff+n]
+		c1, id1 := m.coef[p1.svOff:p1.svOff+n], m.svID[p1.svOff:p1.svOff+n]
+		c2, id2 := m.coef[p2.svOff:p2.svOff+n], m.svID[p2.svOff:p2.svOff+n]
+		c3, id3 := m.coef[p3.svOff:p3.svOff+n], m.svID[p3.svOff:p3.svOff+n]
+		var s0, s1, s2, s3 float64
+		for t := 0; t < n; t++ {
+			s0 += c0[t] * kv[id0[t]]
+			s1 += c1[t] * kv[id1[t]]
+			s2 += c2[t] * kv[id2[t]]
+			s3 += c3[t] * kv[id3[t]]
+		}
+		dec[pi] = m.decisionFrom(p0, n, s0, kv)
+		dec[pi+1] = m.decisionFrom(p1, n, s1, kv)
+		dec[pi+2] = m.decisionFrom(p2, n, s2, kv)
+		dec[pi+3] = m.decisionFrom(p3, n, s3, kv)
+	}
+	for ; pi < len(pairs); pi++ {
+		dec[pi] = m.decisionFrom(&pairs[pi], 0, 0, kv)
+	}
+}
+
+// decisionFrom finishes one pair machine whose first n terms already
+// sum to s.
+func (m *SVM) decisionFrom(p *svmPair, n int, s float64, kv []float64) float64 {
+	for t := p.svOff + n; t < p.svOff+p.svNum; t++ {
 		s += m.coef[t] * kv[m.svID[t]]
 	}
 	return s - p.rho
@@ -230,7 +320,8 @@ func (p *svmPair) pairProb(f float64) float64 {
 	}
 	fApB := p.a*f + p.b
 	if fApB >= 0 {
-		return math.Exp(-fApB) / (1 + math.Exp(-fApB))
+		e := math.Exp(-fApB)
+		return e / (1 + e)
 	}
 	return 1 / (1 + math.Exp(fApB))
 }
@@ -249,13 +340,14 @@ func clampProb(v, lo, hi float64) float64 {
 // interpreted Model.Predict (ties break toward the lower class index).
 func (m *SVM) Predict(row []float64, s *Scratch) int {
 	m.kernelInto(row, s.kv)
+	m.decisions(s.kv, s.dec)
 	votes := s.votes
 	for i := range votes {
 		votes[i] = 0
 	}
 	for pi := range m.pairs {
 		p := &m.pairs[pi]
-		if m.decision(p, s.kv) > 0 {
+		if s.dec[pi] > 0 {
 			votes[p.i]++
 		} else {
 			votes[p.j]++
@@ -289,13 +381,14 @@ func (m *SVM) PredictProb(row []float64, s *Scratch) (int, []float64) {
 	// matrix first; entries no pair writes stay zero there, so the
 	// scratch matrix is zeroed to match.
 	m.kernelInto(row, s.kv)
+	m.decisions(s.kv, s.dec)
 	sub := s.sub
 	for i := range sub {
 		sub[i] = 0
 	}
 	for pi := range m.pairs {
 		p := &m.pairs[pi]
-		pr := clampProb(p.pairProb(m.decision(p, s.kv)), 1e-7, 1-1e-7)
+		pr := clampProb(p.pairProb(s.dec[pi]), 1e-7, 1-1e-7)
 		sub[p.ai*ka+p.aj] = pr
 		sub[p.aj*ka+p.ai] = 1 - pr
 	}
@@ -321,29 +414,30 @@ func coupleInto(r []float64, k int, p, q, qp []float64) {
 		p[0] = 1
 		return
 	}
-	for i := range q {
-		q[i] = 0
-	}
 	for t := 0; t < k; t++ {
 		p[t] = 1 / float64(k)
+		qt := q[t*k : t*k+k]
+		var qtt float64
 		for j := 0; j < k; j++ {
 			if j == t {
 				continue
 			}
-			q[t*k+t] += r[j*k+t] * r[j*k+t]
-			q[t*k+j] = -r[j*k+t] * r[t*k+j]
+			qtt += r[j*k+t] * r[j*k+t]
+			qt[j] = -r[j*k+t] * r[t*k+j]
 		}
+		qt[t] = qtt
 	}
 	const maxIter = 100
 	eps := 0.005 / float64(k)
 	for iter := 0; iter < maxIter*k; iter++ {
 		pQp := 0.0
 		for t := 0; t < k; t++ {
-			qp[t] = 0
-			for j := 0; j < k; j++ {
-				qp[t] += q[t*k+j] * p[j]
+			var s float64
+			for j, qtj := range q[t*k : t*k+k] {
+				s += qtj * p[j]
 			}
-			pQp += p[t] * qp[t]
+			qp[t] = s
+			pQp += p[t] * s
 		}
 		maxErr := 0.0
 		for t := 0; t < k; t++ {
@@ -355,12 +449,14 @@ func coupleInto(r []float64, k int, p, q, qp []float64) {
 			break
 		}
 		for t := 0; t < k; t++ {
-			diff := (-qp[t] + pQp) / q[t*k+t]
+			qt := q[t*k : t*k+k]
+			diff := (-qp[t] + pQp) / qt[t]
 			p[t] += diff
-			pQp = (pQp + diff*(diff*q[t*k+t]+2*qp[t])) / ((1 + diff) * (1 + diff))
-			for j := 0; j < k; j++ {
-				qp[j] = (qp[j] + diff*q[t*k+j]) / (1 + diff)
-				p[j] /= 1 + diff
+			scale := 1 + diff
+			pQp = (pQp + diff*(diff*qt[t]+2*qp[t])) / (scale * scale)
+			for j, qtj := range qt {
+				qp[j] = (qp[j] + diff*qtj) / scale
+				p[j] /= scale
 			}
 		}
 	}

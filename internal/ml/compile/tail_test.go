@@ -1,0 +1,158 @@
+package compile_test
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/ml/compile"
+	"repro/internal/ml/svm"
+	"repro/internal/rng"
+)
+
+// tailShape describes a hand-built one-vs-one SVM: pool distinct support
+// vectors shared by the pair machines, and one window length per class
+// pair in (0,1), (0,2), ..., (k-2,k-1) order. A negative length omits
+// the pair, zero keeps a machine with no support vectors.
+type tailShape struct {
+	name    string
+	classes int
+	pool    int
+	lens    []int
+}
+
+// tailShapes puts every remainder of the compiled row kernel's 4-wide
+// loops on the table: unique-vector counts of each residue mod 4
+// (including fewer than four), pair counts that are odd, below four and
+// multiples of four, pairs of unequal and of zero length, a single-pair
+// model and a class no pair trains.
+var tailShapes = []tailShape{
+	{"five pairs one empty, 6 vectors", 4, 6, []int{4, 0, 6, 3, -1, 5}},
+	{"nine unequal pairs, 7 vectors", 5, 7, []int{1, 7, 2, 6, 3, 5, 4, -1, 7, 1}},
+	{"eight equal pairs, 8 vectors", 5, 8, []int{8, 8, 8, 8, -1, 8, 8, -1, 8, 8}},
+	{"three pairs, 3 vectors", 3, 3, []int{2, 3, 1}},
+	{"single pair, 5 vectors", 2, 5, []int{5}},
+	{"inactive class, 4 vectors", 4, 4, []int{3, 2, -1, 4, -1, -1}},
+}
+
+var tailKernels = []svm.Kernel{
+	svm.RBF{Gamma: 0.1},
+	svm.Linear{},
+	svm.Poly{Gamma: 0.5, Coef0: 1, Degree: 3},
+}
+
+// tailSnapshot mirrors the field names of the svm package's gob
+// snapshot, which is all gob matches on, so a spec written by hand can
+// be restored into an interpreted svm.Model.
+type tailSnapshot struct {
+	Classes  []string
+	Features int
+	Kernel   struct {
+		Name         string
+		Gamma, Coef0 float64
+		Degree       int
+	}
+	Pairs []svm.PairSpec
+}
+
+// tailModel builds the shape as an interpreted model plus the probe
+// rows to score: every pooled support vector, a few rows off them, the
+// origin and a row of non-finite values.
+func tailModel(t testing.TB, sh tailShape, kernel svm.Kernel, calibrated bool, features int) (*svm.Model, [][]float64) {
+	t.Helper()
+	r := rng.New(uint64(7*sh.classes + sh.pool))
+	vec := func() []float64 {
+		v := make([]float64, features)
+		for f := range v {
+			v[f] = 2 * r.Normal()
+		}
+		return v
+	}
+	pool := make([][]float64, sh.pool)
+	for u := range pool {
+		pool[u] = vec()
+	}
+
+	snap := tailSnapshot{Features: features}
+	snap.Kernel.Name = kernel.Name()
+	switch k := kernel.(type) {
+	case svm.RBF:
+		snap.Kernel.Gamma = k.Gamma
+	case svm.Poly:
+		snap.Kernel.Gamma, snap.Kernel.Coef0, snap.Kernel.Degree = k.Gamma, k.Coef0, k.Degree
+	}
+	for c := 0; c < sh.classes; c++ {
+		snap.Classes = append(snap.Classes, fmt.Sprintf("class%02d", c))
+	}
+	used := make([]bool, sh.pool)
+	pi := 0
+	for i := 0; i < sh.classes; i++ {
+		for j := i + 1; j < sh.classes; j++ {
+			n := sh.lens[pi]
+			pi++
+			if n < 0 {
+				continue
+			}
+			p := svm.PairSpec{I: i, J: j, Rho: 0.1 * r.Normal(), HasAB: calibrated}
+			if calibrated {
+				p.A, p.B = -1.5+0.2*r.Normal(), 0.1*r.Normal()
+			}
+			// Windows start at a different pool vector per pair, so
+			// neighbouring machines read the shared kernel values in
+			// different orders.
+			for s := 0; s < n; s++ {
+				u := (pi + s) % sh.pool
+				used[u] = true
+				p.SV = append(p.SV, pool[u])
+				p.Coef = append(p.Coef, r.Normal())
+			}
+			snap.Pairs = append(snap.Pairs, p)
+		}
+	}
+	for u, ok := range used {
+		if !ok {
+			t.Fatalf("shape %q never references pool vector %d: its unique count is not %d", sh.name, u, sh.pool)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	m := &svm.Model{}
+	if err := m.UnmarshalBinary(buf.Bytes()); err != nil {
+		t.Fatalf("restore shape %q: %v", sh.name, err)
+	}
+
+	probes := append([][]float64(nil), pool...)
+	for i := 0; i < 4; i++ {
+		probes = append(probes, vec())
+	}
+	probes = append(probes, make([]float64, features))
+	odd := make([]float64, features)
+	odd[0], odd[1], odd[2] = math.NaN(), math.Inf(1), math.Inf(-1)
+	probes = append(probes, odd)
+	return m, probes
+}
+
+// TestSVMTailShapeParity holds the compiled SVM bit-equal to the
+// interpreted one on every remainder the 4-wide kernel and decision
+// loops can leave.
+func TestSVMTailShapeParity(t *testing.T) {
+	for _, sh := range tailShapes {
+		for _, kernel := range tailKernels {
+			for _, calibrated := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/%s/calibrated=%v", sh.name, kernel.Name(), calibrated), func(t *testing.T) {
+					m, probes := tailModel(t, sh, kernel, calibrated, 5)
+					cm, err := compile.Compile(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertParity(t, m, cm, probes)
+				})
+			}
+		}
+	}
+}

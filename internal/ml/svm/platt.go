@@ -54,11 +54,13 @@ func fitSigmoid(dec []float64, y []float64) (a, b float64) {
 			fApB := dec[i]*a + b
 			var p, q float64
 			if fApB >= 0 {
-				p = math.Exp(-fApB) / (1 + math.Exp(-fApB))
-				q = 1 / (1 + math.Exp(-fApB))
+				e := math.Exp(-fApB)
+				p = e / (1 + e)
+				q = 1 / (1 + e)
 			} else {
-				p = 1 / (1 + math.Exp(fApB))
-				q = math.Exp(fApB) / (1 + math.Exp(fApB))
+				e := math.Exp(fApB)
+				p = 1 / (1 + e)
+				q = e / (1 + e)
 			}
 			d2 := p * q
 			h11 += dec[i] * dec[i] * d2

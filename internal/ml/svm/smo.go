@@ -254,7 +254,8 @@ func (m *binaryMachine) prob(f float64) float64 {
 	// Numerically careful sigmoid 1/(1+exp(A f + B)).
 	fApB := m.a*f + m.b
 	if fApB >= 0 {
-		return math.Exp(-fApB) / (1 + math.Exp(-fApB))
+		e := math.Exp(-fApB)
+		return e / (1 + e)
 	}
 	return 1 / (1 + math.Exp(fApB))
 }

@@ -61,11 +61,22 @@ type batchResponse struct {
 // hostile body cannot make the server build a buffer it will then
 // reject.
 func resolveColumns(v *core.ModelView, cols map[string][]float64) (rows [][]float64, defaulted []string, err error) {
-	n := -1
 	var unknown []string
-	for name, col := range cols {
+	for name := range cols {
 		if _, ok := v.FeatureIndex(name); !ok {
 			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return nil, nil, fmt.Errorf("unknown features: %v", unknown)
+	}
+	// Lengths are compared in model feature order, not map order, so a
+	// ragged body is refused with the same message every time.
+	n := -1
+	for _, name := range v.Model.Features {
+		col, ok := cols[name]
+		if !ok {
 			continue
 		}
 		if n == -1 {
@@ -73,10 +84,6 @@ func resolveColumns(v *core.ModelView, cols map[string][]float64) (rows [][]floa
 		} else if len(col) != n {
 			return nil, nil, fmt.Errorf("column %q has %d values, others have %d", name, len(col), n)
 		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return nil, nil, fmt.Errorf("unknown features: %v", unknown)
 	}
 	if n <= 0 {
 		return nil, nil, errors.New("columns form carries no rows")

@@ -264,6 +264,30 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
+// TestBatchRaggedColumnsMessageStable pins the ragged-columns refusal
+// to the request body: six columns of six different lengths leave a
+// map-order walk free to name any of them, so the same body posted
+// repeatedly must yield one message.
+func TestBatchRaggedColumnsMessageStable(t *testing.T) {
+	srv, _ := obsServer(t)
+	names := featureNames(t, srv.URL)
+	cols := map[string][]float64{}
+	for i, name := range names[:6] {
+		cols[name] = make([]float64, i+1)
+	}
+	seen := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		code, body := postJSON(t, srv.URL+"/api/classify/batch", map[string]any{"columns": cols, "threshold": 0.5})
+		if code != http.StatusBadRequest {
+			t.Fatalf("post %d: status %d, want 400", i, code)
+		}
+		seen[string(body)] = true
+	}
+	if len(seen) != 1 {
+		t.Errorf("one ragged body drew %d distinct refusals: %v", len(seen), seen)
+	}
+}
+
 func TestBatchNoModel(t *testing.T) {
 	srv, _ := emptyStoreServer(t)
 	code, _ := postJSON(t, srv.URL+"/api/classify/batch", map[string]any{"rows": []map[string]float64{{"X": 1}}})
