@@ -12,8 +12,8 @@ FUZZTIME ?= 10s
 # Only test binaries that link internal/testkit define the -update flag,
 # so the regeneration sweep is scoped to these packages.
 TESTKIT_PKGS = ./internal/testkit ./internal/ml/bayes ./internal/ml/forest \
-	./internal/ml/svm ./internal/ml/eval ./internal/core ./internal/experiments \
-	./internal/lifecycle
+	./internal/ml/svm ./internal/ml/eval ./internal/ml/ensemble ./internal/core \
+	./internal/experiments ./internal/lifecycle
 
 # package:FuzzTarget pairs for the CI fuzz smoke.
 FUZZ_TARGETS = \
@@ -129,14 +129,16 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) ./...
 
-# The zero-allocation gate: every TestAlloc* test asserts
+# The allocation gate: every TestAlloc* test asserts
 # testing.AllocsPerRun == 0 on a compiled-engine serving call (RF, SVM
 # and NB predictors, single and batch rows, JobClassifier.Classify
 # through the scratch pool, and the governed-row pipeline's per-row
-# stage over a compiled RF view).
+# stage over a compiled RF view), and holds the stack, which returns a
+# caller-owned posterior, to that one allocation per row (two through
+# JobClassifier, which also copies the row to scale it).
 alloc-gate:
-	$(GO) test -count=1 -run 'TestAlloc' -v ./internal/ml/compile ./internal/core \
-		./internal/server
+	$(GO) test -count=1 -run 'TestAlloc' -v ./internal/ml/compile ./internal/ml/ensemble \
+		./internal/core ./internal/server
 
 # The flight-recorder overhead ratchet: benchmarks the full serving
 # path with the recorder armed vs disarmed and fails when the armed

@@ -64,8 +64,9 @@ type JobClassifier struct {
 
 	// compiled is the flat zero-allocation serving form (see
 	// internal/ml/compile) of a forest, SVM or NB model, built by
-	// newJobClassifier. It is nil only for the stack, which has no
-	// compiled form and serves through model directly.
+	// newJobClassifier. It is nil only for the stack, which is not a
+	// compile.Compile family: it serves through model, an interpreted
+	// meta-learner that keeps its own compiled bases and scratch pool.
 	compiled compile.Model
 	scratch  sync.Pool // of *classifyScratch
 }
@@ -118,8 +119,9 @@ func TrainJobClassifier(train *dataset.Dataset, cfg ClassifierConfig) (*JobClass
 // picks the engine from the model family alone. A forest, SVM or NB
 // model is lowered into its compiled form, and a model the compiler's
 // structural validation rejects is an error here, never a slower
-// classifier; the stack, which has no compiled form, serves through the
-// model itself (ensemble.UnmarshalBinary validates a restored one).
+// classifier; the stack serves through the model itself, which compiled
+// and validated its own bases when it was trained or restored
+// (ensemble.Train, ensemble.UnmarshalBinary).
 // Either way the scaler and the model must agree with the feature
 // schema on the row width, so a served row can never index past a
 // table.
@@ -166,7 +168,8 @@ func (c *JobClassifier) Serving() (algo string, compiled bool) {
 // against the schema's width (a wrong-width row is a caller bug, named
 // here instead of as an index fault inside a scaler or a tree walk) and,
 // on a compiled family, returns a pooled scratch holding the scaled
-// row. The stack gets nil and serves its interpreted models.
+// row. The stack gets nil and serves through its own model, whose bases
+// are compiled inside internal/ml/ensemble.
 func (c *JobClassifier) compiledScratch(x []float64) *classifyScratch {
 	if len(x) != len(c.Features) {
 		panic(fmt.Sprintf("core: row has %d values, model expects %d", len(x), len(c.Features)))

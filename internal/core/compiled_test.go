@@ -107,6 +107,33 @@ func TestWrongWidthRowPanicsByName(t *testing.T) {
 	}
 }
 
+// TestAllocStackClassify gates the path a promotion to the stack
+// challenger lands serving on: the stack is not a compile.Compile family
+// (IsCompiled stays false), but its bases run compiled, so a classified
+// row costs the scaled-row copy plus the stack's own posterior and
+// nothing per base, tree or support vector.
+func TestAllocStackClassify(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-detector allocations; the alloc gate runs without -race")
+	}
+	stack, err := TrainJobClassifier(
+		testkit.SynthClassification(testkit.SynthConfig{Seed: 91, Classes: 3, Features: 5, RowsPerCls: 20}),
+		ClassifierConfig{Algo: AlgoStack, Forest: forest.Config{Trees: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stack.IsCompiled() {
+		t.Fatal("the stack reports the compiled engine; this gate covers the branch that does not")
+	}
+	_, rows := trainCompiledTrio(t)
+	row := rows[0]
+	if avg := testing.AllocsPerRun(200, func() {
+		_, _, _ = stack.Classify(row, 0.5)
+	}); avg > 2 {
+		t.Errorf("stack Classify allocates %.2f per row, want <= 2", avg)
+	}
+}
+
 func TestCompiledSurvivesSaveLoad(t *testing.T) {
 	trio, rows := trainCompiledTrio(t)
 	for algo, c := range trio {

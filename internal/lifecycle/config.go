@@ -34,7 +34,7 @@ type Config struct {
 	// MinRows is how full the window must be before drift is evaluated.
 	MinRows int
 	// Every evaluates drift once per this many observed rows (amortizes
-	// the O(Window x Features) statistic off the per-row path).
+	// the O(Features x Bins) statistic off the per-row path).
 	Every int
 	// DriftThreshold is the per-feature PSI alarm level: drift fires
 	// when any feature's PSI meets it.

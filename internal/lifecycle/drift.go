@@ -131,21 +131,28 @@ func smooth(counts []int, n int) []float64 {
 	return out
 }
 
-// psi computes the Population Stability Index between two smoothed
-// proportion vectors of equal length. Identical vectors give exactly 0:
-// every term is (p-q)*ln(p/q) with p == q bit-for-bit.
-func psi(p, q []float64) float64 {
+// psiCounts computes the Population Stability Index between a window's
+// bin counts over n observations, smoothed by the rule smooth applies
+// ((count+1) / (n+bins)), and the baseline proportions q. Equal counts
+// give exactly 0: every term is (p-q)*ln(p/q) with p == q bit-for-bit.
+// It allocates nothing, so the per-row path can call it under the loop
+// lock.
+func psiCounts(counts []int, n int, q []float64) float64 {
+	den := float64(n + len(counts))
 	var s float64
-	for i := range p {
-		if p[i] == q[i] {
+	for i, c := range counts {
+		p := float64(c+1) / den
+		if p == q[i] {
 			continue
 		}
-		s += (p[i] - q[i]) * math.Log(p[i]/q[i])
+		s += (p - q[i]) * math.Log(p/q[i])
 	}
 	return s
 }
 
-// FeaturePSI computes per-feature PSI for a window of raw rows.
+// FeaturePSI computes per-feature PSI for a window of raw rows. It is
+// the reference form: the loop's window keeps the same bin counts
+// incrementally and must agree with it bit for bit.
 func (b *Baseline) FeaturePSI(rows [][]float64) []float64 {
 	out := make([]float64, len(b.Features))
 	if len(rows) == 0 {
@@ -153,13 +160,11 @@ func (b *Baseline) FeaturePSI(rows [][]float64) []float64 {
 	}
 	counts := make([]int, b.Bins)
 	for f := range b.Features {
-		for i := range counts {
-			counts[i] = 0
-		}
+		clear(counts)
 		for _, row := range rows {
 			counts[binOf(b.Edges[f], row[f])]++
 		}
-		out[f] = psi(smooth(counts, len(rows)), b.FeatProp[f])
+		out[f] = psiCounts(counts, len(rows), b.FeatProp[f])
 	}
 	return out
 }
@@ -170,7 +175,7 @@ func (b *Baseline) PosteriorPSI(classCounts []int, rows int) float64 {
 	if rows == 0 {
 		return 0
 	}
-	return psi(smooth(classCounts, rows), b.ClassProp)
+	return psiCounts(classCounts, rows, b.ClassProp)
 }
 
 // ClassIndex resolves a predicted label to its position in the

@@ -199,47 +199,86 @@ type Transition struct {
 // maxTransitions bounds the transition log kept for /api/lifecycle.
 const maxTransitions = 64
 
-// window is the sliding drift window: a fixed-capacity ring of raw
-// feature rows plus the champion's predicted class for each.
+// window is the sliding drift window over the most recent rows. It keeps
+// no row: each slot of the fixed-capacity ring holds the row's baseline
+// bin per feature and the champion's predicted class, and the per-feature
+// bin counts and class counts are kept in step with the ring (add on
+// enter, subtract on evict). A drift evaluation therefore reads
+// Features x Bins integers instead of re-binning Window x Features
+// values, and adding a row allocates nothing. The counts are the ones
+// Baseline.FeaturePSI would recount from the rows, so every statistic is
+// bit-identical to that reference form.
 type window struct {
-	rows  [][]float64
-	cls   []int
-	next  int
-	n     int
-	extra int // predictions outside the class vocabulary (counted, unbinned)
+	base       *Baseline // whose edges the bin ids index; rebound by reset
+	bins       []uint16  // capacity x features bin ids, slot-major
+	cls        []int     // predicted class per slot, -1 outside the vocabulary
+	featCounts []int     // features x base.Bins live bin counts, feature-major
+	clsCounts  []int     // live rows per predicted class
+	next       int
+	n          int
 }
 
-func newWindow(capacity int) *window {
-	return &window{rows: make([][]float64, capacity), cls: make([]int, capacity)}
+func newWindow(capacity int, base *Baseline) *window {
+	w := &window{cls: make([]int, capacity)}
+	w.reset(base)
+	return w
+}
+
+// reset empties the window and binds it to base: bin ids are only
+// meaningful against the edges that produced them, so the loop resets
+// the window whenever it changes its drift reference. Resets are rare
+// (promotion, rollback), so the tables are simply rebuilt to base's shape.
+func (w *window) reset(base *Baseline) {
+	p := len(base.Features)
+	w.base, w.next, w.n = base, 0, 0
+	w.bins = make([]uint16, len(w.cls)*p)
+	w.featCounts = make([]int, p*base.Bins)
+	w.clsCounts = make([]int, len(base.Classes))
 }
 
 func (w *window) add(row []float64, cls int) {
-	w.rows[w.next] = append([]float64(nil), row...)
-	w.cls[w.next] = cls
-	w.next = (w.next + 1) % len(w.rows)
-	if w.n < len(w.rows) {
+	p, nb := len(w.base.Features), w.base.Bins
+	slot := w.bins[w.next*p : (w.next+1)*p]
+	if w.n == len(w.cls) {
+		for f, b := range slot {
+			w.featCounts[f*nb+int(b)]--
+		}
+		if c := w.cls[w.next]; c >= 0 {
+			w.clsCounts[c]--
+		}
+	} else {
 		w.n++
 	}
-}
-
-func (w *window) reset() {
-	w.next, w.n = 0, 0
-}
-
-// snapshot returns the live rows and per-class counts. Row order is
-// irrelevant to the (permutation-invariant) statistics.
-func (w *window) snapshot(numClasses int) ([][]float64, []int) {
-	rows := make([][]float64, 0, w.n)
-	counts := make([]int, numClasses)
-	start := w.next - w.n
-	for i := 0; i < w.n; i++ {
-		j := (start + i + len(w.rows)) % len(w.rows)
-		rows = append(rows, w.rows[j])
-		if c := w.cls[j]; c >= 0 {
-			counts[c]++
-		}
+	for f := range slot {
+		b := binOf(w.base.Edges[f], row[f])
+		slot[f] = uint16(b)
+		w.featCounts[f*nb+b]++
 	}
-	return rows, counts
+	w.cls[w.next] = cls
+	if cls >= 0 {
+		w.clsCounts[cls]++
+	}
+	w.next = (w.next + 1) % len(w.cls)
+}
+
+// featurePSI is Baseline.FeaturePSI over the live rows, read from the
+// running counts.
+func (w *window) featurePSI() []float64 {
+	out := make([]float64, len(w.base.Features))
+	if w.n == 0 {
+		return out
+	}
+	nb := w.base.Bins
+	for f := range out {
+		out[f] = psiCounts(w.featCounts[f*nb:(f+1)*nb], w.n, w.base.FeatProp[f])
+	}
+	return out
+}
+
+// posteriorPSI is Baseline.PosteriorPSI over the live rows' predicted
+// classes.
+func (w *window) posteriorPSI() float64 {
+	return w.base.PosteriorPSI(w.clsCounts, w.n)
 }
 
 // Loop is the closed-loop lifecycle controller. Observe is the per-row
@@ -344,7 +383,7 @@ func New(cfg Config, opts Options) (*Loop, error) {
 		notify:  opts.Notify,
 		base:    opts.Baseline,
 		state:   StateStable,
-		win:     newWindow(cfg.Window),
+		win:     newWindow(cfg.Window, opts.Baseline),
 	}
 	reg := opts.Registry
 	reg.Help("lifecycle_state", "Lifecycle state machine: 0 stable, 1 drifting, 2 shadowing, 3 promoting.")
@@ -447,11 +486,12 @@ func (l *Loop) Observe(ctx context.Context, row []float64, predLabel string) {
 		return
 	}
 
-	// Challenger inference runs off the mutex: the stacked ensemble is
-	// far slower than the compiled champion path, and holding the loop
-	// lock through it would serialize every concurrent serving request
-	// behind one model evaluation. Model prediction is read-only, so
-	// concurrent rows may score simultaneously.
+	// Challenger inference runs off the mutex: a model evaluation (the
+	// stacked ensemble runs three compiled bases and a softmax per row)
+	// costs far more than the ring append, and holding the loop lock
+	// through it would serialize every concurrent serving request behind
+	// it. Model prediction is read-only, so concurrent rows may score
+	// simultaneously.
 	agree, err := l.shadowPredict(fe, chall, row, predLabel)
 
 	l.mu.Lock()
@@ -513,19 +553,18 @@ func (l *Loop) recordShadowLocked(fe *flight.Active, agree bool, err error) {
 	fe.AddShadow(agree)
 }
 
-// evaluateDriftLocked recomputes the drift statistics over the window
-// and fires the alarm when either monitor crosses its threshold.
+// evaluateDriftLocked recomputes the drift statistics from the window's
+// running counts and fires the alarm when either monitor crosses its
+// threshold.
 func (l *Loop) evaluateDriftLocked() {
-	rows, classCounts := l.win.snapshot(len(l.base.Classes))
-	featPSI := l.base.FeaturePSI(rows)
 	l.maxFeatPSI, l.driftFeat = 0, ""
-	for f, v := range featPSI {
+	for f, v := range l.win.featurePSI() {
 		if v > l.maxFeatPSI {
 			l.maxFeatPSI = v
 			l.driftFeat = l.base.Features[f]
 		}
 	}
-	l.postPSI = l.base.PosteriorPSI(classCounts, len(rows))
+	l.postPSI = l.win.posteriorPSI()
 	l.mFeatPSI.Set(l.maxFeatPSI)
 	l.mPostPSI.Set(l.postPSI)
 	featAlarm := l.maxFeatPSI >= l.cfg.DriftThreshold
@@ -678,7 +717,7 @@ func (l *Loop) Decide() error {
 		l.base = l.pendingBase
 		l.pendingBase = nil
 	}
-	l.win.reset()
+	l.win.reset(l.base)
 	l.sinceEval = 0
 	l.challenger, l.evalSet = nil, nil
 	l.challengerEpoch++
@@ -782,7 +821,7 @@ func (l *Loop) Rollback() error {
 	l.prev, l.prevBase, l.prevReady = nil, nil, false
 	l.challenger, l.evalSet, l.pendingBase = nil, nil, nil
 	l.challengerEpoch++
-	l.win.reset()
+	l.win.reset(l.base)
 	l.sinceEval = 0
 	l.cooldown = l.cfg.Cooldown
 	l.transitionLocked(StateStable, "rolled back to previous champion")

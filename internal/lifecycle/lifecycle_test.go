@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -576,23 +578,107 @@ func TestConcurrentDecideCannotDoublePromote(t *testing.T) {
 }
 
 func TestWindowRingWrapsAndCounts(t *testing.T) {
-	win := newWindow(4)
+	d, preds, classes := driftWorld(t, 3)
+	base, err := NewBaseline(d, preds, classes, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := newWindow(4, base)
 	for i := 0; i < 6; i++ {
 		cls := i % 2
 		if i == 5 {
 			cls = -1 // outside the vocabulary: kept, not counted
 		}
-		win.add([]float64{float64(i)}, cls)
+		win.add(d.X[i], cls)
 	}
-	rows, counts := win.snapshot(2)
-	if len(rows) != 4 || rows[0][0] != 2 || rows[3][0] != 5 {
-		t.Fatalf("ring contents: %v", rows)
+	// Rows 2..5 are live: every feature's bin counts sum to the ring's
+	// capacity, and row 5's class is held but uncounted.
+	if win.n != 4 {
+		t.Fatalf("ring holds %d rows, want 4", win.n)
 	}
-	if counts[0] != 2 || counts[1] != 1 {
-		t.Fatalf("class counts: %v", counts)
+	for f := range base.Features {
+		sum := 0
+		for _, c := range win.featCounts[f*base.Bins : (f+1)*base.Bins] {
+			sum += c
+		}
+		if sum != 4 {
+			t.Fatalf("feature %d bin counts sum to %d, want 4", f, sum)
+		}
 	}
-	win.reset()
-	if rows, _ := win.snapshot(2); len(rows) != 0 {
-		t.Fatalf("reset ring still holds %d rows", len(rows))
+	if win.clsCounts[0] != 2 || win.clsCounts[1] != 1 {
+		t.Fatalf("class counts: %v", win.clsCounts)
 	}
+	win.reset(base)
+	if win.n != 0 || slices.Max(win.featCounts) != 0 || slices.Max(win.clsCounts) != 0 {
+		t.Fatalf("reset ring still holds %d rows (counts %v / %v)", win.n, win.featCounts, win.clsCounts)
+	}
+}
+
+// TestWindowPSIMatchesReference holds the window's running counts to the
+// reference form at every row across fill, wrap-around and a reset onto
+// a different baseline: its PSI vector and posterior PSI must equal
+// Baseline.FeaturePSI / PosteriorPSI recomputed from the same rows, bit
+// for bit.
+func TestWindowPSIMatchesReference(t *testing.T) {
+	d, preds, classes := driftWorld(t, 3)
+	first, err := NewBaseline(d, preds, classes, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second baseline differs in edges, bin count and vocabulary size,
+	// so the reset must rebuild the window's tables, not just clear them.
+	d2, preds2, _ := driftWorld(t, 4)
+	for i := range preds2 {
+		preds2[i] = classes[i%2]
+	}
+	second, err := NewBaseline(d2, preds2, classes[:2], 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const capacity = 16
+	win := newWindow(capacity, first)
+	check := func(base *Baseline, live [][]float64, liveCls []int, at string) {
+		t.Helper()
+		want := base.FeaturePSI(live)
+		got := win.featurePSI()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d PSI values, want %d", at, len(got), len(want))
+		}
+		for f := range want {
+			if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
+				t.Fatalf("%s feature %d: window PSI %v, FeaturePSI %v", at, f, got[f], want[f])
+			}
+		}
+		counts := make([]int, len(base.Classes))
+		for _, c := range liveCls {
+			if c >= 0 {
+				counts[c]++
+			}
+		}
+		if got, want := win.posteriorPSI(), base.PosteriorPSI(counts, len(live)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: window posterior PSI %v, PosteriorPSI %v", at, got, want)
+		}
+	}
+	feed := func(base *Baseline, seed uint64, phase string) {
+		var live [][]float64
+		var liveCls []int
+		check(base, live, liveCls, phase+" empty")
+		// 3.5 laps of the ring, drifting further every lap.
+		for i, row := range driftRows(seed, capacity*7/2, 0) {
+			for f := range row {
+				row[f] += float64(i/capacity) * 0.75
+			}
+			cls := i%(len(base.Classes)+1) - 1 // -1 included: outside the vocabulary
+			win.add(row, cls)
+			live, liveCls = append(live, row), append(liveCls, cls)
+			if len(live) > capacity {
+				live, liveCls = live[1:], liveCls[1:]
+			}
+			check(base, live, liveCls, fmt.Sprintf("%s row %d", phase, i))
+		}
+	}
+	feed(first, 21, "first baseline")
+	win.reset(second)
+	feed(second, 22, "after reset")
 }

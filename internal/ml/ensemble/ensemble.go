@@ -7,6 +7,13 @@
 // stack is a credible promotion candidate without hand-tuning which
 // single family copes best with the shifted distribution.
 //
+// Engine: the stack is an interpreted meta-learner over compiled bases.
+// Every row it scores -- serving, shadow scoring, and the out-of-fold
+// rows of its own training -- runs each base through its compiled form
+// (internal/ml/compile: NB tables, flat forest, shared-kernel SVM), which
+// is bit-identical to the interpreted base, then through the softmax.
+// The interpreted bases are kept as what MarshalBinary serialises.
+//
 // Determinism: base learners train sequentially in canonical name order
 // (nb, rf, svm -- the Bases config is sorted before use), fold
 // assignment is a pure function of (Seed, rows), and the meta fit is
@@ -19,10 +26,13 @@ package ensemble
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/ml/bayes"
+	"repro/internal/ml/compile"
 	"repro/internal/ml/eval"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/svm"
@@ -120,15 +130,83 @@ func canonicalBases(names []string) ([]string, error) {
 
 // Model is a trained stacked ensemble: the base learners (in canonical
 // name order) plus the softmax meta-learner over their concatenated
-// posteriors. It satisfies eval.ProbClassifier.
+// posteriors. It satisfies eval.ProbClassifier and is safe for any
+// number of concurrent predictions.
 type Model struct {
 	classes  []string
 	features int
 	baseName []string
-	bases    []eval.ProbClassifier
+	// bases are the interpreted base learners: what MarshalBinary
+	// serialises. No prediction runs through them.
+	bases []eval.ProbClassifier
+	// compiled[b] is bases[b] lowered by internal/ml/compile; every
+	// prediction runs through these.
+	compiled []compile.Model
 	// meta holds the softmax weights: classes x (len(bases)*classes + 1),
 	// the final column being the bias.
-	meta [][]float64
+	meta    [][]float64
+	scratch *sync.Pool // of *stackScratch
+}
+
+// stackScratch carries the per-row working memory of one prediction: a
+// compiled scratch per base, the concatenated base posteriors the
+// meta-learner reads, and the posterior it writes.
+type stackScratch struct {
+	base []*compile.Scratch
+	row  []float64
+	out  []float64
+}
+
+// compileBase lowers one base learner and checks it against the stack it
+// belongs to: a base that shares the stack's class vocabulary and fits
+// its feature width can be scored on any row the stack accepts, and its
+// posterior fills exactly its slot of the meta row.
+func compileBase(name string, base eval.ProbClassifier, classes []string, features int) (compile.Model, error) {
+	cm, err := compile.Compile(base)
+	if err != nil {
+		return nil, fmt.Errorf("base %s: %w", name, err)
+	}
+	if !cm.Fits(features) {
+		return nil, fmt.Errorf("base %s does not fit the stack's %d features", name, features)
+	}
+	if !slices.Equal(base.Classes(), classes) {
+		return nil, fmt.Errorf("base %s disagrees with the stack's %d-class vocabulary (has %d classes)",
+			name, len(classes), len(base.Classes()))
+	}
+	return cm, nil
+}
+
+// newModel assembles a stack from its parts, trained or restored,
+// compiling every base once.
+func newModel(classes []string, features int, names []string, bases []eval.ProbClassifier, meta [][]float64) (*Model, error) {
+	compiled := make([]compile.Model, len(bases))
+	for b, base := range bases {
+		cm, err := compileBase(names[b], base, classes, features)
+		if err != nil {
+			return nil, fmt.Errorf("ensemble: %w", err)
+		}
+		compiled[b] = cm
+	}
+	nc := len(classes)
+	return &Model{
+		classes:  classes,
+		features: features,
+		baseName: names,
+		bases:    bases,
+		compiled: compiled,
+		meta:     meta,
+		scratch: &sync.Pool{New: func() any {
+			s := &stackScratch{
+				base: make([]*compile.Scratch, len(compiled)),
+				row:  make([]float64, len(compiled)*nc),
+				out:  make([]float64, nc),
+			}
+			for b, cm := range compiled {
+				s.base[b] = cm.NewScratch()
+			}
+			return s
+		}},
+	}, nil
 }
 
 // Train fits the stacked ensemble on d.
@@ -150,8 +228,12 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	sp.SetAttr("bases", len(bases))
 
 	// Out-of-fold posteriors: for each fold, train every base on the
-	// complement and score the held-out rows, so the meta-learner never
-	// sees a posterior a base produced for its own training row.
+	// complement and score the held-out rows (through the fold base's
+	// compiled form, like every other row the stack scores), so the
+	// meta-learner never sees a posterior a base produced for its own
+	// training row. A fold's training part may miss a rare class
+	// entirely; the bases cope with an absent class, and Subset keeps the
+	// full vocabulary, so the posterior still fills its whole slot.
 	nc := d.NumClasses()
 	width := len(bases) * nc
 	z := make([][]float64, d.Len())
@@ -172,16 +254,18 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 			continue
 		}
 		part := d.Subset(trainIdx)
-		if part.NumClasses() != nc {
-			return nil, fmt.Errorf("ensemble: fold %d lost a class; use more rows or fewer folds", f)
-		}
 		for b, name := range bases {
 			m, err := trainBase(name, part, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("ensemble: fold %d base %s: %w", f, name, err)
 			}
+			cm, err := compileBase(name, m, d.ClassNames, d.NumFeatures())
+			if err != nil {
+				return nil, fmt.Errorf("ensemble: fold %d %w", f, err)
+			}
+			s := cm.NewScratch()
 			for _, i := range testIdx {
-				_, probs := m.PredictProb(d.X[i])
+				_, probs := cm.PredictProb(d.X[i], s)
 				copy(z[i][b*nc:(b+1)*nc], probs)
 			}
 		}
@@ -203,13 +287,7 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 		}
 		full[b] = m
 	}
-	return &Model{
-		classes:  append([]string(nil), d.ClassNames...),
-		features: d.NumFeatures(),
-		baseName: bases,
-		bases:    full,
-		meta:     meta,
-	}, nil
+	return newModel(append([]string(nil), d.ClassNames...), d.NumFeatures(), bases, full, meta)
 }
 
 // trainBase fits one named base learner.
@@ -330,36 +408,42 @@ func (m *Model) Bases() []string { return append([]string(nil), m.baseName...) }
 // NumFeatures returns the trained feature width.
 func (m *Model) NumFeatures() int { return m.features }
 
-// metaRow concatenates the base posteriors for x in canonical order.
-func (m *Model) metaRow(x []float64) []float64 {
+// score runs x through every compiled base in canonical order, then the
+// meta-learner, leaving the posterior in s.out; it returns the winning
+// class and allocates nothing.
+func (m *Model) score(x []float64, s *stackScratch) int {
 	nc := len(m.classes)
-	row := make([]float64, len(m.bases)*nc)
-	for b, base := range m.bases {
-		_, probs := base.PredictProb(x)
-		copy(row[b*nc:(b+1)*nc], probs)
+	for b, cm := range m.compiled {
+		_, probs := cm.PredictProb(x, s.base[b])
+		copy(s.row[b*nc:(b+1)*nc], probs)
 	}
-	return row
+	softmaxInto(m.meta, s.row, s.out)
+	best := 0
+	for c := 1; c < nc; c++ {
+		if s.out[c] > s.out[best] {
+			best = c
+		}
+	}
+	return best
 }
 
 // PredictProb returns the winning class index and the meta-learner's
 // posterior vector (satisfies eval.ProbClassifier). The returned slice
-// is caller-owned.
+// is caller-owned: the call's one allocation.
 func (m *Model) PredictProb(x []float64) (int, []float64) {
-	row := m.metaRow(x)
-	probs := make([]float64, len(m.classes))
-	softmaxInto(m.meta, row, probs)
-	best := 0
-	for c := 1; c < len(probs); c++ {
-		if probs[c] > probs[best] {
-			best = c
-		}
-	}
-	return best, probs
+	s := m.scratch.Get().(*stackScratch)
+	cls := m.score(x, s)
+	probs := append([]float64(nil), s.out...)
+	m.scratch.Put(s)
+	return cls, probs
 }
 
-// Predict returns the plain predicted class index.
+// Predict returns the plain predicted class index, the argmax of
+// PredictProb's posterior, without allocating.
 func (m *Model) Predict(x []float64) int {
-	cls, _ := m.PredictProb(x)
+	s := m.scratch.Get().(*stackScratch)
+	cls := m.score(x, s)
+	m.scratch.Put(s)
 	return cls
 }
 

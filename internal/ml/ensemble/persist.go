@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"slices"
 
 	"repro/internal/ml/bayes"
-	"repro/internal/ml/compile"
 	"repro/internal/ml/eval"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/svm"
@@ -52,12 +50,12 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores an ensemble saved with MarshalBinary. The
-// snapshot is outside input, and the stack serves through these
-// structures directly, so everything a prediction indexes is checked
-// here: each base passes the structural validator the compiled families
-// use (internal/ml/compile; only its verdict is kept) and shares the
-// stack's class vocabulary and feature width, and the meta matrix is
-// classes x (bases*classes + 1).
+// snapshot is outside input, so everything a prediction indexes is
+// checked here: each base passes the compiler's structural validation
+// (internal/ml/compile; the compiled form it yields is the one the
+// restored stack predicts through) and shares the stack's class
+// vocabulary and feature width, and the meta matrix is classes x
+// (bases*classes + 1). On error m is left untouched.
 func (m *Model) UnmarshalBinary(data []byte) error {
 	var snap modelSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
@@ -89,18 +87,11 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 		if err := base.UnmarshalBinary(snap.BaseBlob[i]); err != nil {
 			return fmt.Errorf("ensemble: base %s: %w", name, err)
 		}
-		cm, err := compile.Compile(base)
-		if err != nil {
-			return fmt.Errorf("ensemble: base %s: %w", name, err)
-		}
-		if !cm.Fits(snap.Features) {
-			return fmt.Errorf("ensemble: base %s does not fit the stack's %d features", name, snap.Features)
-		}
-		if !slices.Equal(base.Classes(), snap.Classes) {
-			return fmt.Errorf("ensemble: base %s disagrees with the stack's %d-class vocabulary (has %d classes)",
-				name, len(snap.Classes), len(base.Classes()))
-		}
 		bases[i] = base
+	}
+	restored, err := newModel(snap.Classes, snap.Features, snap.Bases, bases, snap.Meta)
+	if err != nil {
+		return err
 	}
 	k, width := len(snap.Classes), len(bases)*len(snap.Classes)+1
 	shaped := len(snap.Meta) == k
@@ -110,10 +101,6 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	if !shaped {
 		return fmt.Errorf("ensemble: meta matrix is not %d x %d (classes x bases*classes+1)", k, width)
 	}
-	m.classes = snap.Classes
-	m.features = snap.Features
-	m.baseName = snap.Bases
-	m.bases = bases
-	m.meta = snap.Meta
+	*m = *restored
 	return nil
 }
