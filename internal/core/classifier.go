@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/dataset"
@@ -272,6 +273,22 @@ func (c *JobClassifier) top(x []float64) (cls int, prob float64) {
 	return cls, probs[cls]
 }
 
+// OutOfRange names the features of raw row x whose standardized value
+// float64 can no longer square (|z| > sqrt(MaxFloat64), or no number at
+// all). Such a value drives every Gaussian log-likelihood to -Inf, so an
+// NB or stack posterior comes out 0/0; a caller that has just seen a
+// non-finite probability asks here which inputs to blame.
+func (c *JobClassifier) OutOfRange(x []float64) []string {
+	limit := math.Sqrt(math.MaxFloat64)
+	var names []string
+	for j, z := range c.scaler.Transform(append([]float64(nil), x...)) {
+		if !(math.Abs(z) <= limit) {
+			names = append(names, c.Features[j])
+		}
+	}
+	return names
+}
+
 // ClassifyInterpreted is Classify through the original model, bypassing
 // the compiled engine (the tests' parity reference).
 func (c *JobClassifier) ClassifyInterpreted(x []float64, threshold float64) (label string, prob float64, ok bool) {
@@ -282,39 +299,25 @@ func (c *JobClassifier) ClassifyInterpreted(x []float64, threshold float64) (lab
 }
 
 // Score evaluates the classifier over a raw (unscaled) dataset whose class
-// vocabulary matches training.
+// vocabulary matches training; a dataset of rows alone (nil Y) scores
+// with no ground truth, like eval.Score.
 func (c *JobClassifier) Score(d *dataset.Dataset) []eval.Prediction {
 	preds := make([]eval.Prediction, d.Len())
-	for i, row := range d.X {
-		cls, prob := c.top(row)
-		preds[i] = eval.Prediction{True: d.Y[i], Pred: cls, MaxProb: prob}
+	for i := range preds {
+		preds[i] = c.ScoreRow(d, i)
 	}
 	return preds
 }
 
-// ScoreRows evaluates unlabeled raw feature rows.
-func (c *JobClassifier) ScoreRows(rows [][]float64) []eval.Prediction {
-	preds := make([]eval.Prediction, len(rows))
-	for i, row := range rows {
-		cls, prob := c.top(row)
-		preds[i] = eval.Prediction{True: -1, Pred: cls, MaxProb: prob}
-	}
-	return preds
+// ScoreRow is Score's body for row i alone, for callers that spread a
+// dataset's rows over workers.
+func (c *JobClassifier) ScoreRow(d *dataset.Dataset, i int) eval.Prediction {
+	cls, prob := c.top(d.X[i])
+	return eval.Prediction{True: eval.Truth(d, i), Pred: cls, MaxProb: prob}
 }
 
 // Accuracy is the plain (vote-based) test accuracy on a raw dataset.
-func (c *JobClassifier) Accuracy(d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for i, row := range d.X {
-		if c.Predict(row) == d.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(d.Len())
-}
+func (c *JobClassifier) Accuracy(d *dataset.Dataset) float64 { return eval.VoteAccuracy(c, d) }
 
 // Importance returns per-feature permutation importance. Only available
 // for the random-forest algorithm (as the paper notes, the R e1071 SVM

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/svm"
 	"repro/internal/testkit"
@@ -198,10 +199,11 @@ func TestAllocCompiledClassify(t *testing.T) {
 		}
 		// Scoring reads one probability per row out of the scratch: the
 		// only allocation is the prediction slice it returns.
+		unlabeled := &dataset.Dataset{X: rows}
 		if avg := testing.AllocsPerRun(50, func() {
-			_ = c.ScoreRows(rows)
+			_ = c.Score(unlabeled)
 		}); avg != 1 {
-			t.Errorf("%s: ScoreRows over %d rows allocates %.2f per run, want 1", algo, len(rows), avg)
+			t.Errorf("%s: Score over %d rows allocates %.2f per run, want 1", algo, len(rows), avg)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/dataset"
 	"repro/internal/lariat"
 	"repro/internal/ml/eval"
 	"repro/internal/rng"
@@ -326,7 +327,7 @@ func TestScoreRows(t *testing.T) {
 	c, _ := TrainJobClassifier(d, ClassifierConfig{Algo: AlgoBayes})
 	na := FilterPopulation(res.Records, cluster.PopNA)
 	rows := FeaturizeAll(na, DefaultFeatures())
-	preds := c.ScoreRows(rows)
+	preds := c.Score(&dataset.Dataset{X: rows})
 	if len(preds) != len(na) {
 		t.Fatal("prediction count mismatch")
 	}

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -20,6 +22,18 @@ func FuzzLoadJobClassifier(f *testing.F) {
 		f.Add(blob[:len(blob)/2])
 	}
 	for _, blob := range hostile {
+		f.Add(blob)
+	}
+	// What an older binary wrote (see TestParentSnapshotsLoad).
+	parent, err := filepath.Glob(filepath.Join("testdata", "snapshots", "*.bin"))
+	if err != nil || len(parent) != len(snapshotAlgos) {
+		f.Fatalf("parent snapshots: %v (err %v)", parent, err)
+	}
+	for _, path := range parent {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(blob)
 	}
 	f.Add([]byte{})

@@ -15,14 +15,18 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ml/bayes"
+	"repro/internal/ml/forest"
+	"repro/internal/ml/svm"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/testkit"
 )
 
-// Mirrors of the on-disk snapshot forms, which their packages keep
-// unexported: gob matches struct fields by name, so these decode and
-// re-encode the real snapshots.
+// Mirrors of the two on-disk forms whose packages keep them unexported
+// (gob matches struct fields by name, so these decode and re-encode the
+// real snapshots). The three model families need none: their exported
+// Spec is the wire form.
 type (
 	classifierSnap struct {
 		Algo     string
@@ -30,42 +34,6 @@ type (
 		Means    []float64
 		Stds     []float64
 		Model    []byte
-	}
-	forestSnap struct {
-		Classes []string
-		Trees   [][]struct {
-			Feature   int
-			Threshold float64
-			Left      int32
-			Right     int32
-			Pred      int
-			Value     float64
-		}
-	}
-	svmSnap struct {
-		Classes  []string
-		Features int
-		Kernel   struct {
-			Name   string
-			Gamma  float64
-			Coef0  float64
-			Degree int
-		}
-		Pairs []struct {
-			I, J  int
-			SV    [][]float64
-			Coef  []float64
-			Rho   float64
-			A, B  float64
-			HasAB bool
-		}
-	}
-	bayesSnap struct {
-		Classes []string
-		Priors  []float64
-		Means   [][]float64
-		Vars    [][]float64
-		Trained []bool
 	}
 	stackSnap struct {
 		Classes  []string
@@ -126,7 +94,7 @@ func hostileSnapshots(t testing.TB) (valid, hostile map[string][]byte) {
 		valid[string(algo)] = save(algo, 3)
 	}
 	foreignNB := save(core.AlgoBayes, 2)
-	splitRoot := func(s *forestSnap) int {
+	splitRoot := func(s *forest.Spec) int {
 		for i, tree := range s.Trees {
 			if tree[0].Feature >= 0 {
 				return i
@@ -136,21 +104,27 @@ func hostileSnapshots(t testing.TB) (valid, hostile map[string][]byte) {
 		return 0
 	}
 	return valid, map[string][]byte{
-		"forest out-of-range child": corruptModel(t, valid["rf"], func(s *forestSnap) {
+		"forest out-of-range child": corruptModel(t, valid["rf"], func(s *forest.Spec) {
 			s.Trees[splitRoot(s)][0].Left = 9999
 		}),
-		"forest self-referencing child": corruptModel(t, valid["rf"], func(s *forestSnap) {
+		"forest self-referencing child": corruptModel(t, valid["rf"], func(s *forest.Spec) {
 			s.Trees[splitRoot(s)][0].Left = 0
 		}),
-		"forest feature past the schema": corruptModel(t, valid["rf"], func(s *forestSnap) {
+		"forest feature past the schema": corruptModel(t, valid["rf"], func(s *forest.Spec) {
 			s.Trees[splitRoot(s)][0].Feature = 9999
 		}),
-		"svm short support-vector row": corruptModel(t, valid["svm"], func(s *svmSnap) {
+		"svm short support-vector row": corruptModel(t, valid["svm"], func(s *svm.Spec) {
 			sv := s.Pairs[0].SV
 			sv[0] = sv[0][:len(sv[0])-1]
 		}),
-		"nb ragged table": corruptModel(t, valid["nb"], func(s *bayesSnap) {
+		"nb ragged table": corruptModel(t, valid["nb"], func(s *bayes.Spec) {
 			s.Means[1] = s.Means[1][:len(s.Means[1])-1]
+		}),
+		"nb no trained class": corruptModel(t, valid["nb"], func(s *bayes.Spec) {
+			clear(s.Trained)
+		}),
+		"nb non-positive variance": corruptModel(t, valid["nb"], func(s *bayes.Spec) {
+			s.Vars[1][0] = 0
 		}),
 		"scaler shorter than the schema": corrupt(t, valid["nb"], func(c *classifierSnap) {
 			c.Means = c.Means[:len(c.Means)-1]

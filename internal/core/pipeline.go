@@ -261,7 +261,8 @@ func FilterPopulation(records []*warehouse.Record, pop cluster.Population) []*wa
 }
 
 // FeaturizeAll returns raw feature rows for records (for unlabeled
-// populations scored with eval.ScoreUnlabeled).
+// populations: a dataset of rows alone is what JobClassifier.Score and
+// the discovery fit take).
 func FeaturizeAll(records []*warehouse.Record, opt FeatureOptions) [][]float64 {
 	rows := make([][]float64, len(records))
 	for i, r := range records {

@@ -56,8 +56,8 @@ func Figure4(e *Env) (*Result, error) {
 		return nil, err
 	}
 	ths := eval.DefaultThresholds()
-	uncatCurve := eval.ThresholdCurve(scoreRowsParallel(model, uncat, nil, e.Cfg.Workers), ths)
-	naCurve := eval.ThresholdCurve(scoreRowsParallel(model, na, nil, e.Cfg.Workers), ths)
+	uncatCurve := eval.ThresholdCurve(scoreRowsParallel(model, uncat, e.Cfg.Workers), ths)
+	naCurve := eval.ThresholdCurve(scoreRowsParallel(model, na, e.Cfg.Workers), ths)
 
 	r := newResult("fig4", "% classified into 12 broad categories vs threshold: Uncategorized and NA")
 	r.addf("%-10s %14s %10s", "threshold", "uncategorized", "na")

@@ -115,8 +115,8 @@ func Figure3(e *Env) (*Result, error) {
 	}
 	ths := eval.DefaultThresholds()
 	knownCurve := eval.ThresholdCurve(scoreParallel(model, test, e.Cfg.Workers), ths)
-	uncatCurve := eval.ThresholdCurve(scoreRowsParallel(model, uncat, nil, e.Cfg.Workers), ths)
-	naCurve := eval.ThresholdCurve(scoreRowsParallel(model, na, nil, e.Cfg.Workers), ths)
+	uncatCurve := eval.ThresholdCurve(scoreRowsParallel(model, uncat, e.Cfg.Workers), ths)
+	naCurve := eval.ThresholdCurve(scoreRowsParallel(model, na, e.Cfg.Workers), ths)
 
 	r := newResult("fig3", "% classified vs threshold: Uncategorized and NA pools (vs known mix)")
 	r.addf("%-10s %10s %14s %10s", "threshold", "known", "uncategorized", "na")

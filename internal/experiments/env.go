@@ -389,22 +389,18 @@ func alignClasses(d *dataset.Dataset, classes []string) *dataset.Dataset {
 	}
 }
 
-// scoreParallel scores a dataset with worker-parallel prediction.
+// scoreParallel is c.Score(d) with the rows spread over workers.
 func scoreParallel(c *core.JobClassifier, d *dataset.Dataset, workers int) []eval.Prediction {
-	return scoreRowsParallel(c, d.X, d.Y, workers)
-}
-
-func scoreRowsParallel(c *core.JobClassifier, rows [][]float64, y []int, workers int) []eval.Prediction {
-	preds := make([]eval.Prediction, len(rows))
+	preds := make([]eval.Prediction, d.Len())
 	// Per-row prediction is pure, so a plain ordered fan-out suffices.
-	_ = parallel.ForEach(workers, len(rows), func(i int) error {
-		cls, probs := c.PredictProb(rows[i])
-		truth := -1
-		if y != nil {
-			truth = y[i]
-		}
-		preds[i] = eval.Prediction{True: truth, Pred: cls, MaxProb: probs[cls]}
+	_ = parallel.ForEach(workers, d.Len(), func(i int) error {
+		preds[i] = c.ScoreRow(d, i)
 		return nil
 	})
 	return preds
+}
+
+// scoreRowsParallel scores rows that have no ground truth.
+func scoreRowsParallel(c *core.JobClassifier, rows [][]float64, workers int) []eval.Prediction {
+	return scoreParallel(c, &dataset.Dataset{X: rows}, workers)
 }

@@ -11,14 +11,9 @@ import (
 	"repro/internal/dataset"
 )
 
-// Model is a trained Gaussian Naive Bayes classifier.
-type Model struct {
-	classes []string
-	priors  []float64   // log priors
-	means   [][]float64 // [class][feature]
-	vars    [][]float64 // [class][feature]
-	trained []bool
-}
+// Model is a trained Gaussian Naive Bayes classifier; its Spec is all
+// of it.
+type Model struct{ spec Spec }
 
 // varFloor keeps degenerate (constant) features from producing zero
 // variances and infinite likelihoods.
@@ -31,62 +26,62 @@ func Train(d *dataset.Dataset) (*Model, error) {
 		return nil, fmt.Errorf("bayes: empty training set")
 	}
 	k, p := d.NumClasses(), d.NumFeatures()
-	m := &Model{
-		classes: d.ClassNames,
-		priors:  make([]float64, k),
-		means:   make([][]float64, k),
-		vars:    make([][]float64, k),
-		trained: make([]bool, k),
+	s := &Spec{
+		Classes: d.ClassNames,
+		Priors:  make([]float64, k),
+		Means:   make([][]float64, k),
+		Vars:    make([][]float64, k),
+		Trained: make([]bool, k),
 	}
 	counts := make([]int, k)
 	for c := 0; c < k; c++ {
-		m.means[c] = make([]float64, p)
-		m.vars[c] = make([]float64, p)
+		s.Means[c] = make([]float64, p)
+		s.Vars[c] = make([]float64, p)
 	}
 	for i, row := range d.X {
 		c := d.Y[i]
 		counts[c]++
 		for f, v := range row {
-			m.means[c][f] += v
+			s.Means[c][f] += v
 		}
 	}
 	for c := 0; c < k; c++ {
 		if counts[c] == 0 {
 			continue
 		}
-		m.trained[c] = true
+		s.Trained[c] = true
 		for f := 0; f < p; f++ {
-			m.means[c][f] /= float64(counts[c])
+			s.Means[c][f] /= float64(counts[c])
 		}
 	}
 	for i, row := range d.X {
 		c := d.Y[i]
 		for f, v := range row {
-			dlt := v - m.means[c][f]
-			m.vars[c][f] += dlt * dlt
+			dlt := v - s.Means[c][f]
+			s.Vars[c][f] += dlt * dlt
 		}
 	}
 	for c := 0; c < k; c++ {
-		if !m.trained[c] {
+		if !s.Trained[c] {
 			continue
 		}
-		m.priors[c] = math.Log(float64(counts[c]+1) / float64(d.Len()+k))
+		s.Priors[c] = math.Log(float64(counts[c]+1) / float64(d.Len()+k))
 		for f := 0; f < p; f++ {
-			m.vars[c][f] = m.vars[c][f]/float64(counts[c]) + varFloor
+			s.Vars[c][f] = s.Vars[c][f]/float64(counts[c]) + varFloor
 		}
 	}
-	return m, nil
+	return &Model{spec: *s}, nil
 }
 
 // Classes returns the class vocabulary.
-func (m *Model) Classes() []string { return m.classes }
+func (m *Model) Classes() []string { return m.spec.Classes }
 
 // logLikelihood returns log P(x | class c) + log prior.
 func (m *Model) logLikelihood(c int, x []float64) float64 {
-	ll := m.priors[c]
+	ll := m.spec.Priors[c]
 	for f, v := range x {
-		d := v - m.means[c][f]
-		ll += -0.5*math.Log(2*math.Pi*m.vars[c][f]) - d*d/(2*m.vars[c][f])
+		d := v - m.spec.Means[c][f]
+		ll += -0.5*math.Log(2*math.Pi*m.spec.Vars[c][f]) - d*d/(2*m.spec.Vars[c][f])
 	}
 	return ll
 }
@@ -94,8 +89,8 @@ func (m *Model) logLikelihood(c int, x []float64) float64 {
 // Predict returns the maximum-posterior class index.
 func (m *Model) Predict(x []float64) int {
 	best, bestLL := -1, math.Inf(-1)
-	for c := range m.classes {
-		if !m.trained[c] {
+	for c := range m.spec.Classes {
+		if !m.spec.Trained[c] {
 			continue
 		}
 		if ll := m.logLikelihood(c, x); ll > bestLL {
@@ -108,11 +103,11 @@ func (m *Model) Predict(x []float64) int {
 // PredictProb returns the winning class and normalized posteriors
 // (softmax over log likelihoods, computed stably).
 func (m *Model) PredictProb(x []float64) (int, []float64) {
-	k := len(m.classes)
+	k := len(m.spec.Classes)
 	lls := make([]float64, k)
 	maxLL := math.Inf(-1)
 	for c := 0; c < k; c++ {
-		if !m.trained[c] {
+		if !m.spec.Trained[c] {
 			lls[c] = math.Inf(-1)
 			continue
 		}
@@ -138,18 +133,4 @@ func (m *Model) PredictProb(x []float64) (int, []float64) {
 		}
 	}
 	return best, probs
-}
-
-// Accuracy evaluates on a dataset with the same class vocabulary.
-func (m *Model) Accuracy(d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for i, row := range d.X {
-		if m.Predict(row) == d.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(d.Len())
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/ml/eval"
 	"repro/internal/rng"
 )
 
@@ -32,7 +33,7 @@ func TestGaussianSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := m.Accuracy(test); acc < 0.95 {
+	if acc := eval.VoteAccuracy(m, test); acc < 0.95 {
 		t.Errorf("accuracy = %v", acc)
 	}
 }
@@ -79,7 +80,7 @@ func TestNBFailsOnXOR(t *testing.T) {
 	}
 	d, _ := dataset.New([]string{"x", "y"}, rows, labels)
 	m, _ := Train(d)
-	if acc := m.Accuracy(d); acc > 0.65 {
+	if acc := eval.VoteAccuracy(m, d); acc > 0.65 {
 		t.Errorf("NB on XOR should be near chance, got %v", acc)
 	}
 }

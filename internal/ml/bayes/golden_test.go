@@ -38,7 +38,7 @@ func TestGoldenBayes(t *testing.T) {
 	var b strings.Builder
 	testkit.Section(&b, "gaussian naive bayes / synth seed 41")
 	b.WriteString(testkit.KeyVals(map[string]float64{
-		"train_accuracy": m.Accuracy(train),
+		"train_accuracy": eval.VoteAccuracy(m, train),
 		"test_accuracy":  eval.Accuracy(preds),
 	}))
 	testkit.Section(&b, "digests")

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/ml/bayes"
 )
@@ -24,7 +25,12 @@ type Bayes struct {
 	trained  []bool
 }
 
-// CompileBayes lowers an NB spec, validating table shapes up front.
+// CompileBayes lowers an NB spec, validating up front the table shapes
+// and what keeps a posterior a number: at least one trained class (none
+// leaves 0/0), and for every trained class a positive finite variance
+// per feature (a zero, negative or NaN one makes its likelihood NaN on
+// every row). An untrained class's rows are never read by a prediction,
+// and Train leaves its variances zero.
 func CompileBayes(spec *bayes.Spec) (*Bayes, error) {
 	k := len(spec.Classes)
 	if k == 0 {
@@ -33,6 +39,9 @@ func CompileBayes(spec *bayes.Spec) (*Bayes, error) {
 	if len(spec.Priors) != k || len(spec.Means) != k || len(spec.Vars) != k || len(spec.Trained) != k {
 		return nil, fmt.Errorf("compile: nb tables disagree on class count (%d classes, %d priors, %d means, %d vars, %d trained)",
 			k, len(spec.Priors), len(spec.Means), len(spec.Vars), len(spec.Trained))
+	}
+	if !slices.Contains(spec.Trained, true) {
+		return nil, fmt.Errorf("compile: nb has no trained class")
 	}
 	p := len(spec.Means[0])
 	m := &Bayes{
@@ -50,7 +59,10 @@ func CompileBayes(spec *bayes.Spec) (*Bayes, error) {
 				c, len(spec.Means[c]), len(spec.Vars[c]), p)
 		}
 		m.means = append(m.means, spec.Means[c]...)
-		for _, v := range spec.Vars[c] {
+		for f, v := range spec.Vars[c] {
+			if spec.Trained[c] && !(v > 0 && v < math.Inf(1)) {
+				return nil, fmt.Errorf("compile: nb class %d feature %d has variance %v, want positive and finite", c, f, v)
+			}
 			m.twoVars = append(m.twoVars, 2*v)
 			m.logConst = append(m.logConst, -0.5*math.Log(2*math.Pi*v))
 		}

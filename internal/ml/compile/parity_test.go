@@ -234,11 +234,12 @@ func TestCompileForestRejectsMalformed(t *testing.T) {
 }
 
 func TestCompileSVMRejectsMalformed(t *testing.T) {
-	kernel := svm.RBF{Gamma: 0.1}
+	kernel := svm.KernelSpec{Name: "rbf", Gamma: 0.1}
 	cases := map[string]*svm.Spec{
 		"no classes":   {Features: 2, Kernel: kernel},
 		"bad features": {Classes: []string{"a", "b"}, Features: 0, Kernel: kernel},
-		"nil kernel":   {Classes: []string{"a", "b"}, Features: 2},
+		"no kernel":    {Classes: []string{"a", "b"}, Features: 2},
+		"other kernel": {Classes: []string{"a", "b"}, Features: 2, Kernel: svm.KernelSpec{Name: "sigmoid"}},
 		"pair class out of range": {Classes: []string{"a", "b"}, Features: 2, Kernel: kernel,
 			Pairs: []svm.PairSpec{{I: 0, J: 7}}},
 		"sv/coef mismatch": {Classes: []string{"a", "b"}, Features: 2, Kernel: kernel,
@@ -260,6 +261,12 @@ func TestCompileBayesRejectsMalformed(t *testing.T) {
 			Means: [][]float64{{1}, {1}}, Vars: [][]float64{{1}, {1}}, Trained: []bool{true, true}},
 		"ragged rows": {Classes: []string{"a", "b"}, Priors: []float64{1, 1},
 			Means: [][]float64{{1, 2}, {1}}, Vars: [][]float64{{1, 1}, {1, 1}}, Trained: []bool{true, true}},
+		"no trained class": {Classes: []string{"a", "b"}, Priors: []float64{1, 1},
+			Means: [][]float64{{1}, {1}}, Vars: [][]float64{{1}, {1}}, Trained: []bool{false, false}},
+		"zero variance": {Classes: []string{"a", "b"}, Priors: []float64{1, 1},
+			Means: [][]float64{{1}, {1}}, Vars: [][]float64{{1}, {0}}, Trained: []bool{true, true}},
+		"NaN variance": {Classes: []string{"a", "b"}, Priors: []float64{1, 1},
+			Means: [][]float64{{1}, {1}}, Vars: [][]float64{{math.NaN()}, {1}}, Trained: []bool{true, true}},
 	}
 	for name, spec := range cases {
 		if _, err := compile.CompileBayes(spec); err == nil {

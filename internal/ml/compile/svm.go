@@ -8,8 +8,8 @@ import (
 )
 
 // kernelKind selects the inlined kernel evaluation. Only the three
-// persistable kernels compile; an unknown kernel keeps the model on the
-// interpreted path.
+// kernels svm.KernelSpec names compile; any other is a CompileSVM error,
+// so such a model neither loads nor serves.
 type kernelKind uint8
 
 const (
@@ -75,15 +75,15 @@ func CompileSVM(spec *svm.Spec) (*SVM, error) {
 		return nil, fmt.Errorf("compile: svm reports %d features", spec.Features)
 	}
 	m := &SVM{classes: spec.Classes, features: spec.Features}
-	switch kk := spec.Kernel.(type) {
-	case svm.RBF:
+	switch kk := spec.Kernel; kk.Name {
+	case "rbf":
 		m.kind, m.gamma = kernelRBF, kk.Gamma
-	case svm.Linear:
+	case "linear":
 		m.kind = kernelLinear
-	case svm.Poly:
+	case "poly":
 		m.kind, m.gamma, m.coef0, m.degree = kernelPoly, kk.Gamma, kk.Coef0, kk.Degree
 	default:
-		return nil, fmt.Errorf("compile: svm kernel %T has no compiled form", spec.Kernel)
+		return nil, fmt.Errorf("compile: svm kernel %q has no compiled form", kk.Name)
 	}
 
 	totalSV := 0
@@ -275,7 +275,7 @@ func dotsInto(uniq, x, out []float64) {
 // each pair's sum is a serial add chain, so four pairs advance together
 // over their common length and each finishes its own remainder; every
 // pair still accumulates in its own support-vector order, the order of
-// the interpreted binaryMachine.decision.
+// the interpreted PairSpec.decision.
 func (m *SVM) decisions(kv, dec []float64) {
 	pairs := m.pairs
 	pi := 0
@@ -313,7 +313,7 @@ func (m *SVM) decisionFrom(p *svmPair, n int, s float64, kv []float64) float64 {
 }
 
 // pairProb is the calibrated P(y=+1 | decision value f), identical to
-// the interpreted binaryMachine.prob.
+// the interpreted PairSpec.prob.
 func (p *svmPair) pairProb(f float64) float64 {
 	if !p.hasAB {
 		return 1 / (1 + math.Exp(-2*f))

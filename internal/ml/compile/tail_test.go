@@ -1,8 +1,6 @@
 package compile_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"testing"
@@ -37,30 +35,16 @@ var tailShapes = []tailShape{
 	{"inactive class, 4 vectors", 4, 4, []int{3, 2, -1, 4, -1, -1}},
 }
 
-var tailKernels = []svm.Kernel{
-	svm.RBF{Gamma: 0.1},
-	svm.Linear{},
-	svm.Poly{Gamma: 0.5, Coef0: 1, Degree: 3},
-}
-
-// tailSnapshot mirrors the field names of the svm package's gob
-// snapshot, which is all gob matches on, so a spec written by hand can
-// be restored into an interpreted svm.Model.
-type tailSnapshot struct {
-	Classes  []string
-	Features int
-	Kernel   struct {
-		Name         string
-		Gamma, Coef0 float64
-		Degree       int
-	}
-	Pairs []svm.PairSpec
+var tailKernels = []svm.KernelSpec{
+	{Name: "rbf", Gamma: 0.1},
+	{Name: "linear"},
+	{Name: "poly", Gamma: 0.5, Coef0: 1, Degree: 3},
 }
 
 // tailModel builds the shape as an interpreted model plus the probe
 // rows to score: every pooled support vector, a few rows off them, the
 // origin and a row of non-finite values.
-func tailModel(t testing.TB, sh tailShape, kernel svm.Kernel, calibrated bool, features int) (*svm.Model, [][]float64) {
+func tailModel(t testing.TB, sh tailShape, kernel svm.KernelSpec, calibrated bool, features int) (*svm.Model, [][]float64) {
 	t.Helper()
 	r := rng.New(uint64(7*sh.classes + sh.pool))
 	vec := func() []float64 {
@@ -75,16 +59,9 @@ func tailModel(t testing.TB, sh tailShape, kernel svm.Kernel, calibrated bool, f
 		pool[u] = vec()
 	}
 
-	snap := tailSnapshot{Features: features}
-	snap.Kernel.Name = kernel.Name()
-	switch k := kernel.(type) {
-	case svm.RBF:
-		snap.Kernel.Gamma = k.Gamma
-	case svm.Poly:
-		snap.Kernel.Gamma, snap.Kernel.Coef0, snap.Kernel.Degree = k.Gamma, k.Coef0, k.Degree
-	}
+	spec := &svm.Spec{Features: features, Kernel: kernel}
 	for c := 0; c < sh.classes; c++ {
-		snap.Classes = append(snap.Classes, fmt.Sprintf("class%02d", c))
+		spec.Classes = append(spec.Classes, fmt.Sprintf("class%02d", c))
 	}
 	used := make([]bool, sh.pool)
 	pi := 0
@@ -108,7 +85,7 @@ func tailModel(t testing.TB, sh tailShape, kernel svm.Kernel, calibrated bool, f
 				p.SV = append(p.SV, pool[u])
 				p.Coef = append(p.Coef, r.Normal())
 			}
-			snap.Pairs = append(snap.Pairs, p)
+			spec.Pairs = append(spec.Pairs, p)
 		}
 	}
 	for u, ok := range used {
@@ -117,13 +94,9 @@ func tailModel(t testing.TB, sh tailShape, kernel svm.Kernel, calibrated bool, f
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	m := &svm.Model{}
-	if err := m.UnmarshalBinary(buf.Bytes()); err != nil {
-		t.Fatalf("restore shape %q: %v", sh.name, err)
+	m, err := svm.FromSpec(spec)
+	if err != nil {
+		t.Fatalf("shape %q: %v", sh.name, err)
 	}
 
 	probes := append([][]float64(nil), pool...)
@@ -144,7 +117,7 @@ func TestSVMTailShapeParity(t *testing.T) {
 	for _, sh := range tailShapes {
 		for _, kernel := range tailKernels {
 			for _, calibrated := range []bool{true, false} {
-				t.Run(fmt.Sprintf("%s/%s/calibrated=%v", sh.name, kernel.Name(), calibrated), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/calibrated=%v", sh.name, kernel.Name, calibrated), func(t *testing.T) {
 					m, probes := tailModel(t, sh, kernel, calibrated, 5)
 					cm, err := compile.Compile(m)
 					if err != nil {

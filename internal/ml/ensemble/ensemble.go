@@ -240,7 +240,7 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	for i := range z {
 		z[i] = make([]float64, width)
 	}
-	folds := foldAssign(d, cfg.Folds, cfg.Seed)
+	folds := eval.StratifiedFolds(d, cfg.Folds, cfg.Seed)
 	for f := 0; f < cfg.Folds; f++ {
 		var trainIdx, testIdx []int
 		for i, fi := range folds {
@@ -305,23 +305,6 @@ func trainBase(name string, d *dataset.Dataset, cfg Config) (eval.ProbClassifier
 		return svm.Train(d, sc)
 	}
 	return nil, fmt.Errorf("ensemble: unknown base learner %q", name)
-}
-
-// foldAssign deterministically assigns rows to folds, stratified by
-// class (same rotation scheme as eval's CV folds).
-func foldAssign(d *dataset.Dataset, k int, seed uint64) []int {
-	folds := make([]int, d.Len())
-	byClass := make([][]int, d.NumClasses())
-	for i, y := range d.Y {
-		byClass[y] = append(byClass[y], i)
-	}
-	offset := int(seed % uint64(k))
-	for _, idx := range byClass {
-		for j, i := range idx {
-			folds[i] = (j + offset) % k
-		}
-	}
-	return folds
 }
 
 // fitSoftmax trains the multinomial-logistic meta-learner by
@@ -445,18 +428,4 @@ func (m *Model) Predict(x []float64) int {
 	cls := m.score(x, s)
 	m.scratch.Put(s)
 	return cls
-}
-
-// Accuracy is the fraction of d's rows the ensemble labels correctly.
-func (m *Model) Accuracy(d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for i, row := range d.X {
-		if m.Predict(row) == d.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(d.Len())
 }

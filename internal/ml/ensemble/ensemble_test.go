@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/ml/eval"
 	"repro/internal/testkit"
 )
 
@@ -39,7 +40,7 @@ func digest(t *testing.T, m *Model, d *dataset.Dataset) string {
 func TestStackBeatsChance(t *testing.T) {
 	d := synthSmall(t)
 	m := trainSmall(t, Config{Seed: 7})
-	if got := m.Accuracy(d); got < 0.9 {
+	if got := eval.VoteAccuracy(m, d); got < 0.9 {
 		t.Fatalf("stacked training accuracy = %v, want >= 0.9", got)
 	}
 	if got, want := len(m.Classes()), d.NumClasses(); got != want {
@@ -94,7 +95,7 @@ func TestStackSubsetOfBases(t *testing.T) {
 	if got := m.Bases(); len(got) != 2 || got[0] != "nb" || got[1] != "rf" {
 		t.Fatalf("Bases() = %v, want canonical [nb rf]", got)
 	}
-	if acc := m.Accuracy(d); acc < 0.85 {
+	if acc := eval.VoteAccuracy(m, d); acc < 0.85 {
 		t.Fatalf("two-base stack accuracy = %v, want >= 0.85", acc)
 	}
 }

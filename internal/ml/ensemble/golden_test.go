@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ml/eval"
 	"repro/internal/testkit"
 )
 
@@ -52,7 +53,7 @@ func TestGoldenStack(t *testing.T) {
 	for _, bases := range baseSubsets {
 		m := trainSmall(t, Config{Seed: 7, Bases: bases})
 		testkit.Section(&b, "stack "+strings.Join(bases, "+")+" / synth seed 11, stack seed 7")
-		fmt.Fprintf(&b, "train_accuracy = %s\n", testkit.Float(m.Accuracy(d)))
+		fmt.Fprintf(&b, "train_accuracy = %s\n", testkit.Float(eval.VoteAccuracy(m, d)))
 		fmt.Fprintf(&b, "meta       = %s\n", testkit.HashFloats(m.meta...))
 		fmt.Fprintf(&b, "posteriors = %s\n", digest(t, m, d))
 		rows := make([][]float64, len(hostile))

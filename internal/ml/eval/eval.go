@@ -30,25 +30,41 @@ type Prediction struct {
 }
 
 // Score runs the classifier over a dataset and collects predictions. The
-// dataset's class vocabulary must match the classifier's.
+// dataset's class vocabulary must match the classifier's; a dataset of
+// rows alone (nil Y, as for the Uncategorized and NA job sets) scores
+// with no ground truth.
 func Score(c ProbClassifier, d *dataset.Dataset) []Prediction {
 	out := make([]Prediction, d.Len())
 	for i, row := range d.X {
 		cls, probs := c.PredictProb(row)
-		out[i] = Prediction{True: d.Y[i], Pred: cls, MaxProb: probs[cls]}
+		out[i] = Prediction{True: Truth(d, i), Pred: cls, MaxProb: probs[cls]}
 	}
 	return out
 }
 
-// ScoreUnlabeled runs the classifier over rows with no ground truth
-// (True = -1), as for the Uncategorized and NA job sets.
-func ScoreUnlabeled(c ProbClassifier, rows [][]float64) []Prediction {
-	out := make([]Prediction, len(rows))
-	for i, row := range rows {
-		cls, probs := c.PredictProb(row)
-		out[i] = Prediction{True: -1, Pred: cls, MaxProb: probs[cls]}
+// Truth is row i's true class index, -1 when d carries no labels.
+func Truth(d *dataset.Dataset, i int) int {
+	if d.Y == nil {
+		return -1
 	}
-	return out
+	return d.Y[i]
+}
+
+// VoteAccuracy is the fraction of d's rows whose plain prediction (SVM
+// one-vs-one vote, forest majority, NB or stack max posterior: no
+// probability calibration) matches the label. d's class vocabulary must
+// match the classifier's.
+func VoteAccuracy(c interface{ Predict(x []float64) int }, d *dataset.Dataset) float64 {
+	if d.Len() == 0 {
+		return 0
+	}
+	correct := 0
+	for i, row := range d.X {
+		if c.Predict(row) == d.Y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(d.Len())
 }
 
 // Accuracy returns the fraction of predictions whose Pred matches True.
@@ -319,7 +335,7 @@ func CrossValidateObs(sp *obs.Span, d *dataset.Dataset, k int, seed uint64, work
 	if k < 2 {
 		return 0, fmt.Errorf("eval: need k >= 2 folds")
 	}
-	folds := stratifiedFolds(d, k, seed)
+	folds := StratifiedFolds(d, k, seed)
 	accs, err := parallel.Map(workers, k, func(f int) (float64, error) {
 		fsp := sp.Child(fmt.Sprintf("fold.%d", f))
 		defer fsp.End()
@@ -350,8 +366,10 @@ func CrossValidateObs(sp *obs.Span, d *dataset.Dataset, k int, seed uint64, work
 	return total / float64(k), nil
 }
 
-// stratifiedFolds assigns each row a fold, stratified by class.
-func stratifiedFolds(d *dataset.Dataset, k int, seed uint64) []int {
+// StratifiedFolds assigns each row a fold in [0, k), stratified by
+// class: a pure function of (d.Y, k, seed), shared by cross-validation
+// here and the stack's out-of-fold training.
+func StratifiedFolds(d *dataset.Dataset, k int, seed uint64) []int {
 	folds := make([]int, d.Len())
 	byClass := make([][]int, d.NumClasses())
 	for i, y := range d.Y {

@@ -169,7 +169,7 @@ func TestCrossValidate(t *testing.T) {
 }
 
 func TestScoreUnlabeled(t *testing.T) {
-	preds := ScoreUnlabeled(fakeClassifier{[]string{"a", "b"}}, [][]float64{{1, 0.7}})
+	preds := Score(fakeClassifier{[]string{"a", "b"}}, &dataset.Dataset{X: [][]float64{{1, 0.7}}})
 	if preds[0].True != -1 || preds[0].Pred != 1 || preds[0].MaxProb != 0.7 {
 		t.Errorf("unlabeled prediction = %+v", preds[0])
 	}

@@ -13,7 +13,7 @@ func TestStratifiedFoldsPartition(t *testing.T) {
 	for _, k := range []int{2, 3, 5, 7} {
 		for _, seed := range []uint64{0, 1, 99} {
 			d := testkit.SynthClassification(testkit.SynthConfig{Seed: seed + 1, Classes: 3, RowsPerCls: 17})
-			folds := stratifiedFolds(d, k, seed)
+			folds := StratifiedFolds(d, k, seed)
 			if len(folds) != d.Len() {
 				t.Fatalf("k=%d: %d assignments for %d rows", k, len(folds), d.Len())
 			}

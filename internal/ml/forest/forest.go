@@ -54,13 +54,14 @@ func (c Config) withDefaults(p int, regression bool) Config {
 	return c
 }
 
-// Classifier is a trained random-forest classifier.
+// Classifier is a trained random-forest classifier: its Spec plus the
+// training-side state behind the OOB estimates, which a restored
+// classifier lacks.
 type Classifier struct {
-	cfg     Config
-	classes []string
-	trees   []*tree
-	oob     [][]int // per tree: training-row indices not in its bootstrap
-	train   *dataset.Dataset
+	cfg   Config
+	spec  Spec
+	oob   [][]int // per tree: training-row indices not in its bootstrap
+	train *dataset.Dataset
 }
 
 // TrainClassifier fits a random forest on the dataset. The returned model
@@ -75,11 +76,10 @@ func TrainClassifier(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 	defer tsp.End()
 	cfg.Span = nil // keep trained models from retaining the trace tree
 	c := &Classifier{
-		cfg:     cfg,
-		classes: d.ClassNames,
-		trees:   make([]*tree, cfg.Trees),
-		oob:     make([][]int, cfg.Trees),
-		train:   d,
+		cfg:   cfg,
+		spec:  Spec{Classes: d.ClassNames, Trees: make([][]NodeSpec, cfg.Trees)},
+		oob:   make([][]int, cfg.Trees),
+		train: d,
 	}
 	// Tree t's randomness comes from Split(t), so the ensemble is
 	// identical at any worker count.
@@ -90,7 +90,7 @@ func TrainClassifier(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 			x: d.X, y: d.Y, numClasses: d.NumClasses(),
 			mtry: cfg.MTry, minLeaf: cfg.MinLeaf, maxDepth: cfg.MaxDepth, r: r,
 		}
-		c.trees[t] = b.build(rows)
+		c.spec.Trees[t] = b.build(rows)
 		c.oob[t] = oob
 		return nil
 	}); err != nil {
@@ -118,7 +118,7 @@ func bootstrap(r *rng.Rand, n int) (rows, oob []int) {
 }
 
 // Classes returns the class vocabulary.
-func (c *Classifier) Classes() []string { return c.classes }
+func (c *Classifier) Classes() []string { return c.spec.Classes }
 
 // Predict returns the majority-vote class index.
 func (c *Classifier) Predict(x []float64) int {
@@ -134,9 +134,9 @@ func (c *Classifier) Predict(x []float64) int {
 
 // Votes returns per-class tree vote counts.
 func (c *Classifier) Votes(x []float64) []int {
-	votes := make([]int, len(c.classes))
-	for _, t := range c.trees {
-		votes[t.predictClass(x)]++
+	votes := make([]int, len(c.spec.Classes))
+	for _, t := range c.spec.Trees {
+		votes[leaf(t, x).Pred]++
 	}
 	return votes
 }
@@ -148,26 +148,12 @@ func (c *Classifier) PredictProb(x []float64) (int, []float64) {
 	probs := make([]float64, len(votes))
 	best := 0
 	for i, v := range votes {
-		probs[i] = float64(v) / float64(len(c.trees))
+		probs[i] = float64(v) / float64(len(c.spec.Trees))
 		if v > votes[best] {
 			best = i
 		}
 	}
 	return best, probs
-}
-
-// Accuracy evaluates vote accuracy on a dataset with the same vocabulary.
-func (c *Classifier) Accuracy(d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for i, row := range d.X {
-		if c.Predict(row) == d.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(d.Len())
 }
 
 // OOBError returns the out-of-bag misclassification rate, the forest's
@@ -179,11 +165,11 @@ func (c *Classifier) OOBError() float64 {
 	n := c.train.Len()
 	votes := make([][]int, n)
 	for i := range votes {
-		votes[i] = make([]int, len(c.classes))
+		votes[i] = make([]int, len(c.spec.Classes))
 	}
-	for t, tr := range c.trees {
+	for t, tr := range c.spec.Trees {
 		for _, i := range c.oob[t] {
-			votes[i][tr.predictClass(c.train.X[i])]++
+			votes[i][leaf(tr, c.train.X[i]).Pred]++
 		}
 	}
 	wrong, counted := 0, 0
@@ -222,7 +208,7 @@ func (c *Classifier) Importance() []float64 {
 	// Collect per-tree contributions in tree order and reduce serially:
 	// summing floats in completion order would make the importance vector
 	// drift across runs at worker count > 1.
-	locals, _ := parallel.MapSeeded(root, c.cfg.Workers, len(c.trees), func(t int, r *rng.Rand) ([]float64, error) {
+	locals, _ := parallel.MapSeeded(root, c.cfg.Workers, len(c.spec.Trees), func(t int, r *rng.Rand) ([]float64, error) {
 		return c.treeImportance(t, r), nil
 	})
 	imp := make([]float64, p)
@@ -232,7 +218,7 @@ func (c *Classifier) Importance() []float64 {
 		}
 	}
 	for f := range imp {
-		imp[f] /= float64(len(c.trees))
+		imp[f] /= float64(len(c.spec.Trees))
 	}
 	return imp
 }
@@ -240,7 +226,7 @@ func (c *Classifier) Importance() []float64 {
 // treeImportance computes one tree's per-feature OOB accuracy decrease.
 func (c *Classifier) treeImportance(t int, r *rng.Rand) []float64 {
 	oob := c.oob[t]
-	tr := c.trees[t]
+	tr := c.spec.Trees[t]
 	p := c.train.NumFeatures()
 	out := make([]float64, p)
 	if len(oob) == 0 {
@@ -248,7 +234,7 @@ func (c *Classifier) treeImportance(t int, r *rng.Rand) []float64 {
 	}
 	base := 0
 	for _, i := range oob {
-		if tr.predictClass(c.train.X[i]) == c.train.Y[i] {
+		if leaf(tr, c.train.X[i]).Pred == c.train.Y[i] {
 			base++
 		}
 	}
@@ -261,7 +247,7 @@ func (c *Classifier) treeImportance(t int, r *rng.Rand) []float64 {
 		for k, i := range oob {
 			copy(row, c.train.X[i])
 			row[f] = c.train.X[perm[k]][f] // permuted feature value
-			if tr.predictClass(row) == c.train.Y[i] {
+			if leaf(tr, row).Pred == c.train.Y[i] {
 				correct++
 			}
 		}

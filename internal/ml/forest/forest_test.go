@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/ml/eval"
 	"repro/internal/rng"
 )
 
@@ -46,7 +47,7 @@ func TestClassifierBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := c.Accuracy(test); acc < 0.97 {
+	if acc := eval.VoteAccuracy(c, test); acc < 0.97 {
 		t.Errorf("test accuracy = %v", acc)
 	}
 	if oob := c.OOBError(); oob > 0.05 {
@@ -73,7 +74,7 @@ func TestClassifierXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := c.Accuracy(d); acc < 0.95 {
+	if acc := eval.VoteAccuracy(c, d); acc < 0.95 {
 		t.Errorf("XOR accuracy = %v", acc)
 	}
 }
@@ -220,9 +221,9 @@ func TestMinLeafLimitsDepth(t *testing.T) {
 	deep, _ := TrainClassifier(d, Config{Trees: 20, Seed: 18, MinLeaf: 1})
 	shallow, _ := TrainClassifier(d, Config{Trees: 20, Seed: 18, MinLeaf: 50})
 	deepNodes, shallowNodes := 0, 0
-	for i := range deep.trees {
-		deepNodes += len(deep.trees[i].nodes)
-		shallowNodes += len(shallow.trees[i].nodes)
+	for i := range deep.spec.Trees {
+		deepNodes += len(deep.spec.Trees[i])
+		shallowNodes += len(shallow.spec.Trees[i])
 	}
 	if shallowNodes >= deepNodes {
 		t.Errorf("MinLeaf did not shrink trees: %d vs %d", shallowNodes, deepNodes)
@@ -232,10 +233,10 @@ func TestMinLeafLimitsDepth(t *testing.T) {
 func TestMaxDepth(t *testing.T) {
 	d := blobs(19, [][]float64{{0, 0}, {0.3, 0.3}}, 1.0, 300)
 	c, _ := TrainClassifier(d, Config{Trees: 5, Seed: 20, MaxDepth: 2})
-	for _, tr := range c.trees {
+	for _, tr := range c.spec.Trees {
 		// Depth-2 binary tree has at most 7 nodes.
-		if len(tr.nodes) > 7 {
-			t.Fatalf("tree has %d nodes, exceeds depth 2", len(tr.nodes))
+		if len(tr) > 7 {
+			t.Fatalf("tree has %d nodes, exceeds depth 2", len(tr))
 		}
 	}
 }

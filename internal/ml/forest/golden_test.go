@@ -87,7 +87,7 @@ func TestGoldenForest(t *testing.T) {
 	testkit.Section(&b, "random forest / synth seed 53, 60 trees")
 	b.WriteString(testkit.KeyVals(map[string]float64{
 		"oob_error":      m1.OOBError(),
-		"train_accuracy": m1.Accuracy(train),
+		"train_accuracy": eval.VoteAccuracy(m1, train),
 		"test_accuracy":  eval.Accuracy(preds),
 	}))
 	testkit.Section(&b, "importance ranking")

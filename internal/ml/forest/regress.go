@@ -12,7 +12,7 @@ import (
 // wall-time regression extension.
 type Regressor struct {
 	cfg   Config
-	trees []*tree
+	trees [][]NodeSpec
 	oob   [][]int
 	x     [][]float64
 	y     []float64
@@ -26,7 +26,7 @@ func TrainRegressor(x [][]float64, y []float64, cfg Config) (*Regressor, error) 
 	cfg = cfg.withDefaults(len(x[0]), true)
 	m := &Regressor{
 		cfg:   cfg,
-		trees: make([]*tree, cfg.Trees),
+		trees: make([][]NodeSpec, cfg.Trees),
 		oob:   make([][]int, cfg.Trees),
 		x:     x,
 		y:     y,
@@ -51,7 +51,7 @@ func TrainRegressor(x [][]float64, y []float64, cfg Config) (*Regressor, error) 
 func (m *Regressor) Predict(x []float64) float64 {
 	var sum float64
 	for _, t := range m.trees {
-		sum += t.predictValue(x)
+		sum += leaf(t, x).Value
 	}
 	return sum / float64(len(m.trees))
 }
@@ -64,7 +64,7 @@ func (m *Regressor) OOBR2() float64 {
 	counts := make([]int, n)
 	for t, tr := range m.trees {
 		for _, i := range m.oob[t] {
-			sums[i] += tr.predictValue(m.x[i])
+			sums[i] += leaf(tr, m.x[i]).Value
 			counts[i]++
 		}
 	}

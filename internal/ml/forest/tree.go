@@ -13,42 +13,22 @@ import (
 	"repro/internal/rng"
 )
 
-// node is one tree node in the flattened representation.
-type node struct {
-	feature   int     // split feature; -1 for leaves
-	threshold float64 // go left if x[feature] <= threshold
-	left      int32   // child indices
-	right     int32
-	pred      int     // majority class at the node (classification)
-	value     float64 // mean target at the node (regression)
-}
-
-// tree is a trained CART tree.
-type tree struct {
-	nodes []node
-}
-
-// predictIndex walks to a leaf and returns its index.
-func (t *tree) predictIndex(x []float64) int {
+// leaf walks a trained CART tree (its node array, root first) to the
+// leaf x falls in.
+func leaf(tree []NodeSpec, x []float64) *NodeSpec {
 	i := 0
 	for {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return i
+		n := &tree[i]
+		if n.Feature < 0 {
+			return n
 		}
-		if x[n.feature] <= n.threshold {
-			i = int(n.left)
+		if x[n.Feature] <= n.Threshold {
+			i = int(n.Left)
 		} else {
-			i = int(n.right)
+			i = int(n.Right)
 		}
 	}
 }
-
-// predictClass returns the leaf's majority class.
-func (t *tree) predictClass(x []float64) int { return t.nodes[t.predictIndex(x)].pred }
-
-// predictValue returns the leaf's mean target.
-func (t *tree) predictValue(x []float64) float64 { return t.nodes[t.predictIndex(x)].value }
 
 // treeBuilder grows one tree on a sample of rows.
 type treeBuilder struct {
@@ -62,31 +42,31 @@ type treeBuilder struct {
 	regression bool
 	r          *rng.Rand
 
-	nodes []node
+	nodes []NodeSpec
 	// scratch buffers reused across splits
 	featOrder []int
 }
 
-func (b *treeBuilder) build(rows []int) *tree {
+func (b *treeBuilder) build(rows []int) []NodeSpec {
 	b.featOrder = make([]int, len(b.x[0]))
 	for i := range b.featOrder {
 		b.featOrder[i] = i
 	}
 	b.grow(rows, 0)
-	return &tree{nodes: b.nodes}
+	return b.nodes
 }
 
 // grow recursively grows the subtree over rows and returns its node index.
 func (b *treeBuilder) grow(rows []int, depth int) int32 {
 	idx := int32(len(b.nodes))
-	b.nodes = append(b.nodes, node{feature: -1})
+	b.nodes = append(b.nodes, NodeSpec{Feature: -1})
 
 	if b.regression {
 		var sum float64
 		for _, r := range rows {
 			sum += b.target[r]
 		}
-		b.nodes[idx].value = sum / float64(len(rows))
+		b.nodes[idx].Value = sum / float64(len(rows))
 	} else {
 		counts := make([]int, b.numClasses)
 		for _, r := range rows {
@@ -98,7 +78,7 @@ func (b *treeBuilder) grow(rows []int, depth int) int32 {
 				best = c
 			}
 		}
-		b.nodes[idx].pred = best
+		b.nodes[idx].Pred = best
 	}
 
 	if len(rows) < 2*b.minLeaf || (b.maxDepth > 0 && depth >= b.maxDepth) || b.pure(rows) {
@@ -124,10 +104,10 @@ func (b *treeBuilder) grow(rows []int, depth int) int32 {
 
 	l := b.grow(left, depth+1)
 	rt := b.grow(right, depth+1)
-	b.nodes[idx].feature = feature
-	b.nodes[idx].threshold = threshold
-	b.nodes[idx].left = l
-	b.nodes[idx].right = rt
+	b.nodes[idx].Feature = feature
+	b.nodes[idx].Threshold = threshold
+	b.nodes[idx].Left = l
+	b.nodes[idx].Right = rt
 	return idx
 }
 

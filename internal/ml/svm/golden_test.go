@@ -53,7 +53,7 @@ func TestGoldenSVM(t *testing.T) {
 	var b strings.Builder
 	testkit.Section(&b, "one-vs-one SVM / RBF gamma=0.1 C=1000 / synth seed 67")
 	b.WriteString(testkit.KeyVals(map[string]float64{
-		"train_accuracy":  m1.Accuracy(train),
+		"train_accuracy":  eval.VoteAccuracy(m1, train),
 		"test_accuracy":   eval.Accuracy(preds),
 		"support_vectors": float64(m1.NumSupportVectors()),
 	}))

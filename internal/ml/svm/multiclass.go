@@ -60,17 +60,11 @@ func PaperConfig() Config {
 	return Config{Kernel: RBF{Gamma: 0.1}, C: 1000, Probability: true}
 }
 
-// Model is a trained one-vs-one multiclass SVM.
+// Model is a trained one-vs-one multiclass SVM: its Spec plus the
+// Kernel the interpreted predictors evaluate (Spec.Kernel by value).
 type Model struct {
-	cfg      Config
-	classes  []string
-	features int
-	pairs    []pairModel
-}
-
-type pairModel struct {
-	i, j int // class indices; machine outputs +1 for class i
-	m    *binaryMachine
+	spec   Spec
+	kernel Kernel
 }
 
 // Train fits a one-vs-one SVM on the dataset. Classes with no training
@@ -106,22 +100,25 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	psp := cfg.Span.Child("svm.pairs")
 	psp.SetAttr("pairs", len(jobs))
 	cfg.Span = nil // keep trained models from retaining the trace tree
-	model := &Model{cfg: cfg, classes: d.ClassNames, features: d.NumFeatures()}
+	model := &Model{kernel: cfg.Kernel, spec: Spec{
+		Classes: d.ClassNames, Features: d.NumFeatures(), Kernel: describeKernel(cfg.Kernel),
+	}}
 	// Each binary problem is seeded by its pair index, so the trained
 	// machines are identical at any worker count.
-	pairs, err := parallel.Map(cfg.Workers, len(jobs), func(idx int) (pairModel, error) {
+	pairs, err := parallel.Map(cfg.Workers, len(jobs), func(idx int) (PairSpec, error) {
 		job := jobs[idx]
 		x, y := pairData(d, byClass[job.i], byClass[job.j])
 		wPos := cfg.weightFor(d.ClassNames[job.i])
 		wNeg := cfg.weightFor(d.ClassNames[job.j])
-		m := trainBinary(x, y, wPos, wNeg, cfg, uint64(idx))
-		return pairModel{i: job.i, j: job.j, m: m}, nil
+		p := trainBinary(x, y, wPos, wNeg, cfg, uint64(idx))
+		p.I, p.J = job.i, job.j
+		return p, nil
 	})
 	psp.End()
 	if err != nil {
 		return nil, err
 	}
-	model.pairs = pairs
+	model.spec.Pairs = pairs
 	return model, nil
 }
 
@@ -156,9 +153,9 @@ func weightedC(y []float64, c, wPos, wNeg float64) []float64 {
 
 // trainBinary solves one pair, optionally with probability calibration on
 // cross-validated decision values.
-func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, seed uint64) *binaryMachine {
+func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, seed uint64) PairSpec {
 	res := solveSMOGeneral(x, y, nil, weightedC(y, cfg.C, wPos, wNeg), cfg.Kernel, cfg.Tol, cfg.MaxIter, cfg.CacheBytes)
-	m := newBinaryMachine(x, y, res)
+	m := newPair(x, y, res)
 	if !cfg.Probability {
 		return m
 	}
@@ -187,16 +184,16 @@ func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, see
 				}
 			}
 			if !hasBothClasses(ty) {
-				sub := m // degenerate fold: fall back to full model
+				// Degenerate fold: fall back to the full model.
 				for i := range x {
 					if fold[i] == f {
-						dec[i] = sub.decision(cfg.Kernel, x[i])
+						dec[i] = m.decision(cfg.Kernel, x[i])
 					}
 				}
 				continue
 			}
 			subRes := solveSMOGeneral(tx, ty, nil, weightedC(ty, cfg.C, wPos, wNeg), cfg.Kernel, cfg.Tol, cfg.MaxIter, cfg.CacheBytes)
-			sub := newBinaryMachine(tx, ty, subRes)
+			sub := newPair(tx, ty, subRes)
 			for i := range x {
 				if fold[i] == f {
 					dec[i] = sub.decision(cfg.Kernel, x[i])
@@ -204,8 +201,8 @@ func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, see
 			}
 		}
 	}
-	m.a, m.b = fitSigmoid(dec, y)
-	m.hasAB = true
+	m.A, m.B = fitSigmoid(dec, y)
+	m.HasAB = true
 	return m
 }
 
@@ -222,13 +219,13 @@ func hasBothClasses(y []float64) bool {
 }
 
 // Classes returns the class vocabulary.
-func (m *Model) Classes() []string { return m.classes }
+func (m *Model) Classes() []string { return m.spec.Classes }
 
 // NumSupportVectors returns the total SV count across pair machines.
 func (m *Model) NumSupportVectors() int {
 	n := 0
-	for _, p := range m.pairs {
-		n += len(p.m.sv)
+	for _, p := range m.spec.Pairs {
+		n += len(p.SV)
 	}
 	return n
 }
@@ -236,12 +233,13 @@ func (m *Model) NumSupportVectors() int {
 // Predict returns the index of the winning class by one-vs-one voting,
 // breaking ties toward the lower class index (LIBSVM behaviour).
 func (m *Model) Predict(x []float64) int {
-	votes := make([]int, len(m.classes))
-	for _, p := range m.pairs {
-		if p.m.decision(m.cfg.Kernel, x) > 0 {
-			votes[p.i]++
+	votes := make([]int, len(m.spec.Classes))
+	for i := range m.spec.Pairs {
+		p := &m.spec.Pairs[i]
+		if p.decision(m.kernel, x) > 0 {
+			votes[p.I]++
 		} else {
-			votes[p.j]++
+			votes[p.J]++
 		}
 	}
 	best := 0
@@ -257,19 +255,20 @@ func (m *Model) Predict(x []float64) int {
 // coupling and the index of the most probable class. Train must have run
 // with Probability enabled.
 func (m *Model) PredictProb(x []float64) (int, []float64) {
-	k := len(m.classes)
+	k := len(m.spec.Classes)
 	r := make([][]float64, k)
 	for i := range r {
 		r[i] = make([]float64, k)
 	}
 	seen := make([]bool, k)
-	for _, p := range m.pairs {
-		pr := p.m.prob(p.m.decision(m.cfg.Kernel, x))
+	for i := range m.spec.Pairs {
+		p := &m.spec.Pairs[i]
+		pr := p.prob(p.decision(m.kernel, x))
 		// Clip away exact 0/1 as LIBSVM does to keep coupling stable.
 		pr = clamp(pr, 1e-7, 1-1e-7)
-		r[p.i][p.j] = pr
-		r[p.j][p.i] = 1 - pr
-		seen[p.i], seen[p.j] = true, true
+		r[p.I][p.J] = pr
+		r[p.J][p.I] = 1 - pr
+		seen[p.I], seen[p.J] = true, true
 	}
 	// Restrict coupling to classes that participated in training.
 	var active []int
@@ -300,19 +299,4 @@ func (m *Model) PredictProb(x []float64) (int, []float64) {
 		}
 	}
 	return best, probs
-}
-
-// Accuracy evaluates plain voting accuracy on a dataset whose class
-// vocabulary matches the training vocabulary.
-func (m *Model) Accuracy(d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for i, row := range d.X {
-		if m.Predict(row) == d.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(d.Len())
 }

@@ -82,7 +82,7 @@ func TestSigmoidPropertyRange(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return false
 		}
-		m := &binaryMachine{a: a, b: b, hasAB: true}
+		m := &PairSpec{A: a, B: b, HasAB: true}
 		for _, fv := range []float64{-10, -1, 0, 1, 10} {
 			p := m.prob(fv)
 			if p < 0 || p > 1 || math.IsNaN(p) {

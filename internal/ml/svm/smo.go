@@ -227,32 +227,23 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// binaryMachine is a trained two-class decision function.
-type binaryMachine struct {
-	sv    [][]float64 // support vectors
-	coef  []float64   // alpha_i * y_i
-	rho   float64
-	a, b  float64 // Platt sigmoid parameters (probability calibration)
-	hasAB bool
-}
-
 // decision returns sum_i coef_i K(sv_i, x) - rho; positive means class +1.
-func (m *binaryMachine) decision(kernel Kernel, x []float64) float64 {
+func (p *PairSpec) decision(kernel Kernel, x []float64) float64 {
 	var s float64
-	for i, sv := range m.sv {
-		s += m.coef[i] * kernel.Compute(sv, x)
+	for i, sv := range p.SV {
+		s += p.Coef[i] * kernel.Compute(sv, x)
 	}
-	return s - m.rho
+	return s - p.Rho
 }
 
 // prob returns the calibrated P(y=+1 | decision value f).
-func (m *binaryMachine) prob(f float64) float64 {
-	if !m.hasAB {
+func (p *PairSpec) prob(f float64) float64 {
+	if !p.HasAB {
 		// Uncalibrated fallback: a steep logistic on the margin.
 		return 1 / (1 + math.Exp(-2*f))
 	}
 	// Numerically careful sigmoid 1/(1+exp(A f + B)).
-	fApB := m.a*f + m.b
+	fApB := p.A*f + p.B
 	if fApB >= 0 {
 		e := math.Exp(-fApB)
 		return e / (1 + e)
@@ -260,14 +251,15 @@ func (m *binaryMachine) prob(f float64) float64 {
 	return 1 / (1 + math.Exp(fApB))
 }
 
-// newBinaryMachine compacts an SMO solution into the SV representation.
-func newBinaryMachine(x [][]float64, y []float64, res smoResult) *binaryMachine {
-	m := &binaryMachine{rho: res.rho}
+// newPair compacts an SMO solution into the SV representation of one
+// binary machine; the caller names its classes.
+func newPair(x [][]float64, y []float64, res smoResult) PairSpec {
+	p := PairSpec{Rho: res.rho}
 	for i, a := range res.alpha {
 		if a > 0 {
-			m.sv = append(m.sv, x[i])
-			m.coef = append(m.coef, a*y[i])
+			p.SV = append(p.SV, x[i])
+			p.Coef = append(p.Coef, a*y[i])
 		}
 	}
-	return m
+	return p
 }

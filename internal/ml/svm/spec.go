@@ -1,10 +1,40 @@
 package svm
 
-// PairSpec is the exported view of one trained one-vs-one binary
-// machine: support vectors, dual coefficients (alpha_i * y_i), the
-// threshold rho, and the Platt sigmoid parameters when probability
-// calibration ran. The machine votes for class I on a positive decision
-// value.
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+)
+
+// Spec is the one structural form of a trained multiclass SVM: what
+// Train fills in, what the interpreted predictors read, what
+// MarshalBinary gob-encodes and what internal/ml/compile lowers into its
+// contiguous serving form. gob matches struct fields by name, so the
+// field names of Spec, KernelSpec and PairSpec are the wire format:
+// renaming one orphans every saved model. A Spec handed out by
+// Model.Spec is the model's own storage; callers must not mutate it.
+type Spec struct {
+	Classes  []string
+	Features int
+	Kernel   KernelSpec
+	Pairs    []PairSpec
+}
+
+// KernelSpec describes a kernel by value. Only the three built-in
+// kernels have a description that restores ("rbf", "linear", "poly");
+// a model trained with any other Kernel predicts in process but neither
+// saves nor compiles.
+type KernelSpec struct {
+	Name   string
+	Gamma  float64
+	Coef0  float64
+	Degree int
+}
+
+// PairSpec is one trained one-vs-one binary machine: support vectors,
+// dual coefficients (alpha_i * y_i), the threshold rho, and the Platt
+// sigmoid parameters when probability calibration ran. The machine votes
+// for class I on a positive decision value.
 type PairSpec struct {
 	I, J  int
 	SV    [][]float64
@@ -14,26 +44,73 @@ type PairSpec struct {
 	HasAB bool
 }
 
-// Spec is the exported read-only structure of a trained multiclass SVM,
-// the view internal/ml/compile lowers into its contiguous serving form.
-// SV and Coef alias the model's own storage; callers must not mutate
-// them.
-type Spec struct {
-	Classes  []string
-	Features int
-	Kernel   Kernel
-	Pairs    []PairSpec
+// describeKernel is the KernelSpec of a training-time Kernel. A kernel
+// from outside this package is named by its Go type, which kernel
+// cannot restore.
+func describeKernel(k Kernel) KernelSpec {
+	switch kk := k.(type) {
+	case RBF:
+		return KernelSpec{Name: "rbf", Gamma: kk.Gamma}
+	case Linear:
+		return KernelSpec{Name: "linear"}
+	case Poly:
+		return KernelSpec{Name: "poly", Gamma: kk.Gamma, Coef0: kk.Coef0, Degree: kk.Degree}
+	}
+	return KernelSpec{Name: fmt.Sprintf("%T", k)}
 }
 
-// Spec exposes the trained pair machines for the compile step.
-func (m *Model) Spec() *Spec {
-	s := &Spec{Classes: m.classes, Features: m.features, Kernel: m.cfg.Kernel}
-	s.Pairs = make([]PairSpec, len(m.pairs))
-	for i, p := range m.pairs {
-		s.Pairs[i] = PairSpec{
-			I: p.i, J: p.j, SV: p.m.sv, Coef: p.m.coef,
-			Rho: p.m.rho, A: p.m.a, B: p.m.b, HasAB: p.m.hasAB,
-		}
+// kernel restores the Kernel a description names.
+func (s KernelSpec) kernel() (Kernel, error) {
+	switch s.Name {
+	case "rbf":
+		return RBF{Gamma: s.Gamma}, nil
+	case "linear":
+		return Linear{}, nil
+	case "poly":
+		return Poly{Gamma: s.Gamma, Coef0: s.Coef0, Degree: s.Degree}, nil
 	}
-	return s
+	return nil, fmt.Errorf("svm: kernel %q is not one of rbf, linear, poly", s.Name)
+}
+
+// Spec returns the trained structure for the compile step.
+func (m *Model) Spec() *Spec { return &m.spec }
+
+// FromSpec returns the model a spec describes, sharing its storage. The
+// spec is not validated beyond its kernel: structural checks belong to
+// internal/ml/compile, the gate every served model passes.
+func FromSpec(s *Spec) (*Model, error) {
+	kernel, err := s.Kernel.kernel()
+	if err != nil {
+		return nil, err
+	}
+	return &Model{spec: *s, kernel: kernel}, nil
+}
+
+// MarshalBinary gob-encodes the model's Spec, so a trained classifier
+// can be saved once and reloaded by production tooling without
+// retraining. A model whose kernel would not restore is refused.
+func (m *Model) MarshalBinary() ([]byte, error) {
+	if _, err := m.spec.Kernel.kernel(); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&m.spec); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// UnmarshalBinary restores a model saved with MarshalBinary; it predicts
+// identically. On error m is left untouched.
+func (m *Model) UnmarshalBinary(data []byte) error {
+	var spec Spec
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&spec); err != nil {
+		return err
+	}
+	restored, err := FromSpec(&spec)
+	if err != nil {
+		return err
+	}
+	*m = *restored
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/ml/eval"
 	"repro/internal/rng"
 )
 
@@ -81,7 +82,7 @@ func TestBinaryLinearlySeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := m.Accuracy(d); acc < 0.99 {
+	if acc := eval.VoteAccuracy(m, d); acc < 0.99 {
 		t.Errorf("separable accuracy = %v", acc)
 	}
 }
@@ -106,14 +107,14 @@ func TestBinaryXORNeedsRBF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := rbf.Accuracy(d); acc < 0.95 {
+	if acc := eval.VoteAccuracy(rbf, d); acc < 0.95 {
 		t.Errorf("RBF XOR accuracy = %v", acc)
 	}
 	lin, err := Train(d, Config{Kernel: Linear{}, C: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := lin.Accuracy(d); acc > 0.75 {
+	if acc := eval.VoteAccuracy(lin, d); acc > 0.75 {
 		t.Errorf("linear XOR accuracy suspiciously high: %v", acc)
 	}
 }
@@ -126,7 +127,7 @@ func TestMulticlassBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := m.Accuracy(test); acc < 0.97 {
+	if acc := eval.VoteAccuracy(m, test); acc < 0.97 {
 		t.Errorf("multiclass test accuracy = %v", acc)
 	}
 	if len(m.Classes()) != 4 {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/dataset"
+	"repro/internal/ml/eval"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -102,14 +103,7 @@ func TuneWorkers(d *dataset.Dataset, grid Grid, folds int, seed uint64, workers 
 			if err != nil {
 				return TuneResult{}, err
 			}
-			test := d.Subset(testIdx)
-			correct := 0
-			for i, row := range test.X {
-				if m.Predict(row) == test.Y[i] {
-					correct++
-				}
-			}
-			total += float64(correct) / float64(test.Len())
+			total += eval.VoteAccuracy(m, d.Subset(testIdx))
 			count++
 		}
 		acc := 0.0

@@ -182,6 +182,10 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	err := parallel.ForEachCtxTimed(r.Context(), s.batchWorkers, len(rows), flight.From(r.Context()).Timer(), func(ctx context.Context, i int) error {
 		res, err := p.row(ctx, v, &one, rows[i])
 		if err != nil {
+			var oor *outOfRangeError
+			if errors.As(err, &oor) {
+				oor.row = i
+			}
 			return err
 		}
 		res.Defaulted = defaulted[i]

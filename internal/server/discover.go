@@ -192,7 +192,7 @@ func scoreRuntime(v *core.ModelView, req *runtimeRequest, row []float64) (runtim
 		threshold = t
 	}
 	classified := probs[pred] >= threshold
-	return runtimeScore{pred: pred, probs: probs, classified: classified}, classified, nil
+	return runtimeScore{pred: pred, probs: probs, classified: classified}, classified, finiteProb(v, row, probs[pred])
 }
 
 // runtimeReply is the /api/runtime-class body. The full per-class

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"time"
@@ -154,13 +155,16 @@ func (p *rowRoute[M, Q, R]) row(ctx context.Context, v *core.View[M], req *Q, ro
 	res, hit, err := p.score(v, req, row)
 	p.latency.ObserveDuration(start)
 	switch {
-	case err != nil:
+	case err == nil && hit:
+		p.out.hit.Inc()
+	case err == nil:
+		p.out.miss.Inc()
+	case errors.As(err, new(*outOfRangeError)):
+		p.out.badRequest.Inc()
+		return none, err
+	default:
 		p.out.failed.Inc()
 		return none, err
-	case hit:
-		p.out.hit.Inc()
-	default:
-		p.out.miss.Inc()
 	}
 	if p.observed != nil {
 		p.observed(ctx, row, res)
@@ -200,17 +204,50 @@ func (p *rowRoute[M, Q, R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.s.writeJSON(w, http.StatusOK, p.reply(v, &req, res, defaulted))
 }
 
-// rowError maps a failed row (single or batch) to its response:
-// deadline overruns are 504s counted in http_timeouts_total, isolated
-// row panics and injected faults are 500s. Nothing has been written yet
-// in either caller, so the status always commits cleanly. The request's
-// wide event picks up the terminal error (and, for an isolated row
-// panic, the panic flag) so /debug/requests can attribute the 5xx to its
-// cause.
+// outOfRangeError fails a row whose feature values the model could not
+// turn into a probability: the client's to fix, so a 400 naming them.
+type outOfRangeError struct {
+	features []string
+	row      int // position in a batch; -1 on the single-row routes
+}
+
+func (e *outOfRangeError) Error() string {
+	if e.row < 0 {
+		return fmt.Sprintf("features out of range: %v", e.features)
+	}
+	return fmt.Sprintf("row %d: features out of range: %v", e.row, e.features)
+}
+
+// finiteProb is the last check of a JobClassifier score func: no
+// governed row route answers 200 with a probability encoding/json will
+// refuse after the status is committed. The model families stay as they
+// are (NB's 0/0 on an overflowing row is what its compiled form, the
+// stack and their parity digests reproduce bit for bit); the row fails
+// here instead.
+func finiteProb(v *core.ModelView, row []float64, prob float64) error {
+	if !math.IsNaN(prob) && !math.IsInf(prob, 0) {
+		return nil
+	}
+	if names := v.Model.OutOfRange(row); len(names) > 0 {
+		return &outOfRangeError{features: names, row: -1}
+	}
+	return fmt.Errorf("%s model answered probability %v", v.Model.Algo, prob)
+}
+
+// rowError maps a failed row (single or batch) to its response: a row
+// of out-of-range features is a 400, deadline overruns are 504s counted
+// in http_timeouts_total, isolated row panics and injected faults are
+// 500s. Nothing has been written yet in either caller, so the status
+// always commits cleanly. The request's wide event picks up the terminal
+// error (and, for an isolated row panic, the panic flag) so
+// /debug/requests can attribute the 5xx to its cause.
 func (s *Server) rowError(w http.ResponseWriter, r *http.Request, err error) {
 	fe := flight.From(r.Context())
 	var pe *parallel.PanicError
+	var oor *outOfRangeError
 	switch {
+	case errors.As(err, &oor):
+		s.writeError(w, http.StatusBadRequest, "%v", oor)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		s.timedOut(w, r, "handler")
 	case errors.As(err, &pe):

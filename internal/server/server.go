@@ -351,7 +351,7 @@ func (s *Server) initRowRoutes() {
 		},
 		score: func(v *core.ModelView, req *classifyRequest, row []float64) (classifyResult, bool, error) {
 			label, prob, ok := v.Model.Classify(row, req.Threshold)
-			return classifyResult{Label: label, Probability: prob, Classified: ok}, ok, nil
+			return classifyResult{Label: label, Probability: prob, Classified: ok}, ok, finiteProb(v, row, prob)
 		},
 		// The lifecycle loop observes every successfully inferred row: the
 		// served answer is already final, so drift accounting and shadow
