@@ -347,7 +347,7 @@ func BenchmarkParallelCrossValidate(b *testing.B) {
 	var serialAcc float64
 	b.Run("workers=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			acc, err := eval.CrossValidateWorkers(train, 4, 81, 1, trainFn(1))
+			acc, err := eval.CrossValidate(train, 4, 81, 1, trainFn(1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -357,7 +357,7 @@ func BenchmarkParallelCrossValidate(b *testing.B) {
 	})
 	b.Run("workers=all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			acc, err := eval.CrossValidateWorkers(train, 4, 81, 0, trainFn(0))
+			acc, err := eval.CrossValidate(train, 4, 81, 0, trainFn(0))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -91,9 +91,14 @@ func main() {
 		log.Warn("fault injection armed", "sites", fmt.Sprint(faults.Sites()), "spec", faults.String(), "seed", *faultSeed)
 	}
 
-	// One wide event per finalized job; the payload cap and the
-	// warehouse partitioning are their packages' defaults.
-	rec := flight.NewRecorder(flight.DefaultConfig())
+	// One wide event per finalized job, filed under /ingest/finalize. The
+	// SLO objectives count only the serving path's events, so this daemon
+	// declares none: /debug/slo answers {"enabled":false} and no slo_*
+	// gauge is exported. The warehouse partitioning is its package's
+	// default.
+	fcfg := flight.DefaultConfig()
+	fcfg.SLO = flight.SLOConfig{}
+	rec := flight.NewRecorder(fcfg)
 	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
 	srv, err := ingest.NewServer(ingest.Config{
 		Shards:      *shards,

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -67,39 +68,22 @@ func main() {
 			ids[i] = strings.TrimSpace(ids[i])
 		}
 	}
-	for _, id := range ids {
-		if _, ok := experiments.ByID(id); !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", id, strings.Join(experiments.IDs(), ", "))
-			os.Exit(2)
-		}
-	}
 
-	// Fan the independent experiments out over the worker pool; results
-	// come back in input (paper) order regardless of completion order.
-	type timed struct {
-		res *experiments.Result
-		dur time.Duration
-	}
+	// Results come back in input (paper) order regardless of completion
+	// order.
 	suiteStart := time.Now()
-	out, err := parallel.Map(*workers, len(ids), func(i int) (timed, error) {
-		driver, _ := experiments.ByID(ids[i])
-		sp := root.Child("exp." + ids[i])
-		defer sp.End()
-		start := time.Now()
-		res, err := driver(env)
-		if err != nil {
-			return timed{}, fmt.Errorf("experiment %s failed: %w", ids[i], err)
-		}
-		return timed{res: res, dur: time.Since(start)}, nil
-	})
+	out, err := experiments.RunSelected(env, ids, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, experiments.ErrUnknownID) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 
-	for _, t := range out {
-		fmt.Println(t.res.String())
-		fmt.Fprintf(os.Stderr, "(%s in %v)\n", t.res.ID, t.dur.Round(time.Millisecond))
+	for _, res := range out {
+		fmt.Println(res.String())
+		fmt.Fprintf(os.Stderr, "(%s in %v)\n", res.ID, res.Wall.Round(time.Millisecond))
 	}
 	fmt.Fprintf(os.Stderr, "(suite: %d experiments in %v on %d workers)\n",
 		len(ids), time.Since(suiteStart).Round(time.Millisecond), parallel.Workers(*workers))

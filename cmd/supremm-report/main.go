@@ -42,7 +42,6 @@ func main() {
 
 	cfg := core.DefaultPipelineConfig(*seed, *jobs)
 	cfg.UseScheduler = *sched
-	cfg.Backfill = true
 	res, err := core.RunPipeline(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "supremm-report:", err)

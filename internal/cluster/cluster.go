@@ -88,40 +88,34 @@ func (j *Job) End() int64 { return j.Start + int64(j.Draw.WallSeconds) }
 type Config struct {
 	Seed uint64
 
-	// YearStart is the unix time the workload year begins (jobs start
-	// uniformly within the following 365 days).
-	YearStart int64
-
 	// Population fractions; the remainder is the community population.
 	// Paper: 238,929/1,683,850 = 0.142 Uncategorized and
 	// 475,280/1,683,850 = 0.282 NA.
 	UncategorizedFrac float64
 	NAFrac            float64
 
-	// ScriptFailProb is the probability a job's trailing script
-	// operations return a non-zero status regardless of how the
-	// application behaved. This is what makes exit codes unlearnable
-	// from performance data.
-	ScriptFailProb float64
-
 	// Community restricts community-population sampling to these apps
 	// (nil means the full catalogue) at their native mix weights.
 	Community []apps.App
-
-	PoolUncategorized apps.PoolConfig
-	PoolNA            apps.PoolConfig
 }
+
+const (
+	// yearStart is the unix time the workload year begins (jobs start
+	// uniformly within the following 365 days): 2014-01-01T00:00:00Z.
+	yearStart = 1388534400
+	// scriptFailProb is the probability a job's trailing script
+	// operations return a non-zero status regardless of how the
+	// application behaved. This is what makes exit codes unlearnable
+	// from performance data.
+	scriptFailProb = 0.18
+)
 
 // DefaultConfig mirrors the paper's Stampede 2014 dataset proportions.
 func DefaultConfig(seed uint64) Config {
 	return Config{
 		Seed:              seed,
-		YearStart:         1388534400, // 2014-01-01T00:00:00Z
 		UncategorizedFrac: 0.142,
 		NAFrac:            0.282,
-		ScriptFailProb:    0.18,
-		PoolUncategorized: apps.DefaultUncategorizedConfig(),
-		PoolNA:            apps.DefaultNAConfig(),
 	}
 }
 
@@ -153,10 +147,10 @@ func NewGenerator(machine Machine, cfg Config) *Generator {
 		nextID:    1000000,
 	}
 	if cfg.UncategorizedFrac > 0 {
-		g.uncat = apps.NewCustomPool(r.Split(2), cfg.PoolUncategorized)
+		g.uncat = apps.NewCustomPool(r.Split(2), apps.DefaultUncategorizedConfig())
 	}
 	if cfg.NAFrac > 0 {
-		g.na = apps.NewCustomPool(r.Split(3), cfg.PoolNA)
+		g.na = apps.NewCustomPool(r.Split(3), apps.DefaultNAConfig())
 	}
 	return g
 }
@@ -187,7 +181,7 @@ func (g *Generator) Next() *Job {
 		hosts[i] = g.machine.Hostname((base + i) % total)
 	}
 
-	start := g.cfg.YearStart + int64(jr.Float64()*365*24*3600)
+	start := yearStart + int64(jr.Float64()*365*24*3600)
 	// Queue wait grows with requested node count.
 	wait := jr.LogNormal(5.5, 1.2) * (1 + float64(draw.Nodes)/64)
 
@@ -209,7 +203,7 @@ func (g *Generator) Next() *Job {
 	switch {
 	case j.AppFailed:
 		j.ExitCode = 1 + jr.Intn(126)
-	case jr.Bool(g.cfg.ScriptFailProb):
+	case jr.Bool(scriptFailProb):
 		j.ExitCode = 1 + jr.Intn(2)
 	default:
 		j.ExitCode = 0

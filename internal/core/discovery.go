@@ -22,16 +22,21 @@ import (
 // DiscoveryConfig controls an unsupervised discovery fit. The zero value
 // of any field selects its default.
 type DiscoveryConfig struct {
-	K               int     // clusters (default 8)
-	Components      int     // retained principal components (default 5, capped at #features)
-	Restarts        int     // k-means restarts, best inertia wins (default 8)
-	MaxIter         int     // k-means iteration cap (default 100)
-	Seed            uint64  // fit RNG seed; same seed => bit-identical model
-	Workers         int     // restart concurrency; <=0 = GOMAXPROCS (result identical at any value)
-	TopFeatures     int     // deviating features reported per cluster (default 5)
-	AnomalyZ        float64 // |center z-score| that flags a cluster anomalous (default 2)
-	AnomalyQuantile float64 // training-distance quantile for the per-job flag (default 0.95)
+	K           int    // clusters (default 8)
+	Components  int    // retained principal components (default 5, capped at #features)
+	Restarts    int    // k-means restarts, best inertia wins (default 8)
+	Seed        uint64 // fit RNG seed; same seed => bit-identical model
+	Workers     int    // restart concurrency; <=0 = GOMAXPROCS (result identical at any value)
+	TopFeatures int    // deviating features reported per cluster (default 5)
 }
+
+const (
+	// anomalyZ is the |center z-score| that flags a cluster anomalous.
+	anomalyZ = 2
+	// anomalyQuantile is the training-distance quantile beyond which
+	// Assign flags a job.
+	anomalyQuantile = 0.95
+)
 
 func (cfg DiscoveryConfig) withDefaults(p int) DiscoveryConfig {
 	if cfg.K <= 0 {
@@ -46,20 +51,11 @@ func (cfg DiscoveryConfig) withDefaults(p int) DiscoveryConfig {
 	if cfg.Restarts <= 0 {
 		cfg.Restarts = 8
 	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 100
-	}
 	if cfg.TopFeatures <= 0 {
 		cfg.TopFeatures = 5
 	}
 	if cfg.TopFeatures > p {
 		cfg.TopFeatures = p
-	}
-	if cfg.AnomalyZ <= 0 {
-		cfg.AnomalyZ = 2
-	}
-	if cfg.AnomalyQuantile <= 0 || cfg.AnomalyQuantile >= 1 {
-		cfg.AnomalyQuantile = 0.95
 	}
 	return cfg
 }
@@ -106,10 +102,9 @@ type DiscoveryModel struct {
 	// how many directions the population really spans).
 	ExplainedVariance []float64
 	Clusters          []ClusterSummary
-	// AnomalyDistance is the fitted AnomalyQuantile of training-row
+	// AnomalyDistance is the fitted anomalyQuantile of training-row
 	// distances to their centers; Assign flags rows beyond it.
 	AnomalyDistance float64
-	AnomalyZ        float64
 }
 
 // FeatureNames and Serving make the fit Servable behind a
@@ -166,8 +161,7 @@ func FitDiscovery(rows [][]float64, features []string, cfg DiscoveryConfig) (*Di
 		return nil, fmt.Errorf("core: discovery projection: %w", err)
 	}
 	km, err := kmeans.Fit(proj, kmeans.Config{
-		K: cfg.K, MaxIter: cfg.MaxIter, Restarts: cfg.Restarts,
-		Seed: cfg.Seed, Workers: cfg.Workers,
+		K: cfg.K, Restarts: cfg.Restarts, Seed: cfg.Seed, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: discovery kmeans: %w", err)
@@ -184,7 +178,6 @@ func FitDiscovery(rows [][]float64, features []string, cfg DiscoveryConfig) (*Di
 		Labels:   km.Labels,
 		Inertia:  km.Inertia,
 		Iters:    km.Iters,
-		AnomalyZ: cfg.AnomalyZ,
 	}
 	m.ExplainedVariance = make([]float64, cfg.Components)
 	for c := range m.ExplainedVariance {
@@ -213,7 +206,7 @@ func FitDiscovery(rows [][]float64, features []string, cfg DiscoveryConfig) (*Di
 		dists[i] = d
 		sumDist[c] += d
 	}
-	m.AnomalyDistance = stats.Quantile(dists, cfg.AnomalyQuantile)
+	m.AnomalyDistance = stats.Quantile(dists, anomalyQuantile)
 
 	m.Clusters = make([]ClusterSummary, cfg.K)
 	for c := 0; c < cfg.K; c++ {
@@ -234,7 +227,7 @@ func FitDiscovery(rows [][]float64, features []string, cfg DiscoveryConfig) (*Di
 			return math.Abs(devs[a].Z) > math.Abs(devs[b].Z)
 		})
 		cs.TopDeviations = devs[:cfg.TopFeatures]
-		cs.Anomalous = math.Abs(cs.TopDeviations[0].Z) >= cfg.AnomalyZ
+		cs.Anomalous = math.Abs(cs.TopDeviations[0].Z) >= anomalyZ
 		m.Clusters[c] = cs
 	}
 	return m, nil

@@ -40,9 +40,8 @@ type PipelineConfig struct {
 	Seed    uint64
 	NumJobs int
 
-	Machine   cluster.Machine
-	Cluster   cluster.Config
-	Collector taccstats.Config
+	Machine cluster.Machine
+	Cluster cluster.Config
 
 	// Segments enables per-time-slice summarization (needed for
 	// time-dependent features).
@@ -53,29 +52,27 @@ type PipelineConfig struct {
 	Workers int
 
 	// UseScheduler routes the workload through the event-driven batch
-	// scheduler (FCFS, optionally EASY backfill) so start times, node
+	// scheduler (FCFS with EASY backfill) so start times, node
 	// placements and queue waits are emergent instead of sampled.
 	UseScheduler bool
-	Backfill     bool
-	// WallEstimateFactor models users over-requesting wall time; the
-	// backfill reservation logic reasons about these estimates (default
-	// 1.5 when UseScheduler is set).
-	WallEstimateFactor float64
 
 	// Obs carries optional metrics/tracing/logging; the zero value is a
 	// no-op and leaves the run bit-identical to an uninstrumented one.
 	Obs Instrumentation
 }
 
+// wallEstimateFactor models users over-requesting wall time; the
+// scheduler's backfill reservations reason about these estimates.
+const wallEstimateFactor = 1.5
+
 // DefaultPipelineConfig mirrors the paper's Stampede 2014 setting at a
 // configurable job count.
 func DefaultPipelineConfig(seed uint64, numJobs int) PipelineConfig {
 	return PipelineConfig{
-		Seed:      seed,
-		NumJobs:   numJobs,
-		Machine:   cluster.Stampede(),
-		Cluster:   cluster.DefaultConfig(seed),
-		Collector: taccstats.DefaultConfig(),
+		Seed:    seed,
+		NumJobs: numJobs,
+		Machine: cluster.Stampede(),
+		Cluster: cluster.DefaultConfig(seed),
 	}
 }
 
@@ -98,10 +95,8 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	if cfg.Machine.TotalNodes() == 0 {
 		cfg.Machine = cluster.Stampede()
 	}
-	if cfg.Collector.Period <= 0 {
-		cfg.Collector = taccstats.DefaultConfig()
-	}
 	cfg.Cluster.Seed = cfg.Seed
+	collector := taccstats.DefaultConfig()
 
 	sp := cfg.Obs.Span
 	cfg.Obs.Log.Debug("pipeline: generating workload", "jobs", cfg.NumJobs, "seed", cfg.Seed)
@@ -110,12 +105,8 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	gen := cluster.NewGenerator(cfg.Machine, cfg.Cluster)
 	jobs := gen.Generate(cfg.NumJobs)
 	if cfg.UseScheduler {
-		estFactor := cfg.WallEstimateFactor
-		if estFactor <= 0 {
-			estFactor = 1.5
-		}
 		ssp := gsp.Child("schedule")
-		err := cluster.ScheduleWorkload(cfg.Machine, jobs, cfg.Backfill, estFactor)
+		err := cluster.ScheduleWorkload(cfg.Machine, jobs, true, wallEstimateFactor)
 		ssp.End()
 		if err != nil {
 			return nil, err
@@ -149,7 +140,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 		if timed {
 			t0 = time.Now()
 		}
-		arch := taccstats.Collect(cfg.Collector, taccstats.JobInfo{
+		arch := taccstats.Collect(collector, taccstats.JobInfo{
 			ID: j.ID, Start: j.Start, Hosts: j.Hosts,
 		}, j.Draw, r)
 		if timed {
@@ -158,7 +149,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 			collectHist.Observe(d.Seconds())
 			t0 = time.Now()
 		}
-		sum, err := summarize.Summarize(arch, cfg.Collector, summarize.Options{Segments: cfg.Segments})
+		sum, err := summarize.Summarize(arch, collector, summarize.Options{Segments: cfg.Segments})
 		if timed {
 			d := time.Since(t0)
 			summarizeNS.Add(int64(d))
@@ -175,7 +166,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 			Category:    category,
 			Pop:         j.Population,
 			Nodes:       sum.Nodes,
-			Cores:       sum.Nodes * cfg.Collector.CoresPerNode,
+			Cores:       sum.Nodes * collector.CoresPerNode,
 			Submit:      j.Submit,
 			Start:       j.Start,
 			WallSeconds: sum.WallSeconds,
@@ -268,26 +259,5 @@ func FeaturizeAll(records []*warehouse.Record, opt FeatureOptions) [][]float64 {
 	for i, r := range records {
 		rows[i] = Featurize(r.Summary, opt)
 	}
-	return rows
-}
-
-// BuildDatasetObs is BuildDataset wrapped in a "featurize" stage span.
-func BuildDatasetObs(ins Instrumentation, records []*warehouse.Record, label LabelFunc, opt FeatureOptions) (*dataset.Dataset, error) {
-	sp := ins.Span.Child("featurize")
-	ds, err := BuildDataset(records, label, opt)
-	if err == nil && sp != nil {
-		sp.SetAttr("rows", ds.Len())
-		sp.SetAttr("features", len(ds.FeatureNames))
-	}
-	sp.End()
-	return ds, err
-}
-
-// FeaturizeAllObs is FeaturizeAll wrapped in a "featurize" stage span.
-func FeaturizeAllObs(ins Instrumentation, records []*warehouse.Record, opt FeatureOptions) [][]float64 {
-	sp := ins.Span.Child("featurize")
-	rows := FeaturizeAll(records, opt)
-	sp.SetAttr("rows", len(rows))
-	sp.End()
 	return rows
 }

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"strings"
+	"time"
 
 	"repro/internal/parallel"
 )
@@ -49,36 +52,37 @@ func IDs() []string {
 	return out
 }
 
+// ErrUnknownID is wrapped by RunSelected's error for an id that is not
+// in the Registry; the message lists the valid ones.
+var ErrUnknownID = errors.New("unknown experiment")
+
 // RunSelected executes the given experiment ids concurrently on at most
 // workers goroutines (<= 0 means GOMAXPROCS; 1 runs serially) and
-// returns the results in input order. Every driver derives its datasets
-// and models from the Env's seed — shared lazily-built state is guarded
-// by sync.Once — so each experiment's result is bit-identical whether it
-// runs alone, serially, or alongside the rest of the suite. On failure
-// the smallest-index failing experiment's error is returned.
+// returns the results in input order, each stamped with its wall time.
+// Every driver derives its datasets and models from the Env's seed —
+// shared lazily-built state is built once — so each experiment's result
+// is bit-identical whether it runs alone, serially, or alongside the
+// rest of the suite. An unknown id fails before any work starts; after
+// that the smallest-index failing experiment's error is returned.
 func RunSelected(e *Env, ids []string, workers int) ([]*Result, error) {
 	drivers := make([]Driver, len(ids))
 	for i, id := range ids {
 		d, ok := ByID(id)
 		if !ok {
-			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+			return nil, fmt.Errorf("%w %q (valid: %s)", ErrUnknownID, id, strings.Join(IDs(), ", "))
 		}
 		drivers[i] = d
 	}
 	return parallel.Map(workers, len(ids), func(i int) (*Result, error) {
 		sp := e.Cfg.Obs.Span.Child("exp." + ids[i])
 		defer sp.End()
+		start := time.Now()
 		res, err := drivers[i](e)
 		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", ids[i], err)
+			return nil, fmt.Errorf("experiment %s failed: %w", ids[i], err)
 		}
-		e.Cfg.Obs.Log.Debug("experiment done", "id", ids[i], "wall", sp.Wall())
+		res.Wall = time.Since(start)
+		e.Cfg.Obs.Log.Debug("experiment done", "id", ids[i], "wall", res.Wall)
 		return res, nil
 	})
-}
-
-// RunAll executes every experiment against one environment, fanning the
-// independent experiments out over e.Cfg.Workers goroutines.
-func RunAll(e *Env) ([]*Result, error) {
-	return RunSelected(e, IDs(), e.Cfg.Workers)
 }

@@ -17,7 +17,7 @@ func Table3(e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	preds := scoreParallel(model, test, e.Cfg.Workers)
+	preds := scoreParallel(model, test)
 	cm := eval.NewConfusionMatrix(test.ClassNames, preds)
 	totals := cm.RowTotals()
 	accs := cm.ClassAccuracy()
@@ -56,8 +56,8 @@ func Figure4(e *Env) (*Result, error) {
 		return nil, err
 	}
 	ths := eval.DefaultThresholds()
-	uncatCurve := eval.ThresholdCurve(scoreRowsParallel(model, uncat, e.Cfg.Workers), ths)
-	naCurve := eval.ThresholdCurve(scoreRowsParallel(model, na, e.Cfg.Workers), ths)
+	uncatCurve := eval.ThresholdCurve(scoreRowsParallel(model, uncat), ths)
+	naCurve := eval.ThresholdCurve(scoreRowsParallel(model, na), ths)
 
 	r := newResult("fig4", "% classified into 12 broad categories vs threshold: Uncategorized and NA")
 	r.addf("%-10s %14s %10s", "threshold", "uncategorized", "na")

@@ -19,8 +19,8 @@ func Table2(e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainPreds := scoreParallel(model, train, e.Cfg.Workers)
-	testPreds := scoreParallel(model, test, e.Cfg.Workers)
+	trainPreds := scoreParallel(model, train)
+	testPreds := scoreParallel(model, test)
 	cm := eval.NewConfusionMatrix(train.ClassNames, testPreds)
 
 	r := newResult("table2", "SVM confusion matrix over 20 applications (native-mix test)")
@@ -51,7 +51,7 @@ func Figure1(e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	preds := scoreParallel(model, test, e.Cfg.Workers)
+	preds := scoreParallel(model, test)
 	curve := eval.ThresholdCurve(preds, eval.DefaultThresholds())
 
 	r := newResult("fig1", "% classified and % correctly classified vs probability threshold")
@@ -80,8 +80,8 @@ func Figure2(e *Env) (*Result, error) {
 		return nil, err
 	}
 	ths := eval.DefaultThresholds()
-	svmROC := eval.ROCLike(scoreParallel(svmModel, test, e.Cfg.Workers), ths)
-	rfROC := eval.ROCLike(scoreParallel(rfModel, test, e.Cfg.Workers), ths)
+	svmROC := eval.ROCLike(scoreParallel(svmModel, test), ths)
+	rfROC := eval.ROCLike(scoreParallel(rfModel, test), ths)
 
 	r := newResult("fig2", "ROC-like curve (Equation 1): SVM vs RF")
 	r.addf("%-10s %16s %16s", "threshold", "svm (x, y)", "rf (x, y)")
@@ -114,9 +114,9 @@ func Figure3(e *Env) (*Result, error) {
 		return nil, err
 	}
 	ths := eval.DefaultThresholds()
-	knownCurve := eval.ThresholdCurve(scoreParallel(model, test, e.Cfg.Workers), ths)
-	uncatCurve := eval.ThresholdCurve(scoreRowsParallel(model, uncat, e.Cfg.Workers), ths)
-	naCurve := eval.ThresholdCurve(scoreRowsParallel(model, na, e.Cfg.Workers), ths)
+	knownCurve := eval.ThresholdCurve(scoreParallel(model, test), ths)
+	uncatCurve := eval.ThresholdCurve(scoreRowsParallel(model, uncat), ths)
+	naCurve := eval.ThresholdCurve(scoreRowsParallel(model, na), ths)
 
 	r := newResult("fig3", "% classified vs threshold: Uncategorized and NA pools (vs known mix)")
 	r.addf("%-10s %10s %14s %10s", "threshold", "known", "uncategorized", "na")

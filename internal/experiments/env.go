@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/warehouse"
 )
 
 // rngSplit returns a fresh deterministic generator for a sub-task.
@@ -37,8 +39,6 @@ type Config struct {
 	// SweepCounts are the predictor counts retrained in Figure 6
 	// (empty = a default descending grid).
 	SweepCounts []int
-	// Workers bounds parallel scoring (0 = GOMAXPROCS).
-	Workers int
 
 	// Obs carries optional metrics/tracing/logging through every dataset
 	// build and experiment; the zero value is a no-op and results stay
@@ -63,6 +63,8 @@ type Result struct {
 	Title   string
 	Lines   []string
 	Metrics map[string]float64
+	// Wall is how long the driver ran, stamped by RunSelected.
+	Wall time.Duration
 }
 
 func newResult(id, title string) *Result {
@@ -84,107 +86,85 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// Env holds the generated datasets shared by the experiment drivers. All
-// members are produced deterministically from Config.Seed.
+// Env holds the generated datasets and trained models shared by the
+// experiment drivers. Every member is built on first use, once, and
+// deterministically from Config.Seed.
 type Env struct {
 	Cfg Config
 
-	once struct {
-		appData  sync.Once
-		catData  sync.Once
-		pools    sync.Once
-		native   sync.Once
-		segments sync.Once
+	appData  func() (trainTest, error)
+	catData  func() (trainTest, error)
+	pools    func() (unknownPools, error)
+	native   func() (*core.PipelineResult, error)
+	segments func() (segmentData, error)
+
+	appSVM, appRF, catSVM func() (*core.JobClassifier, error)
+}
+
+// trainTest is a training set and the test set aligned to its classes.
+type trainTest struct{ train, test *dataset.Dataset }
+
+// unknownPools holds the Uncategorized and NA populations' feature rows.
+type unknownPools struct{ uncat, na [][]float64 }
+
+// segmentData pairs segment-feature and mean-feature datasets built from
+// the same jobs and split identically (X1).
+type segmentData struct{ segTrain, segTest, meanTrain, meanTest *dataset.Dataset }
+
+// NewEnv returns an experiment environment; datasets generate lazily.
+func NewEnv(cfg Config) *Env {
+	if cfg.TrainPerClass <= 0 {
+		cfg.TrainPerClass = 300
 	}
+	if cfg.TestJobs <= 0 {
+		cfg.TestJobs = 4000
+	}
+	if cfg.UnknownJobs <= 0 {
+		cfg.UnknownJobs = 1200
+	}
+	e := &Env{Cfg: cfg}
+	t2 := apps.Table2Apps()
+	e.appData = e.trainTestOnce("env.appdata", core.LabelByLariat,
+		communityPipeline(cfg.Seed+1, 20*cfg.TrainPerClass, balancedApps(t2)),
+		communityPipeline(cfg.Seed+2, cfg.TestJobs, t2))
+	e.catData = e.trainTestOnce("env.catdata", core.LabelByCategory,
+		communityPipeline(cfg.Seed+3, 12*2*cfg.TrainPerClass, categoryBalancedApps()),
+		communityPipeline(cfg.Seed+4, cfg.TestJobs, apps.Catalog()))
+	e.pools = sync.OnceValues(e.buildUnknownPools)
+	e.native = sync.OnceValues(e.buildNativeRun)
+	e.segments = sync.OnceValues(e.buildSegmentData)
+	e.appSVM = e.trainOnce("env.appsvm", e.appData, core.PaperSVM)
+	e.appRF = e.trainOnce("env.apprf", e.appData, core.PaperForest)
+	e.catSVM = e.trainOnce("env.catsvm", e.catData, core.PaperSVM)
+	return e
+}
 
-	// Application-classification data (Table 2 apps).
-	appTrain *dataset.Dataset // balanced mixture, LabelByLariat
-	appTest  *dataset.Dataset // native mix
-	appErr   error
-
-	// Category-classification data (full catalogue).
-	catTrain *dataset.Dataset
-	catTest  *dataset.Dataset
-	catErr   error
-
-	// Unknown-population features.
-	uncatRows [][]float64
-	naRows    [][]float64
-	poolErr   error
-
-	// Native community run with populations + exit codes (Section II).
-	nativeRun *core.PipelineResult
-	nativeErr error
-
-	// Segment-feature data (X1).
-	segTrain, segTest   *dataset.Dataset
-	meanTrain, meanTest *dataset.Dataset
-	segErr              error
-
-	// Cached trained models over the shared datasets.
-	svmOnce  sync.Once
-	svmModel *core.JobClassifier
-	svmErr   error
-	rfOnce   sync.Once
-	rfModel  *core.JobClassifier
-	rfErr    error
-	catOnce  sync.Once
-	catModel *core.JobClassifier
-	catMErr  error
+// trainOnce returns a memoised trainer: its first call fits model(seed)
+// on data's training set under a span called name.
+func (e *Env) trainOnce(name string, data func() (trainTest, error), model func(seed uint64) core.ClassifierConfig) func() (*core.JobClassifier, error) {
+	return sync.OnceValues(func() (*core.JobClassifier, error) {
+		d, err := data()
+		if err != nil {
+			return nil, err
+		}
+		sp, _ := e.stage(name)
+		defer sp.End()
+		cfg := model(e.Cfg.Seed)
+		cfg.Span = sp
+		return core.TrainJobClassifier(d.train, cfg)
+	})
 }
 
 // AppSVM trains (once) the paper-configured SVM (RBF gamma=0.1, C=1000)
 // on the balanced application mixture.
-func (e *Env) AppSVM() (*core.JobClassifier, error) {
-	e.svmOnce.Do(func() {
-		train, _, err := e.AppData()
-		if err != nil {
-			e.svmErr = err
-			return
-		}
-		sp, _ := e.stage("env.appsvm")
-		defer sp.End()
-		cfg := core.PaperSVM(e.Cfg.Seed)
-		cfg.Span = sp
-		e.svmModel, e.svmErr = core.TrainJobClassifier(train, cfg)
-	})
-	return e.svmModel, e.svmErr
-}
+func (e *Env) AppSVM() (*core.JobClassifier, error) { return e.appSVM() }
 
 // AppRF trains (once) the random forest on the balanced application
 // mixture.
-func (e *Env) AppRF() (*core.JobClassifier, error) {
-	e.rfOnce.Do(func() {
-		train, _, err := e.AppData()
-		if err != nil {
-			e.rfErr = err
-			return
-		}
-		sp, _ := e.stage("env.apprf")
-		defer sp.End()
-		cfg := core.PaperForest(e.Cfg.Seed)
-		cfg.Span = sp
-		e.rfModel, e.rfErr = core.TrainJobClassifier(train, cfg)
-	})
-	return e.rfModel, e.rfErr
-}
+func (e *Env) AppRF() (*core.JobClassifier, error) { return e.appRF() }
 
 // CategorySVM trains (once) the SVM on the category-balanced mixture.
-func (e *Env) CategorySVM() (*core.JobClassifier, error) {
-	e.catOnce.Do(func() {
-		train, _, err := e.CategoryData()
-		if err != nil {
-			e.catMErr = err
-			return
-		}
-		sp, _ := e.stage("env.catsvm")
-		defer sp.End()
-		cfg := core.PaperSVM(e.Cfg.Seed)
-		cfg.Span = sp
-		e.catModel, e.catMErr = core.TrainJobClassifier(train, cfg)
-	})
-	return e.catModel, e.catMErr
-}
+func (e *Env) CategorySVM() (*core.JobClassifier, error) { return e.catSVM() }
 
 // stage opens a child span under the suite span for one lazily-built
 // environment dataset; the returned Instrumentation is bound to it.
@@ -204,6 +184,19 @@ func runPipeline(ins core.Instrumentation, name string, cfg core.PipelineConfig)
 	return core.RunPipeline(cfg)
 }
 
+// buildDataset is core.BuildDataset under a child span of ins.Span
+// called "featurize".
+func buildDataset(ins core.Instrumentation, records []*warehouse.Record, label core.LabelFunc, opt core.FeatureOptions) (*dataset.Dataset, error) {
+	sp := ins.Span.Child("featurize")
+	defer sp.End()
+	ds, err := core.BuildDataset(records, label, opt)
+	if err == nil {
+		sp.SetAttr("rows", ds.Len())
+		sp.SetAttr("features", len(ds.FeatureNames))
+	}
+	return ds, err
+}
+
 // pipelineDataset runs cfg (span name) and featurizes the labeled part of
 // its records (span "featurize", a sibling of the pipeline's).
 func pipelineDataset(ins core.Instrumentation, name string, cfg core.PipelineConfig, label core.LabelFunc) (*dataset.Dataset, error) {
@@ -211,33 +204,27 @@ func pipelineDataset(ins core.Instrumentation, name string, cfg core.PipelineCon
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildDatasetObs(ins, run.Records, label, core.DefaultFeatures())
+	return buildDataset(ins, run.Records, label, core.DefaultFeatures())
 }
 
-// trainTestData builds a training set and a test set from two pipeline
-// runs, the test vocabulary aligned with training's classes.
-func trainTestData(ins core.Instrumentation, label core.LabelFunc, trainCfg, testCfg core.PipelineConfig) (train, test *dataset.Dataset, err error) {
-	if train, err = pipelineDataset(ins, "pipeline.train", trainCfg, label); err != nil {
-		return nil, nil, err
-	}
-	if test, err = pipelineDataset(ins, "pipeline.test", testCfg, label); err != nil {
-		return nil, nil, err
-	}
-	return train, alignClasses(test, train.ClassNames), nil
-}
-
-// NewEnv returns an experiment environment; datasets generate lazily.
-func NewEnv(cfg Config) *Env {
-	if cfg.TrainPerClass <= 0 {
-		cfg.TrainPerClass = 300
-	}
-	if cfg.TestJobs <= 0 {
-		cfg.TestJobs = 4000
-	}
-	if cfg.UnknownJobs <= 0 {
-		cfg.UnknownJobs = 1200
-	}
-	return &Env{Cfg: cfg}
+// trainTestOnce returns a memoised builder: its first call runs the two
+// pipelines under a span called stage and featurizes them into a
+// training set and a test set, the test vocabulary aligned with
+// training's classes.
+func (e *Env) trainTestOnce(stage string, label core.LabelFunc, trainCfg, testCfg core.PipelineConfig) func() (trainTest, error) {
+	return sync.OnceValues(func() (trainTest, error) {
+		sp, ins := e.stage(stage)
+		defer sp.End()
+		train, err := pipelineDataset(ins, "pipeline.train", trainCfg, label)
+		if err != nil {
+			return trainTest{}, err
+		}
+		test, err := pipelineDataset(ins, "pipeline.test", testCfg, label)
+		if err != nil {
+			return trainTest{}, err
+		}
+		return trainTest{train, alignClasses(test, train.ClassNames)}, nil
+	})
 }
 
 // balancedApps returns the Table 2 application list with equal mix
@@ -279,95 +266,90 @@ func communityPipeline(seed uint64, n int, community []apps.App) core.PipelineCo
 // AppData generates (once) the balanced training set and native-mix test
 // set over the 20 Table 2 applications.
 func (e *Env) AppData() (train, test *dataset.Dataset, err error) {
-	e.once.appData.Do(func() {
-		sp, ins := e.stage("env.appdata")
-		defer sp.End()
-		t2 := apps.Table2Apps()
-		e.appTrain, e.appTest, e.appErr = trainTestData(ins, core.LabelByLariat,
-			communityPipeline(e.Cfg.Seed+1, 20*e.Cfg.TrainPerClass, balancedApps(t2)),
-			communityPipeline(e.Cfg.Seed+2, e.Cfg.TestJobs, t2))
-	})
-	return e.appTrain, e.appTest, e.appErr
+	d, err := e.appData()
+	return d.train, d.test, err
 }
 
 // CategoryData generates (once) category-balanced training and native test
 // sets over the full catalogue, labeled by broad category.
 func (e *Env) CategoryData() (train, test *dataset.Dataset, err error) {
-	e.once.catData.Do(func() {
-		sp, ins := e.stage("env.catdata")
-		defer sp.End()
-		e.catTrain, e.catTest, e.catErr = trainTestData(ins, core.LabelByCategory,
-			communityPipeline(e.Cfg.Seed+3, 12*2*e.Cfg.TrainPerClass, categoryBalancedApps()),
-			communityPipeline(e.Cfg.Seed+4, e.Cfg.TestJobs, apps.Catalog()))
-	})
-	return e.catTrain, e.catTest, e.catErr
+	d, err := e.catData()
+	return d.train, d.test, err
 }
 
 // UnknownPools generates (once) the Uncategorized and NA feature rows.
 func (e *Env) UnknownPools() (uncat, na [][]float64, err error) {
-	e.once.pools.Do(func() {
-		sp, ins := e.stage("env.unknownpools")
-		defer sp.End()
-		pool := func(name string, seed uint64, uncatFrac, naFrac float64) ([][]float64, error) {
-			cfg := core.DefaultPipelineConfig(seed, e.Cfg.UnknownJobs)
-			cfg.Cluster.UncategorizedFrac = uncatFrac
-			cfg.Cluster.NAFrac = naFrac
-			run, err := runPipeline(ins, name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return core.FeaturizeAllObs(ins, run.Records, core.DefaultFeatures()), nil
+	p, err := e.pools()
+	return p.uncat, p.na, err
+}
+
+func (e *Env) buildUnknownPools() (p unknownPools, err error) {
+	sp, ins := e.stage("env.unknownpools")
+	defer sp.End()
+	pool := func(name string, seed uint64, uncatFrac, naFrac float64) ([][]float64, error) {
+		cfg := core.DefaultPipelineConfig(seed, e.Cfg.UnknownJobs)
+		cfg.Cluster.UncategorizedFrac = uncatFrac
+		cfg.Cluster.NAFrac = naFrac
+		run, err := runPipeline(ins, name, cfg)
+		if err != nil {
+			return nil, err
 		}
-		if e.uncatRows, e.poolErr = pool("pipeline.uncategorized", e.Cfg.Seed+5, 1, 0); e.poolErr != nil {
-			return
-		}
-		e.naRows, e.poolErr = pool("pipeline.na", e.Cfg.Seed+6, 0, 1)
-	})
-	return e.uncatRows, e.naRows, e.poolErr
+		fsp := ins.Span.Child("featurize")
+		defer fsp.End()
+		rows := core.FeaturizeAll(run.Records, core.DefaultFeatures())
+		fsp.SetAttr("rows", len(rows))
+		return rows, nil
+	}
+	if p.uncat, err = pool("pipeline.uncategorized", e.Cfg.Seed+5, 1, 0); err != nil {
+		return unknownPools{}, err
+	}
+	if p.na, err = pool("pipeline.na", e.Cfg.Seed+6, 0, 1); err != nil {
+		return unknownPools{}, err
+	}
+	return p, nil
 }
 
 // NativeRun generates (once) a native community run for the Section II
 // experiments (efficiency + exit-code labels).
-func (e *Env) NativeRun() (*core.PipelineResult, error) {
-	e.once.native.Do(func() {
-		sp, ins := e.stage("env.native")
-		defer sp.End()
-		e.nativeRun, e.nativeErr = runPipeline(ins, "pipeline.native",
-			communityPipeline(e.Cfg.Seed+7, e.Cfg.TestJobs, apps.Catalog()))
-	})
-	return e.nativeRun, e.nativeErr
+func (e *Env) NativeRun() (*core.PipelineResult, error) { return e.native() }
+
+func (e *Env) buildNativeRun() (*core.PipelineResult, error) {
+	sp, ins := e.stage("env.native")
+	defer sp.End()
+	return runPipeline(ins, "pipeline.native",
+		communityPipeline(e.Cfg.Seed+7, e.Cfg.TestJobs, apps.Catalog()))
 }
 
 // SegmentData generates (once) paired mean-feature and segment-feature
 // datasets from the same jobs (X1).
 func (e *Env) SegmentData() (segTrain, segTest, meanTrain, meanTest *dataset.Dataset, err error) {
-	e.once.segments.Do(func() {
-		sp, ins := e.stage("env.segments")
-		defer sp.End()
-		cfg := communityPipeline(e.Cfg.Seed+8, 20*e.Cfg.TrainPerClass, balancedApps(apps.Table2Apps()))
-		cfg.Segments = 3
-		run, err := runPipeline(ins, "pipeline.segments", cfg)
-		if err != nil {
-			e.segErr = err
-			return
-		}
-		segOpt := core.FeatureOptions{COV: true, Derived: true, Segments: 3}
-		segDS, err := core.BuildDatasetObs(ins, run.Records, core.LabelByLariat, segOpt)
-		if err != nil {
-			e.segErr = err
-			return
-		}
-		meanDS, err := core.BuildDatasetObs(ins, run.Records, core.LabelByLariat, core.DefaultFeatures())
-		if err != nil {
-			e.segErr = err
-			return
-		}
-		r := rngSplit(e.Cfg.Seed + 8)
-		e.segTrain, e.segTest = segDS.Split(r, 0.7)
-		r2 := rngSplit(e.Cfg.Seed + 8) // identical split for the mean twin
-		e.meanTrain, e.meanTest = meanDS.Split(r2, 0.7)
-	})
-	return e.segTrain, e.segTest, e.meanTrain, e.meanTest, e.segErr
+	d, err := e.segments()
+	return d.segTrain, d.segTest, d.meanTrain, d.meanTest, err
+}
+
+func (e *Env) buildSegmentData() (d segmentData, err error) {
+	sp, ins := e.stage("env.segments")
+	defer sp.End()
+	cfg := communityPipeline(e.Cfg.Seed+8, 20*e.Cfg.TrainPerClass, balancedApps(apps.Table2Apps()))
+	cfg.Segments = 3
+	run, err := runPipeline(ins, "pipeline.segments", cfg)
+	if err != nil {
+		return d, err
+	}
+	segOpt := core.FeatureOptions{COV: true, Derived: true, Segments: 3}
+	segDS, err := buildDataset(ins, run.Records, core.LabelByLariat, segOpt)
+	if err != nil {
+		return d, err
+	}
+	meanDS, err := buildDataset(ins, run.Records, core.LabelByLariat, core.DefaultFeatures())
+	if err != nil {
+		return d, err
+	}
+	r := rngSplit(e.Cfg.Seed + 8)
+	d.segTrain, d.segTest = segDS.Split(r, 0.7)
+	r2 := rngSplit(e.Cfg.Seed + 8) // identical split for the mean twin
+	d.meanTrain, d.meanTest = meanDS.Split(r2, 0.7)
+	return d, nil
 }
 
 // alignClasses re-labels a dataset onto a target class vocabulary (which
@@ -389,11 +371,11 @@ func alignClasses(d *dataset.Dataset, classes []string) *dataset.Dataset {
 	}
 }
 
-// scoreParallel is c.Score(d) with the rows spread over workers.
-func scoreParallel(c *core.JobClassifier, d *dataset.Dataset, workers int) []eval.Prediction {
+// scoreParallel is c.Score(d) with the rows spread over all cores.
+func scoreParallel(c *core.JobClassifier, d *dataset.Dataset) []eval.Prediction {
 	preds := make([]eval.Prediction, d.Len())
 	// Per-row prediction is pure, so a plain ordered fan-out suffices.
-	_ = parallel.ForEach(workers, d.Len(), func(i int) error {
+	_ = parallel.ForEach(0, d.Len(), func(i int) error {
 		preds[i] = c.ScoreRow(d, i)
 		return nil
 	})
@@ -401,6 +383,6 @@ func scoreParallel(c *core.JobClassifier, d *dataset.Dataset, workers int) []eva
 }
 
 // scoreRowsParallel scores rows that have no ground truth.
-func scoreRowsParallel(c *core.JobClassifier, rows [][]float64, workers int) []eval.Prediction {
-	return scoreParallel(c, &dataset.Dataset{X: rows}, workers)
+func scoreRowsParallel(c *core.JobClassifier, rows [][]float64) []eval.Prediction {
+	return scoreParallel(c, &dataset.Dataset{X: rows})
 }

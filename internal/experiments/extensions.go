@@ -24,8 +24,8 @@ func ExpX1TimeDependent(e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	segAcc := eval.Accuracy(scoreParallel(segModel, segTest, e.Cfg.Workers))
-	meanAcc := eval.Accuracy(scoreParallel(meanModel, meanTest, e.Cfg.Workers))
+	segAcc := eval.Accuracy(scoreParallel(segModel, segTest))
+	meanAcc := eval.Accuracy(scoreParallel(meanModel, meanTest))
 
 	r := newResult("x1", "time-dependent attributes vs whole-job means (RF)")
 	r.addf("mean-attribute model accuracy:    %.4f", meanAcc)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,9 @@ func TestRunSelectedParallelParity(t *testing.T) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
 	}
 	for i := range want {
+		if got[i].Wall <= 0 {
+			t.Errorf("%s: RunSelected left Wall unset", got[i].ID)
+		}
 		if got[i].ID != want[i].ID {
 			t.Fatalf("result[%d] = %s, want %s (input order must be preserved)", i, got[i].ID, want[i].ID)
 		}
@@ -50,9 +54,14 @@ func TestRunSelectedParallelParity(t *testing.T) {
 	}
 }
 
-// TestRunSelectedUnknownID rejects bad ids before any work starts.
+// TestRunSelectedUnknownID rejects bad ids before any work starts, with
+// the error supremm-paper exits 2 on: it names the id and the valid ones.
 func TestRunSelectedUnknownID(t *testing.T) {
-	if _, err := RunSelected(NewEnv(Config{Seed: 1}), []string{"nope"}, 1); err == nil {
-		t.Fatal("RunSelected accepted an unknown id")
+	_, err := RunSelected(NewEnv(Config{Seed: 1}), []string{"e1", "nope"}, 1)
+	if !errors.Is(err, ErrUnknownID) {
+		t.Fatalf("RunSelected(nope) = %v, want ErrUnknownID", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"nope"`) || !strings.Contains(msg, strings.Join(IDs(), ", ")) {
+		t.Errorf("error %q does not name the id and list the valid ones", msg)
 	}
 }

@@ -30,7 +30,7 @@ func ExpX4Unsupervised(e *Env) (*Result, error) {
 	// Clustering at category granularity (k = 12) and application
 	// granularity (k = #apps in the mix), in 10-component PCA space.
 	dm12, err := core.FitDiscovery(ds.X, ds.FeatureNames, core.DiscoveryConfig{
-		K: 12, Components: 10, Restarts: 4, Seed: e.Cfg.Seed + 71, Workers: e.Cfg.Workers,
+		K: 12, Components: 10, Restarts: 4, Seed: e.Cfg.Seed + 71,
 	})
 	if err != nil {
 		return nil, err
@@ -38,7 +38,7 @@ func ExpX4Unsupervised(e *Env) (*Result, error) {
 	catPurity := kmeans.Purity(dm12.Labels, ds.Y)
 	kApps := appDS.NumClasses()
 	dmApps, err := core.FitDiscovery(appDS.X, appDS.FeatureNames, core.DiscoveryConfig{
-		K: kApps, Components: 10, Restarts: 4, Seed: e.Cfg.Seed + 72, Workers: e.Cfg.Workers,
+		K: kApps, Components: 10, Restarts: 4, Seed: e.Cfg.Seed + 72,
 	})
 	if err != nil {
 		return nil, err
@@ -75,7 +75,7 @@ func ExpX4Unsupervised(e *Env) (*Result, error) {
 		return r, nil
 	}
 	disc, err := core.FitDiscovery(rows, core.FeatureNames(core.DefaultFeatures()), core.DiscoveryConfig{
-		Seed: e.Cfg.Seed + 73, Workers: e.Cfg.Workers,
+		Seed: e.Cfg.Seed + 73,
 	})
 	if err != nil {
 		return nil, err

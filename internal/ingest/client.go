@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/taccstats"
 )
 
@@ -21,18 +20,17 @@ type ClientConfig struct {
 	// ID names the client for server-side resume/dedup. Must be unique
 	// per logical stream and stable across reconnects.
 	ID string
-	// MaxPayload bounds frame payloads (default DefaultMaxPayload).
-	MaxPayload int
-	// Window bounds unacknowledged frames in flight (default 256);
-	// senders block when the window is full.
-	Window int
-	// DialTimeout bounds one connection attempt (default 5s).
-	DialTimeout time.Duration
-	// RetryBackoff is the pause between reconnect attempts (default
-	// 20ms).
-	RetryBackoff time.Duration
-	Log          *obs.Logger
 }
+
+const (
+	// clientWindow bounds unacknowledged frames in flight; senders block
+	// when the window is full.
+	clientWindow = 256
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 5 * time.Second
+	// retryBackoff is the pause between reconnect attempts.
+	retryBackoff = 20 * time.Millisecond
+)
 
 // pendingFrame is an unacknowledged frame the client must be able to
 // replay after a reconnect.
@@ -83,18 +81,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.ID) > 256 {
 		return nil, fmt.Errorf("ingest: client id longer than 256 bytes")
 	}
-	if cfg.MaxPayload <= 0 {
-		cfg.MaxPayload = DefaultMaxPayload
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 256
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 20 * time.Millisecond
-	}
 	return &Client{cfg: cfg}, nil
 }
 
@@ -129,8 +115,8 @@ func (c *Client) SendChunk(ctx context.Context, chunk *taccstats.Chunk) error {
 	if err != nil {
 		return err
 	}
-	if len(payload) > c.cfg.MaxPayload {
-		return fmt.Errorf("ingest: encoded chunk of %d bytes exceeds max payload %d", len(payload), c.cfg.MaxPayload)
+	if len(payload) > DefaultMaxPayload {
+		return fmt.Errorf("ingest: encoded chunk of %d bytes exceeds max payload %d", len(payload), DefaultMaxPayload)
 	}
 	return c.send(ctx, FrameData, uint16(len(chunk.Samples)), payload)
 }
@@ -145,7 +131,7 @@ func (c *Client) send(ctx context.Context, ftype byte, records uint16, payload [
 	}
 	// Window backpressure: wait for acks before growing the replay
 	// buffer further.
-	for len(c.unacked) >= c.cfg.Window {
+	for len(c.unacked) >= clientWindow {
 		if err := c.pumpLocked(ctx); err != nil {
 			return err
 		}
@@ -229,7 +215,6 @@ func (c *Client) writeUnsentLocked(ctx context.Context) error {
 		if ok {
 			return nil
 		}
-		c.cfg.Log.Debug("ingest.client.write_failed", "id", c.cfg.ID)
 		c.teardownLocked()
 		c.backoffLocked(ctx)
 	}
@@ -243,9 +228,8 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 		if err != nil {
-			c.cfg.Log.Debug("ingest.client.dial_failed", "addr", c.cfg.Addr, "err", err.Error())
 			c.backoffLocked(ctx)
 			continue
 		}
@@ -256,7 +240,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 			_ = bw.Flush()
 		}
 		br := bufio.NewReader(conn)
-		ack, err := ReadFrame(br, c.cfg.MaxPayload)
+		ack, err := ReadFrame(br, DefaultMaxPayload)
 		if err != nil || ack.Type != FrameAck {
 			conn.Close()
 			c.backoffLocked(ctx)
@@ -280,7 +264,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 // owns no frames, only the acked watermark.
 func (c *Client) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
 	for {
-		f, err := ReadFrame(br, c.cfg.MaxPayload)
+		f, err := ReadFrame(br, DefaultMaxPayload)
 		c.mu.Lock()
 		if c.readerGen != gen {
 			c.mu.Unlock()
@@ -330,7 +314,7 @@ func (c *Client) teardownLocked() {
 func (c *Client) backoffLocked(ctx context.Context) {
 	c.mu.Unlock()
 	select {
-	case <-time.After(c.cfg.RetryBackoff):
+	case <-time.After(retryBackoff):
 	case <-ctx.Done():
 	}
 	c.mu.Lock()

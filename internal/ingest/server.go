@@ -28,11 +28,6 @@ type Config struct {
 	// IdleTimeout finalizes a job whose stream has gone quiet without a
 	// complete epilog (0 disables; drains still flush everything).
 	IdleTimeout time.Duration
-	// MaxPayload bounds a frame payload (default DefaultMaxPayload).
-	MaxPayload int
-	// Collector configures the summarizer (zero value = Stampede
-	// defaults, matching the batch pipeline).
-	Collector taccstats.Config
 	// Sink receives finalized job records (required).
 	Sink Sink
 
@@ -41,8 +36,6 @@ type Config struct {
 	Faults *resilience.Faults
 	// Flight, when armed, records one wide event per finalized job.
 	Flight *flight.Recorder
-	// Now is the shard clock (tests inject; default time.Now).
-	Now func() time.Time
 }
 
 // clientState tracks one client's highest processed sequence number, so
@@ -88,15 +81,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
-	if cfg.MaxPayload <= 0 {
-		cfg.MaxPayload = DefaultMaxPayload
-	}
-	if cfg.Collector.Period <= 0 {
-		cfg.Collector = taccstats.DefaultConfig()
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Obs,
@@ -124,7 +108,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) now() time.Time              { return s.cfg.Now() }
 func (s *Server) depthGauge(i int) *obs.Gauge { return s.depths[i] }
 
 // Ledger exposes the conservation ledger (tests and /debug/ingest).
@@ -187,7 +170,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 
-	hello, err := ReadFrame(br, s.cfg.MaxPayload)
+	hello, err := ReadFrame(br, DefaultMaxPayload)
 	if err != nil || hello.Type != FrameHello || len(hello.Payload) == 0 || len(hello.Payload) > 256 {
 		s.cfg.Log.Warn("ingest.conn.bad_hello", "remote", conn.RemoteAddr().String())
 		return
@@ -201,7 +184,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	for {
-		f, err := ReadFrame(br, s.cfg.MaxPayload)
+		f, err := ReadFrame(br, DefaultMaxPayload)
 		if err != nil {
 			if err != io.EOF {
 				s.cfg.Log.Debug("ingest.conn.read", "err", err.Error())

@@ -33,6 +33,10 @@ const (
 	SiteFinalize = "ingest.finalize"
 )
 
+// collector describes the machine the summarizer assumes: Stampede's,
+// matching the batch pipeline.
+var collector = taccstats.DefaultConfig()
+
 // Sink receives finalized job records: the same warehouse.Record the
 // batch pipeline builds, so whatever a sink holds is a training corpus
 // for core.BuildDataset. Every shard goroutine calls Ingest, so a sink
@@ -172,7 +176,7 @@ func (sh *shard) handle(msg message) {
 	case msg.meta != nil:
 		js := sh.job(msg.meta.JobID)
 		js.meta = msg.meta
-		js.last = sh.srv.now()
+		js.last = time.Now()
 		sh.maybeFinalize(msg.meta.JobID, js, "epilog")
 	case msg.chunk != nil:
 		js := sh.job(msg.chunk.JobID)
@@ -183,7 +187,7 @@ func (sh *shard) handle(msg message) {
 		}
 		hs.samples = append(hs.samples, msg.chunk.Samples...)
 		js.records += n
-		js.last = sh.srv.now()
+		js.last = time.Now()
 		for i := range msg.chunk.Samples {
 			if msg.chunk.Samples[i].Marker == taccstats.MarkerEnd && !hs.ended {
 				hs.ended = true
@@ -224,7 +228,7 @@ func (sh *shard) maybeFinalize(id string, js *jobState, trigger string) {
 
 // sweepIdle finalizes jobs idle past the timeout with whatever arrived.
 func (sh *shard) sweepIdle() {
-	cutoff := sh.srv.now().Add(-sh.srv.cfg.IdleTimeout)
+	cutoff := time.Now().Add(-sh.srv.cfg.IdleTimeout)
 	var stale []string
 	for id, js := range sh.jobs {
 		if js.last.Before(cutoff) {
@@ -317,7 +321,7 @@ func (sh *shard) finalize(id string, js *jobState, trigger string) {
 		arch.Nodes = append(arch.Nodes, taccstats.NodeArchive{Host: h, JobID: id, Samples: hs.samples})
 	}
 
-	sum, err := summarize.Summarize(arch, srv.cfg.Collector, summarize.Options{SkipBadNodes: true})
+	sum, err := summarize.Summarize(arch, collector, summarize.Options{SkipBadNodes: true})
 	if err != nil {
 		srv.ledger.Dropped(sh.id, ReasonFinalize, js.records)
 		settle(500, err.Error())
@@ -329,7 +333,7 @@ func (sh *shard) finalize(id string, js *jobState, trigger string) {
 	}
 	okRecs := js.records - droppedRecs
 
-	rec := buildRecord(id, js.meta, sum, srv.cfg.Collector.CoresPerNode)
+	rec := buildRecord(id, js.meta, sum, collector.CoresPerNode)
 	if err := srv.cfg.Sink.Ingest(rec); err != nil {
 		srv.ledger.Dropped(sh.id, ReasonSink, okRecs)
 		if droppedRecs > 0 {

@@ -22,6 +22,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,7 +203,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	var mu sync.Mutex // guards ByStatus and latencies
 	var latencies []float64
 	var sent, dropped atomic.Int64
-	var ok, shed, timeouts, unavail, serverErrs, badReqs, clientErrs, shedNoRetry atomic.Int64
+	var clientErrs, shedNoRetry atomic.Int64
 
 	inFlight := make(chan struct{}, cfg.MaxInFlight)
 	var wg sync.WaitGroup
@@ -235,25 +236,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		resp.Body.Close()
 
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			ok.Add(1)
-		case resp.StatusCode == http.StatusTooManyRequests:
-			shed.Add(1)
-			if resp.Header.Get("Retry-After") == "" {
-				shedNoRetry.Add(1)
-			}
-		case resp.StatusCode == http.StatusGatewayTimeout:
-			timeouts.Add(1)
-		case resp.StatusCode == http.StatusServiceUnavailable:
-			unavail.Add(1)
-		case resp.StatusCode >= 500:
-			serverErrs.Add(1)
-		default:
-			badReqs.Add(1)
+		if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
+			shedNoRetry.Add(1)
 		}
 		mu.Lock()
-		rep.ByStatus[fmt.Sprint(resp.StatusCode)]++
+		rep.ByStatus[strconv.Itoa(resp.StatusCode)]++
 		latencies = append(latencies, lat.Seconds()*1e3)
 		mu.Unlock()
 	}
@@ -283,10 +270,25 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	wg.Wait()
 
 	rep.Sent, rep.Dropped = sent.Load(), dropped.Load()
-	rep.OK, rep.Shed, rep.Timeouts = ok.Load(), shed.Load(), timeouts.Load()
-	rep.Unavailable, rep.ServerErrors = unavail.Load(), serverErrs.Load()
-	rep.BadRequests, rep.ClientErrors = badReqs.Load(), clientErrs.Load()
+	rep.ClientErrors = clientErrs.Load()
 	rep.ShedWithoutRetryAfter = shedNoRetry.Load()
+	// The per-class counters are sums over ByStatus.
+	for status, n := range rep.ByStatus {
+		switch code, _ := strconv.Atoi(status); {
+		case code == http.StatusOK:
+			rep.OK += n
+		case code == http.StatusTooManyRequests:
+			rep.Shed += n
+		case code == http.StatusGatewayTimeout:
+			rep.Timeouts += n
+		case code == http.StatusServiceUnavailable:
+			rep.Unavailable += n
+		case code >= 500:
+			rep.ServerErrors += n
+		default:
+			rep.BadRequests += n
+		}
+	}
 	rep.DurationSeconds = time.Since(start).Seconds()
 	if rep.DurationSeconds > 0 {
 		rep.AchievedRPS = float64(rep.Sent) / rep.DurationSeconds

@@ -67,7 +67,7 @@ func TestRunClassifiesStatuses(t *testing.T) {
 	// Cycle deterministically through the status-code contract.
 	var n atomic.Int64
 	srv := stubTarget(t, func(w http.ResponseWriter, r *http.Request) {
-		switch n.Add(1) % 4 {
+		switch n.Add(1) % 6 {
 		case 0:
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusTooManyRequests)
@@ -75,6 +75,10 @@ func TestRunClassifiesStatuses(t *testing.T) {
 			w.WriteHeader(http.StatusGatewayTimeout)
 		case 2:
 			w.WriteHeader(http.StatusServiceUnavailable)
+		case 3:
+			w.WriteHeader(http.StatusInternalServerError)
+		case 4:
+			w.WriteHeader(http.StatusBadRequest)
 		default:
 			json.NewEncoder(w).Encode(map[string]any{"label": "ok"})
 		}
@@ -87,13 +91,27 @@ func TestRunClassifiesStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Shed == 0 || rep.Timeouts == 0 || rep.Unavailable == 0 || rep.OK == 0 {
-		t.Fatalf("report %+v did not see every status", rep)
+	// Each class counter is the sum of the ByStatus codes it names.
+	for _, c := range []struct {
+		class  string
+		got    int64
+		status string
+	}{
+		{"ok", rep.OK, "200"}, {"shed", rep.Shed, "429"}, {"timeouts", rep.Timeouts, "504"},
+		{"unavailable", rep.Unavailable, "503"}, {"serverErrors", rep.ServerErrors, "500"},
+		{"badRequests", rep.BadRequests, "400"},
+	} {
+		if c.got == 0 || c.got != rep.ByStatus[c.status] {
+			t.Errorf("%s = %d, byStatus[%s] = %d: want equal and non-zero", c.class, c.got, c.status, rep.ByStatus[c.status])
+		}
+	}
+	if len(rep.ByStatus) != 6 {
+		t.Errorf("byStatus %v, want exactly the six stubbed codes", rep.ByStatus)
 	}
 	if rep.ShedWithoutRetryAfter != 0 {
 		t.Fatalf("stub always sets Retry-After, yet %d flagged", rep.ShedWithoutRetryAfter)
 	}
-	if got := rep.OK + rep.Shed + rep.Timeouts + rep.Unavailable; got != rep.Sent {
+	if got := rep.Answered(); got != rep.Sent {
 		t.Fatalf("statuses %d != sent %d", got, rep.Sent)
 	}
 }

@@ -66,12 +66,6 @@ type Config struct {
 	SVM    svm.Config
 	Forest forest.Config
 
-	// MetaIters/MetaRate/MetaL2 tune the softmax meta-learner's
-	// full-batch gradient descent (defaults 300, 0.5, 1e-3).
-	MetaIters int
-	MetaRate  float64
-	MetaL2    float64
-
 	// Span, when set, receives a "stack" child span covering the fit.
 	Span *obs.Span
 }
@@ -94,15 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Forest.Trees <= 0 {
 		c.Forest = forest.Config{Trees: 60, Seed: c.Seed}
-	}
-	if c.MetaIters <= 0 {
-		c.MetaIters = 300
-	}
-	if c.MetaRate <= 0 {
-		c.MetaRate = 0.5
-	}
-	if c.MetaL2 <= 0 {
-		c.MetaL2 = 1e-3
 	}
 	return c
 }
@@ -271,7 +256,7 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 		}
 	}
 
-	meta, err := fitSoftmax(z, d.Y, nc, cfg)
+	meta, err := fitSoftmax(z, d.Y, nc)
 	if err != nil {
 		return nil, err
 	}
@@ -307,12 +292,20 @@ func trainBase(name string, d *dataset.Dataset, cfg Config) (eval.ProbClassifier
 	return nil, fmt.Errorf("ensemble: unknown base learner %q", name)
 }
 
+// The softmax meta-learner's full-batch gradient descent: iteration
+// budget, step size and L2 penalty.
+const (
+	metaIters = 300
+	metaRate  = 0.5
+	metaL2    = 1e-3
+)
+
 // fitSoftmax trains the multinomial-logistic meta-learner by
 // fixed-iteration full-batch gradient descent from zero weights:
 // deterministic, order-independent within an iteration (rows accumulate
 // in index order), and convex so the fixed budget lands in a stable
 // neighbourhood.
-func fitSoftmax(z [][]float64, y []int, nc int, cfg Config) ([][]float64, error) {
+func fitSoftmax(z [][]float64, y []int, nc int) ([][]float64, error) {
 	if len(z) == 0 {
 		return nil, fmt.Errorf("ensemble: no meta-training rows")
 	}
@@ -325,7 +318,7 @@ func fitSoftmax(z [][]float64, y []int, nc int, cfg Config) ([][]float64, error)
 	}
 	probs := make([]float64, nc)
 	n := float64(len(z))
-	for it := 0; it < cfg.MetaIters; it++ {
+	for it := 0; it < metaIters; it++ {
 		for c := range grad {
 			for j := range grad[c] {
 				grad[c][j] = 0
@@ -347,11 +340,11 @@ func fitSoftmax(z [][]float64, y []int, nc int, cfg Config) ([][]float64, error)
 		}
 		for c := 0; c < nc; c++ {
 			for j := 0; j <= width; j++ {
-				l2 := cfg.MetaL2 * w[c][j]
+				l2 := metaL2 * w[c][j]
 				if j == width {
 					l2 = 0 // bias is unregularized
 				}
-				w[c][j] -= cfg.MetaRate * (grad[c][j]/n + l2)
+				w[c][j] -= metaRate * (grad[c][j]/n + l2)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -92,21 +91,16 @@ type ConfusionMatrix struct {
 const confusionParallelMin = 8192
 
 // NewConfusionMatrix tallies predictions into a matrix, fanning the count
-// accumulation out over all cores for large prediction sets.
+// accumulation out over all cores for large prediction sets. Each worker
+// counts a contiguous chunk into its own matrix and the integer partials
+// are merged, so the result is identical to the serial tally at any
+// GOMAXPROCS.
 func NewConfusionMatrix(classes []string, preds []Prediction) *ConfusionMatrix {
-	return NewConfusionMatrixWorkers(classes, preds, 0)
-}
-
-// NewConfusionMatrixWorkers tallies predictions on at most workers
-// goroutines (<= 0 means GOMAXPROCS). Each worker counts a contiguous
-// chunk into its own matrix and the integer partials are merged, so the
-// result is identical to the serial tally at any worker count.
-func NewConfusionMatrixWorkers(classes []string, preds []Prediction, workers int) *ConfusionMatrix {
 	m := &ConfusionMatrix{Classes: classes, Counts: make([][]int, len(classes))}
 	for i := range m.Counts {
 		m.Counts[i] = make([]int, len(classes))
 	}
-	w := parallel.Workers(workers)
+	w := parallel.Workers(0)
 	if len(preds) < confusionParallelMin || w == 1 {
 		tallyConfusion(m.Counts, preds)
 		return m
@@ -311,34 +305,18 @@ func AUCLike(points []ROCPoint) float64 {
 // TrainFunc builds a classifier from a training set, for cross-validation.
 type TrainFunc func(train *dataset.Dataset) (ProbClassifier, error)
 
-// CrossValidate returns the mean accuracy over k stratified folds, with
-// folds trained and scored concurrently on all cores.
-func CrossValidate(d *dataset.Dataset, k int, seed uint64, trainFn TrainFunc) (float64, error) {
-	return CrossValidateWorkers(d, k, seed, 0, trainFn)
-}
-
-// CrossValidateWorkers runs at most workers folds concurrently (<= 0
-// means GOMAXPROCS). Fold contents depend only on (d, k, seed) and the
+// CrossValidate returns the mean accuracy over k stratified folds, at
+// most workers of them trained and scored concurrently (<= 0 means
+// GOMAXPROCS). Fold contents depend only on (d, k, seed) and the
 // per-fold accuracies are reduced in fold order, so the mean is
 // bit-identical to the serial loop at any worker count. trainFn must be
 // safe to call from multiple goroutines.
-func CrossValidateWorkers(d *dataset.Dataset, k int, seed uint64, workers int, trainFn TrainFunc) (float64, error) {
-	return CrossValidateObs(nil, d, k, seed, workers, trainFn)
-}
-
-// CrossValidateObs is CrossValidateWorkers with per-fold tracing: each
-// fold gets a "fold.<i>" child span under sp (train + score, with the
-// fold's accuracy as an attribute). A nil span is a no-op and the fold
-// results are bit-identical either way — tracing never touches the fold
-// assignment or any RNG stream.
-func CrossValidateObs(sp *obs.Span, d *dataset.Dataset, k int, seed uint64, workers int, trainFn TrainFunc) (float64, error) {
+func CrossValidate(d *dataset.Dataset, k int, seed uint64, workers int, trainFn TrainFunc) (float64, error) {
 	if k < 2 {
 		return 0, fmt.Errorf("eval: need k >= 2 folds")
 	}
 	folds := StratifiedFolds(d, k, seed)
 	accs, err := parallel.Map(workers, k, func(f int) (float64, error) {
-		fsp := sp.Child(fmt.Sprintf("fold.%d", f))
-		defer fsp.End()
 		var trainIdx, testIdx []int
 		for i, fi := range folds {
 			if fi == f {
@@ -351,10 +329,7 @@ func CrossValidateObs(sp *obs.Span, d *dataset.Dataset, k int, seed uint64, work
 		if err != nil {
 			return 0, err
 		}
-		acc := Accuracy(Score(model, d.Subset(testIdx)))
-		fsp.SetAttr("accuracy", acc)
-		fsp.SetAttr("test_rows", len(testIdx))
-		return acc, nil
+		return Accuracy(Score(model, d.Subset(testIdx))), nil
 	})
 	if err != nil {
 		return 0, err

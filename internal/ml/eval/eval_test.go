@@ -154,7 +154,7 @@ func TestCrossValidate(t *testing.T) {
 	}
 	labels := []string{"a", "a", "a", "a", "b", "b", "b", "b"}
 	d, _ := dataset.New([]string{"pred", "conf"}, rows, labels)
-	acc, err := CrossValidate(d, 4, 1, func(train *dataset.Dataset) (ProbClassifier, error) {
+	acc, err := CrossValidate(d, 4, 1, 0, func(train *dataset.Dataset) (ProbClassifier, error) {
 		return fakeClassifier{train.ClassNames}, nil
 	})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestCrossValidate(t *testing.T) {
 	if acc != 1 {
 		t.Errorf("CV accuracy = %v", acc)
 	}
-	if _, err := CrossValidate(d, 1, 1, nil); err == nil {
+	if _, err := CrossValidate(d, 1, 1, 0, nil); err == nil {
 		t.Error("k=1 should error")
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/testkit"
@@ -56,7 +57,9 @@ func TestConfusionRowSumsAreClassCounts(t *testing.T) {
 		preds[i] = Prediction{True: d.Y[i], Pred: (d.Y[i] + i) % d.NumClasses(), MaxProb: 0.5}
 	}
 	for _, workers := range []int{1, 4} {
-		cm := NewConfusionMatrixWorkers(d.ClassNames, preds, workers)
+		old := runtime.GOMAXPROCS(workers)
+		cm := NewConfusionMatrix(d.ClassNames, preds)
+		runtime.GOMAXPROCS(old)
 		totals := cm.RowTotals()
 		counts := d.ClassCounts()
 		for c := range counts {

@@ -27,11 +27,11 @@ func TestGoldenEval(t *testing.T) {
 	cm := eval.NewConfusionMatrix(m.Classes(), preds)
 
 	trainFn := func(tr *dataset.Dataset) (eval.ProbClassifier, error) { return bayes.Train(tr) }
-	cv1, err := eval.CrossValidateWorkers(d, 5, 71, 1, trainFn)
+	cv1, err := eval.CrossValidate(d, 5, 71, 1, trainFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv4, err := eval.CrossValidateWorkers(d, 5, 71, 4, trainFn)
+	cv4, err := eval.CrossValidate(d, 5, 71, 4, trainFn)
 	if err != nil {
 		t.Fatal(err)
 	}

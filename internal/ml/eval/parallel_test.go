@@ -47,14 +47,14 @@ func TestCrossValidateWorkerParity(t *testing.T) {
 	trainFn := func(train *dataset.Dataset) (ProbClassifier, error) {
 		return &fakeModel{classes: train.ClassNames}, nil
 	}
-	want, err := CrossValidateWorkers(d, 6, 3, 1, trainFn)
+	want, err := CrossValidate(d, 6, 3, 1, trainFn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 8} {
 		old := runtime.GOMAXPROCS(procs)
 		for _, w := range []int{0, 2, 6} {
-			got, err := CrossValidateWorkers(d, 6, 3, w, trainFn)
+			got, err := CrossValidate(d, 6, 3, w, trainFn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestCrossValidateWorkerParity(t *testing.T) {
 func TestCrossValidateErrorPropagation(t *testing.T) {
 	d := parityData(60, 3)
 	var calls atomic.Int32 // folds train on two workers
-	_, err := CrossValidateWorkers(d, 3, 1, 2, func(train *dataset.Dataset) (ProbClassifier, error) {
+	_, err := CrossValidate(d, 3, 1, 2, func(train *dataset.Dataset) (ProbClassifier, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("train failed")
 	})
@@ -94,9 +94,11 @@ func TestConfusionMatrixWorkerParity(t *testing.T) {
 			preds[i].True = -1 // unlabeled rows must be skipped identically
 		}
 	}
-	want := NewConfusionMatrixWorkers(classes, preds, 1)
-	for _, w := range []int{0, 2, 5, 16} {
-		got := NewConfusionMatrixWorkers(classes, preds, w)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := NewConfusionMatrix(classes, preds) // one worker: the serial tally
+	for _, w := range []int{2, 5, 16} {
+		runtime.GOMAXPROCS(w)
+		got := NewConfusionMatrix(classes, preds)
 		for i := range want.Counts {
 			for j := range want.Counts[i] {
 				if got.Counts[i][j] != want.Counts[i][j] {

@@ -15,9 +15,6 @@ import (
 type Config struct {
 	// Trees is the ensemble size (default 200; R's default is 500).
 	Trees int
-	// MTry is the number of features tried per split (default sqrt(p)
-	// for classification, p/3 for regression).
-	MTry int
 	// MinLeaf is the minimum rows per leaf (default 1).
 	MinLeaf int
 	// MaxDepth caps tree depth (0 = unlimited).
@@ -31,19 +28,9 @@ type Config struct {
 	Span *obs.Span
 }
 
-func (c Config) withDefaults(p int, regression bool) Config {
+func (c Config) withDefaults() Config {
 	if c.Trees <= 0 {
 		c.Trees = 200
-	}
-	if c.MTry <= 0 {
-		if regression {
-			c.MTry = p / 3
-		} else {
-			c.MTry = int(math.Sqrt(float64(p)))
-		}
-		if c.MTry < 1 {
-			c.MTry = 1
-		}
 	}
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 1
@@ -52,6 +39,15 @@ func (c Config) withDefaults(p int, regression bool) Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
+}
+
+// mtry is the number of the p features tried per split: sqrt(p) for
+// classification, p/3 for regression, at least one.
+func mtry(p int, regression bool) int {
+	if regression {
+		return max(p/3, 1)
+	}
+	return max(int(math.Sqrt(float64(p))), 1)
 }
 
 // Classifier is a trained random-forest classifier: its Spec plus the
@@ -70,7 +66,7 @@ func TrainClassifier(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("forest: empty training set")
 	}
-	cfg = cfg.withDefaults(d.NumFeatures(), false)
+	cfg = cfg.withDefaults()
 	tsp := cfg.Span.Child("rf.trees")
 	tsp.SetAttr("trees", cfg.Trees)
 	defer tsp.End()
@@ -88,7 +84,7 @@ func TrainClassifier(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 		rows, oob := bootstrap(r, d.Len())
 		b := &treeBuilder{
 			x: d.X, y: d.Y, numClasses: d.NumClasses(),
-			mtry: cfg.MTry, minLeaf: cfg.MinLeaf, maxDepth: cfg.MaxDepth, r: r,
+			mtry: mtry(d.NumFeatures(), false), minLeaf: cfg.MinLeaf, maxDepth: cfg.MaxDepth, r: r,
 		}
 		c.spec.Trees[t] = b.build(rows)
 		c.oob[t] = oob

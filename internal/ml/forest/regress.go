@@ -23,7 +23,7 @@ func TrainRegressor(x [][]float64, y []float64, cfg Config) (*Regressor, error) 
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("forest: bad regression inputs (%d rows, %d targets)", len(x), len(y))
 	}
-	cfg = cfg.withDefaults(len(x[0]), true)
+	cfg = cfg.withDefaults()
 	m := &Regressor{
 		cfg:   cfg,
 		trees: make([][]NodeSpec, cfg.Trees),
@@ -36,7 +36,7 @@ func TrainRegressor(x [][]float64, y []float64, cfg Config) (*Regressor, error) 
 		rows, oob := bootstrap(r, len(x))
 		b := &treeBuilder{
 			x: x, target: y, regression: true,
-			mtry: cfg.MTry, minLeaf: cfg.MinLeaf, maxDepth: cfg.MaxDepth, r: r,
+			mtry: mtry(len(x[0]), true), minLeaf: cfg.MinLeaf, maxDepth: cfg.MaxDepth, r: r,
 		}
 		m.trees[t] = b.build(rows)
 		m.oob[t] = oob

@@ -15,19 +15,13 @@ type Config struct {
 	Kernel Kernel
 	C      float64
 
-	// Tol is the SMO KKT stopping tolerance (default 1e-3).
-	Tol float64
 	// MaxIter caps SMO iterations per binary problem (0 = auto).
 	MaxIter int
-	// CacheBytes is the kernel row cache budget per solver (default 64 MiB).
-	CacheBytes int
 
-	// Probability enables Platt calibration + pairwise coupling.
-	// ProbabilityCV is the number of cross-validation folds used to
-	// obtain unbiased decision values for the sigmoid fit (default 3;
-	// 1 fits on raw training decision values).
-	Probability   bool
-	ProbabilityCV int
+	// Probability enables Platt calibration + pairwise coupling, the
+	// sigmoid fitted on decision values from probabilityCV-fold
+	// cross-validation.
+	Probability bool
 
 	// Workers bounds the number of binary problems trained concurrently
 	// (default: GOMAXPROCS).
@@ -45,6 +39,10 @@ type Config struct {
 	// one-vs-one pair training; nil is a no-op.
 	Span *obs.Span
 }
+
+// probabilityCV is the number of cross-validation folds that produce the
+// unbiased decision values the Platt sigmoid is fitted on.
+const probabilityCV = 3
 
 // weightFor returns the configured weight of a class (default 1).
 func (c Config) weightFor(name string) float64 {
@@ -78,9 +76,6 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	}
 	if cfg.C <= 0 {
 		cfg.C = 1
-	}
-	if cfg.ProbabilityCV <= 0 {
-		cfg.ProbabilityCV = 3
 	}
 
 	byClass := make([][]int, d.NumClasses())
@@ -154,16 +149,15 @@ func weightedC(y []float64, c, wPos, wNeg float64) []float64 {
 // trainBinary solves one pair, optionally with probability calibration on
 // cross-validated decision values.
 func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, seed uint64) PairSpec {
-	res := solveSMOGeneral(x, y, nil, weightedC(y, cfg.C, wPos, wNeg), cfg.Kernel, cfg.Tol, cfg.MaxIter, cfg.CacheBytes)
+	res := solveSMOGeneral(x, y, nil, weightedC(y, cfg.C, wPos, wNeg), cfg.Kernel, cfg.MaxIter)
 	m := newPair(x, y, res)
 	if !cfg.Probability {
 		return m
 	}
 
-	folds := cfg.ProbabilityCV
 	n := len(x)
 	dec := make([]float64, n)
-	if folds <= 1 || n < 2*folds {
+	if n < 2*probabilityCV {
 		for i := range x {
 			dec[i] = m.decision(cfg.Kernel, x[i])
 		}
@@ -172,9 +166,9 @@ func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, see
 		fold := make([]int, n)
 		perm := r.Perm(n)
 		for i, p := range perm {
-			fold[p] = i % folds
+			fold[p] = i % probabilityCV
 		}
-		for f := 0; f < folds; f++ {
+		for f := 0; f < probabilityCV; f++ {
 			var tx [][]float64
 			var ty []float64
 			for i := range x {
@@ -192,7 +186,7 @@ func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, see
 				}
 				continue
 			}
-			subRes := solveSMOGeneral(tx, ty, nil, weightedC(ty, cfg.C, wPos, wNeg), cfg.Kernel, cfg.Tol, cfg.MaxIter, cfg.CacheBytes)
+			subRes := solveSMOGeneral(tx, ty, nil, weightedC(ty, cfg.C, wPos, wNeg), cfg.Kernel, cfg.MaxIter)
 			sub := newPair(tx, ty, subRes)
 			for i := range x {
 				if fold[i] == f {

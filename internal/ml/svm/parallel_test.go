@@ -43,16 +43,18 @@ func TestTrainWorkerParity(t *testing.T) {
 }
 
 // TestTuneWorkerParity: the grid search returns identical scores and
-// ordering at any worker count.
+// ordering at any worker count (Tune runs GOMAXPROCS workers).
 func TestTuneWorkerParity(t *testing.T) {
 	d := blobs(9, [][]float64{{0, 0}, {2.5, 2.5}}, 0.7, 30)
 	grid := Grid{Gammas: []float64{0.1, 1}, Cs: []float64{1, 10}}
-	ref, err := TuneWorkers(d, grid, 3, 5, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ref, err := Tune(d, grid, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{0, 2, 4} {
-		got, err := TuneWorkers(d, grid, 3, 5, w)
+	for _, w := range []int{2, 4} {
+		runtime.GOMAXPROCS(w)
+		got, err := Tune(d, grid, 3, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

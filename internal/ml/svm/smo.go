@@ -2,8 +2,14 @@ package svm
 
 import "math"
 
-// tau is the numerical floor for second-derivative terms, as in LIBSVM.
-const tau = 1e-12
+const (
+	// tau is the numerical floor for second-derivative terms, as in LIBSVM.
+	tau = 1e-12
+	// smoTol is the KKT stopping tolerance.
+	smoTol = 1e-3
+	// smoCacheBytes is the kernel row cache budget per solver.
+	smoCacheBytes = 64 << 20
+)
 
 // smoProblem is one binary C-SVC training problem. Box constraints are
 // per-sample (cvec), which is how per-class cost weighting -- the paper's
@@ -14,7 +20,6 @@ type smoProblem struct {
 	y      []float64 // +1 / -1
 	cvec   []float64 // per-sample upper bound C_i
 	kernel Kernel
-	tol    float64
 	maxIt  int
 	cache  *rowCache
 	diag   []float64 // K(i,i)
@@ -27,14 +32,6 @@ type smoResult struct {
 	iters int
 }
 
-// solveSMO minimizes (1/2) a'Qa + p'a subject to 0 <= a <= C, y'a = 0,
-// with Q_ij = y_i y_j K(x_i, x_j), using maximal-violating-pair selection
-// with LIBSVM's second-order refinement for the second index. A nil p
-// means the C-SVC linear term -e.
-func solveSMO(x [][]float64, y []float64, c float64, kernel Kernel, tol float64, maxIt, cacheBytes int) smoResult {
-	return solveSMOGeneral(x, y, nil, uniformC(len(x), c), kernel, tol, maxIt, cacheBytes)
-}
-
 // uniformC builds a constant box-constraint vector.
 func uniformC(n int, c float64) []float64 {
 	cv := make([]float64, n)
@@ -44,22 +41,21 @@ func uniformC(n int, c float64) []float64 {
 	return cv
 }
 
-func solveSMOGeneral(x [][]float64, y, p0 []float64, cvec []float64, kernel Kernel, tol float64, maxIt, cacheBytes int) smoResult {
+// solveSMOGeneral minimizes (1/2) a'Qa + p'a subject to 0 <= a <= C_i,
+// y'a = 0, with Q_ij = y_i y_j K(x_i, x_j), using maximal-violating-pair
+// selection with LIBSVM's second-order refinement for the second index.
+// A nil p0 means the C-SVC linear term -e; maxIt <= 0 scales the
+// iteration cap with the problem size.
+func solveSMOGeneral(x [][]float64, y, p0 []float64, cvec []float64, kernel Kernel, maxIt int) smoResult {
 	n := len(x)
-	p := &smoProblem{x: x, y: y, cvec: cvec, kernel: kernel, tol: tol, maxIt: maxIt}
-	if p.tol <= 0 {
-		p.tol = 1e-3
-	}
+	p := &smoProblem{x: x, y: y, cvec: cvec, kernel: kernel, maxIt: maxIt}
 	if p.maxIt <= 0 {
 		p.maxIt = 10_000_000 / (n + 1) * 10 // generous; scaled by size
 		if p.maxIt < 10000 {
 			p.maxIt = 10000
 		}
 	}
-	if cacheBytes <= 0 {
-		cacheBytes = 64 << 20
-	}
-	p.cache = newRowCache(n, cacheBytes, p.kernelRow)
+	p.cache = newRowCache(n, smoCacheBytes, p.kernelRow)
 	p.diag = make([]float64, n)
 	for i := range p.diag {
 		p.diag[i] = kernel.Compute(x[i], x[i])
@@ -78,7 +74,7 @@ func solveSMOGeneral(x [][]float64, y, p0 []float64, cvec []float64, kernel Kern
 	iters := 0
 	for ; iters < p.maxIt; iters++ {
 		i, j, gap := p.selectWorkingSet(alpha, grad)
-		if j < 0 || gap < p.tol {
+		if j < 0 || gap < smoTol {
 			break
 		}
 		p.update(alpha, grad, i, j)

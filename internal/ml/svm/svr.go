@@ -8,10 +8,6 @@ type RegressorConfig struct {
 	C      float64
 	// Epsilon is the insensitive-tube half width in target units.
 	Epsilon float64
-	// Tol, MaxIter, CacheBytes as for classification (0 = defaults).
-	Tol        float64
-	MaxIter    int
-	CacheBytes int
 }
 
 // Regressor is a trained epsilon-SVR model.
@@ -47,7 +43,7 @@ func TrainRegressor(x [][]float64, z []float64, cfg RegressorConfig) (*Regressor
 		p2[i] = cfg.Epsilon - z[i]
 		p2[n+i] = cfg.Epsilon + z[i]
 	}
-	res := solveSMOGeneral(x2, y2, p2, uniformC(len(x2), cfg.C), cfg.Kernel, cfg.Tol, cfg.MaxIter, cfg.CacheBytes)
+	res := solveSMOGeneral(x2, y2, p2, uniformC(len(x2), cfg.C), cfg.Kernel, 0)
 	m := &Regressor{kernel: cfg.Kernel, rho: res.rho}
 	for i := 0; i < n; i++ {
 		beta := res.alpha[i] - res.alpha[n+i]

@@ -37,16 +37,11 @@ type TuneResult struct {
 // on the training set and returns every grid point's score sorted best
 // first. Probability calibration is disabled during the search (it does
 // not affect voting accuracy and triples the cost). Grid points are
-// evaluated concurrently on all cores.
+// evaluated concurrently on all cores; the fold assignment is fixed
+// before the fan-out and every grid point's cross-validation is
+// self-contained, so scores are bit-identical to the serial search at
+// any GOMAXPROCS.
 func Tune(d *dataset.Dataset, grid Grid, folds int, seed uint64) ([]TuneResult, error) {
-	return TuneWorkers(d, grid, folds, seed, 0)
-}
-
-// TuneWorkers evaluates at most workers grid points concurrently (<= 0
-// means GOMAXPROCS). The fold assignment is fixed before the fan-out and
-// every grid point's cross-validation is self-contained, so scores are
-// bit-identical to the serial search at any worker count.
-func TuneWorkers(d *dataset.Dataset, grid Grid, folds int, seed uint64, workers int) ([]TuneResult, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("svm: empty tuning set")
 	}
@@ -84,7 +79,7 @@ func TuneWorkers(d *dataset.Dataset, grid Grid, folds int, seed uint64, workers 
 			pts = append(pts, point{gamma, c})
 		}
 	}
-	results, err := parallel.Map(workers, len(pts), func(k int) (TuneResult, error) {
+	results, err := parallel.Map(0, len(pts), func(k int) (TuneResult, error) {
 		gamma, c := pts[k].gamma, pts[k].c
 		var total, count float64
 		for f := 0; f < folds; f++ {

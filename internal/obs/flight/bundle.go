@@ -30,10 +30,8 @@ type BundleConfig struct {
 	Dir string
 	// Profile selects the runtime profile captured into each bundle:
 	// "heap" (default, instantaneous), "cpu" (blocks the capture
-	// goroutine for CPUDuration), or "off".
+	// goroutine for cpuProfileDuration), or "off".
 	Profile string
-	// CPUDuration is how long a "cpu" profile samples for. Default 1s.
-	CPUDuration time.Duration
 	// MinInterval rate-limits automatic (burn/breaker-triggered)
 	// captures; operator requests via /debug/bundle bypass it.
 	// Default 5m.
@@ -41,6 +39,9 @@ type BundleConfig struct {
 	// Registry, when set, is dumped into each bundle as metrics.prom.
 	Registry *obs.Registry
 }
+
+// cpuProfileDuration is how long a "cpu" profile samples for.
+const cpuProfileDuration = time.Second
 
 // Bundle describes one captured diagnostic bundle.
 type Bundle struct {
@@ -70,9 +71,6 @@ func newBundler(cfg BundleConfig, rec *Recorder, clock func() time.Time) *bundle
 	}
 	if cfg.Profile == "" {
 		cfg.Profile = "heap"
-	}
-	if cfg.CPUDuration <= 0 {
-		cfg.CPUDuration = time.Second
 	}
 	if cfg.MinInterval <= 0 {
 		cfg.MinInterval = 5 * time.Minute
@@ -193,7 +191,7 @@ func (b *bundler) capture(reason string, force bool) (*Bundle, error) {
 			if err := pprof.StartCPUProfile(f); err != nil {
 				return err
 			}
-			time.Sleep(b.cfg.CPUDuration)
+			time.Sleep(cpuProfileDuration)
 			pprof.StopCPUProfile()
 			return nil
 		}))
@@ -213,6 +211,7 @@ func (b *bundler) export(reg *obs.Registry) {
 	if b == nil || reg == nil {
 		return
 	}
+	reg.Help("flight_bundles", "Diagnostic bundle captures by outcome.")
 	reg.Gauge("flight_bundles", "outcome", "captured").Set(float64(b.captured.Load()))
 	reg.Gauge("flight_bundles", "outcome", "failed").Set(float64(b.failed.Load()))
 	reg.Gauge("flight_bundles", "outcome", "rate_limited").Set(float64(b.rateLimited.Load()))

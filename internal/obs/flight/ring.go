@@ -394,6 +394,9 @@ func (r *Recorder) Export(reg *obs.Registry) {
 	if r == nil || reg == nil {
 		return
 	}
+	reg.Help("flight_events", "Flight-recorder event ledger by disposition (observed = kept + sampled_out; kept = live + evicted).")
+	reg.Help("flight_live_events", "Wide events currently held in the flight-recorder ring.")
+	reg.Help("flight_shadow_rows", "Shadow-scored rows recorded on wide events, by disposition (scored, agree); reconciles exactly with lifecycle_shadow_rows_total.")
 	st := r.Stats()
 	reg.Gauge("flight_events", "disposition", "observed").Set(float64(st.Observed))
 	reg.Gauge("flight_events", "disposition", "kept").Set(float64(st.Kept))

@@ -35,10 +35,11 @@ type SLOConfig struct {
 	// before a burn can trigger capture, so a single early failure
 	// against a near-empty window does not fire profiles. Default 20.
 	MinWindowTotal int
-	// RoutePrefix selects which events count toward the objectives.
-	// Default "/api/classify" (the governed serving path).
-	RoutePrefix string
 }
+
+// sloRoutePrefix selects which events count toward the objectives: the
+// governed serving path.
+const sloRoutePrefix = "/api/classify"
 
 // DefaultSLOConfig is three nines availability and 99%-under-500ms
 // latency over 1m/5m/30m/1h windows, bundle capture at 10x burn.
@@ -94,9 +95,6 @@ func newSLO(cfg SLOConfig, clock func() time.Time) *slo {
 	if cfg.MinWindowTotal <= 0 {
 		cfg.MinWindowTotal = 20
 	}
-	if cfg.RoutePrefix == "" {
-		cfg.RoutePrefix = "/api/classify"
-	}
 	maxW := cfg.Windows[0]
 	for _, w := range cfg.Windows {
 		if w > maxW {
@@ -132,7 +130,7 @@ func (s *slo) advance(sec int64) {
 // record folds one finalized event into the current second, then checks
 // the shortest window for a burn worth capturing. Nil-safe.
 func (s *slo) record(ev *Event) {
-	if s == nil || !strings.HasPrefix(ev.Path, s.cfg.RoutePrefix) {
+	if s == nil || !strings.HasPrefix(ev.Path, sloRoutePrefix) {
 		return
 	}
 	bad := ev.Status >= 500
@@ -291,6 +289,9 @@ func (s *slo) export(reg *obs.Registry) {
 	if s == nil || reg == nil {
 		return
 	}
+	reg.Help("slo_target", "Configured SLO target per objective.")
+	reg.Help("slo_budget_left", "Fraction of the run's error budget still unspent, per objective.")
+	reg.Help("slo_burn_rate", "Error-budget burn rate per objective and window (1.0 = budget spent exactly at the sustainable pace).")
 	st := s.status()
 	set := func(objective string, o *ObjectiveStatus) {
 		if o == nil {

@@ -36,6 +36,14 @@ func CollectRuntime(reg *Registry) {
 	if reg == nil {
 		return
 	}
+	reg.Help("go_goroutines", "Live goroutines (runtime/metrics, sampled per scrape).")
+	reg.Help("go_gc_cycles_total", "Completed GC cycles (runtime/metrics, sampled per scrape).")
+	reg.Help("go_heap_bytes", "Bytes of live heap objects (runtime/metrics, sampled per scrape).")
+	reg.Help("go_memory_total_bytes", "Bytes of memory mapped by the Go runtime (runtime/metrics, sampled per scrape).")
+	reg.Help("go_gc_pause_seconds", "GC pause distribution quantiles (runtime/metrics).")
+	reg.Help("go_gc_pause_seconds_count", "GC pauses observed (runtime/metrics).")
+	reg.Help("go_sched_latency_seconds", "Goroutine scheduling latency quantiles (runtime/metrics).")
+	reg.Help("go_sched_latency_seconds_count", "Goroutine scheduling latencies observed (runtime/metrics).")
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i, name := range runtimeSamples {
 		samples[i].Name = name

@@ -422,20 +422,61 @@ func TestFlightStormReconciliation(t *testing.T) {
 	t.Logf("storm: %d requests, statuses %v, %d error events all retrievable", total, clientByStatus, len(errorIDs))
 }
 
+// TestRuntimeMetricsExposed: the scrape-time families reach /metrics, and
+// every go_*, flight_* and slo_* family either daemon exposes carries the
+// HELP text of the package that writes it — supremm-ingestd mounts
+// flight.Ops.Metrics without ever building a server.Server.
 func TestRuntimeMetricsExposed(t *testing.T) {
 	a := chaosFixture(t)
-	c := newChaosServer(t, a, WithFlightRecorder(flight.NewRecorder(flight.DefaultConfig())))
+	cfg := flight.DefaultConfig()
+	cfg.Bundle.Dir = t.TempDir()
+	c := newChaosServer(t, a, WithFlightRecorder(flight.NewRecorder(cfg)))
 	resp, err := http.Get(c.srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(readAll(t, resp))
+	serve := string(readAll(t, resp))
 	for _, family := range []string{
 		"go_goroutines", "go_heap_bytes", "go_gc_pause_seconds", "go_sched_latency_seconds",
-		"flight_events{disposition=", "slo_burn_rate{objective=",
+		"flight_events{disposition=", "flight_bundles{outcome=", "slo_burn_rate{objective=",
 	} {
-		if !strings.Contains(text, family) {
+		if !strings.Contains(serve, family) {
 			t.Errorf("/metrics missing %s", family)
+		}
+	}
+
+	// cmd/supremm-ingestd's wiring: the default recorder, no objectives.
+	icfg := flight.DefaultConfig()
+	icfg.SLO = flight.SLOConfig{}
+	w := httptest.NewRecorder()
+	flight.Ops{Reg: obs.NewRegistry(), Rec: flight.NewRecorder(icfg)}.Metrics(w, nil)
+	ingestd := w.Body.String()
+	if strings.Contains(ingestd, "slo_") {
+		t.Error("supremm-ingestd's /metrics exports slo_* gauges with no objective configured")
+	}
+
+	for daemon, text := range map[string]string{"supremm-serve": serve, "supremm-ingestd": ingestd} {
+		helped, scraped := map[string]bool{}, 0
+		for _, line := range strings.Split(text, "\n") {
+			if name, ok := strings.CutPrefix(line, "# HELP "); ok {
+				name, _, _ = strings.Cut(name, " ")
+				helped[name] = true
+			}
+			name, ok := strings.CutPrefix(line, "# TYPE ")
+			if !ok {
+				continue
+			}
+			name, _, _ = strings.Cut(name, " ")
+			if !strings.HasPrefix(name, "go_") && !strings.HasPrefix(name, "flight_") && !strings.HasPrefix(name, "slo_") {
+				continue
+			}
+			scraped++
+			if !helped[name] {
+				t.Errorf("%s: /metrics exposes %s without a # HELP line", daemon, name)
+			}
+		}
+		if scraped < 8 {
+			t.Errorf("%s: only %d go_/flight_/slo_ families scraped", daemon, scraped)
 		}
 	}
 }

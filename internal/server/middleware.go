@@ -186,9 +186,11 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 	})
 }
 
-// declareMetrics pre-declares the metric families' HELP text so /metrics
-// carries it before the first request lands (nil-safe without a
-// registry).
+// declareMetrics pre-declares this package's metric families' HELP text
+// so /metrics carries it before the first request lands (nil-safe
+// without a registry). The go_*, flight_* and slo_* families are
+// declared where they are written, in internal/obs and its flight
+// package.
 func (s *Server) declareMetrics() {
 	s.metrics.Help("http_requests_total", "HTTP requests by path and status code.")
 	s.metrics.Help("http_request_seconds", "HTTP request latency in seconds by path.")
@@ -207,17 +209,4 @@ func (s *Server) declareMetrics() {
 	s.metrics.Help("discover_assign_seconds", "Per-row discovery assignment latency in seconds.")
 	s.metrics.Help("runtime_class_outcomes_total", "Runtime-class prediction outcomes (classified, below_threshold, bad_request, oversized, no_model, timeout, error).")
 	s.metrics.Help("runtime_class_row_seconds", "Per-row runtime-class inference latency in seconds.")
-	s.metrics.Help("go_goroutines", "Live goroutines (runtime/metrics, sampled per scrape).")
-	s.metrics.Help("go_heap_bytes", "Bytes of live heap objects (runtime/metrics, sampled per scrape).")
-	s.metrics.Help("go_gc_pause_seconds", "GC pause distribution quantiles (runtime/metrics).")
-	s.metrics.Help("go_sched_latency_seconds", "Goroutine scheduling latency quantiles (runtime/metrics).")
-	if s.flight != nil {
-		s.metrics.Help("flight_events", "Flight-recorder event ledger by disposition (observed = kept + sampled_out; kept = live + evicted).")
-		s.metrics.Help("flight_shadow_rows", "Shadow-scored rows recorded on wide events, by disposition (scored, agree); reconciles exactly with lifecycle_shadow_rows_total.")
-		s.metrics.Help("flight_live_events", "Wide events currently held in the flight-recorder ring.")
-		s.metrics.Help("flight_bundles", "Diagnostic bundle captures by outcome.")
-		s.metrics.Help("slo_burn_rate", "Error-budget burn rate per objective and window (1.0 = budget spent exactly at the sustainable pace).")
-		s.metrics.Help("slo_target", "Configured SLO target per objective.")
-		s.metrics.Help("slo_budget_left", "Fraction of the run's error budget still unspent, per objective.")
-	}
 }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -117,6 +118,18 @@ func TestSoakIngestConservation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Errorf("/api/warehouse/totals after soak: status %d", resp.StatusCode)
+	}
+
+	// The SLO objectives count the serving path only; this daemon declares
+	// none, and says so rather than reporting an armed, forever-empty one.
+	resp, err = http.Get(base + "/debug/slo")
+	if err != nil {
+		t.Fatalf("/debug/slo: %v", err)
+	}
+	slo, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if got := strings.TrimSpace(string(slo)); resp.StatusCode != 200 || got != `{"enabled":false}` {
+		t.Errorf("/debug/slo = %d %s, want 200 {\"enabled\":false}", resp.StatusCode, got)
 	}
 
 	// Graceful shutdown: SIGTERM → drain → the daemon's own audit. Exit
