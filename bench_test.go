@@ -12,6 +12,7 @@ package repro
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -309,6 +310,50 @@ func BenchmarkSVMTrainPaperConfig(b *testing.B) {
 		cfg := svm.PaperConfig()
 		cfg.Seed = uint64(i)
 		if _, err := core.TrainJobClassifier(train, core.ClassifierConfig{Algo: core.AlgoSVM, SVM: cfg}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// countingRBF counts kernel evaluations across Train's workers.
+type countingRBF struct {
+	svm.RBF
+	evals *atomic.Int64
+}
+
+func (k countingRBF) Compute(a, b []float64) float64 {
+	k.evals.Add(1)
+	return k.RBF.Compute(a, b)
+}
+
+// BenchmarkSVMTrainKernelEvals reports how many kernel evaluations the
+// paper's SVM costs to train on BenchmarkSVMTrainPaperConfig's data: the
+// count the per-pair kernel cache exists to keep down, and one that
+// repeats exactly. A wrapped kernel trains but does not compile, so this
+// is svm.Train on the standardized rows, not core.TrainJobClassifier.
+func BenchmarkSVMTrainKernelEvals(b *testing.B) {
+	train, _ := benchAppData(b, 51, core.DefaultFeatures())
+	train.Standardize()
+	var evals atomic.Int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := svm.PaperConfig()
+		cfg.Seed = uint64(i)
+		cfg.Kernel = countingRBF{svm.RBF{Gamma: 0.1}, &evals}
+		if _, err := svm.Train(train, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(evals.Load())/float64(b.N), "kernel-evals/op")
+}
+
+// BenchmarkForestTrainPaperConfig measures training cost of the paper's
+// 200-tree forest on the same data.
+func BenchmarkForestTrainPaperConfig(b *testing.B) {
+	train, _ := benchAppData(b, 51, core.DefaultFeatures())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.TrainJobClassifier(train, core.PaperForest(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

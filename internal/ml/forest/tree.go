@@ -8,7 +8,7 @@ package forest
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -154,7 +154,17 @@ func (b *treeBuilder) bestSplit(rows []int) (feature int, threshold float64, ok 
 		for i, r := range rows {
 			cands[i] = splitCandidate{v: b.x[r][f], row: r}
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].v < cands[j].v })
+		// On v alone: a row tie-break would reorder equal values and with
+		// them scanVariance's float sums.
+		slices.SortFunc(cands, func(a, b splitCandidate) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			}
+			return 0
+		})
 		var score, thr float64
 		var found bool
 		if b.regression {

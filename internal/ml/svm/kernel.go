@@ -70,10 +70,14 @@ func (k Poly) Compute(a, b []float64) float64 {
 func (k Poly) Name() string { return "poly" }
 
 // rowCache caches kernel matrix rows for the SMO solver with LRU eviction
-// under a byte budget. It is not safe for concurrent use; each solver owns
-// its own cache.
+// under a byte budget. It is not safe for concurrent use: one goroutine
+// owns a cache, and every solve over the same rows (a pair's full problem
+// and its Platt folds, the two halves of an SVR dual) reads the one cache
+// through an index view, so a row is computed once while the budget lasts
+// and recomputed on a miss when it does not.
 type rowCache struct {
 	compute func(i int) []float64
+	diag    []float64 // K(i,i); set by newKernelCache
 	rows    map[int]*cacheEntry
 	head    *cacheEntry // most recently used
 	tail    *cacheEntry // least recently used
@@ -97,6 +101,24 @@ func newRowCache(n int, budgetBytes int, compute func(i int) []float64) *rowCach
 		maxRows = n
 	}
 	return &rowCache{compute: compute, rows: make(map[int]*cacheEntry, maxRows), maxRows: maxRows}
+}
+
+// newKernelCache is the kernel matrix of the rows x: the diagonal up
+// front, row i -- K(x_i, x_t) for every t -- on demand.
+func newKernelCache(x [][]float64, kernel Kernel, budgetBytes int) *rowCache {
+	c := newRowCache(len(x), budgetBytes, func(i int) []float64 {
+		row := make([]float64, len(x))
+		xi := x[i]
+		for t, xt := range x {
+			row[t] = kernel.Compute(xi, xt)
+		}
+		return row
+	})
+	c.diag = make([]float64, len(x))
+	for i, xi := range x {
+		c.diag[i] = kernel.Compute(xi, xi)
+	}
+	return c
 }
 
 // get returns row i of the kernel matrix, computing and caching on miss.

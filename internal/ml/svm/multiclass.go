@@ -2,6 +2,7 @@ package svm
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
@@ -98,16 +99,24 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	model := &Model{kernel: cfg.Kernel, spec: Spec{
 		Classes: d.ClassNames, Features: d.NumFeatures(), Kernel: describeKernel(cfg.Kernel),
 	}}
-	// Each binary problem is seeded by its pair index, so the trained
-	// machines are identical at any worker count.
-	pairs, err := parallel.Map(cfg.Workers, len(jobs), func(idx int) (PairSpec, error) {
+	// Pairs are handed out largest first, so the pool does not end with
+	// one worker alone on the biggest problem. Each binary problem is
+	// seeded by its pair index and lands in that slot, so the trained
+	// machines are identical at any worker count and in any order.
+	size := func(job pairJob) int { return len(byClass[job.i]) + len(byClass[job.j]) }
+	order := identity(len(jobs))
+	sort.SliceStable(order, func(a, b int) bool { return size(jobs[order[a]]) > size(jobs[order[b]]) })
+	pairs := make([]PairSpec, len(jobs))
+	err := parallel.ForEach(cfg.Workers, len(jobs), func(k int) error {
+		idx := order[k]
 		job := jobs[idx]
 		x, y := pairData(d, byClass[job.i], byClass[job.j])
 		wPos := cfg.weightFor(d.ClassNames[job.i])
 		wNeg := cfg.weightFor(d.ClassNames[job.j])
-		p := trainBinary(x, y, wPos, wNeg, cfg, uint64(idx))
+		p := trainBinary(newKernelCache(x, cfg.Kernel, smoCacheBytes), x, y, wPos, wNeg, cfg, uint64(idx))
 		p.I, p.J = job.i, job.j
-		return p, nil
+		pairs[idx] = p
+		return nil
 	})
 	psp.End()
 	if err != nil {
@@ -146,21 +155,23 @@ func weightedC(y []float64, c, wPos, wNeg float64) []float64 {
 	return cv
 }
 
-// trainBinary solves one pair, optionally with probability calibration on
-// cross-validated decision values.
-func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, seed uint64) PairSpec {
-	res := solveSMOGeneral(x, y, nil, weightedC(y, cfg.C, wPos, wNeg), cfg.Kernel, cfg.MaxIter)
+// trainBinary solves one pair over k, the kernel cache of its rows x,
+// optionally with probability calibration on cross-validated decision
+// values. The full problem and every fold problem are views of k, and the
+// decision values come from its cached support-vector rows, so while the
+// budget lasts a kernel row is computed once per pair.
+func trainBinary(k *rowCache, x [][]float64, y []float64, wPos, wNeg float64, cfg Config, seed uint64) PairSpec {
+	n := len(x)
+	all := identity(n)
+	res := solveSMOGeneral(k, all, y, nil, weightedC(y, cfg.C, wPos, wNeg), cfg.MaxIter)
 	m := newPair(x, y, res)
 	if !cfg.Probability {
 		return m
 	}
 
-	n := len(x)
 	dec := make([]float64, n)
 	if n < 2*probabilityCV {
-		for i := range x {
-			dec[i] = m.decision(cfg.Kernel, x[i])
-		}
+		decisions(k, all, y, res, all, dec)
 	} else {
 		r := rng.New(cfg.Seed ^ 0x5eed).Split(seed)
 		fold := make([]int, n)
@@ -169,30 +180,23 @@ func trainBinary(x [][]float64, y []float64, wPos, wNeg float64, cfg Config, see
 			fold[p] = i % probabilityCV
 		}
 		for f := 0; f < probabilityCV; f++ {
-			var tx [][]float64
+			var in, out []int
 			var ty []float64
 			for i := range x {
 				if fold[i] != f {
-					tx = append(tx, x[i])
+					in = append(in, i)
 					ty = append(ty, y[i])
+				} else {
+					out = append(out, i)
 				}
 			}
 			if !hasBothClasses(ty) {
 				// Degenerate fold: fall back to the full model.
-				for i := range x {
-					if fold[i] == f {
-						dec[i] = m.decision(cfg.Kernel, x[i])
-					}
-				}
+				decisions(k, all, y, res, out, dec)
 				continue
 			}
-			subRes := solveSMOGeneral(tx, ty, nil, weightedC(ty, cfg.C, wPos, wNeg), cfg.Kernel, cfg.MaxIter)
-			sub := newPair(tx, ty, subRes)
-			for i := range x {
-				if fold[i] == f {
-					dec[i] = sub.decision(cfg.Kernel, x[i])
-				}
-			}
+			sub := solveSMOGeneral(k, in, ty, nil, weightedC(ty, cfg.C, wPos, wNeg), cfg.MaxIter)
+			decisions(k, in, ty, sub, out, dec)
 		}
 	}
 	m.A, m.B = fitSigmoid(dec, y)

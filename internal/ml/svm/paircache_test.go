@@ -3,9 +3,11 @@ package svm
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/rng"
 	"repro/internal/testkit"
 )
 
@@ -44,18 +46,199 @@ func TestGoldenUnbalanced30(t *testing.T) {
 	d := unbalanced(28, counts)
 	cfg := PaperConfig()
 	cfg.Seed = 28
-	m, err := Train(d, cfg)
-	if err != nil {
+	for _, cfg.Workers = range []int{1, 2, 4} {
+		m, err := Train(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		testkit.Section(&b, "30-class unbalanced SVM / RBF gamma=0.1 C=1000 / synth seed 28")
+		for _, p := range m.Spec().Pairs {
+			if !p.HasAB {
+				t.Fatalf("pair %d-%d is not calibrated", p.I, p.J)
+			}
+			fmt.Fprintf(&b, "%02d-%02d svs=%d %s\n", p.I, p.J, len(p.SV), pairDigest(p))
+		}
+		testkit.GoldenString(t, "unbalanced30.golden", b.String())
+	}
+}
+
+// pairDigest digests every trained number of one machine bit-exactly.
+func pairDigest(p PairSpec) string {
+	return "machine=" + testkit.HashFloats(p.Coef, []float64{p.Rho, p.A, p.B}) + " sv=" + testkit.HashFloats(p.SV...)
+}
+
+// countingKernel is an RBF kernel that counts its evaluations: in total
+// (safe across Train's workers) and, when pairs is set, per ordered pair
+// of rows, keyed by the rows' storage (single goroutine only).
+type countingKernel struct {
+	RBF
+	total *atomic.Int64
+	pairs map[[2]*float64]int
+}
+
+func (k countingKernel) Compute(a, b []float64) float64 {
+	k.total.Add(1)
+	if k.pairs != nil {
+		k.pairs[[2]*float64{&a[0], &b[0]}]++
+	}
+	return k.RBF.Compute(a, b)
+}
+
+// twoClasses is the pair problem of two synthetic classes of the given
+// sizes, as Train hands it to trainBinary.
+func twoClasses(seed uint64, nPos, nNeg int) ([][]float64, []float64) {
+	d := unbalanced(seed, []int{nPos, nNeg})
+	return pairData(d, identity(nPos), identity(nPos + nNeg)[nPos:])
+}
+
+// TestPairKernelEvaluatedOnce: under budget one calibrated pair -- the
+// full solve, three fold solves and every held-out decision value --
+// evaluates each ordered pair of its rows at most once (the diagonal once
+// more, up front), and a whole model needs less than half the
+// evaluations it took when every solve owned a cache and decision values
+// went back to the kernel.
+func TestPairKernelEvaluatedOnce(t *testing.T) {
+	x, y := twoClasses(3, 40, 25)
+	n := len(x)
+	cfg := PaperConfig()
+	var total atomic.Int64
+	kernel := countingKernel{RBF{Gamma: 0.1}, &total, map[[2]*float64]int{}}
+	cfg.Kernel = kernel
+	if p := trainBinary(newKernelCache(x, kernel, smoCacheBytes), x, y, 1, 1, cfg, 0); !p.HasAB || len(p.SV) == 0 {
+		t.Fatalf("pair did not train: %+v", p)
+	}
+	for key, c := range kernel.pairs {
+		if limit := 1 + b2i(key[0] == key[1]); c > limit {
+			t.Fatalf("an ordered pair of rows was evaluated %d times, want at most %d", c, limit)
+		}
+	}
+	if got := int(total.Load()); got > n*n+n {
+		t.Errorf("%d evaluations for a %d-row pair, want at most n*n+n = %d", got, n, n*n+n)
+	}
+
+	// Counted on the commit before the shared pair cache, same data and
+	// configuration.
+	const evalsBefore = 175559
+	d := unbalanced(6, []int{4, 9, 20, 45, 80, 120})
+	cfg = PaperConfig()
+	cfg.Seed = 6
+	total.Store(0)
+	cfg.Kernel = countingKernel{RBF{Gamma: 0.1}, &total, nil}
+	if _, err := Train(d, cfg); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	testkit.Section(&b, "30-class unbalanced SVM / RBF gamma=0.1 C=1000 / synth seed 28")
-	for _, p := range m.Spec().Pairs {
-		if !p.HasAB {
-			t.Fatalf("pair %d-%d is not calibrated", p.I, p.J)
-		}
-		fmt.Fprintf(&b, "%02d-%02d svs=%d machine=%s sv=%s\n", p.I, p.J, len(p.SV),
-			testkit.HashFloats(p.Coef, []float64{p.Rho, p.A, p.B}), testkit.HashFloats(p.SV...))
+	if got := total.Load(); 2*got > evalsBefore {
+		t.Errorf("whole model took %d kernel evaluations, want at most half of %d", got, evalsBefore)
+	} else {
+		t.Logf("whole model: %d kernel evaluations (%d before)", got, evalsBefore)
 	}
-	testkit.GoldenString(t, "unbalanced30.golden", b.String())
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestPairCacheBudgetParity: a pair trained through a two-row cache --
+// every row evicted almost as soon as it is computed, the path a pair at
+// paper scale takes once smoCacheBytes runs out -- is bit-identical to
+// the pair trained under budget.
+func TestPairCacheBudgetParity(t *testing.T) {
+	x, y := twoClasses(4, 35, 30)
+	n := len(x)
+	cfg := PaperConfig()
+	var total atomic.Int64
+	cfg.Kernel = countingKernel{RBF{Gamma: 0.1}, &total, nil}
+	want := trainBinary(newKernelCache(x, cfg.Kernel, smoCacheBytes), x, y, 1, 1, cfg, 1)
+	total.Store(0)
+	got := trainBinary(newKernelCache(x, cfg.Kernel, 2*8*n), x, y, 1, 1, cfg, 1)
+	if pairDigest(got) != pairDigest(want) {
+		t.Errorf("two-row budget trained %s, default budget %s", pairDigest(got), pairDigest(want))
+	}
+	if int(total.Load()) <= n*n+n {
+		t.Errorf("two-row budget took %d evaluations: nothing was evicted", total.Load())
+	}
+}
+
+// referenceTrainBinary is the trainer the shared cache replaced, kept as
+// the oracle: every solve gathers its own rows into its own cache and
+// every decision value is PairSpec.decision on the compacted machine.
+// It reports how many folds took each decision-value path.
+func referenceTrainBinary(x [][]float64, y []float64, cfg Config, seed uint64) (m PairSpec, normal, degenerate int) {
+	solve := func(x [][]float64, y []float64) PairSpec {
+		k := newKernelCache(x, cfg.Kernel, smoCacheBytes)
+		return newPair(x, y, solveSMOGeneral(k, identity(len(x)), y, nil, weightedC(y, cfg.C, 1, 1), cfg.MaxIter))
+	}
+	m = solve(x, y)
+	n := len(x)
+	dec := make([]float64, n)
+	if n < 2*probabilityCV {
+		for i := range x {
+			dec[i] = m.decision(cfg.Kernel, x[i])
+		}
+	} else {
+		fold := make([]int, n)
+		for i, p := range rng.New(cfg.Seed ^ 0x5eed).Split(seed).Perm(n) {
+			fold[p] = i % probabilityCV
+		}
+		for f := 0; f < probabilityCV; f++ {
+			var tx [][]float64
+			var ty []float64
+			for i := range x {
+				if fold[i] != f {
+					tx = append(tx, x[i])
+					ty = append(ty, y[i])
+				}
+			}
+			machine := &m
+			if hasBothClasses(ty) {
+				sub := solve(tx, ty)
+				machine = &sub
+				normal++
+			} else {
+				degenerate++
+			}
+			for i := range x {
+				if fold[i] == f {
+					dec[i] = machine.decision(cfg.Kernel, x[i])
+				}
+			}
+		}
+	}
+	m.A, m.B = fitSigmoid(dec, y)
+	m.HasAB = true
+	return m, normal, degenerate
+}
+
+// TestDecisionValuePaths: the decision values read from cached
+// support-vector rows equal PairSpec.decision on the compacted machine
+// bit for bit, on each of the three paths that produce them: an ordinary
+// fold, a fold whose training side lost a whole class, and a pair too
+// small to fold.
+func TestDecisionValuePaths(t *testing.T) {
+	cfg := PaperConfig()
+	cfg.Seed = 11
+	for _, tc := range []struct {
+		name               string
+		nPos, nNeg         int
+		normal, degenerate int
+	}{
+		{"ordinary folds", 40, 25, 3, 0},
+		{"a fold holds out a whole class", 1, 30, 2, 1},
+		{"too small to fold", 2, 3, 0, 0},
+	} {
+		x, y := twoClasses(5, tc.nPos, tc.nNeg)
+		want, normal, degenerate := referenceTrainBinary(x, y, cfg, 9)
+		if normal != tc.normal || degenerate != tc.degenerate {
+			t.Fatalf("%s: %d ordinary and %d degenerate folds, want %d and %d",
+				tc.name, normal, degenerate, tc.normal, tc.degenerate)
+		}
+		got := trainBinary(newKernelCache(x, cfg.Kernel, smoCacheBytes), x, y, 1, 1, cfg, 9)
+		if pairDigest(got) != pairDigest(want) {
+			t.Errorf("%s: trained %s, reference %s", tc.name, pairDigest(got), pairDigest(want))
+		}
+	}
 }

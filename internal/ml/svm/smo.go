@@ -7,22 +7,23 @@ const (
 	tau = 1e-12
 	// smoTol is the KKT stopping tolerance.
 	smoTol = 1e-3
-	// smoCacheBytes is the kernel row cache budget per solver.
+	// smoCacheBytes is the kernel row cache budget of one pair problem
+	// (or one SVR problem): every solve over those rows shares it.
 	smoCacheBytes = 64 << 20
 )
 
-// smoProblem is one binary C-SVC training problem. Box constraints are
-// per-sample (cvec), which is how per-class cost weighting -- the paper's
-// suggested remedy for mixture-share-driven misclassification -- is
-// realized: C_i = C * weight[class(i)].
+// smoProblem is one binary C-SVC training problem over an index view of
+// a kernel cache: variable t stands on row idx[t] of k, so problems over
+// the same rows share their kernel values without gathering them. Box
+// constraints are per-sample (cvec), which is how per-class cost
+// weighting -- the paper's suggested remedy for mixture-share-driven
+// misclassification -- is realized: C_i = C * weight[class(i)].
 type smoProblem struct {
-	x      [][]float64
-	y      []float64 // +1 / -1
-	cvec   []float64 // per-sample upper bound C_i
-	kernel Kernel
-	maxIt  int
-	cache  *rowCache
-	diag   []float64 // K(i,i)
+	k     *rowCache
+	idx   []int
+	y     []float64 // +1 / -1, by variable
+	cvec  []float64 // per-variable upper bound C_i
+	maxIt int
 }
 
 // smoResult is the solved dual.
@@ -41,24 +42,28 @@ func uniformC(n int, c float64) []float64 {
 	return cv
 }
 
+// identity is the view of every row in order.
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // solveSMOGeneral minimizes (1/2) a'Qa + p'a subject to 0 <= a <= C_i,
-// y'a = 0, with Q_ij = y_i y_j K(x_i, x_j), using maximal-violating-pair
-// selection with LIBSVM's second-order refinement for the second index.
-// A nil p0 means the C-SVC linear term -e; maxIt <= 0 scales the
-// iteration cap with the problem size.
-func solveSMOGeneral(x [][]float64, y, p0 []float64, cvec []float64, kernel Kernel, maxIt int) smoResult {
-	n := len(x)
-	p := &smoProblem{x: x, y: y, cvec: cvec, kernel: kernel, maxIt: maxIt}
+// y'a = 0, with Q_st = y_s y_t K(x_idx[s], x_idx[t]) read from k, using
+// maximal-violating-pair selection with LIBSVM's second-order refinement
+// for the second index. A nil p0 means the C-SVC linear term -e;
+// maxIt <= 0 scales the iteration cap with the problem size.
+func solveSMOGeneral(k *rowCache, idx []int, y, p0, cvec []float64, maxIt int) smoResult {
+	n := len(idx)
+	p := &smoProblem{k: k, idx: idx, y: y, cvec: cvec, maxIt: maxIt}
 	if p.maxIt <= 0 {
 		p.maxIt = 10_000_000 / (n + 1) * 10 // generous; scaled by size
 		if p.maxIt < 10000 {
 			p.maxIt = 10000
 		}
-	}
-	p.cache = newRowCache(n, smoCacheBytes, p.kernelRow)
-	p.diag = make([]float64, n)
-	for i := range p.diag {
-		p.diag[i] = kernel.Compute(x[i], x[i])
 	}
 
 	alpha := make([]float64, n)
@@ -82,15 +87,6 @@ func solveSMOGeneral(x [][]float64, y, p0 []float64, cvec []float64, kernel Kern
 	return smoResult{alpha: alpha, rho: p.computeRho(alpha, grad), iters: iters}
 }
 
-func (p *smoProblem) kernelRow(i int) []float64 {
-	row := make([]float64, len(p.x))
-	xi := p.x[i]
-	for t := range p.x {
-		row[t] = p.kernel.Compute(xi, p.x[t])
-	}
-	return row
-}
-
 // selectWorkingSet returns the maximal violating pair (i, j) and the KKT
 // gap m(a) - M(a); j is chosen by the second-order rule.
 func (p *smoProblem) selectWorkingSet(alpha, grad []float64) (int, int, float64) {
@@ -109,7 +105,8 @@ func (p *smoProblem) selectWorkingSet(alpha, grad []float64) (int, int, float64)
 	if i < 0 {
 		return -1, -1, 0
 	}
-	rowI := p.cache.get(i)
+	idx, diag := p.idx, p.k.diag
+	rowI, diagI := p.k.get(idx[i]), diag[idx[i]]
 	j := -1
 	best := math.Inf(1) // most negative objective decrease
 	for t := 0; t < n; t++ {
@@ -126,7 +123,7 @@ func (p *smoProblem) selectWorkingSet(alpha, grad []float64) (int, int, float64)
 		}
 		// Second derivative along the feasible pair direction is
 		// ||phi(x_i) - phi(x_t)||^2 regardless of label signs.
-		a := p.diag[i] + p.diag[t] - 2*rowI[t]
+		a := diagI + diag[idx[t]] - 2*rowI[idx[t]]
 		if a <= 0 {
 			a = tau
 		}
@@ -154,11 +151,12 @@ func (p *smoProblem) inLow(t int, alpha []float64) bool {
 
 // update optimizes the (i, j) pair analytically and refreshes the gradient.
 func (p *smoProblem) update(alpha, grad []float64, i, j int) {
-	rowI := p.cache.get(i)
-	rowJ := p.cache.get(j)
+	idx := p.idx
+	rowI := p.k.get(idx[i])
+	rowJ := p.k.get(idx[j])
 	yi, yj := p.y[i], p.y[j]
 
-	a := p.diag[i] + p.diag[j] - 2*rowI[j]
+	a := p.k.diag[idx[i]] + p.k.diag[idx[j]] - 2*rowI[idx[j]]
 	if a <= 0 {
 		a = tau
 	}
@@ -180,8 +178,8 @@ func (p *smoProblem) update(alpha, grad []float64, i, j int) {
 	if dAi == 0 && dAj == 0 {
 		return
 	}
-	for t := range grad {
-		grad[t] += p.y[t] * (yi*rowI[t]*dAi + yj*rowJ[t]*dAj)
+	for t, c := range idx {
+		grad[t] += p.y[t] * (yi*rowI[c]*dAi + yj*rowJ[c]*dAj)
 	}
 }
 
@@ -230,6 +228,28 @@ func (p *PairSpec) decision(kernel Kernel, x []float64) float64 {
 		s += p.Coef[i] * kernel.Compute(sv, x)
 	}
 	return s - p.Rho
+}
+
+// decisions writes into dec[i], for every row i in at, the decision value
+// of the machine res solved over the view idx of k -- from the cached
+// support-vector rows, accumulated in support-vector order and then
+// shifted by rho, which is decision's operation sequence on the
+// compacted machine, bit for bit.
+func decisions(k *rowCache, idx []int, y []float64, res smoResult, at []int, dec []float64) {
+	for _, i := range at {
+		dec[i] = 0
+	}
+	for t, a := range res.alpha {
+		if a > 0 {
+			coef, row := a*y[t], k.get(idx[t])
+			for _, i := range at {
+				dec[i] += coef * row[i]
+			}
+		}
+	}
+	for _, i := range at {
+		dec[i] -= res.rho
+	}
 }
 
 // prob returns the calibrated P(y=+1 | decision value f).

@@ -19,7 +19,8 @@ type Regressor struct {
 }
 
 // TrainRegressor fits epsilon-SVR by solving the LIBSVM dual: a 2n-variable
-// problem with linear term p = [eps - z; eps + z] and labels [+1; -1].
+// problem with linear term p = [eps - z; eps + z] and labels [+1; -1],
+// both halves a view of the one n-row kernel cache.
 func TrainRegressor(x [][]float64, z []float64, cfg RegressorConfig) (*Regressor, error) {
 	n := len(x)
 	if n == 0 || n != len(z) {
@@ -34,16 +35,16 @@ func TrainRegressor(x [][]float64, z []float64, cfg RegressorConfig) (*Regressor
 	if cfg.Epsilon < 0 {
 		cfg.Epsilon = 0.1
 	}
-	x2 := make([][]float64, 2*n)
+	idx := make([]int, 2*n)
 	y2 := make([]float64, 2*n)
 	p2 := make([]float64, 2*n)
 	for i := 0; i < n; i++ {
-		x2[i], x2[n+i] = x[i], x[i]
+		idx[i], idx[n+i] = i, i
 		y2[i], y2[n+i] = 1, -1
 		p2[i] = cfg.Epsilon - z[i]
 		p2[n+i] = cfg.Epsilon + z[i]
 	}
-	res := solveSMOGeneral(x2, y2, p2, uniformC(len(x2), cfg.C), cfg.Kernel, 0)
+	res := solveSMOGeneral(newKernelCache(x, cfg.Kernel, smoCacheBytes), idx, y2, p2, uniformC(2*n, cfg.C), 0)
 	m := &Regressor{kernel: cfg.Kernel, rho: res.rho}
 	for i := 0; i < n; i++ {
 		beta := res.alpha[i] - res.alpha[n+i]
