@@ -27,7 +27,8 @@ FUZZ_TARGETS = \
 	./internal/loadgen:FuzzIngestLoadConfig \
 	./internal/ml/compile:FuzzCompileParity \
 	./internal/ingest:FuzzIngestFrame \
-	./internal/lifecycle:FuzzLifecycleConfig
+	./internal/lifecycle:FuzzLifecycleConfig \
+	./internal/server:FuzzBatchColumns
 
 # Knobs for `make bench` (forwarded to go test): repeat each benchmark
 # BENCH_COUNT times for BENCH_TIME each, e.g.

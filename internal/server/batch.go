@@ -91,11 +91,7 @@ func resolveColumns(v *core.ModelView, cols map[string][]float64) (rows [][]floa
 	if n > maxBatchRows {
 		return nil, nil, fmt.Errorf("batch carries %d rows, limit is %d", n, maxBatchRows)
 	}
-	rows = make([][]float64, n)
-	flat := make([]float64, n*v.NumFeatures())
-	for i := range rows {
-		rows[i] = flat[i*v.NumFeatures() : (i+1)*v.NumFeatures()]
-	}
+	rows = rowsOf(make([]float64, n*v.NumFeatures()), v.NumFeatures())
 	for name, col := range cols {
 		idx, _ := v.FeatureIndex(name)
 		for i, val := range col {
@@ -111,19 +107,66 @@ func resolveColumns(v *core.ModelView, cols map[string][]float64) (rows [][]floa
 	return rows, defaulted, nil
 }
 
+// rowsOf slices a row-major buffer of f-wide rows into its rows.
+func rowsOf(flat []float64, f int) [][]float64 {
+	rows := make([][]float64, len(flat)/f)
+	for i := range rows {
+		rows[i] = flat[i*f : (i+1)*f]
+	}
+	return rows
+}
+
+// batch is a batch request materialized before inference: per-row
+// feature vectors, per-row defaulted lists and the threshold.
+type batch struct {
+	rows      [][]float64
+	defaulted [][]string
+	threshold float64
+}
+
+// columnsBatch is a column-major batch, whose rows all default the same
+// features.
+func columnsBatch(rows [][]float64, defaulted []string, threshold float64) batch {
+	b := batch{rows: rows, defaulted: make([][]string, len(rows)), threshold: threshold}
+	for i := range b.defaulted {
+		b.defaulted[i] = defaulted
+	}
+	return b
+}
+
 // handleClassifyBatch classifies up to maxBatchRows feature rows in one
 // request: the classify pipeline's stages with the per-row stage fanned
 // across the worker pool. The model view is captured once, so every row
 // in a batch is classified by the same model generation even if a
-// hot-swap lands mid-request.
+// hot-swap lands mid-request. A complete body goes to the columns
+// scanner first; every body it declines is decoded by decodeBatch.
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	p := &s.classify
-	v := p.view(w, r)
+	v := s.classify.view(w, r)
 	if v == nil {
 		return
 	}
+	body, err := readBody(w, r, maxBatchBody)
+	var b batch
+	ok := false
+	if err == nil {
+		b, ok = scanColumns(v, body)
+	}
+	if !ok {
+		if b, ok = s.decodeBatch(w, v, body, err); !ok {
+			return
+		}
+	}
+	s.classifyBatch(w, r, v, b)
+}
+
+// decodeBatch materializes either form through encoding/json, so
+// validation errors reject the whole batch up front; ok false means the
+// refusal is already written. It is the only decoder of the bodies the
+// columns scanner declines, and the oracle the scanner is tested against.
+func (s *Server) decodeBatch(w http.ResponseWriter, v *core.ModelView, body []byte, readErr error) (b batch, ok bool) {
+	p := &s.classify
 	var req batchRequest
-	if !p.decode(w, r, maxBatchBody, &req) {
+	if p.refused(s.bodyStatus(w, decodeJSON(body, readErr, &req, false))) {
 		return
 	}
 	if err := threshold01(req.Threshold); err != nil {
@@ -134,53 +177,48 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		p.bad(w, "request sets both rows and columns; pick one form")
 		return
 	}
-
-	// Materialize both forms into per-row vectors plus per-row defaulted
-	// lists before inference, so validation errors reject the whole batch
-	// up front.
-	var rows [][]float64
-	var defaulted [][]string
 	switch {
 	case len(req.Rows) > maxBatchRows:
 		p.bad(w, "batch carries %d rows, limit is %d", len(req.Rows), maxBatchRows)
 		return
 	case len(req.Rows) > 0:
-		rows = make([][]float64, len(req.Rows))
-		defaulted = make([][]string, len(req.Rows))
+		b = batch{rows: make([][]float64, len(req.Rows)), defaulted: make([][]string, len(req.Rows)), threshold: req.Threshold}
 		for i, features := range req.Rows {
 			var err error
-			if rows[i], defaulted[i], err = resolveRow(v, features); err != nil {
+			if b.rows[i], b.defaulted[i], err = resolveRow(v, features); err != nil {
 				p.bad(w, "row %d: %v", i, err)
 				return
 			}
 		}
 	case len(req.Columns) > 0:
-		cols, def, err := resolveColumns(v, req.Columns)
+		rows, def, err := resolveColumns(v, req.Columns)
 		if err != nil {
 			p.bad(w, "%v", err)
 			return
 		}
-		rows = cols
-		defaulted = make([][]string, len(cols))
-		for i := range defaulted {
-			defaulted[i] = def
-		}
+		b = columnsBatch(rows, def, req.Threshold)
 	default:
 		p.bad(w, "empty batch: set rows or columns")
 		return
 	}
+	return b, true
+}
 
-	s.batchRows.Observe(float64(len(rows)))
+// classifyBatch runs the per-row stage over a materialized batch and
+// writes the reply.
+func (s *Server) classifyBatch(w http.ResponseWriter, r *http.Request, v *core.ModelView, b batch) {
+	p := &s.classify
+	s.batchRows.Observe(float64(len(b.rows)))
 
 	// All-or-nothing fan-out: rows share the request context, so an
 	// expired deadline (or an isolated row panic) fails the whole batch
 	// with one error response -- a batch never returns partial results.
 	// The timed variant sums per-row inference time into the request's
 	// wide event across however many goroutines the pool spreads over.
-	one := classifyRequest{Threshold: req.Threshold}
-	results := make([]classifyResult, len(rows))
-	err := parallel.ForEachCtxTimed(r.Context(), s.batchWorkers, len(rows), flight.From(r.Context()).Timer(), func(ctx context.Context, i int) error {
-		res, err := p.row(ctx, v, &one, rows[i])
+	one := classifyRequest{Threshold: b.threshold}
+	results := make([]classifyResult, len(b.rows))
+	err := parallel.ForEachCtxTimed(r.Context(), s.batchWorkers, len(b.rows), flight.From(r.Context()).Timer(), func(ctx context.Context, i int) error {
+		res, err := p.row(ctx, v, &one, b.rows[i])
 		if err != nil {
 			var oor *outOfRangeError
 			if errors.As(err, &oor) {
@@ -188,7 +226,7 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			return err
 		}
-		res.Defaulted = defaulted[i]
+		res.Defaulted = b.defaulted[i]
 		results[i] = res
 		return nil
 	})

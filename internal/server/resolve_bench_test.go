@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/core"
@@ -75,4 +76,31 @@ func BenchmarkFeatureResolution(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBatchColumnsDecode decodes a body shaped like batch-cols-rf's
+// (2048 rows x 36 features, ~1.3 MB) through the columns scanner and
+// through the encoding/json + resolveColumns path it stands in for;
+// MB/s is over the body.
+func BenchmarkBatchColumnsDecode(b *testing.B) {
+	s, v := columnsView(b)
+	body := benchColumnsBody(v.Model.Features, 2048)
+	b.Run("scanner", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := scanColumns(v, body); !ok {
+				b.Fatal("scanner declined")
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := s.decodeBatch(httptest.NewRecorder(), v, body, nil); !ok {
+				b.Fatal("encoding/json refused")
+			}
+		}
+	})
 }

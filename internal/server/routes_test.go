@@ -197,6 +197,7 @@ func TestPostBodyContract(t *testing.T) {
 	}{
 		{"/api/classify", maxClassifyBody, feat, "classify_outcomes_total", false},
 		{"/api/classify/batch", maxBatchBody, fmt.Sprintf(`{"rows":[{"%s":1}]}`, names[0]), "classify_outcomes_total", false},
+		{"/api/classify/batch", maxBatchBody, fmt.Sprintf(`{"columns":{"%s":[1]}}`, names[0]), "classify_outcomes_total", false},
 		{"/api/discover/assign", maxClassifyBody, feat, "discover_assign_outcomes_total", false},
 		{"/api/runtime-class", maxClassifyBody, feat, "runtime_class_outcomes_total", false},
 		{"/api/discover", maxClassifyBody, `{"k":3,"seed":1}`, "", true},

@@ -77,18 +77,18 @@ func (p *rowRoute[M, Q, R]) view(w http.ResponseWriter, r *http.Request) *core.V
 	return v
 }
 
-// decode reads the capped body into req, counting a refusal; false means
-// the response is already written.
-func (p *rowRoute[M, Q, R]) decode(w http.ResponseWriter, r *http.Request, limit int64, req any) bool {
-	switch p.s.decodeBody(w, r, limit, req, false) {
+// refused counts a body refusal by the status decodeBody or bodyStatus
+// answered it with; true means the response is already written.
+func (p *rowRoute[M, Q, R]) refused(status int) bool {
+	switch status {
 	case 0:
-		return true
+		return false
 	case http.StatusRequestEntityTooLarge:
 		p.out.oversized.Inc()
 	default:
 		p.out.badRequest.Inc()
 	}
-	return false
+	return true
 }
 
 // bad counts and writes a request validation failure.
@@ -179,7 +179,7 @@ func (p *rowRoute[M, Q, R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Q
-	if !p.decode(w, r, maxClassifyBody, &req) {
+	if p.refused(p.s.decodeBody(w, r, maxClassifyBody, &req, false)) {
 		return
 	}
 	features, err := p.features(v, &req)

@@ -310,24 +310,89 @@ type classifyResult struct {
 // it.
 const maxClassifyBody = 1 << 20
 
-// decodeBody is the one place a request body is read: cap it at limit,
-// decode exactly one JSON value into dst. On failure it writes the
+// decodeBody is the one place a request body is decoded: readBody's
+// capped read, then decodeJSON over those bytes. On failure it writes the
 // response and returns its status -- 413 past the cap, 400 for malformed
 // JSON or anything but whitespace after the value -- and 0 on success.
 // emptyOK lets the control-plane routes whose every field is optional
 // accept a bodyless POST.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, dst any, emptyOK bool) int {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	body, err := readBody(w, r, limit)
+	return s.bodyStatus(w, decodeJSON(body, err, dst, emptyOK))
+}
+
+// readBody is the one capped read of a request body: the bytes up to
+// limit, in a buffer pre-sized from Content-Length (never past the
+// limit), and the error that ended the read -- nil for a complete body,
+// a *http.MaxBytesError past the cap.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	size := int64(512)
+	if r.ContentLength > 0 {
+		// One byte past the body, so the read that reports EOF needs no
+		// growth.
+		size = min(r.ContentLength, limit) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
+// decodeJSON decodes exactly one JSON value into dst from a body
+// readBody returned, replaying the read's error where the bytes end: the
+// decoder meets the same bytes and the same failure as if it read the
+// request itself, so a syntax error before the cap stays a 400 and
+// padding past the cap a 413.
+func decodeJSON(body []byte, readErr error, dst any, emptyOK bool) error {
+	if readErr == nil {
+		readErr = io.EOF
+	}
+	dec := json.NewDecoder(&replay{body, readErr})
 	err := dec.Decode(dst)
 	switch {
 	case err == nil:
 		if _, err = dec.Token(); errors.Is(err, io.EOF) {
-			return 0
+			return nil
 		}
 		if err == nil {
 			err = errors.New("unexpected data after the JSON value")
 		}
 	case errors.Is(err, io.EOF) && emptyOK:
+		return nil
+	}
+	return err
+}
+
+// replay reads out a body already read, then the error that ended it.
+type replay struct {
+	body []byte
+	err  error
+}
+
+func (r *replay) Read(p []byte) (int, error) {
+	if len(r.body) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.body)
+	r.body = r.body[n:]
+	return n, nil
+}
+
+// bodyStatus writes the refusal for a decodeJSON error and returns its
+// status: 413 past the cap, 400 for anything else, 0 for no error.
+func (s *Server) bodyStatus(w http.ResponseWriter, err error) int {
+	if err == nil {
 		return 0
 	}
 	var tooBig *http.MaxBytesError

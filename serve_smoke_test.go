@@ -3,8 +3,9 @@
 // End-to-end smoke for the serving path, run by `make serve-batch-smoke`
 // (and the serve-smoke CI job): builds and boots the real supremm-serve
 // binary, exercises single + batch classification, checks batch/single
-// parity on live HTTP responses, hot-swaps the model through the admin
-// endpoint and SIGHUP, and fails on any non-2xx or divergence. The
+// and columns/rows parity on live HTTP responses, hot-swaps the model
+// through the admin endpoint and SIGHUP, and fails on any non-2xx or
+// divergence. The
 // server binds 127.0.0.1:0 and the harness learns the real port from
 // the "serving api" log line, so parallel CI jobs cannot collide.
 package repro
@@ -126,6 +127,31 @@ func TestServeBatchSmoke(t *testing.T) {
 		}
 	}
 
+	// The same rows in column form take the columns scanner and must
+	// answer a results array byte-equal to the rows form's.
+	cols := map[string][]float64{}
+	for _, row := range rows {
+		for name, x := range row {
+			cols[name] = append(cols[name], x)
+		}
+	}
+	code, colsBody := post("/api/classify/batch", map[string]any{"columns": cols, "threshold": 0.5})
+	if code != 200 {
+		t.Fatalf("columns batch classify: status %d: %s", code, colsBody)
+	}
+	var byRows, byCols struct {
+		Results json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(body, &byRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(colsBody, &byCols); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(byCols.Results, byRows.Results) {
+		t.Fatalf("columns/rows parity divergence:\n columns: %s\n rows:    %s", byCols.Results, byRows.Results)
+	}
+
 	// Admin hot-swap from the boot snapshot: the restored model must
 	// classify byte-identically to the original.
 	code, body = post("/admin/model/reload", map[string]string{"path": snapshot})
@@ -166,12 +192,12 @@ func TestServeBatchSmoke(t *testing.T) {
 	for _, want := range []string{
 		"model_generation 3",
 		`model_swap_total{outcome="ok"} 3`,
-		"classify_batch_rows_count 1",
-		"classify_batch_rows_sum 3",
+		"classify_batch_rows_count 2",
+		"classify_batch_rows_sum 6",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	fmt.Println("serve-batch-smoke: batch parity, admin reload, and SIGHUP swap all verified")
+	fmt.Println("serve-batch-smoke: batch parity (rows and columns), admin reload, and SIGHUP swap all verified")
 }
