@@ -18,6 +18,7 @@ TESTKIT_PKGS = ./internal/testkit ./internal/ml/bayes ./internal/ml/forest \
 # package:FuzzTarget pairs for the CI fuzz smoke.
 FUZZ_TARGETS = \
 	./internal/taccstats:FuzzDecode \
+	./internal/taccstats:FuzzChunkScan \
 	./internal/pcp:FuzzImport \
 	./internal/lariat:FuzzMatch \
 	./internal/warehouse:FuzzIngest \
@@ -136,10 +137,11 @@ bench:
 # through the scratch pool, and the governed-row pipeline's per-row
 # stage over a compiled RF view), and holds the stack, which returns a
 # caller-owned posterior, to that one allocation per row (two through
-# JobClassifier, which also copies the row to scale it).
+# JobClassifier, which also copies the row to scale it). The columns
+# scanner and the ingest chunk codec are held to fixed budgets per call.
 alloc-gate:
 	$(GO) test -count=1 -run 'TestAlloc' -v ./internal/ml/compile ./internal/ml/ensemble \
-		./internal/core ./internal/server
+		./internal/core ./internal/server ./internal/taccstats
 
 # The flight-recorder overhead ratchet: benchmarks the full serving
 # path with the recorder armed vs disarmed and fails when the armed

@@ -78,10 +78,14 @@ func (a *Archive) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxLine is the longest line Decode reads. Its scanner's buffer never
+// fills, so never refuses a line, on input shorter than this.
+const maxLine = 1 << 22
+
 // Decode parses an archive previously written by Encode.
 func Decode(r io.Reader) (*Archive, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, 1<<16), maxLine)
 	a := &Archive{}
 	var node *NodeArchive
 	var sample *Sample

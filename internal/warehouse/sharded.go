@@ -2,7 +2,8 @@ package warehouse
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -12,10 +13,12 @@ type ShardedConfig struct {
 	Shards int
 }
 
-// whShard is one partition: a serial Store behind a mutex.
+// whShard is one partition: a serial Store behind a mutex, and beside
+// it the records ingested since the last cut, latest per job id.
 type whShard struct {
 	mu    sync.Mutex
 	store *Store
+	fresh map[string]*Record
 }
 
 // Sharded is a concurrency-safe warehouse partitioned by job id: N
@@ -26,6 +29,9 @@ type whShard struct {
 // callers must not mutate a Record after handing it over.
 type Sharded struct {
 	shards []*whShard
+
+	snapMu sync.Mutex // serializes Snapshot, and guards last
+	last   Records    // the latest cut, in job-id order; never written once cut
 }
 
 // NewSharded returns an empty sharded warehouse.
@@ -35,7 +41,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	}
 	s := &Sharded{shards: make([]*whShard, cfg.Shards)}
 	for i := range s.shards {
-		s.shards[i] = &whShard{store: NewStore()}
+		s.shards[i] = &whShard{store: NewStore(), fresh: map[string]*Record{}}
 	}
 	return s
 }
@@ -53,7 +59,11 @@ func (s *Sharded) Ingest(r *Record) error {
 	sh := s.shardFor(r.JobID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.store.Ingest(r)
+	if err := sh.store.Ingest(r); err != nil {
+		return err
+	}
+	sh.fresh[r.JobID] = r
+	return nil
 }
 
 // Len returns the number of ingested jobs across all shards.
@@ -79,29 +89,70 @@ func (s *Sharded) Lookup(jobID string) (*Record, bool) {
 func (s *Sharded) Shards() int { return len(s.shards) }
 
 // Snapshot takes a point-in-time cut: all shard locks are held
-// simultaneously while the records are copied, so no snapshot can
-// observe a half-applied ingest. Records come out in canonical job-id
-// order, which makes every derived aggregation byte-for-byte identical
-// across shard counts and ingest interleavings for the same record set.
+// simultaneously while each shard's fresh records are swapped out, so
+// no snapshot can observe a half-applied ingest. Records come out in
+// canonical job-id order, which makes every derived aggregation
+// byte-for-byte identical across shard counts and ingest interleavings
+// for the same record set. Only what changed is sorted: the delta is
+// merged into the previous cut, and with no delta that cut is returned
+// as it is.
 func (s *Sharded) Snapshot() *WarehouseSnapshot {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
-	var recs Records
+	var fresh []map[string]*Record
+	n := 0
 	for _, sh := range s.shards {
-		recs = append(recs, sh.store.records...)
+		if len(sh.fresh) > 0 {
+			fresh = append(fresh, sh.fresh)
+			n += len(sh.fresh)
+			sh.fresh = map[string]*Record{}
+		}
 	}
 	for _, sh := range s.shards {
 		sh.mu.Unlock()
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].JobID < recs[j].JobID })
-	return &WarehouseSnapshot{Records: recs}
+	if n > 0 {
+		delta := make(Records, 0, n)
+		for _, m := range fresh {
+			for _, r := range m {
+				delta = append(delta, r)
+			}
+		}
+		slices.SortFunc(delta, func(a, b *Record) int { return strings.Compare(a.JobID, b.JobID) })
+		s.last = mergeCut(s.last, delta)
+	}
+	return &WarehouseSnapshot{Records: s.last}
+}
+
+// mergeCut returns a new cut: last with delta (sorted by job id, each id
+// once) applied. A job already in last is replaced at its position, a
+// new one inserted in order; the runs of last between are copied whole,
+// each run's end found by binary search. The result's capacity is its
+// length, so no holder of one cut can append into another's.
+func mergeCut(last, delta Records) Records {
+	out := make(Records, 0, len(last)+len(delta))
+	for _, r := range delta {
+		i, found := slices.BinarySearchFunc(last, r.JobID, func(x *Record, id string) int {
+			return strings.Compare(x.JobID, id)
+		})
+		out = append(append(out, last[:i]...), r)
+		if found {
+			i++
+		}
+		last = last[i:]
+	}
+	return slices.Clip(append(out, last...))
 }
 
 // WarehouseSnapshot is an immutable point-in-time cut of a Sharded
 // store: the records in canonical (job-id) order, answering every query
 // the record set does. Queries run on the frozen cut, so interleaved
-// writers cannot smear a result.
+// writers cannot smear a result. Cuts taken with no ingest between them
+// share one Records slice, and every cut is shared with the next merge:
+// callers must not write to it.
 type WarehouseSnapshot struct {
 	Records
 }

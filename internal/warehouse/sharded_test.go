@@ -3,9 +3,11 @@ package warehouse
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/rng"
@@ -300,6 +302,140 @@ func TestRollupReplacementExact(t *testing.T) {
 		t.Fatalf("bad rollup after replacement: %+v", got)
 	}
 	checkSnapshot(t, v)
+}
+
+// sortAll is the cut a from-scratch Snapshot takes, and the one Snapshot
+// took before it merged deltas: every shard's records, all locks held,
+// sorted by job id.
+func sortAll(s *Sharded) Records {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+	}
+	var recs Records
+	for _, sh := range s.shards {
+		recs = append(recs, sh.store.records...)
+	}
+	for _, sh := range s.shards {
+		sh.mu.Unlock()
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].JobID < recs[j].JobID })
+	return recs
+}
+
+// TestShardedIncrementalSnapshot interleaves the three kinds of ingest
+// the merge tells apart — new ids, replacements of ids in the last cut,
+// and one id ingested twice between cuts — with Snapshot calls. Each cut
+// must be consistent and hold the pointers a from-scratch sort of the
+// shards holds, in the same order; a cut with no ingest before it must
+// be the previous cut itself; and every earlier cut must still answer
+// every query as it did when it was taken.
+func TestShardedIncrementalSnapshot(t *testing.T) {
+	r := rng.New(53)
+	s := NewSharded(ShardedConfig{Shards: 4})
+	ingest := func(id string) {
+		t.Helper()
+		if err := s.Ingest(synthRecord(r, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newID := func() string {
+		for {
+			// Random ids land between existing ones, not only after them.
+			id := fmt.Sprintf("job-%05d", r.Intn(100_000))
+			if _, ok := s.Lookup(id); !ok {
+				return id
+			}
+		}
+	}
+	type cut struct {
+		v       *WarehouseSnapshot
+		digests map[string]string
+	}
+	var cuts []cut
+	for round := 0; round < 24; round++ {
+		var prev *WarehouseSnapshot
+		if len(cuts) > 0 {
+			prev = cuts[len(cuts)-1].v
+		}
+		if round%6 != 5 {
+			for n := 1 + r.Intn(20); n > 0; n-- {
+				ingest(newID())
+			}
+			for n := r.Intn(8); prev != nil && n > 0; n-- {
+				ingest(prev.Records[r.Intn(len(prev.Records))].JobID)
+			}
+			twice := newID()
+			if prev != nil && r.Intn(2) == 0 {
+				twice = prev.Records[r.Intn(len(prev.Records))].JobID
+			}
+			ingest(twice)
+			ingest(twice)
+		}
+		v := s.Snapshot()
+		checkSnapshot(t, v)
+		want := sortAll(s)
+		if len(v.Records) != len(want) {
+			t.Fatalf("round %d: cut holds %d records, a full sort %d", round, len(v.Records), len(want))
+		}
+		for i := range want {
+			if v.Records[i] != want[i] {
+				t.Fatalf("round %d: cut[%d] is job %s, a full sort's is job %s", round, i, v.Records[i].JobID, want[i].JobID)
+			}
+		}
+		if round%6 == 5 && &v.Records[0] != &prev.Records[0] {
+			t.Fatalf("round %d: a cut with no delta copied the previous cut", round)
+		}
+		// Cuts share slices, so each is full to capacity: an append to one
+		// never writes where another holder can see.
+		if cap(v.Records) != len(v.Records) {
+			t.Fatalf("round %d: cut of %d records has capacity %d", round, len(v.Records), cap(v.Records))
+		}
+		cuts = append(cuts, cut{v, queryDigests(v)})
+	}
+	for i, c := range cuts {
+		sameQueries(t, fmt.Sprintf("cut %d after later ingests", i), queryDigests(c.v), c.digests)
+	}
+}
+
+var benchCut Records
+
+// BenchmarkShardedSnapshot cuts a 7 000-job warehouse after every 100
+// fresh jobs (re-ingests of random ids, so its size holds): "merge" is
+// Snapshot, "sort-all" the full sort it replaced. ns/op includes the
+// ingests; ns/cut is the cut alone.
+func BenchmarkShardedSnapshot(b *testing.B) {
+	const jobs, fresh = 7000, 100
+	for _, bc := range []struct {
+		name string
+		cut  func(*Sharded) Records
+	}{
+		{"merge", func(s *Sharded) Records { return s.Snapshot().Records }},
+		{"sort-all", sortAll},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := rng.New(5)
+			s := NewSharded(ShardedConfig{Shards: 4})
+			for i := 0; i < jobs; i++ {
+				if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchCut = bc.cut(s)
+			var cutting time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < fresh; k++ {
+					if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", r.Intn(jobs)))); err != nil {
+						b.Fatal(err)
+					}
+				}
+				t0 := time.Now()
+				benchCut = bc.cut(s)
+				cutting += time.Since(t0)
+			}
+			b.ReportMetric(float64(cutting.Nanoseconds())/float64(b.N), "ns/cut")
+		})
+	}
 }
 
 func TestRollupKeyNegative(t *testing.T) {
