@@ -211,13 +211,16 @@ soak:
 	SOAK_DUR=$(SOAK_DUR) SOAK_RPS=$(SOAK_RPS) SOAK_OUT=$(SOAK_OUT) \
 		$(GO) test -count=1 -tags soak -run TestSoakServeUnderFaults -v -timeout 10m .
 
-# The ingest soak: builds supremm-ingestd WITH -race, boots it with
-# fault injection armed at every ingest site, replays a seeded firehose,
-# and reconciles the conservation ledger against the clients' acks and
-# /metrics exactly (received == summarized + dropped, per shard and
-# globally). SIGTERM then makes the daemon drain and self-audit; a
-# non-zero exit means its own books did not balance. The JSON report
-# lands at SOAK_INGEST_OUT.
+# The ingest soak: builds supremm-serve WITH -race, boots it with
+# -ingest-addr and fault injection armed at every ingest site, replays a
+# seeded firehose, and reconciles the conservation ledger against the
+# clients' acks and /metrics exactly (received == summarized + dropped,
+# per shard and globally). A job whose epilog a fault dropped finalizes
+# on the 30 s idle sweep, so the reconciliation waits that out. It also
+# checks that one flight recorder holds the ingest events while the SLO
+# counts only /api/classify. SIGTERM then makes the server drain ingest
+# and self-audit; a non-zero exit means its own books did not balance.
+# The JSON report lands at SOAK_INGEST_OUT.
 soak-ingest:
 	SOAK_INGEST_DUR=$(SOAK_INGEST_DUR) SOAK_INGEST_JOBS=$(SOAK_INGEST_JOBS) \
 	SOAK_INGEST_OUT=$(SOAK_INGEST_OUT) \

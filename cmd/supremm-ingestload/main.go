@@ -1,12 +1,12 @@
-// Command supremm-ingestload replays a seeded firehose against a
-// running supremm-ingestd and, when given the daemon's HTTP address,
-// reconciles the run to the record: the client-side acked count, the
-// daemon's conservation ledger, and the /metrics counters must agree
-// exactly.
+// Command supremm-ingestload replays a seeded firehose against the
+// ingest address of a running supremm-serve -ingest-addr and, when given
+// the server's HTTP address, reconciles the run to the record: the
+// client-side acked count, the server's conservation ledger
+// (/debug/ingest), and the /metrics counters must agree exactly.
 //
 // Usage:
 //
-//	supremm-ingestload [-http http://127.0.0.1:9302] [-out report.json] [-timeout 2m]
+//	supremm-ingestload [-http http://127.0.0.1:8080] [-out report.json] [-timeout 2m]
 //	                   addr=127.0.0.1:9301 [jobs=32] [conns=4] [hosts=4]
 //	                   [wall=4000] [dur=2s] [chunk=4] [seed=0]
 //
@@ -36,7 +36,7 @@ import (
 )
 
 func main() {
-	httpBase := flag.String("http", "", "daemon HTTP base URL, e.g. http://127.0.0.1:9302; enables exact reconciliation")
+	httpBase := flag.String("http", "", "supremm-serve API base URL, e.g. http://127.0.0.1:8080; enables exact reconciliation")
 	out := flag.String("out", "", "also write the JSON report to this file")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall run deadline")
 	flag.Usage = func() {

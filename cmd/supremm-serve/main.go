@@ -1,12 +1,15 @@
 // Command supremm-serve runs the XDMoD-style metrics and classification
-// API over a freshly generated workload: warehouse queries (overview,
-// group-by, drill-down, monthly utilization) plus online job
-// classification endpoints (single-row and batch) backed by a trained
-// (or loaded) model that can be hot-swapped without a restart.
+// API over a warehouse seeded with a freshly generated workload:
+// warehouse queries (overview, group-by, drill-down, monthly
+// utilization, hourly rollup) plus online job classification endpoints
+// (single-row and batch) backed by a trained (or loaded) model that can
+// be hot-swapped without a restart. With -ingest-addr it also hosts the
+// streaming ingest path that grows that warehouse.
 //
 // Usage:
 //
-//	supremm-serve [-addr :8080] [-jobs N] [-seed N] [-model saved.bin]
+//	supremm-serve [-addr :8080] [-ingest-addr 127.0.0.1:9301] [-jobs N]
+//	              [-seed N] [-model saved.bin]
 //	              [-model-snapshot out.bin] [-batch-workers N]
 //	              [-request-timeout 30s] [-max-concurrent N] [-max-queue N]
 //	              [-breaker-threshold N] [-breaker-open-for 30s]
@@ -21,6 +24,7 @@
 //	GET  /api/groupby?dim=application|category|user|population|jobsize|month
 //	GET  /api/drilldown?outer=DIM&inner=DIM
 //	GET  /api/utilization[?nodes=N]
+//	GET  /api/warehouse/groupby?dim=DIM, /api/warehouse/rollup, /api/warehouse/totals
 //	GET  /api/features
 //	POST /api/classify        {"features": {"MEM_USED": ..., ...}, "threshold": 0.8}
 //	POST /api/classify/batch  {"rows": [{...}, ...], "threshold": 0.8}
@@ -37,11 +41,25 @@
 //	POST /admin/lifecycle/rollback  swap the pre-promotion champion back in
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness (always 200 while serving)
-//	GET  /readyz              readiness (503 until a model is published, or while the reload breaker is open)
+//	GET  /readyz              readiness (503 until a model is published, while the reload breaker is open, or once ingest drains)
 //	GET  /debug/requests      flight-recorder query (?status=&route=&outcome=&min-ms=&since=&limit=)
 //	GET  /debug/slo           multi-window SLO burn-rate status
 //	GET  /debug/bundle        capture a diagnostic bundle now (needs -bundle-dir)
+//	GET  /debug/ingest        ingest conservation ledger + gauges (with -ingest-addr)
 //	GET  /debug/pprof/*       (with -pprof)
+//
+// Ingest: -ingest-addr opens the TCP wire internal/ingest speaks.
+// Compute nodes stream TACC_Stats chunks and job metadata; a router
+// hashes each job to a shard, the shard summarizes it on its epilog (or
+// after 30 s idle), and the record lands in the served warehouse, which
+// the boot workload seeded. Every record a client delivers is summarized
+// exactly once or dropped under a named reason, so the ingest ledger
+// balances exactly after a drain (see internal/ingest; supremm-ingestload
+// reconciles it to the record). Finalized jobs land in the same flight
+// recorder under /ingest/finalize, which the SLO objectives do not
+// count. The boot models, the boot discovery fit and the lifecycle's
+// corpus stay on the boot workload; POST /api/discover refits over the
+// served warehouse.
 //
 // Observability: every request lands one wide event in the in-process
 // flight recorder: identity, route, status, outcome, queue/handler/row
@@ -64,8 +82,9 @@
 // consecutive failures open it, reloads then fail fast (503) until a
 // half-open probe succeeds after -breaker-open-for. -faults arms the
 // deterministic fault-injection registry (sites: reload, classify.row,
-// discover.fit, discover.assign, runtime.row; see internal/resilience)
-// for chaos and soak runs -- never in default builds.
+// discover.fit, discover.assign, runtime.row, lifecycle.*, ingest.conn,
+// ingest.shard, ingest.finalize; see internal/resilience) for chaos and
+// soak runs -- never in default builds.
 //
 // Lifecycle: -lifecycle arms the closed loop over the serving model
 // (see internal/lifecycle): per-feature and posterior PSI drift
@@ -78,14 +97,17 @@
 // shadowmin, alpha, margin, cooldown, train, algo, seed, auto) and is a
 // startup error without -lifecycle.
 //
-// The listen address may end in :0 to pick a free port; the chosen
-// address is printed in the "serving api" log line (addr=...), which
-// test harnesses parse.
+// Both listen addresses may end in :0 to pick a free port; the chosen
+// addresses are printed in the "serving api" log line (addr=... and
+// ingest=..., "off" without -ingest-addr), which test harnesses parse.
 //
 // SIGHUP atomically reloads the model from the configured path (the
 // -model flag, -model-snapshot, or the last successful reload) without
 // dropping a request. The server shuts down gracefully on
-// SIGINT/SIGTERM, draining in-flight requests for up to 10 s.
+// SIGINT/SIGTERM: the ingest path drains first (the wire closes, queued
+// records apply, every open job finalizes) and its ledger is audited,
+// then in-flight requests get up to 10 s. The process exits 1 if the
+// ingest books do not balance.
 package main
 
 import (
@@ -103,6 +125,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -116,8 +139,13 @@ import (
 // SIGINT/SIGTERM.
 const shutdownTimeout = 10 * time.Second
 
+// ingestIdleTimeout finalizes an ingested job whose stream went quiet
+// without a complete epilog (a node crash, or frames a fault dropped).
+const ingestIdleTimeout = 30 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (port 0 picks a free port, logged as addr=...)")
+	ingestAddr := flag.String("ingest-addr", "", "ingest TCP listen address feeding the served warehouse (empty disables; port 0 picks a free port, logged as ingest=...)")
 	jobs := flag.Int("jobs", 2000, "workload size to generate and serve")
 	seed := flag.Uint64("seed", 2014, "random seed")
 	modelPath := flag.String("model", "", "load a saved classifier (default: train a category RF on the workload)")
@@ -128,7 +156,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 64, "classification requests allowed to wait beyond -max-concurrent before shedding with 429")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive model reload failures that open the reload circuit breaker")
 	breakerOpenFor := flag.Duration("breaker-open-for", 30*time.Second, "how long the reload breaker stays open before a half-open probe")
-	faultSpec := flag.String("faults", "", "arm fault injection: site=kind:rate[:latency],... (sites: reload, classify.row, discover.fit, discover.assign, runtime.row, lifecycle.retrain, lifecycle.promote, lifecycle.shadow; kinds: error, latency, panic)")
+	faultSpec := flag.String("faults", "", "arm fault injection: site=kind:rate[:latency],... (sites: reload, classify.row, discover.fit, discover.assign, runtime.row, lifecycle.retrain, lifecycle.promote, lifecycle.shadow, ingest.conn, ingest.shard, ingest.finalize; kinds: error, latency, panic)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault-injection dice")
 	lifecycleOn := flag.Bool("lifecycle", false, "arm the closed-loop model lifecycle: drift monitors, shadow retraining, gated champion-challenger promotion")
 	lifecycleSpec := flag.String("lifecycle-spec", "", "lifecycle loop tuning, needs -lifecycle: key=value,... (window, bins, min, every, drift, pdrift, shadowmin, alpha, margin, cooldown, train, algo, seed, auto; empty = defaults)")
@@ -164,11 +192,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The training corpus is whatever the served warehouse holds when
-	// asked. The boot model, the lifecycle's drift baseline and every
-	// challenger retrain featurize through categoryCorpus, so retraining
-	// on jobs that ran since boot means pointing corpus at a warehouse
-	// that grows (an ingest-fed warehouse.Sharded snapshot), nothing more.
+	// The served warehouse starts as the boot workload and grows by
+	// ingest. The training corpus is the boot workload alone: the boot
+	// model, the lifecycle's drift baseline and every challenger retrain
+	// featurize through categoryCorpus, so retraining on jobs that ran
+	// since boot means pointing corpus at sink's cut, nothing more.
+	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
+	for _, rec := range res.Records {
+		if err := sink.Ingest(rec); err != nil {
+			fatal(err)
+		}
+	}
 	corpus := func() []*warehouse.Record { return res.Store.Records() }
 	categoryCorpus := func() (*dataset.Dataset, error) {
 		return core.BuildDataset(corpus(), core.LabelByCategory, core.DefaultFeatures())
@@ -283,8 +317,7 @@ func main() {
 		}
 		trainer := func() (lifecycle.TrainResult, error) {
 			// Re-featurize at retrain time, so the sliding window covers
-			// whatever the corpus holds when drift fires. Nothing ingests
-			// into this binary's warehouse after boot, so today that is
+			// whatever the corpus holds when drift fires; today that is
 			// still the boot corpus.
 			wds, err := categoryCorpus()
 			if err != nil {
@@ -310,14 +343,39 @@ func main() {
 	fcfg.Capacity = *flightCapacity
 	fcfg.Bundle.Dir = *bundleDir
 	fcfg.Bundle.Registry = reg
-	opts = append(opts, server.WithFlightRecorder(flight.NewRecorder(fcfg)))
+	rec := flight.NewRecorder(fcfg)
+	opts = append(opts, server.WithFlightRecorder(rec))
 	log.Info("flight recorder armed",
 		"capacity", fcfg.Capacity, "sample", fcfg.SampleEvery, "topk", fcfg.TopK,
 		"slo", fcfg.SLO.String(), "bundle-dir", *bundleDir)
 	if *pprofOn {
 		opts = append(opts, server.WithPprof())
 	}
-	api := server.New(res.Store, nil, cfg.Machine.TotalNodes(), opts...)
+
+	// The ingest path shares the API's registry, logger, faults and
+	// recorder; shards and queue depth are ingest.Config's defaults.
+	var ing *ingest.Server
+	var ingestLn net.Listener
+	ingestAt := "off"
+	if *ingestAddr != "" {
+		ing, err = ingest.NewServer(ingest.Config{
+			IdleTimeout: ingestIdleTimeout,
+			Sink:        sink,
+			Obs:         reg,
+			Log:         log,
+			Faults:      faults,
+			Flight:      rec,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		if ingestLn, err = net.Listen("tcp", *ingestAddr); err != nil {
+			fatal(err)
+		}
+		ingestAt = ingestLn.Addr().String()
+		opts = append(opts, server.WithIngest(ing))
+	}
+	api := server.New(sink, nil, cfg.Machine.TotalNodes(), opts...)
 
 	// SIGHUP hot-swaps the model from the configured path through the
 	// same breaker as the admin endpoint; a failed reload logs and keeps
@@ -370,9 +428,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	errCh := make(chan error, 1)
+	errCh := make(chan error, 2) // one send per listener
+	if ing != nil {
+		go func() { errCh <- ing.Serve(ingestLn) }()
+	}
 	go func() {
-		log.Info("serving api", "addr", ln.Addr().String(), "pprof", *pprofOn,
+		log.Info("serving api", "addr", ln.Addr().String(), "ingest", ingestAt, "pprof", *pprofOn,
 			"request-timeout", *requestTimeout, "max-concurrent", *maxConcurrent)
 		errCh <- srv.Serve(ln)
 	}()
@@ -384,6 +445,21 @@ func main() {
 		}
 	case <-ctx.Done():
 		stop() // restore default signal handling so a second ^C kills us
+		// Drain ingest first, while /readyz and /debug/ingest still
+		// answer: the wire stops, every open job finalizes, and the ledger
+		// then balances exactly or the process exits 1.
+		var audit error
+		if ing != nil {
+			ing.Drain()
+			st := ing.Status()
+			if audit = st.Ledger.Check(0); audit != nil {
+				log.Error("LEDGER IMBALANCE AT SHUTDOWN", "err", audit)
+			} else {
+				log.Info("drained with books balanced",
+					"received", st.Ledger.Received, "summarized", st.Ledger.Summarized,
+					"dropped", st.Ledger.DroppedSum, "jobs", sink.Len())
+			}
+		}
 		log.Info("shutting down", "grace", shutdownTimeout)
 		sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
@@ -392,6 +468,9 @@ func main() {
 			_ = srv.Close()
 		}
 		log.Info("stopped")
+		if audit != nil {
+			fatal(audit)
+		}
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // TestFlagTablesMatchCode keeps every command's documented flags and its
 // flag definitions in step: the set of flag.<Type>("name", ...) literals
 // in the command's main.go must equal the set of -name tokens in the
-// "Usage:" block of its doc comment and, for the two daemons, the set of
-// `-name` cells in the first column of the README table under the
-// daemon's heading.
+// "Usage:" block of its doc comment and, for the daemon, the set of
+// `-name` cells in the first column of the README table under its
+// heading.
 func TestFlagTablesMatchCode(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -27,7 +27,7 @@ func TestFlagTablesMatchCode(t *testing.T) {
 		cmd         string
 		readmeTable bool
 	}{
-		{"supremm-serve", true}, {"supremm-ingestd", true},
+		{"supremm-serve", true},
 		{"supremm-load", false}, {"supremm-ingestload", false},
 		{"supremm-gen", false}, {"supremm-collect", false}, {"supremm-classify", false},
 		{"supremm-report", false}, {"supremm-paper", false},

@@ -1,6 +1,6 @@
 // Package ingest is the streaming write path: compute nodes ship
-// TACC_Stats records to supremm-ingestd as length-framed chunks over
-// TCP, a router hashes each job to a shard, per-shard summarizers
+// TACC_Stats records to supremm-serve's -ingest-addr as length-framed
+// chunks over TCP, a router hashes each job to a shard, per-shard summarizers
 // finalize jobs on epilog (or idle timeout), and finalized summaries
 // flow into the warehouse.
 //

@@ -191,7 +191,7 @@ func (h *harness) drainAndCheck() Status {
 	}
 	h.srv.Drain()
 	if !h.srv.Draining() {
-		h.t.Fatal("server does not report draining after Drain (ingestd's /readyz keys on it)")
+		h.t.Fatal("server does not report draining after Drain (supremm-serve's /readyz keys on it)")
 	}
 	st := h.srv.Status()
 	if st.Pending != 0 {

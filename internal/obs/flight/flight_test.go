@@ -463,10 +463,10 @@ func TestConcurrentRecordQueryExport(t *testing.T) {
 	}
 }
 
-// TestOpsHandlers drives the operator endpoints both daemons mount, on
-// an armed recorder and on none (supremm-ingestd -flight=false): a
-// malformed filter is a 400 either way, and the reply always carries
-// the stats block next to the matches.
+// TestOpsHandlers drives the operator endpoints on an armed recorder
+// with no SLO objectives and on a nil one: a malformed filter is a 400
+// either way, /debug/slo answers {"enabled":false}, and the reply always
+// carries the stats block next to the matches.
 func TestOpsHandlers(t *testing.T) {
 	armed := NewRecorder(Config{Capacity: 8, SampleEvery: 1})
 	record(armed, "/api/classify", 504, time.Millisecond)

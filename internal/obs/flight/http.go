@@ -13,8 +13,8 @@ import (
 
 // Ops serves the operator endpoints that need nothing but a metrics
 // registry and a flight recorder -- /metrics, /debug/requests,
-// /debug/slo, /debug/bundle -- so supremm-serve and supremm-ingestd
-// mount the same handlers. Reg, Rec and Log may each be nil.
+// /debug/slo, /debug/bundle -- and writes the JSON replies of every
+// route beside them. Reg, Rec and Log may each be nil.
 type Ops struct {
 	Reg *obs.Registry
 	Rec *Recorder

@@ -115,7 +115,7 @@ func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (uint64, error) {
 			return err
 		}
 		opt := core.DefaultFeatures()
-		rows := core.FeaturizeAll(s.store.Filter((*warehouse.Record).Unlabeled), opt)
+		rows := core.FeaturizeAll(s.store.Records().Filter((*warehouse.Record).Unlabeled), opt)
 		m, err := core.FitDiscovery(rows, core.FeatureNames(opt), cfg)
 		if err != nil {
 			return err

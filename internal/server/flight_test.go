@@ -423,9 +423,8 @@ func TestFlightStormReconciliation(t *testing.T) {
 }
 
 // TestRuntimeMetricsExposed: the scrape-time families reach /metrics, and
-// every go_*, flight_* and slo_* family either daemon exposes carries the
-// HELP text of the package that writes it — supremm-ingestd mounts
-// flight.Ops.Metrics without ever building a server.Server.
+// every go_*, flight_* and slo_* family carries the HELP text of the
+// package that writes it.
 func TestRuntimeMetricsExposed(t *testing.T) {
 	a := chaosFixture(t)
 	cfg := flight.DefaultConfig()
@@ -445,39 +444,27 @@ func TestRuntimeMetricsExposed(t *testing.T) {
 		}
 	}
 
-	// cmd/supremm-ingestd's wiring: the default recorder, no objectives.
-	icfg := flight.DefaultConfig()
-	icfg.SLO = flight.SLOConfig{}
-	w := httptest.NewRecorder()
-	flight.Ops{Reg: obs.NewRegistry(), Rec: flight.NewRecorder(icfg)}.Metrics(w, nil)
-	ingestd := w.Body.String()
-	if strings.Contains(ingestd, "slo_") {
-		t.Error("supremm-ingestd's /metrics exports slo_* gauges with no objective configured")
-	}
-
-	for daemon, text := range map[string]string{"supremm-serve": serve, "supremm-ingestd": ingestd} {
-		helped, scraped := map[string]bool{}, 0
-		for _, line := range strings.Split(text, "\n") {
-			if name, ok := strings.CutPrefix(line, "# HELP "); ok {
-				name, _, _ = strings.Cut(name, " ")
-				helped[name] = true
-			}
-			name, ok := strings.CutPrefix(line, "# TYPE ")
-			if !ok {
-				continue
-			}
+	helped, scraped := map[string]bool{}, 0
+	for _, line := range strings.Split(serve, "\n") {
+		if name, ok := strings.CutPrefix(line, "# HELP "); ok {
 			name, _, _ = strings.Cut(name, " ")
-			if !strings.HasPrefix(name, "go_") && !strings.HasPrefix(name, "flight_") && !strings.HasPrefix(name, "slo_") {
-				continue
-			}
-			scraped++
-			if !helped[name] {
-				t.Errorf("%s: /metrics exposes %s without a # HELP line", daemon, name)
-			}
+			helped[name] = true
 		}
-		if scraped < 8 {
-			t.Errorf("%s: only %d go_/flight_/slo_ families scraped", daemon, scraped)
+		name, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
 		}
+		name, _, _ = strings.Cut(name, " ")
+		if !strings.HasPrefix(name, "go_") && !strings.HasPrefix(name, "flight_") && !strings.HasPrefix(name, "slo_") {
+			continue
+		}
+		scraped++
+		if !helped[name] {
+			t.Errorf("/metrics exposes %s without a # HELP line", name)
+		}
+	}
+	if scraped < 8 {
+		t.Errorf("only %d go_/flight_/slo_ families scraped", scraped)
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/warehouse"
 )
 
 // labelledPaths is the frozen `path` metric label set. The route table
@@ -22,12 +24,13 @@ import (
 // and the flight recorder's by-route ledger key on these strings.
 var labelledPaths = []string{
 	"/api/overview", "/api/groupby", "/api/drilldown", "/api/utilization",
+	"/api/warehouse/groupby", "/api/warehouse/rollup", "/api/warehouse/totals",
 	"/api/features", "/api/classify", "/api/classify/batch", "/admin/model/reload",
 	"/api/discover", "/api/discover/assign", "/api/runtime-class",
 	"/api/runtime-class/features", "/api/lifecycle", "/admin/lifecycle/retrain",
 	"/admin/lifecycle/promote", "/admin/lifecycle/rollback",
 	"/metrics", "/healthz", "/readyz",
-	"/debug/requests", "/debug/slo", "/debug/bundle",
+	"/debug/requests", "/debug/slo", "/debug/bundle", "/debug/ingest",
 }
 
 var governedPaths = []string{
@@ -37,8 +40,13 @@ var governedPaths = []string{
 // TestRouteTableInvariants pins the route table as the single source of
 // mux registration, the path label set and the governed flag.
 func TestRouteTableInvariants(t *testing.T) {
+	ing, err := ingest.NewServer(ingest.Config{Sink: warehouse.NewSharded(warehouse.ShardedConfig{}), Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ing.Drain)
 	full := New(nil, nil, 0, WithMetrics(obs.NewRegistry()), WithPprof(),
-		WithFlightRecorder(flight.NewRecorder(flight.DefaultConfig())))
+		WithFlightRecorder(flight.NewRecorder(flight.DefaultConfig())), WithIngest(ing))
 	bare := New(nil, nil, 0)
 
 	for name, s := range map[string]*Server{"full": full, "bare": bare} {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -28,10 +29,15 @@ import (
 	"repro/internal/warehouse"
 )
 
-// Server wires the API handlers to a warehouse store and an optional
+// Warehouse is what the server reads: every warehouse route queries one
+// cut of the job records. *warehouse.Store (ingest order) and
+// *warehouse.Sharded (job-id order) both provide it.
+type Warehouse interface{ Records() warehouse.Records }
+
+// Server wires the API handlers to a warehouse and an optional
 // classifier.
 type Server struct {
-	store        *warehouse.Store
+	store        Warehouse
 	models       *core.ModelManager
 	discovery    *core.DiscoveryManager
 	runtime      *core.ModelManager
@@ -56,9 +62,13 @@ type Server struct {
 	batchWorkers int
 	bootStamp    int64
 	flight       *flight.Recorder
-	// ops serves /metrics and /debug/{requests,slo,bundle}, the handlers
-	// shared with supremm-ingestd, and writes every JSON reply.
+	// ops serves /metrics and /debug/{requests,slo,bundle} and writes
+	// every JSON reply.
 	ops flight.Ops
+	// ingest, when armed, is the streaming write path feeding the
+	// warehouse: /debug/ingest reports it and /readyz fails while it
+	// drains.
+	ingest *ingest.Server
 
 	resilience ResilienceConfig
 	limiter    *resilience.Limiter
@@ -94,6 +104,9 @@ func (s *Server) routes() []route {
 		{"GET", "/api/groupby", s.handleGroupBy, false, true},
 		{"GET", "/api/drilldown", s.handleDrillDown, false, true},
 		{"GET", "/api/utilization", s.handleUtilization, false, true},
+		{"GET", "/api/warehouse/groupby", s.handleWarehouseGroupBy, false, true},
+		{"GET", "/api/warehouse/rollup", s.handleWarehouseRollup, false, true},
+		{"GET", "/api/warehouse/totals", s.handleWarehouseTotals, false, true},
 		{"GET", "/api/features", s.schemaHandler(s.models, s.classify.noModel), false, true},
 		{"POST", "/api/classify", s.classify.ServeHTTP, true, true},
 		{"POST", "/api/classify/batch", s.handleClassifyBatch, true, true},
@@ -113,6 +126,7 @@ func (s *Server) routes() []route {
 		{"GET", "/debug/requests", s.ops.Requests, false, armed},
 		{"GET", "/debug/slo", s.ops.SLO, false, armed},
 		{"GET", "/debug/bundle", s.ops.Bundle, false, armed},
+		{"GET", "/debug/ingest", s.handleIngestStatus, false, s.ingest != nil},
 		{"", "/debug/pprof/", pprof.Index, false, s.pprof},
 		{"", "/debug/pprof/cmdline", pprof.Cmdline, false, s.pprof},
 		{"", "/debug/pprof/profile", pprof.Profile, false, s.pprof},
@@ -121,12 +135,12 @@ func (s *Server) routes() []route {
 	}
 }
 
-// New builds a server. model may be nil (the classify endpoints then
-// return 503 until a model is swapped in); it seeds the server's model
-// manager unless WithModelManager supplies one. machineNodes sizes the
-// utilization report. Options add metrics (/metrics), structured
-// logging, and pprof endpoints.
-func New(store *warehouse.Store, model *core.JobClassifier, machineNodes int, opts ...Option) *Server {
+// New builds a server over a warehouse. model may be nil (the classify
+// endpoints then return 503 until a model is swapped in); it seeds the
+// server's model manager unless WithModelManager supplies one.
+// machineNodes sizes the utilization report. Options add metrics
+// (/metrics), structured logging, pprof endpoints and the ingest path.
+func New(store Warehouse, model *core.JobClassifier, machineNodes int, opts ...Option) *Server {
 	s := &Server{
 		store: store, machineNodes: machineNodes,
 		mux:       http.NewServeMux(),
@@ -177,7 +191,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
-	t := s.store.Totals()
+	t := s.store.Records().Totals()
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"jobs":      t.Jobs,
 		"cpuHours":  t.CPUHours,
@@ -206,10 +220,30 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	// Initialized (not declared nil) so an empty warehouse encodes as [],
 	// never null.
 	out := []row{}
-	for _, g := range s.store.GroupBy(dim) {
+	for _, g := range s.store.Records().GroupBy(dim) {
 		out = append(out, row{g.Key, g.Jobs, g.MixPercent, g.CPUHours, g.AvgNodes, g.AvgWaitHrs})
 	}
 	s.writeJSON(w, http.StatusOK, out)
+}
+
+// The /api/warehouse/* routes reply with the warehouse package's own
+// aggregates, every field as the package names it.
+
+func (s *Server) handleWarehouseGroupBy(w http.ResponseWriter, r *http.Request) {
+	dim, err := parseDim(r, "dim")
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, s.store.Records().GroupBy(dim))
+}
+
+func (s *Server) handleWarehouseRollup(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, http.StatusOK, s.store.Records().Rollup())
+}
+
+func (s *Server) handleWarehouseTotals(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, http.StatusOK, s.store.Records().Totals())
 }
 
 func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
@@ -234,7 +268,7 @@ func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
 		Inner []innerRow `json:"inner"`
 	}
 	out := []group{}
-	for _, g := range s.store.DrillDown(outer, inner) {
+	for _, g := range s.store.Records().DrillDown(outer, inner) {
 		gg := group{Key: g.Key, Jobs: g.Jobs, Inner: []innerRow{}}
 		for _, in := range g.Inner {
 			gg.Inner = append(gg.Inner, innerRow{in.Key, in.Jobs, in.MixPercent})
@@ -258,7 +292,7 @@ func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "machine node count not configured; pass ?nodes=N")
 		return
 	}
-	pts := s.store.Utilization(nodes)
+	pts := s.store.Records().Utilization(nodes)
 	if pts == nil {
 		pts = []warehouse.UtilizationPoint{}
 	}

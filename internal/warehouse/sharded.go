@@ -127,6 +127,9 @@ func (s *Sharded) Snapshot() *WarehouseSnapshot {
 	return &WarehouseSnapshot{Records: s.last}
 }
 
+// Records returns the current cut, in job-id order (Snapshot's records).
+func (s *Sharded) Records() Records { return s.Snapshot().Records }
+
 // mergeCut returns a new cut: last with delta (sorted by job id, each id
 // once) applied. A job already in last is replaced at its position, a
 // new one inserted in order; the runs of last between are copied whole,

@@ -19,7 +19,7 @@ import (
 // Record is one processed job, the only such type from collector to
 // classifier: accounting joined with its SUPReMM summary and
 // Lariat-derived application label. The batch pipeline and the ingest
-// daemon both produce it; queries, labelers and featurization consume it.
+// path both produce it; queries, labelers and featurization consume it.
 type Record struct {
 	JobID    string
 	User     string
@@ -66,7 +66,7 @@ const (
 )
 
 // Dimensions lists every supported grouping dimension: the set each
-// query surface (both daemons' APIs, supremm-report) accepts.
+// query surface (supremm-serve's API, supremm-report) accepts.
 var Dimensions = []Dimension{ByApplication, ByCategory, ByUser, ByPopulation, ByJobSize, ByMonth}
 
 // ParseDimension validates a dimension named by outside input.

@@ -45,7 +45,7 @@ func TestServeBatchSmoke(t *testing.T) {
 	snapshot := filepath.Join(t.TempDir(), "model.bin")
 	// -log-level info: the address discovery in startServe reads the
 	// info-level "serving api" line.
-	base, srv := startServe(t, bin, "-jobs", "400", "-seed", "7",
+	base, _, srv := startServe(t, bin, "-jobs", "400", "-seed", "7",
 		"-model-snapshot", snapshot, "-batch-workers", "4", "-log-level", "info")
 	defer stopServe(t, srv)
 

@@ -1,11 +1,11 @@
 //go:build servesmoke || soak
 
 // Shared plumbing for the end-to-end harnesses that run the real
-// supremm-serve binary (serve_smoke_test.go, soak_test.go): build the
-// binary, boot it on an ephemeral port, and learn the actual listen
-// address from the server's own "serving api" log line. Binding :0 and
-// parsing addr= removes the reserve-then-rebind port race the smoke
-// test used to carry.
+// supremm-serve binary (serve_smoke_test.go, soak_test.go,
+// soak_ingest_test.go): build the binary, boot it on an ephemeral port,
+// and learn the actual listen addresses from the server's own "serving
+// api" log line. Binding :0 and parsing addr= / ingest= removes the
+// reserve-then-rebind port race the smoke test used to carry.
 package repro
 
 import (
@@ -41,10 +41,11 @@ func buildServe(t *testing.T, withRace bool) string {
 
 // startServe boots the binary with -addr 127.0.0.1:0 plus the given
 // flags and waits for the "serving api" line, teeing all server logs
-// through to the test's stderr. The server binds its listener before
-// logging that line, so once the address is known the API is up (the
-// log level must allow info lines). Returns the base URL.
-func startServe(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
+// through to the test's stderr. The server binds its listeners before
+// logging that line, so once the addresses are known the API (and any
+// ingest wire) is up (the log level must allow info lines). Returns the
+// base URL and the ingest address ("off" without -ingest-addr).
+func startServe(t *testing.T, bin string, args ...string) (string, string, *exec.Cmd) {
 	t.Helper()
 	srv := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	srv.Stdout = os.Stderr
@@ -56,7 +57,8 @@ func startServe(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
 		t.Fatal(err)
 	}
 
-	addrCh := make(chan string, 1)
+	type addrs struct{ http, ingest string }
+	addrCh := make(chan addrs, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
 		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -64,13 +66,18 @@ func startServe(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
 			line := sc.Text()
 			fmt.Fprintln(os.Stderr, line)
 			if strings.Contains(line, `msg="serving api"`) {
+				var a addrs
 				for _, tok := range strings.Fields(line) {
 					if v, ok := strings.CutPrefix(tok, "addr="); ok {
-						select {
-						case addrCh <- v:
-						default:
-						}
+						a.http = v
 					}
+					if v, ok := strings.CutPrefix(tok, "ingest="); ok {
+						a.ingest = v
+					}
+				}
+				select {
+				case addrCh <- a:
+				default:
 				}
 			}
 		}
@@ -79,12 +86,12 @@ func startServe(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
 	// Workload generation (and -race instrumentation) happens before the
 	// bind, so allow a generous startup window.
 	select {
-	case addr := <-addrCh:
-		return "http://" + addr, srv
+	case a := <-addrCh:
+		return "http://" + a.http, a.ingest, srv
 	case <-time.After(120 * time.Second):
 		srv.Process.Kill()
 		t.Fatal("server never logged its serving address")
-		return "", nil
+		return "", "", nil
 	}
 }
 

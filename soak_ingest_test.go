@@ -1,15 +1,17 @@
 //go:build soak
 
 // Ingest soak harness, run by `make soak-ingest` and the soak CI job:
-// builds the real supremm-ingestd binary WITH the race detector, boots
-// it with fault injection armed at every ingest site (connection
-// errors, shard-apply errors, finalize latency), replays a seeded
-// firehose against it, and then reconciles the conservation equation to
-// the record: the clients' acked count, the daemon's /debug/ingest
-// ledger, and the /metrics counters must agree exactly —
-// received == summarized + Σ dropped{reason}, per shard and globally.
-// Finally the daemon is sent SIGTERM and must drain and exit 0 (it
-// exits 1 if its own shutdown audit finds the books unbalanced).
+// builds the real supremm-serve binary WITH the race detector, boots it
+// with -ingest-addr and fault injection armed at every ingest site
+// (connection errors, shard-apply errors, finalize latency), replays a
+// seeded firehose against it, and then reconciles the conservation
+// equation to the record: the clients' acked count, the server's
+// /debug/ingest ledger, and the /metrics counters must agree exactly —
+// received == summarized + Σ dropped{reason}, per shard and globally. A
+// job whose epilog a fault dropped finalizes on the server's 30 s idle
+// sweep, so the reconciliation waits that out. Finally the server is
+// sent SIGTERM and must drain and exit 0 (it exits 1 if its own
+// shutdown audit finds the books unbalanced).
 //
 // Tunables (env): SOAK_INGEST_DUR (default 10s), SOAK_INGEST_JOBS
 // (default 48), SOAK_INGEST_CONNS (default 6), SOAK_INGEST_FAULTS
@@ -18,14 +20,11 @@
 package repro
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/loadgen"
+	"repro/internal/obs/flight"
 )
 
 const defaultIngestFaults = "ingest.conn=error:0.01,ingest.shard=error:0.02,ingest.finalize=latency:0.3:5ms"
@@ -47,11 +47,10 @@ func TestSoakIngestConservation(t *testing.T) {
 	faults := soakEnv("SOAK_INGEST_FAULTS", defaultIngestFaults)
 	out := soakEnv("SOAK_INGEST_OUT", filepath.Join(t.TempDir(), "soak-ingest-report.json"))
 
-	bin := buildIngestd(t)
-	addr, base, srv := startIngestd(t, bin,
-		"-shards", "8",
-		"-queue-depth", "256",
-		"-idle-timeout", "2s",
+	bin := buildServe(t, true)
+	base, addr, srv := startServe(t, bin,
+		"-jobs", "400",
+		"-ingest-addr", "127.0.0.1:0",
 		"-faults", faults,
 		"-fault-seed", "42",
 	)
@@ -110,108 +109,62 @@ func TestSoakIngestConservation(t *testing.T) {
 		}
 	}
 
-	// The daemon survived the storm and still serves queries.
+	// The server survived the storm and still serves queries.
 	resp, err := http.Get(base + "/api/warehouse/totals")
 	if err != nil {
-		t.Fatalf("daemon unreachable after soak: %v", err)
+		t.Fatalf("server unreachable after soak: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Errorf("/api/warehouse/totals after soak: status %d", resp.StatusCode)
 	}
 
-	// The SLO objectives count the serving path only; this daemon declares
-	// none, and says so rather than reporting an armed, forever-empty one.
-	resp, err = http.Get(base + "/debug/slo")
-	if err != nil {
-		t.Fatalf("/debug/slo: %v", err)
+	// One recorder holds both paths: the finalized jobs are in the ring
+	// under /ingest/finalize, and the SLO objectives, which count only
+	// /api/classify, saw none of them.
+	var slo flight.SLOStatus
+	if err := getSoakJSON(base+"/debug/slo", &slo); err != nil {
+		t.Fatal(err)
 	}
-	slo, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if got := strings.TrimSpace(string(slo)); resp.StatusCode != 200 || got != `{"enabled":false}` {
-		t.Errorf("/debug/slo = %d %s, want 200 {\"enabled\":false}", resp.StatusCode, got)
+	if slo.Availability == nil || slo.Availability.RunTotal != 0 {
+		t.Errorf("/debug/slo availability = %+v, want armed with runTotal 0 after an ingest-only run", slo.Availability)
+	}
+	var finalized struct {
+		Events []flight.Event `json:"events"`
+	}
+	if err := getSoakJSON(base+"/debug/requests?route=/ingest/finalize", &finalized); err != nil {
+		t.Fatal(err)
+	}
+	if len(finalized.Events) == 0 {
+		t.Error("/debug/requests?route=/ingest/finalize is empty: the ingest path records into another recorder")
 	}
 
-	// Graceful shutdown: SIGTERM → drain → the daemon's own audit. Exit
-	// status 0 is the daemon agreeing its books balance.
+	// Graceful shutdown: SIGTERM → drain → the server's own audit. Exit
+	// status 0 is the server agreeing its books balance.
 	srv.Process.Signal(syscall.SIGTERM)
 	done := make(chan error, 1)
 	go func() { done <- srv.Wait() }()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Errorf("daemon shutdown audit failed: %v", err)
+			t.Errorf("server shutdown audit failed: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Error("daemon ignored SIGTERM; killing")
+		t.Error("server ignored SIGTERM; killing")
 		srv.Process.Kill()
 		<-done
 	}
 }
 
-// buildIngestd compiles cmd/supremm-ingestd with the race detector into
-// the test's temp dir.
-func buildIngestd(t *testing.T) string {
-	t.Helper()
-	bin := t.TempDir() + "/supremm-ingestd"
-	build := exec.Command("go", "build", "-race", "-o", bin, "./cmd/supremm-ingestd")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building supremm-ingestd: %v", err)
-	}
-	return bin
-}
-
-// startIngestd boots the daemon on ephemeral ports and learns both
-// listen addresses from its "serving ingest" log line (the listeners
-// are bound before the line is logged). Returns the TCP ingest address
-// and the HTTP base URL.
-func startIngestd(t *testing.T, bin string, args ...string) (string, string, *exec.Cmd) {
-	t.Helper()
-	srv := exec.Command(bin, append([]string{"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0"}, args...)...)
-	srv.Stdout = os.Stderr
-	stderr, err := srv.StderrPipe()
+// getSoakJSON GETs url and decodes a 200 JSON reply into out.
+func getSoakJSON(url string, out any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
-
-	type addrs struct{ tcp, http string }
-	addrCh := make(chan addrs, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(os.Stderr, line)
-			if strings.Contains(line, `msg="serving ingest"`) {
-				var a addrs
-				for _, tok := range strings.Fields(line) {
-					if v, ok := strings.CutPrefix(tok, "addr="); ok {
-						a.tcp = v
-					}
-					if v, ok := strings.CutPrefix(tok, "http="); ok {
-						a.http = v
-					}
-				}
-				if a.tcp != "" && a.http != "" {
-					select {
-					case addrCh <- a:
-					default:
-					}
-				}
-			}
-		}
-	}()
-
-	select {
-	case a := <-addrCh:
-		return a.tcp, "http://" + a.http, srv
-	case <-time.After(120 * time.Second):
-		srv.Process.Kill()
-		t.Fatal("daemon never logged its serving addresses")
-		return "", "", nil
-	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }

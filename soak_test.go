@@ -45,7 +45,7 @@ func TestSoakServeUnderFaults(t *testing.T) {
 
 	bin := buildServe(t, true)
 	snapshot := filepath.Join(t.TempDir(), "model.bin")
-	base, srv := startServe(t, bin,
+	base, _, srv := startServe(t, bin,
 		"-jobs", "400", "-seed", "7",
 		"-model-snapshot", snapshot,
 		"-batch-workers", "2",
