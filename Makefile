@@ -13,7 +13,7 @@ FUZZTIME ?= 10s
 # so the regeneration sweep is scoped to these packages.
 TESTKIT_PKGS = ./internal/testkit ./internal/ml/bayes ./internal/ml/forest \
 	./internal/ml/svm ./internal/ml/eval ./internal/ml/ensemble ./internal/core \
-	./internal/experiments ./internal/lifecycle
+	./internal/experiments ./internal/lifecycle ./internal/obs/flight
 
 # package:FuzzTarget pairs for the CI fuzz smoke.
 FUZZ_TARGETS = \
