@@ -71,7 +71,7 @@
 // its threshold (or the reload breaker opens) a diagnostic bundle --
 // ring snapshot, SLO state, metrics dump, heap profile -- is captured
 // into -bundle-dir, rate-limited. Sampling, objectives and bundle
-// policy are flight.DefaultConfig's.
+// policy are constants of internal/obs/flight.
 //
 // Resilience: the model-serving endpoints (classification, discovery
 // assignment, runtime-class) carry a per-request deadline
@@ -345,9 +345,7 @@ func main() {
 	fcfg.Bundle.Registry = reg
 	rec := flight.NewRecorder(fcfg)
 	opts = append(opts, server.WithFlightRecorder(rec))
-	log.Info("flight recorder armed",
-		"capacity", fcfg.Capacity, "sample", fcfg.SampleEvery, "topk", fcfg.TopK,
-		"slo", fcfg.SLO.String(), "bundle-dir", *bundleDir)
+	log.Info("flight recorder armed", "capacity", fcfg.Capacity, "bundle-dir", *bundleDir)
 	if *pprofOn {
 		opts = append(opts, server.WithPprof())
 	}

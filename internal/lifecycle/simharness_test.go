@@ -234,7 +234,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		}
 	}
 
-	rec := flight.NewRecorder(flight.Config{Capacity: 64, SampleEvery: 1})
+	rec := flight.NewRecorder(flight.Config{Capacity: 64})
 	root := rng.New(cfg.Seed + 0x5eed)
 	res := &SimResult{DriftTick: -1, PromoteTick: -1}
 	var trace, served strings.Builder

@@ -114,8 +114,8 @@ func (o Ops) Requests(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// SLO reports the burn-rate engine's current view of every objective
-// and window.
+// SLO reports the burn-rate engine's current view of both objectives
+// over every window; without a recorder it answers {"enabled":false}.
 func (o Ops) SLO(w http.ResponseWriter, r *http.Request) {
 	st := o.Rec.SLOStatus()
 	if st == nil {

@@ -23,6 +23,17 @@ const (
 	KeepSampled = "sampled"
 )
 
+// Tail-sampling policy for healthy events.
+const (
+	// topK is the size of the rolling latency top-K: a healthy request
+	// slower than the K-th slowest seen so far is always kept.
+	topK = 64
+	// sampleEvery keeps 1 in N healthy requests that did not rank in the
+	// latency top-K. Sampling is counter-based, never random, so arming
+	// the recorder cannot perturb any deterministic RNG stream.
+	sampleEvery = 16
+)
+
 // Config tunes a Recorder. The zero value is not useful; start from
 // DefaultConfig.
 type Config struct {
@@ -31,16 +42,6 @@ type Config struct {
 	// sampled) events the other half, so an OK flood can never evict an
 	// error and an error storm can never evict the latency top-K.
 	Capacity int
-	// SampleEvery keeps 1 in N healthy requests that did not rank in the
-	// latency top-K (1 keeps everything, 0 keeps none). Sampling is
-	// counter-based, never random, so arming the recorder cannot perturb
-	// any deterministic RNG stream.
-	SampleEvery int
-	// TopK is the size of the rolling latency top-K: a healthy request
-	// slower than the K-th slowest seen so far is always kept.
-	TopK int
-	// SLO configures the burn-rate engine; the zero value disables it.
-	SLO SLOConfig
 	// Bundle configures self-capturing diagnostics; the zero value
 	// disables them.
 	Bundle BundleConfig
@@ -48,16 +49,10 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// DefaultConfig is the always-on serving default: 2048 events, 1-in-16
-// OK sampling, latency top-64, SLO engine on at three nines
-// availability and 99% under 500ms, bundles disabled (no Dir).
+// DefaultConfig is the always-on serving default: 2048 events, bundles
+// disabled (no Dir).
 func DefaultConfig() Config {
-	return Config{
-		Capacity:    2048,
-		SampleEvery: 16,
-		TopK:        64,
-		SLO:         DefaultSLOConfig(),
-	}
+	return Config{Capacity: 2048}
 }
 
 // ring is a fixed-capacity overwrite-oldest event buffer.
@@ -128,19 +123,16 @@ func (s Stats) Check() error {
 }
 
 // Recorder is the serving path's flight recorder: a fixed-size,
-// tail-sampled wide-event ring with an optional SLO burn-rate engine
-// and self-capturing diagnostic bundles on top. All methods are safe
-// for concurrent use and nil-safe, so an unarmed serving path pays one
-// nil check per request.
+// tail-sampled wide-event ring with an SLO burn-rate engine and
+// optional self-capturing diagnostic bundles on top. All methods are
+// safe for concurrent use and nil-safe, so an unarmed serving path pays
+// one nil check per request.
 type Recorder struct {
-	cfg   Config
-	clock func() time.Time
-
 	mu          sync.Mutex
 	seq         uint64
 	errs        ring
 	oks         ring
-	topK        []int64 // min-heap of kept slow durations (ns)
+	slowest     []int64 // min-heap of kept slow durations (ns)
 	okSeen      uint64
 	observed    uint64
 	kept        uint64
@@ -165,19 +157,15 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 	errCap := (cfg.Capacity + 1) / 2
 	r := &Recorder{
-		cfg:     cfg,
-		clock:   cfg.Clock,
 		errs:    ring{buf: make([]Event, errCap)},
 		oks:     ring{buf: make([]Event, cfg.Capacity-errCap)},
+		slowest: make([]int64, 0, topK),
 		byRoute: map[string]map[int]uint64{},
+		slo:     newSLO(cfg.Clock),
 	}
-	if cfg.TopK > 0 {
-		r.topK = make([]int64, 0, cfg.TopK)
-	}
-	r.slo = newSLO(cfg.SLO, cfg.Clock)
 	r.bundler = newBundler(cfg.Bundle, r, cfg.Clock)
-	if r.slo != nil && r.bundler != nil {
-		r.slo.onBurn = func(reason string) { r.TriggerBundle(reason) }
+	if r.bundler != nil {
+		r.slo.onBurn = r.TriggerBundle
 	}
 	return r
 }
@@ -186,19 +174,16 @@ func NewRecorder(cfg Config) *Recorder {
 // ranks in the rolling latency top-K, updating the heap when it does.
 // Caller holds r.mu.
 func (r *Recorder) slowKeep(ns int64) bool {
-	if r.cfg.TopK <= 0 {
-		return false
-	}
-	if len(r.topK) < r.cfg.TopK {
-		r.topK = append(r.topK, ns)
-		siftUp(r.topK, len(r.topK)-1)
+	if len(r.slowest) < topK {
+		r.slowest = append(r.slowest, ns)
+		siftUp(r.slowest, len(r.slowest)-1)
 		return true
 	}
-	if ns <= r.topK[0] {
+	if ns <= r.slowest[0] {
 		return false
 	}
-	r.topK[0] = ns
-	siftDown(r.topK, 0)
+	r.slowest[0] = ns
+	siftDown(r.slowest, 0)
 	return true
 }
 
@@ -267,7 +252,7 @@ func (r *Recorder) Record(a *Active) {
 		}
 	default:
 		r.okSeen++
-		if r.cfg.SampleEvery > 0 && r.okSeen%uint64(r.cfg.SampleEvery) == 0 {
+		if r.okSeen%sampleEvery == 0 {
 			ev.KeepReason = KeepSampled
 			r.kept++
 			if r.oks.push(ev) {
@@ -378,8 +363,8 @@ func (r *Recorder) Snapshot() []Event {
 	return ev
 }
 
-// SLOStatus reports the burn-rate engine's current view, or nil when no
-// objective is configured.
+// SLOStatus reports the burn-rate engine's current view of both
+// objectives, or nil on a nil recorder.
 func (r *Recorder) SLOStatus() *SLOStatus {
 	if r == nil {
 		return nil

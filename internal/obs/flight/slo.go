@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -9,52 +8,32 @@ import (
 	"repro/internal/obs"
 )
 
-// SLOConfig declares the serving objectives the burn-rate engine
-// evaluates. A zero config disables the engine entirely.
-type SLOConfig struct {
-	// AvailabilityTarget is the fraction of governed requests that must
-	// not fail server-side (status < 500); e.g. 0.999. <= 0 disables
-	// the availability objective.
-	AvailabilityTarget float64
-	// LatencyTarget is the fraction of successful (200) requests that
-	// must finish within LatencyThreshold; e.g. 0.99. <= 0 disables the
-	// latency objective.
-	LatencyTarget float64
-	// LatencyThreshold is the latency objective's cutoff.
-	LatencyThreshold time.Duration
-	// Windows are the burn-rate evaluation windows, shortest first.
-	// Empty means 1m, 5m, 30m, 1h. The largest window bounds the
-	// engine's memory (one small bucket per second).
-	Windows []time.Duration
-	// BurnThreshold triggers a diagnostic bundle when the shortest
-	// window's burn rate reaches it (a burn rate of 1.0 spends the
-	// error budget exactly at the sustainable pace; 10 means the budget
-	// is burning 10x too fast). <= 0 disables burn-triggered capture.
-	BurnThreshold float64
-	// MinWindowTotal is how many requests the shortest window must hold
+// The serving objectives the burn-rate engine evaluates.
+const (
+	// sloRoutePrefix selects which events count toward the objectives:
+	// the governed serving path.
+	sloRoutePrefix = "/api/classify"
+	// availabilityTarget is the fraction of governed requests that must
+	// not fail server-side (status < 500).
+	availabilityTarget = 0.999
+	// latencyTarget is the fraction of successful (200) requests that
+	// must finish within latencyThreshold.
+	latencyTarget    = 0.99
+	latencyThreshold = 500 * time.Millisecond
+	// burnThreshold triggers a diagnostic bundle when the shortest
+	// window's burn rate reaches it (a burn rate of 1.0 spends the error
+	// budget exactly at the sustainable pace; 10 means the budget is
+	// burning 10x too fast).
+	burnThreshold = 10
+	// minWindowTotal is how many requests the shortest window must hold
 	// before a burn can trigger capture, so a single early failure
-	// against a near-empty window does not fire profiles. Default 20.
-	MinWindowTotal int
-}
+	// against a near-empty window does not fire profiles.
+	minWindowTotal = 20
+)
 
-// sloRoutePrefix selects which events count toward the objectives: the
-// governed serving path.
-const sloRoutePrefix = "/api/classify"
-
-// DefaultSLOConfig is three nines availability and 99%-under-500ms
-// latency over 1m/5m/30m/1h windows, bundle capture at 10x burn.
-func DefaultSLOConfig() SLOConfig {
-	return SLOConfig{
-		AvailabilityTarget: 0.999,
-		LatencyTarget:      0.99,
-		LatencyThreshold:   500 * time.Millisecond,
-		BurnThreshold:      10,
-	}
-}
-
-func (c *SLOConfig) enabled() bool {
-	return c.AvailabilityTarget > 0 || (c.LatencyTarget > 0 && c.LatencyThreshold > 0)
-}
+// sloWindows are the burn-rate evaluation windows, shortest first. The
+// largest bounds the engine's memory (one small bucket per second).
+var sloWindows = [...]time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute, time.Hour}
 
 // sloBucket accumulates one second of governed traffic.
 type sloBucket struct {
@@ -74,9 +53,8 @@ func (b *sloBucket) add(o *sloBucket) {
 // slo is the in-process multi-window burn-rate engine: a ring of
 // one-second buckets sized to the largest window, summed on demand.
 type slo struct {
-	cfg    SLOConfig
 	clock  func() time.Time
-	onBurn func(reason string) // set by the recorder; may be nil
+	onBurn func(reason string) // set by the recorder when bundles are on
 
 	mu      sync.Mutex
 	buckets []sloBucket
@@ -84,28 +62,9 @@ type slo struct {
 	totals  sloBucket // whole-run accumulator
 }
 
-// newSLO returns nil when no objective is configured.
-func newSLO(cfg SLOConfig, clock func() time.Time) *slo {
-	if !cfg.enabled() {
-		return nil
-	}
-	if len(cfg.Windows) == 0 {
-		cfg.Windows = []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute, time.Hour}
-	}
-	if cfg.MinWindowTotal <= 0 {
-		cfg.MinWindowTotal = 20
-	}
-	maxW := cfg.Windows[0]
-	for _, w := range cfg.Windows {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	n := int(maxW / time.Second)
-	if n < 1 {
-		n = 1
-	}
-	return &slo{cfg: cfg, clock: clock, buckets: make([]sloBucket, n), lastSec: -1}
+func newSLO(clock func() time.Time) *slo {
+	n := sloWindows[len(sloWindows)-1] / time.Second
+	return &slo{clock: clock, buckets: make([]sloBucket, n), lastSec: -1}
 }
 
 // advance zeroes buckets between the cursor and sec. Caller holds s.mu.
@@ -128,13 +87,13 @@ func (s *slo) advance(sec int64) {
 }
 
 // record folds one finalized event into the current second, then checks
-// the shortest window for a burn worth capturing. Nil-safe.
+// the shortest window for a burn worth capturing.
 func (s *slo) record(ev *Event) {
-	if s == nil || !strings.HasPrefix(ev.Path, sloRoutePrefix) {
+	if !strings.HasPrefix(ev.Path, sloRoutePrefix) {
 		return
 	}
 	bad := ev.Status >= 500
-	slow := ev.Status == 200 && ev.DurationNS > int64(s.cfg.LatencyThreshold)
+	slow := ev.Status == 200 && ev.DurationNS > int64(latencyThreshold)
 
 	s.mu.Lock()
 	sec := s.clock().Unix()
@@ -157,15 +116,12 @@ func (s *slo) record(ev *Event) {
 	var burnReason string
 	// Only a budget-spending event can push a burn rate over the
 	// threshold, so the window sum runs on those alone.
-	if (bad || slow) && s.cfg.BurnThreshold > 0 && s.onBurn != nil {
-		w := s.cfg.Windows[0]
-		sum := s.windowSum(w, sec)
-		if sum.total >= uint64(s.cfg.MinWindowTotal) {
-			if bad && s.cfg.AvailabilityTarget > 0 &&
-				burnRate(sum.bad, sum.total, s.cfg.AvailabilityTarget) >= s.cfg.BurnThreshold {
+	if (bad || slow) && s.onBurn != nil {
+		sum := s.windowSum(sloWindows[0], sec)
+		if sum.total >= minWindowTotal {
+			if bad && burnRate(sum.bad, sum.total, availabilityTarget) >= burnThreshold {
 				burnReason = "slo_burn_availability"
-			} else if slow && s.cfg.LatencyTarget > 0 &&
-				burnRate(sum.latSlow, sum.latMeas, s.cfg.LatencyTarget) >= s.cfg.BurnThreshold {
+			} else if slow && burnRate(sum.latSlow, sum.latMeas, latencyTarget) >= burnThreshold {
 				burnReason = "slo_burn_latency"
 			}
 		}
@@ -177,13 +133,10 @@ func (s *slo) record(ev *Event) {
 	}
 }
 
-// windowSum adds the buckets covering the last w ending at sec. Caller
-// holds s.mu.
+// windowSum adds the buckets covering the last w (at most the largest
+// window) ending at sec. Caller holds s.mu.
 func (s *slo) windowSum(w time.Duration, sec int64) sloBucket {
 	n := int64(w / time.Second)
-	if n > int64(len(s.buckets)) {
-		n = int64(len(s.buckets))
-	}
 	var sum sloBucket
 	for i := int64(0); i < n; i++ {
 		at := sec - i
@@ -198,7 +151,7 @@ func (s *slo) windowSum(w time.Duration, sec int64) sloBucket {
 // burnRate is (bad/total) / (1-target): 1.0 spends the error budget at
 // exactly the sustainable pace. Zero traffic burns nothing.
 func burnRate(bad, total uint64, target float64) float64 {
-	if total == 0 || target >= 1 {
+	if total == 0 {
 		return 0
 	}
 	return (float64(bad) / float64(total)) / (1 - target)
@@ -228,31 +181,23 @@ type ObjectiveStatus struct {
 
 // SLOStatus is the /debug/slo payload.
 type SLOStatus struct {
-	Availability *ObjectiveStatus `json:"availability,omitempty"`
-	Latency      *ObjectiveStatus `json:"latency,omitempty"`
+	Availability *ObjectiveStatus `json:"availability"`
+	Latency      *ObjectiveStatus `json:"latency"`
 }
 
-// windowLabel renders a duration compactly (60s -> "1m0s" is noisy; use
-// the stdlib form, it round-trips through ParseDuration).
-func windowLabel(w time.Duration) string { return w.String() }
-
-// status evaluates every window now. Nil-safe (nil engine -> nil).
+// status evaluates both objectives over every window now.
 func (s *slo) status() *SLOStatus {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sec := s.clock().Unix()
 	s.advance(sec)
-	out := &SLOStatus{}
 	build := func(target float64, bad func(*sloBucket) (uint64, uint64)) *ObjectiveStatus {
 		o := &ObjectiveStatus{Target: target}
-		for _, w := range s.cfg.Windows {
+		for _, w := range sloWindows {
 			sum := s.windowSum(w, sec)
 			b, t := bad(&sum)
 			o.Windows = append(o.Windows, WindowBurn{
-				Window:   windowLabel(w),
+				Window:   w.String(),
 				Total:    t,
 				Bad:      b,
 				BadRate:  safeDiv(b, t),
@@ -264,15 +209,13 @@ func (s *slo) status() *SLOStatus {
 		o.RunBudgetLeft = 1 - burnRate(b, t, target)
 		return o
 	}
-	if s.cfg.AvailabilityTarget > 0 {
-		out.Availability = build(s.cfg.AvailabilityTarget,
-			func(b *sloBucket) (uint64, uint64) { return b.bad, b.total })
+	out := &SLOStatus{
+		Availability: build(availabilityTarget,
+			func(b *sloBucket) (uint64, uint64) { return b.bad, b.total }),
+		Latency: build(latencyTarget,
+			func(b *sloBucket) (uint64, uint64) { return b.latSlow, b.latMeas }),
 	}
-	if s.cfg.LatencyTarget > 0 {
-		out.Latency = build(s.cfg.LatencyTarget,
-			func(b *sloBucket) (uint64, uint64) { return b.latSlow, b.latMeas })
-		out.Latency.Threshold = s.cfg.LatencyThreshold.String()
-	}
+	out.Latency.Threshold = latencyThreshold.String()
 	return out
 }
 
@@ -284,19 +227,13 @@ func safeDiv(a, b uint64) float64 {
 }
 
 // export publishes burn-rate gauges (slo_burn_rate{objective,window})
-// and objective targets into reg. Nil-safe.
+// and objective targets into reg.
 func (s *slo) export(reg *obs.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
 	reg.Help("slo_target", "Configured SLO target per objective.")
 	reg.Help("slo_budget_left", "Fraction of the run's error budget still unspent, per objective.")
 	reg.Help("slo_burn_rate", "Error-budget burn rate per objective and window (1.0 = budget spent exactly at the sustainable pace).")
 	st := s.status()
 	set := func(objective string, o *ObjectiveStatus) {
-		if o == nil {
-			return
-		}
 		reg.Gauge("slo_target", "objective", objective).Set(o.Target)
 		reg.Gauge("slo_budget_left", "objective", objective).Set(o.RunBudgetLeft)
 		for _, w := range o.Windows {
@@ -305,19 +242,4 @@ func (s *slo) export(reg *obs.Registry) {
 	}
 	set("availability", st.Availability)
 	set("latency", st.Latency)
-}
-
-// String renders the config for boot logging.
-func (c SLOConfig) String() string {
-	if !c.enabled() {
-		return "disabled"
-	}
-	var parts []string
-	if c.AvailabilityTarget > 0 {
-		parts = append(parts, fmt.Sprintf("availability>=%g", c.AvailabilityTarget))
-	}
-	if c.LatencyTarget > 0 && c.LatencyThreshold > 0 {
-		parts = append(parts, fmt.Sprintf("p%g<=%s", c.LatencyTarget*100, c.LatencyThreshold))
-	}
-	return strings.Join(parts, ",")
 }

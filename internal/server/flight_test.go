@@ -297,7 +297,7 @@ func TestFlightStormReconciliation(t *testing.T) {
 	}
 	// Ring big enough that nothing evicts: the retrievability check below
 	// demands every error event, not a sample.
-	rec := flight.NewRecorder(flight.Config{Capacity: 4096, SampleEvery: 1, TopK: 8})
+	rec := flight.NewRecorder(flight.Config{Capacity: 4096})
 	c := newChaosServer(t, a,
 		WithBatchWorkers(2),
 		WithFaults(faults),
@@ -514,7 +514,7 @@ func TestDebugBundleEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := flight.DefaultConfig()
-	cfg.Bundle = flight.BundleConfig{Dir: dir, Profile: "heap", Registry: reg}
+	cfg.Bundle = flight.BundleConfig{Dir: dir, Registry: reg}
 	armed := httptest.NewServer(New(a.store, nil, 6400,
 		WithMetrics(reg), WithModelManager(models),
 		WithFlightRecorder(flight.NewRecorder(cfg))))
