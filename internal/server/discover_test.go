@@ -407,7 +407,6 @@ func TestChaosDiscoverGovernance(t *testing.T) {
 			RequestTimeout: 100 * time.Millisecond,
 			MaxConcurrent:  1,
 			MaxQueue:       0,
-			RetryAfter:     2 * time.Second,
 		}),
 	)
 	// The refit is control-plane (breaker-guarded, ungoverned) so it is
@@ -463,8 +462,8 @@ func TestChaosDiscoverGovernance(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("arrival at capacity 1/queue 0: status %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Errorf("429 Retry-After = %q, want 2", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("429 Retry-After = %q, want 1", got)
 	}
 	if got := reg.Counter("http_shed_total", "reason", "queue_full").Value(); got == 0 {
 		t.Error("http_shed_total{queue_full} = 0 after a shed 429")

@@ -52,10 +52,11 @@ type ResilienceConfig struct {
 	// MaxQueue bounds how many governed requests may wait for a slot
 	// beyond MaxConcurrent; arrivals past that are shed with 429.
 	MaxQueue int
-	// RetryAfter is the hint returned in the Retry-After header of shed
-	// (429) responses. 0 defaults to 1s.
-	RetryAfter time.Duration
 }
+
+// retryAfter is the hint returned in the Retry-After header of shed
+// (429) responses.
+const retryAfter = time.Second
 
 // WithResilience enables per-request deadlines and admission control on
 // the model-serving endpoints (classification, discovery assignment,
@@ -89,9 +90,6 @@ func (s *Server) initResilience() {
 		MaxConcurrent: s.resilience.MaxConcurrent,
 		MaxQueue:      s.resilience.MaxQueue,
 	})
-	if s.resilience.RetryAfter <= 0 {
-		s.resilience.RetryAfter = time.Second
-	}
 	gauge := s.metrics.Gauge("model_breaker_state")
 	s.breakerCfg.OnStateChange = func(st resilience.BreakerState) {
 		gauge.Set(float64(st))
@@ -121,7 +119,7 @@ func retryAfterSeconds(d time.Duration) string {
 // is "never hangs" -- so clients can back off instead of piling on.
 func (s *Server) shed(w http.ResponseWriter, reason string) {
 	s.metrics.Counter("http_shed_total", "reason", reason).Inc()
-	w.Header().Set("Retry-After", retryAfterSeconds(s.resilience.RetryAfter))
+	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
 	s.writeError(w, http.StatusTooManyRequests,
 		"server overloaded, request shed (%s); retry after backoff", reason)
 }
