@@ -31,6 +31,10 @@ var knobAllowlist = map[string]string{
 
 const stampedeRecord = "Stampede's hardware description, a record Collect and Summarize (signatures bench/ calls) read; nothing defaults it field by field"
 
+// maxConfigFields caps the exported *Config/*Options fields, so adding a
+// knob is an edit here that review sees. Lower it when fields go.
+const maxConfigFields = 137
+
 // TestConfigFieldsHaveASetter is the Options rule ("with one value in
 // use, ask for a constant") as a sweep: every exported field of every
 // *Config / *Options struct must be set — as a composite-literal key of
@@ -39,7 +43,7 @@ const stampedeRecord = "Stampede's hardware description, a record Collect and Su
 // another package, bench/, or a test that needs the value to reach a
 // behaviour. A field only its own package's defaults ever fill is a
 // constant with a doc comment and a default branch; it fails here by
-// name.
+// name. The total may not exceed maxConfigFields.
 //
 // The sweep is syntactic (go/parser, no type checker): literals are
 // matched by their spelled type, resolved through the file's imports;
@@ -235,4 +239,7 @@ func TestConfigFieldsHaveASetter(t *testing.T) {
 		t.Error(msg)
 	}
 	t.Logf("%d exported fields across %d *Config/*Options structs", total, len(knobs))
+	if total > maxConfigFields {
+		t.Errorf("%d exported config fields exceed the ceiling of %d: make the new field a constant, or raise maxConfigFields in review", total, maxConfigFields)
+	}
 }
