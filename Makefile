@@ -27,6 +27,7 @@ FUZZ_TARGETS = \
 	./internal/loadgen:FuzzLoadConfig \
 	./internal/loadgen:FuzzIngestLoadConfig \
 	./internal/ml/compile:FuzzCompileParity \
+	./internal/ml/forest:FuzzTreeParity \
 	./internal/ingest:FuzzIngestFrame \
 	./internal/lifecycle:FuzzLifecycleConfig \
 	./internal/server:FuzzBatchColumns

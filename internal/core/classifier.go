@@ -81,10 +81,19 @@ type classifyScratch struct {
 }
 
 // TrainJobClassifier standardizes a copy of the training features and fits
-// the selected model. The input dataset is not mutated.
+// the selected model. The input dataset is not mutated. A NaN or ±Inf
+// feature value is refused before scaling, which would spread it over its
+// whole column.
 func TrainJobClassifier(train *dataset.Dataset, cfg ClassifierConfig) (*JobClassifier, error) {
 	if train.Len() == 0 {
 		return nil, fmt.Errorf("core: empty training set")
+	}
+	for i, row := range train.X {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("core: training row %d feature %q is %v", i, train.FeatureNames[j], v)
+			}
+		}
 	}
 	sp := cfg.Span.Child("train." + string(cfg.Algo))
 	defer sp.End()

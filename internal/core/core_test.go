@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -243,6 +244,26 @@ func TestUnknownAlgorithm(t *testing.T) {
 	d, _ := BuildDataset(res.Records, LabelByCategory, DefaultFeatures())
 	if _, err := TrainJobClassifier(d, ClassifierConfig{Algo: "nope"}); err == nil {
 		t.Fatal("expected unknown-algorithm error")
+	}
+}
+
+// TestTrainJobClassifierRejectsNonFinite: a NaN or ±Inf training value
+// (dataset.ReadCSV accepts them) is refused, naming its row and feature,
+// before the scaler smears it over the column.
+func TestTrainJobClassifierRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rows := [][]float64{{0, 1}, {1, 0}, {0, 2}, {2, 0}}
+		rows[2][1] = bad
+		d, err := dataset.New([]string{"cpu_user", "mem_used"}, rows, []string{"a", "b", "a", "b"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []ClassifierConfig{PaperForest(1), PaperSVM(1), {Algo: AlgoBayes}} {
+			_, err := TrainJobClassifier(d, cfg)
+			if err == nil || !strings.Contains(err.Error(), `row 2 feature "mem_used"`) {
+				t.Errorf("%s with %v: err = %v, want one naming row 2 feature \"mem_used\"", cfg.Algo, bad, err)
+			}
+		}
 	}
 }
 

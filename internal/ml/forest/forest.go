@@ -60,8 +60,9 @@ type Classifier struct {
 	train *dataset.Dataset
 }
 
-// TrainClassifier fits a random forest on the dataset. The returned model
-// retains a reference to the training data for OOB-based estimates.
+// TrainClassifier fits a random forest on the dataset, which must hold no
+// NaN. The returned model retains a reference to the training data for
+// OOB-based estimates.
 func TrainClassifier(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("forest: empty training set")
@@ -71,6 +72,10 @@ func TrainClassifier(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 	tsp.SetAttr("trees", cfg.Trees)
 	defer tsp.End()
 	cfg.Span = nil // keep trained models from retaining the trace tree
+	s, err := newTrainingSet(d.X, d.Y, d.NumClasses(), nil, cfg)
+	if err != nil {
+		return nil, err
+	}
 	c := &Classifier{
 		cfg:   cfg,
 		spec:  Spec{Classes: d.ClassNames, Trees: make([][]NodeSpec, cfg.Trees)},
@@ -82,11 +87,7 @@ func TrainClassifier(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 	root := rng.New(cfg.Seed)
 	if err := parallel.ForEachSeeded(root, cfg.Workers, cfg.Trees, func(t int, r *rng.Rand) error {
 		rows, oob := bootstrap(r, d.Len())
-		b := &treeBuilder{
-			x: d.X, y: d.Y, numClasses: d.NumClasses(),
-			mtry: mtry(d.NumFeatures(), false), minLeaf: cfg.MinLeaf, maxDepth: cfg.MaxDepth, r: r,
-		}
-		c.spec.Trees[t] = b.build(rows)
+		c.spec.Trees[t] = s.tree(rows, r)
 		c.oob[t] = oob
 		return nil
 	}); err != nil {

@@ -3,11 +3,13 @@ package forest
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/ml/eval"
 	"repro/internal/rng"
+	"repro/internal/testkit"
 )
 
 func blobs(seed uint64, centers [][]float64, spread float64, perClass int) *dataset.Dataset {
@@ -167,6 +169,26 @@ func TestEmptyTraining(t *testing.T) {
 	}
 }
 
+// TestNaNRejected: a NaN feature or target is unordered, so no split can
+// place it; training refuses it, naming the row. ±Inf are ordered and
+// train (forest_ties.golden grows on them).
+func TestNaNRejected(t *testing.T) {
+	d := blobs(22, [][]float64{{0, 0}, {2, 2}}, 0.5, 10)
+	y := make([]float64, d.Len())
+	d.X[7][1] = math.NaN()
+	if _, err := TrainClassifier(d, Config{Trees: 5}); err == nil || !strings.Contains(err.Error(), "row 7 feature 1 is NaN") {
+		t.Errorf("classifier: err = %v", err)
+	}
+	if _, err := TrainRegressor(d.X, y, Config{Trees: 5}); err == nil || !strings.Contains(err.Error(), "row 7 feature 1 is NaN") {
+		t.Errorf("regressor feature: err = %v", err)
+	}
+	d.X[7][1] = math.Inf(1)
+	y[3] = math.NaN()
+	if _, err := TrainRegressor(d.X, y, Config{Trees: 5}); err == nil || !strings.Contains(err.Error(), "row 3 target is NaN") {
+		t.Errorf("regressor target: err = %v", err)
+	}
+}
+
 func TestBootstrapProperties(t *testing.T) {
 	r := rng.New(14)
 	rows, oob := bootstrap(r, 1000)
@@ -263,11 +285,38 @@ func TestConstantFeatures(t *testing.T) {
 	}
 }
 
+// servedShape is a training set the size of the one supremm-serve's
+// forest fits at boot: 12 classes × 133 rows, 36 features, spread so
+// that 200 trees hold about as many nodes (~25k) as the served forest.
+func servedShape() *dataset.Dataset {
+	return testkit.SynthClassification(testkit.SynthConfig{Seed: 1, Classes: 12, Features: 36, RowsPerCls: 133, Spread: 1.2})
+}
+
+// BenchmarkTrainClassifier fits core.PaperForest's 200 trees on the
+// served shape: the per-package number behind core.train_ms.
 func BenchmarkTrainClassifier(b *testing.B) {
-	d := blobs(1, [][]float64{{0, 3}, {3, 0}, {-3, 0}}, 0.8, 300)
+	d := servedShape()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainClassifier(d, Config{Trees: 50, Seed: 2}); err != nil {
+		if _, err := TrainClassifier(d, Config{Trees: 200, Seed: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainRegressor fits the application-kernel model's 100
+// regression trees on the served shape's rows.
+func BenchmarkTrainRegressor(b *testing.B) {
+	d := servedShape()
+	y := make([]float64, d.Len())
+	for i, row := range d.X {
+		y[i] = float64(d.Y[i]) + row[0] - 0.5*row[1]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainRegressor(d.X, y, Config{Trees: 100, Seed: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

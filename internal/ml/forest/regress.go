@@ -18,12 +18,17 @@ type Regressor struct {
 	y     []float64
 }
 
-// TrainRegressor fits a regression forest on rows x with targets y.
+// TrainRegressor fits a regression forest on rows x with targets y,
+// neither holding a NaN.
 func TrainRegressor(x [][]float64, y []float64, cfg Config) (*Regressor, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("forest: bad regression inputs (%d rows, %d targets)", len(x), len(y))
 	}
 	cfg = cfg.withDefaults()
+	s, err := newTrainingSet(x, nil, 0, y, cfg)
+	if err != nil {
+		return nil, err
+	}
 	m := &Regressor{
 		cfg:   cfg,
 		trees: make([][]NodeSpec, cfg.Trees),
@@ -34,11 +39,7 @@ func TrainRegressor(x [][]float64, y []float64, cfg Config) (*Regressor, error) 
 	root := rng.New(cfg.Seed)
 	if err := parallel.ForEachSeeded(root, cfg.Workers, cfg.Trees, func(t int, r *rng.Rand) error {
 		rows, oob := bootstrap(r, len(x))
-		b := &treeBuilder{
-			x: x, target: y, regression: true,
-			mtry: mtry(len(x[0]), true), minLeaf: cfg.MinLeaf, maxDepth: cfg.MaxDepth, r: r,
-		}
-		m.trees[t] = b.build(rows)
+		m.trees[t] = s.tree(rows, r)
 		m.oob[t] = oob
 		return nil
 	}); err != nil {
