@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -69,8 +70,9 @@ func corruptModel[T any](t testing.TB, saved []byte, edit func(*T)) []byte {
 // hostileSnapshots trains one small classifier per algorithm, saves each
 // (valid, keyed by algorithm) and derives structurally broken snapshots
 // from them. Every hostile snapshot is a well-formed gob stream carrying
-// exactly one defect that would index out of range, or never return, in
-// a serving call: the loader has to refuse each one.
+// exactly one defect that would index out of range, never return, or
+// answer a posterior that is NaN or constant in the row, in a serving
+// call: the loader has to refuse each one.
 func hostileSnapshots(t testing.TB) (valid, hostile map[string][]byte) {
 	t.Helper()
 	save := func(algo core.Algorithm, classes int) []byte {
@@ -116,6 +118,33 @@ func hostileSnapshots(t testing.TB) (valid, hostile map[string][]byte) {
 		"svm short support-vector row": corruptModel(t, valid["svm"], func(s *svm.Spec) {
 			sv := s.Pairs[0].SV
 			sv[0] = sv[0][:len(sv[0])-1]
+		}),
+		"svm NaN kernel gamma": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Kernel.Gamma = math.NaN()
+		}),
+		"svm NaN coefficient": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Pairs[0].Coef[0] = math.NaN()
+		}),
+		"svm NaN rho": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Pairs[0].Rho = math.NaN()
+		}),
+		"svm NaN Platt A": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Pairs[0].A = math.NaN()
+		}),
+		"svm infinite support-vector value": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Pairs[0].SV[0][0] = math.Inf(1)
+		}),
+		"svm no pairs": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Pairs = nil
+		}),
+		"nb NaN mean": corruptModel(t, valid["nb"], func(s *bayes.Spec) {
+			s.Means[1][0] = math.NaN()
+		}),
+		"nb NaN prior": corruptModel(t, valid["nb"], func(s *bayes.Spec) {
+			s.Priors[1] = math.NaN()
+		}),
+		"nb infinite prior": corruptModel(t, valid["nb"], func(s *bayes.Spec) {
+			s.Priors[1] = math.Inf(1)
 		}),
 		"nb ragged table": corruptModel(t, valid["nb"], func(s *bayes.Spec) {
 			s.Means[1] = s.Means[1][:len(s.Means[1])-1]

@@ -103,34 +103,44 @@ func (m *Model) Predict(x []float64) int {
 // PredictProb returns the winning class and normalized posteriors
 // (softmax over log likelihoods, computed stably).
 func (m *Model) PredictProb(x []float64) (int, []float64) {
-	k := len(m.spec.Classes)
-	lls := make([]float64, k)
-	maxLL := math.Inf(-1)
-	for c := 0; c < k; c++ {
-		if !m.spec.Trained[c] {
-			lls[c] = math.Inf(-1)
-			continue
-		}
-		lls[c] = m.logLikelihood(c, x)
-		if lls[c] > maxLL {
-			maxLL = lls[c]
+	lls := make([]float64, len(m.spec.Classes))
+	for c := range lls {
+		lls[c] = math.Inf(-1)
+		if m.spec.Trained[c] {
+			lls[c] = m.logLikelihood(c, x)
 		}
 	}
-	probs := make([]float64, k)
+	probs := make([]float64, len(lls))
+	return Posterior(lls, probs), probs
+}
+
+// Posterior writes into probs the softmax of the per-class log
+// likelihoods lls, taken from the largest so no exponent overflows. An
+// untrained class carries -Inf and gets exactly 0. It returns the most
+// probable class, the first on ties. A NaN log likelihood is never the
+// maximum, but it makes the normalizer, and so every entry, NaN.
+func Posterior(lls, probs []float64) int {
+	maxLL := math.Inf(-1)
+	for _, ll := range lls {
+		if ll > maxLL {
+			maxLL = ll
+		}
+	}
 	var z float64
-	for c := 0; c < k; c++ {
-		if math.IsInf(lls[c], -1) {
+	for c, ll := range lls {
+		probs[c] = 0
+		if math.IsInf(ll, -1) {
 			continue
 		}
-		probs[c] = math.Exp(lls[c] - maxLL)
+		probs[c] = math.Exp(ll - maxLL)
 		z += probs[c]
 	}
 	best := 0
-	for c := 0; c < k; c++ {
+	for c := range probs {
 		probs[c] /= z
 		if probs[c] > probs[best] {
 			best = c
 		}
 	}
-	return best, probs
+	return best
 }

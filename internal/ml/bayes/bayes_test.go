@@ -133,3 +133,51 @@ func BenchmarkTrain(b *testing.B) {
 		}
 	}
 }
+
+// TestPosterior pins the softmax both NB engines end in: the posterior
+// sums to 1, an untrained (-Inf) class gets exactly 0, and the winner is
+// the largest log likelihood, the first on ties.
+func TestPosterior(t *testing.T) {
+	untrained := math.Inf(-1)
+	for _, c := range []struct {
+		name string
+		lls  []float64
+		best int
+	}{
+		{"spread", []float64{-3, -1, -2}, 1},
+		{"untrained classes", []float64{untrained, -700, untrained, -702}, 1},
+		{"tie goes to the first", []float64{-5, -2, -2}, 1},
+		{"one trained class", []float64{untrained, 42, untrained}, 1},
+		{"far below the max", []float64{0, -1e4, -5}, 0},
+	} {
+		probs := []float64{9, 9, 9, 9}[:len(c.lls)] // stale scratch is overwritten
+		if best := Posterior(c.lls, probs); best != c.best {
+			t.Errorf("%s: winner %d, want %d (%v)", c.name, best, c.best, probs)
+		}
+		var sum float64
+		for i, p := range probs {
+			sum += p
+			if math.IsInf(c.lls[i], -1) && p != 0 {
+				t.Errorf("%s: untrained class %d has posterior %v, want exactly 0", c.name, i, p)
+			}
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Errorf("%s: posterior sums to %v (%v)", c.name, sum, probs)
+		}
+	}
+}
+
+// TestPosteriorNaN: a NaN log likelihood never wins the max, but it
+// makes the normalizer NaN, so every entry is NaN and the winner stays
+// class 0. Serving refuses such a posterior rather than answer it.
+func TestPosteriorNaN(t *testing.T) {
+	probs := make([]float64, 3)
+	if best := Posterior([]float64{-2, math.NaN(), -1}, probs); best != 0 {
+		t.Errorf("winner %d, want 0", best)
+	}
+	for i, p := range probs {
+		if !math.IsNaN(p) {
+			t.Errorf("posterior[%d] = %v, want NaN", i, p)
+		}
+	}
+}

@@ -27,10 +27,11 @@ type Bayes struct {
 
 // CompileBayes lowers an NB spec, validating up front the table shapes
 // and what keeps a posterior a number: at least one trained class (none
-// leaves 0/0), and for every trained class a positive finite variance
-// per feature (a zero, negative or NaN one makes its likelihood NaN on
-// every row). An untrained class's rows are never read by a prediction,
-// and Train leaves its variances zero.
+// leaves 0/0), a finite prior per class, and for every trained class a
+// finite mean and a positive finite variance per feature (a NaN mean or
+// prior, or a zero, negative or NaN variance, makes its likelihood NaN
+// on every row). An untrained class's rows are never read by a
+// prediction, and Train leaves its variances zero.
 func CompileBayes(spec *bayes.Spec) (*Bayes, error) {
 	k := len(spec.Classes)
 	if k == 0 {
@@ -57,6 +58,14 @@ func CompileBayes(spec *bayes.Spec) (*Bayes, error) {
 		if len(spec.Means[c]) != p || len(spec.Vars[c]) != p {
 			return nil, fmt.Errorf("compile: nb class %d has ragged parameter rows (%d means, %d vars, expected %d)",
 				c, len(spec.Means[c]), len(spec.Vars[c]), p)
+		}
+		if !finite(spec.Priors[c]) {
+			return nil, fmt.Errorf("compile: nb class %d has prior %v, want finite", c, spec.Priors[c])
+		}
+		for f, mu := range spec.Means[c] {
+			if spec.Trained[c] && !finite(mu) {
+				return nil, fmt.Errorf("compile: nb class %d feature %d has mean %v, want finite", c, f, mu)
+			}
 		}
 		m.means = append(m.means, spec.Means[c]...)
 		for f, v := range spec.Vars[c] {
@@ -114,40 +123,15 @@ func (m *Bayes) Predict(row []float64, s *Scratch) int {
 }
 
 // PredictProb returns the winning class and the softmax-normalized
-// posterior, bit-identical to the interpreted Model.PredictProb. The
-// slice aliases scratch memory.
+// posterior, bit-identical to the interpreted Model.PredictProb: both end
+// in bayes.Posterior. The slice aliases scratch memory.
 func (m *Bayes) PredictProb(row []float64, s *Scratch) (int, []float64) {
-	k := len(m.classes)
 	lls := s.lls
-	maxLL := math.Inf(-1)
-	for c := 0; c < k; c++ {
-		if !m.trained[c] {
-			lls[c] = math.Inf(-1)
-			continue
-		}
-		lls[c] = m.logLikelihood(c, row)
-		if lls[c] > maxLL {
-			maxLL = lls[c]
+	for c := range lls {
+		lls[c] = math.Inf(-1)
+		if m.trained[c] {
+			lls[c] = m.logLikelihood(c, row)
 		}
 	}
-	probs := s.probs
-	for i := range probs {
-		probs[i] = 0
-	}
-	var z float64
-	for c := 0; c < k; c++ {
-		if math.IsInf(lls[c], -1) {
-			continue
-		}
-		probs[c] = math.Exp(lls[c] - maxLL)
-		z += probs[c]
-	}
-	best := 0
-	for c := 0; c < k; c++ {
-		probs[c] /= z
-		if probs[c] > probs[best] {
-			best = c
-		}
-	}
-	return best, probs
+	return bayes.Posterior(lls, s.probs), s.probs
 }

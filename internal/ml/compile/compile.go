@@ -1,5 +1,6 @@
 // Package compile lowers trained classifiers into flat, cache-friendly
-// serving forms that classify a feature row with zero heap allocations:
+// serving forms that classify a feature row with zero heap allocations.
+// What it owns is the layout:
 //
 //   - random forests become one contiguous breadth-first node array with
 //     a branch-minimal descent (children of every split occupy adjacent
@@ -10,27 +11,33 @@
 //     add chain, so within a row four support vectors' feature sums and
 //     four pair machines' decision sums run side by side; every sum
 //     still adds its own terms in the interpreted order, which is all
-//     parity asks. The pairwise coupling is solved in a reusable scratch
-//     buffer;
+//     parity asks;
 //   - Gaussian NB becomes precomputed log-space lookup tables, removing
 //     every math.Log from the predict path.
 //
-// The contract is absolute bit parity: a compiled model performs the
-// same floating-point operations in the same order as its interpreted
-// source, so predicted classes AND posterior vectors are byte-identical
-// — the golden corpus, the metamorphic suite, and the HTTP parity tests
-// all hold unchanged when serving switches to the compiled form.
+// The rule that turns a walk into a posterior is not the layout's: each
+// family owns it, and both engines call the same function, each with its
+// own buffers — svm.PairProb and svm.Couple, bayes.Posterior, forest.Shares
+// and forest.Majority. The interpreted predictors stay the independent
+// reference for the layout, and the contract is absolute bit parity: a
+// compiled walk performs the same floating-point operations in the same
+// order as the interpreted one, so predicted classes AND posterior
+// vectors are byte-identical — the golden corpus, the metamorphic suite,
+// and the HTTP parity tests all hold unchanged when serving switches to
+// the compiled form.
 //
 // Compile validates model structure up front (index bounds, tree
-// acyclicity, matrix shapes) and returns an error instead of lowering a
-// malformed model; callers reject the model. It is the repo's one
-// structural validator for model snapshots: hostile or truncated ones —
-// which the persistence fuzzers feed the loader — fail here, at load,
-// instead of panicking or spinning inside a serving call.
+// acyclicity, matrix shapes, parameters that keep a posterior a number)
+// and returns an error instead of lowering a malformed model; callers
+// reject the model. It is the repo's one structural validator for model
+// snapshots: hostile or truncated ones — which the persistence fuzzers
+// feed the loader — fail here, at load, instead of panicking, spinning
+// or answering NaN inside a serving call.
 package compile
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ml/bayes"
 	"repro/internal/ml/forest"
@@ -74,6 +81,9 @@ type Scratch struct {
 	kv    []float64 // SVM per-row kernel values, one per unique support vector
 	dec   []float64 // SVM per-row decision values, one per pair machine
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Compile lowers a trained model into its compiled serving form. It
 // accepts the three classifier families the paper evaluates; any other

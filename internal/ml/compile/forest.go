@@ -245,27 +245,13 @@ func (f *Forest) votesInto(row []float64, votes []int) {
 // interpreted Classifier.Predict.
 func (f *Forest) Predict(row []float64, s *Scratch) int {
 	f.votesInto(row, s.votes)
-	best := 0
-	for i, v := range s.votes {
-		if v > s.votes[best] {
-			best = i
-		}
-	}
-	return best
+	return forest.Majority(s.votes)
 }
 
 // PredictProb returns the winning class and vote-fraction posterior,
-// bit-identical to the interpreted Classifier.PredictProb. The slice
-// aliases scratch memory.
+// bit-identical to the interpreted Classifier.PredictProb: both end in
+// forest.Shares. The slice aliases scratch memory.
 func (f *Forest) PredictProb(row []float64, s *Scratch) (int, []float64) {
 	f.votesInto(row, s.votes)
-	probs := s.probs
-	best := 0
-	for i, v := range s.votes {
-		probs[i] = float64(v) / float64(f.trees)
-		if v > s.votes[best] {
-			best = i
-		}
-	}
-	return best, probs
+	return forest.Shares(s.votes, f.trees, s.probs), s.probs
 }

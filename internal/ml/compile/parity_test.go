@@ -2,6 +2,7 @@ package compile_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -131,7 +132,7 @@ func TestSVMParity(t *testing.T) {
 }
 
 func TestSVMParityUncalibrated(t *testing.T) {
-	// Probability off exercises the steep-logistic fallback in pairProb.
+	// Probability off exercises the steep-logistic fallback in svm.PairProb.
 	d, probes := parityData(22)
 	m, err := svm.Train(d, svm.Config{Kernel: svm.RBF{Gamma: 0.2}, C: 5, Seed: 22})
 	if err != nil {
@@ -246,10 +247,39 @@ func TestCompileSVMRejectsMalformed(t *testing.T) {
 			Pairs: []svm.PairSpec{{I: 0, J: 1, SV: [][]float64{{1, 2}}, Coef: []float64{1, 2}}}},
 		"ragged sv": {Classes: []string{"a", "b"}, Features: 2, Kernel: kernel,
 			Pairs: []svm.PairSpec{{I: 0, J: 1, SV: [][]float64{{1}}, Coef: []float64{1}}}},
+		"no pairs": {Classes: []string{"a", "b"}, Features: 2, Kernel: kernel},
 	}
 	for name, spec := range cases {
 		if _, err := compile.CompileSVM(spec); err == nil {
 			t.Errorf("%s: expected a compile error", name)
+		}
+	}
+
+	// One non-finite field at a time on an otherwise valid calibrated
+	// pair: the error names the pair and the field.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name, field string
+		edit        func(*svm.Spec)
+	}{
+		{"NaN gamma", "Gamma NaN", func(s *svm.Spec) { s.Kernel.Gamma = nan }},
+		{"infinite coef0", "Coef0 +Inf", func(s *svm.Spec) { s.Kernel = svm.KernelSpec{Name: "poly", Gamma: 1, Coef0: inf, Degree: 2} }},
+		{"NaN sv value", "pair 0 support vector 1 feature 0", func(s *svm.Spec) { s.Pairs[0].SV[1][0] = nan }},
+		{"infinite sv value", "pair 0 support vector 0 feature 1", func(s *svm.Spec) { s.Pairs[0].SV[0][1] = inf }},
+		{"NaN coef", "pair 0 Coef[1]", func(s *svm.Spec) { s.Pairs[0].Coef[1] = nan }},
+		{"infinite rho", "pair 0 Rho", func(s *svm.Spec) { s.Pairs[0].Rho = -inf }},
+		{"NaN Platt A", "pair 0 Platt A NaN", func(s *svm.Spec) { s.Pairs[0].A = nan }},
+		{"infinite Platt B", "B +Inf", func(s *svm.Spec) { s.Pairs[0].B = inf }},
+	} {
+		spec := &svm.Spec{Classes: []string{"a", "b"}, Features: 2, Kernel: kernel,
+			Pairs: []svm.PairSpec{{I: 0, J: 1, SV: [][]float64{{1, 2}, {3, 4}}, Coef: []float64{1, -1},
+				Rho: 0.5, A: -2, B: 0.1, HasAB: true}}}
+		if _, err := compile.CompileSVM(spec); err != nil {
+			t.Fatalf("%s: the unedited spec is refused: %v", c.name, err)
+		}
+		c.edit(spec)
+		if _, err := compile.CompileSVM(spec); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.field)
 		}
 	}
 }
@@ -267,6 +297,14 @@ func TestCompileBayesRejectsMalformed(t *testing.T) {
 			Means: [][]float64{{1}, {1}}, Vars: [][]float64{{1}, {0}}, Trained: []bool{true, true}},
 		"NaN variance": {Classes: []string{"a", "b"}, Priors: []float64{1, 1},
 			Means: [][]float64{{1}, {1}}, Vars: [][]float64{{math.NaN()}, {1}}, Trained: []bool{true, true}},
+		"NaN mean": {Classes: []string{"a", "b"}, Priors: []float64{1, 1},
+			Means: [][]float64{{1}, {math.NaN()}}, Vars: [][]float64{{1}, {1}}, Trained: []bool{true, true}},
+		"infinite mean": {Classes: []string{"a", "b"}, Priors: []float64{1, 1},
+			Means: [][]float64{{math.Inf(-1)}, {1}}, Vars: [][]float64{{1}, {1}}, Trained: []bool{true, true}},
+		"NaN prior": {Classes: []string{"a", "b"}, Priors: []float64{math.NaN(), 1},
+			Means: [][]float64{{1}, {1}}, Vars: [][]float64{{1}, {1}}, Trained: []bool{true, true}},
+		"infinite prior": {Classes: []string{"a", "b"}, Priors: []float64{1, math.Inf(1)},
+			Means: [][]float64{{1}, {1}}, Vars: [][]float64{{1}, {1}}, Trained: []bool{true, true}},
 	}
 	for name, spec := range cases {
 		if _, err := compile.CompileBayes(spec); err == nil {

@@ -64,8 +64,10 @@ type SVM struct {
 	active   []int     // ascending class indices that trained in >=1 pair
 }
 
-// CompileSVM lowers an SVM spec, validating matrix shapes and class
-// indices up front.
+// CompileSVM lowers an SVM spec, validating up front matrix shapes,
+// class indices and what keeps a posterior a number: at least one pair
+// machine, and finite kernel parameters, support-vector values,
+// coefficients, thresholds and (when calibrated) Platt parameters.
 func CompileSVM(spec *svm.Spec) (*SVM, error) {
 	k := len(spec.Classes)
 	if k == 0 {
@@ -73,6 +75,12 @@ func CompileSVM(spec *svm.Spec) (*SVM, error) {
 	}
 	if spec.Features <= 0 {
 		return nil, fmt.Errorf("compile: svm reports %d features", spec.Features)
+	}
+	if len(spec.Pairs) == 0 {
+		return nil, fmt.Errorf("compile: svm has no pair machines")
+	}
+	if !finite(spec.Kernel.Gamma) || !finite(spec.Kernel.Coef0) {
+		return nil, fmt.Errorf("compile: svm kernel has Gamma %v, Coef0 %v, want finite", spec.Kernel.Gamma, spec.Kernel.Coef0)
 	}
 	m := &SVM{classes: spec.Classes, features: spec.Features}
 	switch kk := spec.Kernel; kk.Name {
@@ -94,10 +102,24 @@ func CompileSVM(spec *svm.Spec) (*SVM, error) {
 		if len(p.SV) != len(p.Coef) {
 			return nil, fmt.Errorf("compile: pair %d has %d support vectors but %d coefficients", pi, len(p.SV), len(p.Coef))
 		}
-		for _, sv := range p.SV {
+		for si, sv := range p.SV {
 			if len(sv) != spec.Features {
 				return nil, fmt.Errorf("compile: pair %d support vector has %d features, model has %d", pi, len(sv), spec.Features)
 			}
+			for f, v := range sv {
+				if !finite(v) {
+					return nil, fmt.Errorf("compile: pair %d support vector %d feature %d is %v, want finite", pi, si, f, v)
+				}
+			}
+			if !finite(p.Coef[si]) {
+				return nil, fmt.Errorf("compile: pair %d Coef[%d] is %v, want finite", pi, si, p.Coef[si])
+			}
+		}
+		if !finite(p.Rho) {
+			return nil, fmt.Errorf("compile: pair %d Rho is %v, want finite", pi, p.Rho)
+		}
+		if p.HasAB && (!finite(p.A) || !finite(p.B)) {
+			return nil, fmt.Errorf("compile: pair %d Platt A %v, B %v, want finite", pi, p.A, p.B)
 		}
 		totalSV += len(p.SV)
 	}
@@ -312,30 +334,6 @@ func (m *SVM) decisionFrom(p *svmPair, n int, s float64, kv []float64) float64 {
 	return s - p.rho
 }
 
-// pairProb is the calibrated P(y=+1 | decision value f), identical to
-// the interpreted PairSpec.prob.
-func (p *svmPair) pairProb(f float64) float64 {
-	if !p.hasAB {
-		return 1 / (1 + math.Exp(-2*f))
-	}
-	fApB := p.a*f + p.b
-	if fApB >= 0 {
-		e := math.Exp(-fApB)
-		return e / (1 + e)
-	}
-	return 1 / (1 + math.Exp(fApB))
-}
-
-func clampProb(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Predict returns the one-vs-one voting winner, bit-identical to the
 // interpreted Model.Predict (ties break toward the lower class index).
 func (m *SVM) Predict(row []float64, s *Scratch) int {
@@ -363,101 +361,21 @@ func (m *SVM) Predict(row []float64, s *Scratch) int {
 }
 
 // PredictProb returns the coupled posterior, bit-identical to the
-// interpreted Model.PredictProb: per-pair Platt probabilities are
-// clipped and coupled with the Wu-Lin-Weng fixed point over the active
-// classes, in the same operation order, but entirely inside the
-// scratch. The returned slice aliases scratch memory.
+// interpreted Model.PredictProb: both fill the active-class matrix with
+// svm.PairProb and end in svm.Couple, here entirely inside the scratch.
+// The returned slice aliases scratch memory.
 func (m *SVM) PredictProb(row []float64, s *Scratch) (int, []float64) {
-	ka := len(m.active)
-	probs := s.probs
-	for i := range probs {
-		probs[i] = 0
-	}
-	if ka == 0 {
-		return 0, probs
-	}
-	// Fill the pairwise matrix directly in active-class space. The
-	// interpreted path routes the same values through a full k x k
-	// matrix first; entries no pair writes stay zero there, so the
-	// scratch matrix is zeroed to match.
 	m.kernelInto(row, s.kv)
 	m.decisions(s.kv, s.dec)
+	// Entries no pair writes stay zero, as in the interpreted matrix.
+	ka := len(m.active)
 	sub := s.sub
-	for i := range sub {
-		sub[i] = 0
-	}
+	clear(sub)
 	for pi := range m.pairs {
 		p := &m.pairs[pi]
-		pr := clampProb(p.pairProb(s.dec[pi]), 1e-7, 1-1e-7)
+		pr := svm.PairProb(s.dec[pi], p.a, p.b, p.hasAB)
 		sub[p.ai*ka+p.aj] = pr
 		sub[p.aj*ka+p.ai] = 1 - pr
 	}
-	coupleInto(sub, ka, s.p, s.q, s.qp)
-	best := m.active[0]
-	bestP := -1.0
-	for a, ca := range m.active {
-		probs[ca] = s.p[a]
-		if s.p[a] > bestP {
-			bestP = s.p[a]
-			best = ca
-		}
-	}
-	return best, probs
-}
-
-// coupleInto is the Wu-Lin-Weng (2004) pairwise-coupling fixed point on
-// a flattened k x k matrix r, writing the posterior into p using q and
-// qp as work areas. Operation for operation this is the interpreted
-// coupleProbabilities with the allocations hoisted into the scratch.
-func coupleInto(r []float64, k int, p, q, qp []float64) {
-	if k == 1 {
-		p[0] = 1
-		return
-	}
-	for t := 0; t < k; t++ {
-		p[t] = 1 / float64(k)
-		qt := q[t*k : t*k+k]
-		var qtt float64
-		for j := 0; j < k; j++ {
-			if j == t {
-				continue
-			}
-			qtt += r[j*k+t] * r[j*k+t]
-			qt[j] = -r[j*k+t] * r[t*k+j]
-		}
-		qt[t] = qtt
-	}
-	const maxIter = 100
-	eps := 0.005 / float64(k)
-	for iter := 0; iter < maxIter*k; iter++ {
-		pQp := 0.0
-		for t := 0; t < k; t++ {
-			var s float64
-			for j, qtj := range q[t*k : t*k+k] {
-				s += qtj * p[j]
-			}
-			qp[t] = s
-			pQp += p[t] * s
-		}
-		maxErr := 0.0
-		for t := 0; t < k; t++ {
-			if e := math.Abs(qp[t] - pQp); e > maxErr {
-				maxErr = e
-			}
-		}
-		if maxErr < eps {
-			break
-		}
-		for t := 0; t < k; t++ {
-			qt := q[t*k : t*k+k]
-			diff := (-qp[t] + pQp) / qt[t]
-			p[t] += diff
-			scale := 1 + diff
-			pQp = (pQp + diff*(diff*qt[t]+2*qp[t])) / (scale * scale)
-			for j, qtj := range qt {
-				qp[j] = (qp[j] + diff*qtj) / scale
-				p[j] /= scale
-			}
-		}
-	}
+	return svm.Couple(sub, m.active, s.probs, s.p, s.q, s.qp), s.probs
 }

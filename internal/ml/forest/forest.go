@@ -118,16 +118,7 @@ func bootstrap(r *rng.Rand, n int) (rows, oob []int) {
 func (c *Classifier) Classes() []string { return c.spec.Classes }
 
 // Predict returns the majority-vote class index.
-func (c *Classifier) Predict(x []float64) int {
-	votes := c.Votes(x)
-	best := 0
-	for i, v := range votes {
-		if v > votes[best] {
-			best = i
-		}
-	}
-	return best
-}
+func (c *Classifier) Predict(x []float64) int { return Majority(c.Votes(x)) }
 
 // Votes returns per-class tree vote counts.
 func (c *Classifier) Votes(x []float64) []int {
@@ -141,16 +132,29 @@ func (c *Classifier) Votes(x []float64) []int {
 // PredictProb returns the winning class and the vote-fraction probability
 // vector, the randomForest analogue of the SVM's coupled posteriors.
 func (c *Classifier) PredictProb(x []float64) (int, []float64) {
-	votes := c.Votes(x)
-	probs := make([]float64, len(votes))
+	probs := make([]float64, len(c.spec.Classes))
+	return Shares(c.Votes(x), len(c.spec.Trees), probs), probs
+}
+
+// Shares writes into probs each class's fraction of the votes cast by
+// trees trees, and returns Majority(votes).
+func Shares(votes []int, trees int, probs []float64) int {
+	for i, v := range votes {
+		probs[i] = float64(v) / float64(trees)
+	}
+	return Majority(votes)
+}
+
+// Majority returns the class with the most votes, the lowest index on
+// ties.
+func Majority(votes []int) int {
 	best := 0
 	for i, v := range votes {
-		probs[i] = float64(v) / float64(len(c.spec.Trees))
 		if v > votes[best] {
 			best = i
 		}
 	}
-	return best, probs
+	return best
 }
 
 // OOBError returns the out-of-bag misclassification rate, the forest's
@@ -171,14 +175,8 @@ func (c *Classifier) OOBError() float64 {
 	}
 	wrong, counted := 0, 0
 	for i, v := range votes {
-		best, total := 0, 0
-		for cl, n := range v {
-			total += n
-			if n > v[best] {
-				best = cl
-			}
-		}
-		if total == 0 {
+		best := Majority(v)
+		if v[best] == 0 {
 			continue // never out of bag
 		}
 		counted++

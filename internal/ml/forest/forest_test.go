@@ -331,3 +331,40 @@ func BenchmarkForestPredict(b *testing.B) {
 		_ = c.Predict(probe)
 	}
 }
+
+// TestSharesAndMajority pins the vote tail both forest engines end in:
+// shares of a full vote sum to 1 and ties go to the lowest class index.
+func TestSharesAndMajority(t *testing.T) {
+	for _, c := range []struct {
+		votes []int
+		best  int
+	}{
+		{[]int{3, 9, 4}, 1},
+		{[]int{5, 5, 2}, 0},
+		{[]int{0, 4, 4, 4}, 1},
+		{[]int{0, 0, 7}, 2},
+		{[]int{1}, 0},
+	} {
+		if got := Majority(c.votes); got != c.best {
+			t.Errorf("Majority(%v) = %d, want %d", c.votes, got, c.best)
+		}
+		trees := 0
+		for _, v := range c.votes {
+			trees += v
+		}
+		probs := make([]float64, len(c.votes))
+		if got := Shares(c.votes, trees, probs); got != c.best {
+			t.Errorf("Shares(%v) winner = %d, want %d", c.votes, got, c.best)
+		}
+		var sum float64
+		for _, p := range probs {
+			sum += p
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Errorf("Shares(%v) = %v sums to %v", c.votes, probs, sum)
+		}
+	}
+	if got := Majority([]int{0, 0, 0}); got != 0 {
+		t.Errorf("Majority of no votes = %d, want 0", got)
+	}
+}

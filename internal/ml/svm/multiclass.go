@@ -250,51 +250,33 @@ func (m *Model) Predict(x []float64) int {
 }
 
 // PredictProb returns the posterior class probabilities via pairwise
-// coupling and the index of the most probable class. Train must have run
-// with Probability enabled.
+// coupling and the index of the most probable class. A model trained
+// without Probability has no Platt sigmoids, and PairProb falls back to
+// a steep logistic on each pair's margin.
 func (m *Model) PredictProb(x []float64) (int, []float64) {
 	k := len(m.spec.Classes)
-	r := make([][]float64, k)
-	for i := range r {
-		r[i] = make([]float64, k)
-	}
+	// Couple only the classes that trained in some pair, ascending.
 	seen := make([]bool, k)
 	for i := range m.spec.Pairs {
-		p := &m.spec.Pairs[i]
-		pr := p.prob(p.decision(m.kernel, x))
-		// Clip away exact 0/1 as LIBSVM does to keep coupling stable.
-		pr = clamp(pr, 1e-7, 1-1e-7)
-		r[p.I][p.J] = pr
-		r[p.J][p.I] = 1 - pr
-		seen[p.I], seen[p.J] = true, true
+		seen[m.spec.Pairs[i].I], seen[m.spec.Pairs[i].J] = true, true
 	}
-	// Restrict coupling to classes that participated in training.
+	activeAt := make([]int, k)
 	var active []int
 	for c, ok := range seen {
 		if ok {
+			activeAt[c] = len(active)
 			active = append(active, c)
 		}
 	}
-	if len(active) == 0 {
-		return 0, make([]float64, k)
+	ka := len(active)
+	r := make([]float64, ka*ka)
+	for i := range m.spec.Pairs {
+		p := &m.spec.Pairs[i]
+		pr := PairProb(p.decision(m.kernel, x), p.A, p.B, p.HasAB)
+		r[activeAt[p.I]*ka+activeAt[p.J]] = pr
+		r[activeAt[p.J]*ka+activeAt[p.I]] = 1 - pr
 	}
-	sub := make([][]float64, len(active))
-	for a, ca := range active {
-		sub[a] = make([]float64, len(active))
-		for b, cb := range active {
-			sub[a][b] = r[ca][cb]
-		}
-	}
-	p := coupleProbabilities(sub)
 	probs := make([]float64, k)
-	best := active[0]
-	bestP := -1.0
-	for a, ca := range active {
-		probs[ca] = p[a]
-		if p[a] > bestP {
-			bestP = p[a]
-			best = ca
-		}
-	}
+	best := Couple(r, active, probs, make([]float64, ka), make([]float64, ka*ka), make([]float64, ka))
 	return best, probs
 }

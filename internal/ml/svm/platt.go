@@ -105,41 +105,65 @@ func fitSigmoid(dec []float64, y []float64) (a, b float64) {
 	return a, b
 }
 
-// coupleProbabilities solves the Wu-Lin-Weng (2004) "second approach"
-// pairwise coupling problem: given pairwise probabilities r[i][j] ~
-// P(class i | class i or j), find the class posterior p minimizing
-// sum_{i<j} (r[j][i] p_i - r[i][j] p_j)^2 subject to sum p = 1, using the
-// fixed-point iteration from LIBSVM's multiclass_probability.
-func coupleProbabilities(r [][]float64) []float64 {
-	k := len(r)
-	p := make([]float64, k)
-	if k == 1 {
-		p[0] = 1
-		return p
+// PairProb is a pair machine's P(y=+1 | decision value f): the Platt
+// sigmoid 1/(1+exp(a f + b)) when calibration ran (hasAB), else a steep
+// logistic on the margin. The result is clipped to [1e-7, 1-1e-7], as
+// LIBSVM clips it, to keep the coupling stable.
+func PairProb(f, a, b float64, hasAB bool) float64 {
+	var p float64
+	fApB := a*f + b
+	switch {
+	case !hasAB:
+		p = 1 / (1 + math.Exp(-2*f))
+	case fApB >= 0:
+		e := math.Exp(-fApB)
+		p = e / (1 + e)
+	default:
+		p = 1 / (1 + math.Exp(fApB))
 	}
-	q := make([][]float64, k)
-	qp := make([]float64, k)
+	return clamp(p, 1e-7, 1-1e-7)
+}
+
+// Couple solves the Wu-Lin-Weng (2004) "second approach" pairwise
+// coupling problem over the active classes: given the flattened ka x ka
+// matrix r of pairwise probabilities, r[i*ka+j] ~ P(active[i] | active[i]
+// or active[j]) with ka = len(active), find the posterior p minimizing
+// sum_{i<j} (r[j][i] p_i - r[i][j] p_j)^2 subject to sum p = 1, using the
+// fixed-point iteration from LIBSVM's multiclass_probability (a single
+// class starts, and stays, at p = 1). p, q and qp are work areas of ka,
+// ka*ka and ka entries. The posterior is spread into probs, class space
+// with 0 for an inactive class, and the most probable class, the first
+// on ties, is returned (0 when no class is active).
+func Couple(r []float64, active []int, probs, p, q, qp []float64) int {
+	clear(probs)
+	k := len(active)
+	if k == 0 {
+		return 0
+	}
 	for t := 0; t < k; t++ {
 		p[t] = 1 / float64(k)
-		q[t] = make([]float64, k)
+		qt := q[t*k : t*k+k]
+		var qtt float64
 		for j := 0; j < k; j++ {
 			if j == t {
 				continue
 			}
-			q[t][t] += r[j][t] * r[j][t]
-			q[t][j] = -r[j][t] * r[t][j]
+			qtt += r[j*k+t] * r[j*k+t]
+			qt[j] = -r[j*k+t] * r[t*k+j]
 		}
+		qt[t] = qtt
 	}
 	const maxIter = 100
 	eps := 0.005 / float64(k) // LIBSVM's tolerance scales with class count
 	for iter := 0; iter < maxIter*k; iter++ {
 		pQp := 0.0
 		for t := 0; t < k; t++ {
-			qp[t] = 0
-			for j := 0; j < k; j++ {
-				qp[t] += q[t][j] * p[j]
+			var s float64
+			for j, qtj := range q[t*k : t*k+k] {
+				s += qtj * p[j]
 			}
-			pQp += p[t] * qp[t]
+			qp[t] = s
+			pQp += p[t] * s
 		}
 		maxErr := 0.0
 		for t := 0; t < k; t++ {
@@ -151,14 +175,23 @@ func coupleProbabilities(r [][]float64) []float64 {
 			break
 		}
 		for t := 0; t < k; t++ {
-			diff := (-qp[t] + pQp) / q[t][t]
+			qt := q[t*k : t*k+k]
+			diff := (-qp[t] + pQp) / qt[t]
 			p[t] += diff
-			pQp = (pQp + diff*(diff*q[t][t]+2*qp[t])) / ((1 + diff) * (1 + diff))
-			for j := 0; j < k; j++ {
-				qp[j] = (qp[j] + diff*q[t][j]) / (1 + diff)
-				p[j] /= 1 + diff
+			scale := 1 + diff
+			pQp = (pQp + diff*(diff*qt[t]+2*qp[t])) / (scale * scale)
+			for j, qtj := range qt {
+				qp[j] = (qp[j] + diff*qtj) / scale
+				p[j] /= scale
 			}
 		}
 	}
-	return p
+	best, bestP := active[0], -1.0
+	for a, c := range active {
+		probs[c] = p[a]
+		if p[a] > bestP {
+			best, bestP = c, p[a]
+		}
+	}
+	return best
 }

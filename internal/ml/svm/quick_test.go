@@ -25,7 +25,7 @@ func TestCouplePropertySimplex(t *testing.T) {
 				m[j][i] = 1 - p
 			}
 		}
-		probs := coupleProbabilities(m)
+		probs := coupleMatrix(m)
 		var sum float64
 		for _, p := range probs {
 			if p < -1e-9 || p > 1+1e-9 || math.IsNaN(p) {
@@ -62,8 +62,9 @@ func TestKernelPropertySymmetry(t *testing.T) {
 	}
 }
 
-// TestSigmoidPropertyCalibration: fitSigmoid output maps decision values
-// into (0,1) monotonically for any labeled sample with both classes.
+// TestSigmoidPropertyRange: PairProb with a fitted sigmoid maps decision
+// values into the clipped range [1e-7, 1-1e-7] for any labeled sample
+// with both classes.
 func TestSigmoidPropertyRange(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 10
@@ -82,10 +83,9 @@ func TestSigmoidPropertyRange(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return false
 		}
-		m := &PairSpec{A: a, B: b, HasAB: true}
 		for _, fv := range []float64{-10, -1, 0, 1, 10} {
-			p := m.prob(fv)
-			if p < 0 || p > 1 || math.IsNaN(p) {
+			p := PairProb(fv, a, b, true)
+			if p < 1e-7 || p > 1-1e-7 || math.IsNaN(p) {
 				return false
 			}
 		}

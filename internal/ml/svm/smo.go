@@ -252,21 +252,6 @@ func decisions(k *rowCache, idx []int, y []float64, res smoResult, at []int, dec
 	}
 }
 
-// prob returns the calibrated P(y=+1 | decision value f).
-func (p *PairSpec) prob(f float64) float64 {
-	if !p.HasAB {
-		// Uncalibrated fallback: a steep logistic on the margin.
-		return 1 / (1 + math.Exp(-2*f))
-	}
-	// Numerically careful sigmoid 1/(1+exp(A f + B)).
-	fApB := p.A*f + p.B
-	if fApB >= 0 {
-		e := math.Exp(-fApB)
-		return e / (1 + e)
-	}
-	return 1 / (1 + math.Exp(fApB))
-}
-
 // newPair compacts an SMO solution into the SV representation of one
 // binary machine; the caller names its classes.
 func newPair(x [][]float64, y []float64, res smoResult) PairSpec {

@@ -235,6 +235,21 @@ func TestFitSigmoidRecoversMonotone(t *testing.T) {
 	}
 }
 
+// coupleMatrix runs Couple with every class of the k x k matrix r
+// active, flattening r the way both engines lay it out.
+func coupleMatrix(r [][]float64) []float64 {
+	k := len(r)
+	flat := make([]float64, 0, k*k)
+	active := make([]int, k)
+	for i, row := range r {
+		flat = append(flat, row...)
+		active[i] = i
+	}
+	probs := make([]float64, k)
+	Couple(flat, active, probs, make([]float64, k), make([]float64, k*k), make([]float64, k))
+	return probs
+}
+
 func TestCoupleProbabilities(t *testing.T) {
 	// Perfectly confident pairwise wins for class 0.
 	r := [][]float64{
@@ -242,7 +257,7 @@ func TestCoupleProbabilities(t *testing.T) {
 		{0.1, 0, 0.5},
 		{0.1, 0.5, 0},
 	}
-	p := coupleProbabilities(r)
+	p := coupleMatrix(r)
 	var sum float64
 	for _, v := range p {
 		sum += v
@@ -267,7 +282,7 @@ func TestCoupleProbabilitiesUniform(t *testing.T) {
 		{0.5, 0, 0.5},
 		{0.5, 0.5, 0},
 	}
-	p := coupleProbabilities(r)
+	p := coupleMatrix(r)
 	for _, v := range p {
 		if math.Abs(v-1.0/3.0) > 1e-3 {
 			t.Errorf("uniform coupling = %v", p)
@@ -276,9 +291,50 @@ func TestCoupleProbabilitiesUniform(t *testing.T) {
 }
 
 func TestCoupleSingleClass(t *testing.T) {
-	p := coupleProbabilities([][]float64{{0}})
+	p := coupleMatrix([][]float64{{0}})
 	if len(p) != 1 || p[0] != 1 {
 		t.Errorf("single class coupling = %v", p)
+	}
+}
+
+// TestPairProbFallbackAndClip: an uncalibrated pair ignores A and B and
+// reads its margin through 1/(1+exp(-2f)); both forms clip to
+// [1e-7, 1-1e-7].
+func TestPairProbFallbackAndClip(t *testing.T) {
+	for _, c := range []struct {
+		f, a, b float64
+		hasAB   bool
+		want    float64
+	}{
+		{0, math.NaN(), math.NaN(), false, 0.5},
+		{1, 0, 0, false, 1 / (1 + math.Exp(-2))},
+		{100, 0, 0, false, 1 - 1e-7},
+		{-100, 0, 0, false, 1e-7},
+		{0, -2, 0, true, 0.5},
+		{100, -2, 0, true, 1 - 1e-7},
+		{100, 2, 0, true, 1e-7},
+	} {
+		if got := PairProb(c.f, c.a, c.b, c.hasAB); got != c.want {
+			t.Errorf("PairProb(%v, %v, %v, %v) = %v, want %v", c.f, c.a, c.b, c.hasAB, got, c.want)
+		}
+	}
+}
+
+// TestCoupleInactiveClasses: Couple spreads the active classes'
+// posterior into class space, gives every other class exactly 0 (stale
+// buffer contents included) and returns the winner's class index.
+func TestCoupleInactiveClasses(t *testing.T) {
+	probs := []float64{9, 9, 9, 9}
+	p, q, qp := make([]float64, 2), make([]float64, 4), make([]float64, 2)
+	best := Couple([]float64{0, 0.2, 0.8, 0}, []int{1, 3}, probs, p, q, qp)
+	if best != 3 || probs[0] != 0 || probs[2] != 0 || !(probs[3] > probs[1]) {
+		t.Errorf("Couple over classes {1, 3} = %d, %v; want winner 3 and zeros at 0 and 2", best, probs)
+	}
+	if sum := probs[1] + probs[3]; math.Abs(sum-1) > 1e-6 {
+		t.Errorf("posterior sums to %v", sum)
+	}
+	if best := Couple(nil, nil, probs, nil, nil, nil); best != 0 || probs[1] != 0 || probs[3] != 0 {
+		t.Errorf("Couple with no active class = %d, %v; want 0 and all zeros", best, probs)
 	}
 }
 
