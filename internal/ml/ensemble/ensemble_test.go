@@ -16,9 +16,34 @@ func synthSmall(t *testing.T) *dataset.Dataset {
 	})
 }
 
+// unevenSizes are synthUneven's class sizes: every residue mod 4
+// appears among the pairwise sums, so the SVM's one-vs-one problems
+// have every length mod 4.
+var unevenSizes = []int{12, 13, 14, 15, 16, 17, 18}
+
+// synthUneven is a 7-class set with unequal classes (unevenSizes).
+func synthUneven(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	d := testkit.SynthClassification(testkit.SynthConfig{
+		Seed: 13, Classes: len(unevenSizes), Features: 5, RowsPerCls: 18, Spread: 0.4,
+	})
+	var idx []int
+	for k, size := range unevenSizes {
+		for i := 0; i < size; i++ {
+			idx = append(idx, k*18+i)
+		}
+	}
+	return d.Subset(idx)
+}
+
 func trainSmall(t *testing.T, cfg Config) *Model {
 	t.Helper()
-	m, err := Train(synthSmall(t), cfg)
+	return trainOn(t, synthSmall(t), cfg)
+}
+
+func trainOn(t *testing.T, d *dataset.Dataset, cfg Config) *Model {
+	t.Helper()
+	m, err := Train(d, cfg)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}

@@ -63,5 +63,22 @@ func TestGoldenStack(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "hostile    = %s / %s\n", testkit.HashFloats(rows...), testkit.HashInts(classes))
 	}
+	// The many-class case: 7 classes fill one four-class trip of the
+	// meta-learner's softmax and leave a remainder of 3, and the unequal
+	// class sizes give SVM pairs of every length mod 4 in the full fit
+	// and in each fold.
+	d7 := synthUneven(t)
+	m := trainOn(t, d7, Config{Seed: 7})
+	testkit.Section(&b, "stack nb+rf+svm / 7 uneven classes, synth seed 13, stack seed 7")
+	fmt.Fprintf(&b, "train_accuracy = %s\n", testkit.Float(eval.VoteAccuracy(m, d7)))
+	fmt.Fprintf(&b, "meta       = %s\n", testkit.HashFloats(m.meta...))
+	fmt.Fprintf(&b, "posteriors = %s\n", digest(t, m, d7))
+	hostile7 := hostileRows(d7.NumFeatures())
+	rows := make([][]float64, len(hostile7))
+	classes := make([]int, len(hostile7))
+	for i, x := range hostile7 {
+		classes[i], rows[i] = m.PredictProb(x)
+	}
+	fmt.Fprintf(&b, "hostile    = %s / %s\n", testkit.HashFloats(rows...), testkit.HashInts(classes))
 	testkit.GoldenString(t, "stack.golden", b.String())
 }
