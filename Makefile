@@ -28,6 +28,7 @@ FUZZ_TARGETS = \
 	./internal/loadgen:FuzzIngestLoadConfig \
 	./internal/ml/compile:FuzzCompileParity \
 	./internal/ml/forest:FuzzTreeParity \
+	./internal/ml/svm:FuzzRBFRow \
 	./internal/ingest:FuzzIngestFrame \
 	./internal/lifecycle:FuzzLifecycleConfig \
 	./internal/server:FuzzBatchColumns

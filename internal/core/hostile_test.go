@@ -162,6 +162,15 @@ func hostileSnapshots(t testing.TB) (valid, hostile map[string][]byte) {
 			last := len(s.Meta) - 1
 			s.Meta[last] = s.Meta[last][:len(s.Meta[last])-1]
 		}),
+		"stack NaN meta weight": corruptModel(t, valid["stack"], func(s *stackSnap) {
+			s.Meta[1][2] = math.NaN()
+		}),
+		"stack +Inf meta weight": corruptModel(t, valid["stack"], func(s *stackSnap) {
+			s.Meta[1][2] = math.Inf(1)
+		}),
+		"stack -Inf meta weight": corruptModel(t, valid["stack"], func(s *stackSnap) {
+			s.Meta[1][2] = math.Inf(-1)
+		}),
 		"stack base with a different class count": corruptModel(t, valid["stack"], func(s *stackSnap) {
 			for i, name := range s.Bases {
 				if name == "nb" {

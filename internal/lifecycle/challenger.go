@@ -8,6 +8,7 @@ import (
 	"repro/internal/ml/ensemble"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/svm"
+	"repro/internal/parallel"
 )
 
 // challengerConfig maps the loop's algo name onto a trainer config.
@@ -31,13 +32,25 @@ func challengerConfig(algo string, seed uint64) core.ClassifierConfig {
 	}
 }
 
+// baselineBlock is how many rows one parallel task of BaselineFor
+// predicts.
+const baselineBlock = 128
+
 // BaselineFor freezes a drift baseline from a model's own predictions
-// over its (raw) training rows.
+// over its (raw) training rows. Rows predict independently (Predict is
+// safe for concurrent use and pools its scratch), so they run in
+// parallel blocks, each row's label in its own slot.
 func BaselineFor(d *dataset.Dataset, model *core.JobClassifier, bins int) (*Baseline, error) {
 	preds := make([]string, d.Len())
 	classes := model.Classes()
-	for i, row := range d.X {
-		preds[i] = classes[model.Predict(row)]
+	err := parallel.Blocks(0, d.Len(), baselineBlock, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			preds[i] = classes[model.Predict(d.X[i])]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("lifecycle: baseline predictions: %w", err)
 	}
 	return NewBaseline(d, preds, classes, bins)
 }

@@ -42,7 +42,7 @@ type svmPair struct {
 // over the features and one per pair over its window, and each sum is a
 // chain of dependent adds that leaves the FP ports mostly idle when run
 // alone. Sums are independent of each other, so both batches advance
-// four at a time (sqDistsInto / dotsInto, decisions). Overlap changes
+// four at a time (svm.SqDistsInto / dotsInto, decisions). Overlap changes
 // when an add issues, never what it adds: each sum accumulates the
 // exact same float64 values in the exact same order as the interpreted
 // machine, with the same expression shapes (acc += d*d, s += c*kv), so
@@ -210,7 +210,7 @@ func (m *SVM) kernelInto(x []float64, kv []float64) {
 	x = x[:m.features]
 	switch m.kind {
 	case kernelRBF:
-		sqDistsInto(m.uniq, x, kv)
+		svm.SqDistsInto(m.uniq, x, kv)
 		for u, d2 := range kv {
 			kv[u] = math.Exp(-m.gamma * d2)
 		}
@@ -225,46 +225,9 @@ func (m *SVM) kernelInto(x []float64, kv []float64) {
 	}
 }
 
-// sqDistsInto writes ||sv_u - x||^2 for every row sv_u of the row-major
-// matrix uniq into out. A float64 sum over features is a serial add
-// chain, so four vectors run per trip: four independent chains for the
-// FP ports to overlap, each still summing its own features first to
-// last. The trailing len(out) % 4 vectors run one at a time.
-func sqDistsInto(uniq, x, out []float64) {
-	nf := len(x)
-	u, base := 0, 0
-	for ; u+4 <= len(out); u, base = u+4, base+4*nf {
-		s0 := uniq[base : base+nf]
-		s1 := uniq[base+nf : base+2*nf]
-		s2 := uniq[base+2*nf : base+3*nf]
-		s3 := uniq[base+3*nf : base+4*nf]
-		var a0, a1, a2, a3 float64
-		for i, xi := range x {
-			d0 := s0[i] - xi
-			a0 += d0 * d0
-			d1 := s1[i] - xi
-			a1 += d1 * d1
-			d2 := s2[i] - xi
-			a2 += d2 * d2
-			d3 := s3[i] - xi
-			a3 += d3 * d3
-		}
-		out[u], out[u+1], out[u+2], out[u+3] = a0, a1, a2, a3
-	}
-	for ; u < len(out); u, base = u+1, base+nf {
-		sv := uniq[base : base+nf]
-		var a float64
-		for i, xi := range x {
-			d := sv[i] - xi
-			a += d * d
-		}
-		out[u] = a
-	}
-}
-
 // dotsInto writes sv_u . x for every row of uniq into out, the sum the
 // linear and polynomial kernels share, four rows per trip like
-// sqDistsInto.
+// svm.SqDistsInto.
 func dotsInto(uniq, x, out []float64) {
 	nf := len(x)
 	u, base := 0, 0

@@ -37,6 +37,7 @@ import (
 	"repro/internal/ml/forest"
 	"repro/internal/ml/svm"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // Base-learner names accepted in Config.Bases.
@@ -221,6 +222,7 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	// full vocabulary, so the posterior still fills its whole slot.
 	nc := d.NumClasses()
 	width := len(bases) * nc
+	oof := sp.Child("stack.oof")
 	z := make([][]float64, d.Len())
 	for i := range z {
 		z[i] = make([]float64, width)
@@ -248,15 +250,25 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 			if err != nil {
 				return nil, fmt.Errorf("ensemble: fold %d %w", f, err)
 			}
-			s := cm.NewScratch()
-			for _, i := range testIdx {
-				_, probs := cm.PredictProb(d.X[i], s)
-				copy(z[i][b*nc:(b+1)*nc], probs)
+			// Rows score independently, each into its own slot of z.
+			err = parallel.Blocks(0, len(testIdx), scoreBlock, func(lo, hi int) error {
+				s := cm.NewScratch()
+				for _, i := range testIdx[lo:hi] {
+					_, probs := cm.PredictProb(d.X[i], s)
+					copy(z[i][b*nc:(b+1)*nc], probs)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("ensemble: fold %d base %s: %w", f, name, err)
 			}
 		}
 	}
+	oof.End()
 
+	msp := sp.Child("stack.meta")
 	meta, err := fitSoftmax(z, d.Y, nc)
+	msp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -264,6 +276,8 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	// Final bases retrain on the full dataset (the standard stacking
 	// recipe: CV posteriors shape the meta weights, full-data bases
 	// serve).
+	fsp := sp.Child("stack.full")
+	defer fsp.End()
 	full := make([]eval.ProbClassifier, len(bases))
 	for b, name := range bases {
 		m, err := trainBase(name, d, cfg)
@@ -300,67 +314,141 @@ const (
 	metaL2    = 1e-3
 )
 
+// scoreBlock is how many rows one parallel task scores: the out-of-fold
+// base posteriors and the meta fit's softmax pass.
+const scoreBlock = 128
+
 // fitSoftmax trains the multinomial-logistic meta-learner by
 // fixed-iteration full-batch gradient descent from zero weights:
-// deterministic, order-independent within an iteration (rows accumulate
-// in index order), and convex so the fixed budget lands in a stable
+// deterministic, and convex so the fixed budget lands in a stable
 // neighbourhood.
+//
+// Each iteration runs in two parallel passes on the pool's default
+// worker count. The first scores blocks of rows: a row's softmax reads
+// only the weights, so its delta (posterior minus one-hot) lands in its
+// own slot of a classes x n matrix. The second gives each class its own
+// worker, which sums that class's gradient entries down the columns of
+// z, held transposed so a column is contiguous, four columns per trip
+// in registers, each over the rows in index order -- the exact sequence
+// of adds the serial loop made into each entry -- and then takes the
+// class's step. No sum is split or reordered, so the weights are
+// bit-identical at any worker count.
 func fitSoftmax(z [][]float64, y []int, nc int) ([][]float64, error) {
 	if len(z) == 0 {
 		return nil, fmt.Errorf("ensemble: no meta-training rows")
 	}
-	width := len(z[0])
+	n, width := len(z), len(z[0])
 	w := make([][]float64, nc)
-	grad := make([][]float64, nc)
 	for c := range w {
 		w[c] = make([]float64, width+1)
-		grad[c] = make([]float64, width+1)
 	}
-	probs := make([]float64, nc)
-	n := float64(len(z))
+	zt := make([]float64, width*n)
+	for i, row := range z {
+		for j, v := range row {
+			zt[j*n+i] = v
+		}
+	}
+	delta := make([]float64, nc*n)
+	probs := make([]float64, (n+scoreBlock-1)/scoreBlock*nc) // one posterior per block
 	for it := 0; it < metaIters; it++ {
-		for c := range grad {
-			for j := range grad[c] {
-				grad[c][j] = 0
+		err := parallel.Blocks(0, n, scoreBlock, func(lo, hi int) error {
+			probs := probs[lo/scoreBlock*nc : (lo/scoreBlock+1)*nc]
+			for i := lo; i < hi; i++ {
+				softmaxInto(w, z[i], probs)
+				for c, p := range probs {
+					if c == y[i] {
+						p -= 1
+					}
+					delta[c*n+i] = p
+				}
 			}
+			return nil
+		})
+		if err == nil {
+			err = parallel.ForEach(0, nc, func(c int) error {
+				step(w[c], delta[c*n:(c+1)*n], zt)
+				return nil
+			})
 		}
-		for i, row := range z {
-			softmaxInto(w, row, probs)
-			for c := 0; c < nc; c++ {
-				delta := probs[c]
-				if c == y[i] {
-					delta -= 1
-				}
-				g := grad[c]
-				for j, v := range row {
-					g[j] += delta * v
-				}
-				g[width] += delta
-			}
-		}
-		for c := 0; c < nc; c++ {
-			for j := 0; j <= width; j++ {
-				l2 := metaL2 * w[c][j]
-				if j == width {
-					l2 = 0 // bias is unregularized
-				}
-				w[c][j] -= metaRate * (grad[c][j]/n + l2)
-			}
+		if err != nil {
+			return nil, fmt.Errorf("ensemble: meta fit: %w", err)
 		}
 	}
 	return w, nil
 }
 
-// softmaxInto evaluates the meta-learner on one posterior row.
+// step takes one class's gradient step: wc holds its weights (bias
+// last), dc its delta on every row, zt the meta rows column-major.
+// Every gradient entry starts at zero and adds dc[i]*z[i][j] for i in
+// order, four entries in flight.
+func step(wc, dc, zt []float64) {
+	n, width := len(dc), len(wc)-1
+	update := func(j int, g float64) {
+		l2 := metaL2 * wc[j]
+		if j == width {
+			l2 = 0 // bias is unregularized
+		}
+		wc[j] -= metaRate * (g/float64(n) + l2)
+	}
+	j := 0
+	for ; j+4 <= width; j += 4 {
+		z0, z1, z2, z3 := zt[j*n:(j+1)*n], zt[(j+1)*n:(j+2)*n], zt[(j+2)*n:(j+3)*n], zt[(j+3)*n:(j+4)*n]
+		var g0, g1, g2, g3 float64
+		for i, d := range dc {
+			g0 += d * z0[i]
+			g1 += d * z1[i]
+			g2 += d * z2[i]
+			g3 += d * z3[i]
+		}
+		update(j, g0)
+		update(j+1, g1)
+		update(j+2, g2)
+		update(j+3, g3)
+	}
+	for ; j < width; j++ {
+		zj := zt[j*n : (j+1)*n]
+		var g float64
+		for i, d := range dc {
+			g += d * zj[i]
+		}
+		update(j, g)
+	}
+	var g float64
+	for _, d := range dc {
+		g += d
+	}
+	update(width, g)
+}
+
+// softmaxInto evaluates the meta-learner on one posterior row: the
+// training fit's rows and every stacked prediction. A class score is a
+// serial add chain, bias first and then the row's columns in order, so
+// four classes run per trip as four independent chains; the trailing
+// classes % 4 run one at a time.
 func softmaxInto(w [][]float64, row []float64, out []float64) {
 	width := len(row)
-	maxScore := math.Inf(-1)
-	for c := range w {
-		s := w[c][width] // bias
+	c := 0
+	for ; c+4 <= len(w); c += 4 {
+		w0, w1, w2, w3 := w[c][:width+1], w[c+1][:width+1], w[c+2][:width+1], w[c+3][:width+1]
+		s0, s1, s2, s3 := w0[width], w1[width], w2[width], w3[width]
 		for j, v := range row {
-			s += w[c][j] * v
+			s0 += w0[j] * v
+			s1 += w1[j] * v
+			s2 += w2[j] * v
+			s3 += w3[j] * v
+		}
+		out[c], out[c+1], out[c+2], out[c+3] = s0, s1, s2, s3
+	}
+	for ; c < len(w); c++ {
+		wc := w[c][:width+1]
+		s := wc[width]
+		for j, v := range row {
+			s += wc[j] * v
 		}
 		out[c] = s
+	}
+	maxScore := math.Inf(-1)
+	for _, s := range out[:len(w)] {
 		if s > maxScore {
 			maxScore = s
 		}

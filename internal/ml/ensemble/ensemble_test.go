@@ -1,7 +1,10 @@
 package ensemble
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -161,6 +164,41 @@ func TestStackRejectsCorruptSnapshot(t *testing.T) {
 	var m Model
 	if err := m.UnmarshalBinary([]byte("not a gob stream")); err == nil {
 		t.Fatal("corrupt snapshot accepted")
+	}
+}
+
+// TestStackRejectsNonFiniteMeta: a restored meta weight that is NaN or
+// +Inf turns every posterior into NaN, and -Inf silently zeroes a class,
+// so the loader refuses each one and names where it sits.
+func TestStackRejectsNonFiniteMeta(t *testing.T) {
+	blob, err := trainSmall(t, Config{Seed: 7}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var snap modelSnapshot
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		snap.Meta[1][2] = v
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		var m Model
+		err := m.UnmarshalBinary(buf.Bytes())
+		if err == nil {
+			t.Fatalf("meta weight %v accepted", v)
+		}
+		// Column 2 of a 3-class nb+rf+svm stack is nb's third class.
+		for _, want := range []string{`class "class01"`, `column 2 (nb class02)`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("meta weight %v: error %q does not name %s", v, err, want)
+			}
+		}
+		if m.meta != nil {
+			t.Errorf("meta weight %v: refused snapshot left the model changed", v)
+		}
 	}
 }
 

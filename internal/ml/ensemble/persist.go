@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"repro/internal/ml/bayes"
 	"repro/internal/ml/eval"
@@ -55,7 +56,7 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 // (internal/ml/compile; the compiled form it yields is the one the
 // restored stack predicts through) and shares the stack's class
 // vocabulary and feature width, and the meta matrix is classes x
-// (bases*classes + 1). On error m is left untouched.
+// (bases*classes + 1) of finite weights. On error m is left untouched.
 func (m *Model) UnmarshalBinary(data []byte) error {
 	var snap modelSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
@@ -100,6 +101,20 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	}
 	if !shaped {
 		return fmt.Errorf("ensemble: meta matrix is not %d x %d (classes x bases*classes+1)", k, width)
+	}
+	// Training only ever writes finite weights. A NaN or +Inf one makes
+	// every posterior NaN; a -Inf one zeroes its class on every row.
+	for c, row := range snap.Meta {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				col := "bias"
+				if j < width-1 {
+					col = snap.Bases[j/k] + " " + snap.Classes[j%k]
+				}
+				return fmt.Errorf("ensemble: meta weight of class %q, column %d (%s), is %v, want finite",
+					snap.Classes[c], j, col, v)
+			}
+		}
 	}
 	*m = *restored
 	return nil

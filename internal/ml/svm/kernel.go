@@ -104,14 +104,35 @@ func newRowCache(n int, budgetBytes int, compute func(i int) []float64) *rowCach
 }
 
 // newKernelCache is the kernel matrix of the rows x: the diagonal up
-// front, row i -- K(x_i, x_t) for every t -- on demand.
+// front, row i -- K(x_i, x_t) for every t -- on demand. An RBF row is
+// filled from a flat copy of x by SqDistsInto, four squared distances in
+// flight, and then exp(-gamma*d2) per entry, which is RBF.Compute's
+// arithmetic bit for bit: each distance sums the same squares in the
+// same feature order, and (x_t-x_i)^2 is exactly (x_i-x_t)^2. (A NaN
+// result may carry the other operand's payload when both are NaN; it
+// is NaN either way.) Any other kernel fills a row by Compute per entry.
 func newKernelCache(x [][]float64, kernel Kernel, budgetBytes int) *rowCache {
-	c := newRowCache(len(x), budgetBytes, func(i int) []float64 {
-		row := make([]float64, len(x))
+	fill := func(i int, row []float64) {
 		xi := x[i]
 		for t, xt := range x {
 			row[t] = kernel.Compute(xi, xt)
 		}
+	}
+	if rbf, ok := kernel.(RBF); ok && len(x) > 0 {
+		flat := make([]float64, 0, len(x)*len(x[0]))
+		for _, xt := range x {
+			flat = append(flat, xt...)
+		}
+		fill = func(i int, row []float64) {
+			SqDistsInto(flat, x[i], row)
+			for t, d2 := range row {
+				row[t] = math.Exp(-rbf.Gamma * d2)
+			}
+		}
+	}
+	c := newRowCache(len(x), budgetBytes, func(i int) []float64 {
+		row := make([]float64, len(x))
+		fill(i, row)
 		return row
 	})
 	c.diag = make([]float64, len(x))
@@ -119,6 +140,46 @@ func newKernelCache(x [][]float64, kernel Kernel, budgetBytes int) *rowCache {
 		c.diag[i] = kernel.Compute(xi, xi)
 	}
 	return c
+}
+
+// SqDistsInto writes ||v_u - x||^2 for every row v_u of the row-major
+// matrix rows (len(out) rows of len(x) values) into out: the sum the RBF
+// kernel exponentiates, shared by the training kernel rows and the
+// compiled SVM. A float64 sum over features is a serial add chain, so
+// four rows run per trip: four independent chains for the FP ports to
+// overlap, each still summing its own features first to last with the
+// expression shape of RBF.Compute (acc += d*d). The trailing
+// len(out) % 4 rows run one at a time.
+func SqDistsInto(rows, x, out []float64) {
+	nf := len(x)
+	u, base := 0, 0
+	for ; u+4 <= len(out); u, base = u+4, base+4*nf {
+		s0 := rows[base : base+nf]
+		s1 := rows[base+nf : base+2*nf]
+		s2 := rows[base+2*nf : base+3*nf]
+		s3 := rows[base+3*nf : base+4*nf]
+		var a0, a1, a2, a3 float64
+		for i, xi := range x {
+			d0 := s0[i] - xi
+			a0 += d0 * d0
+			d1 := s1[i] - xi
+			a1 += d1 * d1
+			d2 := s2[i] - xi
+			a2 += d2 * d2
+			d3 := s3[i] - xi
+			a3 += d3 * d3
+		}
+		out[u], out[u+1], out[u+2], out[u+3] = a0, a1, a2, a3
+	}
+	for ; u < len(out); u, base = u+1, base+nf {
+		v := rows[base : base+nf]
+		var a float64
+		for i, xi := range x {
+			d := v[i] - xi
+			a += d * d
+		}
+		out[u] = a
+	}
 }
 
 // get returns row i of the kernel matrix, computing and caching on miss.

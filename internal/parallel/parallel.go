@@ -186,6 +186,17 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	})
 }
 
+// Blocks runs fn(lo, hi) over [0, n) cut into consecutive blocks of at
+// most size indices, each block one ForEach task: for loops whose
+// per-index work is too small to dispatch alone, or that want one
+// scratch per block. Errors and panics resolve as in ForEach.
+func Blocks(workers, n, size int, fn func(lo, hi int) error) error {
+	return ForEach(workers, (n+size-1)/size, func(b int) error {
+		lo := b * size
+		return fn(lo, min(lo+size, n))
+	})
+}
+
 // ForEachCtx is ForEach with cancellation: when ctx is cancelled no new
 // tasks are dispatched and, if no task itself failed, ctx.Err() is
 // returned. Tasks that want to stop mid-flight can poll the passed

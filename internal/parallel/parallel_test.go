@@ -76,6 +76,39 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestBlocks checks Blocks covers [0, n) exactly once in consecutive
+// blocks of at most size, ending mid-block or on a boundary, at any
+// worker count, and that an empty range runs nothing.
+func TestBlocks(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		for _, n := range []int{0, 1, 127, 128, 129, 300} {
+			seen := make([]int32, n)
+			var calls atomic.Int64
+			err := Blocks(w, n, 128, func(lo, hi int) error {
+				calls.Add(1)
+				if lo%128 != 0 || hi-lo < 1 || hi-lo > 128 || (hi-lo < 128 && hi != n) {
+					return fmt.Errorf("block [%d, %d)", lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", w, n, err)
+			}
+			if want := int64((n + 127) / 128); calls.Load() != want {
+				t.Fatalf("workers=%d n=%d: %d blocks, want %d", w, n, calls.Load(), want)
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", w, n, i, c)
+				}
+			}
+		}
+	}
+}
+
 // TestErrorPropagation checks the smallest-index error wins at any worker
 // count, even when a later task fails first in wall time.
 func TestErrorPropagation(t *testing.T) {
