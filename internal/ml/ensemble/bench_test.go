@@ -72,7 +72,7 @@ func servedShape() *dataset.Dataset {
 // scoring, the meta fit and the full-data base fits.
 func BenchmarkTrainStack(b *testing.B) {
 	d := servedShape()
-	var phases = map[string]float64{}
+	phases := map[string]float64{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := obs.NewSpan("bench")
