@@ -31,7 +31,8 @@ FUZZ_TARGETS = \
 	./internal/ml/svm:FuzzRBFRow \
 	./internal/ingest:FuzzIngestFrame \
 	./internal/lifecycle:FuzzLifecycleConfig \
-	./internal/server:FuzzBatchColumns
+	./internal/server:FuzzBatchColumns \
+	./internal/server:FuzzScanRow
 
 # Knobs for `make bench` (forwarded to go test): repeat each benchmark
 # BENCH_COUNT times for BENCH_TIME each, e.g.
@@ -139,8 +140,10 @@ bench:
 # through the scratch pool, and the governed-row pipeline's per-row
 # stage over a compiled RF view), and holds the stack, which returns a
 # caller-owned posterior, to that one allocation per row (two through
-# JobClassifier, which also copies the row to scale it). The columns
-# scanner and the ingest chunk codec are held to fixed budgets per call.
+# JobClassifier, which also copies the row to scale it). The JSON body
+# scanners -- a single row, the rows form and the columns form -- are
+# held to the body plus the rows they fill and their seen flags, and the
+# ingest chunk codec to a fixed budget per call.
 alloc-gate:
 	$(GO) test -count=1 -run 'TestAlloc' -v ./internal/ml/compile ./internal/ml/ensemble \
 		./internal/core ./internal/server ./internal/taccstats

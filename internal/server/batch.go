@@ -138,8 +138,8 @@ func columnsBatch(rows [][]float64, defaulted []string, threshold float64) batch
 // request: the classify pipeline's stages with the per-row stage fanned
 // across the worker pool. The model view is captured once, so every row
 // in a batch is classified by the same model generation even if a
-// hot-swap lands mid-request. A complete body goes to the columns
-// scanner first; every body it declines is decoded by decodeBatch.
+// hot-swap lands mid-request. A complete body goes to scanBatch first;
+// every body it declines is decoded by decodeBatch.
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	v := s.classify.view(w, r)
 	if v == nil {
@@ -149,7 +149,7 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	var b batch
 	ok := false
 	if err == nil {
-		b, ok = scanColumns(v, body)
+		b, ok = scanBatch(v, body)
 	}
 	if !ok {
 		if b, ok = s.decodeBatch(w, v, body, err); !ok {
@@ -161,8 +161,8 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 
 // decodeBatch materializes either form through encoding/json, so
 // validation errors reject the whole batch up front; ok false means the
-// refusal is already written. It is the only decoder of the bodies the
-// columns scanner declines, and the oracle the scanner is tested against.
+// refusal is already written. It is the only decoder of the bodies
+// scanBatch declines, and the oracle scanBatch is tested against.
 func (s *Server) decodeBatch(w http.ResponseWriter, v *core.ModelView, body []byte, readErr error) (b batch, ok bool) {
 	p := &s.classify
 	var req batchRequest

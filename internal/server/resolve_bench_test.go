@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -84,23 +85,66 @@ func BenchmarkFeatureResolution(b *testing.B) {
 // MB/s is over the body.
 func BenchmarkBatchColumnsDecode(b *testing.B) {
 	s, v := columnsView(b)
-	body := benchColumnsBody(v.Model.Features, 2048)
-	b.Run("scanner", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := scanColumns(v, body); !ok {
-				b.Fatal("scanner declined")
-			}
-		}
+	benchDecode(b, benchColumnsBody(v.Model.Features, 2048), func(body []byte) bool {
+		_, ok := scanBatch(v, body)
+		return ok
+	}, func(body []byte) bool {
+		_, ok := s.decodeBatch(httptest.NewRecorder(), v, body, nil)
+		return ok
 	})
-	b.Run("encoding-json", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := s.decodeBatch(httptest.NewRecorder(), v, body, nil); !ok {
-				b.Fatal("encoding/json refused")
-			}
-		}
+}
+
+// BenchmarkBatchRowsDecode is BenchmarkBatchColumnsDecode for the rows
+// form, at batch-rows-svm's 256 rows x 36 features.
+func BenchmarkBatchRowsDecode(b *testing.B) {
+	s, v := columnsView(b)
+	benchDecode(b, benchRowsBody(v.Model.Features, 256), func(body []byte) bool {
+		_, ok := scanBatch(v, body)
+		return ok
+	}, func(body []byte) bool {
+		_, ok := s.decodeBatch(httptest.NewRecorder(), v, body, nil)
+		return ok
 	})
+}
+
+// BenchmarkScanRow decodes a single-rf-shaped /api/classify body, all 36
+// features and a threshold, through scanRow and through decodeRow.
+func BenchmarkScanRow(b *testing.B) {
+	s, v := columnsView(b)
+	row := make(map[string]float64, len(v.Model.Features))
+	for j, name := range v.Model.Features {
+		row[name] = benchValue(0, j)
+	}
+	body, err := json.Marshal(map[string]any{"features": row, "threshold": 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDecode(b, body, func(body []byte) bool {
+		var req classifyRequest
+		_, _, ok := s.classify.scan(v, body, &req)
+		return ok
+	}, func(body []byte) bool {
+		var req classifyRequest
+		_, _, ok := s.classify.decodeRow(httptest.NewRecorder(), v, body, nil, &req)
+		return ok
+	})
+}
+
+// benchDecode runs a scanner and the encoding/json path it stands in for
+// over one body, as the sub-benchmarks "scanner" and "encoding-json".
+func benchDecode(b *testing.B, body []byte, scanner, stdlib func([]byte) bool) {
+	for _, sub := range []struct {
+		name   string
+		decode func([]byte) bool
+	}{{"scanner", scanner}, {"encoding-json", stdlib}} {
+		b.Run(sub.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !sub.decode(body) {
+					b.Fatalf("%s declined", sub.name)
+				}
+			}
+		})
+	}
 }
