@@ -288,11 +288,17 @@ func (c *JobClassifier) top(x []float64) (cls int, prob float64) {
 // NB or stack posterior comes out 0/0; a caller that has just seen a
 // non-finite probability asks here which inputs to blame.
 func (c *JobClassifier) OutOfRange(x []float64) []string {
+	return outOfRange(c.scaler, c.Features, x)
+}
+
+// outOfRange names the features of raw row x whose standardized value
+// has |z| > sqrt(MaxFloat64) or is no number at all.
+func outOfRange(scaler *stats.Scaler, features []string, x []float64) []string {
 	limit := math.Sqrt(math.MaxFloat64)
 	var names []string
-	for j, z := range c.scaler.Transform(append([]float64(nil), x...)) {
+	for j, z := range scaler.Transform(append([]float64(nil), x...)) {
 		if !(math.Abs(z) <= limit) {
-			names = append(names, c.Features[j])
+			names = append(names, features[j])
 		}
 	}
 	return names

@@ -113,6 +113,15 @@ func (m *DiscoveryModel) FeatureNames() []string { return m.Features }
 
 func (m *DiscoveryModel) Serving() (algo string, compiled bool) { return "pca+kmeans", false }
 
+// OutOfRange is JobClassifier.OutOfRange's rule for a discovery fit:
+// the features of raw row x whose standardized value float64 can no
+// longer square. Such a value overflows the projection or the distance
+// Assign reports; a caller that has just seen a non-finite one asks here
+// which inputs to blame.
+func (m *DiscoveryModel) OutOfRange(x []float64) []string {
+	return outOfRange(m.Scaler, m.Features, x)
+}
+
 // Assignment scores one job against a fitted discovery model.
 type Assignment struct {
 	Cluster          int       `json:"cluster"`

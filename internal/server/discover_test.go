@@ -243,6 +243,39 @@ func TestDiscoverAssignErrors(t *testing.T) {
 	}
 }
 
+// TestDiscoverAssignOutOfRange: a finite, JSON-legal feature value far
+// enough out overflows the standardized row, so the projection or the
+// distance Assign reports is ±Inf or NaN. That used to commit a 200 and
+// then fail to encode: an empty body. Assign now answers 400 naming the
+// feature, counted as a bad request, with no encode error.
+func TestDiscoverAssignOutOfRange(t *testing.T) {
+	srv, reg := discoverServer(t)
+	if code, body := postJSON(t, srv.URL+"/api/discover", map[string]any{"k": 3}); code != 200 {
+		t.Fatalf("refit: status %d (%s)", code, body)
+	}
+	var fit discoverGetReply
+	if code := getJSON(t, srv.URL+"/api/discover", &fit); code != 200 {
+		t.Fatalf("discover: status %d", code)
+	}
+	name := fit.Features[0]
+	for _, x := range []float64{1e160, 1e308, -1e308} {
+		code, body := postJSON(t, srv.URL+"/api/discover/assign", map[string]any{"features": map[string]float64{name: x}})
+		var reply struct{ Error string }
+		if err := json.Unmarshal(body, &reply); err != nil {
+			t.Fatalf("%s = %g: status %d with a body that is not JSON (%q): %v", name, x, code, body, err)
+		}
+		if want := "features out of range: [" + name + "]"; code != http.StatusBadRequest || reply.Error != want {
+			t.Errorf("%s = %g: status %d %q, want 400 %q", name, x, code, reply.Error, want)
+		}
+	}
+	if got := reg.Counter("discover_assign_outcomes_total", "outcome", "bad_request").Value(); got != 3 {
+		t.Errorf("bad_request outcomes = %d, want 3", got)
+	}
+	if got := reg.Counter("http_encode_errors_total").Value(); got != 0 {
+		t.Errorf("http_encode_errors_total = %d, want 0", got)
+	}
+}
+
 // TestDiscoverRefitWorkerParity is the serving-layer restart-parity
 // gate: the same refit request against servers fitting with 1 and 4
 // workers produces byte-identical /api/discover reports and byte-
