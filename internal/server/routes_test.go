@@ -144,7 +144,7 @@ func TestSinglePointsOfTruth(t *testing.T) {
 	}
 	for call, why := range map[string]string{
 		"s.mux.Handle":         "every mux pattern comes from the route table",
-		"http.MaxBytesReader(": "every request body goes through decodeBody",
+		"http.MaxBytesReader(": "every request body goes through readBody",
 	} {
 		if n := strings.Count(src.String(), call); n != 1 {
 			t.Errorf("%q appears %d times in package server, want 1: %s", call, n, why)
@@ -155,7 +155,7 @@ func TestSinglePointsOfTruth(t *testing.T) {
 // fullServer serves all three model families (category classifier,
 // runtime-class model, a refitted discovery model), so every POST route
 // gets past its no-model check.
-func fullServer(t *testing.T) (*httptest.Server, *obs.Registry) {
+func fullServer(t *testing.T) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 200))
 	if err != nil {
@@ -184,7 +184,7 @@ func fullServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	}
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
-	return srv, reg
+	return s, srv, reg
 }
 
 // TestPostBodyContract drives every POST route that reads a body through
@@ -192,7 +192,7 @@ func fullServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 // but whitespace after the JSON value is 400, and a bodyless POST is
 // accepted only where every field is optional (reload, refit).
 func TestPostBodyContract(t *testing.T) {
-	srv, reg := fullServer(t)
+	_, srv, reg := fullServer(t)
 	names := featureNames(t, srv.URL)
 	feat := fmt.Sprintf(`{"features":{"%s":1}}`, names[0])
 
