@@ -19,7 +19,6 @@ TESTKIT_PKGS = ./internal/testkit ./internal/ml/bayes ./internal/ml/forest \
 FUZZ_TARGETS = \
 	./internal/taccstats:FuzzDecode \
 	./internal/taccstats:FuzzChunkScan \
-	./internal/pcp:FuzzImport \
 	./internal/lariat:FuzzMatch \
 	./internal/warehouse:FuzzIngest \
 	./internal/dataset:FuzzReadCSV \

@@ -31,6 +31,9 @@ type DiscoveryConfig struct {
 }
 
 const (
+	// MaxDiscoveryRestarts caps DiscoveryConfig.Restarts (8× the
+	// default): each restart is one more k-means fit and result slot.
+	MaxDiscoveryRestarts = 64
 	// anomalyZ is the |center z-score| that flags a cluster anomalous.
 	anomalyZ = 2
 	// anomalyQuantile is the training-distance quantile beyond which
@@ -58,6 +61,26 @@ func (cfg DiscoveryConfig) withDefaults(p int) DiscoveryConfig {
 		cfg.TopFeatures = p
 	}
 	return cfg
+}
+
+// Validate is FitDiscovery's refusal rule, asked with only the size of
+// the population (rows jobs of features attributes): too few rows, k
+// above rows once defaults apply, or restarts above MaxDiscoveryRestarts.
+func (cfg DiscoveryConfig) Validate(rows, features int) error {
+	if features == 0 {
+		return errors.New("core: discovery needs a non-empty feature schema")
+	}
+	if rows < 2 {
+		return fmt.Errorf("core: discovery needs at least 2 rows, got %d", rows)
+	}
+	cfg = cfg.withDefaults(features)
+	if cfg.K > rows {
+		return fmt.Errorf("core: discovery k=%d exceeds %d rows", cfg.K, rows)
+	}
+	if cfg.Restarts > MaxDiscoveryRestarts {
+		return fmt.Errorf("core: discovery restarts=%d exceeds the cap of %d", cfg.Restarts, MaxDiscoveryRestarts)
+	}
+	return nil
 }
 
 // FeatureDeviation is one feature's standardized displacement of a
@@ -136,12 +159,9 @@ type Assignment struct {
 // fixed cfg.Seed at any cfg.Workers setting: k-means restarts own split
 // RNG streams keyed by restart index.
 func FitDiscovery(rows [][]float64, features []string, cfg DiscoveryConfig) (*DiscoveryModel, error) {
-	if len(features) == 0 {
-		return nil, errors.New("core: discovery needs a non-empty feature schema")
-	}
 	p := len(features)
-	if len(rows) < 2 {
-		return nil, fmt.Errorf("core: discovery needs at least 2 rows, got %d", len(rows))
+	if err := cfg.Validate(len(rows), p); err != nil {
+		return nil, err
 	}
 	for i, row := range rows {
 		if len(row) != p {
@@ -149,9 +169,6 @@ func FitDiscovery(rows [][]float64, features []string, cfg DiscoveryConfig) (*Di
 		}
 	}
 	cfg = cfg.withDefaults(p)
-	if cfg.K > len(rows) {
-		return nil, fmt.Errorf("core: discovery k=%d exceeds %d rows", cfg.K, len(rows))
-	}
 
 	// Standardize a copy so centers can be reported in original units.
 	std := make([][]float64, len(rows))

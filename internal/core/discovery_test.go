@@ -57,6 +57,32 @@ func TestFitDiscoveryErrors(t *testing.T) {
 	if _, err := FitDiscovery(rows[:4], feats, DiscoveryConfig{K: 9}); err == nil {
 		t.Error("k > rows not rejected")
 	}
+	if _, err := FitDiscovery(rows, feats, DiscoveryConfig{K: 2, Restarts: MaxDiscoveryRestarts}); err != nil {
+		t.Errorf("restarts at the cap: %v", err)
+	}
+
+	// Validate is FitDiscovery's refusal rule, asked with only the
+	// population's size: the same configs refuse with the same text.
+	for _, tc := range []struct {
+		name string
+		rows [][]float64
+		cfg  DiscoveryConfig
+	}{
+		{"single row", rows[:1], DiscoveryConfig{}},
+		{"k > rows", rows[:4], DiscoveryConfig{K: 9}},
+		{"default k > rows", rows[:4], DiscoveryConfig{}},
+		{"restarts over the cap", rows, DiscoveryConfig{K: 2, Restarts: MaxDiscoveryRestarts + 1}},
+	} {
+		verr := tc.cfg.Validate(len(tc.rows), len(feats))
+		_, ferr := FitDiscovery(tc.rows, feats, tc.cfg)
+		if verr == nil || ferr == nil || verr.Error() != ferr.Error() {
+			t.Errorf("%s: Validate %v, FitDiscovery %v; want the same refusal", tc.name, verr, ferr)
+		}
+	}
+	if err := (DiscoveryConfig{Restarts: MaxDiscoveryRestarts + 1}).Validate(20, 4); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprint(MaxDiscoveryRestarts)) {
+		t.Errorf("restarts refusal %v does not name the cap %d", err, MaxDiscoveryRestarts)
+	}
 }
 
 // TestFitDiscoveryWorkerParity: the fit must be bit-identical at any

@@ -75,7 +75,7 @@ type refitRequest struct {
 // current Uncategorized/NA population and atomically hot-swaps it in.
 // Refits are control-plane work like model reloads, so they share the
 // reload circuit breaker: repeated failures trip it and further
-// attempts answer 503 fast without touching the store.
+// attempts answer 503 fast without fitting; a refused request never counts.
 func (s *Server) handleDiscoverRefit(w http.ResponseWriter, r *http.Request) {
 	var req refitRequest
 	if s.decodeBody(w, r, maxClassifyBody, &req, true) != 0 {
@@ -106,17 +106,23 @@ func (s *Server) handleDiscoverRefit(w http.ResponseWriter, r *http.Request) {
 // RefitDiscovery fits PCA + k-means over the warehouse's current
 // unlabeled population and swaps the result in, through the shared
 // control-plane breaker and the discover.fit fault site. SIGHUP-driven
-// refits and the admin endpoint both route here. On failure the
+// refits and the admin endpoint both route here. A cfg the population
+// refuses (core.DiscoveryConfig.Validate) is refused before the guard,
+// so a client's typo never consumes a breaker failure. On failure the
 // still-serving generation is returned.
 func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (uint64, error) {
 	gen := s.discovery.Generation()
+	opt := core.DefaultFeatures()
+	names := core.FeatureNames(opt)
+	unlabeled := s.store.Records().Filter((*warehouse.Record).Unlabeled)
+	if err := cfg.Validate(len(unlabeled), len(names)); err != nil {
+		return gen, err
+	}
 	err := s.controlGuard(func() error {
 		if err := s.faults.Inject(FaultDiscoverFit); err != nil {
 			return err
 		}
-		opt := core.DefaultFeatures()
-		rows := core.FeaturizeAll(s.store.Records().Filter((*warehouse.Record).Unlabeled), opt)
-		m, err := core.FitDiscovery(rows, core.FeatureNames(opt), cfg)
+		m, err := core.FitDiscovery(core.FeaturizeAll(unlabeled, opt), names, cfg)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -192,9 +193,9 @@ func TestDiscoverLifecycle(t *testing.T) {
 }
 
 // TestDiscoverAssignErrors pins the 4xx contract and its outcome
-// counters: malformed bodies, empty and unknown features, oversized
-// payloads, and invalid refit parameters all answer 4xx -- never a panic,
-// never a 500.
+// counters: malformed bodies, empty and unknown features and oversized
+// payloads all answer 4xx -- never a panic, never a 500. Invalid refit
+// parameters are TestChaosDiscoverRefitRefusals.
 func TestDiscoverAssignErrors(t *testing.T) {
 	srv, reg := discoverServer(t)
 	if code, body := postJSON(t, srv.URL+"/api/discover", map[string]any{"k": 3}); code != 200 {
@@ -231,15 +232,6 @@ func TestDiscoverAssignErrors(t *testing.T) {
 	}
 	if got := reg.Counter("discover_assign_outcomes_total", "outcome", "oversized").Value(); got != 1 {
 		t.Errorf("oversized outcomes = %d, want 1", got)
-	}
-
-	// Refit parameter validation: negative knobs are a client error and
-	// must not consume a breaker failure.
-	if code, body := postJSON(t, srv.URL+"/api/discover", map[string]any{"k": -1}); code != 400 {
-		t.Errorf("negative k refit: status %d (%s)", code, body)
-	}
-	if got := reg.Gauge("model_breaker_state").Value(); got != 0 {
-		t.Errorf("breaker state %v after parameter 400, want closed", got)
 	}
 }
 
@@ -579,5 +571,46 @@ func TestChaosDiscoverRefitBreaker(t *testing.T) {
 	// The discovery manager never saw a swap attempt.
 	if got := reg.Gauge("discover_generation").Value(); got != 0 {
 		t.Errorf("discover_generation = %v after failed refits, want 0", got)
+	}
+}
+
+// TestChaosDiscoverRefitRefusals: a refit the request itself rules out
+// -- a negative knob, k above the unlabeled population, restarts above
+// core.MaxDiscoveryRestarts -- is a client error answered before the
+// control-plane guard and must not consume a breaker failure. More of
+// them than the default breaker threshold leave the breaker closed and
+// /readyz free of it, and the next valid refit is 200.
+func TestChaosDiscoverRefitRefusals(t *testing.T) {
+	srv, reg := discoverServer(t)
+	refit := func(req map[string]any) (int, string) {
+		t.Helper()
+		code, body := postJSON(t, srv.URL+"/api/discover", req)
+		return code, string(body)
+	}
+
+	if code, body := refit(map[string]any{"k": -1}); code != 400 {
+		t.Errorf("negative k refit: status %d (%s)", code, body)
+	}
+	over := map[string]any{"k": 4, "restarts": core.MaxDiscoveryRestarts + 1}
+	if code, body := refit(over); code != 400 || !strings.Contains(body, fmt.Sprintf("cap of %d", core.MaxDiscoveryRestarts)) {
+		t.Errorf("restarts over the cap: status %d (%s), want 400 naming the cap", code, body)
+	}
+	for i := 0; i < 5; i++ {
+		if code, body := refit(map[string]any{"k": 100000}); code != 400 || !strings.Contains(body, "exceeds 91 rows") {
+			t.Fatalf("over-population refit %d: status %d (%s), want 400 naming the 91 rows", i, code, body)
+		}
+	}
+
+	if got := reg.Gauge("model_breaker_state").Value(); got != 0 {
+		t.Errorf("breaker state %v after refused refits, want 0 (closed)", got)
+	}
+	if _, body := get(t, srv.URL+"/readyz"); strings.Contains(body, "breaker") {
+		t.Errorf("/readyz lists the breaker after refused refits: %s", body)
+	}
+	if code, body := refit(map[string]any{"k": 4, "restarts": core.MaxDiscoveryRestarts}); code != 200 {
+		t.Errorf("valid refit after refusals, restarts at the cap: status %d (%s), want 200", code, body)
+	}
+	if got := reg.Counter("model_breaker_rejections_total").Value(); got != 0 {
+		t.Errorf("breaker rejections = %d, want 0", got)
 	}
 }
