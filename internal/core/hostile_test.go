@@ -122,6 +122,12 @@ func hostileSnapshots(t testing.TB) (valid, hostile map[string][]byte) {
 		"svm NaN kernel gamma": corruptModel(t, valid["svm"], func(s *svm.Spec) {
 			s.Kernel.Gamma = math.NaN()
 		}),
+		"svm zero kernel gamma": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Kernel.Gamma = 0
+		}),
+		"svm negative kernel gamma": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Kernel.Gamma = -1
+		}),
 		"svm NaN coefficient": corruptModel(t, valid["svm"], func(s *svm.Spec) {
 			s.Pairs[0].Coef[0] = math.NaN()
 		}),
@@ -284,6 +290,18 @@ func TestHostileSnapshotsRefused(t *testing.T) {
 				t.Errorf("the champion's replies changed after refused reloads:\n before: %s\n after:  %s", before, after)
 			}
 		})
+	}
+}
+
+// TestRetiredKernelSnapshotsRefused: an SVM snapshot naming a kernel
+// other than rbf does not load, and the error names the kernel.
+func TestRetiredKernelSnapshotsRefused(t *testing.T) {
+	valid, _ := hostileSnapshots(t)
+	for _, name := range []string{"linear", "poly"} {
+		blob := corruptModel(t, valid["svm"], func(s *svm.Spec) { s.Kernel.Name = name })
+		if _, err := core.LoadJobClassifier(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("%s: LoadJobClassifier error %v, want one naming %q", name, err, name)
+		}
 	}
 }
 

@@ -54,8 +54,8 @@ func fuzzModel(t *testing.T, algo uint8, seed uint64) *fuzzPair {
 	case 2:
 		im, err = bayes.Train(d)
 	default:
-		// The first four shapes; kernel and calibration vary with the seed.
-		im, _ = tailModel(t, tailShapes[key[1]], tailKernels[key[1]%3], key[1]%2 == 0, fuzzFeatures)
+		// The first four shapes; calibration varies with the seed.
+		im, _ = tailModel(t, tailShapes[key[1]], key[1]%2 == 0, fuzzFeatures)
 	}
 	if err != nil {
 		t.Fatalf("train fuzz model (algo %d, seed %d): %v", key[0], key[1], err)

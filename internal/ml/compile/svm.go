@@ -7,17 +7,6 @@ import (
 	"repro/internal/ml/svm"
 )
 
-// kernelKind selects the inlined kernel evaluation. Only the three
-// kernels svm.KernelSpec names compile; any other is a CompileSVM error,
-// so such a model neither loads nor serves.
-type kernelKind uint8
-
-const (
-	kernelRBF kernelKind = iota
-	kernelLinear
-	kernelPoly
-)
-
 // svmPair is one compiled one-vs-one machine: a window into the shared
 // (id, coefficient) arrays plus the decision threshold and Platt
 // sigmoid.
@@ -39,23 +28,20 @@ type svmPair struct {
 // window in the original support-vector order.
 //
 // Scoring a row is two batches of float64 sums, one per unique vector
-// over the features and one per pair over its window, and each sum is a
-// chain of dependent adds that leaves the FP ports mostly idle when run
-// alone. Sums are independent of each other, so both batches advance
-// four at a time (svm.SqDistsInto / dotsInto, decisions). Overlap changes
-// when an add issues, never what it adds: each sum accumulates the
-// exact same float64 values in the exact same order as the interpreted
-// machine, with the same expression shapes (acc += d*d, s += c*kv), so
-// an architecture that fuses multiply-adds fuses both engines alike.
-// Bit parity holds while the kernel work drops by the duplication
-// factor and the chains overlap.
+// over the features (the RBF kernel's squared distance) and one per pair
+// over its window, and each sum is a chain of dependent adds that leaves
+// the FP ports mostly idle when run alone. Sums are independent of each
+// other, so both batches advance four at a time (svm.SqDistsInto,
+// decisions). Overlap changes when an add issues, never what it adds:
+// each sum accumulates the exact same float64 values in the exact same
+// order as the interpreted machine, with the same expression shapes
+// (acc += d*d, s += c*kv), so an architecture that fuses multiply-adds
+// fuses both engines alike. Bit parity holds while the kernel work drops
+// by the duplication factor and the chains overlap.
 type SVM struct {
 	classes  []string
 	features int
-	kind     kernelKind
 	gamma    float64
-	coef0    float64
-	degree   int
 	pairs    []svmPair
 	uniq     []float64 // [numUniq * features] row-major unique support vectors
 	numUniq  int
@@ -66,8 +52,9 @@ type SVM struct {
 
 // CompileSVM lowers an SVM spec, validating up front matrix shapes,
 // class indices and what keeps a posterior a number: at least one pair
-// machine, and finite kernel parameters, support-vector values,
-// coefficients, thresholds and (when calibrated) Platt parameters.
+// machine, an RBF kernel with a finite positive gamma, and finite
+// support-vector values, coefficients, thresholds and (when calibrated)
+// Platt parameters.
 func CompileSVM(spec *svm.Spec) (*SVM, error) {
 	k := len(spec.Classes)
 	if k == 0 {
@@ -79,20 +66,15 @@ func CompileSVM(spec *svm.Spec) (*SVM, error) {
 	if len(spec.Pairs) == 0 {
 		return nil, fmt.Errorf("compile: svm has no pair machines")
 	}
-	if !finite(spec.Kernel.Gamma) || !finite(spec.Kernel.Coef0) {
-		return nil, fmt.Errorf("compile: svm kernel has Gamma %v, Coef0 %v, want finite", spec.Kernel.Gamma, spec.Kernel.Coef0)
+	if spec.Kernel.Name != "rbf" {
+		return nil, fmt.Errorf("compile: svm kernel %q has no compiled form", spec.Kernel.Name)
 	}
-	m := &SVM{classes: spec.Classes, features: spec.Features}
-	switch kk := spec.Kernel; kk.Name {
-	case "rbf":
-		m.kind, m.gamma = kernelRBF, kk.Gamma
-	case "linear":
-		m.kind = kernelLinear
-	case "poly":
-		m.kind, m.gamma, m.coef0, m.degree = kernelPoly, kk.Gamma, kk.Coef0, kk.Degree
-	default:
-		return nil, fmt.Errorf("compile: svm kernel %q has no compiled form", kk.Name)
+	// gamma <= 0 turns exp(-gamma*d2) into a constant or an overflow:
+	// every row would get the same posterior.
+	if g := spec.Kernel.Gamma; !finite(g) || g <= 0 {
+		return nil, fmt.Errorf("compile: svm kernel has Gamma %v, want finite and positive", g)
 	}
+	m := &SVM{classes: spec.Classes, features: spec.Features, gamma: spec.Kernel.Gamma}
 
 	totalSV := 0
 	for pi, p := range spec.Pairs {
@@ -201,57 +183,15 @@ func (m *SVM) NewScratch() *Scratch {
 }
 
 // kernelInto evaluates K(sv, x) for every unique support vector into
-// kv. The kernel arithmetic matches the interpreted Kernel.Compute
+// kv. The kernel arithmetic matches the interpreted RBF.Compute
 // exactly (same expressions, same accumulation order over features);
 // evaluating each unique vector once instead of once per pair is pure
-// reuse of an identical float64. The feature sums land in kv first and
-// the kernel's closing transform runs over kv in place.
+// reuse of an identical float64. The squared distances land in kv first
+// and exp(-gamma*d2) runs over kv in place.
 func (m *SVM) kernelInto(x []float64, kv []float64) {
-	x = x[:m.features]
-	switch m.kind {
-	case kernelRBF:
-		svm.SqDistsInto(m.uniq, x, kv)
-		for u, d2 := range kv {
-			kv[u] = math.Exp(-m.gamma * d2)
-		}
-	case kernelLinear:
-		dotsInto(m.uniq, x, kv)
-	case kernelPoly:
-		dotsInto(m.uniq, x, kv)
-		degree := float64(m.degree)
-		for u, dot := range kv {
-			kv[u] = math.Pow(m.gamma*dot+m.coef0, degree)
-		}
-	}
-}
-
-// dotsInto writes sv_u . x for every row of uniq into out, the sum the
-// linear and polynomial kernels share, four rows per trip like
-// svm.SqDistsInto.
-func dotsInto(uniq, x, out []float64) {
-	nf := len(x)
-	u, base := 0, 0
-	for ; u+4 <= len(out); u, base = u+4, base+4*nf {
-		s0 := uniq[base : base+nf]
-		s1 := uniq[base+nf : base+2*nf]
-		s2 := uniq[base+2*nf : base+3*nf]
-		s3 := uniq[base+3*nf : base+4*nf]
-		var a0, a1, a2, a3 float64
-		for i, xi := range x {
-			a0 += s0[i] * xi
-			a1 += s1[i] * xi
-			a2 += s2[i] * xi
-			a3 += s3[i] * xi
-		}
-		out[u], out[u+1], out[u+2], out[u+3] = a0, a1, a2, a3
-	}
-	for ; u < len(out); u, base = u+1, base+nf {
-		sv := uniq[base : base+nf]
-		var a float64
-		for i, xi := range x {
-			a += sv[i] * xi
-		}
-		out[u] = a
+	svm.SqDistsInto(m.uniq, x[:m.features], kv)
+	for u, d2 := range kv {
+		kv[u] = math.Exp(-m.gamma * d2)
 	}
 }
 

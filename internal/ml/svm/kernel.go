@@ -1,16 +1,17 @@
 // Package svm implements a support vector machine classifier equivalent in
 // algorithm family to the R e1071 / LIBSVM stack the paper used: a binary
-// C-SVC solved by SMO with second-order working-set selection, RBF /
-// linear / polynomial kernels with an LRU row cache, one-vs-one multiclass
-// decomposition, per-pair Platt sigmoid probability calibration (on
-// cross-validated decision values), and Wu-Lin-Weng pairwise coupling for
-// multiclass posterior probabilities. An epsilon-SVR regressor shares the
+// C-SVC solved by SMO with second-order working-set selection, the RBF
+// kernel with an LRU row cache, one-vs-one multiclass decomposition,
+// per-pair Platt sigmoid probability calibration (on cross-validated
+// decision values), and Wu-Lin-Weng pairwise coupling for multiclass
+// posterior probabilities. An epsilon-SVR regressor shares the
 // SMO machinery for the application-kernel wall-time regression extension.
 package svm
 
 import "math"
 
-// Kernel computes inner products in feature space.
+// Kernel computes inner products in feature space. RBF is the one kernel
+// a model saves and compiles; tests substitute fakes through Kernel.
 type Kernel interface {
 	// Compute returns K(a, b).
 	Compute(a, b []float64) float64
@@ -34,40 +35,6 @@ func (k RBF) Compute(a, b []float64) float64 {
 
 // Name returns "rbf".
 func (k RBF) Name() string { return "rbf" }
-
-// Linear is the dot-product kernel.
-type Linear struct{}
-
-// Compute returns a . b.
-func (Linear) Compute(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Name returns "linear".
-func (Linear) Name() string { return "linear" }
-
-// Poly is the polynomial kernel (gamma*a.b + coef0)^degree.
-type Poly struct {
-	Gamma  float64
-	Coef0  float64
-	Degree int
-}
-
-// Compute returns (gamma*a.b + coef0)^degree.
-func (k Poly) Compute(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return math.Pow(k.Gamma*s+k.Coef0, float64(k.Degree))
-}
-
-// Name returns "poly".
-func (k Poly) Name() string { return "poly" }
 
 // rowCache caches kernel matrix rows for the SMO solver with LRU eviction
 // under a byte budget. It is not safe for concurrent use: one goroutine
@@ -110,7 +77,8 @@ func newRowCache(n int, budgetBytes int, compute func(i int) []float64) *rowCach
 // arithmetic bit for bit: each distance sums the same squares in the
 // same feature order, and (x_t-x_i)^2 is exactly (x_i-x_t)^2. (A NaN
 // result may carry the other operand's payload when both are NaN; it
-// is NaN either way.) Any other kernel fills a row by Compute per entry.
+// is NaN either way.) A test's fake kernel fills a row by Compute per
+// entry.
 func newKernelCache(x [][]float64, kernel Kernel, budgetBytes int) *rowCache {
 	fill := func(i int, row []float64) {
 		xi := x[i]

@@ -20,15 +20,14 @@ type Spec struct {
 	Pairs    []PairSpec
 }
 
-// KernelSpec describes a kernel by value. Only the three built-in
-// kernels have a description that restores ("rbf", "linear", "poly");
-// a model trained with any other Kernel predicts in process but neither
-// saves nor compiles.
+// KernelSpec describes a kernel by value. Only RBF has a description
+// that restores ("rbf"); a model trained with any other Kernel predicts
+// in process but neither saves nor compiles. Older snapshots, whose
+// KernelSpec also carried the polynomial kernel's parameters, still
+// decode: gob skips stream fields the struct lacks.
 type KernelSpec struct {
-	Name   string
-	Gamma  float64
-	Coef0  float64
-	Degree int
+	Name  string
+	Gamma float64
 }
 
 // PairSpec is one trained one-vs-one binary machine: support vectors,
@@ -44,32 +43,21 @@ type PairSpec struct {
 	HasAB bool
 }
 
-// describeKernel is the KernelSpec of a training-time Kernel. A kernel
-// from outside this package is named by its Go type, which kernel
-// cannot restore.
+// describeKernel is the KernelSpec of a training-time Kernel. Any kernel
+// but RBF is named by its Go type, which kernel cannot restore.
 func describeKernel(k Kernel) KernelSpec {
-	switch kk := k.(type) {
-	case RBF:
-		return KernelSpec{Name: "rbf", Gamma: kk.Gamma}
-	case Linear:
-		return KernelSpec{Name: "linear"}
-	case Poly:
-		return KernelSpec{Name: "poly", Gamma: kk.Gamma, Coef0: kk.Coef0, Degree: kk.Degree}
+	if rbf, ok := k.(RBF); ok {
+		return KernelSpec{Name: "rbf", Gamma: rbf.Gamma}
 	}
 	return KernelSpec{Name: fmt.Sprintf("%T", k)}
 }
 
 // kernel restores the Kernel a description names.
 func (s KernelSpec) kernel() (Kernel, error) {
-	switch s.Name {
-	case "rbf":
-		return RBF{Gamma: s.Gamma}, nil
-	case "linear":
-		return Linear{}, nil
-	case "poly":
-		return Poly{Gamma: s.Gamma, Coef0: s.Coef0, Degree: s.Degree}, nil
+	if s.Name != "rbf" {
+		return nil, fmt.Errorf("svm: kernel %q is not rbf, the one kernel a model restores", s.Name)
 	}
-	return nil, fmt.Errorf("svm: kernel %q is not one of rbf, linear, poly", s.Name)
+	return RBF{Gamma: s.Gamma}, nil
 }
 
 // Spec returns the trained structure for the compile step.

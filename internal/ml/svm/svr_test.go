@@ -42,7 +42,7 @@ func TestSVRLinearFunction(t *testing.T) {
 		x[i] = []float64{a, b}
 		z[i] = 3*a - 2*b + 1
 	}
-	m, err := TrainRegressor(x, z, RegressorConfig{Kernel: Linear{}, C: 100, Epsilon: 0.01})
+	m, err := TrainRegressor(x, z, RegressorConfig{Kernel: linear{}, C: 100, Epsilon: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
