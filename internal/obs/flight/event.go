@@ -18,6 +18,8 @@ package flight
 
 import (
 	"context"
+	"encoding/json"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -54,6 +56,10 @@ type Event struct {
 	HandlerNS  int64 `json:"handlerNS"`  // DurationNS minus QueueNS
 	RowNS      int64 `json:"rowNS"`      // summed per-row inference time
 	Rows       int64 `json:"rows"`       // classified rows (1 for single)
+	// Stages splits the handler's own time across the row pipeline's
+	// stages; what HandlerNS holds beyond their sum is the middleware,
+	// the model-view capture and whatever a refusal cut short.
+	Stages Stages `json:"stages"`
 
 	ModelGeneration uint64 `json:"modelGeneration,omitempty"`
 	Compiled        bool   `json:"compiled,omitempty"`
@@ -80,6 +86,59 @@ type Event struct {
 // out: every non-2xx disposition and every panic is evidence.
 func (e *Event) isError() bool {
 	return e.Panicked || e.Status >= 400
+}
+
+// The stages a served row request passes through, in order; each
+// indexes Stages.
+const (
+	StageRead   = iota // read the capped request body
+	StageDecode        // scan it, or decode, validate and resolve feature names
+	StageScore         // the model calls: one row, or a batch fan-out's wall time
+	StageEncode        // build and write the reply
+	NumStages
+)
+
+// stageNames are the JSON keys of Stages, indexed like it.
+var stageNames = [NumStages]string{"read", "decode", "score", "encode"}
+
+// Stages is one request's handler time per stage in nanoseconds,
+// indexed by the Stage constants: a fixed array, so stamping a stage
+// allocates nothing. It encodes as an object keyed by stage name.
+type Stages [NumStages]int64
+
+// Sum is the handler time the stages account for.
+func (s Stages) Sum() int64 {
+	var t int64
+	for _, ns := range s {
+		t += ns
+	}
+	return t
+}
+
+// MarshalJSON writes {"read":ns,"decode":ns,"score":ns,"encode":ns}.
+func (s Stages) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for i, ns := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, stageNames[i])
+		b = append(b, ':')
+		b = strconv.AppendInt(b, ns, 10)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads what MarshalJSON writes; unknown keys are ignored.
+func (s *Stages) UnmarshalJSON(b []byte) error {
+	var byName map[string]int64
+	if err := json.Unmarshal(b, &byName); err != nil {
+		return err
+	}
+	for i, name := range stageNames {
+		s[i] = byName[name]
+	}
+	return nil
 }
 
 // Active is the under-construction event for an in-flight request. The
@@ -112,6 +171,19 @@ func (a *Active) Timer() *parallel.Timer {
 		return nil
 	}
 	return &a.RowTimer
+}
+
+// Lap adds the time since start to stage and returns now, so a handler
+// stamps consecutive stages with one clock read per boundary. Stages
+// are stamped by the handler goroutine alone (a batch fan-out counts as
+// one score stage, timed around the join), so no atomics are needed.
+// On a nil event it only reads the clock.
+func (a *Active) Lap(stage int, start time.Time) time.Time {
+	now := time.Now()
+	if a != nil {
+		a.Stages[stage] += int64(now.Sub(start))
+	}
+	return now
 }
 
 // SetModel annotates the event with the serving model's identity.

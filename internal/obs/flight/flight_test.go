@@ -570,3 +570,56 @@ func TestOpsHandlers(t *testing.T) {
 		}
 	}
 }
+
+// TestStagesLapQueryAndJSON: Lap stamps the time since its start onto
+// one stage and hands back the boundary for the next, a nil event still
+// reads the clock, the id filter finds the one request, and the stages
+// survive the JSON /debug/requests writes, keyed by stage name.
+func TestStagesLapQueryAndJSON(t *testing.T) {
+	var none *Active
+	if got := none.Lap(StageRead, time.Time{}); got.IsZero() {
+		t.Error("Lap on a nil event returned the zero time")
+	}
+
+	a := NewActive("req-7", "POST", "/api/classify/batch", time.Unix(1000, 0))
+	t0 := time.Now().Add(-4 * time.Millisecond)
+	t1 := a.Lap(StageRead, t0)
+	t2 := a.Lap(StageDecode, t1)
+	a.Lap(StageScore, t2.Add(-2*time.Millisecond))
+	if a.Stages[StageRead] < int64(4*time.Millisecond) || a.Stages[StageScore] < int64(2*time.Millisecond) {
+		t.Errorf("stages %v: read < 4ms or score < 2ms", a.Stages)
+	}
+	if a.Stages[StageEncode] != 0 {
+		t.Errorf("unstamped encode stage is %d", a.Stages[StageEncode])
+	}
+	if a.Stages.Sum() != a.Stages[0]+a.Stages[1]+a.Stages[2]+a.Stages[3] {
+		t.Errorf("Sum %d disagrees with the stages %v", a.Stages.Sum(), a.Stages)
+	}
+	a.Finalize(200, 10*time.Millisecond)
+
+	rec := NewRecorder(Config{Capacity: 8})
+	rec.Record(a)
+	record(rec, "/api/classify/batch", 200, time.Millisecond)
+	if _, m := rec.Query(Filter{ID: "req-8", Limit: -1}); m != 0 {
+		t.Errorf("id req-8 matched %d, want 0", m)
+	}
+	events, m := rec.Query(Filter{ID: "req-7", Limit: -1})
+	if m != 1 || events[0].Stages != a.Stages {
+		t.Fatalf("id req-7 matched %d (%v), want the one event with stages %v", m, events, a.Stages)
+	}
+
+	blob, err := json.Marshal(events[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"stages":{"read":`) {
+		t.Errorf("event JSON %s does not key stages by name", blob)
+	}
+	var back Event
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Stages != a.Stages {
+		t.Errorf("stages round-tripped to %v, want %v", back.Stages, a.Stages)
+	}
+}

@@ -58,6 +58,8 @@ const debugRequestsDefaultLimit = 100
 
 // Requests queries the flight recorder's ring. Filters:
 //
+//	id=abc123           exact X-Request-Id: one request's wide event,
+//	                    stage timings included
 //	status=504          exact response code
 //	route=/api/classify path-label prefix
 //	outcome=shed        derived disposition
@@ -70,7 +72,7 @@ const debugRequestsDefaultLimit = 100
 // one call answers both "show me the 504s" and "is the ledger balanced".
 func (o Ops) Requests(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	f := Filter{Route: q.Get("route"), Outcome: q.Get("outcome"), Limit: debugRequestsDefaultLimit}
+	f := Filter{ID: q.Get("id"), Route: q.Get("route"), Outcome: q.Get("outcome"), Limit: debugRequestsDefaultLimit}
 	if v := q.Get("status"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {

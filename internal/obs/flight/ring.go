@@ -295,6 +295,8 @@ func (r *Recorder) Stats() Stats {
 
 // Filter selects events from the ring. Zero fields match everything.
 type Filter struct {
+	// ID matches the exact request ID ("" = any).
+	ID string
 	// Status matches the exact response code (0 = any).
 	Status int
 	// Route is a path-label prefix ("" = any); "/api/classify" matches
@@ -312,6 +314,9 @@ type Filter struct {
 }
 
 func (f *Filter) match(ev *Event) bool {
+	if f.ID != "" && ev.ID != f.ID {
+		return false
+	}
 	if f.Status != 0 && ev.Status != f.Status {
 		return false
 	}

@@ -281,6 +281,66 @@ func TestRequestIDEchoedOnEveryDisposition(t *testing.T) {
 	}
 }
 
+// TestStageTimersReconcile: every stage of a served request is stamped
+// and together they account for no more than the handler's time. A
+// single row's score stage is exactly its RowNS; a batch's score stage
+// is the fan-out's wall time, so the row time summed over its workers
+// fits in workers x that wall time.
+func TestStageTimersReconcile(t *testing.T) {
+	a := chaosFixture(t)
+	rec := flight.NewRecorder(flight.DefaultConfig())
+	const workers = 2
+	c := newChaosServer(t, a, WithFlightRecorder(rec), WithBatchWorkers(workers))
+	cases := []struct {
+		id, path string
+		body     []byte
+		rows     int64
+	}{
+		{"stages-single", "/api/classify", a.singleBody(0), 1},
+		{"stages-batch", "/api/classify/batch", a.batchBody(0, 9), 9},
+	}
+	for _, tc := range cases {
+		req, err := http.NewRequest("POST", c.srv.URL+tc.path, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-ID", tc.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readAll(t, resp); resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", tc.path, resp.StatusCode, body)
+		}
+	}
+	waitForClassifyObserved(t, rec, uint64(len(cases)))
+	for _, tc := range cases {
+		events, matched := debugEvents(t, c.srv.URL, "id="+tc.id)
+		if matched != 1 || len(events) != 1 {
+			t.Fatalf("id=%s matched %d events, want 1", tc.id, matched)
+		}
+		ev := events[0]
+		for stage, ns := range ev.Stages {
+			if ns <= 0 {
+				t.Errorf("%s: stage %d is %d ns, want it stamped", tc.id, stage, ns)
+			}
+		}
+		if sum := ev.Stages.Sum(); sum > ev.HandlerNS {
+			t.Errorf("%s: stages sum to %d ns, more than the handler's %d", tc.id, sum, ev.HandlerNS)
+		}
+		if ev.Rows != tc.rows {
+			t.Errorf("%s: %d rows, want %d", tc.id, ev.Rows, tc.rows)
+		}
+		score := ev.Stages[flight.StageScore]
+		if tc.rows == 1 && score != ev.RowNS {
+			t.Errorf("%s: score stage %d ns, RowNS %d: one row's score stage is its row time", tc.id, score, ev.RowNS)
+		}
+		if ev.RowNS > workers*score {
+			t.Errorf("%s: RowNS %d exceeds %d workers x the %d ns fan-out", tc.id, ev.RowNS, workers, score)
+		}
+	}
+}
+
 // TestFlightStormReconciliation is the in-process storm gate: a burst of
 // concurrent classify traffic against a tiny admission envelope, then a
 // three-way exact join of (client-observed statuses) x (recorder ByRoute
