@@ -70,6 +70,9 @@ type JobClassifier struct {
 	// meta-learner that keeps its own compiled bases and scratch pool.
 	compiled compile.Model
 	scratch  sync.Pool // of *classifyScratch
+	// blocks serves ClassifyRows on a compiled SVM, which scores rows a
+	// block at a time; it has no New on every other family.
+	blocks sync.Pool // of *blockScratch
 }
 
 // classifyScratch carries the per-request buffers of the compiled
@@ -78,6 +81,13 @@ type JobClassifier struct {
 type classifyScratch struct {
 	row []float64
 	cs  *compile.Scratch
+}
+
+// blockScratch is classifyScratch for a block of rows: the scaled rows
+// plus the compiled SVM's block working memory.
+type blockScratch struct {
+	rows [compile.BlockRows][]float64
+	bs   *compile.BlockScratch
 }
 
 // TrainJobClassifier standardizes a copy of the training features and fits
@@ -159,6 +169,16 @@ func newJobClassifier(algo Algorithm, features []string, scaler *stats.Scaler, m
 	c.scratch.New = func() any {
 		return &classifyScratch{row: make([]float64, p), cs: cm.NewScratch()}
 	}
+	if sv, ok := cm.(*compile.SVM); ok {
+		c.blocks.New = func() any {
+			b := &blockScratch{bs: sv.NewBlockScratch()}
+			flat := make([]float64, compile.BlockRows*p)
+			for r := range b.rows {
+				b.rows[r] = flat[r*p : (r+1)*p]
+			}
+			return b
+		}
+	}
 	return c, nil
 }
 
@@ -181,9 +201,7 @@ func (c *JobClassifier) Serving() (algo string, compiled bool) {
 // row. The stack gets nil and serves through its own model, whose bases
 // are compiled inside internal/ml/ensemble.
 func (c *JobClassifier) compiledScratch(x []float64) *classifyScratch {
-	if len(x) != len(c.Features) {
-		panic(fmt.Sprintf("core: row has %d values, model expects %d", len(x), len(c.Features)))
-	}
+	c.checkWidth(x)
 	if c.compiled == nil {
 		return nil
 	}
@@ -191,6 +209,14 @@ func (c *JobClassifier) compiledScratch(x []float64) *classifyScratch {
 	copy(s.row, x)
 	c.scaler.Transform(s.row)
 	return s
+}
+
+// checkWidth panics, naming both widths, on a row that is not
+// schema-wide.
+func (c *JobClassifier) checkWidth(x []float64) {
+	if len(x) != len(c.Features) {
+		panic(fmt.Sprintf("core: row has %d values, model expects %d", len(x), len(c.Features)))
+	}
 }
 
 func indexRange(n int) []int {
@@ -266,6 +292,45 @@ func (c *JobClassifier) PredictInterpreted(x []float64) int {
 func (c *JobClassifier) Classify(x []float64, threshold float64) (label string, prob float64, ok bool) {
 	cls, prob := c.top(x)
 	return c.model.Classes()[cls], prob, prob >= threshold
+}
+
+// Verdict is one row's Classify answer.
+type Verdict struct {
+	Label string
+	Prob  float64
+	OK    bool // Prob >= the threshold
+}
+
+// ClassifyRows is Classify over every row, into out[:len(rows)]: the
+// batch door. A compiled SVM scales compile.BlockRows rows at a time
+// into a pooled block and scores each block in one pass over its
+// support vectors, and the remainder row by row; every other family
+// scores row by row. Each verdict is bit-identical to Classify on its
+// row alone, and on the compiled families the call is allocation-free.
+func (c *JobClassifier) ClassifyRows(rows [][]float64, threshold float64, out []Verdict) {
+	classes := c.model.Classes()
+	verdict := func(cls int, prob float64) Verdict {
+		return Verdict{Label: classes[cls], Prob: prob, OK: prob >= threshold}
+	}
+	i := 0
+	if sv, ok := c.compiled.(*compile.SVM); ok && len(rows) >= compile.BlockRows {
+		b := c.blocks.Get().(*blockScratch)
+		for ; i+compile.BlockRows <= len(rows); i += compile.BlockRows {
+			for r, row := range b.rows {
+				c.checkWidth(rows[i+r])
+				copy(row, rows[i+r])
+				c.scaler.Transform(row)
+			}
+			cls, probs := sv.PredictProbBlock(b.rows[:], b.bs)
+			for r, k := range cls {
+				out[i+r] = verdict(k, probs[r][k])
+			}
+		}
+		c.blocks.Put(b)
+	}
+	for ; i < len(rows); i++ {
+		out[i] = verdict(c.top(rows[i]))
+	}
 }
 
 // top returns the winning class and its probability. On the compiled

@@ -94,6 +94,9 @@ func TestWrongWidthRowPanicsByName(t *testing.T) {
 				"Predict":     func() { c.Predict(row) },
 				"PredictProb": func() { c.PredictProb(row) },
 				"Classify":    func() { c.Classify(row, 0.5) },
+				"ClassifyRows": func() {
+					c.ClassifyRows([][]float64{rows[1], rows[2], rows[3], row}, 0.5, make([]Verdict, 4))
+				},
 			} {
 				func() {
 					defer func() {
@@ -132,6 +135,35 @@ func TestAllocStackClassify(t *testing.T) {
 		_, _, _ = stack.Classify(row, 0.5)
 	}); avg > 2 {
 		t.Errorf("stack Classify allocates %.2f per row, want <= 2", avg)
+	}
+}
+
+// TestClassifyRowsMatchesClassify: the batch door answers every row
+// exactly as Classify does on that row alone, for every family and at
+// batch sizes that leave each remainder of the SVM's row block.
+func TestClassifyRowsMatchesClassify(t *testing.T) {
+	models, rows := trainCompiledTrio(t)
+	stack, err := TrainJobClassifier(
+		testkit.SynthClassification(testkit.SynthConfig{Seed: 91, Classes: 3, Features: 5, RowsPerCls: 20}),
+		ClassifierConfig{Algo: AlgoStack, Forest: forest.Config{Trees: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models[AlgoStack] = stack
+	for algo, c := range models {
+		for _, n := range []int{0, 1, 3, 4, 5, 8, 9, len(rows)} {
+			for _, thr := range []float64{0, 0.5, 0.9} {
+				out := make([]Verdict, n)
+				c.ClassifyRows(rows[:n], thr, out)
+				for i, got := range out {
+					label, prob, ok := c.Classify(rows[i], thr)
+					if got.Label != label || got.OK != ok || math.Float64bits(got.Prob) != math.Float64bits(prob) {
+						t.Fatalf("%s, %d rows, thr %g, row %d: ClassifyRows %+v, Classify (%q, %g, %v)",
+							algo, n, thr, i, got, label, prob, ok)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -176,8 +208,9 @@ func TestManagerSwapPublishesCompiledView(t *testing.T) {
 }
 
 // TestAllocCompiledClassify gates the serving hot path at the
-// JobClassifier layer: Classify (scratch pool + compiled engine) must
-// not allocate per call for any model family.
+// JobClassifier layer: Classify and ClassifyRows (scratch pools +
+// compiled engine, the SVM's row block included) must not allocate per
+// call for any model family.
 func TestAllocCompiledClassify(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-detector allocations; the alloc gate runs without -race")
@@ -196,6 +229,12 @@ func TestAllocCompiledClassify(t *testing.T) {
 			}
 		}); avg != 0 {
 			t.Errorf("%s: batch Classify allocates %.2f per run, want 0", algo, avg)
+		}
+		out := make([]Verdict, len(rows))
+		if avg := testing.AllocsPerRun(50, func() {
+			c.ClassifyRows(rows, 0.5, out)
+		}); avg != 0 {
+			t.Errorf("%s: ClassifyRows allocates %.2f per run, want 0", algo, avg)
 		}
 		// Scoring reads one probability per row out of the scratch: the
 		// only allocation is the prediction slice it returns.

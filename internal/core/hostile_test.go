@@ -143,6 +143,16 @@ func hostileSnapshots(t testing.TB) (valid, hostile map[string][]byte) {
 		"svm no pairs": corruptModel(t, valid["svm"], func(s *svm.Spec) {
 			s.Pairs = nil
 		}),
+		"svm self pair": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			s.Pairs[0].J = s.Pairs[0].I
+		}),
+		// A second machine for classes 0 and 1, listed last: whichever
+		// copy writes the coupling cell last would decide the posterior.
+		"svm duplicate pair": corruptModel(t, valid["svm"], func(s *svm.Spec) {
+			dup := s.Pairs[0]
+			dup.I, dup.J = dup.J, dup.I
+			s.Pairs = append(s.Pairs, dup)
+		}),
 		"nb NaN mean": corruptModel(t, valid["nb"], func(s *bayes.Spec) {
 			s.Means[1][0] = math.NaN()
 		}),

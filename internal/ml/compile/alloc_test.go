@@ -68,7 +68,8 @@ func assertZeroAllocs(t *testing.T, name string, fn func()) {
 
 // TestAllocCompiledPredict gates the tentpole invariant: every compiled
 // model family classifies a row — label and posterior — with zero heap
-// allocations, both for a single row and across a batch of rows.
+// allocations, both for a single row and across a batch of rows, and so
+// does the SVM's row block.
 func TestAllocCompiledPredict(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-detector allocations; the alloc gate runs without -race")
@@ -94,4 +95,14 @@ func TestAllocCompiledPredict(t *testing.T) {
 			}
 		})
 	}
+	sv := models["svm"].(*compile.SVM)
+	bs := sv.NewBlockScratch()
+	assertZeroAllocs(t, "svm/PredictProbBlock/single", func() {
+		_, _ = sv.PredictProbBlock(rows[:compile.BlockRows], bs)
+	})
+	assertZeroAllocs(t, "svm/PredictProbBlock/batch", func() {
+		for i := 0; i+compile.BlockRows <= len(rows); i += compile.BlockRows {
+			_, _ = sv.PredictProbBlock(rows[i:i+compile.BlockRows], bs)
+		}
+	})
 }

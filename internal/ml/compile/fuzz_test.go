@@ -72,8 +72,9 @@ func fuzzModel(t *testing.T, algo uint8, seed uint64) *fuzzPair {
 // FuzzCompileParity drives arbitrary feature rows — including NaN, the
 // infinities, subnormals, and wild magnitudes — through both the
 // interpreted model and its compiled form and requires bit-identical
-// labels and posteriors. Any divergence means the lowering changed an
-// operation or its order.
+// labels and posteriors; an SVM's row block is held to the compiled
+// row. Any divergence means the lowering changed an operation or its
+// order.
 func FuzzCompileParity(f *testing.F) {
 	f.Add(uint8(0), uint64(0), 1.0, 2.0, 3.0, 4.0)
 	f.Add(uint8(1), uint64(1), -1.5, 0.0, 2.5, 1e9)
@@ -104,6 +105,11 @@ func FuzzCompileParity(f *testing.F) {
 					i, row, gotProbs[i], math.Float64bits(gotProbs[i]),
 					wantProbs[i], math.Float64bits(wantProbs[i]))
 			}
+		}
+		// An SVM also scores the row in a block, beside rearrangements
+		// of its values, each row held to PredictProb alone.
+		if m, ok := p.cm.(*compile.SVM); ok {
+			assertBlockParity(t, m, [][]float64{row, {d, c, b, a}, {a, a, b, b}, {c, d, a, b}, {b, d, a, c}})
 		}
 	})
 }

@@ -240,6 +240,16 @@ func TestCompileSVMRejectsMalformed(t *testing.T) {
 		"ragged sv": {Classes: []string{"a", "b"}, Features: 2, Kernel: kernel,
 			Pairs: []svm.PairSpec{{I: 0, J: 1, SV: [][]float64{{1}}, Coef: []float64{1}}}},
 		"no pairs": {Classes: []string{"a", "b"}, Features: 2, Kernel: kernel},
+		"self pair": {Classes: []string{"a", "b"}, Features: 2, Kernel: kernel,
+			Pairs: []svm.PairSpec{{I: 1, J: 1, SV: [][]float64{{1, 2}}, Coef: []float64{1}}}},
+		// The longer copy last: sorting pairs by length would hand it the
+		// coupling cell the shorter copy wins today.
+		"repeated pair": {Classes: []string{"a", "b", "c"}, Features: 2, Kernel: kernel,
+			Pairs: []svm.PairSpec{
+				{I: 0, J: 1, SV: [][]float64{{1, 2}}, Coef: []float64{1}},
+				{I: 0, J: 2, SV: [][]float64{{1, 2}}, Coef: []float64{1}},
+				{I: 1, J: 0, SV: [][]float64{{1, 2}, {3, 4}}, Coef: []float64{1, -1}},
+			}},
 	}
 	for name, spec := range cases {
 		if _, err := compile.CompileSVM(spec); err == nil {

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/ml/svm"
 )
@@ -25,16 +26,21 @@ type svmPair struct {
 // in one-vs-one, where each row can appear in k-1 machines) has its
 // kernel value computed once per classified row and reused by every
 // pair that references it. Each pair keeps its own (id, coefficient)
-// window in the original support-vector order.
+// window in the original support-vector order; the pairs themselves are
+// stored longest window first (a stable sort), which no posterior can
+// see, because votes and the coupling matrix are indexed by class.
 //
 // Scoring a row is two batches of float64 sums, one per unique vector
 // over the features (the RBF kernel's squared distance) and one per pair
 // over its window, and each sum is a chain of dependent adds that leaves
 // the FP ports mostly idle when run alone. Sums are independent of each
 // other, so both batches advance four at a time (svm.SqDistsInto,
-// decisions). Overlap changes when an add issues, never what it adds:
-// each sum accumulates the exact same float64 values in the exact same
-// order as the interpreted machine, with the same expression shapes
+// decisions); sorted by length, the four pairs in a group share most of
+// their windows. PredictProbBlock overlaps the same sums across a block
+// of rows instead: each support vector and each pair window is read once
+// for BlockRows rows. Overlap changes when an add issues, never what it
+// adds: each sum accumulates the exact same float64 values in the exact
+// same order as the interpreted machine, with the same expression shapes
 // (acc += d*d, s += c*kv), so an architecture that fuses multiply-adds
 // fuses both engines alike. Bit parity holds while the kernel work drops
 // by the duplication factor and the chains overlap.
@@ -51,10 +57,12 @@ type SVM struct {
 }
 
 // CompileSVM lowers an SVM spec, validating up front matrix shapes,
-// class indices and what keeps a posterior a number: at least one pair
-// machine, an RBF kernel with a finite positive gamma, and finite
-// support-vector values, coefficients, thresholds and (when calibrated)
-// Platt parameters.
+// class indices, that each pair separates two distinct classes no other
+// pair separates (a repeated pair would make the coupling matrix
+// depend on which copy writes last), and what keeps a posterior a
+// number: at least one pair machine, an RBF kernel with a finite
+// positive gamma, and finite support-vector values, coefficients,
+// thresholds and (when calibrated) Platt parameters.
 func CompileSVM(spec *svm.Spec) (*SVM, error) {
 	k := len(spec.Classes)
 	if k == 0 {
@@ -77,10 +85,19 @@ func CompileSVM(spec *svm.Spec) (*SVM, error) {
 	m := &SVM{classes: spec.Classes, features: spec.Features, gamma: spec.Kernel.Gamma}
 
 	totalSV := 0
+	pairAt := make(map[[2]int]int, len(spec.Pairs))
 	for pi, p := range spec.Pairs {
 		if p.I < 0 || p.I >= k || p.J < 0 || p.J >= k {
 			return nil, fmt.Errorf("compile: pair %d classes (%d, %d) outside vocabulary of %d", pi, p.I, p.J, k)
 		}
+		if p.I == p.J {
+			return nil, fmt.Errorf("compile: pair %d sets class %d against itself", pi, p.I)
+		}
+		key := [2]int{min(p.I, p.J), max(p.I, p.J)}
+		if first, dup := pairAt[key]; dup {
+			return nil, fmt.Errorf("compile: pairs %d and %d both separate classes %d and %d", first, pi, key[0], key[1])
+		}
+		pairAt[key] = pi
 		if len(p.SV) != len(p.Coef) {
 			return nil, fmt.Errorf("compile: pair %d has %d support vectors but %d coefficients", pi, len(p.SV), len(p.Coef))
 		}
@@ -116,7 +133,15 @@ func CompileSVM(spec *svm.Spec) (*SVM, error) {
 	uid := make(map[string]int32)
 	key := make([]byte, 0, spec.Features*8)
 	off := 0
-	for _, p := range spec.Pairs {
+	order := make([]int, len(spec.Pairs))
+	for pi := range order {
+		order[pi] = pi
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return len(spec.Pairs[order[a]].SV) > len(spec.Pairs[order[b]].SV)
+	})
+	for _, pi := range order {
+		p := &spec.Pairs[pi]
 		for _, sv := range p.SV {
 			key = key[:0]
 			for _, v := range sv {
@@ -281,4 +306,129 @@ func (m *SVM) PredictProb(row []float64, s *Scratch) (int, []float64) {
 		sub[p.aj*ka+p.ai] = 1 - pr
 	}
 	return svm.Couple(sub, m.active, s.probs, s.p, s.q, s.qp), s.probs
+}
+
+// BlockRows is how many rows PredictProbBlock scores per pass over the
+// model.
+const BlockRows = 4
+
+// BlockScratch is PredictProbBlock's working memory: the block's kernel
+// values and decisions, row-interleaved, one posterior buffer per row,
+// and the coupling buffers of a per-row scratch, which the rows use in
+// turn. Like a Scratch it serves any number of sequential blocks and
+// must not be shared by concurrent calls.
+type BlockScratch struct {
+	row   *Scratch
+	kv    []float64 // unique vector u, row r at u*BlockRows+r
+	dec   []float64 // pair machine p, row r at p*BlockRows+r
+	probs [BlockRows][]float64
+}
+
+// NewBlockScratch allocates a block scratch sized for this model.
+func (m *SVM) NewBlockScratch() *BlockScratch {
+	s := &BlockScratch{
+		row: m.NewScratch(),
+		kv:  make([]float64, m.numUniq*BlockRows),
+		dec: make([]float64, len(m.pairs)*BlockRows),
+	}
+	for r := range s.probs {
+		s.probs[r] = make([]float64, len(m.classes))
+	}
+	return s
+}
+
+// PredictProbBlock scores rows[0:BlockRows] in one pass over the model
+// and returns each row's winning class and posterior, Float64bits-equal
+// to PredictProb on that row alone. The posteriors alias the scratch.
+func (m *SVM) PredictProbBlock(rows [][]float64, s *BlockScratch) (cls [BlockRows]int, probs [BlockRows][]float64) {
+	m.kernelBlock(rows[:BlockRows], s.kv)
+	m.decisionsBlock(s.kv, s.dec)
+	ka := len(m.active)
+	sub := s.row.sub
+	for r := range cls {
+		clear(sub)
+		for pi := range m.pairs {
+			p := &m.pairs[pi]
+			pr := svm.PairProb(s.dec[pi*BlockRows+r], p.a, p.b, p.hasAB)
+			sub[p.ai*ka+p.aj] = pr
+			sub[p.aj*ka+p.ai] = 1 - pr
+		}
+		cls[r] = svm.Couple(sub, m.active, s.probs[r], s.row.p, s.row.q, s.row.qp)
+	}
+	return cls, s.probs
+}
+
+// kernelBlock is kernelInto for a block of rows: two support vectors
+// meet four rows per pass over the features, eight independent
+// distance sums, each the feature-ordered (sv - x)² chain
+// svm.SqDistsInto adds for that vector and row; an odd last vector
+// meets the four rows alone. kv is row-interleaved.
+func (m *SVM) kernelBlock(rows [][]float64, kv []float64) {
+	nf := m.features
+	x0, x1, x2, x3 := rows[0][:nf], rows[1][:nf], rows[2][:nf], rows[3][:nf]
+	u, base := 0, 0
+	for ; u+2 <= m.numUniq; u, base = u+2, base+2*nf {
+		s0, s1 := m.uniq[base:][:nf], m.uniq[base+nf:][:nf]
+		var a0, a1, a2, a3, b0, b1, b2, b3 float64
+		for i := range nf {
+			// One row value live at a time keeps the eight sums and
+			// both vectors' values in registers.
+			v, w := s0[i], s1[i]
+			x := x0[i]
+			d, e := v-x, w-x
+			a0 += d * d
+			b0 += e * e
+			x = x1[i]
+			d, e = v-x, w-x
+			a1 += d * d
+			b1 += e * e
+			x = x2[i]
+			d, e = v-x, w-x
+			a2 += d * d
+			b2 += e * e
+			x = x3[i]
+			d, e = v-x, w-x
+			a3 += d * d
+			b3 += e * e
+		}
+		k := kv[u*BlockRows : u*BlockRows+2*BlockRows]
+		k[0], k[1], k[2], k[3] = a0, a1, a2, a3
+		k[4], k[5], k[6], k[7] = b0, b1, b2, b3
+	}
+	if u < m.numUniq {
+		s0 := m.uniq[base : base+nf]
+		var a0, a1, a2, a3 float64
+		for i, v := range s0 {
+			d0, d1, d2, d3 := v-x0[i], v-x1[i], v-x2[i], v-x3[i]
+			a0 += d0 * d0
+			a1 += d1 * d1
+			a2 += d2 * d2
+			a3 += d3 * d3
+		}
+		k := kv[u*BlockRows : u*BlockRows+BlockRows]
+		k[0], k[1], k[2], k[3] = a0, a1, a2, a3
+	}
+	for i, d2 := range kv {
+		kv[i] = math.Exp(-m.gamma * d2)
+	}
+}
+
+// decisionsBlock is decisions for a block of rows: one pass over each
+// pair's window sums its four rows' decisions side by side, each in
+// support-vector order.
+func (m *SVM) decisionsBlock(kv, dec []float64) {
+	for pi := range m.pairs {
+		p := &m.pairs[pi]
+		ids, cs := m.svID[p.svOff:p.svOff+p.svNum], m.coef[p.svOff:p.svOff+p.svNum]
+		var s0, s1, s2, s3 float64
+		for t, id := range ids {
+			c, k := cs[t], kv[int(id)*BlockRows:int(id)*BlockRows+BlockRows]
+			s0 += c * k[0]
+			s1 += c * k[1]
+			s2 += c * k[2]
+			s3 += c * k[3]
+		}
+		d := dec[pi*BlockRows : pi*BlockRows+BlockRows]
+		d[0], d[1], d[2], d[3] = s0-p.rho, s1-p.rho, s2-p.rho, s3-p.rho
+	}
 }

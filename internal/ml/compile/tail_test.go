@@ -123,3 +123,80 @@ func TestSVMTailShapeParity(t *testing.T) {
 		}
 	}
 }
+
+// scoreBlocked scores rows the way a batch caller does: full blocks
+// through PredictProbBlock, the remainder through PredictProb. The
+// posteriors are copied out of the scratch.
+func scoreBlocked(m *compile.SVM, rows [][]float64) ([]int, [][]float64) {
+	bs, s := m.NewBlockScratch(), m.NewScratch()
+	cls, probs := make([]int, len(rows)), make([][]float64, len(rows))
+	i := 0
+	for ; i+compile.BlockRows <= len(rows); i += compile.BlockRows {
+		bc, bp := m.PredictProbBlock(rows[i:i+compile.BlockRows], bs)
+		for r := range bc {
+			cls[i+r], probs[i+r] = bc[r], append([]float64(nil), bp[r]...)
+		}
+	}
+	for ; i < len(rows); i++ {
+		c, p := m.PredictProb(rows[i], s)
+		cls[i], probs[i] = c, append([]float64(nil), p...)
+	}
+	return cls, probs
+}
+
+// assertBlockParity requires every row's winning class and posterior
+// from scoreBlocked to be Float64bits-equal to PredictProb on the row
+// alone.
+func assertBlockParity(t *testing.T, m *compile.SVM, rows [][]float64) {
+	t.Helper()
+	gotCls, gotProbs := scoreBlocked(m, rows)
+	s := m.NewScratch()
+	for i, row := range rows {
+		wantCls, wantProbs := m.PredictProb(row, s)
+		if gotCls[i] != wantCls {
+			t.Fatalf("row %d of %d: block class %d, per-row %d", i, len(rows), gotCls[i], wantCls)
+		}
+		for c := range wantProbs {
+			if math.Float64bits(gotProbs[i][c]) != math.Float64bits(wantProbs[c]) {
+				t.Fatalf("row %d of %d: posterior[%d] block %x (%g), per-row %x (%g)", i, len(rows), c,
+					math.Float64bits(gotProbs[i][c]), gotProbs[i][c], math.Float64bits(wantProbs[c]), wantProbs[c])
+			}
+		}
+	}
+}
+
+// TestSVMBlockParity holds the row block to per-row PredictProb, bit for
+// bit, on every tail shape (odd unique-vector counts, empty pairs,
+// calibrated or not) at batch sizes that leave every remainder mod
+// BlockRows, and at 256 rows. Rows cycle through the shape's probes
+// (support vectors, the origin, non-finite values) and fresh draws.
+func TestSVMBlockParity(t *testing.T) {
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 256}
+	for _, sh := range tailShapes {
+		for _, calibrated := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/calibrated=%v", sh.name, calibrated), func(t *testing.T) {
+				const features = 5
+				im, probes := tailModel(t, sh, calibrated, features)
+				m, err := compile.CompileSVM(im.Spec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rng.New(uint64(sh.pool))
+				rows := make([][]float64, 256)
+				for i := range rows {
+					if i%3 == 0 {
+						rows[i] = probes[(i/3)%len(probes)]
+						continue
+					}
+					rows[i] = make([]float64, features)
+					for f := range rows[i] {
+						rows[i][f] = 3 * r.Normal()
+					}
+				}
+				for _, n := range sizes {
+					assertBlockParity(t, m, rows[:n])
+				}
+			})
+		}
+	}
+}
