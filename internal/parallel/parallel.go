@@ -25,6 +25,7 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -134,10 +135,14 @@ type Timer struct {
 }
 
 // Observe adds one task's elapsed time.
-func (t *Timer) Observe(d time.Duration) {
+func (t *Timer) Observe(d time.Duration) { t.ObserveN(d, 1) }
+
+// ObserveN adds the elapsed time of one task that did n units of work
+// (a block of rows), so Count keeps counting units.
+func (t *Timer) ObserveN(d time.Duration, n int) {
 	if t != nil {
 		t.ns.Add(int64(d))
-		t.n.Add(1)
+		t.n.Add(int64(n))
 	}
 }
 
@@ -200,7 +205,9 @@ func Blocks(workers, n, size int, fn func(lo, hi int) error) error {
 // ForEachCtx is ForEach with cancellation: when ctx is cancelled no new
 // tasks are dispatched and, if no task itself failed, ctx.Err() is
 // returned. Tasks that want to stop mid-flight can poll the passed
-// context, which is also cancelled as soon as any task fails.
+// context, which is also cancelled as soon as any task fails; a task
+// that returns that cancellation while ctx itself is live is not a
+// failure, so the error returned is always a task's own.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -245,7 +252,7 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context
 				if !ok {
 					return
 				}
-				if err := m.run(cctx, i, fn); err != nil {
+				if err := m.run(cctx, i, fn); err != nil && !cascade(ctx, cctx, err) {
 					st.fail(i, err)
 					cancel()
 				}
@@ -257,6 +264,14 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context
 		return st.firstErr
 	}
 	return ctx.Err()
+}
+
+// cascade reports whether a task's err is only the pool's own
+// cancellation of cctx after a sibling failed, which the parent ctx did
+// not ask for. Such an error is not recorded: the sibling's failure
+// already is, and a lower-index task stopped by it must not outrank it.
+func cascade(ctx, cctx context.Context, err error) bool {
+	return errors.Is(err, context.Canceled) && cctx.Err() != nil && ctx.Err() == nil
 }
 
 // dispatcher hands out task indices in order and records the

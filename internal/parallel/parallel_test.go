@@ -237,3 +237,37 @@ func TestForEachSeeded(t *testing.T) {
 		}
 	}
 }
+
+// TestSiblingCancelNeverOutranksTheFailure: with two workers, task 0
+// waits for the pool's context and returns its error, which only task
+// 1's failure can cause. The failure is returned, not task 0's
+// lower-index context.Canceled.
+func TestSiblingCancelNeverOutranksTheFailure(t *testing.T) {
+	boom := errors.New("boom")
+	started := make(chan struct{})
+	err := ForEachCtx(context.Background(), 2, 2, func(ctx context.Context, i int) error {
+		if i == 0 {
+			close(started)
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		<-started
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the failing task's boom", err)
+	}
+
+	// Cancelled by the parent instead, the same wait is reported.
+	ctx, cancel := context.WithCancel(context.Background())
+	err = ForEachCtx(ctx, 2, 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			cancel()
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("parent cancel: err = %v, want context.Canceled", err)
+	}
+}
