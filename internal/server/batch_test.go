@@ -5,9 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
 // featureNames fetches the serving model's feature layout.
@@ -293,5 +299,72 @@ func TestBatchNoModel(t *testing.T) {
 	code, _ := postJSON(t, srv.URL+"/api/classify/batch", map[string]any{"rows": []map[string]float64{{"X": 1}}})
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("batch without model -> %d, want 503", code)
+	}
+}
+
+// TestBatchBlocksMatchSingle: on a compiled SVM, a batch scores its
+// rows compile.BlockRows at a time through the row-blocked kernel and
+// the remainder row by row. At batch sizes below, at and around the
+// block, every element is byte-identical to /api/classify for its row.
+func TestBatchBlocksMatchSingle(t *testing.T) {
+	srv := httptest.NewServer(New(nil, paperSVM(t), 0, WithBatchWorkers(2)))
+	t.Cleanup(srv.Close)
+	names := featureNames(t, srv.URL)
+	rows := parityRows(names, 7)
+	singles := make([][]byte, len(rows))
+	for i, features := range rows {
+		code, body := postJSON(t, srv.URL+"/api/classify", map[string]any{"features": features, "threshold": 0.4})
+		if code != 200 {
+			t.Fatalf("single classify row %d: status %d: %s", i, code, body)
+		}
+		singles[i] = bytes.TrimSpace(body)
+	}
+	for _, n := range []int{1, 3, 4, 5, 7} {
+		code, body := postJSON(t, srv.URL+"/api/classify/batch", map[string]any{"rows": rows[:n], "threshold": 0.4})
+		if code != 200 {
+			t.Fatalf("batch of %d: status %d: %s", n, code, body)
+		}
+		var reply batchReply
+		if err := json.Unmarshal(body, &reply); err != nil {
+			t.Fatal(err)
+		}
+		if len(reply.Results) != n {
+			t.Fatalf("batch of %d returned %d results", n, len(reply.Results))
+		}
+		for i, raw := range reply.Results {
+			if !bytes.Equal(bytes.TrimSpace(raw), singles[i]) {
+				t.Errorf("batch of %d, row %d diverges:\n batch:  %s\n single: %s", n, i, raw, singles[i])
+			}
+		}
+	}
+}
+
+// TestBatchFailingRowInSecondBlock: two workers score a batch's two
+// blocks side by side. The second block's row 5 overflows the NB
+// model's likelihoods while the first block is still in its rows' fault
+// site (a 40 ms latency fault per row). The pool cancels the first
+// block, which stops with context.Canceled at a lower task index; the
+// reply is still the real error -- a 400 naming row 5 -- never a 504.
+func TestBatchFailingRowInSecondBlock(t *testing.T) {
+	faults := resilience.NewFaults(1)
+	if err := faults.Set(FaultClassifyRow, resilience.FaultSpec{
+		Kind: resilience.FaultLatency, Rate: 1, Latency: 40 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	nb := categoryModel(t, 91, 200, "nb", core.ClassifierConfig{Algo: core.AlgoBayes})
+	srv := httptest.NewServer(New(nil, nb, 0, WithMetrics(reg), WithBatchWorkers(2), WithFaults(faults)))
+	t.Cleanup(srv.Close)
+	names := featureNames(t, srv.URL)
+	rows := parityRows(names, 6)
+	rows[5][names[2]] = 1e308
+
+	code, body := postJSON(t, srv.URL+"/api/classify/batch", map[string]any{"rows": rows, "threshold": 0.1})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "row 5: features out of range") {
+		t.Fatalf("status %d (%s), want 400 naming row 5", code, body)
+	}
+	if got := reg.Counter("http_timeouts_total", "stage", "handler").Value(); got != 0 {
+		t.Errorf("http_timeouts_total{stage=handler} = %d, want 0", got)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ml/forest"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/warehouse"
@@ -29,46 +28,16 @@ type chaosAssets struct {
 	features []string
 }
 
-var (
-	chaosOnce sync.Once
-	chaos     *chaosAssets
-	chaosErr  error
-)
-
 func chaosFixture(t testing.TB) *chaosAssets {
 	t.Helper()
-	chaosOnce.Do(func() {
-		res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 200))
-		if err != nil {
-			chaosErr = err
-			return
-		}
-		ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
-		if err != nil {
-			chaosErr = err
-			return
-		}
-		train := func(seed uint64, trees int) (*core.JobClassifier, error) {
-			return core.TrainJobClassifier(ds, core.ClassifierConfig{
-				Algo: core.AlgoForest, Forest: forest.Config{Trees: trees, Seed: seed},
-			})
-		}
-		modelA, err := train(3, 40)
-		if err != nil {
-			chaosErr = err
-			return
-		}
-		modelB, err := train(7, 50)
-		if err != nil {
-			chaosErr = err
-			return
-		}
+	res, ds := pipeline(t, 91, 200), categoryData(t, 91, 200)
+	modelA, modelB := smallForest(t, 3, 40), smallForest(t, 7, 50)
+	return shared(t, "chaos assets", func() (*chaosAssets, error) {
 		// Not t.TempDir: the assets outlive the first test that builds
 		// them. The process-scoped temp dir is cleaned with the test run.
 		dir, err := os.MkdirTemp("", "chaos-models-")
 		if err != nil {
-			chaosErr = err
-			return
+			return nil, err
 		}
 		a := &chaosAssets{
 			store:    res.Store,
@@ -79,24 +48,17 @@ func chaosFixture(t testing.TB) *chaosAssets {
 		for path, m := range map[string]*core.JobClassifier{a.pathA: modelA, a.pathB: modelB} {
 			f, err := os.Create(path)
 			if err != nil {
-				chaosErr = err
-				return
+				return nil, err
 			}
 			if err := m.Save(f); err != nil {
-				chaosErr = err
-				return
+				return nil, err
 			}
 			if err := f.Close(); err != nil {
-				chaosErr = err
-				return
+				return nil, err
 			}
 		}
-		chaos = a
+		return a, nil
 	})
-	if chaosErr != nil {
-		t.Fatalf("building chaos assets: %v", chaosErr)
-	}
-	return chaos
 }
 
 // chaosServer boots a server over the shared assets with model A loaded

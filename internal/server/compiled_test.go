@@ -29,16 +29,9 @@ func TestClassifyServesCompiledEngine(t *testing.T) {
 		t.Fatal("features endpoint does not advertise the compiled engine")
 	}
 
-	// Rebuild the interpreted reference from the same training inputs the
-	// harness used.
-	ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.TrainJobClassifier(ds, core.PaperForest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The interpreted reference is the model the harness serves, walked
+	// through its original pointer form.
+	ref := paperForest(t, 91, 300)
 
 	checked := 0
 	for _, rec := range res.Records {

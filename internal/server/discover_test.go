@@ -24,21 +24,13 @@ import (
 // Uncategorized/NA population (91 jobs at seed 91 / 200 total).
 func discoverServer(t *testing.T, opts ...Option) (*httptest.Server, *obs.Registry) {
 	t.Helper()
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := core.TrainRuntimeClassifier(res.Records, core.PaperForest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
 	runtime := core.NewNamedModelManager(reg, "runtime_class")
-	if _, err := runtime.Swap(rt); err != nil {
+	if _, err := runtime.Swap(runtimeForest(t, 91, 200)); err != nil {
 		t.Fatal(err)
 	}
 	all := append([]Option{WithMetrics(reg), WithRuntimeManager(runtime)}, opts...)
-	srv := httptest.NewServer(New(res.Store, nil, 6400, all...))
+	srv := httptest.NewServer(New(pipeline(t, 91, 200).Store, nil, 6400, all...))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }

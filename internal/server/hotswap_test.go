@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ml/forest"
 	"repro/internal/obs"
 )
 
@@ -44,34 +43,17 @@ func saveModel(t *testing.T, path string, m *core.JobClassifier) {
 
 func newSwapFixture(t *testing.T) *swapFixture {
 	t.Helper()
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf := func(seed uint64, trees int) *core.JobClassifier {
-		m, err := core.TrainJobClassifier(ds, core.ClassifierConfig{
-			Algo: core.AlgoForest, Forest: forest.Config{Trees: trees, Seed: seed},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	modelA, modelB := rf(3, 40), rf(7, 50)
+	res, ds := pipeline(t, 91, 200), categoryData(t, 91, 200)
+	modelA, modelB := smallForest(t, 3, 40), smallForest(t, 7, 50)
 
 	// An incompatible schema: same records, narrower feature set.
-	dsNarrow, err := core.BuildDataset(res.Records, core.LabelByCategory, core.FeatureOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	modelBad, err := core.TrainJobClassifier(dsNarrow, core.ClassifierConfig{Algo: core.AlgoBayes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	modelBad := shared(t, "nb on narrow category 91/200", func() (*core.JobClassifier, error) {
+		dsNarrow, err := core.BuildDataset(res.Records, core.LabelByCategory, core.FeatureOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return core.TrainJobClassifier(dsNarrow, core.ClassifierConfig{Algo: core.AlgoBayes})
+	})
 
 	dir := t.TempDir()
 	fx := &swapFixture{

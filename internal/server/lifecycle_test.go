@@ -96,23 +96,18 @@ type lcFixture struct {
 
 func newLCFixture(t *testing.T, opts ...Option) *lcFixture {
 	t.Helper()
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 80))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	res := pipeline(t, 91, 80)
 	fx := &lcFixture{names: lcFeatureNames()}
 	rows, labels := lcTraffic(11, 240, false)
 	train, err := dataset.New(fx.names, rows, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	champ, err := core.TrainJobClassifier(train, core.ClassifierConfig{
-		Algo: core.AlgoForest, Forest: forest.Config{Trees: 30, Seed: 7},
+	champ := shared(t, "lifecycle champion", func() (*core.JobClassifier, error) {
+		return core.TrainJobClassifier(train, core.ClassifierConfig{
+			Algo: core.AlgoForest, Forest: forest.Config{Trees: 30, Seed: 7},
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := lcConfig()
 	base, err := lifecycle.BaselineFor(train, champ, cfg.Bins)
 	if err != nil {
@@ -182,11 +177,7 @@ func (fx *lcFixture) status(t *testing.T) (int, lifecycle.Status) {
 }
 
 func TestLifecycleDisabledAnswers503(t *testing.T) {
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 80))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(res.Store, nil, 6400))
+	srv := httptest.NewServer(New(pipeline(t, 91, 80).Store, nil, 6400))
 	defer srv.Close()
 
 	var st lifecycle.Status

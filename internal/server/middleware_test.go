@@ -9,27 +9,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // obsServer builds an instrumented server over a small pipeline run.
 func obsServer(t *testing.T, opts ...Option) (*httptest.Server, *obs.Registry) {
 	t.Helper()
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := core.TrainJobClassifier(ds, core.PaperForest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer(New(res.Store, model, 6400, append([]Option{WithMetrics(reg)}, opts...)...))
+	srv := httptest.NewServer(New(pipeline(t, 91, 200).Store, paperForest(t, 91, 200), 6400, append([]Option{WithMetrics(reg)}, opts...)...))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -204,11 +191,7 @@ func TestStatusWriterFlushAndUnwrap(t *testing.T) {
 }
 
 func TestUninstrumentedServerStillWorks(t *testing.T) {
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(92, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(res.Store, nil, 100))
+	srv := httptest.NewServer(New(pipeline(t, 92, 60).Store, nil, 100))
 	defer srv.Close()
 	if resp, _ := get(t, srv.URL+"/api/overview"); resp.StatusCode != 200 {
 		t.Errorf("overview status %d", resp.StatusCode)

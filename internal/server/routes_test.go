@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/ml/compile"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/warehouse"
@@ -157,28 +158,12 @@ func TestSinglePointsOfTruth(t *testing.T) {
 // gets past its no-model check.
 func fullServer(t *testing.T) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := core.TrainJobClassifier(ds, core.PaperForest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := core.TrainRuntimeClassifier(res.Records, core.PaperForest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
 	runtime := core.NewNamedModelManager(reg, "runtime_class")
-	if _, err := runtime.Swap(rt); err != nil {
+	if _, err := runtime.Swap(runtimeForest(t, 91, 200)); err != nil {
 		t.Fatal(err)
 	}
-	s := New(res.Store, model, 6400, WithMetrics(reg), WithRuntimeManager(runtime))
+	s := New(pipeline(t, 91, 200).Store, paperForest(t, 91, 200), 6400, WithMetrics(reg), WithRuntimeManager(runtime))
 	if _, err := s.RefitDiscovery(core.DiscoveryConfig{K: 3, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,25 +256,17 @@ func TestPostBodyContract(t *testing.T) {
 // stage -- fault site, deadline check, timed compiled-RF call, latency
 // histogram, outcome counter -- at zero allocations with the recorder
 // disarmed: the stage the batch endpoint runs thousands of times per
-// request must add nothing to the compiled engine's own zero.
+// request must add nothing to the compiled engine's own zero. The batch
+// route's block body -- the same stage around one model call for
+// compile.BlockRows rows -- is held to zero too, on the forest and on
+// the SVM, whose block runs the row-blocked kernel.
 func TestAllocGovernedRowStage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-detector allocations; the alloc gate runs without -race")
 	}
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := core.TrainJobClassifier(ds, core.PaperForest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := categoryData(t, 91, 200)
 	reg := obs.NewRegistry()
-	s := New(res.Store, model, 0, WithMetrics(reg))
+	s := New(pipeline(t, 91, 200).Store, paperForest(t, 91, 200), 0, WithMetrics(reg))
 	v := s.models.View()
 	if !v.Compiled() {
 		t.Fatal("fixture model is not on the compiled engine")
@@ -306,5 +283,20 @@ func TestAllocGovernedRowStage(t *testing.T) {
 	}
 	if got := reg.Histogram("classify_row_seconds", nil).Count(); got < 500 {
 		t.Errorf("classify_row_seconds saw %d rows: the gated stage skipped its metrics", got)
+	}
+
+	const n = compile.BlockRows
+	b := batch{rows: ds.X[:n], defaulted: make([][]string, n), threshold: 0.5}
+	verdicts, results := make([]core.Verdict, n), make([]classifyResult, n)
+	for _, model := range []*core.JobClassifier{paperForest(t, 91, 200), paperSVM(t)} {
+		s := New(nil, model, 0, WithMetrics(obs.NewRegistry()))
+		v := s.models.View()
+		if avg := testing.AllocsPerRun(200, func() {
+			if err := s.classifyBlock(ctx, v, b, 0, n, verdicts, results); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: governed block stage allocates %.2f per block, want 0", model.Algo, avg)
+		}
 	}
 }

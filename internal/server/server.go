@@ -452,7 +452,7 @@ func (s *Server) initRowRoutes() {
 		threshold: func(req *classifyRequest) *float64 { return &req.Threshold },
 		score: func(v *core.ModelView, req *classifyRequest, row []float64) (classifyResult, bool, error) {
 			label, prob, ok := v.Model.Classify(row, req.Threshold)
-			return classifyResult{Label: label, Probability: prob, Classified: ok}, ok, finiteProb(v, row, prob)
+			return classified(v, row, core.Verdict{Label: label, Prob: prob, OK: ok})
 		},
 		// The lifecycle loop observes every successfully inferred row: the
 		// served answer is already final, so drift accounting and shadow

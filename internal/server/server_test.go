@@ -15,19 +15,8 @@ import (
 // testServer builds a server over a small real pipeline run.
 func testServer(t *testing.T) (*httptest.Server, *core.PipelineResult) {
 	t.Helper()
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(91, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := core.BuildDataset(res.Records, core.LabelByCategory, core.DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := core.TrainJobClassifier(ds, core.PaperForest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(res.Store, model, 6400))
+	res := pipeline(t, 91, 300)
+	srv := httptest.NewServer(New(res.Store, paperForest(t, 91, 300), 6400))
 	t.Cleanup(srv.Close)
 	return srv, res
 }
@@ -204,11 +193,7 @@ func TestClassifyValidation(t *testing.T) {
 }
 
 func TestNoModelLoaded(t *testing.T) {
-	res, err := core.RunPipeline(core.DefaultPipelineConfig(92, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(res.Store, nil, 0))
+	srv := httptest.NewServer(New(pipeline(t, 92, 60).Store, nil, 0))
 	defer srv.Close()
 	if code := getJSON(t, srv.URL+"/api/features", nil); code != 503 {
 		t.Errorf("features without model -> %d", code)
