@@ -42,7 +42,7 @@
 //	GET  /metrics             Prometheus text exposition
 //	GET  /healthz             liveness (always 200 while serving)
 //	GET  /readyz              readiness (503 until a model is published, while the reload breaker is open, or once ingest drains)
-//	GET  /debug/requests      flight-recorder query (?status=&route=&outcome=&min-ms=&since=&limit=)
+//	GET  /debug/requests      flight-recorder query (?id=&status=&route=&outcome=&min-ms=&since=&limit=)
 //	GET  /debug/slo           multi-window SLO burn-rate status
 //	GET  /debug/bundle        capture a diagnostic bundle now (needs -bundle-dir)
 //	GET  /debug/ingest        ingest conservation ledger + gauges (with -ingest-addr)
@@ -63,7 +63,8 @@
 //
 // Observability: every request lands one wide event in the in-process
 // flight recorder: identity, route, status, outcome, queue/handler/row
-// timings, batch size, model generation, fault hits. The ring
+// timings, the handler's read/decode/score/encode stage split, batch
+// size, model generation, fault hits. The ring
 // (-flight-capacity events) tail-samples -- errors, timeouts, sheds,
 // panics and the rolling latency top-K are always kept; healthy traffic
 // is counter-sampled. An SLO burn-rate engine watches availability and

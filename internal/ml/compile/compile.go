@@ -7,11 +7,13 @@
 //     slots, so the walk is an add of the comparison result);
 //   - SVMs become a contiguous row-major matrix of the support vectors
 //     the one-vs-one pairs share, each kernel value computed once per
-//     row, inline (no interface dispatch). A float64 sum is a serial
-//     add chain, so within a row four support vectors' feature sums and
-//     four pair machines' decision sums run side by side; every sum
-//     still adds its own terms in the interpreted order, which is all
-//     parity asks;
+//     row, inline (no interface dispatch), and pair machines stored
+//     longest window first. A float64 sum is a serial add chain, so
+//     within a row four support vectors' feature sums and four pair
+//     machines' decision sums run side by side, and SVM.PredictProbBlock
+//     runs the same sums for a block of BlockRows rows in one pass over
+//     the model; every sum still adds its own terms in the interpreted
+//     order, which is all parity asks;
 //   - Gaussian NB becomes precomputed log-space lookup tables, removing
 //     every math.Log from the predict path.
 //
