@@ -328,9 +328,10 @@ func (k countingRBF) Compute(a, b []float64) float64 {
 
 // BenchmarkSVMTrainKernelEvals reports how many kernel evaluations the
 // paper's SVM costs to train on BenchmarkSVMTrainPaperConfig's data: the
-// count the per-pair kernel cache exists to keep down, and one that
-// repeats exactly. A wrapped kernel trains but does not compile, so this
-// is svm.Train on the standardized rows, not core.TrainJobClassifier.
+// count the kernel caches keep down (each pair's cross segments once per
+// pair, each within-class row once per model), and one that repeats
+// exactly. A wrapped kernel trains but does not compile, so this is
+// svm.Train on the standardized rows, not core.TrainJobClassifier.
 func BenchmarkSVMTrainKernelEvals(b *testing.B) {
 	train, _ := benchAppData(b, 51, core.DefaultFeatures())
 	train.Standardize()

@@ -17,7 +17,7 @@ func checkRBFRows(t *testing.T, x [][]float64, gamma float64) {
 	k := RBF{Gamma: gamma}
 	c := newKernelCache(x, k, 1<<20)
 	for i := range x {
-		row := c.get(i)
+		row, _ := c.get(i)
 		for j := range x {
 			got, want := row[j], k.Compute(x[i], x[j])
 			same := math.Float64bits(got) == math.Float64bits(want)

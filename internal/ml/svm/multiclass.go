@@ -2,6 +2,7 @@ package svm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/dataset"
@@ -67,13 +68,37 @@ type Model struct {
 }
 
 // Train fits a one-vs-one SVM on the dataset. Classes with no training
-// rows are kept in the vocabulary but receive no votes.
+// rows are kept in the vocabulary but receive no votes. A NaN C, or an
+// RBF gamma that is not finite and positive, is refused before any pair
+// trains; C <= 0 means 1.
 func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
+	return train(d, cfg, smoCacheBytes, smoCacheBytes)
+}
+
+// checkTrainable refuses a C or a kernel no solve can train on: a NaN C
+// leaves every machine without support vectors, and an RBF gamma that is
+// NaN, infinite or not positive trains a model CompileSVM refuses.
+func checkTrainable(kernel Kernel, c float64) error {
+	if math.IsNaN(c) {
+		return fmt.Errorf("svm: C is NaN")
+	}
+	if rbf, ok := kernel.(RBF); ok && !(rbf.Gamma > 0 && !math.IsInf(rbf.Gamma, 1)) {
+		return fmt.Errorf("svm: RBF Gamma is %v, want finite and positive", rbf.Gamma)
+	}
+	return nil
+}
+
+// train is Train with the byte budgets of each pair's row cache and of
+// the model's shared within-class rows.
+func train(d *dataset.Dataset, cfg Config, pairBytes, classBytes int) (*Model, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("svm: empty training set")
 	}
 	if cfg.Kernel == nil {
 		cfg.Kernel = RBF{Gamma: 0.1}
+	}
+	if err := checkTrainable(cfg.Kernel, cfg.C); err != nil {
+		return nil, err
 	}
 	if cfg.C <= 0 {
 		cfg.C = 1
@@ -106,6 +131,7 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 	size := func(job pairJob) int { return len(byClass[job.i]) + len(byClass[job.j]) }
 	order := identity(len(jobs))
 	sort.SliceStable(order, func(a, b int) bool { return size(jobs[order[a]]) > size(jobs[order[b]]) })
+	rows := newClassRows(d.X, d.Y, byClass, cfg.Kernel, classBytes)
 	pairs := make([]PairSpec, len(jobs))
 	err := parallel.ForEach(cfg.Workers, len(jobs), func(k int) error {
 		idx := order[k]
@@ -113,7 +139,7 @@ func Train(d *dataset.Dataset, cfg Config) (*Model, error) {
 		x, y := pairData(d, byClass[job.i], byClass[job.j])
 		wPos := cfg.weightFor(d.ClassNames[job.i])
 		wNeg := cfg.weightFor(d.ClassNames[job.j])
-		p := trainBinary(newKernelCache(x, cfg.Kernel, smoCacheBytes), x, y, wPos, wNeg, cfg, uint64(idx))
+		p := trainBinary(rows.pairCache(job.i, job.j, pairBytes), x, y, wPos, wNeg, cfg, uint64(idx))
 		p.I, p.J = job.i, job.j
 		pairs[idx] = p
 		return nil
@@ -157,9 +183,10 @@ func weightedC(y []float64, c, wPos, wNeg float64) []float64 {
 
 // trainBinary solves one pair over k, the kernel cache of its rows x,
 // optionally with probability calibration on cross-validated decision
-// values. The full problem and every fold problem are views of k, and the
-// decision values come from its cached support-vector rows, so while the
-// budget lasts a kernel row is computed once per pair.
+// values. The full problem and every fold problem are ascending views of
+// k, and the decision values come from its cached support-vector rows, so
+// while the budget lasts a row's cross segment is computed once per pair
+// (and, through classRows, its within-class segment once per model).
 func trainBinary(k *rowCache, x [][]float64, y []float64, wPos, wNeg float64, cfg Config, seed uint64) PairSpec {
 	n := len(x)
 	all := identity(n)

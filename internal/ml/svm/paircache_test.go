@@ -95,9 +95,10 @@ func twoClasses(seed uint64, nPos, nNeg int) ([][]float64, []float64) {
 // TestPairKernelEvaluatedOnce: under budget one calibrated pair -- the
 // full solve, three fold solves and every held-out decision value --
 // evaluates each ordered pair of its rows at most once (the diagonal once
-// more, up front), and a whole model needs less than half the
-// evaluations it took when every solve owned a cache and decision values
-// went back to the kernel.
+// more, up front). A whole model does the same across all its pairs: a
+// class's within-class rows are shared by the k-1 pairs that hold it, so
+// no ordered pair of rows is evaluated twice, where the trainer before
+// the shared class rows paid for a class's block once per pair.
 func TestPairKernelEvaluatedOnce(t *testing.T) {
 	x, y := twoClasses(3, 40, 25)
 	n := len(x)
@@ -108,30 +109,41 @@ func TestPairKernelEvaluatedOnce(t *testing.T) {
 	if p := trainBinary(newKernelCache(x, kernel, smoCacheBytes), x, y, 1, 1, cfg, 0); !p.HasAB || len(p.SV) == 0 {
 		t.Fatalf("pair did not train: %+v", p)
 	}
-	for key, c := range kernel.pairs {
-		if limit := 1 + b2i(key[0] == key[1]); c > limit {
-			t.Fatalf("an ordered pair of rows was evaluated %d times, want at most %d", c, limit)
-		}
-	}
+	checkEvaluatedOnce(t, kernel.pairs)
 	if got := int(total.Load()); got > n*n+n {
 		t.Errorf("%d evaluations for a %d-row pair, want at most n*n+n = %d", got, n, n*n+n)
 	}
 
-	// Counted on the commit before the shared pair cache, same data and
-	// configuration.
-	const evalsBefore = 175559
+	// Counted on the commit before the shared pair cache, and on the
+	// commit before the shared class rows, same data and configuration.
+	const evalsBefore, evalsPerPairCache = 175559, 82845
 	d := unbalanced(6, []int{4, 9, 20, 45, 80, 120})
+	n = d.Len()
 	cfg = PaperConfig()
-	cfg.Seed = 6
+	cfg.Seed, cfg.Workers = 6, 1
 	total.Store(0)
-	cfg.Kernel = countingKernel{RBF{Gamma: 0.1}, &total, nil}
+	kernel.pairs = map[[2]*float64]int{}
+	cfg.Kernel = kernel
 	if _, err := Train(d, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got := total.Load(); 2*got > evalsBefore {
-		t.Errorf("whole model took %d kernel evaluations, want at most half of %d", got, evalsBefore)
-	} else {
-		t.Logf("whole model: %d kernel evaluations (%d before)", got, evalsBefore)
+	checkEvaluatedOnce(t, kernel.pairs)
+	got := total.Load()
+	if got > int64(n*n+n) {
+		t.Errorf("whole model took %d kernel evaluations, want at most n*n+n = %d", got, n*n+n)
+	}
+	t.Logf("whole model: %d kernel evaluations (%d with a cache per pair, %d before that)", got, evalsPerPairCache, evalsBefore)
+}
+
+// checkEvaluatedOnce fails if an ordered pair of rows was evaluated more
+// than once, or a row against itself more than twice (the diagonal is
+// computed up front as well as in its row).
+func checkEvaluatedOnce(t *testing.T, pairs map[[2]*float64]int) {
+	t.Helper()
+	for key, c := range pairs {
+		if limit := 1 + b2i(key[0] == key[1]); c > limit {
+			t.Fatalf("an ordered pair of rows was evaluated %d times, want at most %d", c, limit)
+		}
 	}
 }
 
@@ -160,6 +172,53 @@ func TestPairCacheBudgetParity(t *testing.T) {
 	}
 	if int(total.Load()) <= n*n+n {
 		t.Errorf("two-row budget took %d evaluations: nothing was evicted", total.Load())
+	}
+}
+
+// TestClassRowBudgetParity: a whole model trained with two-row pair
+// caches and a class-row budget of two rows -- both caches evicting
+// almost every row as soon as it is computed -- is bit-identical to the
+// model trained under the default budgets, and the counts show that
+// within-class rows and cross segments were both recomputed.
+func TestClassRowBudgetParity(t *testing.T) {
+	d := unbalanced(7, []int{3, 8, 15, 30, 40})
+	class := map[*float64]int{}
+	for i, row := range d.X {
+		class[&row[0]] = d.Y[i]
+	}
+	cfg := PaperConfig()
+	cfg.Seed, cfg.Workers = 7, 1
+	var total atomic.Int64
+	kernel := countingKernel{RBF{Gamma: 0.1}, &total, map[[2]*float64]int{}}
+	cfg.Kernel = kernel
+	want, err := Train(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel.pairs = map[[2]*float64]int{}
+	cfg.Kernel = kernel
+	got, err := train(d, cfg, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range got.Spec().Pairs {
+		if w := want.Spec().Pairs[i]; pairDigest(p) != pairDigest(w) {
+			t.Errorf("pair %d-%d: tiny budgets trained %s, default budgets %s", p.I, p.J, pairDigest(p), pairDigest(w))
+		}
+	}
+	var within, cross int
+	for key, c := range kernel.pairs {
+		if key[0] == key[1] {
+			c-- // the diagonal, computed up front
+		}
+		if c > 1 && class[key[0]] == class[key[1]] {
+			within++
+		} else if c > 1 {
+			cross++
+		}
+	}
+	if within == 0 || cross == 0 {
+		t.Errorf("tiny budgets recomputed %d within-class and %d cross-class entries: a cache never evicted", within, cross)
 	}
 }
 

@@ -14,13 +14,19 @@ const (
 
 // smoProblem is one binary C-SVC training problem over an index view of
 // a kernel cache: variable t stands on row idx[t] of k, so problems over
-// the same rows share their kernel values without gathering them. Box
+// the same rows share their kernel values without gathering them. The
+// variables before bound[1] stand on rows in k's first segment, the rest
+// on rows in its second, so each loop over a kernel row runs once per
+// segment, in variable order, reading entry col[t] of that segment. Box
 // constraints are per-sample (cvec), which is how per-class cost
 // weighting -- the paper's suggested remedy for mixture-share-driven
 // misclassification -- is realized: C_i = C * weight[class(i)].
 type smoProblem struct {
 	k     *rowCache
 	idx   []int
+	bound [3]int    // variables [bound[s], bound[s+1]) read segment s of a row
+	col   []int     // where variable t's entry sits in its segment
+	qd    []float64 // K(x_idx[t], x_idx[t]) by variable
 	y     []float64 // +1 / -1, by variable
 	cvec  []float64 // per-variable upper bound C_i
 	maxIt int
@@ -58,7 +64,15 @@ func identity(n int) []int {
 // maxIt <= 0 scales the iteration cap with the problem size.
 func solveSMOGeneral(k *rowCache, idx []int, y, p0, cvec []float64, maxIt int) smoResult {
 	n := len(idx)
-	p := &smoProblem{k: k, idx: idx, y: y, cvec: cvec, maxIt: maxIt}
+	cut := k.cut(idx)
+	p := &smoProblem{k: k, idx: idx, bound: [3]int{0, cut, n}, col: make([]int, n), qd: make([]float64, n),
+		y: y, cvec: cvec, maxIt: maxIt}
+	for t, r := range idx {
+		p.col[t], p.qd[t] = r, k.diag[r]
+		if t >= cut {
+			p.col[t] -= k.split
+		}
+	}
 	if p.maxIt <= 0 {
 		p.maxIt = 10_000_000 / (n + 1) * 10 // generous; scaled by size
 		if p.maxIt < 10000 {
@@ -105,31 +119,33 @@ func (p *smoProblem) selectWorkingSet(alpha, grad []float64) (int, int, float64)
 	if i < 0 {
 		return -1, -1, 0
 	}
-	idx, diag := p.idx, p.k.diag
-	rowI, diagI := p.k.get(idx[i]), diag[idx[i]]
+	lo, hi := p.k.get(p.idx[i])
+	qd, col, diagI := p.qd, p.col, p.qd[i]
 	j := -1
 	best := math.Inf(1) // most negative objective decrease
-	for t := 0; t < n; t++ {
-		if !p.inLow(t, alpha) {
-			continue
-		}
-		v := -p.y[t] * grad[t]
-		if v < gmin {
-			gmin = v
-		}
-		b := gmax - v
-		if b <= 0 {
-			continue
-		}
-		// Second derivative along the feasible pair direction is
-		// ||phi(x_i) - phi(x_t)||^2 regardless of label signs.
-		a := diagI + diag[idx[t]] - 2*rowI[idx[t]]
-		if a <= 0 {
-			a = tau
-		}
-		if obj := -(b * b) / a; obj < best {
-			best = obj
-			j = t
+	for s, rowI := range [2][]float64{lo, hi} {
+		for t, end := p.bound[s], p.bound[s+1]; t < end; t++ {
+			if !p.inLow(t, alpha) {
+				continue
+			}
+			v := -p.y[t] * grad[t]
+			if v < gmin {
+				gmin = v
+			}
+			b := gmax - v
+			if b <= 0 {
+				continue
+			}
+			// Second derivative along the feasible pair direction is
+			// ||phi(x_i) - phi(x_t)||^2 regardless of label signs.
+			a := diagI + qd[t] - 2*rowI[col[t]]
+			if a <= 0 {
+				a = tau
+			}
+			if obj := -(b * b) / a; obj < best {
+				best = obj
+				j = t
+			}
 		}
 	}
 	return i, j, gmax - gmin
@@ -152,11 +168,11 @@ func (p *smoProblem) inLow(t int, alpha []float64) bool {
 // update optimizes the (i, j) pair analytically and refreshes the gradient.
 func (p *smoProblem) update(alpha, grad []float64, i, j int) {
 	idx := p.idx
-	rowI := p.k.get(idx[i])
-	rowJ := p.k.get(idx[j])
+	loI, hiI := p.k.get(idx[i])
+	loJ, hiJ := p.k.get(idx[j])
 	yi, yj := p.y[i], p.y[j]
 
-	a := p.k.diag[idx[i]] + p.k.diag[idx[j]] - 2*rowI[idx[j]]
+	a := p.qd[i] + p.qd[j] - 2*p.k.at(loI, hiI, idx[j])
 	if a <= 0 {
 		a = tau
 	}
@@ -178,8 +194,13 @@ func (p *smoProblem) update(alpha, grad []float64, i, j int) {
 	if dAi == 0 && dAj == 0 {
 		return
 	}
-	for t, c := range idx {
-		grad[t] += p.y[t] * (yi*rowI[c]*dAi + yj*rowJ[c]*dAj)
+	for s, rowI := range [2][]float64{loI, hiI} {
+		rowJ := [2][]float64{loJ, hiJ}[s]
+		from, to := p.bound[s], p.bound[s+1]
+		y, g := p.y[from:to], grad[from:to]
+		for u, c := range p.col[from:to] {
+			g[u] += y[u] * (yi*rowI[c]*dAi + yj*rowJ[c]*dAj)
+		}
 	}
 }
 
@@ -230,20 +251,26 @@ func (p *PairSpec) decision(kernel Kernel, x []float64) float64 {
 	return s - p.Rho
 }
 
-// decisions writes into dec[i], for every row i in at, the decision value
-// of the machine res solved over the view idx of k -- from the cached
-// support-vector rows, accumulated in support-vector order and then
-// shifted by rho, which is decision's operation sequence on the
-// compacted machine, bit for bit.
+// decisions writes into dec[i], for every row i in the ascending list
+// at, the decision value of the machine res solved over the view idx of
+// k -- from the cached support-vector rows, accumulated in
+// support-vector order and then shifted by rho, which is decision's
+// operation sequence on the compacted machine, bit for bit.
 func decisions(k *rowCache, idx []int, y []float64, res smoResult, at []int, dec []float64) {
 	for _, i := range at {
 		dec[i] = 0
 	}
+	cut := k.cut(at)
+	atLo, atHi := at[:cut], at[cut:]
 	for t, a := range res.alpha {
 		if a > 0 {
-			coef, row := a*y[t], k.get(idx[t])
-			for _, i := range at {
-				dec[i] += coef * row[i]
+			coef := a * y[t]
+			lo, hi := k.get(idx[t])
+			for _, i := range atLo {
+				dec[i] += coef * lo[i]
+			}
+			for _, i := range atHi {
+				dec[i] += coef * hi[i-k.split]
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package svm
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -46,8 +47,6 @@ func (linear) Compute(a, b []float64) float64 {
 	return s
 }
 
-func (linear) Name() string { return "linear" }
-
 func TestKernels(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 4}
@@ -66,9 +65,9 @@ func TestKernels(t *testing.T) {
 
 func TestRowCacheLRU(t *testing.T) {
 	computes := 0
-	c := newRowCache(4, 8*4*2, func(i int) []float64 { // budget: 2 rows
+	c := newRowCache(8*4*2, func(i int) ([]float64, []float64) { // budget: 2 rows of 4
 		computes++
-		return []float64{float64(i)}
+		return make([]float64, 4), nil
 	})
 	c.get(0)
 	c.get(1)
@@ -399,5 +398,42 @@ func BenchmarkPredictProb(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = m.PredictProb(probe)
+	}
+}
+
+// TestUntrainableConfigRefused: Train and TrainRegressor refuse a NaN C
+// and an RBF gamma that is not finite and positive before any solve,
+// naming the field; C <= 0 still means 1, and C = +Inf trains a
+// hard-margin model.
+func TestUntrainableConfigRefused(t *testing.T) {
+	d := blobs(3, [][]float64{{-2, 0}, {2, 0}, {0, 3}}, 0.5, 12)
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		kernel Kernel
+		c      float64
+		want   string // "" = trains
+	}{
+		{"NaN C", RBF{Gamma: 0.1}, math.NaN(), "C is NaN"},
+		{"NaN gamma", RBF{Gamma: math.NaN()}, 10, "Gamma is NaN"},
+		{"+Inf gamma", RBF{Gamma: inf}, 10, "Gamma is +Inf"},
+		{"-Inf gamma", RBF{Gamma: -inf}, 10, "Gamma is -Inf"},
+		{"zero gamma", RBF{Gamma: 0}, 10, "Gamma is 0"},
+		{"negative gamma", RBF{Gamma: -1}, 10, "Gamma is -1"},
+		{"zero C", RBF{Gamma: 0.1}, 0, ""},
+		{"negative C", RBF{Gamma: 0.1}, -5, ""},
+		{"+Inf C", RBF{Gamma: 0.1}, inf, ""},
+		{"a kernel that is not RBF", linear{}, 10, ""},
+	} {
+		m, err := Train(d, Config{Kernel: tc.kernel, C: tc.c, Probability: true, Seed: 3})
+		if (err == nil) != (tc.want == "") || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Errorf("%s: Train error %v, want %q", tc.name, err, tc.want)
+		} else if err == nil && eval.VoteAccuracy(m, d) < 0.99 {
+			t.Errorf("%s: Train: accuracy %v on separable blobs", tc.name, eval.VoteAccuracy(m, d))
+		}
+		_, err = TrainRegressor(d.X, make([]float64, d.Len()), RegressorConfig{Kernel: tc.kernel, C: tc.c})
+		if (err == nil) != (tc.want == "") || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Errorf("%s: TrainRegressor error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -20,7 +20,9 @@ type Regressor struct {
 
 // TrainRegressor fits epsilon-SVR by solving the LIBSVM dual: a 2n-variable
 // problem with linear term p = [eps - z; eps + z] and labels [+1; -1],
-// both halves a view of the one n-row kernel cache.
+// both halves a view of the one n-row kernel cache. That view visits
+// every row twice, so the cache keeps one segment. C and an RBF gamma
+// are refused as Train refuses them.
 func TrainRegressor(x [][]float64, z []float64, cfg RegressorConfig) (*Regressor, error) {
 	n := len(x)
 	if n == 0 || n != len(z) {
@@ -28,6 +30,9 @@ func TrainRegressor(x [][]float64, z []float64, cfg RegressorConfig) (*Regressor
 	}
 	if cfg.Kernel == nil {
 		cfg.Kernel = RBF{Gamma: 1.0 / float64(len(x[0]))}
+	}
+	if err := checkTrainable(cfg.Kernel, cfg.C); err != nil {
+		return nil, err
 	}
 	if cfg.C <= 0 {
 		cfg.C = 1
