@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,6 +130,35 @@ func TestPipelineDeterminism(t *testing.T) {
 		a, b := r1.Records[i], r2.Records[i]
 		if a.JobID != b.JobID || a.AppLabel != b.AppLabel || a.Summary.Means != b.Summary.Means {
 			t.Fatalf("pipeline not deterministic at record %d", i)
+		}
+	}
+}
+
+// TestBootCutIsGenerationOrder pins what lets supremm-serve read its boot
+// workload back out of the served warehouse: a Sharded seeded from a
+// pipeline's records returns a cut (job-id order) holding the same
+// pointers, in the same order, as the pipeline's Store (ingest order).
+// The two agree because job ids count up from 1000001 in generation
+// order and stay seven digits wide at these sizes.
+func TestBootCutIsGenerationOrder(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		jobs int
+	}{{2014, 2000}, {7, 300}, {91, 5000}} {
+		res, err := RunPipeline(DefaultPipelineConfig(c.seed, c.jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := warehouse.NewSharded(warehouse.ShardedConfig{})
+		for _, rec := range res.Records {
+			if err := sink.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := sink.Records(), res.Store.Records()
+		if len(got) != c.jobs || !slices.Equal(got, want) {
+			t.Errorf("seed %d, %d jobs: the Sharded cut (%d records) is not the Store's ingest order (%d records)",
+				c.seed, c.jobs, len(got), len(want))
 		}
 	}
 }
