@@ -313,7 +313,9 @@ func sortAll(s *Sharded) Records {
 	}
 	var recs Records
 	for _, sh := range s.shards {
-		recs = append(recs, sh.store.records...)
+		for _, r := range sh.byID {
+			recs = append(recs, r)
+		}
 	}
 	for _, sh := range s.shards {
 		sh.mu.Unlock()
