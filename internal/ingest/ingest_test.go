@@ -408,6 +408,43 @@ func TestCorruptFrameAccounting(t *testing.T) {
 	}
 }
 
+// TestHostileWallDroppedAtSink streams a one-host, nine-sample job whose
+// last sample lands 10^13 s after its first. It summarizes, but the
+// warehouse refuses its wall time, so every record settles as
+// dropped{sink}, nothing is warehoused, and the books still balance.
+func TestHostileWallDroppedAtSink(t *testing.T) {
+	h := newHarness(t, Config{Shards: 2})
+	var tj *testJob
+	for _, j := range genTestJobs(t, 21, 20, 1, 43200) {
+		if len(j.arch.Nodes[0].Samples) >= 9 {
+			tj = j
+			break
+		}
+	}
+	if tj == nil {
+		t.Fatal("no generated job has nine samples")
+	}
+	node := &tj.arch.Nodes[0]
+	node.Samples = append(node.Samples[:8:8], node.Samples[len(node.Samples)-1])
+	node.Samples[8].Time = node.Samples[0].Time + 1e13
+	tj.records = 9
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c := h.dialClient("hostile-wall")
+	sendJob(ctx, t, c, tj, 3)
+	if err := c.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := h.drainAndCheck()
+	if st.Ledger.Received != 9 || st.Ledger.Summarized != 0 || st.Ledger.Dropped[ReasonSink] != 9 {
+		t.Fatalf("want 9 received, all dropped{sink}: %+v", st.Ledger)
+	}
+	if n := h.sink.Len(); n != 0 {
+		t.Fatalf("the warehouse holds %d jobs, want none", n)
+	}
+}
+
 // TestIdleTimeoutFinalize: a job whose stream dies without an epilog is
 // finalized by the sweep and every record settles.
 func TestIdleTimeoutFinalize(t *testing.T) {

@@ -235,3 +235,90 @@ func TestDrillDown(t *testing.T) {
 		t.Errorf("inner mix = %v", inner[0].MixPercent)
 	}
 }
+
+// TestIngestRecordBounds holds both warehouses to one door: each bound
+// just inside is warehoused, just outside is refused, and a refused
+// record leaves the warehouse as it was.
+func TestIngestRecordBounds(t *testing.T) {
+	const year = 366 * 24 * 3600
+	cases := []struct {
+		name string
+		edit func(*Record)
+		ok   bool
+	}{
+		{"plain", func(*Record) {}, true},
+		{"no job id", func(r *Record) { r.JobID = "" }, false},
+		{"wall 0", func(r *Record) { r.WallSeconds = 0 }, true},
+		{"wall a year", func(r *Record) { r.WallSeconds = year }, true},
+		{"wall past a year", func(r *Record) { r.WallSeconds = math.Nextafter(year, math.Inf(1)) }, false},
+		{"wall 1e13", func(r *Record) { r.WallSeconds = 1e13 }, false},
+		{"wall negative", func(r *Record) { r.WallSeconds = math.Copysign(math.SmallestNonzeroFloat64, -1) }, false},
+		{"wall NaN", func(r *Record) { r.WallSeconds = math.NaN() }, false},
+		{"wall +Inf", func(r *Record) { r.WallSeconds = math.Inf(1) }, false},
+		{"start at +bound", func(r *Record) { r.Start = 1 << 40 }, true},
+		{"start past +bound", func(r *Record) { r.Start = 1<<40 + 1 }, false},
+		{"start at -bound", func(r *Record) { r.Start = -1 << 40 }, true},
+		{"start past -bound", func(r *Record) { r.Start = -1<<40 - 1 }, false},
+		{"start 1e18", func(r *Record) { r.Start = 1e18 }, false},
+		{"submit at +bound", func(r *Record) { r.Submit = 1 << 40 }, true},
+		{"submit past +bound", func(r *Record) { r.Submit = 1<<40 + 1 }, false},
+		{"submit at -bound", func(r *Record) { r.Submit = -1 << 40 }, true},
+		{"submit past -bound", func(r *Record) { r.Submit = -1<<40 - 1 }, false},
+		{"cores at +bound", func(r *Record) { r.Cores = 1 << 24 }, true},
+		{"cores past +bound", func(r *Record) { r.Cores = 1<<24 + 1 }, false},
+		{"cores at -bound", func(r *Record) { r.Cores = -1 << 24 }, true},
+		{"cores past -bound", func(r *Record) { r.Cores = -1<<24 - 1 }, false},
+		{"cores 1<<40", func(r *Record) { r.Cores = 1 << 40 }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stores := map[string]interface {
+				Ingest(*Record) error
+				Len() int
+				Lookup(string) (*Record, bool)
+			}{"store": NewStore(), "sharded": NewSharded(ShardedConfig{})}
+			for kind, s := range stores {
+				r := rec("7", "u", "A", "C", 2, 1_400_000_000, 3600, 60)
+				c.edit(r)
+				err := s.Ingest(r)
+				if (err == nil) != c.ok {
+					t.Fatalf("%s: Ingest(%+v) error = %v, want ok %v", kind, r, err, c.ok)
+				}
+				want := 0
+				if c.ok {
+					want = 1
+				}
+				if s.Len() != want {
+					t.Fatalf("%s holds %d jobs, want %d", kind, s.Len(), want)
+				}
+				if _, found := s.Lookup(r.JobID); found != c.ok {
+					t.Fatalf("%s: Lookup(%q) found = %v, want %v", kind, r.JobID, found, c.ok)
+				}
+			}
+		})
+	}
+}
+
+// TestBoundedRecordQueriesAreCheap runs the queries a hostile record used
+// to stall or wrap on the worst records the door admits: a job of a year
+// on the most cores, at either end of the time bound.
+func TestBoundedRecordQueriesAreCheap(t *testing.T) {
+	s := NewStore()
+	wait := map[int64]int64{}
+	for i, start := range []int64{-1 << 40, 0, 1 << 40} {
+		r := rec(string(rune('a'+i)), "u", "A", "C", 1, start, 366*24*3600, 0)
+		r.Cores, r.Submit = 1<<24, -start
+		if err := s.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+		wait[rollupKey(start)] = 2 * start
+	}
+	if n := len(s.Utilization(6400)); n > 3*13 {
+		t.Fatalf("Utilization returned %d months for three jobs of a year each", n)
+	}
+	for _, b := range s.Rollup() {
+		if b.WallMillis != 366*24*3600*1000 || b.CoreMillis != b.WallMillis<<24 || b.WaitSeconds != wait[b.Bucket] {
+			t.Fatalf("rollup bucket wrapped: %+v", b)
+		}
+	}
+}
