@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/ml/forest"
 	"repro/internal/obs/flight"
 	"repro/internal/rng"
+	"repro/internal/testkit"
 )
 
 // testWorld is the shared unit-test fixture: a real champion trained on
@@ -681,4 +683,34 @@ func TestWindowPSIMatchesReference(t *testing.T) {
 	feed(first, 21, "first baseline")
 	win.reset(second)
 	feed(second, 22, "after reset")
+}
+
+// TestTrainChallengerLeavesRowsUntouched pins what lets supremm-serve
+// hand one boot dataset's rows to every retrain: TrainChallenger never
+// writes its input rows, and a second call on the same rows trains the
+// same challenger, byte for byte, for every challenger family.
+func TestTrainChallengerLeavesRowsUntouched(t *testing.T) {
+	names := newTestWorld(t).names
+	rows, labels := shiftedTraffic(5, 120)
+	before := testkit.HashFloats(rows...)
+	for _, algo := range []string{"rf", "svm", "nb", "stack"} {
+		cfg := smallCfg()
+		cfg.Algo = algo
+		var saved [2][]byte
+		for i := range saved {
+			res, err := TrainChallenger(names, rows, labels, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", algo, err)
+			}
+			if got := testkit.HashFloats(rows...); got != before {
+				t.Fatalf("%s: training call %d rewrote its input rows", algo, i+1)
+			}
+			if saved[i], err = res.Model.SaveBytes(); err != nil {
+				t.Fatalf("%s: %v", algo, err)
+			}
+		}
+		if !bytes.Equal(saved[0], saved[1]) {
+			t.Fatalf("%s: two retrains on the same rows saved different challengers", algo)
+		}
+	}
 }
