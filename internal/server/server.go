@@ -30,8 +30,10 @@ import (
 )
 
 // Warehouse is what the server reads: every warehouse route queries one
-// cut of the job records. *warehouse.Store (ingest order) and
-// *warehouse.Sharded (job-id order) both provide it.
+// cut of the job records. *warehouse.Sharded (job-id order) provides it
+// in supremm-serve, where it is the only copy of the workload and ingest
+// grows it; *warehouse.Store (ingest order) provides it to tests and the
+// benchmark, which serve a fixed record set.
 type Warehouse interface{ Records() warehouse.Records }
 
 // Server wires the API handlers to a warehouse and an optional
