@@ -54,8 +54,8 @@
 // after 30 s idle), and the record lands in the served warehouse, which
 // the boot workload seeded. Every record a client delivers is summarized
 // exactly once or dropped under a named reason, so the ingest ledger
-// balances exactly after a drain (see internal/ingest; supremm-ingestload
-// reconciles it to the record). Finalized jobs land in the same flight
+// balances exactly after a drain (see internal/ingest; supremm-load
+// -reconcile with an addr= spec reconciles it to the record). Finalized jobs land in the same flight
 // recorder under /ingest/finalize, which the SLO objectives do not
 // count. The served warehouse is the only copy of the workload: the
 // boot models, the boot discovery fit and the lifecycle's retrains read

@@ -28,7 +28,7 @@ func TestFlagTablesMatchCode(t *testing.T) {
 		readmeTable bool
 	}{
 		{"supremm-serve", true},
-		{"supremm-load", false}, {"supremm-ingestload", false},
+		{"supremm-load", false},
 		{"supremm-gen", false}, {"supremm-collect", false}, {"supremm-classify", false},
 		{"supremm-report", false}, {"supremm-paper", false},
 	} {
@@ -50,7 +50,8 @@ func TestFlagTablesMatchCode(t *testing.T) {
 var usageFlag = regexp.MustCompile(`(?:^|[\s\[|])(-[A-Za-z][A-Za-z-]*)`)
 
 // definedFlags returns, each sorted and de-duplicated, the name of every
-// flag.X("name", ...) call in a command's source file, and every -name
+// flag.X("name", ...) call in a command's source file (or fs.X("name",
+// ...) on a set made by fs := flag.NewFlagSet(...)), and every -name
 // token in the indented synopsis under "Usage:" in its doc comment.
 func definedFlags(t *testing.T, path string) (names, usage []string) {
 	t.Helper()
@@ -75,16 +76,29 @@ func definedFlags(t *testing.T, path string) (names, usage []string) {
 		}
 	}
 	sort.Strings(usage)
+	definers := map[string]bool{"flag": true}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+			if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewFlagSet" {
+					if id, ok := as.Lhs[0].(*ast.Ident); ok {
+						definers[id.Name] = true
+					}
+				}
+			}
+		}
+		return true
+	})
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
+		if !ok || sel.Sel.Name == "NewFlagSet" {
 			return true
 		}
-		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+		if recv, ok := sel.X.(*ast.Ident); !ok || !definers[recv.Name] {
 			return true
 		}
 		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {

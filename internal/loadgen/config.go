@@ -62,10 +62,8 @@ const (
 // Validate checks a config for use by Run.
 func (c Config) Validate() error {
 	switch {
-	case c.BaseURL == "":
-		return fmt.Errorf("loadgen: url is required")
-	case !strings.HasPrefix(c.BaseURL, "http://") && !strings.HasPrefix(c.BaseURL, "https://"):
-		return fmt.Errorf("loadgen: url %q must be http(s)://", c.BaseURL)
+	case !serverRoot(c.BaseURL):
+		return fmt.Errorf("loadgen: url %q is not an http(s):// server root", c.BaseURL)
 	case math.IsNaN(c.RPS) || c.RPS <= 0 || c.RPS > 1e6:
 		return fmt.Errorf("loadgen: rps %v outside (0, 1e6]", c.RPS)
 	case c.Duration <= 0:
@@ -91,6 +89,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("loadgen: inflight must be positive, got %d", c.MaxInFlight)
 	}
 	return nil
+}
+
+// serverRoot reports whether u can be url=, the supremm-serve HTTP root
+// both spec grammars name.
+func serverRoot(u string) bool {
+	return strings.HasPrefix(u, "http://") || strings.HasPrefix(u, "https://")
 }
 
 // table is the config's spec grammar; ParseSpec and Spec both derive

@@ -52,12 +52,14 @@ func FuzzLoadConfig(f *testing.F) {
 // pass Validate, and render a canonical form that is a parse fixed
 // point.
 func FuzzIngestLoadConfig(f *testing.F) {
-	f.Add("addr=127.0.0.1:9301")
-	f.Add("addr=127.0.0.1:9301,jobs=64,conns=8,hosts=2,wall=1e3,dur=10s,chunk=16,seed=7")
-	f.Add("addr=h:1 jobs=1\tdur=1500ms")
-	f.Add("jobs=10")
-	f.Add("addr=h:1,wall=NaN")
-	f.Add("addr=h:1,jobs=1,jobs=2")
+	f.Add("url=http://127.0.0.1:8080,addr=127.0.0.1:9301")
+	f.Add("url=http://127.0.0.1:8080,addr=127.0.0.1:9301,jobs=64,conns=8,hosts=2,wall=1e3,dur=10s,seed=7")
+	f.Add("url=http://127.0.0.1:8080,addr=127.0.0.1:9301,chunk=16")
+	f.Add("url=https://h:2 addr=h:1 jobs=1\tdur=1500ms")
+	f.Add("addr=h:1")
+	f.Add("url=http://h:2,jobs=10")
+	f.Add("url=http://h:2,addr=h:1,wall=NaN")
+	f.Add("url=http://h:2,addr=h:1,jobs=1,jobs=2")
 	f.Add("garbage")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, spec string) {

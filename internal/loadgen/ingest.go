@@ -28,6 +28,10 @@ import (
 // replayed over Conns connections. As with Config, the canonical wire
 // form is the spec string, recorded verbatim in the report.
 type IngestConfig struct {
+	// BaseURL is the HTTP root of the supremm-serve whose ingest wire
+	// Addr is, e.g. http://127.0.0.1:8080; ReconcileIngest reads its
+	// ledger and /metrics there.
+	BaseURL string
 	// Addr is the ingest daemon's TCP address.
 	Addr string
 	// Jobs is how many cluster jobs to generate and stream.
@@ -43,8 +47,6 @@ type IngestConfig struct {
 	// Duration is the replay window the send schedule is compressed
 	// into (open-loop pacing; sends behind schedule go immediately).
 	Duration time.Duration
-	// ChunkSize is samples per data frame.
-	ChunkSize int
 	// Seed drives workload generation and connection assignment; one
 	// seed reproduces the exact frame sequence.
 	Seed uint64
@@ -56,13 +58,18 @@ const (
 	defIngestConns    = 4
 	defIngestMaxHosts = 4
 	defIngestWallCap  = 4000
-	defIngestChunk    = 4
 	defIngestDur      = 2 * time.Second
 )
+
+// ingestChunk is samples per data frame; one value serves every run, so
+// it is not a spec key.
+const ingestChunk = 4
 
 // Validate checks the config for use by RunIngest.
 func (c IngestConfig) Validate() error {
 	switch {
+	case !serverRoot(c.BaseURL):
+		return fmt.Errorf("loadgen: url %q is not an http(s):// server root", c.BaseURL)
 	case c.Addr == "":
 		return fmt.Errorf("loadgen: addr is required")
 	case c.Jobs <= 0 || c.Jobs > 100000:
@@ -75,8 +82,6 @@ func (c IngestConfig) Validate() error {
 		return fmt.Errorf("loadgen: wall must be positive, got %v", c.WallCap)
 	case c.Duration <= 0:
 		return fmt.Errorf("loadgen: dur must be positive, got %v", c.Duration)
-	case c.ChunkSize <= 0 || c.ChunkSize > 0xFFFF:
-		return fmt.Errorf("loadgen: chunk %d outside [1,65535]", c.ChunkSize)
 	}
 	return nil
 }
@@ -85,13 +90,13 @@ func (c IngestConfig) Validate() error {
 // both derive from it.
 func (c *IngestConfig) table() kvspec.Table {
 	return kvspec.Table{Prefix: "loadgen", Noun: "ingest spec", Fields: []kvspec.Field{
+		{Key: "url", Ptr: &c.BaseURL},
 		{Key: "addr", Ptr: &c.Addr},
 		{Key: "jobs", Ptr: &c.Jobs},
 		{Key: "conns", Ptr: &c.Conns},
 		{Key: "hosts", Ptr: &c.MaxHosts},
 		{Key: "wall", Ptr: &c.WallCap},
 		{Key: "dur", Ptr: &c.Duration},
-		{Key: "chunk", Ptr: &c.ChunkSize},
 		{Key: "seed", Ptr: &c.Seed},
 	}}
 }
@@ -99,18 +104,19 @@ func (c *IngestConfig) table() kvspec.Table {
 // ParseIngestSpec parses an ingest load spec: comma- or
 // whitespace-separated k=v pairs, e.g.
 //
-//	addr=127.0.0.1:9301,jobs=64,conns=8,dur=10s,seed=7
+//	url=http://127.0.0.1:8080,addr=127.0.0.1:9301,jobs=64,conns=8,dur=10s,seed=7
 //
-// Keys: addr, jobs, conns, hosts, wall, dur, chunk, seed. addr is
-// required; the rest default sanely.
+// Keys: url, addr, jobs, conns, hosts, wall, dur, seed. url and addr
+// are required; the rest default sanely. url names the same server
+// root as in ParseSpec: ingest only runs behind a supremm-serve that
+// also serves HTTP.
 func ParseIngestSpec(s string) (IngestConfig, error) {
 	cfg := IngestConfig{
-		Jobs:      defIngestJobs,
-		Conns:     defIngestConns,
-		MaxHosts:  defIngestMaxHosts,
-		WallCap:   defIngestWallCap,
-		ChunkSize: defIngestChunk,
-		Duration:  defIngestDur,
+		Jobs:     defIngestJobs,
+		Conns:    defIngestConns,
+		MaxHosts: defIngestMaxHosts,
+		WallCap:  defIngestWallCap,
+		Duration: defIngestDur,
 	}
 	seen, err := cfg.table().Parse(s)
 	if err != nil {
@@ -208,8 +214,8 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 		for ni := range arch.Nodes {
 			node := &arch.Nodes[ni]
 			ci := fnvStr(j.ID+"/"+node.Host) % uint64(cfg.Conns)
-			for off := 0; off < len(node.Samples); off += cfg.ChunkSize {
-				end := off + cfg.ChunkSize
+			for off := 0; off < len(node.Samples); off += ingestChunk {
+				end := off + ingestChunk
 				if end > len(node.Samples) {
 					end = len(node.Samples)
 				}
@@ -329,7 +335,8 @@ type IngestCheck struct {
 
 // ReconcileIngest polls base+/debug/ingest until the daemon is
 // quiescent (no pending records, no open jobs), then joins the ledger,
-// the /metrics counters, and the client-side acked count exactly.
+// the /metrics counters, and the client-side acked count exactly, and
+// fills rep.Reconcile.
 func ReconcileIngest(ctx context.Context, base string, rep *IngestReport) (*IngestCheck, error) {
 	client := &http.Client{Timeout: 5 * time.Second}
 	var st ingest.Status
@@ -361,6 +368,7 @@ func ReconcileIngest(ctx context.Context, base string, rep *IngestReport) (*Inge
 		OpenJobs:    st.OpenJobs,
 		Ledger:      st.Ledger,
 		ClientAcked: rep.RecordsAcked,
+		Mismatches:  []string{},
 	}
 	chk.MetricsReceived = promSum(metrics, "ingest_records_total", `outcome="received"`)
 	chk.MetricsSummarized = promSum(metrics, "ingest_records_total", `outcome="summarized"`)
@@ -384,6 +392,7 @@ func ReconcileIngest(ctx context.Context, base string, rep *IngestReport) (*Inge
 	if chk.MetricsDropped != st.Ledger.DroppedSum {
 		mismatch("/metrics dropped %d, ledger %d", chk.MetricsDropped, st.Ledger.DroppedSum)
 	}
+	rep.Reconcile = chk
 	return chk, nil
 }
 

@@ -17,18 +17,18 @@ import (
 )
 
 func TestParseIngestSpecDefaults(t *testing.T) {
-	cfg, err := ParseIngestSpec("addr=127.0.0.1:9301")
+	cfg, err := ParseIngestSpec("url=http://127.0.0.1:8080,addr=127.0.0.1:9301")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := IngestConfig{
-		Addr:      "127.0.0.1:9301",
-		Jobs:      defIngestJobs,
-		Conns:     defIngestConns,
-		MaxHosts:  defIngestMaxHosts,
-		WallCap:   defIngestWallCap,
-		ChunkSize: defIngestChunk,
-		Duration:  defIngestDur,
+		BaseURL:  "http://127.0.0.1:8080",
+		Addr:     "127.0.0.1:9301",
+		Jobs:     defIngestJobs,
+		Conns:    defIngestConns,
+		MaxHosts: defIngestMaxHosts,
+		WallCap:  defIngestWallCap,
+		Duration: defIngestDur,
 	}
 	if cfg != want {
 		t.Fatalf("defaults: got %+v want %+v", cfg, want)
@@ -37,9 +37,9 @@ func TestParseIngestSpecDefaults(t *testing.T) {
 
 func TestIngestSpecRoundTrip(t *testing.T) {
 	specs := []string{
-		"addr=127.0.0.1:9301",
-		"addr=10.0.0.1:7,jobs=64,conns=8,hosts=2,wall=1200,dur=10s,chunk=16,seed=99",
-		"addr=h:1 jobs=3\tseed=5", // mixed separators
+		"url=http://h:2,addr=127.0.0.1:9301",
+		"url=https://h:2,addr=10.0.0.1:7,jobs=64,conns=8,hosts=2,wall=1200,dur=10s,seed=99",
+		"addr=h:1 jobs=3\tseed=5 url=http://h:2", // mixed separators
 	}
 	for _, s := range specs {
 		cfg, err := ParseIngestSpec(s)
@@ -55,33 +55,45 @@ func TestIngestSpecRoundTrip(t *testing.T) {
 			t.Fatalf("spec %q: round trip drifted: %+v != %+v", s, again, cfg)
 		}
 	}
+	// chunk= is not a key: every frame carries ingestChunk samples.
+	if _, err := ParseIngestSpec("url=http://h:2,addr=10.0.0.1:7,jobs=64,conns=8,hosts=2,wall=1200,dur=10s,chunk=16,seed=99"); err == nil || !strings.Contains(err.Error(), `unknown ingest spec key "chunk"`) {
+		t.Fatalf("chunk=16: err = %v, want an unknown-key refusal", err)
+	}
 }
 
 func TestParseIngestSpecErrors(t *testing.T) {
 	bad := []string{
-		"",                          // empty
-		"jobs=3",                    // addr missing
-		"addr=a,jobs=0",             // out of range
-		"addr=a,conns=300",          // out of range
-		"addr=a,chunk=70000",        // > u16
-		"addr=a,dur=-1s",            // negative
-		"addr=a,addr=b",             // dup key
-		"addr=a,warp=9",             // unknown key
-		"addr=a,jobs",               // not k=v
-		"addr=a,wall=banana",        // bad float
-		"addr=a,seed=-1",            // bad uint
-		"addr=a,jobs=1,hosts=65",    // out of range
-		"addr=a,jobs=1,wall=0",      // non-positive
-		"addr=a,jobs=1,dur=0s",      // non-positive
-		"addr=a,jobs=1,chunk=0",     // non-positive
-		"addr=a,jobs=1,conns=0",     // non-positive
-		"addr=a,jobs=1,hosts=0",     // non-positive
-		"addr=a,jobs=100001",        // out of range
-		"addr=a,jobs=1,seed=999==9", // mangled pair
+		"",                                         // empty
+		"url=http://h:2,jobs=3",                    // addr missing
+		"addr=a",                                   // url missing
+		"url=ftp://h:2,addr=a",                     // bad url scheme
+		"url=http://h:2,addr=a,jobs=0",             // out of range
+		"url=http://h:2,addr=a,conns=300",          // out of range
+		"url=http://h:2,addr=a,chunk=70000",        // unknown key (chunk is a constant)
+		"url=http://h:2,addr=a,dur=-1s",            // negative
+		"url=http://h:2,addr=a,addr=b",             // dup key
+		"url=http://h:2,addr=a,warp=9",             // unknown key
+		"url=http://h:2,addr=a,rps=5",              // HTTP-only key
+		"url=http://h:2,addr=a,jobs",               // not k=v
+		"url=http://h:2,addr=a,wall=banana",        // bad float
+		"url=http://h:2,addr=a,seed=-1",            // bad uint
+		"url=http://h:2,addr=a,jobs=1,hosts=65",    // out of range
+		"url=http://h:2,addr=a,jobs=1,wall=0",      // non-positive
+		"url=http://h:2,addr=a,jobs=1,dur=0s",      // non-positive
+		"url=http://h:2,addr=a,jobs=1,chunk=0",     // unknown key (chunk is a constant)
+		"url=http://h:2,addr=a,jobs=1,conns=0",     // non-positive
+		"url=http://h:2,addr=a,jobs=1,hosts=0",     // non-positive
+		"url=http://h:2,addr=a,jobs=100001",        // out of range
+		"url=http://h:2,addr=a,jobs=1,seed=999==9", // mangled pair
 	}
 	for _, s := range bad {
 		if _, err := ParseIngestSpec(s); err == nil {
 			t.Errorf("ParseIngestSpec(%q): want error, got nil", s)
+		}
+	}
+	for _, s := range []string{"url=http://h:2,addr=a,chunk=70000", "url=http://h:2,addr=a,jobs=1,chunk=0"} {
+		if _, err := ParseIngestSpec(s); err == nil || !strings.Contains(err.Error(), `unknown ingest spec key "chunk"`) {
+			t.Errorf("ParseIngestSpec(%q): err = %v, want an unknown-key refusal", s, err)
 		}
 	}
 }
@@ -116,7 +128,7 @@ func TestRunIngestReconciles(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cfg, err := ParseIngestSpec("addr=" + ln.Addr().String() + ",jobs=6,conns=3,hosts=2,wall=1500,dur=200ms,chunk=4,seed=11")
+	cfg, err := ParseIngestSpec("url=" + hs.URL + ",addr=" + ln.Addr().String() + ",jobs=6,conns=3,hosts=2,wall=1500,dur=200ms,seed=11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +143,12 @@ func TestRunIngestReconciles(t *testing.T) {
 		t.Fatalf("report spec %q != config spec %q", rep.Spec, cfg.IngestSpec())
 	}
 
-	chk, err := ReconcileIngest(ctx, hs.URL, rep)
+	chk, err := ReconcileIngest(ctx, cfg.BaseURL, rep)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Reconcile != chk {
+		t.Fatal("ReconcileIngest did not fill rep.Reconcile")
 	}
 	if len(chk.Mismatches) != 0 {
 		t.Fatalf("reconciliation mismatches: %v", chk.Mismatches)

@@ -1,6 +1,10 @@
 // Package loadgen is the seeded open-loop load generator behind
-// cmd/supremm-load, the soak CI job, and manual capacity runs against
-// supremm-serve. Open-loop means arrivals follow the configured
+// cmd/supremm-load, the soak harnesses, and manual capacity runs against
+// supremm-serve. It drives both of the daemon's wires: Run fires HTTP
+// classification traffic (ParseSpec) and ReconcileRecorder joins it
+// against the flight recorder; RunIngest replays a seeded firehose on
+// the ingest wire (ParseIngestSpec) and ReconcileIngest joins it against
+// the conservation ledger. Open-loop means arrivals follow the configured
 // schedule regardless of how slowly the server answers -- the only
 // honest way to measure shedding and deadline behaviour, since a
 // closed loop slows down exactly when the server does and never
@@ -321,8 +325,12 @@ type RecorderCheck struct {
 	ShadowAgree uint64            `json:"shadowAgree,omitempty"`
 	Lifecycle   *lifecycle.Ledger `json:"lifecycle,omitempty"`
 	// Mismatches lists every reconciliation failure; empty means the
-	// ledger agreed exactly with the client-observed counts.
+	// ledger agreed exactly with the client-observed counts. Any entry
+	// fails the run.
 	Mismatches []string `json:"mismatches"`
+	// Skipped says why the client-side joins were not made (the run saw
+	// transport errors); the ledger's own balance is checked regardless.
+	Skipped string `json:"skipped,omitempty"`
 }
 
 // drivenRoutes are the routes the load generator drives; the
@@ -375,8 +383,10 @@ func drivenByStatus(st flight.Stats) map[string]uint64 {
 //     the ring, provided nothing was evicted during the run.
 //
 // An exact join requires the client to have seen every response; when
-// rep.ClientErrors > 0 some answers died on the wire and per-status
-// equality cannot hold, so those comparisons are skipped and noted.
+// rep.ClientErrors > 0 some answers died on the wire, and requests whose
+// client gave up can still be scoring, so the per-status, ring and
+// shadow-book joins are skipped and the reason is left in Skipped. The
+// ledger's balance is a server-side invariant and is checked either way.
 func ReconcileRecorder(ctx context.Context, base string, rep *Report) (*RecorderCheck, error) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	answered := uint64(rep.Answered())
@@ -416,7 +426,7 @@ func ReconcileRecorder(ctx context.Context, base string, rep *Report) (*Recorder
 	}
 
 	if rep.ClientErrors > 0 {
-		flag("skipped per-status join: %d client-side errors mean the client missed responses the server recorded", rep.ClientErrors)
+		chk.Skipped = fmt.Sprintf("client-side joins: %d client-side errors mean the client missed responses the server recorded", rep.ClientErrors)
 		rep.Recorder = chk
 		return chk, nil
 	}

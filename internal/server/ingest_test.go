@@ -72,7 +72,7 @@ func TestIngestArmedServer(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cfg, err := loadgen.ParseIngestSpec("addr=" + ln.Addr().String() + ",jobs=12,conns=3,hosts=2,wall=1500,dur=200ms,chunk=4,seed=11")
+	cfg, err := loadgen.ParseIngestSpec("url=" + srv.URL + ",addr=" + ln.Addr().String() + ",jobs=12,conns=3,hosts=2,wall=1500,dur=200ms,seed=11")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestSoakIngestConservation(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), dur+3*time.Minute)
 	defer cancel()
-	spec := fmt.Sprintf("addr=%s,jobs=%s,conns=%s,hosts=3,wall=2500,chunk=4,dur=%s,seed=9", addr, jobs, conns, dur)
+	spec := fmt.Sprintf("url=%s,addr=%s,jobs=%s,conns=%s,hosts=3,wall=2500,dur=%s,seed=9", base, addr, jobs, conns, dur)
 	cfg, err := loadgen.ParseIngestSpec(spec)
 	if err != nil {
 		t.Fatalf("soak spec %q: %v", spec, err)
@@ -69,13 +69,13 @@ func TestSoakIngestConservation(t *testing.T) {
 	}
 
 	// Exact reconciliation: quiesce, then join client acks, ledger, and
-	// /metrics. Attach the result to the report before persisting so the
-	// artifact carries the verdict even when the assertions below fail.
-	chk, err := loadgen.ReconcileIngest(ctx, base, rep)
+	// /metrics. The result rides on the report, which is persisted first
+	// so the artifact carries the verdict even when the assertions below
+	// fail.
+	chk, err := loadgen.ReconcileIngest(ctx, cfg.BaseURL, rep)
 	if err != nil {
 		t.Errorf("reconciliation unavailable: %v", err)
 	}
-	rep.Reconcile = chk
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
