@@ -205,7 +205,7 @@ lifecycle-sim:
 
 # The out-of-process soak: builds supremm-serve WITH -race, boots it
 # with fault injection armed, drives it with the seeded open-loop
-# generator (cmd/supremm-load's engine) for SOAK_DUR while SIGHUP
+# generator (cmd/supremm-load's HTTP wire) for SOAK_DUR while SIGHUP
 # reloads hammer the breaker, then reconciles client-observed counts
 # against /metrics exactly — including the lifecycle loop's shadow
 # ledger against the flight recorder's independently-summed tallies
@@ -217,7 +217,8 @@ soak:
 
 # The ingest soak: builds supremm-serve WITH -race, boots it with
 # -ingest-addr and fault injection armed at every ingest site, replays a
-# seeded firehose, and reconciles the conservation ledger against the
+# seeded firehose (cmd/supremm-load's ingest wire, an addr= spec), and
+# reconciles the conservation ledger against the
 # clients' acks and /metrics exactly (received == summarized + dropped,
 # per shard and globally). A job whose epilog a fault dropped finalizes
 # on the 30 s idle sweep, so the reconciliation waits that out. It also
