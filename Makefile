@@ -29,6 +29,7 @@ FUZZ_TARGETS = \
 	./internal/ml/forest:FuzzTreeParity \
 	./internal/ml/svm:FuzzRBFRow \
 	./internal/ingest:FuzzIngestFrame \
+	./internal/summarize:FuzzNodeFold \
 	./internal/lifecycle:FuzzLifecycleConfig \
 	./internal/server:FuzzBatchColumns \
 	./internal/server:FuzzScanRow

@@ -107,7 +107,9 @@ type CUSUM struct {
 	sum float64
 }
 
-// NewCUSUM calibrates a detector from a healthy baseline sample.
+// NewCUSUM calibrates a detector from a healthy baseline sample. A flat
+// baseline floors sigma at 1 % of the mean, and at 1e-9 when the mean is
+// zero too, so the statistic stays a number.
 func NewCUSUM(baseline []float64) (*CUSUM, error) {
 	if len(baseline) < 2 {
 		return nil, fmt.Errorf("appkernel: need at least 2 baseline runs")
@@ -121,6 +123,9 @@ func NewCUSUM(baseline []float64) (*CUSUM, error) {
 	sigma := math.Sqrt(m2 / float64(len(baseline)))
 	if sigma == 0 {
 		sigma = mean * 0.01
+		if sigma == 0 {
+			sigma = 1e-9
+		}
 	}
 	return &CUSUM{Target: mean, Slack: 0.5, Threshold: 5, Sigma: sigma}, nil
 }
@@ -144,11 +149,10 @@ func (c *CUSUM) Observe(wall float64) bool {
 // Value returns the current CUSUM statistic (in sigma units).
 func (c *CUSUM) Value() float64 { return c.sum }
 
-// Monitor runs a change detector per (kernel, node-count) stream and
-// collects alarms. The default detector is CUSUM; NewMonitorWith accepts
-// any DetectorFactory (EWMA, Shewhart).
+// Monitor runs a CUSUM detector per (kernel, node-count) stream and
+// collects alarms.
 type Monitor struct {
-	detectors map[string]Detector
+	detectors map[string]*CUSUM
 	// Alarms maps stream key -> sequence numbers that alarmed.
 	Alarms map[string][]int
 }
@@ -161,19 +165,14 @@ func StreamKey(kernel string, nodes int) string {
 // NewMonitor calibrates one CUSUM detector per stream from baseline runs
 // (healthy history).
 func NewMonitor(baseline []Run) (*Monitor, error) {
-	return NewMonitorWith(baseline, NewCUSUMDetector)
-}
-
-// NewMonitorWith calibrates one detector per stream using the factory.
-func NewMonitorWith(baseline []Run, factory DetectorFactory) (*Monitor, error) {
 	byStream := map[string][]float64{}
 	for _, r := range baseline {
 		k := StreamKey(r.Kernel, r.Nodes)
 		byStream[k] = append(byStream[k], r.Wall)
 	}
-	m := &Monitor{detectors: map[string]Detector{}, Alarms: map[string][]int{}}
+	m := &Monitor{detectors: map[string]*CUSUM{}, Alarms: map[string][]int{}}
 	for k, walls := range byStream {
-		det, err := factory(walls)
+		det, err := NewCUSUM(walls)
 		if err != nil {
 			return nil, fmt.Errorf("stream %s: %w", k, err)
 		}

@@ -116,6 +116,91 @@ func TestCUSUMErrors(t *testing.T) {
 	}
 }
 
+// cusumBench runs a CUSUM over healthy then shifted data, returning
+// (false alarms in healthy phase, observations until first alarm after
+// the shift; -1 if never).
+func cusumBench(t *testing.T, shift float64, seed uint64) (falseAlarms, delay int) {
+	t.Helper()
+	r := rng.New(seed)
+	baseline := make([]float64, 60)
+	for i := range baseline {
+		baseline[i] = 100 * r.LogNormal(0, 0.04)
+	}
+	det, err := NewCUSUM(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 150; i++ {
+		if det.Observe(100 * r.LogNormal(0, 0.04)) {
+			falseAlarms++
+		}
+	}
+	delay = -1
+	for i := 0; i < 60; i++ {
+		if det.Observe(100 * shift * r.LogNormal(0, 0.04)) {
+			delay = i
+			break
+		}
+	}
+	return falseAlarms, delay
+}
+
+func TestAllDetectorsCatchLargeShift(t *testing.T) {
+	fa, delay := cusumBench(t, 1.5, 11)
+	if delay < 0 {
+		t.Errorf("cusum missed a 50%% regression")
+	}
+	if delay > 10 {
+		t.Errorf("cusum took %d observations on a 50%% regression", delay)
+	}
+	if fa > 3 {
+		t.Errorf("cusum raised %d false alarms on healthy data", fa)
+	}
+}
+
+func TestCUSUMCatchesSmallDrift(t *testing.T) {
+	// 8% drift (~2 sigma at 4% noise): an accumulating detector must
+	// catch it.
+	if _, delay := cusumBench(t, 1.08, 13); delay < 0 || delay > 30 {
+		t.Errorf("cusum delay on 8%% drift = %d", delay)
+	}
+}
+
+func TestDetectorBaselineErrors(t *testing.T) {
+	if _, err := NewCUSUM([]float64{1}); err == nil {
+		t.Error("cusum accepted a single-point baseline")
+	}
+}
+
+// TestZeroVarianceBaselines: a flat baseline floors sigma, so an
+// in-control point leaves the statistic a number and a clear regression
+// still alarms. An all-zero baseline once left sigma 0: the in-control
+// 0 made the statistic NaN for good and nothing alarmed again.
+func TestZeroVarianceBaselines(t *testing.T) {
+	for _, tc := range []struct {
+		baseline []float64
+		slow     float64
+	}{
+		{[]float64{5, 5, 5}, 6},
+		{[]float64{0, 0, 0}, 1e6},
+	} {
+		det, err := NewCUSUM(tc.baseline)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.baseline, err)
+		}
+		if det.Observe(tc.baseline[0]) || math.IsNaN(det.Value()) {
+			t.Fatalf("%v: in-control point alarmed or left value %v", tc.baseline, det.Value())
+		}
+		alarmed := false
+		for i := 0; i < 10 && !alarmed; i++ {
+			alarmed = det.Observe(tc.slow)
+		}
+		if !alarmed {
+			t.Errorf("cusum never alarmed on a wall of %v from the flat baseline %v", tc.slow, tc.baseline)
+		}
+	}
+}
+
 func TestMonitorEndToEnd(t *testing.T) {
 	r := rng.New(4)
 	kernels := DefaultKernels()

@@ -445,6 +445,52 @@ func TestHostileWallDroppedAtSink(t *testing.T) {
 	}
 }
 
+// TestBackwardsCounterDropsNode streams a multi-host job in which one
+// host's mem[1] counter reads lower than the sample before. That host's
+// records settle as dropped{incomplete}, the rest are summarized, the
+// warehoused summary equals the batch one, and the books balance.
+func TestBackwardsCounterDropsNode(t *testing.T) {
+	h := newHarness(t, Config{Shards: 2})
+	var tj *testJob
+	for _, j := range genTestJobs(t, 21, 20, 3, 4000) {
+		if len(j.arch.Nodes) >= 2 && len(j.arch.Nodes[0].Samples) >= 3 {
+			tj = j
+			break
+		}
+	}
+	if tj == nil {
+		t.Fatal("no generated job has two hosts and three samples")
+	}
+	bad := &tj.arch.Nodes[0]
+	mem := bad.Samples[2].Find(taccstats.DevMem)
+	mem.Values = append([]uint64(nil), mem.Values...)
+	mem.Values[1] = 0
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c := h.dialClient("backwards-counter")
+	sendJob(ctx, t, c, tj, 2)
+	if err := c.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := h.drainAndCheck()
+	badRecs := uint64(len(bad.Samples))
+	if st.Ledger.Received != tj.records || st.Ledger.Summarized != tj.records-badRecs ||
+		st.Ledger.Dropped[ReasonIncomplete] != badRecs || st.Ledger.DroppedSum != badRecs {
+		t.Fatalf("want %d received, %d dropped{incomplete}: %+v", tj.records, badRecs, st.Ledger)
+	}
+	rec, ok := h.sink.Lookup(tj.meta.JobID)
+	if !ok {
+		t.Fatalf("job %s missing from warehouse", tj.meta.JobID)
+	}
+	if !reflect.DeepEqual(rec.Summary.DroppedNodes, []string{bad.Host}) {
+		t.Fatalf("dropped nodes %v, want [%s]", rec.Summary.DroppedNodes, bad.Host)
+	}
+	if !reflect.DeepEqual(rec.Summary, refSummary(t, tj.arch, taccstats.DefaultConfig())) {
+		t.Fatal("streamed summary diverged from batch summary")
+	}
+}
+
 // TestIdleTimeoutFinalize: a job whose stream dies without an epilog is
 // finalized by the sweep and every record settles.
 func TestIdleTimeoutFinalize(t *testing.T) {

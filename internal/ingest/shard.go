@@ -33,9 +33,9 @@ const (
 	SiteFinalize = "ingest.finalize"
 )
 
-// collector describes the machine the summarizer assumes: Stampede's,
-// matching the batch pipeline.
-var collector = taccstats.DefaultConfig()
+// coresPerNode is the machine's node width (Stampede's, matching the
+// batch pipeline): a job without meta is charged Nodes × coresPerNode.
+var coresPerNode = taccstats.DefaultConfig().CoresPerNode
 
 // Sink receives finalized job records: the same warehouse.Record the
 // batch pipeline builds, so whatever a sink holds is a training corpus
@@ -73,10 +73,10 @@ func (m *message) jobID() string {
 	return ""
 }
 
-// hostState accumulates one node's samples for an open job.
+// hostState folds one node's samples for an open job as they arrive.
 type hostState struct {
-	samples []taccstats.Sample
-	ended   bool
+	node  summarize.Node
+	ended bool
 }
 
 // jobState is one open job on a shard.
@@ -84,7 +84,7 @@ type jobState struct {
 	meta    *JobMeta
 	hosts   map[string]*hostState
 	ended   int    // hosts whose epilog (end marker) arrived
-	records uint64 // samples held, pending finalization
+	records uint64 // samples folded, pending finalization
 	last    time.Time
 }
 
@@ -182,13 +182,13 @@ func (sh *shard) handle(msg message) {
 		js := sh.job(msg.chunk.JobID)
 		hs := js.hosts[msg.chunk.Host]
 		if hs == nil {
-			hs = &hostState{}
+			hs = &hostState{node: summarize.Node{Host: msg.chunk.Host}}
 			js.hosts[msg.chunk.Host] = hs
 		}
-		hs.samples = append(hs.samples, msg.chunk.Samples...)
 		js.records += n
 		js.last = time.Now()
 		for i := range msg.chunk.Samples {
+			hs.node.Add(&msg.chunk.Samples[i])
 			if msg.chunk.Samples[i].Marker == taccstats.MarkerEnd && !hs.ended {
 				hs.ended = true
 				js.ended++
@@ -305,23 +305,19 @@ func (sh *shard) finalize(id string, js *jobState, trigger string) {
 		return
 	}
 
-	// Assemble the archive host-sorted, matching the batch pipeline's
-	// spool ordering so a streamed job summarizes bit-identically to the
-	// same job summarized from disk.
+	// Combine the folds host-sorted, matching the batch pipeline's spool
+	// ordering so a streamed job summarizes bit-identically to the same
+	// job summarized from disk.
 	hostNames := make([]string, 0, len(js.hosts))
 	for h := range js.hosts {
 		hostNames = append(hostNames, h)
 	}
 	sort.Strings(hostNames)
-	arch := &taccstats.Archive{JobID: id, Nodes: make([]taccstats.NodeArchive, 0, len(hostNames))}
-	perHost := make(map[string]uint64, len(hostNames))
-	for _, h := range hostNames {
-		hs := js.hosts[h]
-		perHost[h] = uint64(len(hs.samples))
-		arch.Nodes = append(arch.Nodes, taccstats.NodeArchive{Host: h, JobID: id, Samples: hs.samples})
+	nodes := make([]*summarize.Node, len(hostNames))
+	for i, h := range hostNames {
+		nodes[i] = &js.hosts[h].node
 	}
-
-	sum, err := summarize.Summarize(arch, collector, summarize.Options{SkipBadNodes: true})
+	sum, err := summarize.Nodes(id, nodes, true)
 	if err != nil {
 		srv.ledger.Dropped(sh.id, ReasonFinalize, js.records)
 		settle(500, err.Error())
@@ -329,11 +325,11 @@ func (sh *shard) finalize(id string, js *jobState, trigger string) {
 	}
 	var droppedRecs uint64
 	for _, h := range sum.DroppedNodes {
-		droppedRecs += perHost[h]
+		droppedRecs += uint64(js.hosts[h].node.Len())
 	}
 	okRecs := js.records - droppedRecs
 
-	rec := buildRecord(id, js.meta, sum, collector.CoresPerNode)
+	rec := buildRecord(id, js.meta, sum)
 	if err := srv.cfg.Sink.Ingest(rec); err != nil {
 		srv.ledger.Dropped(sh.id, ReasonSink, okRecs)
 		if droppedRecs > 0 {
@@ -352,7 +348,7 @@ func (sh *shard) finalize(id string, js *jobState, trigger string) {
 // buildRecord joins the summary with the job's accounting metadata
 // (defaults mirror the batch pipeline's unlabeled-job conventions when
 // no meta frame arrived before finalization).
-func buildRecord(id string, meta *JobMeta, sum *summarize.Summary, coresPerNode int) *warehouse.Record {
+func buildRecord(id string, meta *JobMeta, sum *summarize.Summary) *warehouse.Record {
 	rec := &warehouse.Record{
 		JobID:       id,
 		User:        "unknown",

@@ -7,8 +7,10 @@
 //
 // The summarizer must unwrap 48-bit hardware-counter rollover, tolerate
 // arbitrary counter bases, treat gauges and counters differently, and
-// handle degenerate jobs (single node: COV is zero; fewer than two samples:
-// rejected as unsummarizable, as the production pipeline does).
+// handle degenerate jobs (single node: COV is zero; fewer than two samples
+// or a 64-bit counter that runs backwards: rejected as unsummarizable, as
+// the production pipeline does). Each node is one Node fold, so batch and
+// streamed jobs share a body.
 package summarize
 
 import (
@@ -69,7 +71,7 @@ type Options struct {
 	SkipBadNodes bool
 }
 
-// nodeStats is the per-node reduction of one archive.
+// nodeStats is one node's reduction, read from its fold.
 type nodeStats struct {
 	avg         [apps.NumMetrics]float64
 	catastrophe float64
@@ -77,29 +79,57 @@ type nodeStats struct {
 	duration    float64
 }
 
-// Summarize reduces a job's raw archive to its SUPReMM summary.
+// Summarize reduces a job's raw archive to its SUPReMM summary: it folds
+// each node's samples through a Node and combines the folds with Nodes.
+// cfg is unused (the collector layout is fixed); the parameter stays
+// because the benchmark module calls this signature.
 func Summarize(a *taccstats.Archive, cfg taccstats.Config, opt Options) (*Summary, error) {
-	if len(a.Nodes) == 0 {
+	nodes := make([]*Node, len(a.Nodes))
+	for i := range a.Nodes {
+		n := &a.Nodes[i]
+		nd := &Node{Host: n.Host}
+		// The batch path knows each node's span before it folds, so its
+		// time slices accumulate inline.
+		if k := len(n.Samples); opt.Segments > 0 && k > 1 {
+			nd.span = float64(n.Samples[k-1].Time - n.Samples[0].Time)
+			nd.segs = make([][apps.NumMetrics]float64, opt.Segments)
+			nd.segDT = make([]float64, opt.Segments)
+		}
+		for j := range n.Samples {
+			nd.Add(&n.Samples[j])
+		}
+		nodes[i] = nd
+	}
+	return Nodes(a.JobID, nodes, opt.SkipBadNodes)
+}
+
+// Nodes combines per-node folds, in the given order, into the job
+// summary: across-node means and COVs, CATASTROPHE and CPU USER
+// IMBALANCE. With skipBad a node whose fold failed is listed in
+// DroppedNodes instead of failing the job; at least one node must
+// summarize either way.
+func Nodes(jobID string, nodes []*Node, skipBad bool) (*Summary, error) {
+	if len(nodes) == 0 {
 		return nil, errors.New("summarize: archive has no nodes")
 	}
-	perNode := make([]nodeStats, 0, len(a.Nodes))
+	perNode := make([]nodeStats, 0, len(nodes))
 	var dropped []string
-	for i := range a.Nodes {
-		ns, err := summarizeNode(&a.Nodes[i], cfg, opt)
+	for _, nd := range nodes {
+		ns, err := nd.result()
 		if err != nil {
-			if opt.SkipBadNodes {
-				dropped = append(dropped, a.Nodes[i].Host)
+			if skipBad {
+				dropped = append(dropped, nd.Host)
 				continue
 			}
-			return nil, fmt.Errorf("node %s: %w", a.Nodes[i].Host, err)
+			return nil, fmt.Errorf("node %s: %w", nd.Host, err)
 		}
 		perNode = append(perNode, ns)
 	}
 	if len(perNode) == 0 {
-		return nil, fmt.Errorf("summarize: job %s has no summarizable nodes (%d dropped)", a.JobID, len(dropped))
+		return nil, fmt.Errorf("summarize: job %s has no summarizable nodes (%d dropped)", jobID, len(dropped))
 	}
 
-	s := &Summary{JobID: a.JobID, Nodes: len(perNode), WallSeconds: perNode[0].duration, DroppedNodes: dropped}
+	s := &Summary{JobID: jobID, Nodes: len(perNode), WallSeconds: perNode[0].duration, DroppedNodes: dropped}
 	var accs [apps.NumMetrics]stats.Accumulator
 	for _, ns := range perNode {
 		for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
@@ -131,9 +161,9 @@ func Summarize(a *taccstats.Archive, cfg taccstats.Config, opt Options) (*Summar
 		s.CPUUserImbalance = (maxU - minU) / maxU
 	}
 
-	if opt.Segments > 0 {
-		s.SegmentMeans = make([][apps.NumMetrics]float64, opt.Segments)
-		for seg := 0; seg < opt.Segments; seg++ {
+	if k := len(perNode[0].segments); k > 0 {
+		s.SegmentMeans = make([][apps.NumMetrics]float64, k)
+		for seg := 0; seg < k; seg++ {
 			var segAccs [apps.NumMetrics]stats.Accumulator
 			for _, ns := range perNode {
 				for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
@@ -149,7 +179,9 @@ func Summarize(a *taccstats.Archive, cfg taccstats.Config, opt Options) (*Summar
 }
 
 // intervalRates computes the per-second metric rates over one sample pair.
-func intervalRates(prev, cur *taccstats.Sample, cfg taccstats.Config) (rates [apps.NumMetrics]float64, dt float64, err error) {
+// A missing device or a 64-bit kernel counter that decreased is an error:
+// only the 48-bit PMCs wrap within a job.
+func intervalRates(prev, cur *taccstats.Sample) (rates [apps.NumMetrics]float64, dt float64, err error) {
 	dt = float64(cur.Time - prev.Time)
 	if dt <= 0 {
 		return rates, 0, fmt.Errorf("non-increasing sample times %d -> %d", prev.Time, cur.Time)
@@ -158,6 +190,10 @@ func intervalRates(prev, cur *taccstats.Sample, cfg taccstats.Config) (rates [ap
 		p, c := prev.Find(dev), cur.Find(dev)
 		if p == nil || c == nil || idx >= len(p.Values) || idx >= len(c.Values) {
 			err = fmt.Errorf("missing device %s[%d]", dev, idx)
+			return 0
+		}
+		if !pmc && c.Values[idx] < p.Values[idx] {
+			err = fmt.Errorf("counter %s[%d] went backwards", dev, idx)
 			return 0
 		}
 		return float64(taccstats.CounterDelta(p.Values[idx], c.Values[idx], pmc))
@@ -204,86 +240,106 @@ func intervalRates(prev, cur *taccstats.Sample, cfg taccstats.Config) (rates [ap
 	return rates, dt, err
 }
 
-func summarizeNode(n *taccstats.NodeArchive, cfg taccstats.Config, opt Options) (nodeStats, error) {
+// Node folds one node's samples, in time order, into the per-node
+// reduction the job summary combines: time-weighted rates, the CPU-user
+// extremes CATASTROPHE reads, and the node's span. Its state is O(1) in
+// the job's length, so a streaming consumer feeds samples as they arrive
+// and a batch one walks its archive; both get the same bits. The zero
+// value with Host set is ready to use.
+type Node struct {
+	Host string
+
+	n     int              // samples added
+	prev  taccstats.Sample // last sample added
+	start int64            // first sample's time
+	err   error            // first interval error; sticky
+
+	sum        [apps.NumMetrics]float64 // Σ rate·dt per metric
+	dt         float64                  // Σ dt
+	minU, maxU float64                  // interval CPU-user extremes
+
+	// Time slices (batch only): the node's span is set before folding.
+	span  float64
+	segs  [][apps.NumMetrics]float64 // Σ rate·dt per slice
+	segDT []float64                  // Σ dt per slice
+}
+
+// Len returns how many samples the fold has seen.
+func (nd *Node) Len() int { return nd.n }
+
+// Add folds the next sample. After an interval error the fold only
+// counts samples; the error is reported by the summary.
+func (nd *Node) Add(s *taccstats.Sample) {
+	nd.n++
+	if nd.n == 1 {
+		nd.start = s.Time
+	} else if nd.err == nil {
+		nd.interval(s)
+	}
+	nd.prev = *s
+}
+
+// interval folds the rates from the previous sample to cur, each sum in
+// interval order.
+func (nd *Node) interval(cur *taccstats.Sample) {
+	r, dt, err := intervalRates(&nd.prev, cur)
+	if err != nil {
+		nd.err = err
+		return
+	}
+	nd.dt += dt
+	for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
+		nd.sum[m] += r[m] * dt
+	}
+	u := r[apps.CPUUser]
+	if nd.n == 2 || u < nd.minU {
+		nd.minU = u
+	}
+	if nd.n == 2 || u > nd.maxU {
+		nd.maxU = u
+	}
+	if k := len(nd.segs); k > 0 {
+		mid := float64(nd.prev.Time+cur.Time)/2 - float64(nd.start)
+		seg := min(max(int(mid/nd.span*float64(k)), 0), k-1)
+		for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
+			nd.segs[seg][m] += r[m] * dt
+		}
+		nd.segDT[seg] += dt
+	}
+}
+
+// result is the node's reduction over the samples folded so far; it
+// leaves the fold unchanged, so a prefix can be read mid-stream.
+func (nd *Node) result() (nodeStats, error) {
 	var ns nodeStats
-	if len(n.Samples) < 2 {
+	if nd.n < 2 {
 		return ns, ErrTooFewSamples
 	}
-	start := n.Samples[0].Time
-	end := n.Samples[len(n.Samples)-1].Time
-	ns.duration = float64(end - start)
-
-	type interval struct {
-		rates [apps.NumMetrics]float64
-		dt    float64
-		mid   float64 // midpoint time offset from start
+	if nd.err != nil {
+		return ns, nd.err
 	}
-	ivs := make([]interval, 0, len(n.Samples)-1)
-	for i := 1; i < len(n.Samples); i++ {
-		r, dt, err := intervalRates(&n.Samples[i-1], &n.Samples[i], cfg)
-		if err != nil {
-			return ns, err
-		}
-		mid := float64(n.Samples[i-1].Time+n.Samples[i].Time)/2 - float64(start)
-		ivs = append(ivs, interval{rates: r, dt: dt, mid: mid})
-	}
-
-	// Time-weighted node average of each metric.
-	var totalDT float64
-	for _, iv := range ivs {
-		totalDT += iv.dt
-	}
+	ns.duration = float64(nd.prev.Time - nd.start)
 	for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
-		var sum float64
-		for _, iv := range ivs {
-			sum += iv.rates[m] * iv.dt
-		}
-		ns.avg[m] = sum / totalDT
+		ns.avg[m] = nd.sum[m] / nd.dt
 	}
-
 	// CATASTROPHE: lowest/highest interval CPU-user rate. A single
 	// interval cannot show a collapse, so it reports 1.
-	minU, maxU := math.Inf(1), math.Inf(-1)
-	for _, iv := range ivs {
-		u := iv.rates[apps.CPUUser]
-		if u < minU {
-			minU = u
-		}
-		if u > maxU {
-			maxU = u
-		}
-	}
-	if len(ivs) < 2 || maxU <= 0 {
+	if nd.n < 3 || nd.maxU <= 0 {
 		ns.catastrophe = 1
 	} else {
-		ns.catastrophe = minU / maxU
+		ns.catastrophe = nd.minU / nd.maxU
 	}
-
-	if opt.Segments > 0 {
-		ns.segments = make([][apps.NumMetrics]float64, opt.Segments)
-		segDT := make([]float64, opt.Segments)
-		for _, iv := range ivs {
-			seg := int(iv.mid / ns.duration * float64(opt.Segments))
-			if seg >= opt.Segments {
-				seg = opt.Segments - 1
-			}
-			if seg < 0 {
-				seg = 0
-			}
-			for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
-				ns.segments[seg][m] += iv.rates[m] * iv.dt
-			}
-			segDT[seg] += iv.dt
-		}
-		for seg := range ns.segments {
-			if segDT[seg] == 0 {
+	if len(nd.segs) > 0 {
+		ns.segments = make([][apps.NumMetrics]float64, len(nd.segs))
+		for seg := range nd.segs {
+			if nd.segDT[seg] == 0 {
 				// Empty slice (short job): inherit the node average so
 				// segment features degrade gracefully to the mean.
 				ns.segments[seg] = ns.avg
 				continue
 			}
 			for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
-				ns.segments[seg][m] /= segDT[seg]
+				ns.segments[seg][m] = nd.segs[seg][m] / nd.segDT[seg]
 			}
 		}
 	}
