@@ -11,7 +11,7 @@
 // Usage:
 //
 //	supremm-load [-out report.json] [-reconcile] url=http://127.0.0.1:8080 rps=200 dur=30s
-//	             [ramp=5s] [mix=0.25] [dmix=0.1] [rmix=0.1] [batch=64]
+//	             [ramp=5s] [mix=0.25] [dmix=0.1] [batch=64]
 //	             [threshold=0.5] [seed=7] [timeout=10s] [inflight=512]
 //	supremm-load [-out report.json] [-reconcile] url=http://127.0.0.1:8080 addr=127.0.0.1:9301
 //	             [jobs=32] [conns=4] [hosts=4] [wall=4000] [dur=2s] [seed=0]
@@ -20,9 +20,9 @@
 // k=v pairs separated by spaces or commas. url is the supremm-serve HTTP
 // root on both wires. The canonical spec is echoed on stderr and leads
 // the report, so any run reproduces from its artifact. The run's
-// deadline is dur plus two minutes. dmix and rmix send a fraction of
-// HTTP arrivals to /api/discover/assign and /api/runtime-class; the
-// target must have those models fitted or the run refuses to start.
+// deadline is dur plus two minutes. dmix sends a fraction of HTTP
+// arrivals to /api/discover/assign; the target must have a discovery
+// fit loaded or the run refuses to start.
 //
 // -reconcile joins the run against the server at url afterwards: on the
 // HTTP wire the flight recorder's ledger must balance and, when the

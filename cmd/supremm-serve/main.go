@@ -32,8 +32,6 @@
 //	GET  /api/discover        serving discovery fit: clusters over the Uncategorized/NA jobs
 //	POST /api/discover        refit discovery {"k": 8, "components": 5, "restarts": 8, "seed": 1}
 //	POST /api/discover/assign {"features": {...}} -> cluster + distance + anomaly flags
-//	GET  /api/runtime-class/features
-//	POST /api/runtime-class   {"features": {...}, "threshold": 0.8, "thresholds": {"short": 0.9}}
 //	POST /admin/model/reload  {"path": "saved.bin"} (path optional once configured)
 //	GET  /api/lifecycle       closed-loop state: drift stats, shadow ledger, transitions
 //	POST /admin/lifecycle/retrain   force a challenger retrain (shadow-scored, never serving)
@@ -76,8 +74,8 @@
 // into -bundle-dir, rate-limited. Sampling, objectives and bundle
 // policy are constants of internal/obs/flight.
 //
-// Resilience: the model-serving endpoints (classification, discovery
-// assignment, runtime-class) carry a per-request deadline
+// Resilience: the model-serving endpoints (classification and discovery
+// assignment) carry a per-request deadline
 // (-request-timeout, 504 on overrun) and, when -max-concurrent is set, a
 // bounded admission queue that sheds overload with 429 + Retry-After
 // instead of queueing unboundedly. Model reloads (admin endpoint and
@@ -85,9 +83,9 @@
 // consecutive failures open it, reloads then fail fast (503) until a
 // half-open probe succeeds after -breaker-open-for. -faults arms the
 // deterministic fault-injection registry (sites: reload, classify.row,
-// discover.fit, discover.assign, runtime.row, lifecycle.*, ingest.conn,
-// ingest.shard, ingest.finalize; see internal/resilience) for chaos and
-// soak runs -- never in default builds.
+// discover.fit, discover.assign, lifecycle.*, ingest.conn, ingest.shard,
+// ingest.finalize; see internal/resilience) for chaos and soak runs --
+// never in default builds.
 //
 // Lifecycle: -lifecycle arms the closed loop over the serving model
 // (see internal/lifecycle): per-feature and posterior PSI drift
@@ -159,7 +157,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 64, "classification requests allowed to wait beyond -max-concurrent before shedding with 429")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive model reload failures that open the reload circuit breaker")
 	breakerOpenFor := flag.Duration("breaker-open-for", 30*time.Second, "how long the reload breaker stays open before a half-open probe")
-	faultSpec := flag.String("faults", "", "arm fault injection: site=kind:rate[:latency],... (sites: reload, classify.row, discover.fit, discover.assign, runtime.row, lifecycle.retrain, lifecycle.promote, lifecycle.shadow, ingest.conn, ingest.shard, ingest.finalize; kinds: error, latency, panic)")
+	faultSpec := flag.String("faults", "", "arm fault injection: site=kind:rate[:latency],... (sites: reload, classify.row, discover.fit, discover.assign, lifecycle.retrain, lifecycle.promote, lifecycle.shadow, ingest.conn, ingest.shard, ingest.finalize; kinds: error, latency, panic)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault-injection dice")
 	lifecycleOn := flag.Bool("lifecycle", false, "arm the closed-loop model lifecycle: drift monitors, shadow retraining, gated champion-challenger promotion")
 	lifecycleSpec := flag.String("lifecycle-spec", "", "lifecycle loop tuning, needs -lifecycle: key=value,... (window, bins, min, every, drift, pdrift, shadowmin, alpha, margin, cooldown, train, algo, seed, auto; empty = defaults)")
@@ -249,19 +247,6 @@ func main() {
 		log.Info("wrote model snapshot", "path", *snapshotPath)
 	}
 
-	// The runtime-class model predicts a job's runtime/outcome bucket at
-	// submit time; it always trains on the generated workload since no
-	// snapshot format carries it yet.
-	runtimeModels := core.NewNamedModelManager(reg, "runtime_class")
-	rtModel, err := core.TrainRuntimeClassifier(boot, core.PaperForest(*seed))
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := runtimeModels.Swap(rtModel); err != nil {
-		fatal(err)
-	}
-	log.Info("trained runtime-class random forest", "classes", fmt.Sprint(rtModel.Classes()))
-
 	// The discovery fit covers the population the supervised model cannot
 	// name. A thin unlabeled population is a warning, not a boot failure:
 	// POST /api/discover refits once more data lands in the warehouse.
@@ -282,7 +267,7 @@ func main() {
 	opts := []server.Option{
 		server.WithMetrics(reg), server.WithLogger(log),
 		server.WithModelManager(models), server.WithBatchWorkers(*batchWorkers),
-		server.WithRuntimeManager(runtimeModels), server.WithDiscovery(discovery),
+		server.WithDiscovery(discovery),
 		server.WithResilience(server.ResilienceConfig{
 			RequestTimeout: *requestTimeout,
 			MaxConcurrent:  *maxConcurrent,

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/testkit"
-	"repro/internal/warehouse"
 )
 
 // discoveryRows builds well-separated synthetic blobs so the k-means fit
@@ -240,27 +239,4 @@ func TestGoldenDiscovery(t *testing.T) {
 	testkit.Section(&b, "labels")
 	fmt.Fprintf(&b, "labels = %s\n", testkit.HashInts(m.Labels))
 	testkit.GoldenString(t, "discovery.golden", b.String())
-}
-
-func TestLabelByRuntimeClass(t *testing.T) {
-	rec := func(exit int, wall float64) *warehouse.Record {
-		return &warehouse.Record{ExitCode: exit, WallSeconds: wall}
-	}
-	cases := []struct {
-		exit int
-		wall float64
-		want string
-	}{
-		{1, 100, "failed"},
-		{0, RuntimeShortMax - 1, "short"},
-		{0, RuntimeShortMax, "medium"},
-		{0, RuntimeLongMin - 1, "medium"},
-		{0, RuntimeLongMin, "long"},
-	}
-	for _, c := range cases {
-		got, ok := LabelByRuntimeClass(rec(c.exit, c.wall))
-		if !ok || got != c.want {
-			t.Errorf("exit=%d wall=%v: got (%q,%v), want %q", c.exit, c.wall, got, ok, c.want)
-		}
-	}
 }

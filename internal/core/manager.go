@@ -83,8 +83,8 @@ func (v *View[M]) Annotate(a *flight.Active) {
 // Manager publishes a model to concurrent readers behind an atomic
 // pointer and swaps it without blocking them: readers load the current
 // View with one atomic load, writers validate and install a fully-built
-// replacement view. The zero manager is not ready; use NewModelManager,
-// NewNamedModelManager or NewDiscoveryManager.
+// replacement view. The zero manager is not ready; use NewModelManager
+// or NewDiscoveryManager.
 type Manager[M Servable] struct {
 	cur atomic.Pointer[View[M]]
 
@@ -124,15 +124,7 @@ func newManager[M Servable](reg *obs.Registry, prefix, what string) *Manager[M] 
 // until the first Swap). reg may be nil; when set, the manager exports
 // model_generation and model_swap_total{outcome} metrics.
 func NewModelManager(reg *obs.Registry) *ModelManager {
-	return NewNamedModelManager(reg, "model")
-}
-
-// NewNamedModelManager is NewModelManager with a metric-family prefix,
-// so a second manager in the same process (e.g. the runtime-class
-// model) exports its own <prefix>_generation / <prefix>_swap_total
-// series instead of colliding with the primary classifier's.
-func NewNamedModelManager(reg *obs.Registry, prefix string) *ModelManager {
-	m := newManager[*JobClassifier](reg, prefix, prefix+" classifier")
+	m := newManager[*JobClassifier](reg, "model", "model classifier")
 	m.load = LoadJobClassifier
 	return m
 }

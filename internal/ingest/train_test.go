@@ -85,9 +85,10 @@ func TestTrainFromStream(t *testing.T) {
 	}
 
 	// (c) The exit code rides the meta frame, so outcome labels survive
-	// the stream: the runtime classes of the snapshot are the batch
-	// pipeline's over the same seeded jobs under the same wall cap, the
-	// failed class among them.
+	// the stream: the outcome buckets of the snapshot (failed on a
+	// non-zero exit, else short, medium or long by wall time) are the
+	// batch pipeline's over the same seeded jobs under the same wall cap,
+	// the failed bucket among them.
 	res, err := core.RunPipeline(core.DefaultPipelineConfig(seed, len(jobs)))
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +99,20 @@ func TestTrainFromStream(t *testing.T) {
 		c.WallSeconds = min(c.WallSeconds, wallCap)
 		capped[i] = &c
 	}
+	outcome := func(r *warehouse.Record) (string, bool) {
+		switch w := r.WallSeconds; {
+		case r.ExitCode != 0:
+			return "failed", true
+		case w < 4*3600:
+			return "short", true
+		case w < 12*3600:
+			return "medium", true
+		default:
+			return "long", true
+		}
+	}
 	classCounts := func(recs []*warehouse.Record) map[string]int {
-		ds, err := core.BuildDataset(recs, core.LabelByRuntimeClass, opt)
+		ds, err := core.BuildDataset(recs, outcome, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +124,7 @@ func TestTrainFromStream(t *testing.T) {
 	}
 	streamed, batched := classCounts(snap.Records), classCounts(capped)
 	if !reflect.DeepEqual(streamed, batched) || streamed["failed"] == 0 {
-		t.Fatalf("runtime classes over the stream %v, over the batch pipeline %v (want equal, with failed jobs)", streamed, batched)
+		t.Fatalf("outcome buckets over the stream %v, over the batch pipeline %v (want equal, with failed jobs)", streamed, batched)
 	}
 
 	// (d) A classifier trained on the stream hot-swaps over a champion

@@ -29,11 +29,9 @@ type Config struct {
 	// DiscoverMix is the fraction of arrivals sent to
 	// /api/discover/assign (requires the target to have a discovery fit
 	// loaded). The same per-arrival dice decide the route, so
-	// BatchMix + DiscoverMix + RuntimeMix must not exceed 1; the
-	// remainder goes to /api/classify.
+	// BatchMix + DiscoverMix must not exceed 1; the remainder goes to
+	// /api/classify.
 	DiscoverMix float64
-	// RuntimeMix is the fraction of arrivals sent to /api/runtime-class.
-	RuntimeMix float64
 	// BatchSize is the row count of each batch request.
 	BatchSize int
 	// Threshold is the classification threshold sent with every request.
@@ -74,11 +72,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("loadgen: mix %v outside [0,1]", c.BatchMix)
 	case math.IsNaN(c.DiscoverMix) || c.DiscoverMix < 0 || c.DiscoverMix > 1:
 		return fmt.Errorf("loadgen: dmix %v outside [0,1]", c.DiscoverMix)
-	case math.IsNaN(c.RuntimeMix) || c.RuntimeMix < 0 || c.RuntimeMix > 1:
-		return fmt.Errorf("loadgen: rmix %v outside [0,1]", c.RuntimeMix)
-	case c.BatchMix+c.DiscoverMix+c.RuntimeMix > 1:
-		return fmt.Errorf("loadgen: mix+dmix+rmix = %v exceeds 1",
-			c.BatchMix+c.DiscoverMix+c.RuntimeMix)
+	case c.BatchMix+c.DiscoverMix > 1:
+		return fmt.Errorf("loadgen: mix+dmix = %v exceeds 1", c.BatchMix+c.DiscoverMix)
 	case c.BatchSize <= 0 || c.BatchSize > 4096:
 		return fmt.Errorf("loadgen: batch %d outside [1,4096]", c.BatchSize)
 	case math.IsNaN(c.Threshold) || c.Threshold < 0 || c.Threshold > 1:
@@ -107,7 +102,6 @@ func (c *Config) table() kvspec.Table {
 		{Key: "ramp", Ptr: &c.Ramp},
 		{Key: "mix", Ptr: &c.BatchMix},
 		{Key: "dmix", Ptr: &c.DiscoverMix},
-		{Key: "rmix", Ptr: &c.RuntimeMix},
 		{Key: "batch", Ptr: &c.BatchSize},
 		{Key: "threshold", Ptr: &c.Threshold},
 		{Key: "seed", Ptr: &c.Seed},
@@ -121,7 +115,7 @@ func (c *Config) table() kvspec.Table {
 //
 //	url=http://127.0.0.1:8080,rps=200,dur=30s,ramp=5s,mix=0.25,batch=64,seed=7
 //
-// Keys: url, rps, dur, ramp, mix, dmix, rmix, batch, threshold, seed,
+// Keys: url, rps, dur, ramp, mix, dmix, batch, threshold, seed,
 // timeout, inflight. url, rps, and dur are required; the rest default
 // sanely.
 // The returned config always passes Validate.

@@ -68,29 +68,29 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"",
 		"   ",
-		"rps=100,dur=5s",                        // missing url
-		"url=ftp://h:1,rps=1,dur=1s",            // bad scheme
-		"url=http://h:1,dur=5s",                 // missing rps
-		"url=http://h:1,rps=0,dur=5s",           // zero rps
-		"url=http://h:1,rps=NaN,dur=5s",         // NaN rps
-		"url=http://h:1,rps=2e9,dur=5s",         // absurd rps
-		"url=http://h:1,rps=1",                  // missing dur
-		"url=http://h:1,rps=1,dur=0s",           // zero dur
-		"url=http://h:1,rps=1,dur=5s,ramp=6s",   // ramp > dur
-		"url=http://h:1,rps=1,dur=5s,ramp=-1s",  // negative ramp
-		"url=http://h:1,rps=1,dur=5s,mix=1.5",   // mix > 1
-		"url=http://h:1,rps=1,dur=5s,dmix=-0.1", // negative dmix
-		"url=http://h:1,rps=1,dur=5s,rmix=2",    // rmix > 1
-		"url=http://h:1,rps=1,dur=5s,mix=0.5,dmix=0.3,rmix=0.3", // mixes sum past 1
-		"url=http://h:1,rps=1,dur=5s,batch=0",                   // zero batch
-		"url=http://h:1,rps=1,dur=5s,batch=5000",                // batch above server cap
-		"url=http://h:1,rps=1,dur=5s,threshold=2",               // bad threshold
-		"url=http://h:1,rps=1,dur=5s,timeout=0s",                // zero timeout
-		"url=http://h:1,rps=1,dur=5s,inflight=0",                // zero inflight
-		"url=http://h:1,rps=1,dur=5s,rps=2",                     // duplicate key
-		"url=http://h:1,rps=1,dur=5s,warp=9",                    // unknown key
-		"url=http://h:1,rps=1,dur=5s,batch",                     // not k=v
-		"url=http://h:1,rps=1,dur=5s,=x",                        // empty key
+		"rps=100,dur=5s",                               // missing url
+		"url=ftp://h:1,rps=1,dur=1s",                   // bad scheme
+		"url=http://h:1,dur=5s",                        // missing rps
+		"url=http://h:1,rps=0,dur=5s",                  // zero rps
+		"url=http://h:1,rps=NaN,dur=5s",                // NaN rps
+		"url=http://h:1,rps=2e9,dur=5s",                // absurd rps
+		"url=http://h:1,rps=1",                         // missing dur
+		"url=http://h:1,rps=1,dur=0s",                  // zero dur
+		"url=http://h:1,rps=1,dur=5s,ramp=6s",          // ramp > dur
+		"url=http://h:1,rps=1,dur=5s,ramp=-1s",         // negative ramp
+		"url=http://h:1,rps=1,dur=5s,mix=1.5",          // mix > 1
+		"url=http://h:1,rps=1,dur=5s,dmix=-0.1",        // negative dmix
+		"url=http://h:1,rps=1,dur=5s,dmix=2",           // dmix > 1
+		"url=http://h:1,rps=1,dur=5s,mix=0.5,dmix=0.6", // mixes sum past 1
+		"url=http://h:1,rps=1,dur=5s,batch=0",          // zero batch
+		"url=http://h:1,rps=1,dur=5s,batch=5000",       // batch above server cap
+		"url=http://h:1,rps=1,dur=5s,threshold=2",      // bad threshold
+		"url=http://h:1,rps=1,dur=5s,timeout=0s",       // zero timeout
+		"url=http://h:1,rps=1,dur=5s,inflight=0",       // zero inflight
+		"url=http://h:1,rps=1,dur=5s,rps=2",            // duplicate key
+		"url=http://h:1,rps=1,dur=5s,warp=9",           // unknown key
+		"url=http://h:1,rps=1,dur=5s,batch",            // not k=v
+		"url=http://h:1,rps=1,dur=5s,=x",               // empty key
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q parsed, want error", spec)
@@ -130,7 +130,6 @@ func TestBuildBodyDeterministicAndMixed(t *testing.T) {
 	sch := routeSchemas{
 		classify: []string{"A", "B", "C"},
 		discover: []string{"A", "B", "C"},
-		runtime:  []string{"A", "B", "C"},
 	}
 	batches, singles := 0, 0
 	for k := int64(0); k < 200; k++ {
@@ -162,51 +161,44 @@ func TestBuildBodyDeterministicAndMixed(t *testing.T) {
 	}
 }
 
-// TestBuildBodyRouteMix pins the four-way dice: one draw buckets batch,
-// discovery assignment, runtime class, and single classify in that
-// order, so adding dmix/rmix=0 leaves historical traffic byte-identical
-// and every route appears under a mixed spec.
+// TestBuildBodyRouteMix pins the three-way dice: one draw buckets batch,
+// discovery assignment, and single classify in that order, so adding
+// dmix=0 leaves historical traffic byte-identical and every route
+// appears under a mixed spec.
 func TestBuildBodyRouteMix(t *testing.T) {
 	sch := routeSchemas{
 		classify: []string{"A", "B", "C"},
 		discover: []string{"D", "E"},
-		runtime:  []string{"F"},
 	}
 	base := Config{Seed: 7, BatchMix: 0.25, BatchSize: 4, Threshold: 0.5}
 	mixed := base
-	mixed.DiscoverMix, mixed.RuntimeMix = 0.25, 0.25
+	mixed.DiscoverMix = 0.25
 	counts := map[string]int{}
 	for k := int64(0); k < 400; k++ {
 		pb, bb := buildBody(base, sch, k)
 		pm, bm := buildBody(mixed, sch, k)
 		counts[pm]++
 		// Arrivals the dice route identically must carry identical bodies:
-		// dmix/rmix reuse the one mix draw, never consume extra randomness.
+		// dmix reuses the one mix draw, never consumes extra randomness.
 		if pb == pm && string(bb) != string(bm) {
 			t.Fatalf("arrival %d body diverges on shared route %s", k, pm)
 		}
-		switch pm {
-		case "/api/discover/assign":
-			if strings.Contains(string(bm), "threshold") || !strings.Contains(string(bm), `"D"`) {
-				t.Fatalf("assign body %s: want discovery schema, no threshold", bm)
-			}
-		case "/api/runtime-class":
-			if !strings.Contains(string(bm), "threshold") || !strings.Contains(string(bm), `"F"`) {
-				t.Fatalf("runtime body %s: want runtime schema with threshold", bm)
-			}
+		if pm == "/api/discover/assign" &&
+			(strings.Contains(string(bm), "threshold") || !strings.Contains(string(bm), `"D"`)) {
+			t.Fatalf("assign body %s: want discovery schema, no threshold", bm)
 		}
 	}
-	for _, route := range []string{"/api/classify", "/api/classify/batch", "/api/discover/assign", "/api/runtime-class"} {
+	for _, route := range []string{"/api/classify", "/api/classify/batch", "/api/discover/assign"} {
 		if counts[route] == 0 {
-			t.Errorf("equal four-way mix never produced %s (counts %v)", route, counts)
+			t.Errorf("mixed spec never produced %s (counts %v)", route, counts)
 		}
 	}
-	// dmix=rmix=0 reproduces the pre-knob dice exactly: route choice is
-	// batch iff the one draw lands under mix, regardless of the new knobs.
+	// dmix=0 reproduces the pre-knob dice exactly: route choice is batch
+	// iff the one draw lands under mix, regardless of the new knob.
 	for k := int64(0); k < 100; k++ {
 		p, _ := buildBody(base, sch, k)
 		if p != "/api/classify" && p != "/api/classify/batch" {
-			t.Fatalf("dmix=rmix=0 issued %s", p)
+			t.Fatalf("dmix=0 issued %s", p)
 		}
 	}
 }
@@ -234,7 +226,7 @@ func TestSpecContainsEveryKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := cfg.Spec()
-	for _, key := range []string{"url=", "rps=", "dur=", "ramp=", "mix=", "dmix=", "rmix=", "batch=", "threshold=", "seed=", "timeout=", "inflight="} {
+	for _, key := range []string{"url=", "rps=", "dur=", "ramp=", "mix=", "dmix=", "batch=", "threshold=", "seed=", "timeout=", "inflight="} {
 		if !strings.Contains(spec, key) {
 			t.Errorf("canonical spec %q missing %q", spec, key)
 		}

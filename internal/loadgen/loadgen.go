@@ -106,20 +106,18 @@ func arrivalTime(cfg Config, k int64) time.Duration {
 }
 
 // routeSchemas holds the per-route feature schemas discovered at run
-// start. The classify schema is always fetched; discovery and runtime
-// schemas only when their mixes drive traffic at those routes.
+// start. The classify schema is always fetched; the discovery schema
+// only when dmix drives traffic at /api/discover/assign.
 type routeSchemas struct {
 	classify []string
 	discover []string
-	runtime  []string
 }
 
 // buildBody renders arrival k's request body and path. Values are
 // derived from the per-arrival RNG stream, so bodies are reproducible
 // and distinct across arrivals. One dice roll picks the route -- batch,
-// discovery assignment, runtime class, or single classify in that
-// order -- so a spec with dmix=rmix=0 issues byte-identical traffic to
-// one that predates those knobs.
+// discovery assignment, or single classify in that order -- so a spec
+// with dmix=0 issues byte-identical traffic to one that predates it.
 func buildBody(cfg Config, sch routeSchemas, k int64) (path string, body []byte) {
 	r := rng.New(cfg.Seed).Split(uint64(k))
 	row := func(features []string) map[string]float64 {
@@ -141,9 +139,6 @@ func buildBody(cfg Config, sch routeSchemas, k int64) (path string, body []byte)
 	case u < cfg.BatchMix+cfg.DiscoverMix:
 		b, _ := json.Marshal(map[string]any{"features": row(sch.discover)})
 		return "/api/discover/assign", b
-	case u < cfg.BatchMix+cfg.DiscoverMix+cfg.RuntimeMix:
-		b, _ := json.Marshal(map[string]any{"features": row(sch.runtime), "threshold": cfg.Threshold})
-		return "/api/runtime-class", b
 	}
 	b, _ := json.Marshal(map[string]any{"features": row(sch.classify), "threshold": cfg.Threshold})
 	return "/api/classify", b
@@ -170,14 +165,9 @@ func discoverSchemas(ctx context.Context, client *http.Client, cfg Config) (rout
 	if err != nil {
 		return routeSchemas{}, err
 	}
-	sch := routeSchemas{classify: classify, discover: classify, runtime: classify}
+	sch := routeSchemas{classify: classify, discover: classify}
 	if cfg.DiscoverMix > 0 {
 		if sch.discover, err = fetchFeatures(ctx, client, cfg.BaseURL, "/api/discover"); err != nil {
-			return routeSchemas{}, err
-		}
-	}
-	if cfg.RuntimeMix > 0 {
-		if sch.runtime, err = fetchFeatures(ctx, client, cfg.BaseURL, "/api/runtime-class/features"); err != nil {
 			return routeSchemas{}, err
 		}
 	}
@@ -336,12 +326,8 @@ type RecorderCheck struct {
 // drivenRoutes are the routes the load generator drives; the
 // reconciliation join is restricted to them so the recorder's view of
 // other traffic (the schema discovery calls, scrapes) stays out of the
-// comparison. Note /api/runtime-class/features is deliberately absent:
-// it is the schema GET, not driven traffic.
-var drivenRoutes = []string{
-	"/api/classify", "/api/classify/batch",
-	"/api/discover/assign", "/api/runtime-class",
-}
+// comparison.
+var drivenRoutes = []string{"/api/classify", "/api/classify/batch", "/api/discover/assign"}
 
 // debugRequests fetches the target's /debug/requests with the given
 // query string.
@@ -455,9 +441,9 @@ func ReconcileRecorder(ctx context.Context, base string, rep *Report) (*Recorder
 			}
 			// The route filter is a prefix match, so "/api/classify"
 			// covers the single and batch endpoints in one query; the
-			// discovery and runtime routes are queried exactly.
+			// discovery route is queried exactly.
 			var matched int64
-			for _, route := range []string{"/api/classify", "/api/discover/assign", "/api/runtime-class"} {
+			for _, route := range []string{"/api/classify", "/api/discover/assign"} {
 				_, m, err := debugRequests(ctx, client, base, "limit=0&status="+status+"&route="+route)
 				if err != nil {
 					return nil, err

@@ -22,11 +22,9 @@ func stubTarget(t *testing.T, handler func(w http.ResponseWriter, r *http.Reques
 	}
 	mux.HandleFunc("GET /api/features", schema)
 	mux.HandleFunc("GET /api/discover", schema)
-	mux.HandleFunc("GET /api/runtime-class/features", schema)
 	mux.HandleFunc("POST /api/classify", handler)
 	mux.HandleFunc("POST /api/classify/batch", handler)
 	mux.HandleFunc("POST /api/discover/assign", handler)
-	mux.HandleFunc("POST /api/runtime-class", handler)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -133,7 +131,7 @@ func TestRunFlagsMissingRetryAfter(t *testing.T) {
 	}
 }
 
-// TestRunDrivesMixedRoutes points a four-way mix at the stub and checks
+// TestRunDrivesMixedRoutes points a three-way mix at the stub and checks
 // every driven route sees traffic while the schema GETs stay off the
 // report.
 func TestRunDrivesMixedRoutes(t *testing.T) {
@@ -145,7 +143,7 @@ func TestRunDrivesMixedRoutes(t *testing.T) {
 		mu.Unlock()
 		json.NewEncoder(w).Encode(map[string]any{"label": "ok"})
 	})
-	cfg, err := ParseSpec("url=" + srv.URL + ",rps=400,dur=500ms,mix=0.25,dmix=0.25,rmix=0.25,batch=4,seed=11")
+	cfg, err := ParseSpec("url=" + srv.URL + ",rps=400,dur=500ms,mix=0.25,dmix=0.25,batch=4,seed=11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +155,7 @@ func TestRunDrivesMixedRoutes(t *testing.T) {
 		t.Fatalf("sent=%d ok=%d", rep.Sent, rep.OK)
 	}
 	total := 0
-	for _, path := range []string{"/api/classify", "/api/classify/batch", "/api/discover/assign", "/api/runtime-class"} {
+	for _, path := range []string{"/api/classify", "/api/classify/batch", "/api/discover/assign"} {
 		if byPath[path] == 0 {
 			t.Errorf("route %s saw no traffic (%v)", path, byPath)
 		}

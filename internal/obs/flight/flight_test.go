@@ -542,7 +542,7 @@ func TestOpsHandlers(t *testing.T) {
 			}
 			return w.Code, body
 		}
-		for _, q := range []string{"limit=ten", "status=x", "min-ms=-1", "since=yesterday"} {
+		for _, q := range []string{"limit=ten", "status=x", "min-ms=-1", "min-ms=NaN", "min-ms=1e300", "since=yesterday"} {
 			if code, body := get(ops.Requests, q); code != 400 || body["error"] == nil {
 				t.Errorf("%s: /debug/requests?%s = %d %v, want 400 with an error", name, q, code, body)
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -82,12 +83,17 @@ func (o Ops) Requests(w http.ResponseWriter, r *http.Request) {
 		f.Status = n
 	}
 	if v := q.Get("min-ms"); v != "" {
+		// NaN, Inf and values whose nanoseconds overflow a Duration are
+		// refused: out of range the conversion is implementation-defined
+		// (math.MinInt64 on amd64), and a negative MinDuration turns the
+		// filter off, answering every event.
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		ns := ms * float64(time.Millisecond)
+		if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
 			o.WriteError(w, http.StatusBadRequest, "bad min-ms parameter %q", v)
 			return
 		}
-		f.MinDuration = time.Duration(ms * float64(time.Millisecond))
+		f.MinDuration = time.Duration(ns)
 	}
 	if v := q.Get("since"); v != "" {
 		t, err := time.Parse(time.RFC3339, v)

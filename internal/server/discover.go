@@ -1,22 +1,19 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs/flight"
 	"repro/internal/warehouse"
 )
 
-// This file serves the unknown-app discovery and runtime-class workload
-// pack: PCA + k-means over the warehouse's Uncategorized/NA population
-// behind GET/POST /api/discover (+ per-job /api/discover/assign
-// scoring), and submit-time runtime/outcome class prediction behind
-// POST /api/runtime-class. Both artifacts live behind immutable views
-// with atomic refit/hot-swap and ride the same admission/deadline/
-// breaker governance and flight-recorder middleware as classify.
+// This file serves unknown-app discovery: PCA + k-means over the
+// warehouse's Uncategorized/NA population behind GET/POST /api/discover
+// (+ per-job /api/discover/assign scoring). The fit lives behind an
+// immutable view with atomic refit/hot-swap and rides the same
+// admission/deadline/breaker governance and flight-recorder middleware
+// as classify.
 
 // WithDiscovery supplies an externally-owned discovery manager (for
 // boot-time fitting). Build it with the same registry passed to
@@ -25,14 +22,6 @@ import (
 // answers 503 until the first refit.
 func WithDiscovery(dm *core.DiscoveryManager) Option {
 	return func(s *Server) { s.discovery = dm }
-}
-
-// WithRuntimeManager supplies an externally-owned manager for the
-// runtime-class model. Without it the server builds its own empty
-// manager and /api/runtime-class answers 503 until a model is swapped
-// in.
-func WithRuntimeManager(mm *core.ModelManager) Option {
-	return func(s *Server) { s.runtime = mm }
 }
 
 // handleDiscoverGet reports the serving discovery fit: the cluster
@@ -149,73 +138,5 @@ func assignReply(v *core.DiscoveryView, _ *assignRequest, a *core.Assignment, de
 		"projection":       a.Projection,
 		"generation":       v.Generation,
 		"defaulted":        defaulted,
-	}
-}
-
-// runtimeRequest asks for a submit-time runtime/outcome class. The
-// global Threshold applies to every class; Thresholds overrides it per
-// class (e.g. demand 0.9 confidence before promising "short" but accept
-// 0.5 for "failed" warnings).
-type runtimeRequest struct {
-	Features   map[string]float64 `json:"features"`
-	Threshold  float64            `json:"threshold"`
-	Thresholds map[string]float64 `json:"thresholds"`
-}
-
-// runtimeScore is one runtime-class inference: the argmax class, the
-// full posterior, and the thresholded verdict.
-type runtimeScore struct {
-	pred       int
-	probs      []float64
-	classified bool
-}
-
-// runtimeFeatures validates the threshold knobs against the serving
-// model's class vocabulary and hands back the feature map.
-func runtimeFeatures(v *core.ModelView, req *runtimeRequest) (map[string]float64, error) {
-	if err := threshold01(req.Threshold); err != nil {
-		return nil, err
-	}
-	classes := v.Model.Classes()
-	for name, t := range req.Thresholds {
-		if !slices.Contains(classes, name) {
-			return nil, fmt.Errorf("unknown class %q in thresholds (classes: %v)", name, classes)
-		}
-		if t < 0 || t > 1 {
-			return nil, fmt.Errorf("thresholds[%q] must be in [0,1]", name)
-		}
-	}
-	return req.Features, nil
-}
-
-// scoreRuntime predicts a job's runtime/outcome class at submit time
-// from whatever features the client has, applying the winning class's
-// own threshold when the request overrides it.
-func scoreRuntime(v *core.ModelView, req *runtimeRequest, row []float64) (runtimeScore, bool, error) {
-	pred, probs := v.Model.PredictProb(row)
-	threshold := req.Threshold
-	if t, ok := req.Thresholds[v.Model.Classes()[pred]]; ok {
-		threshold = t
-	}
-	classified := probs[pred] >= threshold
-	return runtimeScore{pred: pred, probs: probs, classified: classified}, classified, finiteProb(v, row, probs[pred])
-}
-
-// runtimeReply is the /api/runtime-class body. The full per-class
-// probability vector is returned so scheduler-side policies can apply
-// their own decision rules beyond the thresholded verdict.
-func runtimeReply(v *core.ModelView, _ *runtimeRequest, res runtimeScore, defaulted []string) any {
-	classes := v.Model.Classes()
-	probabilities := make(map[string]float64, len(classes))
-	for i, c := range classes {
-		probabilities[c] = res.probs[i]
-	}
-	return map[string]any{
-		"class":         classes[res.pred],
-		"probability":   res.probs[res.pred],
-		"classified":    res.classified,
-		"probabilities": probabilities,
-		"generation":    v.Generation,
-		"defaulted":     defaulted,
 	}
 }

@@ -18,18 +18,14 @@ import (
 	"repro/internal/resilience"
 )
 
-// discoverServer builds an instrumented server over a small pipeline run
-// with a runtime-class model already swapped in. The discovery manager
-// starts empty, so tests exercise the refit path over the store's real
-// Uncategorized/NA population (91 jobs at seed 91 / 200 total).
+// discoverServer builds an instrumented server over a small pipeline
+// run. The discovery manager starts empty, so tests exercise the refit
+// path over the store's real Uncategorized/NA population (91 jobs at
+// seed 91 / 200 total).
 func discoverServer(t *testing.T, opts ...Option) (*httptest.Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	runtime := core.NewNamedModelManager(reg, "runtime_class")
-	if _, err := runtime.Swap(runtimeForest(t, 91, 200)); err != nil {
-		t.Fatal(err)
-	}
-	all := append([]Option{WithMetrics(reg), WithRuntimeManager(runtime)}, opts...)
+	all := append([]Option{WithMetrics(reg)}, opts...)
 	srv := httptest.NewServer(New(pipeline(t, 91, 200).Store, nil, 6400, all...))
 	t.Cleanup(srv.Close)
 	return srv, reg
@@ -293,129 +289,18 @@ func TestDiscoverRefitWorkerParity(t *testing.T) {
 	}
 }
 
-// TestRuntimeClassEndpoint exercises the submit-time runtime/outcome
-// prediction: schema discovery, the probability vector, global and
-// per-class thresholds, and the 4xx validation contract with its
-// counters.
-func TestRuntimeClassEndpoint(t *testing.T) {
-	srv, reg := discoverServer(t)
-
-	var schema struct {
-		Features   []string `json:"features"`
-		Classes    []string `json:"classes"`
-		Generation uint64   `json:"generation"`
-	}
-	if code := getJSON(t, srv.URL+"/api/runtime-class/features", &schema); code != 200 {
-		t.Fatalf("runtime schema: status %d", code)
-	}
-	if len(schema.Features) == 0 || len(schema.Classes) < 2 || schema.Generation != 1 {
-		t.Fatalf("schema %+v: want features, >= 2 classes, generation 1", schema)
-	}
-
-	type reply struct {
-		Class         string             `json:"class"`
-		Probability   float64            `json:"probability"`
-		Classified    bool               `json:"classified"`
-		Probabilities map[string]float64 `json:"probabilities"`
-		Generation    uint64             `json:"generation"`
-		Defaulted     []string           `json:"defaulted"`
-	}
-	predict := func(req map[string]any) (int, reply, []byte) {
-		t.Helper()
-		code, body := postJSON(t, srv.URL+"/api/runtime-class", req)
-		var r reply
-		if code == 200 {
-			if err := json.Unmarshal(body, &r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return code, r, body
-	}
-
-	features := fullRow(schema.Features, 3)
-	code, r, body := predict(map[string]any{"features": features})
-	if code != 200 {
-		t.Fatalf("predict: status %d (%s)", code, body)
-	}
-	if !r.Classified { // threshold 0: any probability clears it
-		t.Error("threshold-0 prediction not classified")
-	}
-	sum := 0.0
-	for _, c := range schema.Classes {
-		p, ok := r.Probabilities[c]
-		if !ok {
-			t.Errorf("probabilities missing class %q", c)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("probabilities sum to %v, want 1", sum)
-	}
-	if r.Probabilities[r.Class] != r.Probability {
-		t.Errorf("probability %v disagrees with probabilities[%s] = %v",
-			r.Probability, r.Class, r.Probabilities[r.Class])
-	}
-
-	// A per-class threshold overrides the global one for that class only:
-	// demanding more confidence than the model has flips classified off.
-	over := math.Min(1, r.Probability+1e-9)
-	code, r2, _ := predict(map[string]any{
-		"features":   features,
-		"thresholds": map[string]float64{r.Class: over},
-	})
-	if code != 200 {
-		t.Fatalf("per-class threshold predict: status %d", code)
-	}
-	if want := r.Probability >= over; r2.Classified != want {
-		t.Errorf("classified = %v with threshold %v over probability %v", r2.Classified, over, r.Probability)
-	}
-	classified := reg.Counter("runtime_class_outcomes_total", "outcome", "classified").Value()
-	below := reg.Counter("runtime_class_outcomes_total", "outcome", "below_threshold").Value()
-	if classified+below != 2 {
-		t.Errorf("classified %d + below_threshold %d, want 2 predictions counted", classified, below)
-	}
-
-	// Validation contract: each bad request answers 400 and counts.
-	for i, req := range []map[string]any{
-		{"features": features, "threshold": 1.5},
-		{"features": features, "thresholds": map[string]float64{"no-such-class": 0.5}},
-		{"features": features, "thresholds": map[string]float64{schema.Classes[0]: -0.1}},
-		{},
-		{"features": map[string]float64{"bogus": 1}},
-	} {
-		if code, _, body := predict(req); code != 400 {
-			t.Errorf("bad request %d: status %d (%s)", i, code, body)
-		}
-	}
-	if got := reg.Counter("runtime_class_outcomes_total", "outcome", "bad_request").Value(); got != 5 {
-		t.Errorf("bad_request outcomes = %d, want 5", got)
-	}
-
-	// Missing features default to zero and are reported back.
-	partial := map[string]float64{schema.Features[0]: 1}
-	code, r3, _ := predict(map[string]any{"features": partial})
-	if code != 200 {
-		t.Fatalf("partial predict: status %d", code)
-	}
-	if len(r3.Defaulted) != len(schema.Features)-1 {
-		t.Errorf("defaulted %d features, want %d", len(r3.Defaulted), len(schema.Features)-1)
-	}
-}
-
-// TestChaosDiscoverGovernance proves the new serving endpoints ride the
+// TestChaosDiscoverGovernance proves the discovery endpoints ride the
 // same governance as classify: injected row latency past the request
 // deadline answers 504 (handler stage), a burst over capacity sheds 429
 // with Retry-After, and the flight recorder files wide events under the
-// new routes.
+// discovery routes.
 func TestChaosDiscoverGovernance(t *testing.T) {
 	rec := flight.NewRecorder(flight.DefaultConfig())
 	faults := resilience.NewFaults(12)
-	for _, site := range []string{FaultDiscoverAssign, FaultRuntimeRow} {
-		if err := faults.Set(site, resilience.FaultSpec{
-			Kind: resilience.FaultLatency, Rate: 1, Latency: 300 * time.Millisecond,
-		}); err != nil {
-			t.Fatal(err)
-		}
+	if err := faults.Set(FaultDiscoverAssign, resilience.FaultSpec{
+		Kind: resilience.FaultLatency, Rate: 1, Latency: 300 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
 	}
 	srv, reg := discoverServer(t,
 		WithFaults(faults),
@@ -436,29 +321,16 @@ func TestChaosDiscoverGovernance(t *testing.T) {
 		t.Fatalf("GET /api/discover: status %d", code)
 	}
 	assignBody := map[string]any{"features": fullRow(rep.Features, 4)}
-	var schema struct {
-		Features []string `json:"features"`
-	}
-	if code := getJSON(t, srv.URL+"/api/runtime-class/features", &schema); code != 200 {
-		t.Fatalf("runtime schema: status %d", code)
-	}
-	runtimeBody := map[string]any{"features": fullRow(schema.Features, 5)}
 
-	// 504: the 300ms row fault blows the 100ms deadline on both routes.
+	// 504: the 300ms row fault blows the 100ms deadline.
 	if code, body := postJSON(t, srv.URL+"/api/discover/assign", assignBody); code != http.StatusGatewayTimeout {
 		t.Fatalf("assign under latency fault: status %d, want 504 (%s)", code, body)
 	}
-	if code, body := postJSON(t, srv.URL+"/api/runtime-class", runtimeBody); code != http.StatusGatewayTimeout {
-		t.Fatalf("runtime-class under latency fault: status %d, want 504 (%s)", code, body)
-	}
-	if got := reg.Counter("http_timeouts_total", "stage", "handler").Value(); got != 2 {
-		t.Errorf("http_timeouts_total{handler} = %d, want 2", got)
+	if got := reg.Counter("http_timeouts_total", "stage", "handler").Value(); got != 1 {
+		t.Errorf("http_timeouts_total{handler} = %d, want 1", got)
 	}
 	if got := reg.Counter("discover_assign_outcomes_total", "outcome", "timeout").Value(); got != 1 {
 		t.Errorf("discover timeout outcomes = %d, want 1", got)
-	}
-	if got := reg.Counter("runtime_class_outcomes_total", "outcome", "timeout").Value(); got != 1 {
-		t.Errorf("runtime timeout outcomes = %d, want 1", got)
 	}
 
 	// 429: occupy the single slot, then a second arrival finds no queue.
@@ -469,8 +341,8 @@ func TestChaosDiscoverGovernance(t *testing.T) {
 		postJSON(t, srv.URL+"/api/discover/assign", assignBody)
 	}()
 	time.Sleep(50 * time.Millisecond)
-	body, _ := json.Marshal(runtimeBody)
-	resp, err := http.Post(srv.URL+"/api/runtime-class", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(assignBody)
+	resp, err := http.Post(srv.URL+"/api/discover/assign", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,16 +363,16 @@ func TestChaosDiscoverGovernance(t *testing.T) {
 	for {
 		byRoute := rec.Stats().ByRoute
 		n := 0
-		for _, route := range []string{"/api/discover", "/api/discover/assign", "/api/runtime-class"} {
+		for _, route := range []string{"/api/discover", "/api/discover/assign"} {
 			for _, c := range byRoute[route] {
 				n += int(c)
 			}
 		}
-		if n >= 6 {
+		if n >= 5 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("flight recorder observed %d events on the new routes, want >= 6 (%v)", n, byRoute)
+			t.Fatalf("flight recorder observed %d events on the discovery routes, want >= 5 (%v)", n, byRoute)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -85,15 +85,6 @@ func smallForest(t testing.TB, seed uint64, trees int) *core.JobClassifier {
 	})
 }
 
-// runtimeForest is core.PaperForest(3) trained as the runtime-class
-// model on the pipeline's records.
-func runtimeForest(t testing.TB, seed uint64, jobs int) *core.JobClassifier {
-	res := pipeline(t, seed, jobs)
-	return shared(t, fmt.Sprintf("runtime PaperForest(3) %d/%d", seed, jobs), func() (*core.JobClassifier, error) {
-		return core.TrainRuntimeClassifier(res.Records, core.PaperForest(3))
-	})
-}
-
 // paperSVM is core.PaperSVM(3) on the 91/200 category data: a compiled
 // SVM, whose batches score through the row block.
 func paperSVM(t testing.TB) *core.JobClassifier {

@@ -207,6 +207,4 @@ func (s *Server) declareMetrics() {
 	s.metrics.Help("classify_row_panics_total", "Row inference panics isolated by the worker pool.")
 	s.metrics.Help("discover_assign_outcomes_total", "Discovery assignment outcomes (assigned, anomalous, bad_request, oversized, no_model, timeout, error).")
 	s.metrics.Help("discover_assign_seconds", "Per-row discovery assignment latency in seconds.")
-	s.metrics.Help("runtime_class_outcomes_total", "Runtime-class prediction outcomes (classified, below_threshold, bad_request, oversized, no_model, timeout, error).")
-	s.metrics.Help("runtime_class_row_seconds", "Per-row runtime-class inference latency in seconds.")
 }

@@ -30,9 +30,6 @@ const (
 	// request validation and before scoring — same fault semantics as
 	// classify.row for the /api/discover/assign path.
 	FaultDiscoverAssign = "discover.assign"
-	// FaultRuntimeRow fires once per runtime-class prediction, after
-	// request validation and before inference.
-	FaultRuntimeRow = "runtime.row"
 	// FaultDiscoverFit fires inside the guarded discovery refit before
 	// the warehouse is read: error faults fail the refit (driving the
 	// shared control-plane breaker), latency faults wedge it.
@@ -59,9 +56,9 @@ type ResilienceConfig struct {
 const retryAfter = time.Second
 
 // WithResilience enables per-request deadlines and admission control on
-// the model-serving endpoints (classification, discovery assignment,
-// runtime-class -- the expensive paths; warehouse reads are microsecond
-// map lookups and stay ungoverned).
+// the model-serving endpoints (classification and discovery assignment
+// -- the expensive paths; warehouse reads are microsecond map lookups
+// and stay ungoverned).
 func WithResilience(cfg ResilienceConfig) Option {
 	return func(s *Server) { s.resilience = cfg }
 }

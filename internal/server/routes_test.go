@@ -27,15 +27,14 @@ var labelledPaths = []string{
 	"/api/overview", "/api/groupby", "/api/drilldown", "/api/utilization",
 	"/api/warehouse/groupby", "/api/warehouse/rollup", "/api/warehouse/totals",
 	"/api/features", "/api/classify", "/api/classify/batch", "/admin/model/reload",
-	"/api/discover", "/api/discover/assign", "/api/runtime-class",
-	"/api/runtime-class/features", "/api/lifecycle", "/admin/lifecycle/retrain",
-	"/admin/lifecycle/promote", "/admin/lifecycle/rollback",
+	"/api/discover", "/api/discover/assign", "/api/lifecycle",
+	"/admin/lifecycle/retrain", "/admin/lifecycle/promote", "/admin/lifecycle/rollback",
 	"/metrics", "/healthz", "/readyz",
 	"/debug/requests", "/debug/slo", "/debug/bundle", "/debug/ingest",
 }
 
 var governedPaths = []string{
-	"/api/classify", "/api/classify/batch", "/api/discover/assign", "/api/runtime-class",
+	"/api/classify", "/api/classify/batch", "/api/discover/assign",
 }
 
 // TestRouteTableInvariants pins the route table as the single source of
@@ -153,17 +152,13 @@ func TestSinglePointsOfTruth(t *testing.T) {
 	}
 }
 
-// fullServer serves all three model families (category classifier,
-// runtime-class model, a refitted discovery model), so every POST route
-// gets past its no-model check.
+// fullServer serves both model families (category classifier, a
+// refitted discovery model), so every POST route gets past its no-model
+// check.
 func fullServer(t *testing.T) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	runtime := core.NewNamedModelManager(reg, "runtime_class")
-	if _, err := runtime.Swap(runtimeForest(t, 91, 200)); err != nil {
-		t.Fatal(err)
-	}
-	s := New(pipeline(t, 91, 200).Store, paperForest(t, 91, 200), 6400, WithMetrics(reg), WithRuntimeManager(runtime))
+	s := New(pipeline(t, 91, 200).Store, paperForest(t, 91, 200), 6400, WithMetrics(reg))
 	if _, err := s.RefitDiscovery(core.DiscoveryConfig{K: 3, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +187,6 @@ func TestPostBodyContract(t *testing.T) {
 		{"/api/classify/batch", maxBatchBody, fmt.Sprintf(`{"rows":[{"%s":1}]}`, names[0]), "classify_outcomes_total", false},
 		{"/api/classify/batch", maxBatchBody, fmt.Sprintf(`{"columns":{"%s":[1]}}`, names[0]), "classify_outcomes_total", false},
 		{"/api/discover/assign", maxClassifyBody, feat, "discover_assign_outcomes_total", false},
-		{"/api/runtime-class", maxClassifyBody, feat, "runtime_class_outcomes_total", false},
 		{"/api/discover", maxClassifyBody, `{"k":3,"seed":1}`, "", true},
 		{"/admin/model/reload", maxClassifyBody, `{"path":""}`, "", true},
 	}

@@ -62,11 +62,10 @@ func newRowCase[M core.Servable, Q, R any](path string, p *rowRoute[M, Q, R]) ro
 	}
 }
 
-// rowCases lists the three single-row routes.
+// rowCases lists the two single-row routes.
 func rowCases(s *Server) []rowCase {
 	return []rowCase{
 		newRowCase("/api/classify", &s.classify),
-		newRowCase("/api/runtime-class", &s.runtimeClass),
 		newRowCase("/api/discover/assign", &s.assign),
 	}
 }
@@ -89,7 +88,7 @@ func escapeFirst(name string) string {
 
 // singleRowDeclined is every single-row body shape the scanner must
 // leave to encoding/json, over features a and b and a class name of the
-// runtime model. Some are refusals, some (a capitalized key, an unknown
+// classifier. Some are refusals, some (a capitalized key, an unknown
 // top-level key) are answered 200 by encoding/json.
 func singleRowDeclined(a, b, class string) []struct{ name, body string } {
 	return []struct{ name, body string }{
@@ -127,7 +126,7 @@ func singleRowDeclined(a, b, class string) []struct{ name, body string } {
 func TestRowRoutesDeclined(t *testing.T) {
 	s, srv, _ := fullServer(t)
 	names := s.models.View().Model.Features
-	class := s.runtime.View().Model.Classes()[0]
+	class := s.models.View().Model.Classes()[0]
 	for _, route := range rowCases(s) {
 		for _, tc := range singleRowDeclined(names[0], names[1], class) {
 			body := []byte(tc.body)

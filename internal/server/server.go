@@ -42,7 +42,6 @@ type Server struct {
 	store        Warehouse
 	models       *core.ModelManager
 	discovery    *core.DiscoveryManager
-	runtime      *core.ModelManager
 	machineNodes int
 	mux          *http.ServeMux
 	handler      http.Handler
@@ -53,10 +52,9 @@ type Server struct {
 
 	// The governed-row pipelines, one per served model family (the batch
 	// endpoint rides the classify pipeline).
-	classify     rowRoute[*core.JobClassifier, classifyRequest, classifyResult]
-	assign       rowRoute[*core.DiscoveryModel, assignRequest, *core.Assignment]
-	runtimeClass rowRoute[*core.JobClassifier, runtimeRequest, runtimeScore]
-	batchRows    *obs.Histogram
+	classify  rowRoute[*core.JobClassifier, classifyRequest, classifyResult]
+	assign    rowRoute[*core.DiscoveryModel, assignRequest, *core.Assignment]
+	batchRows *obs.Histogram
 
 	metrics      *obs.Registry
 	log          *obs.Logger
@@ -109,14 +107,12 @@ func (s *Server) routes() []route {
 		{"GET", "/api/warehouse/groupby", s.handleWarehouseGroupBy, false, true},
 		{"GET", "/api/warehouse/rollup", s.handleWarehouseRollup, false, true},
 		{"GET", "/api/warehouse/totals", s.handleWarehouseTotals, false, true},
-		{"GET", "/api/features", s.schemaHandler(s.models, s.classify.noModel), false, true},
+		{"GET", "/api/features", s.handleFeatures, false, true},
 		{"POST", "/api/classify", s.classify.ServeHTTP, true, true},
 		{"POST", "/api/classify/batch", s.handleClassifyBatch, true, true},
 		{"GET", "/api/discover", s.handleDiscoverGet, false, true},
 		{"POST", "/api/discover", s.handleDiscoverRefit, false, true},
 		{"POST", "/api/discover/assign", s.assign.ServeHTTP, true, true},
-		{"GET", "/api/runtime-class/features", s.schemaHandler(s.runtime, s.runtimeClass.noModel), false, true},
-		{"POST", "/api/runtime-class", s.runtimeClass.ServeHTTP, true, true},
 		{"POST", "/admin/model/reload", s.handleModelReload, false, true},
 		{"GET", "/api/lifecycle", s.lifecycleOp("status", nil), false, true},
 		{"POST", "/admin/lifecycle/retrain", s.lifecycleOp("retrain", (*lifecycle.Loop).Retrain), false, true},
@@ -163,9 +159,6 @@ func New(store Warehouse, model *core.JobClassifier, machineNodes int, opts ...O
 	}
 	if s.discovery == nil {
 		s.discovery = core.NewDiscoveryManager(s.metrics)
-	}
-	if s.runtime == nil {
-		s.runtime = core.NewNamedModelManager(s.metrics, "runtime_class")
 	}
 	s.initLifecycle()
 	s.declareMetrics()
@@ -301,24 +294,22 @@ func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, pts)
 }
 
-// schemaHandler reports the schema of a served classifier (features,
+// handleFeatures reports the schema of the served classifier (features,
 // classes, generation, engine), so clients and the load generator can
 // build valid request bodies.
-func (s *Server) schemaHandler(mgr *core.ModelManager, noModel string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		v := mgr.View()
-		if v == nil {
-			s.writeError(w, http.StatusServiceUnavailable, "%s", noModel)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"algorithm":  v.Model.Algo,
-			"features":   v.Model.Features,
-			"classes":    v.Model.Classes(),
-			"generation": v.Generation,
-			"compiled":   v.Compiled(),
-		})
+func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
+	v := s.models.View()
+	if v == nil {
+		s.writeError(w, http.StatusServiceUnavailable, "%s", s.classify.noModel)
+		return
 	}
+	s.writeJSON(w, http.StatusOK, map[string]any{
+		"algorithm":  v.Model.Algo,
+		"features":   v.Model.Features,
+		"classes":    v.Model.Classes(),
+		"generation": v.Generation,
+		"compiled":   v.Compiled(),
+	})
 }
 
 // classifyRequest is the classification endpoint's body: a feature map
@@ -484,13 +475,4 @@ func (s *Server) initRowRoutes() {
 		reply: assignReply,
 	}
 	s.assign.bindMetrics("discover_assign_outcomes_total", "discover_assign_seconds", "anomalous", "assigned")
-
-	s.runtimeClass = rowRoute[*core.JobClassifier, runtimeRequest, runtimeScore]{
-		s: s, mgr: s.runtime, noModel: "no runtime-class model loaded", site: FaultRuntimeRow,
-		features:  runtimeFeatures,
-		threshold: func(req *runtimeRequest) *float64 { return &req.Threshold },
-		score:     scoreRuntime,
-		reply:     runtimeReply,
-	}
-	s.runtimeClass.bindMetrics("runtime_class_outcomes_total", "runtime_class_row_seconds", "classified", "below_threshold")
 }
