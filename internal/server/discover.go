@@ -103,7 +103,7 @@ func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (uint64, error) {
 	gen := s.discovery.Generation()
 	opt := core.DefaultFeatures()
 	names := core.FeatureNames(opt)
-	unlabeled := s.store.Records().Filter((*warehouse.Record).Unlabeled)
+	unlabeled := s.store.Snapshot().Filter((*warehouse.Record).Unlabeled)
 	if err := cfg.Validate(len(unlabeled), len(names)); err != nil {
 		return gen, err
 	}

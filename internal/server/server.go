@@ -30,11 +30,15 @@ import (
 )
 
 // Warehouse is what the server reads: every warehouse route queries one
-// cut of the job records. *warehouse.Sharded (job-id order) provides it
-// in supremm-serve, where it is the only copy of the workload and ingest
-// grows it; *warehouse.Store (ingest order) provides it to tests and the
+// snapshot, whose group tables answer the overview, group-by and totals
+// routes in O(groups) while the others walk its records.
+// *warehouse.Sharded (job-id order) provides it in supremm-serve, where
+// it is the only copy of the workload and ingest grows it;
+// *warehouse.Store (ingest order) provides it to tests and the
 // benchmark, which serve a fixed record set.
-type Warehouse interface{ Records() warehouse.Records }
+type Warehouse interface {
+	Snapshot() *warehouse.WarehouseSnapshot
+}
 
 // Server wires the API handlers to a warehouse and an optional
 // classifier.
@@ -186,7 +190,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
-	t := s.store.Records().Totals()
+	t := s.store.Snapshot().Totals()
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"jobs":      t.Jobs,
 		"cpuHours":  t.CPUHours,
@@ -215,7 +219,7 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	// Initialized (not declared nil) so an empty warehouse encodes as [],
 	// never null.
 	out := []row{}
-	for _, g := range s.store.Records().GroupBy(dim) {
+	for _, g := range s.store.Snapshot().GroupBy(dim) {
 		out = append(out, row{g.Key, g.Jobs, g.MixPercent, g.CPUHours, g.AvgNodes, g.AvgWaitHrs})
 	}
 	s.writeJSON(w, http.StatusOK, out)
@@ -230,15 +234,15 @@ func (s *Server) handleWarehouseGroupBy(w http.ResponseWriter, r *http.Request) 
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.store.Records().GroupBy(dim))
+	s.writeJSON(w, http.StatusOK, s.store.Snapshot().GroupBy(dim))
 }
 
 func (s *Server) handleWarehouseRollup(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.store.Records().Rollup())
+	s.writeJSON(w, http.StatusOK, s.store.Snapshot().Rollup())
 }
 
 func (s *Server) handleWarehouseTotals(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.store.Records().Totals())
+	s.writeJSON(w, http.StatusOK, s.store.Snapshot().Totals())
 }
 
 func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
@@ -263,7 +267,7 @@ func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
 		Inner []innerRow `json:"inner"`
 	}
 	out := []group{}
-	for _, g := range s.store.Records().DrillDown(outer, inner) {
+	for _, g := range s.store.Snapshot().DrillDown(outer, inner) {
 		gg := group{Key: g.Key, Jobs: g.Jobs, Inner: []innerRow{}}
 		for _, in := range g.Inner {
 			gg.Inner = append(gg.Inner, innerRow{in.Key, in.Jobs, in.MixPercent})
@@ -287,7 +291,7 @@ func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "machine node count not configured; pass ?nodes=N")
 		return
 	}
-	pts := s.store.Records().Utilization(nodes)
+	pts := s.store.Snapshot().Utilization(nodes)
 	if pts == nil {
 		pts = []warehouse.UtilizationPoint{}
 	}

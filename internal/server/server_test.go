@@ -75,6 +75,28 @@ func TestGroupBy(t *testing.T) {
 	}
 }
 
+// TestEmptyWarehouseGroupBy: with no jobs, both group-by routes answer
+// an empty JSON list, not null, whether the snapshot is a Store's or a
+// Sharded's.
+func TestEmptyWarehouseGroupBy(t *testing.T) {
+	for name, wh := range map[string]Warehouse{
+		"store":   warehouse.NewStore(),
+		"sharded": warehouse.NewSharded(warehouse.ShardedConfig{}),
+	} {
+		srv := httptest.NewServer(New(wh, nil, 6400))
+		for _, path := range []string{"/api/groupby?dim=user", "/api/warehouse/groupby?dim=application"} {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body := strings.TrimSpace(string(readAll(t, resp))); resp.StatusCode != 200 || body != "[]" {
+				t.Errorf("%s %s: %d %s, want 200 []", name, path, resp.StatusCode, body)
+			}
+		}
+		srv.Close()
+	}
+}
+
 func TestDrillDown(t *testing.T) {
 	srv, _ := testServer(t)
 	var groups []struct {

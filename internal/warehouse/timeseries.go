@@ -1,7 +1,6 @@
 package warehouse
 
 import (
-	"math"
 	"sort"
 	"time"
 )
@@ -102,28 +101,29 @@ const rollupBucketSeconds = 3600
 // RollupBucket is one time bucket's integer-exact totals. The float
 // views are derived at read time, so bucket arithmetic never loses
 // associativity to floating-point rounding and the same jobs roll up
-// bit-identically in any order.
+// bit-identically in any order. The sums are 128-bit, so no admissible
+// record set wraps them; each encodes as a JSON decimal integer.
 type RollupBucket struct {
-	Bucket      int64 `json:"bucket"` // unix seconds, inclusive start
-	Jobs        int64 `json:"jobs"`
-	WallMillis  int64 `json:"wallMillis"`
-	CoreMillis  int64 `json:"coreMillis"`
-	WaitSeconds int64 `json:"waitSeconds"`
-	Nodes       int64 `json:"nodes"`
+	Bucket      int64  `json:"bucket"` // unix seconds, inclusive start
+	Jobs        int64  `json:"jobs"`
+	WallMillis  Int128 `json:"wallMillis"`
+	CoreMillis  Int128 `json:"coreMillis"`
+	WaitSeconds Int128 `json:"waitSeconds"`
+	Nodes       Int128 `json:"nodes"`
 }
 
 // CPUHours derives core-hours from the exact accumulator.
-func (b *RollupBucket) CPUHours() float64 { return float64(b.CoreMillis) / (1000 * 3600) }
+func (b *RollupBucket) CPUHours() float64 { return b.CoreMillis.hours() }
 
 // WallHours derives wall-hours from the exact accumulator.
-func (b *RollupBucket) WallHours() float64 { return float64(b.WallMillis) / (1000 * 3600) }
+func (b *RollupBucket) WallHours() float64 { return b.WallMillis.hours() }
 
 // AvgWaitHours derives the mean queue wait in hours.
 func (b *RollupBucket) AvgWaitHours() float64 {
 	if b.Jobs == 0 {
 		return 0
 	}
-	return float64(b.WaitSeconds) / float64(b.Jobs) / 3600
+	return b.WaitSeconds.float() / float64(b.Jobs) / 3600
 }
 
 // rollupKey truncates a start time to its bucket (floor, so a negative
@@ -137,28 +137,24 @@ func rollupKey(start int64) int64 {
 }
 
 // Rollup totals the records into hourly buckets by start time, in
-// bucket order. Each record contributes integer-exact terms: wall time
-// rounded to milliseconds (independently per record, so the sum is
-// order-free), core-milliseconds, integer wait seconds, and nodes.
+// bucket order, each bucket folding its jobs through acc.
 func (rs Records) Rollup() []RollupBucket {
-	acc := map[int64]*RollupBucket{}
+	buckets := map[int64]*acc{}
 	for _, r := range rs {
 		key := rollupKey(r.Start)
-		b := acc[key]
-		if b == nil {
-			b = &RollupBucket{Bucket: key}
-			acc[key] = b
+		a := buckets[key]
+		if a == nil {
+			a = new(acc)
+			buckets[key] = a
 		}
-		wallMillis := int64(math.Round(r.WallSeconds * 1000))
-		b.Jobs++
-		b.WallMillis += wallMillis
-		b.CoreMillis += int64(r.Cores) * wallMillis
-		b.WaitSeconds += r.Start - r.Submit
-		b.Nodes += int64(r.Nodes)
+		a.add(r)
 	}
-	out := make([]RollupBucket, 0, len(acc))
-	for _, b := range acc {
-		out = append(out, *b)
+	out := make([]RollupBucket, 0, len(buckets))
+	for key, a := range buckets {
+		out = append(out, RollupBucket{
+			Bucket: key, Jobs: a.jobs, WallMillis: a.wallMillis,
+			CoreMillis: a.coreMillis, WaitSeconds: a.waitSecs, Nodes: a.nodes,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
 	return out

@@ -1,7 +1,11 @@
 package warehouse
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/big"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -46,9 +50,6 @@ func TestIngestAndLookup(t *testing.T) {
 
 func TestRecordDerivedMetrics(t *testing.T) {
 	r := rec("1", "u", "VASP", "QC,ES", 4, 10000, 7200, 600)
-	if r.CPUHours() != 4*16*2 {
-		t.Errorf("cpu hours = %v", r.CPUHours())
-	}
 	if r.WaitSeconds() != 600 {
 		t.Errorf("wait = %v", r.WaitSeconds())
 	}
@@ -236,6 +237,14 @@ func TestDrillDown(t *testing.T) {
 	}
 }
 
+// cpuUser gives a record a summary with the given CPU-user mean.
+func cpuUser(mean float64) func(*Record) {
+	return func(r *Record) {
+		r.Summary = &summarize.Summary{}
+		r.Summary.Means[0] = mean
+	}
+}
+
 // TestIngestRecordBounds holds both warehouses to one door: each bound
 // just inside is warehoused, just outside is refused, and a refused
 // record leaves the warehouse as it was.
@@ -269,6 +278,14 @@ func TestIngestRecordBounds(t *testing.T) {
 		{"cores at -bound", func(r *Record) { r.Cores = -1 << 24 }, true},
 		{"cores past -bound", func(r *Record) { r.Cores = -1<<24 - 1 }, false},
 		{"cores 1<<40", func(r *Record) { r.Cores = 1 << 40 }, false},
+		{"cpu user 0.5", cpuUser(0.5), true},
+		{"cpu user below +2^31", cpuUser(math.Nextafter(1<<31, 0)), true},
+		{"cpu user at +2^31", cpuUser(1 << 31), false},
+		{"cpu user above -2^31", cpuUser(math.Nextafter(-1<<31, 0)), true},
+		{"cpu user at -2^31", cpuUser(-1 << 31), false},
+		{"cpu user NaN", cpuUser(math.NaN()), false},
+		{"cpu user +Inf", cpuUser(math.Inf(1)), false},
+		{"cpu user -Inf", cpuUser(math.Inf(-1)), false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -301,8 +318,11 @@ func TestIngestRecordBounds(t *testing.T) {
 
 // TestBoundedRecordQueriesAreCheap runs the queries a hostile record used
 // to stall or wrap on the worst records the door admits: a job of a year
-// on the most cores, at either end of the time bound.
+// on the most cores, at either end of the time bound; 18 of them in one
+// hour, whose core-milliseconds pass 2^63; and two jobs of 2^62 nodes
+// (nodes have no bound).
 func TestBoundedRecordQueriesAreCheap(t *testing.T) {
+	const yearMillis = 366 * 24 * 3600 * 1000
 	s := NewStore()
 	wait := map[int64]int64{}
 	for i, start := range []int64{-1 << 40, 0, 1 << 40} {
@@ -317,8 +337,44 @@ func TestBoundedRecordQueriesAreCheap(t *testing.T) {
 		t.Fatalf("Utilization returned %d months for three jobs of a year each", n)
 	}
 	for _, b := range s.Rollup() {
-		if b.WallMillis != 366*24*3600*1000 || b.CoreMillis != b.WallMillis<<24 || b.WaitSeconds != wait[b.Bucket] {
+		if b.WallMillis != int128(yearMillis) || b.CoreMillis != int128(yearMillis<<24) || b.WaitSeconds != int128(wait[b.Bucket]) {
 			t.Fatalf("rollup bucket wrapped: %+v", b)
 		}
+	}
+
+	wide := NewStore()
+	for i := 0; i < 18; i++ {
+		r := rec(fmt.Sprint("wide-", i), "u", "A", "C", 1, 7200, 366*24*3600, 0)
+		r.Cores = 1 << 24
+		if err := wide.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buckets := wide.Rollup()
+	want := new(big.Int).Mul(big.NewInt(18<<24), big.NewInt(yearMillis)) // past 2^63
+	if len(buckets) != 1 || buckets[0].CoreMillis.String() != want.String() {
+		t.Fatalf("18 year-long jobs on 2^24 cores roll up to %+v, want %s core ms", buckets, want)
+	}
+	if cpu, tot := buckets[0].CPUHours(), wide.Totals(); cpu <= 0 || cpu != tot.CPUHours {
+		t.Fatalf("rollup says %v CPU hours, Totals %v", cpu, tot.CPUHours)
+	}
+	js, err := json.Marshal(buckets[0])
+	if err != nil || !strings.Contains(string(js), `"coreMillis":`+want.String()+",") {
+		t.Fatalf("bucket encodes as %s (%v), want coreMillis %s", js, err, want)
+	}
+
+	big2 := NewStore()
+	for _, id := range []string{"n1", "n2"} {
+		r := rec(id, "u", "A", "C", 1, 7200, 60, 0)
+		r.Nodes = 1 << 62
+		if err := big2.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := big2.Rollup(); len(b) != 1 || b[0].Nodes.String() != "9223372036854775808" {
+		t.Fatalf("two jobs of 2^62 nodes roll up to %+v, want 2^63 nodes", b)
+	}
+	if g := big2.GroupBy(ByApplication); g[0].AvgNodes != 1<<62 {
+		t.Fatalf("two jobs of 2^62 nodes average %v nodes", g[0].AvgNodes)
 	}
 }
