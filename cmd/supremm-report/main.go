@@ -48,14 +48,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	totals := res.Store.Totals()
+	recs := warehouse.Records(res.Records)
+	totals := recs.Totals()
 	fmt.Printf("workload: %d jobs, %.0f CPU hours, %.0f wall hours\n\n",
 		totals.Jobs, totals.CPUHours, totals.WallHours)
 
 	if *util {
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(w, "month\tjobs\tnode hours\tutilization\tavg wait (h)\n")
-		for _, p := range res.Store.Utilization(cfg.Machine.TotalNodes()) {
+		for _, p := range recs.Utilization(cfg.Machine.TotalNodes()) {
 			fmt.Fprintf(w, "%s\t%d\t%.0f\t%.2f%%\t%.2f\n",
 				p.Month, p.Jobs, p.NodeHours, 100*p.Utilization, p.AvgWaitHours)
 		}
@@ -65,7 +66,7 @@ func main() {
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "%s\tjobs\t%% mix\tcpu hours\tavg nodes\tavg wait (h)\tavg cpu user\n", dim)
-	for i, g := range res.Store.GroupBy(dim) {
+	for i, g := range recs.GroupBy(dim) {
 		if i >= maxGroups {
 			break
 		}

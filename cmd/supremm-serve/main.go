@@ -24,7 +24,7 @@
 //	GET  /api/groupby?dim=application|category|user|population|jobsize|month
 //	GET  /api/drilldown?outer=DIM&inner=DIM
 //	GET  /api/utilization[?nodes=N]
-//	GET  /api/warehouse/groupby?dim=DIM, /api/warehouse/rollup, /api/warehouse/totals
+//	GET  /api/rollup
 //	GET  /api/features
 //	POST /api/classify        {"features": {"MEM_USED": ..., ...}, "threshold": 0.8}
 //	POST /api/classify/batch  {"rows": [{...}, ...], "threshold": 0.8}

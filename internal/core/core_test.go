@@ -386,7 +386,7 @@ func TestScoreRows(t *testing.T) {
 	res := runSmall(t, 42, 300)
 	d, _ := BuildDataset(res.Records, LabelByCategory, DefaultFeatures())
 	c, _ := TrainJobClassifier(d, ClassifierConfig{Algo: AlgoBayes})
-	na := FilterPopulation(res.Records, cluster.PopNA)
+	na := warehouse.Records(res.Records).Filter(func(r *warehouse.Record) bool { return r.Pop == cluster.PopNA })
 	rows := FeaturizeAll(na, DefaultFeatures())
 	preds := c.Score(&dataset.Dataset{X: rows})
 	if len(preds) != len(na) {

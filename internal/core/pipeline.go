@@ -240,17 +240,6 @@ func BuildDataset(records []*warehouse.Record, label LabelFunc, opt FeatureOptio
 	return dataset.New(names, rows, labels)
 }
 
-// FilterPopulation returns the records of one population.
-func FilterPopulation(records []*warehouse.Record, pop cluster.Population) []*warehouse.Record {
-	var out []*warehouse.Record
-	for _, r := range records {
-		if r.Pop == pop {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // FeaturizeAll returns raw feature rows for records (for unlabeled
 // populations: a dataset of rows alone is what JobClassifier.Score and
 // the discovery fit take).

@@ -198,34 +198,6 @@ func (r *Rand) Beta(a, b float64) float64 {
 	return x / (x + y)
 }
 
-// Poisson returns a Poisson variate with the given mean, using inversion for
-// small means and the PTRS transformed-rejection method threshold fallback
-// of normal approximation for large means.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction; adequate for the
-	// arrival-count use cases here.
-	v := r.NormalAt(mean, math.Sqrt(mean))
-	if v < 0 {
-		return 0
-	}
-	return int(v + 0.5)
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 

@@ -93,15 +93,10 @@ func TestIngestArmedServer(t *testing.T) {
 	if ingested != cfg.Jobs {
 		t.Fatalf("%d jobs finalized by epilog, want all %d", ingested, cfg.Jobs)
 	}
-	var overview struct {
-		Jobs int `json:"jobs"`
-	}
-	var totals warehouse.Aggregate
+	var overview warehouse.Aggregate
 	getJSON(t, srv.URL+"/api/overview", &overview)
-	getJSON(t, srv.URL+"/api/warehouse/totals", &totals)
-	if want := len(boot) + ingested; overview.Jobs != want || totals.Jobs != want {
-		t.Fatalf("/api/overview jobs %d, /api/warehouse/totals jobs %d, want %d boot + %d ingested",
-			overview.Jobs, totals.Jobs, len(boot), ingested)
+	if want := len(boot) + ingested; overview.Jobs != want {
+		t.Fatalf("/api/overview jobs %d, want %d boot + %d ingested", overview.Jobs, len(boot), ingested)
 	}
 
 	ing.Drain()
@@ -133,9 +128,9 @@ func TestWarehouseOrderParity(t *testing.T) {
 	byStore := httptest.NewServer(New(store, nil, 6400))
 	t.Cleanup(byStore.Close)
 
-	paths := []string{"/api/overview", "/api/utilization", "/api/warehouse/rollup", "/api/warehouse/totals"}
+	paths := []string{"/api/overview", "/api/utilization", "/api/rollup"}
 	for _, d := range warehouse.Dimensions {
-		paths = append(paths, "/api/groupby?dim="+string(d), "/api/warehouse/groupby?dim="+string(d))
+		paths = append(paths, "/api/groupby?dim="+string(d))
 		for _, inner := range warehouse.Dimensions {
 			paths = append(paths, "/api/drilldown?outer="+string(d)+"&inner="+string(inner))
 		}

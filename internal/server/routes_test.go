@@ -24,8 +24,7 @@ import (
 // must reproduce it exactly whatever subsystems are armed: dashboards
 // and the flight recorder's by-route ledger key on these strings.
 var labelledPaths = []string{
-	"/api/overview", "/api/groupby", "/api/drilldown", "/api/utilization",
-	"/api/warehouse/groupby", "/api/warehouse/rollup", "/api/warehouse/totals",
+	"/api/overview", "/api/groupby", "/api/drilldown", "/api/utilization", "/api/rollup",
 	"/api/features", "/api/classify", "/api/classify/batch", "/admin/model/reload",
 	"/api/discover", "/api/discover/assign", "/api/lifecycle",
 	"/admin/lifecycle/retrain", "/admin/lifecycle/promote", "/admin/lifecycle/rollback",

@@ -29,9 +29,11 @@ import (
 	"repro/internal/warehouse"
 )
 
-// Warehouse is what the server reads: every warehouse route queries one
-// snapshot, whose group tables answer the overview, group-by and totals
-// routes in O(groups) while the others walk its records.
+// Warehouse is what the server reads: each of the five warehouse routes
+// (overview, group-by, drill-down, utilization, rollup) queries one
+// snapshot and writes the warehouse package's own value as it encodes.
+// The snapshot's group tables answer the overview and group-by routes in
+// O(groups); the others walk its records.
 // *warehouse.Sharded (job-id order) provides it in supremm-serve, where
 // it is the only copy of the workload and ingest grows it;
 // *warehouse.Store (ingest order) provides it to tests and the
@@ -108,9 +110,7 @@ func (s *Server) routes() []route {
 		{"GET", "/api/groupby", s.handleGroupBy, false, true},
 		{"GET", "/api/drilldown", s.handleDrillDown, false, true},
 		{"GET", "/api/utilization", s.handleUtilization, false, true},
-		{"GET", "/api/warehouse/groupby", s.handleWarehouseGroupBy, false, true},
-		{"GET", "/api/warehouse/rollup", s.handleWarehouseRollup, false, true},
-		{"GET", "/api/warehouse/totals", s.handleWarehouseTotals, false, true},
+		{"GET", "/api/rollup", s.handleRollup, false, true},
 		{"GET", "/api/features", s.handleFeatures, false, true},
 		{"POST", "/api/classify", s.classify.ServeHTTP, true, true},
 		{"POST", "/api/classify/batch", s.handleClassifyBatch, true, true},
@@ -190,12 +190,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
-	t := s.store.Snapshot().Totals()
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"jobs":      t.Jobs,
-		"cpuHours":  t.CPUHours,
-		"wallHours": t.WallHours,
-	})
+	s.writeJSON(w, http.StatusOK, s.store.Snapshot().Totals())
 }
 
 func parseDim(r *http.Request, param string) (warehouse.Dimension, error) {
@@ -208,41 +203,7 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	type row struct {
-		Key        string  `json:"key"`
-		Jobs       int     `json:"jobs"`
-		MixPercent float64 `json:"mixPercent"`
-		CPUHours   float64 `json:"cpuHours"`
-		AvgNodes   float64 `json:"avgNodes"`
-		AvgWaitHrs float64 `json:"avgWaitHours"`
-	}
-	// Initialized (not declared nil) so an empty warehouse encodes as [],
-	// never null.
-	out := []row{}
-	for _, g := range s.store.Snapshot().GroupBy(dim) {
-		out = append(out, row{g.Key, g.Jobs, g.MixPercent, g.CPUHours, g.AvgNodes, g.AvgWaitHrs})
-	}
-	s.writeJSON(w, http.StatusOK, out)
-}
-
-// The /api/warehouse/* routes reply with the warehouse package's own
-// aggregates, every field as the package names it.
-
-func (s *Server) handleWarehouseGroupBy(w http.ResponseWriter, r *http.Request) {
-	dim, err := parseDim(r, "dim")
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	s.writeJSON(w, http.StatusOK, s.store.Snapshot().GroupBy(dim))
-}
-
-func (s *Server) handleWarehouseRollup(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.store.Snapshot().Rollup())
-}
-
-func (s *Server) handleWarehouseTotals(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.store.Snapshot().Totals())
 }
 
 func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
@@ -256,25 +217,11 @@ func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	type innerRow struct {
-		Key        string  `json:"key"`
-		Jobs       int     `json:"jobs"`
-		MixPercent float64 `json:"mixPercent"`
-	}
-	type group struct {
-		Key   string     `json:"key"`
-		Jobs  int        `json:"jobs"`
-		Inner []innerRow `json:"inner"`
-	}
-	out := []group{}
-	for _, g := range s.store.Snapshot().DrillDown(outer, inner) {
-		gg := group{Key: g.Key, Jobs: g.Jobs, Inner: []innerRow{}}
-		for _, in := range g.Inner {
-			gg.Inner = append(gg.Inner, innerRow{in.Key, in.Jobs, in.MixPercent})
-		}
-		out = append(out, gg)
-	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, s.store.Snapshot().DrillDown(outer, inner))
+}
+
+func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, http.StatusOK, s.store.Snapshot().Rollup())
 }
 
 func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {

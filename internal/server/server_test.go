@@ -75,8 +75,9 @@ func TestGroupBy(t *testing.T) {
 	}
 }
 
-// TestEmptyWarehouseGroupBy: with no jobs, both group-by routes answer
-// an empty JSON list, not null, whether the snapshot is a Store's or a
+// TestEmptyWarehouseGroupBy: with no jobs, every warehouse route that
+// answers a list (group-by, drill-down, utilization, rollup) answers an
+// empty JSON list, not null, whether the snapshot is a Store's or a
 // Sharded's.
 func TestEmptyWarehouseGroupBy(t *testing.T) {
 	for name, wh := range map[string]Warehouse{
@@ -84,13 +85,71 @@ func TestEmptyWarehouseGroupBy(t *testing.T) {
 		"sharded": warehouse.NewSharded(warehouse.ShardedConfig{}),
 	} {
 		srv := httptest.NewServer(New(wh, nil, 6400))
-		for _, path := range []string{"/api/groupby?dim=user", "/api/warehouse/groupby?dim=application"} {
+		for _, path := range []string{
+			"/api/groupby?dim=user", "/api/groupby?dim=application",
+			"/api/drilldown?outer=user&inner=application", "/api/utilization?nodes=1", "/api/rollup",
+		} {
 			resp, err := http.Get(srv.URL + path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if body := strings.TrimSpace(string(readAll(t, resp))); resp.StatusCode != 200 || body != "[]" {
 				t.Errorf("%s %s: %d %s, want 200 []", name, path, resp.StatusCode, body)
+			}
+		}
+		srv.Close()
+	}
+}
+
+// TestWarehouseRoutesEncodeRecords: each warehouse route writes the
+// warehouse's own value and reshapes nothing. Its body is the JSON
+// encoding of the matching Records query over the records it serves,
+// for every dimension, whether a Store's walk or a Sharded's tables
+// answer it. The retired /api/warehouse/* twins answer 404.
+func TestWarehouseRoutesEncodeRecords(t *testing.T) {
+	res := pipeline(t, 91, 300)
+	sharded := warehouse.NewSharded(warehouse.ShardedConfig{Shards: 3})
+	for _, r := range res.Records {
+		if err := sharded.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type recordWarehouse interface {
+		Warehouse
+		Records() warehouse.Records
+	}
+	for name, wh := range map[string]recordWarehouse{"store": res.Store, "sharded": sharded} {
+		srv := httptest.NewServer(New(wh, nil, 6400))
+		recs := wh.Records()
+		want := map[string]any{
+			"/api/overview":            recs.Totals(),
+			"/api/utilization":         recs.Utilization(6400),
+			"/api/utilization?nodes=7": recs.Utilization(7),
+			"/api/rollup":              recs.Rollup(),
+		}
+		for _, d := range warehouse.Dimensions {
+			want["/api/groupby?dim="+string(d)] = recs.GroupBy(d)
+			for _, inner := range warehouse.Dimensions {
+				want["/api/drilldown?outer="+string(d)+"&inner="+string(inner)] = recs.DrillDown(d, inner)
+			}
+		}
+		for path, v := range want {
+			b, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body := readAll(t, resp); resp.StatusCode != http.StatusOK || string(body) != string(b)+"\n" {
+				t.Errorf("%s %s: %d\n got:  %.300s\n want: %.300s", name, path, resp.StatusCode, body, b)
+			}
+		}
+		// The one route family: the old /api/warehouse/* twins are gone.
+		for _, path := range []string{"/api/warehouse/groupby?dim=user", "/api/warehouse/totals", "/api/warehouse/rollup"} {
+			if code := getJSON(t, srv.URL+path, nil); code != http.StatusNotFound {
+				t.Errorf("%s %s: %d, want 404", name, path, code)
 			}
 		}
 		srv.Close()
@@ -127,14 +186,14 @@ func TestDrillDown(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	srv, _ := testServer(t)
 	var pts []struct {
-		Month       string  `json:"Month"`
-		Utilization float64 `json:"Utilization"`
+		Month       string  `json:"month"`
+		Utilization float64 `json:"utilization"`
 	}
 	if code := getJSON(t, srv.URL+"/api/utilization", &pts); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if len(pts) == 0 {
-		t.Fatal("no utilization points")
+	if len(pts) == 0 || pts[0].Month == "" || pts[0].Utilization <= 0 {
+		t.Fatalf("utilization points %+v", pts)
 	}
 	if code := getJSON(t, srv.URL+"/api/utilization?nodes=abc", nil); code != 400 {
 		t.Errorf("bad nodes -> %d", code)

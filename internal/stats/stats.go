@@ -52,15 +52,6 @@ func (a *Accumulator) Variance() float64 {
 	return a.m2 / float64(a.n)
 }
 
-// SampleVariance returns the sample variance (divide by n-1), or 0 when
-// fewer than two observations have been added.
-func (a *Accumulator) SampleVariance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
@@ -190,48 +181,6 @@ func Correlation(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Histogram bins observations into equal-width buckets over [lo, hi].
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Below    int // observations < Lo
-	Above    int // observations > Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with bins equal-width buckets on [lo, hi].
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Below++
-	case x > h.Hi:
-		h.Above++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i == len(h.Counts) { // x == Hi
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // Scaler standardizes features to zero mean and unit variance, the
 // preprocessing the paper's RBF-kernel SVM requires. Columns with zero
 // variance are passed through centered only.
@@ -302,17 +251,6 @@ func ArgsortDesc(xs []float64) []int {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
 	return idx
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // RestoreScaler rebuilds a fitted scaler from persisted parameters.

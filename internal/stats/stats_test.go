@@ -44,9 +44,6 @@ func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	if a.Mean() != 3.5 || a.Variance() != 0 || a.COV() != 0 {
 		t.Error("single observation: mean 3.5, var 0, cov 0")
 	}
-	if a.SampleVariance() != 0 {
-		t.Error("sample variance with n=1 should be 0")
-	}
 }
 
 func TestAccumulatorMergeMatchesSequential(t *testing.T) {
@@ -103,8 +100,8 @@ func TestWelfordNumericalStability(t *testing.T) {
 	for _, d := range []float64{4, 7, 13, 16} {
 		a.Add(base + d)
 	}
-	if !almostEqual(a.SampleVariance(), 30, 1e-6) {
-		t.Errorf("sample variance = %v, want 30", a.SampleVariance())
+	if !almostEqual(a.Variance(), 22.5, 1e-6) {
+		t.Errorf("variance = %v, want 22.5", a.Variance())
 	}
 }
 
@@ -182,26 +179,6 @@ func TestCorrelationPanicsOnMismatch(t *testing.T) {
 	Correlation([]float64{1}, []float64{1, 2})
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Below != 1 || h.Above != 1 {
-		t.Errorf("below/above = %d/%d", h.Below, h.Above)
-	}
-	if h.Total() != 6 {
-		t.Errorf("total = %d", h.Total())
-	}
-	// x=10 (== Hi) should land in the last bin.
-	if h.Counts[4] != 2 {
-		t.Errorf("last bin = %d, want 2 (9.99 and 10)", h.Counts[4])
-	}
-	if h.Counts[0] != 2 {
-		t.Errorf("first bin = %d, want 2 (0 and 1.9)", h.Counts[0])
-	}
-}
-
 func TestScalerRoundTrip(t *testing.T) {
 	rows := [][]float64{{1, 100}, {2, 200}, {3, 300}, {4, 400}}
 	s := FitScaler(rows)
@@ -240,12 +217,6 @@ func TestArgsortDesc(t *testing.T) {
 		if idx[i] != want[i] {
 			t.Fatalf("ArgsortDesc = %v, want %v", idx, want)
 		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-5, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("clamp failed")
 	}
 }
 

@@ -39,16 +39,6 @@ type Schema struct {
 	Keys   []Key
 }
 
-// KeyIndex returns the index of the named key, or -1.
-func (s *Schema) KeyIndex(name string) int {
-	for i, k := range s.Keys {
-		if k.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Device names used by the default schema set.
 const (
 	DevCPU   = "cpu"   // kernel CPU accounting (USER_HZ ticks)

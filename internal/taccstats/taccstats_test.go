@@ -250,11 +250,8 @@ func TestCollectDeterminism(t *testing.T) {
 func TestSchemaSet(t *testing.T) {
 	set := NewSchemaSet(DefaultSchemas())
 	cpu, ok := set[DevCPU]
-	if !ok || cpu.KeyIndex("system") != 1 {
+	if !ok || cpu.Keys[1].Name != "system" {
 		t.Fatal("schema lookup failed")
-	}
-	if cpu.KeyIndex("nope") != -1 {
-		t.Error("KeyIndex should return -1 for unknown keys")
 	}
 	pmc := set[DevPMC]
 	for _, k := range pmc.Keys {

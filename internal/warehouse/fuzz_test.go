@@ -113,10 +113,10 @@ func FuzzIngest(f *testing.F) {
 		if tot.Jobs != s.Len() {
 			t.Fatalf("Totals covers %d jobs, store has %d", tot.Jobs, s.Len())
 		}
-		if _, err := json.Marshal([]any{tot, s.GroupBy(warehouse.ByUser), s.Rollup()}); err != nil {
+		if _, err := json.Marshal([]any{tot, s.GroupBy(warehouse.ByUser), s.Records().Rollup()}); err != nil {
 			t.Fatalf("aggregates do not encode: %v", err)
 		}
-		for _, g := range s.DrillDown(warehouse.ByApplication, warehouse.ByUser) {
+		for _, g := range s.Records().DrillDown(warehouse.ByApplication, warehouse.ByUser) {
 			inner := 0
 			for _, a := range g.Inner {
 				inner += a.Jobs
@@ -127,11 +127,11 @@ func FuzzIngest(f *testing.F) {
 		}
 		// A job of at most 366 days overlaps at most 13 months, and lands
 		// in the month it starts.
-		if n := len(s.Utilization(6400)); n > 13*s.Len() {
+		if n := len(s.Records().Utilization(6400)); n > 13*s.Len() {
 			t.Fatalf("Utilization walked %d months for %d jobs", n, s.Len())
 		}
 		var jobs int64
-		for _, b := range s.Rollup() {
+		for _, b := range s.Records().Rollup() {
 			if strings.HasPrefix(b.WallMillis.String(), "-") || b.Jobs <= 0 {
 				t.Fatalf("rollup bucket out of range: %+v", b)
 			}

@@ -271,20 +271,20 @@ func (t *tables) replace(old, r *Record, stale *[len(tableDims)]bool) {
 }
 
 // restoreExtremes recomputes the wait extremes of every group of each
-// stale table from the cut the tables now describe, one walk per table.
+// stale table from the cut the tables now describe: one walk of the cut
+// for all of them, and none when no table is stale.
 func (t *tables) restoreExtremes(cut Records, stale *[len(tableDims)]bool) {
-	for d, dim := range tableDims {
-		if !stale[d] {
-			continue
+	for d := range t {
+		for i := 0; stale[d] && i < len(t[d].accs); i++ {
+			t[d].accs[i].minWait, t[d].accs[i].maxWait = math.MaxInt64, math.MinInt64
 		}
-		accs := t[d].accs
-		for i := range accs {
-			accs[i].minWait, accs[i].maxWait = math.MaxInt64, math.MinInt64
-		}
-		for _, r := range cut {
-			a := &accs[t[d].slot[dimensionKey(r, dim)]]
-			w := r.Start - r.Submit
-			a.minWait, a.maxWait = min(a.minWait, w), max(a.maxWait, w)
+	}
+	for i := 0; *stale != [len(tableDims)]bool{} && i < len(cut); i++ {
+		for d, dim := range tableDims {
+			if stale[d] {
+				a, w := &t[d].accs[t[d].slot[dimensionKey(cut[i], dim)]], cut[i].Start-cut[i].Submit
+				a.minWait, a.maxWait = min(a.minWait, w), max(a.maxWait, w)
+			}
 		}
 	}
 }

@@ -65,8 +65,7 @@ func aggLine(a *Aggregate) string {
 	}, "|")
 }
 
-// queries is the surface Store and WarehouseSnapshot both take from
-// Records.
+// queries is the surface Records and WarehouseSnapshot both answer.
 type queries interface {
 	GroupBy(Dimension) []*Aggregate
 	Totals() Aggregate
@@ -159,7 +158,7 @@ func checkSnapshot(t *testing.T, v *WarehouseSnapshot) {
 			t.Fatalf("reference ingest: %v", err)
 		}
 	}
-	sameQueries(t, "snapshot vs serial reference", queryDigests(v), queryDigests(ref))
+	sameQueries(t, "snapshot vs serial reference", queryDigests(v), queryDigests(ref.Records()))
 }
 
 func TestShardedSerialMatchesReference(t *testing.T) {
@@ -566,7 +565,7 @@ func TestSnapshotAnswersItsRecords(t *testing.T) {
 		if v.folded() {
 			t.Fatalf("%s: the snapshot still answers from its tables", what)
 		}
-		sameQueries(t, what, queryDigests(v), queryDigests(ref))
+		sameQueries(t, what, queryDigests(v), queryDigests(ref.Records()))
 	}
 	orig := v.Records[5]
 	edited := *orig

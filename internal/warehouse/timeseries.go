@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -8,17 +9,19 @@ import (
 // UtilizationPoint is one month of machine utilization, the headline
 // XDMoD chart (delivered node-hours / available node-hours).
 type UtilizationPoint struct {
-	Month        string // "2014-01"
-	Jobs         int    // jobs that overlapped the month
-	NodeHours    float64
-	CPUHours     float64
-	Utilization  float64 // NodeHours / (machine nodes * hours in month)
-	AvgWaitHours float64 // mean queue wait of jobs STARTING in the month
+	Month        string  `json:"month"` // "2014-01"
+	Jobs         int     `json:"jobs"`  // jobs that overlapped the month
+	NodeHours    float64 `json:"nodeHours"`
+	CPUHours     float64 `json:"cpuHours"`
+	Utilization  float64 `json:"utilization"`  // NodeHours / (machine nodes * hours in month)
+	AvgWaitHours float64 `json:"avgWaitHours"` // mean queue wait of jobs STARTING in the month
 }
 
 // Utilization computes the monthly utilization series for a machine of
-// the given node count. Job node-hours are apportioned to months by
-// overlap, so a job spanning a month boundary contributes to both.
+// the given node count, in month order. Job node-hours are apportioned
+// to months by overlap, so a job spanning a month boundary contributes
+// to both. Months are keyed by their first second, so every year the
+// door admits sorts and sizes right; the "2006-01" label is only output.
 func (rs Records) Utilization(machineNodes int) []UtilizationPoint {
 	if machineNodes <= 0 || len(rs) == 0 {
 		return nil
@@ -30,8 +33,8 @@ func (rs Records) Utilization(machineNodes int) []UtilizationPoint {
 		waitSum   float64
 		waitN     int
 	}
-	months := map[string]*agg{}
-	get := func(key string) *agg {
+	months := map[int64]*agg{}
+	get := func(key int64) *agg {
 		a, ok := months[key]
 		if !ok {
 			a = &agg{jobs: map[string]bool{}}
@@ -48,14 +51,13 @@ func (rs Records) Utilization(machineNodes int) []UtilizationPoint {
 		}
 		// Walk months the job overlaps.
 		t := time.Unix(start, 0).UTC()
-		cursor := time.Date(t.Year(), t.Month(), 1, 0, 0, 0, 0, time.UTC)
-		for cursor.Unix() < end {
+		first := time.Date(t.Year(), t.Month(), 1, 0, 0, 0, 0, time.UTC)
+		for cursor := first; cursor.Unix() < end; {
 			next := cursor.AddDate(0, 1, 0)
 			overlapStart := max(start, cursor.Unix())
 			overlapEnd := min(end, next.Unix())
 			if overlapEnd > overlapStart {
-				key := cursor.Format("2006-01")
-				a := get(key)
+				a := get(cursor.Unix())
 				a.jobs[r.JobID] = true
 				hours := float64(overlapEnd-overlapStart) / 3600
 				a.nodeHours += hours * float64(r.Nodes)
@@ -63,24 +65,23 @@ func (rs Records) Utilization(machineNodes int) []UtilizationPoint {
 			}
 			cursor = next
 		}
-		startKey := time.Unix(start, 0).UTC().Format("2006-01")
-		a := get(startKey)
+		a := get(first.Unix())
 		a.waitSum += r.WaitSeconds()
 		a.waitN++
 	}
 
-	keys := make([]string, 0, len(months))
+	keys := make([]int64, 0, len(months))
 	for k := range months {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	out := make([]UtilizationPoint, 0, len(keys))
 	for _, k := range keys {
 		a := months[k]
-		monthStart, _ := time.Parse("2006-01", k)
+		monthStart := time.Unix(k, 0).UTC()
 		monthHours := monthStart.AddDate(0, 1, 0).Sub(monthStart).Hours()
 		p := UtilizationPoint{
-			Month:       k,
+			Month:       monthStart.Format("2006-01"),
 			Jobs:        len(a.jobs),
 			NodeHours:   a.nodeHours,
 			CPUHours:    a.cpuHours,

@@ -115,14 +115,14 @@ func sizeBucket(nodes int) string {
 // Aggregate is the set of metrics XDMoD reports per group, derived from
 // the group's exact integer sums (acc.finish).
 type Aggregate struct {
-	Key        string
-	Jobs       int
-	CPUHours   float64
-	WallHours  float64
-	AvgWaitHrs float64
-	AvgNodes   float64
-	MixPercent float64 // share of total jobs, the Table 3 "% mix"
-	AvgCPUUser float64 // mean SUPReMM CPU user fraction (QoS view)
+	Key        string  `json:"key"`
+	Jobs       int     `json:"jobs"`
+	CPUHours   float64 `json:"cpuHours"`
+	WallHours  float64 `json:"wallHours"`
+	AvgWaitHrs float64 `json:"avgWaitHours"`
+	AvgNodes   float64 `json:"avgNodes"`
+	MixPercent float64 `json:"mixPercent"` // share of total jobs, the Table 3 "% mix"
+	AvgCPUUser float64 `json:"avgCpuUser"` // mean SUPReMM CPU user fraction (QoS view)
 	minWait    float64
 	maxWait    float64
 }
@@ -217,11 +217,6 @@ func (s *Store) Len() int { return len(s.records) }
 // GroupBy aggregates all records along a dimension.
 func (s *Store) GroupBy(dim Dimension) []*Aggregate { return s.records.GroupBy(dim) }
 
-// GroupByFiltered aggregates the records matching the predicate.
-func (s *Store) GroupByFiltered(dim Dimension, pred func(*Record) bool) []*Aggregate {
-	return s.records.GroupByFiltered(dim, pred)
-}
-
 // Totals returns machine-wide aggregate metrics.
 func (s *Store) Totals() Aggregate { return s.records.Totals() }
 
@@ -229,22 +224,9 @@ func (s *Store) Totals() Aggregate { return s.records.Totals() }
 // group tables, so every query walks them.
 func (s *Store) Snapshot() *WarehouseSnapshot { return &WarehouseSnapshot{Records: s.Records()} }
 
-// DrillDown groups records by outer, then by inner within each group.
-func (s *Store) DrillDown(outer, inner Dimension) []*DrillDownGroup {
-	return s.records.DrillDown(outer, inner)
-}
-
-// Utilization computes the monthly utilization series.
-func (s *Store) Utilization(machineNodes int) []UtilizationPoint {
-	return s.records.Utilization(machineNodes)
-}
-
-// Rollup totals the records into hourly buckets.
-func (s *Store) Rollup() []RollupBucket { return s.records.Rollup() }
-
 // Records is a set of processed jobs, and owns the body of every query
-// a walk of the jobs answers: Store answers them over its records in
-// ingest order, WarehouseSnapshot over a cut in job-id order. GroupBy,
+// a walk of the jobs answers: over a Store's records in ingest order,
+// over a Sharded's cut in job-id order (WarehouseSnapshot). GroupBy,
 // Totals and Rollup fold integer sums (acc), so they answer the same jobs
 // bit-identically in any order; DrillDown's groups do too, while
 // Utilization's float sums accumulate in slice order.
@@ -352,12 +334,6 @@ func (t *table) aggregates(of int) []*Aggregate {
 	return out
 }
 
-// GroupByFiltered aggregates a filtered subset; mix percentages are
-// relative to the subset.
-func (rs Records) GroupByFiltered(dim Dimension, pred func(*Record) bool) []*Aggregate {
-	return rs.Filter(pred).GroupBy(dim)
-}
-
 // Totals returns machine-wide aggregate metrics.
 func (rs Records) Totals() Aggregate {
 	var a acc
@@ -378,9 +354,9 @@ func totals(a *acc) Aggregate {
 // DrillDownGroup is one outer group of XDMoD's drill-down view with its
 // inner breakdown; inner mix percentages are relative to the outer group.
 type DrillDownGroup struct {
-	Key   string
-	Jobs  int
-	Inner []*Aggregate
+	Key   string       `json:"key"`
+	Jobs  int          `json:"jobs"`
+	Inner []*Aggregate `json:"inner"`
 }
 
 // DrillDown groups records by outer, then by inner within each group;

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/summarize"
@@ -129,7 +131,7 @@ func TestGroupByPopulationAndFiltered(t *testing.T) {
 	if len(gs) != 2 {
 		t.Fatalf("population groups = %d", len(gs))
 	}
-	f := s.GroupByFiltered(ByApplication, func(r *Record) bool { return r.Pop == cluster.PopCommunity })
+	f := s.Records().Filter(func(r *Record) bool { return r.Pop == cluster.PopCommunity }).GroupBy(ByApplication)
 	if len(f) != 1 || f[0].Key != "VASP" || f[0].MixPercent != 100 {
 		t.Errorf("filtered groups = %+v", f[0])
 	}
@@ -170,7 +172,7 @@ func TestUtilizationSingleMonth(t *testing.T) {
 	s := NewStore()
 	// 2014-01-10 00:00 UTC, 2-node job running 10 hours.
 	s.Ingest(rec("1", "u", "A", "C", 2, 1389312000, 36000, 3600))
-	pts := s.Utilization(10)
+	pts := s.Records().Utilization(10)
 	if len(pts) != 1 || pts[0].Month != "2014-01" {
 		t.Fatalf("points = %+v", pts)
 	}
@@ -190,7 +192,7 @@ func TestUtilizationSpansMonths(t *testing.T) {
 	s := NewStore()
 	// Job starting 2014-01-31 12:00 UTC running 24h: 12h in Jan, 12h in Feb.
 	s.Ingest(rec("1", "u", "A", "C", 1, 1391169600, 86400, 60))
-	pts := s.Utilization(10)
+	pts := s.Records().Utilization(10)
 	if len(pts) != 2 {
 		t.Fatalf("points = %+v", pts)
 	}
@@ -206,13 +208,37 @@ func TestUtilizationSpansMonths(t *testing.T) {
 	}
 }
 
+// TestUtilizationFiveDigitYears: the door admits starts out to about
+// year ±34 800. A month outside years 0000-9999 is still sized as its
+// own month (February is 696 hours in the leap year 10680 and 672 in
+// -6741), and the series comes out in time order, not label order.
+func TestUtilizationFiveDigitYears(t *testing.T) {
+	s := NewStore()
+	for i, year := range []int{10680, 2014, -6741} {
+		start := time.Date(year, 2, 10, 0, 0, 0, 0, time.UTC).Unix()
+		if err := s.Ingest(rec(fmt.Sprint(i), "u", "A", "C", 1, start, 3600, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, p := range s.Records().Utilization(1) {
+		got = append(got, fmt.Sprintf("%s %v", p.Month, p.Utilization))
+	}
+	want := []string{
+		fmt.Sprint("-6741-02 ", 1.0/672), fmt.Sprint("2014-02 ", 1.0/672), fmt.Sprint("10680-02 ", 1.0/696),
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("utilization %q, want %q", got, want)
+	}
+}
+
 func TestUtilizationEmptyAndBadInput(t *testing.T) {
 	s := NewStore()
-	if pts := s.Utilization(10); pts != nil {
+	if pts := s.Records().Utilization(10); pts != nil {
 		t.Error("empty store should yield nil")
 	}
 	s.Ingest(rec("1", "u", "A", "C", 1, 1389312000, 60, 1))
-	if pts := s.Utilization(0); pts != nil {
+	if pts := s.Records().Utilization(0); pts != nil {
 		t.Error("zero machine nodes should yield nil")
 	}
 }
@@ -223,7 +249,7 @@ func TestDrillDown(t *testing.T) {
 	s.Ingest(rec("2", "u1", "NAMD", "MD", 1, 1000, 60, 1))
 	s.Ingest(rec("3", "u2", "VASP", "QC,ES", 1, 1000, 60, 1))
 	s.Ingest(rec("4", "u1", "VASP", "QC,ES", 1, 1000, 60, 1))
-	groups := s.DrillDown(ByUser, ByApplication)
+	groups := s.Records().DrillDown(ByUser, ByApplication)
 	if len(groups) != 2 || groups[0].Key != "u1" || groups[0].Jobs != 3 {
 		t.Fatalf("outer groups = %+v", groups[0])
 	}
@@ -333,10 +359,10 @@ func TestBoundedRecordQueriesAreCheap(t *testing.T) {
 		}
 		wait[rollupKey(start)] = 2 * start
 	}
-	if n := len(s.Utilization(6400)); n > 3*13 {
+	if n := len(s.Records().Utilization(6400)); n > 3*13 {
 		t.Fatalf("Utilization returned %d months for three jobs of a year each", n)
 	}
-	for _, b := range s.Rollup() {
+	for _, b := range s.Records().Rollup() {
 		if b.WallMillis != int128(yearMillis) || b.CoreMillis != int128(yearMillis<<24) || b.WaitSeconds != int128(wait[b.Bucket]) {
 			t.Fatalf("rollup bucket wrapped: %+v", b)
 		}
@@ -350,7 +376,7 @@ func TestBoundedRecordQueriesAreCheap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	buckets := wide.Rollup()
+	buckets := wide.Records().Rollup()
 	want := new(big.Int).Mul(big.NewInt(18<<24), big.NewInt(yearMillis)) // past 2^63
 	if len(buckets) != 1 || buckets[0].CoreMillis.String() != want.String() {
 		t.Fatalf("18 year-long jobs on 2^24 cores roll up to %+v, want %s core ms", buckets, want)
@@ -371,7 +397,7 @@ func TestBoundedRecordQueriesAreCheap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b := big2.Rollup(); len(b) != 1 || b[0].Nodes.String() != "9223372036854775808" {
+	if b := big2.Records().Rollup(); len(b) != 1 || b[0].Nodes.String() != "9223372036854775808" {
 		t.Fatalf("two jobs of 2^62 nodes roll up to %+v, want 2^63 nodes", b)
 	}
 	if g := big2.GroupBy(ByApplication); g[0].AvgNodes != 1<<62 {

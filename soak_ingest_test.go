@@ -110,13 +110,13 @@ func TestSoakIngestConservation(t *testing.T) {
 	}
 
 	// The server survived the storm and still serves queries.
-	resp, err := http.Get(base + "/api/warehouse/totals")
+	resp, err := http.Get(base + "/api/overview")
 	if err != nil {
 		t.Fatalf("server unreachable after soak: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Errorf("/api/warehouse/totals after soak: status %d", resp.StatusCode)
+		t.Errorf("/api/overview after soak: status %d", resp.StatusCode)
 	}
 
 	// One recorder holds both paths: the finalized jobs are in the ring
