@@ -9,6 +9,10 @@
 //
 //	supremm-collect -spool DIR [-jobs N] [-seed N]        # stage 1
 //	supremm-collect -spool DIR -summarize [-o data.csv]   # stage 2
+//
+// Stage 2 emits only jobs Lariat could name, as supremm-gen does: the
+// Uncategorized and NA populations carry no training label. For the same
+// -seed and -jobs its CSV is byte-identical to supremm-gen's.
 package main
 
 import (
@@ -26,6 +30,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/summarize"
 	"repro/internal/taccstats"
+	"repro/internal/warehouse"
 )
 
 func main() {
@@ -119,13 +124,15 @@ func summarizeSpool(spool, out string) error {
 		if err != nil {
 			return fmt.Errorf("job %s: %w", id, err)
 		}
+		summarized++
+		// Only jobs Lariat named carry a training label, as in
+		// supremm-gen; a job missing from the labels file has none.
 		label, ok := labels[id]
-		if !ok {
-			label = lariat.NA
+		if _, named := core.LabelByLariat(&warehouse.Record{AppLabel: label}); !ok || !named {
+			continue
 		}
 		rows = append(rows, core.Featurize(sum, opt))
 		rowLabels = append(rowLabels, label)
-		summarized++
 	}
 	ds, err := dataset.New(core.FeatureNames(opt), rows, rowLabels)
 	if err != nil {

@@ -3,6 +3,9 @@ package repro
 import (
 	"bytes"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cluster"
@@ -164,5 +167,47 @@ func TestSegmentsFlowThroughPipeline(t *testing.T) {
 		if len(rec.Summary.SegmentMeans) != 3 {
 			t.Fatal("summary missing segments")
 		}
+	}
+}
+
+// TestCollectCSVMatchesGen runs the on-disk path (supremm-collect stage 1
+// into a spool, stage 2 to CSV) and supremm-gen's in-memory pipeline at
+// the same seed and job count: both must train on the jobs Lariat named
+// and nothing else, with byte-identical CSVs. That also pins collect's
+// per-job collector seed to RunPipeline's.
+func TestCollectCSVMatchesGen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs two commands")
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"supremm-collect", "supremm-gen"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", name, err, out)
+		}
+	}
+	run := func(name string, args ...string) {
+		t.Helper()
+		if out, err := exec.Command(filepath.Join(dir, name), args...).CombinedOutput(); err != nil {
+			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
+		}
+	}
+	spool, collected, generated := filepath.Join(dir, "spool"), filepath.Join(dir, "collect.csv"), filepath.Join(dir, "gen.csv")
+	run("supremm-collect", "-spool", spool, "-seed", "2014", "-jobs", "40")
+	run("supremm-collect", "-spool", spool, "-summarize", "-o", collected)
+	run("supremm-gen", "-seed", "2014", "-jobs", "40", "-o", generated)
+	got, err := os.ReadFile(collected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(generated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("supremm-collect wrote %d CSV lines, supremm-gen %d; the CSVs differ",
+			bytes.Count(got, []byte("\n")), bytes.Count(want, []byte("\n")))
+	}
+	if bytes.Count(want, []byte("\n")) < 2 {
+		t.Fatalf("supremm-gen wrote no labeled job:\n%s", want)
 	}
 }
