@@ -54,9 +54,6 @@ var exportAllowlist = map[string]string{
 // packages come from their export data, and each module's own packages
 // are checked from source in `go list -deps` order.
 func TestExportsHaveAProgramCaller(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks both modules")
-	}
 	start := time.Now()
 	type listed struct {
 		ImportPath string

@@ -146,9 +146,6 @@ func (c *CUSUM) Observe(wall float64) bool {
 	return false
 }
 
-// Value returns the current CUSUM statistic (in sigma units).
-func (c *CUSUM) Value() float64 { return c.sum }
-
 // Monitor runs a CUSUM detector per (kernel, node-count) stream and
 // collects alarms.
 type Monitor struct {

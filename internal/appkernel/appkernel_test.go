@@ -188,8 +188,8 @@ func TestZeroVarianceBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.baseline, err)
 		}
-		if det.Observe(tc.baseline[0]) || math.IsNaN(det.Value()) {
-			t.Fatalf("%v: in-control point alarmed or left value %v", tc.baseline, det.Value())
+		if det.Observe(tc.baseline[0]) || math.IsNaN(det.sum) {
+			t.Fatalf("%v: in-control point alarmed or left value %v", tc.baseline, det.sum)
 		}
 		alarmed := false
 		for i := 0; i < 10 && !alarmed; i++ {

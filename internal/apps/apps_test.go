@@ -26,18 +26,6 @@ func TestMetricNamesUnique(t *testing.T) {
 	}
 }
 
-func TestMetricByName(t *testing.T) {
-	for m := MetricID(0); m < NumMetrics; m++ {
-		got, ok := MetricByName(m.String())
-		if !ok || got != m {
-			t.Fatalf("MetricByName(%q) = %v, %v", m.String(), got, ok)
-		}
-	}
-	if _, ok := MetricByName("NOPE"); ok {
-		t.Error("MetricByName accepted unknown name")
-	}
-}
-
 func TestCatalogShape(t *testing.T) {
 	cat := Catalog()
 	if len(cat) < 25 {

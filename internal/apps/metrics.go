@@ -71,13 +71,3 @@ func (m MetricID) IsFraction() bool {
 func (m MetricID) IsNetwork() bool {
 	return m == EthTx || m == IBRx || m == IBTx
 }
-
-// MetricByName returns the MetricID with the given canonical name.
-func MetricByName(name string) (MetricID, bool) {
-	for i := MetricID(0); i < NumMetrics; i++ {
-		if metricNames[i] == name {
-			return i, true
-		}
-	}
-	return 0, false
-}

@@ -81,9 +81,6 @@ type Job struct {
 	AppFailed bool
 }
 
-// End returns the job's end time.
-func (j *Job) End() int64 { return j.Start + int64(j.Draw.WallSeconds) }
-
 // Config controls workload generation.
 type Config struct {
 	Seed uint64

@@ -25,9 +25,6 @@ type SchedResult struct {
 	Nodes []int // machine node indices allocated
 }
 
-// Wait returns the queue wait given the original request.
-func (r SchedResult) Wait(req SchedRequest) int64 { return r.Start - req.Submit }
-
 // Scheduler simulates a batch scheduler over a machine's node pool:
 // first-come-first-served order with optional EASY backfill (a later job
 // may jump the queue if it fits in currently idle nodes without delaying

@@ -83,12 +83,16 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("warehouse = %d", res.Store.Len())
 	}
 	jobs := generatedJobs(42, 300)
+	stored := map[string]*warehouse.Record{}
+	for _, r := range res.Store.Records() {
+		stored[r.JobID] = r
+	}
 	pops := map[cluster.Population]int{}
 	for i, r := range res.Records {
 		if r.JobID != jobs[i].ID {
 			t.Fatalf("record %d is job %s, generated job is %s", i, r.JobID, jobs[i].ID)
 		}
-		if stored, ok := res.Store.Lookup(r.JobID); !ok || stored != r {
+		if stored[r.JobID] != r {
 			t.Fatalf("warehouse holds a different record for job %s", r.JobID)
 		}
 		pops[r.Pop]++

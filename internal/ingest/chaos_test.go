@@ -115,7 +115,7 @@ func TestChaosDropReasonsAreClosed(t *testing.T) {
 	if st.Ledger.DroppedSum == 0 {
 		t.Fatal("chaos run dropped nothing; the test proves nothing")
 	}
-	for _, reason := range st.Ledger.Reasons() {
+	for reason := range st.Ledger.Dropped {
 		if !known[reason] {
 			t.Fatalf("undocumented drop reason %q", reason)
 		}

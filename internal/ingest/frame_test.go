@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"maps"
 	"testing"
 )
 
@@ -170,8 +171,8 @@ func TestLedgerConservation(t *testing.T) {
 	if snap.Received != 157 || snap.Summarized != 140 || snap.DroppedSum != 17 {
 		t.Fatalf("bad totals: %+v", snap)
 	}
-	if got := snap.Reasons(); len(got) != 2 || got[0] != ReasonDecode || got[1] != ReasonShard {
-		t.Fatalf("bad reasons: %v", got)
+	if want := map[string]uint64{ReasonDecode: 7, ReasonShard: 10}; !maps.Equal(snap.Dropped, want) {
+		t.Fatalf("drops by reason = %v, want %v", snap.Dropped, want)
 	}
 }
 

@@ -243,7 +243,7 @@ func TestEndToEndConservationExact(t *testing.T) {
 	// spool-round-trip summary, and meta flowed into the record.
 	cfg := taccstats.DefaultConfig()
 	for _, tj := range jobs {
-		rec, ok := h.sink.Lookup(tj.meta.JobID)
+		rec, ok := lookup(h.sink, tj.meta.JobID)
 		if !ok {
 			t.Fatalf("job %s missing from warehouse", tj.meta.JobID)
 		}
@@ -282,8 +282,8 @@ func TestShardCountInvariance(t *testing.T) {
 		t.Fatalf("ledger totals differ across shard counts: %+v vs %+v", st1.Ledger, st8.Ledger)
 	}
 	for _, tj := range jobs {
-		r1, ok1 := sink1.Lookup(tj.meta.JobID)
-		r8, ok8 := sink8.Lookup(tj.meta.JobID)
+		r1, ok1 := lookup(sink1, tj.meta.JobID)
+		r8, ok8 := lookup(sink8, tj.meta.JobID)
 		if !ok1 || !ok8 {
 			t.Fatalf("job %s missing (1-shard %v, 8-shard %v)", tj.meta.JobID, ok1, ok8)
 		}
@@ -479,7 +479,7 @@ func TestBackwardsCounterDropsNode(t *testing.T) {
 		st.Ledger.Dropped[ReasonIncomplete] != badRecs || st.Ledger.DroppedSum != badRecs {
 		t.Fatalf("want %d received, %d dropped{incomplete}: %+v", tj.records, badRecs, st.Ledger)
 	}
-	rec, ok := h.sink.Lookup(tj.meta.JobID)
+	rec, ok := lookup(h.sink, tj.meta.JobID)
 	if !ok {
 		t.Fatalf("job %s missing from warehouse", tj.meta.JobID)
 	}
@@ -561,7 +561,7 @@ func TestMetaAfterData(t *testing.T) {
 	// drain flush.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := h.sink.Lookup(withMeta.meta.JobID); ok {
+		if _, ok := lookup(h.sink, withMeta.meta.JobID); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -573,11 +573,21 @@ func TestMetaAfterData(t *testing.T) {
 		t.Fatalf("want 1 epilog finalization before drain, got %d", got)
 	}
 	h.drainAndCheck()
-	rec, ok := h.sink.Lookup(noMeta.arch.JobID)
+	rec, ok := lookup(h.sink, noMeta.arch.JobID)
 	if !ok {
 		t.Fatalf("metaless job %s missing from warehouse", noMeta.arch.JobID)
 	}
 	if rec.User != "unknown" || rec.AppLabel != "NA" || rec.Category != "Unknown" {
 		t.Fatalf("metaless job must carry defaults, got %+v", rec)
 	}
+}
+
+// lookup finds a job in the warehouse's current cut by id.
+func lookup(wh *warehouse.Sharded, id string) (*warehouse.Record, bool) {
+	for _, r := range wh.Records() {
+		if r.JobID == id {
+			return r, true
+		}
+	}
+	return nil, false
 }

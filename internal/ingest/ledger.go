@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -179,14 +178,4 @@ func (s Snapshot) Check(pending uint64) error {
 		}
 	}
 	return nil
-}
-
-// Reasons lists the drop reasons present in the snapshot, sorted.
-func (s Snapshot) Reasons() []string {
-	out := make([]string, 0, len(s.Dropped))
-	for r := range s.Dropped {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -239,7 +239,7 @@ func TestChaosLifecyclePromotePanicContained(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("promote panic fault: err = %v, want contained panic", err)
 	}
-	if w.mgr.Generation() != gen0 || l.State() != StateShadowing {
+	if w.mgr.Generation() != gen0 || l.Status().State != StateShadowing {
 		t.Fatal("panicked promotion disturbed the champion or lost the challenger")
 	}
 }
@@ -269,7 +269,7 @@ func TestChaosLifecycleShadowFaultsNeverReachServing(t *testing.T) {
 			// the shadow site injects.
 			rows, _ := shiftedTraffic(51, 40)
 			w.observeAll(context.Background(), l, rows)
-			lg := l.LedgerSnapshot()
+			lg := l.Status().Ledger
 			checkLedger(t, lg)
 			if lg.Eligible != uint64(len(rows)) {
 				t.Fatalf("eligible %d for %d observed rows", lg.Eligible, len(rows))
@@ -279,7 +279,7 @@ func TestChaosLifecycleShadowFaultsNeverReachServing(t *testing.T) {
 				if lg.Errors != uint64(len(rows)) || lg.Scored != 0 {
 					t.Fatalf("%s faults at rate 1 should error every row: %+v", spec.Kind, lg)
 				}
-				if st := l.State(); st != StateShadowing {
+				if st := l.Status().State; st != StateShadowing {
 					t.Fatalf("errored shadow rows advanced the state to %s", st)
 				}
 			case resilience.FaultLatency:

@@ -861,23 +861,3 @@ func (l *Loop) Status() Status {
 	}
 	return st
 }
-
-// State returns the current state name.
-func (l *Loop) State() string {
-	if l == nil {
-		return ""
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.state
-}
-
-// LedgerSnapshot returns the shadow conservation ledger.
-func (l *Loop) LedgerSnapshot() Ledger {
-	if l == nil {
-		return Ledger{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ledger
-}

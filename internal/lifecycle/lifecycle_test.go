@@ -137,11 +137,8 @@ func TestNewValidatesOptions(t *testing.T) {
 func TestNilLoopIsInert(t *testing.T) {
 	var l *Loop
 	l.Observe(context.Background(), []float64{1}, "x") // must not panic
-	if st := l.Status(); st.State != "" {
-		t.Fatalf("nil loop status: %+v", st)
-	}
-	if l.State() != "" || l.LedgerSnapshot() != (Ledger{}) {
-		t.Fatal("nil loop is not inert")
+	if st := l.Status(); st.State != "" || st.Ledger != (Ledger{}) {
+		t.Fatalf("nil loop is not inert: %+v", st)
 	}
 }
 
@@ -398,7 +395,7 @@ func TestStepHonorsAutoFlag(t *testing.T) {
 	}
 	rows, _ := shiftedTraffic(41, 96)
 	w.observeAll(context.Background(), l, rows)
-	if st := l.State(); st != StateDrifting {
+	if st := l.Status().State; st != StateDrifting {
 		t.Fatalf("state %s, want drifting", st)
 	}
 	l.Step()

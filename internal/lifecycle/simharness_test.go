@@ -301,7 +301,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			case ModeFull:
 				loop.Step()
 			case ModeShadow:
-				if loop.State() == StateDrifting {
+				if loop.Status().State == StateDrifting {
 					_ = loop.Retrain()
 				}
 			}

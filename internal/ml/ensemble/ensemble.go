@@ -466,9 +466,6 @@ func softmaxInto(w [][]float64, row []float64, out []float64) {
 // Classes returns the class vocabulary.
 func (m *Model) Classes() []string { return m.classes }
 
-// Bases returns the canonical base-learner names.
-func (m *Model) Bases() []string { return append([]string(nil), m.baseName...) }
-
 // NumFeatures returns the trained feature width.
 func (m *Model) NumFeatures() int { return m.features }
 

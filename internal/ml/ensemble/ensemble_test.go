@@ -120,8 +120,8 @@ func TestStackDeterministicAcrossRuns(t *testing.T) {
 func TestStackSubsetOfBases(t *testing.T) {
 	d := synthSmall(t)
 	m := trainSmall(t, Config{Seed: 3, Bases: []string{"rf", "nb"}})
-	if got := m.Bases(); len(got) != 2 || got[0] != "nb" || got[1] != "rf" {
-		t.Fatalf("Bases() = %v, want canonical [nb rf]", got)
+	if got := m.baseName; len(got) != 2 || got[0] != "nb" || got[1] != "rf" {
+		t.Fatalf("bases = %v, want canonical [nb rf]", got)
 	}
 	if acc := eval.VoteAccuracy(m, d); acc < 0.85 {
 		t.Fatalf("two-base stack accuracy = %v, want >= 0.85", acc)

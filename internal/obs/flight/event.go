@@ -106,15 +106,6 @@ var stageNames = [NumStages]string{"read", "decode", "score", "encode"}
 // allocates nothing. It encodes as an object keyed by stage name.
 type Stages [NumStages]int64
 
-// Sum is the handler time the stages account for.
-func (s Stages) Sum() int64 {
-	var t int64
-	for _, ns := range s {
-		t += ns
-	}
-	return t
-}
-
 // MarshalJSON writes {"read":ns,"decode":ns,"score":ns,"encode":ns}.
 func (s Stages) MarshalJSON() ([]byte, error) {
 	b := []byte{'{'}

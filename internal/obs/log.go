@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Level is a log severity.
@@ -52,47 +51,17 @@ func ParseLevel(s string) (Level, error) {
 //
 //	level=info msg="serving" addr=:8080 jobs=2000
 //
-// optionally prefixed with ts=<RFC3339>. A nil *Logger discards
-// everything, so library code can log unconditionally.
+// with no timestamp, so CLI output stays reproducible. A nil *Logger
+// discards everything, so library code can log unconditionally.
 type Logger struct {
-	mu    *sync.Mutex
+	mu    sync.Mutex
 	w     io.Writer
 	level Level
-	ts    bool
-	base  string // pre-rendered With fields
 }
 
 // NewLogger returns a logger writing lines at or above level to w.
 func NewLogger(w io.Writer, level Level) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level}
-}
-
-// Timestamps returns a logger that prefixes every line with
-// ts=<RFC3339Nano> (off by default so CLI output stays reproducible).
-func (l *Logger) Timestamps(on bool) *Logger {
-	if l == nil {
-		return nil
-	}
-	c := *l
-	c.ts = on
-	return &c
-}
-
-// With returns a logger that appends the given key/value pairs to every
-// line. Derived loggers share the parent's writer lock.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	c := *l
-	extra := renderKV(kv)
-	if extra != "" {
-		if c.base != "" {
-			c.base += " "
-		}
-		c.base += extra
-	}
-	return &c
+	return &Logger{w: w, level: level}
 }
 
 // Enabled reports whether a line at level would be written.
@@ -117,19 +86,10 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 		return
 	}
 	var b strings.Builder
-	if l.ts {
-		b.WriteString("ts=")
-		b.WriteString(time.Now().UTC().Format(time.RFC3339Nano))
-		b.WriteByte(' ')
-	}
 	b.WriteString("level=")
 	b.WriteString(level.String())
 	b.WriteString(" msg=")
 	b.WriteString(quoteValue(msg))
-	if l.base != "" {
-		b.WriteByte(' ')
-		b.WriteString(l.base)
-	}
 	if extra := renderKV(kv); extra != "" {
 		b.WriteByte(' ')
 		b.WriteString(extra)

@@ -37,8 +37,8 @@ func TestLoggerLevels(t *testing.T) {
 
 func TestLoggerWithAndQuoting(t *testing.T) {
 	var b strings.Builder
-	l := NewLogger(&b, LevelInfo).With("component", "server")
-	l.Info("x", "path", "/api/classify", "detail", `quoted "value" here`, "empty", "")
+	l := NewLogger(&b, LevelInfo)
+	l.Info("x", "component", "server", "path", "/api/classify", "detail", `quoted "value" here`, "empty", "")
 	got := b.String()
 	for _, frag := range []string{
 		"component=server",
@@ -65,17 +65,6 @@ func TestLoggerOddPairsAndNil(t *testing.T) {
 	nl.Error("ignored")
 	if nl.Enabled(LevelError) {
 		t.Error("nil logger must report disabled")
-	}
-	if nl.With("a", 1) != nil || nl.Timestamps(true) != nil {
-		t.Error("nil logger derivations must stay nil")
-	}
-}
-
-func TestLoggerTimestamps(t *testing.T) {
-	var b strings.Builder
-	NewLogger(&b, LevelInfo).Timestamps(true).Info("x")
-	if !strings.HasPrefix(b.String(), "ts=") {
-		t.Errorf("timestamped line = %q", b.String())
 	}
 }
 

@@ -94,28 +94,6 @@ func (s *Span) End() {
 	s.cpu = processCPU() - s.cpuStart
 }
 
-// Name returns the span name.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Wall returns the frozen duration, or the elapsed time so far for an
-// open span.
-func (s *Span) Wall() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.wall
-	}
-	return time.Since(s.start)
-}
-
 // TraceNode is the JSON form of a span tree.
 type TraceNode struct {
 	Name     string       `json:"name"`
@@ -159,21 +137,6 @@ func (s *Span) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s.Tree())
-}
-
-// Slowest returns the child with the largest wall time, or nil for a
-// leaf — walk it repeatedly to find a trace's critical stage.
-func (t *TraceNode) Slowest() *TraceNode {
-	if t == nil {
-		return nil
-	}
-	var best *TraceNode
-	for _, c := range t.Children {
-		if best == nil || c.WallMS > best.WallMS {
-			best = c
-		}
-	}
-	return best
 }
 
 // Summary renders the span tree as an indented text report with each

@@ -42,14 +42,14 @@ func TestSpanEndIdempotentAndWall(t *testing.T) {
 	s := NewSpan("x")
 	time.Sleep(2 * time.Millisecond)
 	s.End()
-	w := s.Wall()
-	if w < 2*time.Millisecond {
-		t.Errorf("wall = %v, want >= 2ms", w)
+	w := s.Tree().WallMS
+	if w < 2 {
+		t.Errorf("wall = %vms, want >= 2ms", w)
 	}
 	time.Sleep(2 * time.Millisecond)
 	s.End() // second End must not extend the span
-	if s.Wall() != w {
-		t.Errorf("wall changed after second End: %v vs %v", s.Wall(), w)
+	if got := s.Tree().WallMS; got != w {
+		t.Errorf("wall changed after second End: %vms vs %vms", got, w)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	c.SetAttr("a", 1)
 	c.End()
-	if s.Tree() != nil || s.Name() != "" || s.Wall() != 0 {
+	if s.Tree() != nil {
 		t.Error("nil span accessors must be zero")
 	}
 	if s.AddTimed("y", time.Second) != nil {
@@ -116,15 +116,10 @@ func TestSlowestAndSummary(t *testing.T) {
 	root.AddTimed("fast", 10*time.Millisecond)
 	root.AddTimed("slow", 90*time.Millisecond)
 	root.End()
-	tree := root.Tree()
-	if s := tree.Slowest(); s == nil || s.Name != "slow" {
-		t.Fatalf("Slowest = %+v", tree.Slowest())
-	}
-	if tree.Slowest().Slowest() != nil {
-		t.Error("leaf Slowest must be nil")
-	}
-	sum := root.Summary()
-	if !strings.Contains(sum, "slow") || !strings.Contains(sum, "fast") {
-		t.Errorf("summary missing stages:\n%s", sum)
+	// Each stage's line carries its own wall time, in attach order.
+	lines := strings.Split(root.Summary(), "\n")
+	if len(lines) < 3 || !strings.Contains(lines[1], "fast") || !strings.Contains(lines[1], "10.0ms") ||
+		!strings.Contains(lines[2], "slow") || !strings.Contains(lines[2], "90.0ms") {
+		t.Errorf("summary stages:\n%s", root.Summary())
 	}
 }

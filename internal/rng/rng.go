@@ -74,12 +74,6 @@ func (r *Rand) next32() uint32 {
 	return xorshifted>>rot | xorshifted<<((-rot)&31)
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *Rand) Uint32() uint32 { return r.next32() }
-
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -153,51 +147,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.NormalAt(mu, sigma))
 }
 
-// Exponential returns an exponential variate with the given mean.
-func (r *Rand) Exponential(mean float64) float64 {
-	return -mean * math.Log(1-r.Float64())
-}
-
-// Gamma returns a gamma variate with the given shape and scale, using the
-// Marsaglia-Tsang method (with Johnk boost for shape < 1).
-func (r *Rand) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Gamma with non-positive parameter")
-	}
-	if shape < 1 {
-		// boost: Gamma(a) = Gamma(a+1) * U^(1/a)
-		u := r.Float64()
-		return r.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		var x, v float64
-		for {
-			x = r.Normal()
-			v = 1 + c*x
-			if v > 0 {
-				break
-			}
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
-}
-
-// Beta returns a beta variate with parameters a, b.
-func (r *Rand) Beta(a, b float64) float64 {
-	x := r.Gamma(a, 1)
-	y := r.Gamma(b, 1)
-	return x / (x + y)
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
@@ -217,38 +166,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Categorical samples an index in [0, len(weights)) proportionally to
-// weights. Weights need not be normalized; non-positive weights are treated
-// as zero. It panics if no weight is positive.
-func (r *Rand) Categorical(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("rng: Categorical with no positive weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	// Floating point slack: return last positive-weight index.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	panic("unreachable")
 }
 
 // Sampler draws from a fixed categorical distribution in O(1) per sample
@@ -319,6 +236,3 @@ func (s *Sampler) Sample(r *Rand) int {
 	}
 	return s.alias[i]
 }
-
-// Len returns the number of categories.
-func (s *Sampler) Len() int { return len(s.prob) }

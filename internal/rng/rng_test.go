@@ -132,56 +132,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(8)
-	n := 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(3.5)
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-3.5) > 0.1 {
-		t.Errorf("exponential mean = %v, want ~3.5", mean)
-	}
-}
-
-func TestGammaMoments(t *testing.T) {
-	r := New(10)
-	for _, tc := range []struct{ shape, scale float64 }{{0.5, 2}, {1, 1}, {3, 2}, {9, 0.5}} {
-		n := 100000
-		var sum float64
-		for i := 0; i < n; i++ {
-			v := r.Gamma(tc.shape, tc.scale)
-			if v < 0 {
-				t.Fatalf("gamma produced negative value %v", v)
-			}
-			sum += v
-		}
-		mean := sum / float64(n)
-		want := tc.shape * tc.scale
-		if math.Abs(mean-want) > 0.05*want+0.02 {
-			t.Errorf("gamma(%v,%v) mean = %v, want ~%v", tc.shape, tc.scale, mean, want)
-		}
-	}
-}
-
-func TestBetaRange(t *testing.T) {
-	r := New(11)
-	var sum float64
-	n := 50000
-	for i := 0; i < n; i++ {
-		v := r.Beta(2, 5)
-		if v < 0 || v > 1 {
-			t.Fatalf("beta out of [0,1]: %v", v)
-		}
-		sum += v
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-2.0/7.0) > 0.01 {
-		t.Errorf("beta(2,5) mean = %v, want ~%v", mean, 2.0/7.0)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(13)
 	for trial := 0; trial < 50; trial++ {
@@ -196,39 +146,26 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestCategoricalRespectWeights(t *testing.T) {
-	r := New(14)
-	w := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	n := 60000
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(w)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight category sampled %d times", counts[1])
-	}
-	frac := float64(counts[2]) / float64(n)
-	if math.Abs(frac-0.75) > 0.01 {
-		t.Errorf("category 2 fraction = %v, want ~0.75", frac)
-	}
-}
-
 func TestSamplerMatchesWeights(t *testing.T) {
 	r := New(15)
-	w := []float64{5, 1, 0, 4}
-	s := NewSampler(w)
-	counts := make([]int, len(w))
-	n := 100000
-	for i := 0; i < n; i++ {
-		counts[s.Sample(r)]++
-	}
-	if counts[2] != 0 {
-		t.Errorf("zero-weight category sampled %d times", counts[2])
-	}
-	for i, want := range []float64{0.5, 0.1, 0, 0.4} {
-		got := float64(counts[i]) / float64(n)
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("category %d fraction = %v, want ~%v", i, got, want)
+	for _, tc := range []struct{ w, want []float64 }{
+		{[]float64{5, 1, 0, 4}, []float64{0.5, 0.1, 0, 0.4}},
+		{[]float64{1, 0, 3}, []float64{0.25, 0, 0.75}},
+		{[]float64{0, 3, 0}, []float64{0, 1, 0}},
+	} {
+		s := NewSampler(tc.w)
+		counts := make([]int, len(tc.w))
+		n := 100000
+		for i := 0; i < n; i++ {
+			counts[s.Sample(r)]++
+		}
+		for i, want := range tc.want {
+			if want == 0 && counts[i] != 0 {
+				t.Errorf("weights %v: zero-weight category %d sampled %d times", tc.w, i, counts[i])
+			}
+			if got := float64(counts[i]) / float64(n); math.Abs(got-want) > 0.01 {
+				t.Errorf("weights %v: category %d fraction = %v, want ~%v", tc.w, i, got, want)
+			}
 		}
 	}
 }
@@ -304,28 +241,8 @@ func BenchmarkSamplerSample(b *testing.B) {
 	}
 }
 
-func TestUint32Int63(t *testing.T) {
-	r := New(20)
-	seen := map[uint32]bool{}
-	for i := 0; i < 100; i++ {
-		seen[r.Uint32()] = true
-		if v := r.Int63(); v < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-	if len(seen) < 95 {
-		t.Errorf("Uint32 produced only %d distinct values of 100", len(seen))
-	}
-}
-
-func TestSamplerLen(t *testing.T) {
-	if NewSampler([]float64{1, 2, 3}).Len() != 3 {
-		t.Error("Len wrong")
-	}
-}
-
 func TestNewSamplerRejectsBadWeights(t *testing.T) {
-	for _, w := range [][]float64{{}, {0, 0}, {-1, -2}} {
+	for _, w := range [][]float64{{}, {0, 0}, {-1, -2}, {0, -1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -345,33 +262,6 @@ func TestSamplerNegativeWeightTreatedAsZero(t *testing.T) {
 			t.Fatal("negative-weight category sampled")
 		}
 	}
-}
-
-func TestCategoricalPanicsWithoutPositiveWeight(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(22).Categorical([]float64{0, -1})
-}
-
-func TestCategoricalSingle(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 50; i++ {
-		if r.Categorical([]float64{0, 3, 0}) != 1 {
-			t.Fatal("only positive category must be chosen")
-		}
-	}
-}
-
-func TestGammaPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(25).Gamma(0, 1)
 }
 
 func TestIntnLargeBound(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package stats provides the streaming and batch statistics primitives used
 // throughout the SUPReMM pipeline: Welford accumulators for numerically
 // stable mean/variance, coefficient-of-variation computation (the paper's
-// "...COV" attributes), quantiles, histograms, correlation, and feature
-// standardization for the ML models.
+// "...COV" attributes), quantiles, and feature standardization for the ML
+// models.
 package stats
 
 import (
@@ -16,30 +16,15 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the running mean, or 0 with no observations.
 func (a *Accumulator) Mean() float64 { return a.mean }
@@ -55,12 +40,6 @@ func (a *Accumulator) Variance() float64 {
 // StdDev returns the population standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
-// Min returns the minimum observation, or 0 with no observations.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the maximum observation, or 0 with no observations.
-func (a *Accumulator) Max() float64 { return a.max }
-
 // COV returns the coefficient of variation: population standard deviation
 // divided by the mean. By SUPReMM convention a zero (or single-observation)
 // mean yields COV 0 rather than NaN, so single-node jobs report zero
@@ -70,58 +49,6 @@ func (a *Accumulator) COV() float64 {
 		return 0
 	}
 	return a.StdDev() / math.Abs(a.mean)
-}
-
-// Merge combines another accumulator into this one (parallel Welford merge).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a.StdDev()
-}
-
-// COV returns the coefficient of variation of xs (see Accumulator.COV).
-func COV(xs []float64) float64 {
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a.COV()
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
@@ -155,31 +82,6 @@ func quantileSorted(s []float64, q float64) float64 {
 
 // Median returns the median of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Correlation returns the Pearson correlation coefficient between xs and ys.
-// It panics if the lengths differ and returns 0 when either side has zero
-// variance.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: Correlation length mismatch")
-	}
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
 
 // Scaler standardizes features to zero mean and unit variance, the
 // preprocessing the paper's RBF-kernel SVM requires. Columns with zero
@@ -233,14 +135,6 @@ func (s *Scaler) TransformAll(rows [][]float64) {
 	for _, row := range rows {
 		s.Transform(row)
 	}
-}
-
-// Inverse undoes the standardization of row in place and returns it.
-func (s *Scaler) Inverse(row []float64) []float64 {
-	for j := range row {
-		row[j] = row[j]*s.Stds[j] + s.Means[j]
-	}
-	return row
 }
 
 // ArgsortDesc returns the indices that would sort xs in descending order.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/rng"
 	"repro/internal/taccstats"
 )
@@ -23,7 +24,7 @@ func collectFor(t *testing.T, appName string, seed uint64, force func(*apps.Sign
 	d := sig.Draw(rng.New(seed))
 	hosts := make([]string, d.Nodes)
 	for i := range hosts {
-		hosts[i] = taccstats.Hostname(i/24, i%24)
+		hosts[i] = cluster.Stampede().Hostname(i)
 	}
 	arch := taccstats.Collect(taccstats.DefaultConfig(), taccstats.JobInfo{
 		ID: "job", Start: 1_400_000_000, Hosts: hosts,
@@ -256,7 +257,7 @@ func BenchmarkSummarize(b *testing.B) {
 	d := a.Sig.Draw(rng.New(1))
 	hosts := make([]string, d.Nodes)
 	for i := range hosts {
-		hosts[i] = taccstats.Hostname(0, i)
+		hosts[i] = cluster.Stampede().Hostname(i)
 	}
 	arch := taccstats.Collect(taccstats.DefaultConfig(), taccstats.JobInfo{ID: "1", Start: 1_400_000_000, Hosts: hosts}, d, rng.New(2))
 	b.ResetTimer()

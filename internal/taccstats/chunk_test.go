@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/rng"
 )
 
@@ -109,7 +110,7 @@ func benchChunk(tb testing.TB) *Chunk {
 	tb.Helper()
 	draw := apps.Catalog()[0].Sig.Draw(rng.New(11))
 	draw.WallSeconds = 43200
-	a := Collect(DefaultConfig(), JobInfo{ID: "1000042", Start: 1_400_000_000, Hosts: []string{Hostname(401, 17)}}, draw, rng.New(12))
+	a := Collect(DefaultConfig(), JobInfo{ID: "1000042", Start: 1_400_000_000, Hosts: []string{cluster.Stampede().Hostname(4017)}}, draw, rng.New(12))
 	return &Chunk{JobID: "1000042-p003", Host: a.Nodes[0].Host, Samples: a.Nodes[0].Samples[:8]}
 }
 

@@ -1,8 +1,6 @@
 package taccstats
 
 import (
-	"fmt"
-
 	"repro/internal/apps"
 	"repro/internal/rng"
 )
@@ -186,9 +184,4 @@ func (c *counterState) records(cfg Config, node [apps.NumMetrics]float64, d *app
 		{DevLNet, []uint64{u(c.lnetTx), u(c.lnetRx)}},
 		{DevBlock, []uint64{u(c.rdIOs), u(c.rdBytes), u(c.wrBytes)}},
 	}
-}
-
-// Hostname formats a Stampede-style compute-node hostname.
-func Hostname(rack, node int) string {
-	return fmt.Sprintf("c%03d-%03d.stampede.tacc.utexas.edu", rack, node)
 }

@@ -116,8 +116,3 @@ func ListSpool(dir string) ([]string, error) {
 	sort.Strings(jobs)
 	return jobs, nil
 }
-
-// RemoveJob deletes one job's raw data from the spool.
-func RemoveJob(dir, jobID string) error {
-	return os.RemoveAll(filepath.Join(dir, jobID))
-}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/rng"
 )
 
@@ -17,7 +18,7 @@ func spoolArchive(t *testing.T, jobID string, seed uint64) *Archive {
 	d := a.Sig.Draw(rng.New(seed))
 	hosts := make([]string, d.Nodes)
 	for i := range hosts {
-		hosts[i] = Hostname(0, i)
+		hosts[i] = cluster.Stampede().Hostname(i)
 	}
 	return Collect(DefaultConfig(), JobInfo{ID: jobID, Start: 1_400_000_000, Hosts: hosts}, d, rng.New(seed+1))
 }
@@ -102,7 +103,8 @@ func TestSpoolListAndRemove(t *testing.T) {
 	if !reflect.DeepEqual(jobs, []string{"j1", "j2", "j3"}) {
 		t.Fatalf("jobs = %v", jobs)
 	}
-	if err := RemoveJob(dir, "j2"); err != nil {
+	// A job removed from the spool by hand drops out of the listing.
+	if err := os.RemoveAll(filepath.Join(dir, "j2")); err != nil {
 		t.Fatal(err)
 	}
 	jobs, _ = ListSpool(dir)

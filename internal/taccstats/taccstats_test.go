@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/rng"
 )
 
@@ -52,7 +53,7 @@ func TestCollectShape(t *testing.T) {
 	d := testDraw(t, "WRF", 1)
 	hosts := make([]string, d.Nodes)
 	for i := range hosts {
-		hosts[i] = Hostname(i/24, i%24)
+		hosts[i] = cluster.Stampede().Hostname(i)
 	}
 	a := Collect(DefaultConfig(), JobInfo{ID: "123", Start: 1_400_000_000, Hosts: hosts}, d, rng.New(2))
 	if len(a.Nodes) != d.Nodes {
@@ -266,7 +267,7 @@ func BenchmarkCollect(b *testing.B) {
 	d := a.Sig.Draw(rng.New(1))
 	hosts := make([]string, d.Nodes)
 	for i := range hosts {
-		hosts[i] = Hostname(0, i)
+		hosts[i] = cluster.Stampede().Hostname(i)
 	}
 	job := JobInfo{ID: "1", Start: 1_400_000_000, Hosts: hosts}
 	b.ResetTimer()
@@ -280,7 +281,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	d := a.Sig.Draw(rng.New(1))
 	hosts := make([]string, d.Nodes)
 	for i := range hosts {
-		hosts[i] = Hostname(0, i)
+		hosts[i] = cluster.Stampede().Hostname(i)
 	}
 	arch := Collect(DefaultConfig(), JobInfo{ID: "1", Start: 1_400_000_000, Hosts: hosts}, d, rng.New(2))
 	b.ResetTimer()

@@ -14,20 +14,20 @@ type ShardedConfig struct {
 	Shards int
 }
 
-// whShard is one partition behind a mutex: a job-id index, and the
-// records ingested since the last cut, latest per job id.
+// whShard is one partition behind a mutex: the records ingested into it
+// since the last cut, latest per job id.
 type whShard struct {
 	mu    sync.Mutex
-	byID  map[string]*Record
 	fresh map[string]*Record
 }
 
-// Sharded is a concurrency-safe warehouse partitioned by job id: N
-// locked job-id indexes. Writers on different shards never contend;
-// Snapshot locks all shards at once to take a point-in-time, consistent
-// cut, and every query runs on that cut. Records are immutable once
-// ingested (re-ingesting a job id swaps the pointer); callers must not
-// mutate a Record after handing it over.
+// Sharded is a concurrency-safe warehouse partitioned by job id: N locked
+// partitions that each hold only what arrived since the last cut, and the
+// cut itself, which holds every job. Writers on different shards never
+// contend; Snapshot locks all shards at once to fold their records into a
+// point-in-time, consistent cut, and every query runs on that cut.
+// Records are immutable once ingested (re-ingesting a job id swaps the
+// pointer); callers must not mutate a Record after handing it over.
 type Sharded struct {
 	shards []*whShard
 
@@ -42,7 +42,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	}
 	s := &Sharded{shards: make([]*whShard, cfg.Shards), last: &WarehouseSnapshot{tables: &tables{}}}
 	for i := range s.shards {
-		s.shards[i] = &whShard{byID: map[string]*Record{}, fresh: map[string]*Record{}}
+		s.shards[i] = &whShard{fresh: map[string]*Record{}}
 	}
 	return s
 }
@@ -62,46 +62,40 @@ func (s *Sharded) Ingest(r *Record) error {
 	}
 	sh := s.shardFor(r.JobID)
 	sh.mu.Lock()
-	sh.byID[r.JobID] = r
 	sh.fresh[r.JobID] = r
 	sh.mu.Unlock()
 	return nil
 }
 
-// Len returns the number of ingested jobs across all shards.
+// Len returns the number of ingested jobs: the length of the cut, taken
+// now.
 func (s *Sharded) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.byID)
-		sh.mu.Unlock()
-	}
-	return n
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	return len(s.cut().cut)
 }
 
-// Lookup returns a record by job id.
-func (s *Sharded) Lookup(jobID string) (*Record, bool) {
-	sh := s.shardFor(jobID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.byID[jobID]
-	return r, ok
-}
-
-// Shards returns the partition count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
-// Snapshot takes a point-in-time cut: all shard locks are held
-// simultaneously while each shard's fresh records are swapped out, so
-// no snapshot can observe a half-applied ingest. Records come out in
-// canonical job-id order, which makes every derived aggregation
-// byte-for-byte identical across shard counts and ingest interleavings
-// for the same record set. Only what changed is sorted and folded: the
-// delta is merged into the previous cut and its group tables, and with
-// no delta that cut and its tables are returned as they are.
+// Snapshot takes a point-in-time cut (see cut) and returns it.
 func (s *Sharded) Snapshot() *WarehouseSnapshot {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
+	// A copy, so a caller that reassigns its snapshot's Records leaves
+	// the next cut alone; one that writes into them reaches only the
+	// Records of this cut's snapshots, never the cut the next merges.
+	v := *s.cut()
+	return &v
+}
+
+// cut brings the latest snapshot up to date and returns it; the caller
+// holds snapMu and hands out no pointer to it. All shard locks are held
+// simultaneously while each shard's fresh records are swapped out, so no
+// cut can observe a half-applied ingest. Records come out in canonical
+// job-id order, which makes every derived aggregation byte-for-byte
+// identical across shard counts and ingest interleavings for the same
+// record set. Only what changed is sorted and folded: the delta is merged
+// into the previous cut and its group tables, and with no delta that cut
+// and its tables are returned as they are.
+func (s *Sharded) cut() *WarehouseSnapshot {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
@@ -141,11 +135,7 @@ func (s *Sharded) Snapshot() *WarehouseSnapshot {
 		}
 		s.last = &WarehouseSnapshot{Records: append(make(Records, 0, len(cut)), cut...), tables: t, cut: cut}
 	}
-	// A copy, so a caller that reassigns its snapshot's Records leaves
-	// the next cut alone; one that writes into them reaches only the
-	// Records of this cut's snapshots, never the cut the next merges.
-	v := *s.last
-	return &v
+	return s.last
 }
 
 // Records returns the current cut, in job-id order (Snapshot's records).

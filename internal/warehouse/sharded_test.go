@@ -295,21 +295,12 @@ func TestRollupReplacementExact(t *testing.T) {
 	checkSnapshot(t, v)
 }
 
-// sortAll is the cut a from-scratch Snapshot takes, and the one Snapshot
-// took before it merged deltas: every shard's records, all locks held,
-// sorted by job id.
-func sortAll(s *Sharded) Records {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	var recs Records
-	for _, sh := range s.shards {
-		for _, r := range sh.byID {
-			recs = append(recs, r)
-		}
-	}
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
+// sortAll is the cut a from-scratch Snapshot takes: the latest record
+// ingested under each job id, sorted by job id.
+func sortAll(latest map[string]*Record) Records {
+	recs := make(Records, 0, len(latest))
+	for _, r := range latest {
+		recs = append(recs, r)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].JobID < recs[j].JobID })
 	return recs
@@ -319,23 +310,29 @@ func sortAll(s *Sharded) Records {
 // the merge tells apart — new ids, replacements of ids in the last cut,
 // and one id ingested twice between cuts — with Snapshot calls. Each cut
 // must be consistent and hold the pointers a from-scratch sort of the
-// shards holds, in the same order; a cut with no ingest before it must
-// be the previous cut itself; and every earlier cut must still answer
-// every query as it did when it was taken.
+// ingested holds, in the same order; a cut with no ingest before it
+// must be the previous cut itself; and every earlier cut must still
+// answer every query as it did when it was taken. Len counts each job
+// once, new jobs not yet cut and ids ingested twice since the last cut
+// included; on odd rounds it is called before Snapshot and takes the
+// cut itself.
 func TestShardedIncrementalSnapshot(t *testing.T) {
 	r := rng.New(53)
 	s := NewSharded(ShardedConfig{Shards: 4})
+	latest := map[string]*Record{}
 	ingest := func(id string) {
 		t.Helper()
-		if err := s.Ingest(synthRecord(r, id)); err != nil {
+		rec := synthRecord(r, id)
+		if err := s.Ingest(rec); err != nil {
 			t.Fatal(err)
 		}
+		latest[id] = rec
 	}
 	newID := func() string {
 		for {
 			// Random ids land between existing ones, not only after them.
 			id := fmt.Sprintf("job-%05d", r.Intn(100_000))
-			if _, ok := s.Lookup(id); !ok {
+			if _, ok := latest[id]; !ok {
 				return id
 			}
 		}
@@ -364,9 +361,17 @@ func TestShardedIncrementalSnapshot(t *testing.T) {
 			ingest(twice)
 			ingest(twice)
 		}
+		if round%2 == 1 {
+			if got := s.Len(); got != len(latest) {
+				t.Fatalf("round %d: Len before the cut = %d, want %d jobs", round, got, len(latest))
+			}
+		}
 		v := s.Snapshot()
 		checkSnapshot(t, v)
-		want := sortAll(s)
+		if got := s.Len(); got != len(v.Records) {
+			t.Fatalf("round %d: Len = %d, the cut holds %d", round, got, len(v.Records))
+		}
+		want := sortAll(latest)
 		if len(v.Records) != len(want) {
 			t.Fatalf("round %d: cut holds %d records, a full sort %d", round, len(v.Records), len(want))
 		}
@@ -429,11 +434,13 @@ func checkTables(t *testing.T, what string, v *WarehouseSnapshot) {
 func TestTablesMatchWalk(t *testing.T) {
 	r := rng.New(61)
 	s := NewSharded(ShardedConfig{Shards: 3})
+	latest := map[string]*Record{}
 	ingest := func(rec *Record) {
 		t.Helper()
 		if err := s.Ingest(rec); err != nil {
 			t.Fatal(err)
 		}
+		latest[rec.JobID] = rec
 	}
 	has := func(as []*Aggregate, key string) bool {
 		return slices.ContainsFunc(as, func(a *Aggregate) bool { return a.Key == key })
@@ -475,7 +482,7 @@ func TestTablesMatchWalk(t *testing.T) {
 		}
 		if round > 0 {
 			last := fmt.Sprint("solo-", round-1)
-			if rec, ok := s.Lookup(last); ok && rec.User == last {
+			if rec, ok := latest[last]; ok && rec.User == last {
 				e := *rec
 				e.User = "alice"
 				ingest(&e)
@@ -687,42 +694,31 @@ func TestTableSlotsFollowLiveGroups(t *testing.T) {
 var benchCut Records
 
 // BenchmarkShardedSnapshot cuts a 7 000-job warehouse after every 100
-// fresh jobs (re-ingests of random ids, so its size holds): "merge" is
-// Snapshot, "sort-all" the full sort it replaced. ns/op includes the
-// ingests; ns/cut is the cut alone.
+// fresh jobs (re-ingests of random ids, so its size holds). ns/op
+// includes the ingests; ns/cut is the cut alone.
 func BenchmarkShardedSnapshot(b *testing.B) {
 	const jobs, fresh = 7000, 100
-	for _, bc := range []struct {
-		name string
-		cut  func(*Sharded) Records
-	}{
-		{"merge", func(s *Sharded) Records { return s.Snapshot().Records }},
-		{"sort-all", sortAll},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			r := rng.New(5)
-			s := NewSharded(ShardedConfig{Shards: 4})
-			for i := 0; i < jobs; i++ {
-				if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", i))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			benchCut = bc.cut(s)
-			var cutting time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < fresh; k++ {
-					if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", r.Intn(jobs)))); err != nil {
-						b.Fatal(err)
-					}
-				}
-				t0 := time.Now()
-				benchCut = bc.cut(s)
-				cutting += time.Since(t0)
-			}
-			b.ReportMetric(float64(cutting.Nanoseconds())/float64(b.N), "ns/cut")
-		})
+	r := rng.New(5)
+	s := NewSharded(ShardedConfig{Shards: 4})
+	for i := 0; i < jobs; i++ {
+		if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", i))); err != nil {
+			b.Fatal(err)
+		}
 	}
+	benchCut = s.Snapshot().Records
+	var cutting time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < fresh; k++ {
+			if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", r.Intn(jobs)))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		t0 := time.Now()
+		benchCut = s.Snapshot().Records
+		cutting += time.Since(t0)
+	}
+	b.ReportMetric(float64(cutting.Nanoseconds())/float64(b.N), "ns/cut")
 }
 
 var benchGroups []*Aggregate

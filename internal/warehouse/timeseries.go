@@ -99,11 +99,11 @@ func (rs Records) Utilization(machineNodes int) []UtilizationPoint {
 // start time.
 const rollupBucketSeconds = 3600
 
-// RollupBucket is one time bucket's integer-exact totals. The float
-// views are derived at read time, so bucket arithmetic never loses
-// associativity to floating-point rounding and the same jobs roll up
-// bit-identically in any order. The sums are 128-bit, so no admissible
-// record set wraps them; each encodes as a JSON decimal integer.
+// RollupBucket is one time bucket's integer-exact totals, so bucket
+// arithmetic never loses associativity to floating-point rounding and
+// the same jobs roll up bit-identically in any order. The sums are
+// 128-bit, so no admissible record set wraps them; each encodes as a
+// JSON decimal integer.
 type RollupBucket struct {
 	Bucket      int64  `json:"bucket"` // unix seconds, inclusive start
 	Jobs        int64  `json:"jobs"`
@@ -111,20 +111,6 @@ type RollupBucket struct {
 	CoreMillis  Int128 `json:"coreMillis"`
 	WaitSeconds Int128 `json:"waitSeconds"`
 	Nodes       Int128 `json:"nodes"`
-}
-
-// CPUHours derives core-hours from the exact accumulator.
-func (b *RollupBucket) CPUHours() float64 { return b.CoreMillis.hours() }
-
-// WallHours derives wall-hours from the exact accumulator.
-func (b *RollupBucket) WallHours() float64 { return b.WallMillis.hours() }
-
-// AvgWaitHours derives the mean queue wait in hours.
-func (b *RollupBucket) AvgWaitHours() float64 {
-	if b.Jobs == 0 {
-		return 0
-	}
-	return b.WaitSeconds.float() / float64(b.Jobs) / 3600
 }
 
 // rollupKey truncates a start time to its bucket (floor, so a negative

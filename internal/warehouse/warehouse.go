@@ -200,12 +200,6 @@ func (s *Store) Ingest(r *Record) error {
 	return nil
 }
 
-// Lookup returns a record by job id.
-func (s *Store) Lookup(jobID string) (*Record, bool) {
-	r, ok := s.byJobID[jobID]
-	return r, ok
-}
-
 // Records returns a copy of the record set, in ingest order.
 func (s *Store) Records() Records { return append(Records(nil), s.records...) }
 

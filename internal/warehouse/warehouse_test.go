@@ -22,6 +22,14 @@ func rec(id, user, app, cat string, nodes int, start, wall int64, wait int64) *R
 	}
 }
 
+// lookup finds a job in a record set by id.
+func lookup(rs Records, id string) (*Record, bool) {
+	if i := slices.IndexFunc(rs, func(r *Record) bool { return r.JobID == id }); i >= 0 {
+		return rs[i], true
+	}
+	return nil, false
+}
+
 func TestIngestAndLookup(t *testing.T) {
 	s := NewStore()
 	if err := s.Ingest(rec("1", "u1", "VASP", "QC,ES", 2, 1000, 3600, 60)); err != nil {
@@ -33,7 +41,7 @@ func TestIngestAndLookup(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	r, ok := s.Lookup("1")
+	r, ok := lookup(s.Records(), "1")
 	if !ok || r.AppLabel != "VASP" {
 		t.Fatal("lookup failed")
 	}
@@ -44,7 +52,7 @@ func TestIngestAndLookup(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("replacement grew store to %d", s.Len())
 	}
-	r, _ = s.Lookup("1")
+	r, _ = lookup(s.Records(), "1")
 	if r.AppLabel != "NAMD" {
 		t.Error("replacement did not take effect")
 	}
@@ -318,7 +326,7 @@ func TestIngestRecordBounds(t *testing.T) {
 			stores := map[string]interface {
 				Ingest(*Record) error
 				Len() int
-				Lookup(string) (*Record, bool)
+				Records() Records
 			}{"store": NewStore(), "sharded": NewSharded(ShardedConfig{})}
 			for kind, s := range stores {
 				r := rec("7", "u", "A", "C", 2, 1_400_000_000, 3600, 60)
@@ -334,8 +342,8 @@ func TestIngestRecordBounds(t *testing.T) {
 				if s.Len() != want {
 					t.Fatalf("%s holds %d jobs, want %d", kind, s.Len(), want)
 				}
-				if _, found := s.Lookup(r.JobID); found != c.ok {
-					t.Fatalf("%s: Lookup(%q) found = %v, want %v", kind, r.JobID, found, c.ok)
+				if found := slices.Contains(s.Records(), r); found != c.ok {
+					t.Fatalf("%s: job %q found = %v, want %v", kind, r.JobID, found, c.ok)
 				}
 			}
 		})
@@ -381,7 +389,7 @@ func TestBoundedRecordQueriesAreCheap(t *testing.T) {
 	if len(buckets) != 1 || buckets[0].CoreMillis.String() != want.String() {
 		t.Fatalf("18 year-long jobs on 2^24 cores roll up to %+v, want %s core ms", buckets, want)
 	}
-	if cpu, tot := buckets[0].CPUHours(), wide.Totals(); cpu <= 0 || cpu != tot.CPUHours {
+	if cpu, tot := buckets[0].CoreMillis.hours(), wide.Totals(); cpu <= 0 || cpu != tot.CPUHours {
 		t.Fatalf("rollup says %v CPU hours, Totals %v", cpu, tot.CPUHours)
 	}
 	js, err := json.Marshal(buckets[0])
