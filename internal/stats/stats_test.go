@@ -60,7 +60,9 @@ func TestMeanStdDevCOV(t *testing.T) {
 		}
 		return &a
 	}
-	if a := fold(1, 2, 3, 4); a.Mean() != 2.5 || !almostEqual(a.StdDev(), math.Sqrt(1.25), 1e-12) || !almostEqual(a.COV(), math.Sqrt(1.25)/2.5, 1e-12) {
+	a := fold(1, 2, 3, 4)
+	if a.Mean() != 2.5 || !almostEqual(a.StdDev(), math.Sqrt(1.25), 1e-12) ||
+		!almostEqual(a.COV(), math.Sqrt(1.25)/2.5, 1e-12) {
 		t.Errorf("Mean, StdDev, COV = %v, %v, %v", a.Mean(), a.StdDev(), a.COV())
 	}
 	if fold(5).COV() != 0 {
