@@ -146,26 +146,41 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestCategoricalRespectWeights checks that the categorical sampler never
+// draws a zero-weight category and draws the others in proportion.
+func TestCategoricalRespectWeights(t *testing.T) {
+	r := New(14)
+	s := NewSampler([]float64{1, 0, 3})
+	counts := make([]int, 3)
+	n := 60000
+	for i := 0; i < n; i++ {
+		counts[s.Sample(r)]++
+	}
+	if counts[1] != 0 {
+		t.Errorf("zero-weight category sampled %d times", counts[1])
+	}
+	frac := float64(counts[2]) / float64(n)
+	if math.Abs(frac-0.75) > 0.01 {
+		t.Errorf("category 2 fraction = %v, want ~0.75", frac)
+	}
+}
+
 func TestSamplerMatchesWeights(t *testing.T) {
 	r := New(15)
-	for _, tc := range []struct{ w, want []float64 }{
-		{[]float64{5, 1, 0, 4}, []float64{0.5, 0.1, 0, 0.4}},
-		{[]float64{1, 0, 3}, []float64{0.25, 0, 0.75}},
-		{[]float64{0, 3, 0}, []float64{0, 1, 0}},
-	} {
-		s := NewSampler(tc.w)
-		counts := make([]int, len(tc.w))
-		n := 100000
-		for i := 0; i < n; i++ {
-			counts[s.Sample(r)]++
-		}
-		for i, want := range tc.want {
-			if want == 0 && counts[i] != 0 {
-				t.Errorf("weights %v: zero-weight category %d sampled %d times", tc.w, i, counts[i])
-			}
-			if got := float64(counts[i]) / float64(n); math.Abs(got-want) > 0.01 {
-				t.Errorf("weights %v: category %d fraction = %v, want ~%v", tc.w, i, got, want)
-			}
+	w := []float64{5, 1, 0, 4}
+	s := NewSampler(w)
+	counts := make([]int, len(w))
+	n := 100000
+	for i := 0; i < n; i++ {
+		counts[s.Sample(r)]++
+	}
+	if counts[2] != 0 {
+		t.Errorf("zero-weight category sampled %d times", counts[2])
+	}
+	for i, want := range []float64{0.5, 0.1, 0, 0.4} {
+		got := float64(counts[i]) / float64(n)
+		if math.Abs(got-want) > 0.01 {
+			t.Errorf("category %d fraction = %v, want ~%v", i, got, want)
 		}
 	}
 }
@@ -242,7 +257,7 @@ func BenchmarkSamplerSample(b *testing.B) {
 }
 
 func TestNewSamplerRejectsBadWeights(t *testing.T) {
-	for _, w := range [][]float64{{}, {0, 0}, {-1, -2}, {0, -1}} {
+	for _, w := range [][]float64{{}, {0, 0}, {-1, -2}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -260,6 +275,25 @@ func TestSamplerNegativeWeightTreatedAsZero(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if s.Sample(r) == 0 {
 			t.Fatal("negative-weight category sampled")
+		}
+	}
+}
+
+func TestCategoricalPanicsWithoutPositiveWeight(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewSampler([]float64{0, -1})
+}
+
+func TestCategoricalSingle(t *testing.T) {
+	r := New(23)
+	s := NewSampler([]float64{0, 3, 0})
+	for i := 0; i < 50; i++ {
+		if s.Sample(r) != 1 {
+			t.Fatal("only positive category must be chosen")
 		}
 	}
 }
