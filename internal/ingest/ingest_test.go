@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/lariat"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/rng"
 	"repro/internal/summarize"
 	"repro/internal/taccstats"
@@ -580,6 +582,48 @@ func TestMetaAfterData(t *testing.T) {
 	if rec.User != "unknown" || rec.AppLabel != "NA" || rec.Category != "Unknown" {
 		t.Fatalf("metaless job must carry defaults, got %+v", rec)
 	}
+}
+
+// TestFinalizeStagesTimed streams summarized jobs into a warehouse that
+// already holds a cut of 2 000 jobs, and requires every kept finalize
+// event to carry a summarize and a warehouse stage: /debug/requests then
+// shows what combining the host folds and the warehouse fold cost the
+// shard's goroutine. It logs the warehouse stage's median.
+func TestFinalizeStagesTimed(t *testing.T) {
+	rec := flight.NewRecorder(flight.Config{Capacity: 256})
+	h := newHarness(t, Config{Shards: 2, Flight: rec})
+	for i := 0; i < 2000; i++ {
+		err := h.sink.Ingest(&warehouse.Record{JobID: fmt.Sprintf("seed-%04d", i), User: fmt.Sprint("user-", i%300),
+			AppLabel: "NAMD", Category: "MD", Nodes: 1 + i%16, Cores: 16, Submit: int64(i), Start: int64(2 * i), WallSeconds: 600})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.sink.Snapshot()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c := h.dialClient("stages-client")
+	jobs := genTestJobs(t, 13, 24, 2, 2000)
+	for _, tj := range jobs {
+		sendJob(ctx, t, c, tj, 8)
+	}
+	if err := c.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	h.drainAndCheck()
+	events, n := rec.Query(flight.Filter{Route: "/ingest/finalize", Status: 200, Limit: -1})
+	if n == 0 {
+		t.Fatal("no summarized finalize event was kept")
+	}
+	var wh []int64
+	for _, ev := range events {
+		if ev.Stages[flight.StageSummarize] <= 0 || ev.Stages[flight.StageWarehouse] <= 0 {
+			t.Fatalf("job %s finalized with stages %+v: summarize and warehouse must both be > 0", ev.ID, ev.Stages)
+		}
+		wh = append(wh, ev.Stages[flight.StageWarehouse])
+	}
+	slices.Sort(wh)
+	t.Logf("warehouse stage median %d ns over %d of %d finalize events", wh[len(wh)/2], len(wh), len(jobs))
 }
 
 // lookup finds a job in the warehouse's current cut by id.

@@ -317,7 +317,9 @@ func (sh *shard) finalize(id string, js *jobState, trigger string) {
 	for i, h := range hostNames {
 		nodes[i] = &js.hosts[h].node
 	}
+	t := time.Now()
 	sum, err := summarize.Nodes(id, nodes, true)
+	t = ev.Lap(flight.StageSummarize, t)
 	if err != nil {
 		srv.ledger.Dropped(sh.id, ReasonFinalize, js.records)
 		settle(500, err.Error())
@@ -330,7 +332,9 @@ func (sh *shard) finalize(id string, js *jobState, trigger string) {
 	okRecs := js.records - droppedRecs
 
 	rec := buildRecord(id, js.meta, sum)
-	if err := srv.cfg.Sink.Ingest(rec); err != nil {
+	err = srv.cfg.Sink.Ingest(rec)
+	ev.Lap(flight.StageWarehouse, t)
+	if err != nil {
 		srv.ledger.Dropped(sh.id, ReasonSink, okRecs)
 		if droppedRecs > 0 {
 			srv.ledger.Dropped(sh.id, ReasonIncomplete, droppedRecs)

@@ -57,8 +57,9 @@ type Event struct {
 	RowNS      int64 `json:"rowNS"`      // summed per-row inference time
 	Rows       int64 `json:"rows"`       // classified rows (1 for single)
 	// Stages splits the handler's own time across the row pipeline's
-	// stages; what HandlerNS holds beyond their sum is the middleware,
-	// the model-view capture and whatever a refusal cut short.
+	// stages, or an ingest finalize's across summarize and warehouse;
+	// what HandlerNS holds beyond their sum is the middleware, the
+	// model-view capture and whatever a refusal cut short.
 	Stages Stages `json:"stages"`
 
 	ModelGeneration uint64 `json:"modelGeneration,omitempty"`
@@ -88,25 +89,27 @@ func (e *Event) isError() bool {
 	return e.Panicked || e.Status >= 400
 }
 
-// The stages a served row request passes through, in order; each
-// indexes Stages.
+// The stages a served row request passes through, in order, then those
+// of an ingest finalize; each indexes Stages.
 const (
-	StageRead   = iota // read the capped request body
-	StageDecode        // scan it, or decode, validate and resolve feature names
-	StageScore         // the model calls: one row, or a batch fan-out's wall time
-	StageEncode        // build and write the reply
+	StageRead      = iota // read the capped request body
+	StageDecode           // scan it, or decode, validate and resolve feature names
+	StageScore            // the model calls: one row, or a batch fan-out's wall time
+	StageEncode           // build and write the reply
+	StageSummarize        // combine an ingested job's per-host folds (summarize.Nodes)
+	StageWarehouse        // build the job's record and fold it into the warehouse (Sink.Ingest)
 	NumStages
 )
 
 // stageNames are the JSON keys of Stages, indexed like it.
-var stageNames = [NumStages]string{"read", "decode", "score", "encode"}
+var stageNames = [NumStages]string{"read", "decode", "score", "encode", "summarize", "warehouse"}
 
 // Stages is one request's handler time per stage in nanoseconds,
 // indexed by the Stage constants: a fixed array, so stamping a stage
 // allocates nothing. It encodes as an object keyed by stage name.
 type Stages [NumStages]int64
 
-// MarshalJSON writes {"read":ns,"decode":ns,"score":ns,"encode":ns}.
+// MarshalJSON writes {"read":ns,"decode":ns,...,"warehouse":ns}.
 func (s Stages) MarshalJSON() ([]byte, error) {
 	b := []byte{'{'}
 	for i, ns := range s {

@@ -573,8 +573,9 @@ func TestOpsHandlers(t *testing.T) {
 
 // TestStagesLapQueryAndJSON: Lap stamps the time since its start onto
 // one stage and hands back the boundary for the next, a nil event still
-// reads the clock, the id filter finds the one request, and the stages
-// survive the JSON /debug/requests writes, keyed by stage name.
+// reads the clock, the id filter finds the one request, and the stages,
+// the serving path's and an ingest finalize's, survive the JSON
+// /debug/requests writes, keyed by stage name.
 func TestStagesLapQueryAndJSON(t *testing.T) {
 	var none *Active
 	if got := none.Lap(StageRead, time.Time{}); got.IsZero() {
@@ -591,6 +592,11 @@ func TestStagesLapQueryAndJSON(t *testing.T) {
 	}
 	if a.Stages[StageEncode] != 0 {
 		t.Errorf("unstamped encode stage is %d", a.Stages[StageEncode])
+	}
+	// An ingest finalize stamps the last two stages the same way.
+	a.Lap(StageWarehouse, a.Lap(StageSummarize, t2.Add(-3*time.Millisecond)).Add(-time.Millisecond))
+	if a.Stages[StageSummarize] < int64(3*time.Millisecond) || a.Stages[StageWarehouse] < int64(time.Millisecond) {
+		t.Errorf("stages %v: summarize < 3ms or warehouse < 1ms", a.Stages)
 	}
 	a.Finalize(200, 10*time.Millisecond)
 
@@ -609,8 +615,10 @@ func TestStagesLapQueryAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(blob), `"stages":{"read":`) {
-		t.Errorf("event JSON %s does not key stages by name", blob)
+	for _, key := range []string{`"stages":{"read":`, `"summarize":`, `"warehouse":`} {
+		if !strings.Contains(string(blob), key) {
+			t.Errorf("event JSON %s does not key stages by name: no %s", blob, key)
+		}
 	}
 	var back Event
 	if err := json.Unmarshal(blob, &back); err != nil {

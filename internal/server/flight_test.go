@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -281,8 +282,9 @@ func TestRequestIDEchoedOnEveryDisposition(t *testing.T) {
 	}
 }
 
-// TestStageTimersReconcile: every stage of a served request is stamped
-// and together they account for no more than the handler's time. A
+// TestStageTimersReconcile: every row stage of a served request is
+// stamped, the ingest stages are not, and together they account for no
+// more than the handler's time. A
 // single row's score stage is exactly its RowNS; a batch's score stage
 // is the fan-out's wall time, so the row time summed over its workers
 // fits in workers x that wall time.
@@ -321,11 +323,14 @@ func TestStageTimersReconcile(t *testing.T) {
 		}
 		ev := events[0]
 		var sum int64
-		for stage, ns := range ev.Stages {
+		for stage, ns := range ev.Stages[:flight.StageSummarize] {
 			if ns <= 0 {
 				t.Errorf("%s: stage %d is %d ns, want it stamped", tc.id, stage, ns)
 			}
 			sum += ns
+		}
+		if ingest := ev.Stages[flight.StageSummarize:]; slices.ContainsFunc(ingest, func(ns int64) bool { return ns != 0 }) {
+			t.Errorf("%s: a served request stamped the ingest stages %v", tc.id, ingest)
 		}
 		if sum > ev.HandlerNS {
 			t.Errorf("%s: stages sum to %d ns, more than the handler's %d", tc.id, sum, ev.HandlerNS)
