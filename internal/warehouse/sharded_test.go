@@ -693,32 +693,78 @@ func TestTableSlotsFollowLiveGroups(t *testing.T) {
 
 var benchCut Records
 
-// BenchmarkShardedSnapshot cuts a 7 000-job warehouse after every 100
-// fresh jobs (re-ingests of random ids, so its size holds). ns/op
-// includes the ingests; ns/cut is the cut alone.
+// BenchmarkShardedSnapshot times a Sharded's ingests and cuts under two
+// kinds of traffic. ns/op is a round of ingests and the cut after it;
+// ns/cut is the cut alone and ns/ingest one ingest alone.
+//
+//   - merge: a 7 000-job warehouse cut after every 100 re-ingests of
+//     random ids, so every record replaces one and the size holds.
+//   - grow: the ingest-stream reader's view. Passes of 300 jobs, each
+//     id suffixed with its pass number so a pass interleaves through the
+//     cut, arrive 60 new records per cut, with no replacements, until the
+//     cut holds 6 900 jobs; then a fresh warehouse starts over.
 func BenchmarkShardedSnapshot(b *testing.B) {
-	const jobs, fresh = 7000, 100
-	r := rng.New(5)
-	s := NewSharded(ShardedConfig{Shards: 4})
-	for i := 0; i < jobs; i++ {
-		if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	benchCut = s.Snapshot().Records
-	var cutting time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < fresh; k++ {
-			if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", r.Intn(jobs)))); err != nil {
+	b.Run("merge", func(b *testing.B) {
+		const jobs, fresh = 7000, 100
+		r := rng.New(5)
+		s := NewSharded(ShardedConfig{})
+		for i := 0; i < jobs; i++ {
+			if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", i))); err != nil {
 				b.Fatal(err)
 			}
 		}
-		t0 := time.Now()
 		benchCut = s.Snapshot().Records
-		cutting += time.Since(t0)
-	}
-	b.ReportMetric(float64(cutting.Nanoseconds())/float64(b.N), "ns/cut")
+		recs := make([]*Record, fresh)
+		var ingesting, cutting time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := range recs {
+				recs[k] = synthRecord(r, fmt.Sprintf("job-%05d", r.Intn(jobs)))
+			}
+			t0 := time.Now()
+			for _, rec := range recs {
+				if err := s.Ingest(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			t1 := time.Now()
+			benchCut = s.Snapshot().Records
+			ingesting, cutting = ingesting+t1.Sub(t0), cutting+time.Since(t1)
+		}
+		b.ReportMetric(float64(cutting.Nanoseconds())/float64(b.N), "ns/cut")
+		b.ReportMetric(float64(ingesting.Nanoseconds())/float64(b.N*fresh), "ns/ingest")
+	})
+	b.Run("grow", func(b *testing.B) {
+		const perPass, passes, fresh = 300, 23, 60
+		r := rng.New(7)
+		var stream []*Record
+		for p := 0; p < passes; p++ {
+			for _, k := range r.Perm(perPass) {
+				stream = append(stream, synthRecord(r, fmt.Sprintf("job-%05d-p%03d", 1000+37*k, p)))
+			}
+		}
+		var s *Sharded
+		next := len(stream)
+		var ingesting, cutting time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if next == len(stream) {
+				s, next = NewSharded(ShardedConfig{}), 0
+			}
+			t0 := time.Now()
+			for _, rec := range stream[next:min(next+fresh, len(stream))] {
+				if err := s.Ingest(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			t1 := time.Now()
+			benchCut = s.Snapshot().Records
+			ingesting, cutting = ingesting+t1.Sub(t0), cutting+time.Since(t1)
+			next = min(next+fresh, len(stream))
+		}
+		b.ReportMetric(float64(cutting.Nanoseconds())/float64(b.N), "ns/cut")
+		b.ReportMetric(float64(ingesting.Nanoseconds())/float64(b.N*fresh), "ns/ingest")
+	})
 }
 
 var benchGroups []*Aggregate
