@@ -81,7 +81,7 @@ func (rs Records) Utilization(machineNodes int) []UtilizationPoint {
 		monthStart := time.Unix(k, 0).UTC()
 		monthHours := monthStart.AddDate(0, 1, 0).Sub(monthStart).Hours()
 		p := UtilizationPoint{
-			Month:       monthStart.Format("2006-01"),
+			Month:       monthKey(k),
 			Jobs:        len(a.jobs),
 			NodeHours:   a.nodeHours,
 			CPUHours:    a.cpuHours,

@@ -89,9 +89,32 @@ func dimensionKey(r *Record, dim Dimension) string {
 	case ByJobSize:
 		return sizeBucket(r.Nodes)
 	case ByMonth:
-		return time.Unix(r.Start, 0).UTC().Format("2006-01")
+		return monthKey(r.Start)
 	}
 	return ""
+}
+
+// monthKey is time.Unix(s, 0).UTC().Format("2006-01") without parsing a
+// layout: the year in at least four digits, after a minus sign when
+// negative, then a dash and the month in two.
+func monthKey(s int64) string {
+	y, m, _ := time.Unix(s, 0).UTC().Date()
+	var b [24]byte
+	i := len(b) - 3
+	b[i], b[i+1], b[i+2] = '-', byte('0'+m/10), byte('0'+m%10)
+	u := y
+	if y < 0 {
+		u = -y
+	}
+	for n := 0; n < 4 || u > 0; n, u = n+1, u/10 {
+		i--
+		b[i] = byte('0' + u%10)
+	}
+	if y < 0 {
+		i--
+		b[i] = '-'
+	}
+	return string(b[i:])
 }
 
 // sizeBucket maps node counts to XDMoD's job-size buckets.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/rng"
 	"repro/internal/summarize"
 )
 
@@ -124,6 +125,33 @@ func TestGroupByMonth(t *testing.T) {
 	keys := map[string]bool{gs[0].Key: true, gs[1].Key: true}
 	if !keys["2014-01"] || !keys["2014-04"] {
 		t.Errorf("month keys wrong: %v", keys)
+	}
+}
+
+// TestMonthKeyMatchesFormat holds monthKey byte-equal to the formatter it
+// replaces: at seeded instants over the door's whole ±2^40 s range, and
+// at the edges — the epoch and the second before it, both bounds, the
+// years -1, 0, 9999 and 10000, and both sides of every month boundary
+// of 2014.
+func TestMonthKeyMatchesFormat(t *testing.T) {
+	const bound = int64(maxUnixSeconds)
+	cases := []int64{0, -1, bound, -bound}
+	for _, y := range []int{-1, 0, 9999, 10000} {
+		first, last := time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC).Unix(), time.Date(y+1, 1, 1, 0, 0, 0, 0, time.UTC).Unix()-1
+		cases = append(cases, first, first-1, last, last+1)
+	}
+	for m := time.January; m <= time.December; m++ {
+		b := time.Date(2014, m, 1, 0, 0, 0, 0, time.UTC).Unix()
+		cases = append(cases, b-1, b)
+	}
+	r := rng.New(97)
+	for i := 0; i < 200_000; i++ {
+		cases = append(cases, int64(r.Uint64()%uint64(2*bound+1))-bound)
+	}
+	for _, s := range cases {
+		if got, want := monthKey(s), time.Unix(s, 0).UTC().Format("2006-01"); got != want {
+			t.Fatalf("monthKey(%d) = %q, Format gives %q", s, got, want)
+		}
 	}
 }
 
