@@ -138,9 +138,9 @@ func (a *acc) remove(r, heir *Record) (staleExtremes bool) {
 
 // finish derives the group's Aggregate; of is the job count MixPercent
 // is a share of.
-func (a *acc) finish(key string, of int) *Aggregate {
+func (a *acc) finish(key string, of int) Aggregate {
 	jobs := float64(a.jobs)
-	g := &Aggregate{
+	g := Aggregate{
 		Key:        key,
 		Jobs:       int(a.jobs),
 		CPUHours:   a.coreMillis.hours(),

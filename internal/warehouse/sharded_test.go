@@ -767,6 +767,28 @@ func BenchmarkShardedSnapshot(b *testing.B) {
 	})
 }
 
+// TestGroupByFromTablesAllocatesTwice pins GroupBy read from a cut's
+// tables at two allocations, the Aggregates and the pointers to them,
+// on a table of about 300 user groups.
+func TestGroupByFromTablesAllocatesTwice(t *testing.T) {
+	r := rng.New(67)
+	s := NewSharded(ShardedConfig{})
+	for i := 0; i < 1200; i++ {
+		rec := synthRecord(r, fmt.Sprintf("job-%04d", i))
+		rec.User = fmt.Sprint("user-", r.Intn(300))
+		if err := s.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := s.Snapshot()
+	if n := len(v.GroupBy(ByUser)); n < 250 {
+		t.Fatalf("%d user groups, want about 300", n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { benchGroups = v.GroupBy(ByUser) }); allocs != 2 {
+		t.Fatalf("GroupBy(ByUser) from the tables makes %v allocations, want 2", allocs)
+	}
+}
+
 var benchGroups []*Aggregate
 
 // BenchmarkSnapshotGroupBy times GroupBy(ByApplication) on one cut of

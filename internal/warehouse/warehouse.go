@@ -7,9 +7,12 @@
 package warehouse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -334,19 +337,25 @@ func (t *table) compact() {
 }
 
 // aggregates reads the groups that hold jobs, with MixPercent a share of
-// of jobs, sorted by descending job count, then key.
+// of jobs, sorted by descending job count, then key: two allocations, one
+// block of Aggregates and one of pointers into it, whatever the group
+// count. Keys are unique, so the order is total.
 func (t *table) aggregates(of int) []*Aggregate {
-	out := make([]*Aggregate, 0, len(t.accs))
+	block := make([]Aggregate, 0, len(t.accs)-t.empty)
 	for i := range t.accs {
 		if t.accs[i].jobs > 0 {
-			out = append(out, t.accs[i].finish(t.keys[i], of))
+			block = append(block, t.accs[i].finish(t.keys[i], of))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Jobs != out[j].Jobs {
-			return out[i].Jobs > out[j].Jobs
+	out := make([]*Aggregate, len(block))
+	for i := range block {
+		out[i] = &block[i]
+	}
+	slices.SortFunc(out, func(a, b *Aggregate) int {
+		if c := cmp.Compare(b.Jobs, a.Jobs); c != 0 {
+			return c
 		}
-		return out[i].Key < out[j].Key
+		return strings.Compare(a.Key, b.Key)
 	})
 	return out
 }
@@ -365,7 +374,7 @@ func totals(a *acc) Aggregate {
 	if a.jobs == 0 {
 		return Aggregate{Key: "total"}
 	}
-	return *a.finish("total", int(a.jobs))
+	return a.finish("total", int(a.jobs))
 }
 
 // DrillDownGroup is one outer group of XDMoD's drill-down view with its
