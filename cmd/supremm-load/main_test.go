@@ -127,7 +127,7 @@ func TestUnbalancedLedgerFailsDespiteClientErrors(t *testing.T) {
 func ingestServe(t *testing.T) (base, addr string) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	srv, err := ingest.NewServer(ingest.Config{Shards: 2, Sink: warehouse.NewSharded(warehouse.ShardedConfig{Shards: 2}), Obs: reg})
+	srv, err := ingest.NewServer(ingest.Config{Shards: 2, Sink: warehouse.NewSharded(warehouse.ShardedConfig{}), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

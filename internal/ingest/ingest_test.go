@@ -122,7 +122,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	}
 	h.reg = cfg.Obs
 	if cfg.Sink == nil {
-		h.sink = warehouse.NewSharded(warehouse.ShardedConfig{Shards: 4})
+		h.sink = warehouse.NewSharded(warehouse.ShardedConfig{})
 		cfg.Sink = h.sink
 	}
 	srv, err := NewServer(cfg)

@@ -104,7 +104,7 @@ func TestParseIngestSpecErrors(t *testing.T) {
 // ledger, and the /metrics counters exactly.
 func TestRunIngestReconciles(t *testing.T) {
 	reg := obs.NewRegistry()
-	sink := warehouse.NewSharded(warehouse.ShardedConfig{Shards: 4})
+	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
 	srv, err := ingest.NewServer(ingest.Config{Shards: 4, Sink: sink, Obs: reg})
 	if err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func TestWarehouseOrderParity(t *testing.T) {
 	recs := chaosFixture(t).store.Records()
 	slices.SortFunc(recs, func(a, b *warehouse.Record) int { return strings.Compare(a.JobID, b.JobID) })
 	store := warehouse.NewStore()
-	sharded := warehouse.NewSharded(warehouse.ShardedConfig{Shards: 3})
+	sharded := warehouse.NewSharded(warehouse.ShardedConfig{})
 	for i := range recs {
 		if err := store.Ingest(recs[i]); err != nil {
 			t.Fatal(err)

@@ -108,7 +108,7 @@ func TestEmptyWarehouseGroupBy(t *testing.T) {
 // answer it. The retired /api/warehouse/* twins answer 404.
 func TestWarehouseRoutesEncodeRecords(t *testing.T) {
 	res := pipeline(t, 91, 300)
-	sharded := warehouse.NewSharded(warehouse.ShardedConfig{Shards: 3})
+	sharded := warehouse.NewSharded(warehouse.ShardedConfig{})
 	for _, r := range res.Records {
 		if err := sharded.Ingest(r); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 package warehouse
 
 import (
-	"hash/fnv"
+	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -10,158 +10,133 @@ import (
 
 // ShardedConfig parameterizes a Sharded store.
 type ShardedConfig struct {
-	// Shards is the number of independent partitions (default 4).
+	// Shards has no effect: a Sharded keeps one lock, not partitions.
 	Shards int
 }
 
-// whShard is one partition behind a mutex: the records ingested into it
-// since the last cut, latest per job id.
-type whShard struct {
-	mu    sync.Mutex
-	fresh map[string]*Record
+// Sharded is a concurrency-safe warehouse: the latest cut, which holds
+// every job in job-id order with its group tables, and behind one mutex
+// what arrived since. Ingest does each record's work on the writer's
+// goroutine: it finds the job's place in the cut and folds the record
+// into the live tables, which are the cut's, forked on the first write
+// after each cut. Snapshot then only copies the cut's runs around the
+// new records, so every query runs on a point-in-time, consistent cut.
+// Only the writer holding the mutex reads or appends the tables' slot
+// maps. Records are immutable once ingested (re-ingesting a job id swaps
+// the pointer); callers must not mutate a Record after handing it over.
+type Sharded struct {
+	mu      sync.Mutex
+	last    *WarehouseSnapshot // the latest cut; its cut and tables are never written once made
+	live    *tables            // last's tables with fresh folded in; last.tables until the first write
+	stale   [len(tableDims)]bool
+	fresh   []pending      // the records ingested since last, one per job id
+	pending map[string]int // job id -> its index in fresh
 }
 
-// Sharded is a concurrency-safe warehouse partitioned by job id: N locked
-// partitions that each hold only what arrived since the last cut, and the
-// cut itself, which holds every job. Writers on different shards never
-// contend; Snapshot locks all shards at once to fold their records into a
-// point-in-time, consistent cut, and every query runs on that cut.
-// Records are immutable once ingested (re-ingesting a job id swaps the
-// pointer); callers must not mutate a Record after handing it over.
-type Sharded struct {
-	shards []*whShard
-
-	snapMu sync.Mutex         // serializes Snapshot, and guards last
-	last   *WarehouseSnapshot // the latest snapshot; its cut and tables are never written once made
+// pending is a record ingested since the last cut and its place there:
+// at is the index of the first record of the cut past its job id, or of
+// the record it replaces when found.
+type pending struct {
+	r     *Record
+	at    int
+	found bool
 }
 
 // NewSharded returns an empty sharded warehouse.
-func NewSharded(cfg ShardedConfig) *Sharded {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	s := &Sharded{shards: make([]*whShard, cfg.Shards), last: &WarehouseSnapshot{tables: &tables{}}}
-	for i := range s.shards {
-		s.shards[i] = &whShard{fresh: map[string]*Record{}}
-	}
-	return s
+func NewSharded(ShardedConfig) *Sharded {
+	last := &WarehouseSnapshot{tables: &tables{}}
+	return &Sharded{last: last, live: last.tables, pending: map[string]int{}}
 }
 
-// shardFor hashes a job id onto its owning partition.
-func (s *Sharded) shardFor(jobID string) *whShard {
-	h := fnv.New64a()
-	h.Write([]byte(jobID))
-	return s.shards[h.Sum64()%uint64(len(s.shards))]
-}
-
-// Ingest adds a record to its shard; re-ingesting a job id replaces the
-// prior record. Satisfies ingest.Sink.
+// Ingest folds a record into the live tables; re-ingesting a job id
+// replaces the prior record. Satisfies ingest.Sink.
 func (s *Sharded) Ingest(r *Record) error {
 	if err := checkRecord(r); err != nil {
 		return err
 	}
-	sh := s.shardFor(r.JobID)
-	sh.mu.Lock()
-	sh.fresh[r.JobID] = r
-	sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.live == s.last.tables {
+		s.live = s.last.tables.fork()
+	}
+	if k, ok := s.pending[r.JobID]; ok {
+		s.live.replace(s.fresh[k].r, r, &s.stale)
+		s.fresh[k].r = r
+		return nil
+	}
+	i, found := slices.BinarySearchFunc(s.last.cut, r.JobID, func(x *Record, id string) int {
+		return strings.Compare(x.JobID, id)
+	})
+	if found {
+		s.live.replace(s.last.cut[i], r, &s.stale)
+	} else {
+		s.live.add(r)
+	}
+	s.pending[r.JobID] = len(s.fresh)
+	s.fresh = append(s.fresh, pending{r, i, found})
 	return nil
 }
 
-// Len returns the number of ingested jobs: the length of the cut, taken
-// now.
+// Len returns the number of ingested jobs, new ones not yet cut
+// included.
 func (s *Sharded) Len() int {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return len(s.cut().cut)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int(s.live.total().jobs)
 }
 
-// Snapshot takes a point-in-time cut (see cut) and returns it.
+// Snapshot takes a point-in-time cut and returns it. Records come out in
+// canonical job-id order, which makes every derived aggregation
+// byte-for-byte identical across ingest interleavings for the same
+// record set. With nothing ingested since the last cut, that cut and its
+// tables are returned as they are.
 func (s *Sharded) Snapshot() *WarehouseSnapshot {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.fresh) > 0 {
+		// Records bound for one place of the cut are new ids below the
+		// job there, then that job's replacement: job-id order.
+		slices.SortFunc(s.fresh, func(a, b pending) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return strings.Compare(a.r.JobID, b.r.JobID)
+		})
+		cut := mergeCut(s.last.cut, s.fresh)
+		s.live.restoreExtremes(cut, &s.stale)
+		for d := range s.live {
+			s.live[d].compact()
+		}
+		s.last = &WarehouseSnapshot{Records: append(make(Records, 0, len(cut)), cut...), tables: s.live, cut: cut}
+		s.fresh, s.stale = s.fresh[:0], [len(tableDims)]bool{}
+		clear(s.pending)
+	}
 	// A copy, so a caller that reassigns its snapshot's Records leaves
 	// the next cut alone; one that writes into them reaches only the
 	// Records of this cut's snapshots, never the cut the next merges.
-	v := *s.cut()
+	v := *s.last
 	return &v
-}
-
-// cut brings the latest snapshot up to date and returns it; the caller
-// holds snapMu and hands out no pointer to it. All shard locks are held
-// simultaneously while each shard's fresh records are swapped out, so no
-// cut can observe a half-applied ingest. Records come out in canonical
-// job-id order, which makes every derived aggregation byte-for-byte
-// identical across shard counts and ingest interleavings for the same
-// record set. Only what changed is sorted and folded: the delta is merged
-// into the previous cut and its group tables, and with no delta that cut
-// and its tables are returned as they are.
-func (s *Sharded) cut() *WarehouseSnapshot {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	var fresh []map[string]*Record
-	n := 0
-	for _, sh := range s.shards {
-		if len(sh.fresh) > 0 {
-			fresh = append(fresh, sh.fresh)
-			n += len(sh.fresh)
-			sh.fresh = map[string]*Record{}
-		}
-	}
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
-	if n > 0 {
-		delta := make(Records, 0, n)
-		for _, m := range fresh {
-			for _, r := range m {
-				delta = append(delta, r)
-			}
-		}
-		slices.SortFunc(delta, func(a, b *Record) int { return strings.Compare(a.JobID, b.JobID) })
-		cut, replaced := mergeCut(s.last.cut, delta)
-		t := s.last.tables.fork()
-		var stale [len(tableDims)]bool
-		for i, r := range delta {
-			if replaced[i] != nil {
-				t.replace(replaced[i], r, &stale)
-			} else {
-				t.add(r)
-			}
-		}
-		t.restoreExtremes(cut, &stale)
-		for d := range t {
-			t[d].compact()
-		}
-		s.last = &WarehouseSnapshot{Records: append(make(Records, 0, len(cut)), cut...), tables: t, cut: cut}
-	}
-	return s.last
 }
 
 // Records returns the current cut, in job-id order (Snapshot's records).
 func (s *Sharded) Records() Records { return s.Snapshot().Records }
 
-// mergeCut returns a new cut: last with delta (sorted by job id, each id
-// once) applied, and for each delta record the record of last it
-// replaced, or nil. A job already in last is replaced at its position, a
-// new one inserted in order; the runs of last between are copied whole,
-// each run's end found by binary search. The result's capacity is its
-// length, so no holder of one cut can append into another's.
-func mergeCut(last, delta Records) (cut, replaced Records) {
-	cut = make(Records, 0, len(last)+len(delta))
-	replaced = make(Records, len(delta))
-	for k, r := range delta {
-		i, found := slices.BinarySearchFunc(last, r.JobID, func(x *Record, id string) int {
-			return strings.Compare(x.JobID, id)
-		})
-		cut = append(append(cut, last[:i]...), r)
-		if found {
-			replaced[k] = last[i]
-			i++
+// mergeCut returns a new cut: last with fresh (sorted by place, then job
+// id) applied. A found record replaces the job at its place, a new one
+// goes in before it; the runs of last between are copied whole. The
+// result's capacity is its length, so no holder of one cut can append
+// into another's.
+func mergeCut(last Records, fresh []pending) Records {
+	cut := make(Records, 0, len(last)+len(fresh))
+	from := 0
+	for _, p := range fresh {
+		cut = append(append(cut, last[from:p.at]...), p.r)
+		from = p.at
+		if p.found {
+			from++
 		}
-		last = last[i:]
 	}
-	return slices.Clip(append(cut, last...)), replaced
+	return slices.Clip(append(cut, last[from:]...))
 }
 
 // WarehouseSnapshot is a point-in-time cut: the records (in job-id
@@ -169,8 +144,11 @@ func mergeCut(last, delta Records) (cut, replaced Records) {
 // the group tables of the cut, so GroupBy and Totals cost O(groups)
 // while every other query walks the records. Interleaved writers cannot
 // smear a result. Cuts taken with no ingest between them share one
-// Records slice and one set of tables. Every query describes Records as
-// they are when it runs: a caller that edits them gets the walk.
+// Records slice and one set of tables. A snapshot's tables share their
+// slot maps with the Sharded's live tables, which only the writer
+// holding its mutex reads or appends; queries read keys and sums alone.
+// Every query describes Records as they are when it runs: a caller that
+// edits them gets the walk.
 type WarehouseSnapshot struct {
 	Records
 	tables *tables // nil: every query walks Records
@@ -213,13 +191,13 @@ var tableDims = [...]Dimension{ByApplication, ByCategory, ByUser, ByPopulation, 
 
 // tables are a cut's group tables, one per tableDims entry. A cut owns
 // its tables' accs; the slot maps and the append-only keys are shared
-// with the cuts forked from it (until a compact replaces them), and only
-// the cut being folded reads the maps or appends: queries read keys and
-// accs alone.
+// with the tables forked from it (until a compact replaces them), and
+// only the Sharded's writer, holding its mutex, reads the maps or
+// appends: queries read keys and accs alone.
 type tables [len(tableDims)]table
 
-// fork returns tables to fold the next cut's delta into: one flat copy
-// of each table's sums, nothing per group.
+// fork returns tables to fold the records after a cut into: one flat
+// copy of each table's sums, nothing per group.
 func (t *tables) fork() *tables {
 	next := *t
 	for d := range next {

@@ -163,7 +163,7 @@ func checkSnapshot(t *testing.T, v *WarehouseSnapshot) {
 
 func TestShardedSerialMatchesReference(t *testing.T) {
 	r := rng.New(41)
-	s := NewSharded(ShardedConfig{Shards: 4})
+	s := NewSharded(ShardedConfig{})
 	for i := 0; i < 500; i++ {
 		// ~20% replacements: draw ids from a pool smaller than the count.
 		id := fmt.Sprintf("job-%03d", r.Intn(400))
@@ -194,7 +194,7 @@ func TestShardedSnapshotTorture(t *testing.T) {
 		idPool     = 250 // shared across writers: cross-writer replacement
 		readEveryN = 25
 	)
-	s := NewSharded(ShardedConfig{Shards: 8})
+	s := NewSharded(ShardedConfig{})
 	var wg sync.WaitGroup
 	snaps := make(chan *WarehouseSnapshot, writers*perWriter/readEveryN+writers)
 	for w := 0; w < writers; w++ {
@@ -227,26 +227,31 @@ func TestShardedSnapshotTorture(t *testing.T) {
 	checkSnapshot(t, s.Snapshot())
 }
 
-// TestShardedShardCountInvariance ingests the same record set (in
-// different interleavings) at shard counts 1, 4, 7 and 8 and demands
-// digest-equal snapshots, each also equal to the serial Store:
-// partitioning is invisible to every query.
+// TestShardedShardCountInvariance ingests the same record set from four
+// writers in different interleavings, cut once at the end or every 1, 7
+// or 50 ingests of each writer, and demands digest-equal snapshots, each
+// also equal to the serial Store: neither the interleaving nor where the
+// cuts fall shows in any query.
 func TestShardedShardCountInvariance(t *testing.T) {
-	build := func(shards, writers int) *WarehouseSnapshot {
-		s := NewSharded(ShardedConfig{Shards: shards})
+	build := func(cutEvery int) *WarehouseSnapshot {
+		s := NewSharded(ShardedConfig{})
 		var wg sync.WaitGroup
+		const writers = 4
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				// Writer w owns ids w mod writers: same final record per id
-				// regardless of scheduling, while shards ingest concurrently.
+				// regardless of scheduling.
 				r := rng.New(7).Split(uint64(w))
 				for i := w; i < 600; i += writers {
 					rec := synthRecord(r, fmt.Sprintf("job-%04d", i))
 					if err := s.Ingest(rec); err != nil {
 						t.Error(err)
 						return
+					}
+					if cutEvery > 0 && i%cutEvery == 0 {
+						s.Snapshot()
 					}
 				}
 			}(w)
@@ -255,16 +260,16 @@ func TestShardedShardCountInvariance(t *testing.T) {
 		return s.Snapshot()
 	}
 	// Writer w seeds its own rng, so record contents depend only on
-	// (writer, position), not on shard count.
-	v1 := build(1, 4)
+	// (writer, position), not on the cuts.
+	v1 := build(0)
 	checkSnapshot(t, v1)
 	want := queryDigests(v1)
-	for _, shards := range []int{4, 7, 8} {
-		v := build(shards, 4)
+	for _, every := range []int{1, 7, 50} {
+		v := build(every)
 		if v.Len() != v1.Len() {
-			t.Fatalf("record counts differ: %d at 1 shard, %d at %d", v1.Len(), v.Len(), shards)
+			t.Fatalf("record counts differ: %d cut once, %d cut every %d", v1.Len(), v.Len(), every)
 		}
-		sameQueries(t, fmt.Sprintf("%d shards vs 1", shards), queryDigests(v), want)
+		sameQueries(t, fmt.Sprintf("cut every %d vs once", every), queryDigests(v), want)
 		checkSnapshot(t, v)
 	}
 }
@@ -272,7 +277,7 @@ func TestShardedShardCountInvariance(t *testing.T) {
 // TestRollupReplacementExact replaces a job and checks the rollup
 // holds only the replacement: the bucket the old record filled is gone.
 func TestRollupReplacementExact(t *testing.T) {
-	s := NewSharded(ShardedConfig{Shards: 2})
+	s := NewSharded(ShardedConfig{})
 	a := &Record{JobID: "j1", Nodes: 2, Cores: 32, Submit: 90, Start: 100, WallSeconds: 1000.25}
 	b := &Record{JobID: "j1", Nodes: 4, Cores: 64, Submit: 3600, Start: 7300, WallSeconds: 10.75}
 	if err := s.Ingest(a); err != nil {
@@ -307,18 +312,17 @@ func sortAll(latest map[string]*Record) Records {
 }
 
 // TestShardedIncrementalSnapshot interleaves the three kinds of ingest
-// the merge tells apart — new ids, replacements of ids in the last cut,
+// Ingest tells apart — new ids, replacements of ids in the last cut,
 // and one id ingested twice between cuts — with Snapshot calls. Each cut
 // must be consistent and hold the pointers a from-scratch sort of the
 // ingested holds, in the same order; a cut with no ingest before it
 // must be the previous cut itself; and every earlier cut must still
 // answer every query as it did when it was taken. Len counts each job
 // once, new jobs not yet cut and ids ingested twice since the last cut
-// included; on odd rounds it is called before Snapshot and takes the
-// cut itself.
+// included; on odd rounds it is also called before Snapshot.
 func TestShardedIncrementalSnapshot(t *testing.T) {
 	r := rng.New(53)
-	s := NewSharded(ShardedConfig{Shards: 4})
+	s := NewSharded(ShardedConfig{})
 	latest := map[string]*Record{}
 	ingest := func(id string) {
 		t.Helper()
@@ -395,6 +399,87 @@ func TestShardedIncrementalSnapshot(t *testing.T) {
 	}
 }
 
+// TestShardedCutPlaces is a seeded property test of where Ingest places
+// each record in the last cut and how Snapshot merges them. Between two
+// cuts, in shuffled order, it ingests several new ids into one gap of
+// the cut, a new id just below a replaced one (both bound for the same
+// place), a new id twice, a job of the cut replaced twice, and ids below
+// the first job and above the last. Len must count the jobs after every
+// ingest; each cut must hold the pointers a full sort of a Store fed the
+// same records holds, and answer from tables equal to the walk.
+func TestShardedCutPlaces(t *testing.T) {
+	r := rng.New(59)
+	s, ref := NewSharded(ShardedConfig{}), NewStore()
+	num := map[string]int{}
+	id := func(n int) string { return fmt.Sprintf("job-%08d", n) }
+	ingest := func(ids []string) {
+		t.Helper()
+		for _, k := range r.Perm(len(ids)) {
+			rec := synthRecord(r, ids[k])
+			if err := s.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Len(); got != ref.Len() {
+				t.Fatalf("Len = %d after ingesting %s, want %d jobs", got, rec.JobID, ref.Len())
+			}
+		}
+	}
+	var first []string
+	for n := 10_000_000; n < 10_100_000; n += 1000 {
+		first = append(first, id(n))
+		num[id(n)] = n
+	}
+	ingest(first)
+	v := s.Snapshot()
+	for round := 0; round < 30; round++ {
+		cut := v.Records
+		fresh := func(lo, hi int) string { // an unused id strictly between lo and hi
+			for {
+				if n := lo + 1 + r.Intn(hi-lo-1); num[id(n)] == 0 {
+					num[id(n)] = n
+					return id(n)
+				}
+			}
+		}
+		var ids []string
+		g := 1 + r.Intn(len(cut)-1) // several new ids in the gap before cut[g]
+		for num[cut[g].JobID]-num[cut[g-1].JobID] < 8 {
+			g = 1 + r.Intn(len(cut)-1)
+		}
+		for k := 0; k < 4; k++ {
+			ids = append(ids, fresh(num[cut[g-1].JobID], num[cut[g].JobID]))
+		}
+		p := r.Intn(len(cut)) // a replacement of cut[p] and a new id just below it
+		for num[id(num[cut[p].JobID]-1)] != 0 {
+			p = r.Intn(len(cut))
+		}
+		below := num[cut[p].JobID] - 1
+		num[id(below)] = below
+		ids = append(ids, id(below), cut[p].JobID)
+		twice := fresh(num[cut[0].JobID]-1000, num[cut[len(cut)-1].JobID]+1000)
+		again := cut[r.Intn(len(cut))].JobID
+		ids = append(ids, twice, twice, again, again,
+			fresh(num[cut[0].JobID]-1000, num[cut[0].JobID]), fresh(num[cut[len(cut)-1].JobID], num[cut[len(cut)-1].JobID]+1000))
+		ingest(ids)
+		tie := slices.ContainsFunc(s.fresh, func(a pending) bool {
+			return !a.found && slices.ContainsFunc(s.fresh, func(b pending) bool { return b.found && b.at == a.at })
+		})
+		if !tie {
+			t.Fatalf("round %d: no new id shares its place with a replacement", round)
+		}
+		v = s.Snapshot()
+		want := ref.Records()
+		slices.SortFunc(want, func(a, b *Record) int { return strings.Compare(a.JobID, b.JobID) })
+		if !slices.Equal(v.Records, want) {
+			t.Fatalf("round %d: the cut of %d records is not the full sort's %d", round, len(v.Records), len(want))
+		}
+		checkTables(t, fmt.Sprint("round ", round), v)
+	}
+}
+
 // aggLines renders aggregates one aggLine each.
 func aggLines(as []*Aggregate) string {
 	var b strings.Builder
@@ -433,7 +518,7 @@ func checkTables(t *testing.T, what string, v *WarehouseSnapshot) {
 // it aimed at.
 func TestTablesMatchWalk(t *testing.T) {
 	r := rng.New(61)
-	s := NewSharded(ShardedConfig{Shards: 3})
+	s := NewSharded(ShardedConfig{})
 	latest := map[string]*Record{}
 	ingest := func(rec *Record) {
 		t.Helper()
@@ -510,24 +595,42 @@ func TestTablesMatchWalk(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadersBesideFolds reads cuts while later cuts fold new
-// groups into the key slices the cuts share: every ingest opens a user
-// group, and each reader's GroupBy and Totals must account for exactly
-// its cut's jobs. Run under -race via `make race`.
+// TestSnapshotReadersBesideFolds reads cuts while later ingests fold new
+// groups into the key slices and slot maps the cuts share: every ingest
+// opens a user group, and each reader's GroupBy and Totals must account
+// for exactly its cut's jobs. Each writer also holds two older cuts, and
+// their GroupBy and Totals must read the same bytes after every later
+// ingest: the live tables fork before their first write. Run under -race
+// via `make race`.
 func TestSnapshotReadersBesideFolds(t *testing.T) {
-	s := NewSharded(ShardedConfig{Shards: 4})
+	s := NewSharded(ShardedConfig{})
+	read := func(v *WarehouseSnapshot) string {
+		tot := v.Totals()
+		return aggLines(v.GroupBy(ByUser)) + aggLine(&tot)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			r := rng.New(71).Split(uint64(w))
+			type held struct {
+				v     *WarehouseSnapshot
+				bytes string
+			}
+			var old []held
 			for i := 0; i < 200; i++ {
 				rec := synthRecord(r, fmt.Sprintf("job-%d-%03d", w, i))
 				rec.User = rec.JobID
 				if err := s.Ingest(rec); err != nil {
 					t.Error(err)
 					return
+				}
+				for k, h := range old {
+					if got := read(h.v); got != h.bytes {
+						t.Errorf("writer %d: held cut %d of %d jobs reads other bytes after ingest %d", w, k, h.v.Len(), i)
+						return
+					}
 				}
 				v := s.Snapshot()
 				jobs := 0
@@ -537,6 +640,9 @@ func TestSnapshotReadersBesideFolds(t *testing.T) {
 				if tot := v.Totals(); jobs != v.Len() || tot.Jobs != v.Len() {
 					t.Errorf("a cut of %d jobs groups %d by user and totals %d", v.Len(), jobs, tot.Jobs)
 					return
+				}
+				if i == 20 || i == 120 {
+					old = append(old, held{v, read(v)})
 				}
 			}
 		}(w)
@@ -553,7 +659,7 @@ func TestSnapshotReadersBesideFolds(t *testing.T) {
 // reaches the next cut.
 func TestSnapshotAnswersItsRecords(t *testing.T) {
 	r := rng.New(83)
-	s := NewSharded(ShardedConfig{Shards: 2})
+	s := NewSharded(ShardedConfig{})
 	for i := 0; i < 60; i++ {
 		if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%03d", i))); err != nil {
 			t.Fatal(err)
@@ -659,7 +765,7 @@ func TestReplaceKeepsExtremes(t *testing.T) {
 // a live group, and still answer as the walk does.
 func TestTableSlotsFollowLiveGroups(t *testing.T) {
 	r := rng.New(89)
-	s := NewSharded(ShardedConfig{Shards: 2})
+	s := NewSharded(ShardedConfig{})
 	for i := 0; i < 4; i++ {
 		if err := s.Ingest(synthRecord(r, fmt.Sprint("stay-", i))); err != nil {
 			t.Fatal(err)
@@ -799,7 +905,7 @@ func BenchmarkSnapshotGroupBy(b *testing.B) {
 	for _, jobs := range []int{2000, 8000} {
 		b.Run(fmt.Sprint("jobs=", jobs), func(b *testing.B) {
 			r := rng.New(5)
-			s := NewSharded(ShardedConfig{Shards: 4})
+			s := NewSharded(ShardedConfig{})
 			for i := 0; i < jobs; i++ {
 				if err := s.Ingest(synthRecord(r, fmt.Sprintf("job-%05d", i))); err != nil {
 					b.Fatal(err)

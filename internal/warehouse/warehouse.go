@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -102,22 +102,15 @@ func dimensionKey(r *Record, dim Dimension) string {
 // negative, then a dash and the month in two.
 func monthKey(s int64) string {
 	y, m, _ := time.Unix(s, 0).UTC().Date()
-	var b [24]byte
-	i := len(b) - 3
-	b[i], b[i+1], b[i+2] = '-', byte('0'+m/10), byte('0'+m%10)
-	u := y
+	b := make([]byte, 0, 24)
 	if y < 0 {
-		u = -y
+		b, y = append(b, '-'), -y
 	}
-	for n := 0; n < 4 || u > 0; n, u = n+1, u/10 {
-		i--
-		b[i] = byte('0' + u%10)
+	for p := 1000; p > 1 && p > y; p /= 10 {
+		b = append(b, '0')
 	}
-	if y < 0 {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	b = strconv.AppendInt(b, int64(y), 10)
+	return string(append(b, '-', byte('0'+m/10), byte('0'+m%10)))
 }
 
 // sizeBucket maps node counts to XDMoD's job-size buckets.
@@ -352,10 +345,7 @@ func (t *table) aggregates(of int) []*Aggregate {
 		out[i] = &block[i]
 	}
 	slices.SortFunc(out, func(a, b *Aggregate) int {
-		if c := cmp.Compare(b.Jobs, a.Jobs); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Key, b.Key)
+		return cmp.Or(cmp.Compare(b.Jobs, a.Jobs), strings.Compare(a.Key, b.Key))
 	})
 	return out
 }
@@ -397,11 +387,8 @@ func (rs Records) DrillDown(outer, inner Dimension) []*DrillDownGroup {
 	for k, recs := range byOuter {
 		out = append(out, &DrillDownGroup{Key: k, Jobs: len(recs), Inner: recs.GroupBy(inner)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Jobs != out[j].Jobs {
-			return out[i].Jobs > out[j].Jobs
-		}
-		return out[i].Key < out[j].Key
+	slices.SortFunc(out, func(a, b *DrillDownGroup) int {
+		return cmp.Or(cmp.Compare(b.Jobs, a.Jobs), strings.Compare(a.Key, b.Key))
 	})
 	return out
 }
