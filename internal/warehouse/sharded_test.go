@@ -250,7 +250,7 @@ func TestShardedShardCountInvariance(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if cutEvery > 0 && i%cutEvery == 0 {
+					if cutEvery > 0 && (i/writers)%cutEvery == 0 {
 						s.Snapshot()
 					}
 				}
