@@ -586,9 +586,11 @@ func TestMetaAfterData(t *testing.T) {
 
 // TestFinalizeStagesTimed streams summarized jobs into a warehouse that
 // already holds a cut of 2 000 jobs, and requires every kept finalize
-// event to carry a summarize and a warehouse stage: /debug/requests then
-// shows what combining the host folds and the warehouse fold cost the
-// shard's goroutine. It logs the warehouse stage's median.
+// event to carry a decode, a summarize and a warehouse stage, its
+// records, and a queue wait its duration holds: /debug/requests then
+// shows what reading the job's frames, combining the host folds and the
+// warehouse fold cost, and how long its messages waited for the shard.
+// It logs the decode and warehouse stages' and the queue wait's medians.
 func TestFinalizeStagesTimed(t *testing.T) {
 	rec := flight.NewRecorder(flight.Config{Capacity: 256})
 	h := newHarness(t, Config{Shards: 2, Flight: rec})
@@ -615,15 +617,25 @@ func TestFinalizeStagesTimed(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no summarized finalize event was kept")
 	}
-	var wh []int64
+	var dec, wh, queue []int64
 	for _, ev := range events {
-		if ev.Stages[flight.StageSummarize] <= 0 || ev.Stages[flight.StageWarehouse] <= 0 {
-			t.Fatalf("job %s finalized with stages %+v: summarize and warehouse must both be > 0", ev.ID, ev.Stages)
+		st := ev.Stages
+		if st[flight.StageDecode] <= 0 || st[flight.StageSummarize] <= 0 || st[flight.StageWarehouse] <= 0 {
+			t.Fatalf("job %s finalized with stages %+v: decode, summarize and warehouse must all be > 0", ev.ID, st)
 		}
-		wh = append(wh, ev.Stages[flight.StageWarehouse])
+		if ev.Rows <= 0 || ev.QueueNS < 0 || ev.HandlerNS < st[flight.StageDecode]+st[flight.StageSummarize]+st[flight.StageWarehouse] {
+			t.Fatalf("job %s finalized with rows %d, queue %d ns, handler %d ns, stages %+v: want its records, a queue wait, and a handler time holding the stages",
+				ev.ID, ev.Rows, ev.QueueNS, ev.HandlerNS, st)
+		}
+		dec = append(dec, st[flight.StageDecode])
+		wh = append(wh, st[flight.StageWarehouse])
+		queue = append(queue, ev.QueueNS)
 	}
-	slices.Sort(wh)
-	t.Logf("warehouse stage median %d ns over %d of %d finalize events", wh[len(wh)/2], len(wh), len(jobs))
+	for _, s := range [][]int64{dec, wh, queue} {
+		slices.Sort(s)
+	}
+	t.Logf("medians over %d of %d finalize events: decode %d ns, warehouse %d ns, queue wait %d ns",
+		len(wh), len(jobs), dec[len(dec)/2], wh[len(wh)/2], queue[len(queue)/2])
 }
 
 // lookup finds a job in the warehouse's current cut by id.

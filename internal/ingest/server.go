@@ -184,7 +184,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	for {
-		f, err := ReadFrame(br, DefaultMaxPayload)
+		// The clock starts once the next frame's first byte is here, so a
+		// data frame's decode time never holds the wait for its client.
+		_, err := br.Peek(1)
+		start := time.Now()
+		var f *Frame
+		if err == nil {
+			f, err = ReadFrame(br, DefaultMaxPayload)
+		}
 		if err != nil {
 			if err != io.EOF {
 				s.cfg.Log.Debug("ingest.conn.read", "err", err.Error())
@@ -199,7 +206,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.cfg.Log.Debug("ingest.conn.injected", "err", err.Error())
 			return
 		}
-		s.processFrame(client, f)
+		s.processFrame(client, f, start)
 		client.mu.Lock()
 		last = client.last
 		client.mu.Unlock()
@@ -231,8 +238,9 @@ func (s *Server) client(id string) *clientState {
 
 // processFrame accounts and routes one data or meta frame, exactly
 // once per (client, seq): replays of an already-processed sequence are
-// acked but not re-applied.
-func (s *Server) processFrame(client *clientState, f *Frame) {
+// acked but not re-applied. start is when the frame's read began; a
+// routed chunk carries the time from there to its decode's end.
+func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) {
 	client.mu.Lock()
 	defer client.mu.Unlock()
 	if f.Seq <= client.last {
@@ -245,7 +253,7 @@ func (s *Server) processFrame(client *clientState, f *Frame) {
 		meta, err := ParseJobMeta(f.Payload)
 		if err != nil {
 			s.frames("decode_error").Inc()
-		} else if !s.route(s.shardFor(meta.JobID), message{meta: meta}) {
+		} else if !s.route(s.shardFor(meta.JobID), message{meta: meta, enqueued: time.Now()}) {
 			// A shed meta frame costs no records; the job finalizes via
 			// the idle sweep instead of its epilog.
 			s.frames("meta_shed").Inc()
@@ -266,7 +274,8 @@ func (s *Server) processFrame(client *clientState, f *Frame) {
 		}
 		shardID := s.shardFor(chunk.JobID)
 		s.ledger.Received(shardID, n)
-		if s.route(shardID, message{chunk: chunk}) {
+		now := time.Now()
+		if s.route(shardID, message{chunk: chunk, decode: now.Sub(start), enqueued: now}) {
 			s.frames("ok").Inc()
 			s.pending.Add(int64(n))
 		} else {

@@ -52,6 +52,10 @@ type message struct {
 	chunk *taccstats.Chunk
 	meta  *JobMeta
 	drain chan struct{}
+	// decode is a chunk's frame read and decode on its connection;
+	// enqueued is when the router queued the message.
+	decode   time.Duration
+	enqueued time.Time
 }
 
 // records returns how many ledger records the message carries.
@@ -86,6 +90,9 @@ type jobState struct {
 	ended   int    // hosts whose epilog (end marker) arrived
 	records uint64 // samples folded, pending finalization
 	last    time.Time
+	// decode and queue sum the job's messages' frame decode and shard
+	// queue wait, for its finalize event.
+	decode, queue time.Duration
 }
 
 // shard owns a partition of the job-id space: one goroutine, one
@@ -132,7 +139,7 @@ func (sh *shard) run() {
 				close(msg.drain)
 				return
 			}
-			sh.handle(msg)
+			sh.handle(msg, time.Now())
 		case <-tickC:
 			sh.sweepIdle()
 		}
@@ -147,7 +154,7 @@ func (sh *shard) drainQueue() {
 		select {
 		case msg := <-sh.q:
 			if msg.drain == nil {
-				sh.handle(msg)
+				sh.handle(msg, time.Now())
 			}
 		default:
 			return
@@ -155,10 +162,10 @@ func (sh *shard) drainQueue() {
 	}
 }
 
-// handle applies one message under panic isolation: a shard fault
-// (injected or real) drops the message's records into the ledger
-// instead of killing the daemon or corrupting open-job state.
-func (sh *shard) handle(msg message) {
+// handle applies one message, dequeued at now, under panic isolation:
+// a shard fault (injected or real) drops the message's records into the
+// ledger instead of killing the daemon or corrupting open-job state.
+func (sh *shard) handle(msg message, now time.Time) {
 	n := msg.records()
 	defer func() {
 		if p := recover(); p != nil {
@@ -176,7 +183,8 @@ func (sh *shard) handle(msg message) {
 	case msg.meta != nil:
 		js := sh.job(msg.meta.JobID)
 		js.meta = msg.meta
-		js.last = time.Now()
+		js.last = now
+		js.queue += now.Sub(msg.enqueued)
 		sh.maybeFinalize(msg.meta.JobID, js, "epilog")
 	case msg.chunk != nil:
 		js := sh.job(msg.chunk.JobID)
@@ -186,7 +194,9 @@ func (sh *shard) handle(msg message) {
 			js.hosts[msg.chunk.Host] = hs
 		}
 		js.records += n
-		js.last = time.Now()
+		js.last = now
+		js.decode += msg.decode
+		js.queue += now.Sub(msg.enqueued)
 		for i := range msg.chunk.Samples {
 			hs.node.Add(&msg.chunk.Samples[i])
 			if msg.chunk.Samples[i].Marker == taccstats.MarkerEnd && !hs.ended {
@@ -257,12 +267,19 @@ func (sh *shard) finalizeAll(trigger string) {
 // the ledger: summarized for nodes the summary covers, dropped
 // otherwise. It is the only place records leave an open job, and it
 // always removes the job, so each record is settled exactly once.
+//
+// The job's flight event carries its frames' summed decode as the
+// decode stage and their summed shard queue wait as its queue wait.
+// Its duration is those two plus the finalize itself, so the handler
+// time is the decode and the finalize, as on a served request.
 func (sh *shard) finalize(id string, js *jobState, trigger string) {
 	srv := sh.srv
 	start := time.Now()
 	var ev *flight.Active
 	if srv.cfg.Flight != nil {
 		ev = flight.NewActive(id, "INGEST", "/ingest/finalize", start)
+		ev.Stages[flight.StageDecode] = int64(js.decode)
+		ev.SetQueueWait(js.queue)
 	}
 
 	settled := false
@@ -283,11 +300,11 @@ func (sh *shard) finalize(id string, js *jobState, trigger string) {
 		}
 		srv.reg.Counter("ingest_jobs_finalized_total", "outcome", outcome, "trigger", trigger).Inc()
 		if ev != nil {
-			ev.Rows = int64(js.records)
 			if errMsg != "" {
 				ev.SetErr(errMsg)
 			}
-			ev.Finalize(status, time.Since(start))
+			ev.Finalize(status, js.queue+js.decode+time.Since(start))
+			ev.Rows = int64(js.records) // Finalize counts only timed rows
 			srv.cfg.Flight.Record(ev)
 		}
 	}
