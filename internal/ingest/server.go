@@ -64,9 +64,11 @@ type Server struct {
 	pending     atomic.Int64 // records accepted but not yet settled
 	openJobs    *obs.Gauge
 	connsActive *obs.Gauge
-	frames      func(outcome string) *obs.Counter
 	closed      atomic.Bool
 	drained     atomic.Bool
+
+	// Each ingest_frames_total outcome's series, resolved once.
+	framesOK, framesDuplicate, framesDecodeError, framesMetaShed *obs.Counter
 }
 
 // NewServer builds a server (shard goroutines start immediately; wire
@@ -95,9 +97,11 @@ func NewServer(cfg Config) (*Server, error) {
 	s.reg.Help("ingest_connections_active", "Live ingest TCP connections.")
 	s.openJobs = s.reg.Gauge("ingest_open_jobs")
 	s.connsActive = s.reg.Gauge("ingest_connections_active")
-	s.frames = func(outcome string) *obs.Counter {
+	frames := func(outcome string) *obs.Counter {
 		return s.reg.Counter("ingest_frames_total", "outcome", outcome)
 	}
+	s.framesOK, s.framesDuplicate = frames("ok"), frames("duplicate")
+	s.framesDecodeError, s.framesMetaShed = frames("decode_error"), frames("meta_shed")
 	s.depths = make([]*obs.Gauge, cfg.Shards)
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -244,7 +248,7 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) {
 	client.mu.Lock()
 	defer client.mu.Unlock()
 	if f.Seq <= client.last {
-		s.frames("duplicate").Inc()
+		s.framesDuplicate.Inc()
 		return
 	}
 
@@ -252,13 +256,13 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) {
 	case FrameMeta:
 		meta, err := ParseJobMeta(f.Payload)
 		if err != nil {
-			s.frames("decode_error").Inc()
+			s.framesDecodeError.Inc()
 		} else if !s.route(s.shardFor(meta.JobID), message{meta: meta, enqueued: time.Now()}) {
 			// A shed meta frame costs no records; the job finalizes via
 			// the idle sweep instead of its epilog.
-			s.frames("meta_shed").Inc()
+			s.framesMetaShed.Inc()
 		} else {
-			s.frames("ok").Inc()
+			s.framesOK.Inc()
 		}
 	case FrameData:
 		n := uint64(f.Records)
@@ -267,7 +271,7 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) {
 			// The header's claimed count is the ledger truth for a frame
 			// whose payload cannot be trusted: received and dropped in
 			// the router slot, conserved either way.
-			s.frames("decode_error").Inc()
+			s.framesDecodeError.Inc()
 			s.ledger.Received(routerShard, n)
 			s.ledger.Dropped(routerShard, ReasonDecode, n)
 			break
@@ -276,15 +280,15 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) {
 		s.ledger.Received(shardID, n)
 		now := time.Now()
 		if s.route(shardID, message{chunk: chunk, decode: now.Sub(start), enqueued: now}) {
-			s.frames("ok").Inc()
+			s.framesOK.Inc()
 			s.pending.Add(int64(n))
 		} else {
-			s.frames("ok").Inc()
+			s.framesOK.Inc()
 			s.ledger.Dropped(shardID, ReasonQueueFull, n)
 		}
 	default:
 		// Hello mid-stream or a stray ack: protocol noise, not records.
-		s.frames("decode_error").Inc()
+		s.framesDecodeError.Inc()
 	}
 	client.last = f.Seq
 }
