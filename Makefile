@@ -142,11 +142,12 @@ bench:
 # caller-owned posterior, to that one allocation per row (two through
 # JobClassifier, which also copies the row to scale it). The JSON body
 # scanners -- a single row, the rows form and the columns form -- are
-# held to the body plus the rows they fill and their seen flags, and the
-# ingest chunk codec to a fixed budget per call.
+# held to the body plus the rows they fill and their seen flags, the
+# ingest chunk codec to a fixed budget per call, and the ingest wire to
+# no allocation per sent frame and only the Frame per frame read.
 alloc-gate:
 	$(GO) test -count=1 -run 'TestAlloc' -v ./internal/ml/compile ./internal/ml/ensemble \
-		./internal/core ./internal/server ./internal/taccstats
+		./internal/core ./internal/server ./internal/taccstats ./internal/ingest
 
 # The flight-recorder overhead ratchet: benchmarks the full serving
 # path with the recorder armed vs disarmed and fails when the armed

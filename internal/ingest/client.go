@@ -30,6 +30,9 @@ const (
 	dialTimeout = 5 * time.Second
 	// retryBackoff is the pause between reconnect attempts.
 	retryBackoff = 20 * time.Millisecond
+	// maxReusedFrame bounds the frame buffers an ack returns for reuse,
+	// so one outsized chunk does not pin its buffer for the client's life.
+	maxReusedFrame = 64 << 10
 )
 
 // pendingFrame is an unacknowledged frame the client must be able to
@@ -57,6 +60,7 @@ type Client struct {
 	nextSeq   uint64
 	acked     uint64
 	unacked   []pendingFrame
+	free      [][]byte // acknowledged frames' buffers, for reuse
 	closed    bool
 
 	framesSent   atomic.Uint64
@@ -100,10 +104,11 @@ func (c *Client) SendMeta(ctx context.Context, m *JobMeta) error {
 	if err != nil {
 		return err
 	}
-	return c.send(ctx, FrameMeta, 0, payload)
+	return c.send(ctx, FrameMeta, 0, append(c.frameBuffer(), payload...))
 }
 
-// SendChunk ships a run of one node's samples for one job.
+// SendChunk ships a run of one node's samples for one job, encoded
+// straight into a frame buffer.
 func (c *Client) SendChunk(ctx context.Context, chunk *taccstats.Chunk) error {
 	if len(chunk.Samples) == 0 {
 		return fmt.Errorf("ingest: refusing to send empty chunk")
@@ -111,19 +116,35 @@ func (c *Client) SendChunk(ctx context.Context, chunk *taccstats.Chunk) error {
 	if len(chunk.Samples) > 0xFFFF {
 		return fmt.Errorf("ingest: chunk of %d samples exceeds the frame record limit", len(chunk.Samples))
 	}
-	payload, err := taccstats.EncodeChunk(chunk)
+	frame, err := taccstats.AppendChunk(c.frameBuffer(), chunk)
 	if err != nil {
 		return err
 	}
-	if len(payload) > DefaultMaxPayload {
-		return fmt.Errorf("ingest: encoded chunk of %d bytes exceeds max payload %d", len(payload), DefaultMaxPayload)
+	if n := len(frame) - headerSize; n > DefaultMaxPayload {
+		return fmt.Errorf("ingest: encoded chunk of %d bytes exceeds max payload %d", n, DefaultMaxPayload)
 	}
-	return c.send(ctx, FrameData, uint16(len(chunk.Samples)), payload)
+	return c.send(ctx, FrameData, uint16(len(chunk.Samples)), frame)
 }
 
-// send enqueues one frame and pumps the connection until the frame is
-// at least written (acks drain asynchronously; Flush waits for them).
-func (c *Client) send(ctx context.Context, ftype byte, records uint16, payload []byte) error {
+// frameBuffer returns a buffer holding a frame header's worth of room,
+// for the payload to be appended behind: an acknowledged frame's buffer
+// when one is free.
+func (c *Client) frameBuffer() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.free)
+	if n == 0 {
+		return make([]byte, headerSize)
+	}
+	buf := c.free[n-1]
+	c.free = c.free[:n-1]
+	return buf[:headerSize]
+}
+
+// send seals frame, a header's room and its payload, as the next
+// sequence number, enqueues it and pumps the connection until the frame
+// is at least written (acks drain asynchronously; Flush waits for them).
+func (c *Client) send(ctx context.Context, ftype byte, records uint16, frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -137,8 +158,8 @@ func (c *Client) send(ctx context.Context, ftype byte, records uint16, payload [
 		}
 	}
 	c.nextSeq++
-	f := Frame{Type: ftype, Records: records, Seq: c.nextSeq, Payload: payload}
-	c.unacked = append(c.unacked, pendingFrame{seq: f.Seq, buf: AppendFrame(nil, &f), records: uint64(records)})
+	sealFrame(frame, ftype, records, c.nextSeq)
+	c.unacked = append(c.unacked, pendingFrame{seq: c.nextSeq, buf: frame, records: uint64(records)})
 	c.recordsSent.Add(uint64(records))
 	return c.writeUnsentLocked(ctx)
 }
@@ -263,8 +284,11 @@ func (c *Client) connectLocked(ctx context.Context) error {
 // readAcks consumes cumulative acks until the connection dies; it
 // owns no frames, only the acked watermark.
 func (c *Client) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
+	var buf []byte
 	for {
-		f, err := ReadFrame(br, DefaultMaxPayload)
+		var f *Frame
+		var err error
+		f, buf, err = readFrame(br, DefaultMaxPayload, buf)
 		c.mu.Lock()
 		if c.readerGen != gen {
 			c.mu.Unlock()
@@ -282,7 +306,8 @@ func (c *Client) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
 	}
 }
 
-// ackLocked advances the watermark and prunes the replay buffer.
+// ackLocked advances the watermark, prunes the replay buffer and frees
+// the acknowledged frames' buffers for reuse.
 func (c *Client) ackLocked(seq uint64) {
 	if seq <= c.acked && c.acked != 0 {
 		return
@@ -294,10 +319,14 @@ func (c *Client) ackLocked(seq uint64) {
 	for _, p := range c.unacked {
 		if p.seq <= c.acked {
 			c.recordsAcked.Add(p.records)
+			if cap(p.buf) <= maxReusedFrame {
+				c.free = append(c.free, p.buf)
+			}
 		} else {
 			keep = append(keep, p)
 		}
 	}
+	clear(c.unacked[len(keep):]) // the freed buffers belong to c.free now
 	c.unacked = keep
 }
 

@@ -12,16 +12,18 @@
 //
 // holds exactly after a drain, under fault injection, at any shard
 // count. The wire protocol makes the client side of the join exact too:
-// every frame is acknowledged with a cumulative sequence number, frames
-// are deduplicated server-side by (client, seq), and a client that
-// retries until acked therefore knows that acked == received with no
-// double counting.
+// every frame is covered by a cumulative acknowledgement (one per read
+// of the server's connection buffer, not one per frame), frames are
+// deduplicated server-side by (client, seq), and a client that retries
+// until acked therefore knows that acked == received with no double
+// counting.
 package ingest
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
@@ -36,12 +38,18 @@ const (
 	FrameAck   = byte(4)
 )
 
-// frameMagic opens every frame ("SRM1": SUPReMM wire, version 1).
-const frameMagic = uint32(0x53524D31)
+// frameMagic opens every frame ("SRM2": SUPReMM wire, version 2, whose
+// frames carry a CRC-32C; version 1's carried an FNV-1a sum, and its
+// frames now fail with ErrBadMagic).
+const frameMagic = uint32(0x53524D32)
 
 // headerSize is the fixed frame header length in bytes:
-// magic(4) type(1) reserved(1) records(2) length(4) seq(8) sum(8).
-const headerSize = 28
+// magic(4) type(1) reserved(1) records(2) length(4) seq(8) sum(4).
+const headerSize = 24
+
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the
+// CPU's CRC instruction where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DefaultMaxPayload bounds a frame payload. A chunk of a few hundred
 // samples encodes in tens of KiB; 1 MiB leaves generous headroom while
@@ -69,28 +77,25 @@ type Frame struct {
 	Payload []byte
 }
 
-// fnv64a hashes the payload (FNV-1a, the repo's standard digest).
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // AppendFrame appends the encoded frame to dst and returns the result.
 func AppendFrame(dst []byte, f *Frame) []byte {
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], frameMagic)
-	hdr[4] = f.Type
-	hdr[5] = 0
-	binary.BigEndian.PutUint16(hdr[6:8], f.Records)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(f.Payload)))
-	binary.BigEndian.PutUint64(hdr[12:20], f.Seq)
-	binary.BigEndian.PutUint64(hdr[20:28], fnv64a(f.Payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, f.Payload...)
+	start := len(dst)
+	dst = append(append(dst, make([]byte, headerSize)...), f.Payload...)
+	sealFrame(dst[start:], f.Type, f.Records, f.Seq)
+	return dst
+}
+
+// sealFrame writes the header of the frame b holds, whose payload is
+// everything after its first headerSize bytes. A sender can so build the
+// payload in place, behind a reserved header, and seal it last.
+func sealFrame(b []byte, typ byte, records uint16, seq uint64) {
+	binary.BigEndian.PutUint32(b[0:4], frameMagic)
+	b[4] = typ
+	b[5] = 0
+	binary.BigEndian.PutUint16(b[6:8], records)
+	binary.BigEndian.PutUint32(b[8:12], uint32(len(b)-headerSize))
+	binary.BigEndian.PutUint64(b[12:20], seq)
+	binary.BigEndian.PutUint32(b[20:24], crc32.Checksum(b[headerSize:], castagnoli))
 }
 
 // WriteFrame encodes and writes one frame.
@@ -108,48 +113,63 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // frames; any other failure wraps one of the framing errors or the
 // underlying read error.
 func ReadFrame(r io.Reader, maxPayload int) (*Frame, error) {
+	f, _, err := readFrame(r, maxPayload, nil)
+	return f, err
+}
+
+// readFrame is ReadFrame reading the frame into buf, which it grows when
+// the frame needs more room and returns for the next call. The frame's
+// Payload is then a slice of buf, valid until buf is reused: whatever a
+// caller keeps of it, it copies.
+func readFrame(r io.Reader, maxPayload int, buf []byte) (*Frame, []byte, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	var hdr [headerSize]byte
+	if cap(buf) < headerSize {
+		buf = make([]byte, headerSize)
+	}
+	hdr := buf[:headerSize]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return nil, buf, io.EOF
 		}
-		return nil, fmt.Errorf("ingest: reading frame header: %w", err)
+		return nil, buf, fmt.Errorf("ingest: reading frame header: %w", err)
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return nil, fmt.Errorf("ingest: reading frame header: %w", errShort(err))
+		return nil, buf, fmt.Errorf("ingest: reading frame header: %w", errShort(err))
 	}
 	if got := binary.BigEndian.Uint32(hdr[0:4]); got != frameMagic {
-		return nil, fmt.Errorf("%w: 0x%08x", ErrBadMagic, got)
+		return nil, buf, fmt.Errorf("%w: 0x%08x", ErrBadMagic, got)
 	}
 	f := &Frame{Type: hdr[4]}
 	switch f.Type {
 	case FrameHello, FrameData, FrameMeta, FrameAck:
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, f.Type)
+		return nil, buf, fmt.Errorf("%w: %d", ErrBadType, f.Type)
 	}
 	if hdr[5] != 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadReserved, hdr[5])
+		return nil, buf, fmt.Errorf("%w: %d", ErrBadReserved, hdr[5])
 	}
 	f.Records = binary.BigEndian.Uint16(hdr[6:8])
 	length := binary.BigEndian.Uint32(hdr[8:12])
 	if int64(length) > int64(maxPayload) {
-		return nil, fmt.Errorf("%w: %d > %d", ErrOversized, length, maxPayload)
+		return nil, buf, fmt.Errorf("%w: %d > %d", ErrOversized, length, maxPayload)
 	}
 	f.Seq = binary.BigEndian.Uint64(hdr[12:20])
-	sum := binary.BigEndian.Uint64(hdr[20:28])
+	sum := binary.BigEndian.Uint32(hdr[20:24])
 	if length > 0 {
-		f.Payload = make([]byte, length)
+		if n := headerSize + int(length); cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		f.Payload = buf[headerSize : headerSize+int(length)]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return nil, fmt.Errorf("ingest: reading frame payload: %w", errShort(err))
+			return nil, buf, fmt.Errorf("ingest: reading frame payload: %w", errShort(err))
 		}
 	}
-	if got := fnv64a(f.Payload); got != sum {
-		return nil, fmt.Errorf("%w: got 0x%016x want 0x%016x", ErrChecksum, got, sum)
+	if got := crc32.Checksum(f.Payload, castagnoli); got != sum {
+		return nil, buf, fmt.Errorf("%w: got 0x%08x want 0x%08x", ErrChecksum, got, sum)
 	}
-	return f, nil
+	return f, buf, nil
 }
 
 // errShort normalizes a mid-frame EOF to ErrUnexpectedEOF so callers

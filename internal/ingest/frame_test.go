@@ -1,12 +1,19 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"maps"
+	"net"
+	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/taccstats"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -194,4 +201,235 @@ func TestLedgerCheckDetectsImbalance(t *testing.T) {
 	if err := l2.Snapshot().Check(0); err == nil {
 		t.Fatal("per-shard imbalance must fail Check")
 	}
+}
+
+// srm1Frame encodes f in the retired SRM1 layout: a 28-byte header
+// ending in the payload's 64-bit FNV-1a.
+func srm1Frame(f *Frame) []byte {
+	b := make([]byte, 28, 28+len(f.Payload))
+	binary.BigEndian.PutUint32(b[0:4], 0x53524D31)
+	b[4] = f.Type
+	binary.BigEndian.PutUint16(b[6:8], f.Records)
+	binary.BigEndian.PutUint32(b[8:12], uint32(len(f.Payload)))
+	binary.BigEndian.PutUint64(b[12:20], f.Seq)
+	binary.BigEndian.PutUint64(b[20:28], fnv64a(f.Payload))
+	return append(b, f.Payload...)
+}
+
+// TestFrameChecksumIsCRC32C pins the SRM2 header: its sum is the
+// payload's CRC-32C (the standard check value for "123456789" is
+// 0xE3069283), an SRM1 frame is refused by its magic, and a flip of any
+// bit of the sum is caught.
+func TestFrameChecksumIsCRC32C(t *testing.T) {
+	f := &Frame{Type: FrameData, Records: 9, Seq: 1, Payload: []byte("123456789")}
+	raw := AppendFrame(nil, f)
+	if len(raw) != headerSize+len(f.Payload) || headerSize != 24 || string(raw[:4]) != "SRM2" {
+		t.Fatalf("frame %q: want the 24-byte SRM2 header, then the payload", raw)
+	}
+	if got := binary.BigEndian.Uint32(raw[20:24]); got != 0xE3069283 {
+		t.Fatalf("header sum 0x%08x, want crc32c(\"123456789\") = 0xE3069283", got)
+	}
+	if _, err := ReadFrame(bytes.NewReader(srm1Frame(f)), 0); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("an SRM1 frame read as %v, want ErrBadMagic", err)
+	}
+	for bit := 0; bit < 32; bit++ {
+		b := bytes.Clone(raw)
+		b[20+bit/8] ^= 1 << (bit % 8)
+		if _, err := ReadFrame(bytes.NewReader(b), 0); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("sum bit %d flipped: %v, want ErrChecksum", bit, err)
+		}
+	}
+}
+
+// TestDecodedFramesCopyTheBuffer feeds a server a client's hello, meta
+// and data frames read into one buffer, and scribbles over the buffer
+// after each frame, as the next frame's read would. Whatever the server
+// keeps of a frame -- the client's id, the meta, the decoded chunk, by
+// the scanner or, for one host's CRLF payloads, the archive decoder --
+// must be its own copy: every job still summarizes exactly as the batch
+// pipeline does and carries its meta.
+func TestDecodedFramesCopyTheBuffer(t *testing.T) {
+	h := newHarness(t, Config{Shards: 2})
+	jobs := genTestJobs(t, 29, 3, 2, 3000)
+	var stream bytes.Buffer
+	stream.Write(AppendFrame(nil, &Frame{Type: FrameHello, Payload: []byte("scribble-client")}))
+	seq, crlf := uint64(0), 0
+	add := func(f *Frame) {
+		seq++
+		f.Seq = seq
+		stream.Write(AppendFrame(nil, f))
+	}
+	for _, tj := range jobs {
+		meta, err := tj.meta.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(&Frame{Type: FrameMeta, Payload: meta})
+		for ni := range tj.arch.Nodes {
+			node := &tj.arch.Nodes[ni]
+			for off := 0; off < len(node.Samples); off += 8 {
+				samples := node.Samples[off:min(off+8, len(node.Samples))]
+				payload, err := taccstats.EncodeChunk(&taccstats.Chunk{JobID: tj.arch.JobID, Host: node.Host, Samples: samples})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ni == 1 {
+					payload = bytes.ReplaceAll(payload, []byte("\n"), []byte("\r\n"))
+					crlf++
+				}
+				add(&Frame{Type: FrameData, Records: uint16(len(samples)), Payload: payload})
+			}
+		}
+	}
+	if crlf == 0 {
+		t.Fatal("no job has a second host to send in CRLF form")
+	}
+
+	scribble := func(buf []byte) {
+		for i := range buf[:cap(buf)] {
+			buf[:cap(buf)][i] = 0xA5
+		}
+	}
+	client, buf := h.srv.hello(&stream, nil)
+	if client == nil {
+		t.Fatal("the hello was refused")
+	}
+	for {
+		scribble(buf)
+		f, b, err := readFrame(&stream, 0, buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = b
+		h.srv.processFrame(client, f, time.Now())
+	}
+	h.srv.mu.Lock()
+	_, ok := h.srv.clients["scribble-client"]
+	h.srv.mu.Unlock()
+	if !ok || client.last != seq {
+		t.Fatalf("client state under its id: %v, at seq %d; want it at %d", ok, client.last, seq)
+	}
+	st := h.drainAndCheck()
+	if want := totalRecords(jobs); st.Ledger.Summarized != want {
+		t.Fatalf("summarized %d records, sent %d: %+v", st.Ledger.Summarized, want, st.Ledger)
+	}
+	cfg := taccstats.DefaultConfig()
+	for _, tj := range jobs {
+		rec, ok := lookup(h.sink, tj.meta.JobID)
+		if !ok {
+			t.Fatalf("job %s missing from warehouse", tj.meta.JobID)
+		}
+		if !reflect.DeepEqual(rec.Summary, refSummary(t, tj.arch, cfg)) || rec.User != tj.meta.User || rec.Submit != tj.meta.Submit {
+			t.Fatalf("job %s: record diverged from what its frames carried: %+v", tj.meta.JobID, rec)
+		}
+	}
+}
+
+// TestAllocFrameRoundTrip pins the wire's per-frame allocations. Once a
+// window of frames is acknowledged, SendChunk encodes into a freed frame
+// buffer and allocates nothing at all; and the server's read of a frame
+// into its connection's buffer allocates only the Frame.
+func TestAllocFrameRoundTrip(t *testing.T) {
+	chunk := benchShapedChunk(t)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	// The peer acks the hello, then the whole first window in one ack, so
+	// every one of its frames holds a buffer when the ack frees them. From
+	// there it only reads, into one buffer, so the client's sends are all
+	// that allocates.
+	acked := make(chan net.Conn, 1)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			t.Error(err)
+			close(acked)
+			return
+		}
+		br := bufio.NewReaderSize(conn, connBufferSize)
+		ack, sink := make([]byte, headerSize), make([]byte, connBufferSize)
+		var f *Frame
+		var buf []byte
+		for i := 0; i <= clientWindow; i++ {
+			if f, buf, err = readFrame(br, 0, buf); err == nil && (i == 0 || i == clientWindow) {
+				err = writeAck(conn, ack, f.Seq)
+			}
+			if err != nil {
+				t.Error(err)
+				conn.Close()
+				close(acked)
+				return
+			}
+		}
+		acked <- conn
+		for {
+			if _, err := br.Read(sink); err != nil {
+				return
+			}
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c, err := NewClient(ClientConfig{Addr: lis.Addr().String(), ID: "alloc-client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < clientWindow; i++ {
+		if err := c.SendChunk(ctx, chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	conn, ok := <-acked
+	if !ok {
+		t.FailNow()
+	}
+	defer conn.Close()
+	if a := testing.AllocsPerRun(clientWindow/2, func() {
+		if err := c.SendChunk(ctx, chunk); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("SendChunk after an acked window: %v allocations, want 0", a)
+	}
+	closed, stop := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer stop()
+	_ = c.Close(closed) // the peer acks no more: Close gives up on the frames in flight
+
+	payload, err := taccstats.EncodeChunk(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := AppendFrame(nil, &Frame{Type: FrameData, Records: uint16(len(chunk.Samples)), Seq: 1, Payload: payload})
+	r := bytes.NewReader(raw)
+	br := bufio.NewReaderSize(r, connBufferSize)
+	var buf []byte
+	if a := testing.AllocsPerRun(100, func() {
+		r.Reset(raw)
+		br.Reset(r)
+		f, b, err := readFrame(br, 0, buf)
+		if err != nil || f.Seq != 1 || !bytes.Equal(f.Payload, payload) {
+			t.Fatalf("read %+v, %v", f, err)
+		}
+		buf = b
+	}); a != 1 {
+		t.Errorf("a frame read into a reused buffer: %v allocations, want 1 (the Frame)", a)
+	}
+}
+
+// benchShapedChunk is one node's first eight samples of a 12-hour job,
+// the chunk shape ingest-stream sends.
+func benchShapedChunk(t *testing.T) *taccstats.Chunk {
+	t.Helper()
+	tj := genTestJobs(t, 41, 1, 1, 43200)[0]
+	node := &tj.arch.Nodes[0]
+	return &taccstats.Chunk{JobID: tj.arch.JobID, Host: node.Host, Samples: node.Samples[:8]}
 }

@@ -394,6 +394,51 @@ func TestDedupAndResume(t *testing.T) {
 	}
 }
 
+// TestAcksCoalesceWithoutStalling holds the server's ack to one per
+// read of its connection buffer: frames that arrive in one write share
+// one cumulative ack. And the ack never waits on a frame that has not
+// arrived whole: with half of the next frame in, the frames before it
+// are acknowledged while the rest of it is still unwritten.
+func TestAcksCoalesceWithoutStalling(t *testing.T) {
+	h := newHarness(t, Config{Shards: 2})
+	w := dialWire(t, h.addr, "coalesce-client")
+	if got := w.ack(); got != 0 {
+		t.Fatalf("fresh client must resume at 0, got %d", got)
+	}
+	frames := func(first, n uint64) []byte {
+		var b []byte
+		for seq := first; seq < first+n; seq++ {
+			b = AppendFrame(b, validChunkFrame(t, seq, fmt.Sprint("coalesce-", seq), "c1", 1000))
+		}
+		return b
+	}
+	write := func(b []byte) {
+		t.Helper()
+		if _, err := w.conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const k, k2 = 5, 3
+	write(frames(1, k))
+	if got := w.ack(); got != k {
+		t.Fatalf("%d frames in one write: first ack %d, want a single ack of %d", k, got, k)
+	}
+	next := frames(k+k2+1, 1)
+	half := headerSize + (len(next)-headerSize)/2
+	write(append(frames(k+1, k2), next[:half]...))
+	if got := w.ack(); got != k+k2 {
+		t.Fatalf("%d whole frames and half of one: ack %d, want %d before the rest is written", k2, got, k+k2)
+	}
+	write(next[half:])
+	if got := w.ack(); got != k+k2+1 {
+		t.Fatalf("the rest of the frame: ack %d, want %d", got, k+k2+1)
+	}
+	st := h.drainAndCheck()
+	if st.Ledger.Received != 2*(k+k2+1) {
+		t.Fatalf("received %d records, sent %d", st.Ledger.Received, 2*(k+k2+1))
+	}
+}
+
 // TestCorruptFrameAccounting: a data frame whose payload fails chunk
 // decoding is conserved via its claimed header count.
 func TestCorruptFrameAccounting(t *testing.T) {

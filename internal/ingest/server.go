@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -125,6 +126,17 @@ func (s *Server) shardFor(jobID string) int {
 	return int(fnv64a([]byte(jobID)) % uint64(len(s.shards)))
 }
 
+// fnv64a hashes b (FNV-1a, the repo's standard digest). It routes jobs
+// to shards; frames carry a CRC-32C instead.
+func fnv64a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
 // Serve accepts connections on lis until Close. It returns nil after a
 // clean shutdown.
 func (s *Server) Serve(lis net.Listener) error {
@@ -160,8 +172,17 @@ func (s *Server) Serve(lis net.Listener) error {
 	}
 }
 
-// handleConn speaks the framed protocol on one connection: hello,
-// then data/meta frames each answered with a cumulative ack.
+// connBufferSize is the server's read buffer per connection. A
+// streaming client's frames arrive many to a read of it, and they share
+// one ack.
+const connBufferSize = 64 << 10
+
+// handleConn speaks the framed protocol on one connection: hello, then
+// data/meta frames, each covered by a cumulative ack. The ack waits
+// while the read buffer already holds the whole next frame, so a burst
+// of frames costs one ack; and it goes out before any read that could
+// block, so a client never waits on the ack of a frame the server has
+// processed. Every payload is read into one buffer per connection.
 func (s *Server) handleConn(conn net.Conn) {
 	s.connsActive.Inc()
 	defer s.connsActive.Dec()
@@ -171,30 +192,36 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.cfg.Log.Error("ingest.conn.panic", "remote", conn.RemoteAddr().String(), "panic", fmt.Sprint(p))
 		}
 	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	br := bufio.NewReaderSize(conn, connBufferSize)
+	ack := make([]byte, headerSize)
 
-	hello, err := ReadFrame(br, DefaultMaxPayload)
-	if err != nil || hello.Type != FrameHello || len(hello.Payload) == 0 || len(hello.Payload) > 256 {
+	client, buf := s.hello(br, nil)
+	if client == nil {
 		s.cfg.Log.Warn("ingest.conn.bad_hello", "remote", conn.RemoteAddr().String())
 		return
 	}
-	client := s.client(string(hello.Payload))
 	client.mu.Lock()
 	last := client.last
 	client.mu.Unlock()
-	if err := s.writeAck(bw, last); err != nil {
+	if err := writeAck(conn, ack, last); err != nil {
 		return
 	}
 
+	unacked := false // a frame was processed since the last ack
 	for {
+		if unacked && !frameBuffered(br) {
+			if err := writeAck(conn, ack, last); err != nil {
+				return
+			}
+			unacked = false
+		}
 		// The clock starts once the next frame's first byte is here, so a
 		// data frame's decode time never holds the wait for its client.
 		_, err := br.Peek(1)
 		start := time.Now()
 		var f *Frame
 		if err == nil {
-			f, err = ReadFrame(br, DefaultMaxPayload)
+			f, buf, err = readFrame(br, DefaultMaxPayload, buf)
 		}
 		if err != nil {
 			if err != io.EOF {
@@ -210,22 +237,37 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.cfg.Log.Debug("ingest.conn.injected", "err", err.Error())
 			return
 		}
-		s.processFrame(client, f, start)
-		client.mu.Lock()
-		last = client.last
-		client.mu.Unlock()
-		if err := s.writeAck(bw, last); err != nil {
-			return
-		}
+		last, unacked = s.processFrame(client, f, start), true
 	}
 }
 
-// writeAck sends the cumulative ack for a client's last processed seq.
-func (s *Server) writeAck(bw *bufio.Writer, seq uint64) error {
-	if err := WriteFrame(bw, &Frame{Type: FrameAck, Seq: seq}); err != nil {
-		return err
+// hello reads a connection's opening frame into buf and returns the
+// client it names, or nil when the peer opened with anything else.
+func (s *Server) hello(r io.Reader, buf []byte) (*clientState, []byte) {
+	f, buf, err := readFrame(r, DefaultMaxPayload, buf)
+	if err != nil || f.Type != FrameHello || len(f.Payload) == 0 || len(f.Payload) > 256 {
+		return nil, buf
 	}
-	return bw.Flush()
+	return s.client(string(f.Payload)), buf
+}
+
+// frameBuffered reports whether br already holds the whole next frame,
+// so that reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < headerSize {
+		return false
+	}
+	hdr, _ := br.Peek(headerSize)
+	return n-headerSize >= int(binary.BigEndian.Uint32(hdr[8:12]))
+}
+
+// writeAck seals the cumulative ack for a client's last processed seq
+// into ack, one header long, and writes it.
+func writeAck(conn net.Conn, ack []byte, seq uint64) error {
+	sealFrame(ack, FrameAck, 0, seq)
+	_, err := conn.Write(ack)
+	return err
 }
 
 // client returns (creating) the per-client dedup state.
@@ -243,13 +285,14 @@ func (s *Server) client(id string) *clientState {
 // processFrame accounts and routes one data or meta frame, exactly
 // once per (client, seq): replays of an already-processed sequence are
 // acked but not re-applied. start is when the frame's read began; a
-// routed chunk carries the time from there to its decode's end.
-func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) {
+// routed chunk carries the time from there to its decode's end. It
+// returns the client's last processed seq, the ack that covers f.
+func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) uint64 {
 	client.mu.Lock()
 	defer client.mu.Unlock()
 	if f.Seq <= client.last {
 		s.framesDuplicate.Inc()
-		return
+		return client.last
 	}
 
 	switch f.Type {
@@ -291,6 +334,7 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) {
 		s.framesDecodeError.Inc()
 	}
 	client.last = f.Seq
+	return f.Seq
 }
 
 // route enqueues a message on a shard without ever blocking the read

@@ -14,7 +14,7 @@ import (
 // directives followed by sample blocks), so the streamed and spooled
 // forms of a node are bit-identical. Each direction has a fast path for
 // that exact form and hands everything else to the Archive codec:
-// EncodeChunk appends into one buffer unless a sample repeats a device,
+// AppendChunk appends into one buffer unless a sample repeats a device,
 // and DecodeChunk scans the form in place (scanChunk) and gives every
 // payload it declines to Decode. Bytes, chunks and error text are
 // therefore the Archive codec's by construction.
@@ -27,21 +27,26 @@ type Chunk struct {
 // EncodeChunk renders a chunk in the archive text format. The result is
 // exactly what Archive.Encode writes for a one-node archive holding
 // these samples.
-func EncodeChunk(c *Chunk) ([]byte, error) {
+func EncodeChunk(c *Chunk) ([]byte, error) { return AppendChunk(nil, c) }
+
+// AppendChunk appends EncodeChunk's bytes for c to dst and returns the
+// extended buffer, so a caller can encode behind a header of its own
+// into a buffer it reuses.
+func AppendChunk(dst []byte, c *Chunk) ([]byte, error) {
 	if c.JobID == "" {
 		return nil, fmt.Errorf("taccstats: chunk without job id")
 	}
 	if c.Host == "" {
 		return nil, fmt.Errorf("taccstats: chunk without host")
 	}
-	if b, ok := appendChunk(c); ok {
+	if b, ok := appendChunk(dst, c); ok {
 		return b, nil
 	}
 	a := &Archive{JobID: c.JobID, Nodes: []NodeArchive{{
 		Host: c.Host, JobID: c.JobID, Samples: c.Samples,
 	}}}
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	buf := bytes.NewBuffer(dst)
+	if err := a.Encode(buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -51,13 +56,14 @@ func EncodeChunk(c *Chunk) ([]byte, error) {
 // through its stack index array.
 const maxSortedRecords = 32
 
-// appendChunk writes c as Archive.Encode does, into one buffer sized for
-// the longest decimal form of every number. Each sample's records go out
-// in device order through an insertion-sorted index array, which is the
-// order sort.Slice gives any set of distinct device names. It declines
-// (ok false) a sample that repeats a device, where sort.Slice alone
-// decides the bytes, or that holds more than maxSortedRecords records.
-func appendChunk(c *Chunk) ([]byte, bool) {
+// appendChunk appends c to dst as Archive.Encode writes it, growing dst
+// at most once, to room for the longest decimal form of every number.
+// Each sample's records go out in device order through an
+// insertion-sorted index array, which is the order sort.Slice gives any
+// set of distinct device names. It declines (ok false) a sample that
+// repeats a device, where sort.Slice alone decides the bytes, or that
+// holds more than maxSortedRecords records.
+func appendChunk(dst []byte, c *Chunk) ([]byte, bool) {
 	const maxIntLen = len("-9223372036854775808") // MaxUint64 has as many digits
 	n := len("%jobid \n%host \n") + len(c.JobID) + len(c.Host)
 	for i := range c.Samples {
@@ -67,7 +73,11 @@ func appendChunk(c *Chunk) ([]byte, bool) {
 			n += len(s.Records[j].Device) + 1 + (1+maxIntLen)*len(s.Records[j].Values)
 		}
 	}
-	b := make([]byte, 0, n)
+	b := dst
+	if cap(b)-len(b) < n {
+		b = make([]byte, len(dst), len(dst)+n)
+		copy(b, dst)
+	}
 	b = append(b, "%jobid "...)
 	b = append(b, c.JobID...)
 	b = append(b, "\n%host "...)

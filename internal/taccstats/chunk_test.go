@@ -129,7 +129,8 @@ func archiveBytes(tb testing.TB, c *Chunk) []byte {
 // scanChunk accepts, the archive decoder accepts as the DeepEqual chunk
 // (nil versus empty Records and Values included); and every chunk the
 // archive decoder yields encodes through EncodeChunk to exactly
-// Archive.Encode's bytes.
+// Archive.Encode's bytes, and through AppendChunk to those bytes behind
+// whatever the buffer held, with or without room for them.
 func FuzzChunkScan(f *testing.F) {
 	bench, err := EncodeChunk(benchChunk(f))
 	if err != nil {
@@ -175,8 +176,16 @@ func FuzzChunkScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded chunk failed to encode: %v", err)
 		}
-		if ref := archiveBytes(t, want); !bytes.Equal(enc, ref) {
+		ref := archiveBytes(t, want)
+		if !bytes.Equal(enc, ref) {
 			t.Fatalf("EncodeChunk diverged from Archive.Encode:\nchunk:   %q\narchive: %q", enc, ref)
+		}
+		for _, room := range []int{0, 32 * len(ref)} {
+			dst := bytes.Repeat([]byte{0xFF}, 4+room)[:4]
+			app, err := AppendChunk(dst, want)
+			if err != nil || string(app[:4]) != "\xff\xff\xff\xff" || !bytes.Equal(app[4:], ref) {
+				t.Fatalf("AppendChunk with %d bytes of room = %q, %v; want 4 bytes of prefix, then %q", room, app, err, ref)
+			}
 		}
 	})
 }
@@ -236,8 +245,9 @@ func TestChunkDecodeDeclined(t *testing.T) {
 }
 
 // TestAllocChunkCodec pins the codec's allocations on a bench-shaped
-// chunk: EncodeChunk's one buffer; DecodeChunk's chunk, job id, host,
-// and one array each of samples, records and values.
+// chunk: EncodeChunk's one buffer, none for AppendChunk into a buffer it
+// grew before; DecodeChunk's chunk, job id, host, and one array each of
+// samples, records and values.
 func TestAllocChunkCodec(t *testing.T) {
 	c := benchChunk(t)
 	b, err := EncodeChunk(c)
@@ -249,6 +259,9 @@ func TestAllocChunkCodec(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { _, _ = EncodeChunk(c) }); a > 1 {
 		t.Errorf("EncodeChunk: %v allocations, want <= 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { b, _ = AppendChunk(b[:0], c) }); a != 0 {
+		t.Errorf("AppendChunk into a reused buffer: %v allocations, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() { _, _ = DecodeChunk(b) }); a > 8 {
 		t.Errorf("DecodeChunk: %v allocations, want <= 8", a)
