@@ -38,9 +38,9 @@ const (
 	FrameAck   = byte(4)
 )
 
-// frameMagic opens every frame ("SRM2": SUPReMM wire, version 2, whose
-// frames carry a CRC-32C; version 1's carried an FNV-1a sum, and its
-// frames now fail with ErrBadMagic).
+// frameMagic opens every frame ("SRM2": SUPReMM wire, version 2). A
+// version-1 peer, whose sums differ, fails with ErrBadMagic rather than
+// with a checksum mismatch.
 const frameMagic = uint32(0x53524D32)
 
 // headerSize is the fixed frame header length in bytes:
