@@ -286,9 +286,8 @@ func (c *Client) connectLocked(ctx context.Context) error {
 func (c *Client) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
 	var buf []byte
 	for {
-		var f *Frame
-		var err error
-		f, buf, err = readFrame(br, DefaultMaxPayload, buf)
+		f, b, err := readFrame(br, DefaultMaxPayload, buf)
+		buf = b
 		c.mu.Lock()
 		if c.readerGen != gen {
 			c.mu.Unlock()

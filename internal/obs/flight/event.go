@@ -58,9 +58,8 @@ type Event struct {
 	Rows       int64 `json:"rows"`       // classified rows (1 for single)
 	// Stages splits the handler's own time across the row pipeline's
 	// stages, or an ingest finalize's across decode, summarize and
-	// warehouse;
-	// what HandlerNS holds beyond their sum is the middleware, the
-	// model-view capture and whatever a refusal cut short.
+	// warehouse; what HandlerNS holds beyond their sum is the middleware,
+	// the model-view capture and whatever a refusal cut short.
 	Stages Stages `json:"stages"`
 
 	ModelGeneration uint64 `json:"modelGeneration,omitempty"`
@@ -94,7 +93,7 @@ func (e *Event) isError() bool {
 // of an ingest finalize; each indexes Stages.
 const (
 	StageRead      = iota // read the capped request body
-	StageDecode           // scan it, or decode, validate and resolve feature names; an ingested job's frames' read and decode
+	StageDecode           // scan it, or decode, validate and resolve feature names (ingest: read and decode the job's frames)
 	StageScore            // the model calls: one row, or a batch fan-out's wall time
 	StageEncode           // build and write the reply
 	StageSummarize        // combine an ingested job's per-host folds (summarize.Nodes)
