@@ -54,6 +54,7 @@ type Client struct {
 	cfg ClientConfig
 
 	mu        sync.Mutex
+	changed   sync.Cond // on mu; ackLocked and teardownLocked broadcast it
 	conn      net.Conn
 	bw        *bufio.Writer
 	readerGen int
@@ -85,7 +86,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.ID) > 256 {
 		return nil, fmt.Errorf("ingest: client id longer than 256 bytes")
 	}
-	return &Client{cfg: cfg}, nil
+	c := &Client{cfg: cfg}
+	c.changed.L = &c.mu
+	return c, nil
 }
 
 // Stats returns the counters.
@@ -152,10 +155,8 @@ func (c *Client) send(ctx context.Context, ftype byte, records uint16, frame []b
 	}
 	// Window backpressure: wait for acks before growing the replay
 	// buffer further.
-	for len(c.unacked) >= clientWindow {
-		if err := c.pumpLocked(ctx); err != nil {
-			return err
-		}
+	if err := c.drainLocked(ctx, clientWindow-1); err != nil {
+		return err
 	}
 	c.nextSeq++
 	sealFrame(frame, ftype, records, c.nextSeq)
@@ -169,15 +170,7 @@ func (c *Client) send(ctx context.Context, ftype byte, records uint16, frame []b
 func (c *Client) Flush(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.unacked) > 0 {
-		if err := c.writeUnsentLocked(ctx); err != nil {
-			return err
-		}
-		if err := c.pumpLocked(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.drainLocked(ctx, 0)
 }
 
 // Close flushes and tears the connection down.
@@ -190,15 +183,37 @@ func (c *Client) Close(ctx context.Context) error {
 	return err
 }
 
-// pumpLocked waits a beat for the reader goroutine to drain acks,
-// releasing the lock so it can make progress.
-func (c *Client) pumpLocked(ctx context.Context) error {
+// drainLocked writes every unsent frame, reconnecting when it must, and
+// waits until at most max frames are unacknowledged or ctx expires. An
+// ack wakes it to look again; a teardown, to reconnect and replay.
+func (c *Client) drainLocked(ctx context.Context, max int) error {
+	for len(c.unacked) > max {
+		if err := c.writeUnsentLocked(ctx); err != nil {
+			return err
+		}
+		if len(c.unacked) <= max {
+			return nil
+		}
+		if err := c.waitLocked(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// waitLocked releases the lock until the next ack or teardown, or until
+// ctx ends.
+func (c *Client) waitLocked(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c.mu.Unlock()
-	time.Sleep(2 * time.Millisecond)
-	c.mu.Lock()
+	stop := context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		c.changed.Broadcast()
+		c.mu.Unlock()
+	})
+	c.changed.Wait()
+	stop()
 	return ctx.Err()
 }
 
@@ -327,6 +342,7 @@ func (c *Client) ackLocked(seq uint64) {
 	}
 	clear(c.unacked[len(keep):]) // the freed buffers belong to c.free now
 	c.unacked = keep
+	c.changed.Broadcast()
 }
 
 // teardownLocked closes the connection; the replay buffer survives.
@@ -336,6 +352,7 @@ func (c *Client) teardownLocked() {
 		c.conn, c.bw = nil, nil
 	}
 	c.readerGen++ // orphan any reader still blocked in ReadFrame
+	c.changed.Broadcast()
 }
 
 // backoffLocked sleeps the retry pause without holding the lock.
