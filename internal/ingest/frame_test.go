@@ -10,9 +10,12 @@ import (
 	"maps"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/apps"
+	"repro/internal/rng"
 	"repro/internal/taccstats"
 )
 
@@ -422,6 +425,58 @@ func TestAllocFrameRoundTrip(t *testing.T) {
 		buf = b
 	}); a != 1 {
 		t.Errorf("a frame read into a reused buffer: %v allocations, want 1 (the Frame)", a)
+	}
+}
+
+// TestAllocIngestFrame pins a data frame's steady-state cost on the
+// server: its read into the connection's buffer, its decode into a
+// recycled chunk, its route to a shard and the shard's fold of it
+// allocate only the Frame. The frames carry eight samples each of one
+// host of one long job, whose fold stays open throughout; each run waits
+// until the shard has taken the frame, so the chunk is back in the pool
+// before the next decode.
+func TestAllocIngestFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation; the alloc gate runs without -race")
+	}
+	const runs, perFrame, jobID = 100, 8, "alloc-job"
+	h := newHarness(t, Config{Shards: 2})
+	draw := apps.Catalog()[0].Sig.Draw(rng.New(11))
+	draw.WallSeconds = 600 * perFrame * (runs + 2)
+	arch := taccstats.Collect(taccstats.DefaultConfig(), taccstats.JobInfo{ID: jobID, Start: 1_400_000_000, Hosts: []string{"c401-001"}}, draw, rng.New(12))
+	samples := arch.Nodes[0].Samples
+	var stream []byte
+	frames := 0
+	for ; frames <= runs; frames++ {
+		chunk := &taccstats.Chunk{JobID: jobID, Host: arch.Nodes[0].Host, Samples: samples[frames*perFrame : (frames+1)*perFrame]}
+		payload, err := taccstats.EncodeChunk(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = AppendFrame(stream, &Frame{Type: FrameData, Records: perFrame, Seq: uint64(frames + 1), Payload: payload})
+	}
+	client := h.srv.client("alloc-client")
+	sh := h.srv.shards[h.srv.shardFor(jobID)]
+	br := bufio.NewReaderSize(bytes.NewReader(stream), connBufferSize)
+	var buf []byte
+	if a := testing.AllocsPerRun(runs, func() {
+		f, b, err := readFrame(br, 0, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = b
+		if last := h.srv.processFrame(client, f, time.Now()); last != f.Seq {
+			t.Fatalf("frame %d: processed through %d", f.Seq, last)
+		}
+		for len(sh.q) > 0 {
+			runtime.Gosched()
+		}
+	}); a > 1 {
+		t.Errorf("a data frame's read, decode, route and fold: %v allocations, want at most 1 (the Frame)", a)
+	}
+	st := h.drainAndCheck()
+	if want := uint64(frames * perFrame); st.Ledger.Received != want || st.Ledger.Summarized != want {
+		t.Fatalf("want all %d records received and summarized: %+v", want, st.Ledger)
 	}
 }
 

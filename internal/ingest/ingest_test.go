@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -71,6 +72,17 @@ func genTestJobs(t *testing.T, seed uint64, n, maxHosts int, wallCap float64) []
 		})
 	}
 	return out
+}
+
+// find returns the first record of the named device within a sample,
+// or nil.
+func find(s *taccstats.Sample, device string) *taccstats.Record {
+	for i := range s.Records {
+		if s.Records[i].Device == device {
+			return &s.Records[i]
+		}
+	}
+	return nil
 }
 
 // totalRecords sums the workload's exact record count.
@@ -439,6 +451,90 @@ func TestAcksCoalesceWithoutStalling(t *testing.T) {
 	}
 }
 
+// TestInterleavedJobsRecycleChunks feeds a server one connection's
+// frames of two multi-host jobs, the jobs' chunks alternating, and lets
+// the shards take each frame before the next is read. On one processor
+// the pool then hands every frame the chunk the frame before left, of
+// the other job, while both jobs' host folds are open. Both jobs must
+// still summarize exactly as the batch pipeline does. (Under -race a
+// shard that gave its chunk back before its last read of it is also a
+// reported race.)
+func TestInterleavedJobsRecycleChunks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	h := newHarness(t, Config{Shards: 2})
+	var pair []*testJob
+	for _, tj := range genTestJobs(t, 37, 12, 3, 6000) {
+		if len(tj.arch.Nodes) >= 2 && len(pair) < 2 {
+			pair = append(pair, tj)
+		}
+	}
+	if len(pair) < 2 {
+		t.Fatal("fewer than two generated jobs have two hosts")
+	}
+	// frames lists a job's data frames of two samples each, round-robin
+	// over its hosts.
+	frames := func(tj *testJob) []*Frame {
+		var out []*Frame
+		for off := 0; ; off += 2 {
+			n := len(out)
+			for ni := range tj.arch.Nodes {
+				node := &tj.arch.Nodes[ni]
+				if off >= len(node.Samples) {
+					continue
+				}
+				samples := node.Samples[off:min(off+2, len(node.Samples))]
+				payload, err := taccstats.EncodeChunk(&taccstats.Chunk{JobID: tj.arch.JobID, Host: node.Host, Samples: samples})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, &Frame{Type: FrameData, Records: uint16(len(samples)), Payload: payload})
+			}
+			if len(out) == n {
+				return out
+			}
+		}
+	}
+	var stream []*Frame
+	for _, tj := range pair {
+		meta, err := tj.meta.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, &Frame{Type: FrameMeta, Payload: meta})
+	}
+	a, b := frames(pair[0]), frames(pair[1])
+	for i := 0; i < max(len(a), len(b)); i++ {
+		for _, list := range [][]*Frame{a, b} {
+			if i < len(list) {
+				stream = append(stream, list[i])
+			}
+		}
+	}
+	client := h.srv.client("interleave-client")
+	for i, f := range stream {
+		f.Seq = uint64(i + 1)
+		h.srv.processFrame(client, f, time.Now())
+		for _, sh := range h.srv.shards {
+			for len(sh.q) > 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	st := h.drainAndCheck()
+	if want := pair[0].records + pair[1].records; st.Ledger.Summarized != want {
+		t.Fatalf("summarized %d records, sent %d: %+v", st.Ledger.Summarized, want, st.Ledger)
+	}
+	for _, tj := range pair {
+		rec, ok := lookup(h.sink, tj.meta.JobID)
+		if !ok {
+			t.Fatalf("job %s missing from warehouse", tj.meta.JobID)
+		}
+		if !reflect.DeepEqual(rec.Summary, refSummary(t, tj.arch, taccstats.DefaultConfig())) {
+			t.Fatalf("job %s: streamed summary diverged from batch summary", tj.meta.JobID)
+		}
+	}
+}
+
 // TestCorruptFrameAccounting: a data frame whose payload fails chunk
 // decoding is conserved via its claimed header count.
 func TestCorruptFrameAccounting(t *testing.T) {
@@ -509,7 +605,7 @@ func TestBackwardsCounterDropsNode(t *testing.T) {
 		t.Fatal("no generated job has two hosts and three samples")
 	}
 	bad := &tj.arch.Nodes[0]
-	mem := bad.Samples[2].Find(taccstats.DevMem)
+	mem := find(&bad.Samples[2], taccstats.DevMem)
 	mem.Values = append([]uint64(nil), mem.Values...)
 	mem.Values[1] = 0
 

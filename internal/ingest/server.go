@@ -282,6 +282,11 @@ func (s *Server) client(id string) *clientState {
 	return c
 }
 
+// chunks recycles decoded chunks. A data frame decodes into one, and
+// whoever reads it last returns it: the shard once it has folded it,
+// processFrame when the frame is refused or shed.
+var chunks = sync.Pool{New: func() any { return new(taccstats.Chunk) }}
+
 // processFrame accounts and routes one data or meta frame, exactly
 // once per (client, seq): replays of an already-processed sequence are
 // acked but not re-applied. start is when the frame's read began; a
@@ -309,11 +314,12 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) ui
 		}
 	case FrameData:
 		n := uint64(f.Records)
-		chunk, err := taccstats.DecodeChunk(f.Payload)
-		if err != nil || uint64(len(chunk.Samples)) != n {
+		chunk := chunks.Get().(*taccstats.Chunk)
+		if err := taccstats.DecodeChunkInto(chunk, f.Payload); err != nil || uint64(len(chunk.Samples)) != n {
 			// The header's claimed count is the ledger truth for a frame
 			// whose payload cannot be trusted: received and dropped in
 			// the router slot, conserved either way.
+			chunks.Put(chunk)
 			s.framesDecodeError.Inc()
 			s.ledger.Received(routerShard, n)
 			s.ledger.Dropped(routerShard, ReasonDecode, n)
@@ -326,6 +332,7 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) ui
 			s.framesOK.Inc()
 			s.pending.Add(int64(n))
 		} else {
+			chunks.Put(chunk)
 			s.framesOK.Inc()
 			s.ledger.Dropped(shardID, ReasonQueueFull, n)
 		}

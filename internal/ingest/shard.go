@@ -165,12 +165,17 @@ func (sh *shard) drainQueue() {
 // handle applies one message, dequeued at now, under panic isolation:
 // a shard fault (injected or real) drops the message's records into the
 // ledger instead of killing the daemon or corrupting open-job state.
+// It returns the message's chunk to the pool after its last read of it,
+// the panic log's included: the fold copies what it keeps.
 func (sh *shard) handle(msg message, now time.Time) {
 	n := msg.records()
 	defer func() {
 		if p := recover(); p != nil {
 			sh.srv.cfg.Log.Error("ingest.shard.panic", "shard", sh.id, "job", msg.jobID(), "panic", fmt.Sprint(p))
 			sh.dropMessage(n)
+		}
+		if msg.chunk != nil {
+			chunks.Put(msg.chunk)
 		}
 	}()
 	// The fault site guards the mutation: when it fires, shard state is

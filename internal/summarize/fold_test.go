@@ -43,6 +43,17 @@ func sameSummary(t *testing.T, got *Summary, gerr error, want *Summary, werr err
 	}
 }
 
+// find returns the first record of the named device within a sample,
+// or nil.
+func find(s *taccstats.Sample, device string) *taccstats.Record {
+	for i := range s.Records {
+		if s.Records[i].Device == device {
+			return &s.Records[i]
+		}
+	}
+	return nil
+}
+
 // Archive damage the fold must report exactly as Summarize does.
 const (
 	damageNone = iota
@@ -77,7 +88,7 @@ func damage(arch *taccstats.Archive, kind, k int) {
 		}
 		s.Records = kept
 	case damageBackwardsCounter:
-		rec := s.Find(taccstats.DevMem)
+		rec := find(s, taccstats.DevMem)
 		rec.Values = append([]uint64(nil), rec.Values...)
 		rec.Values[1] = 0
 	}
@@ -189,5 +200,40 @@ func TestBackwardsCounterIsIntervalError(t *testing.T) {
 	}
 	if s.Means[apps.MemBW] > 1e12 {
 		t.Fatalf("MemBW mean %v carries a wrapped delta", s.Means[apps.MemBW])
+	}
+}
+
+// TestNodeHoldsNoSample: a fold keeps nothing of the samples it is
+// given. Each sample is folded from one scratch copy that is then
+// overwritten in place, as a caller that decodes into reused arrays
+// overwrites it, and every prefix must still summarize exactly as a
+// fold over untouched samples does.
+func TestNodeHoldsNoSample(t *testing.T) {
+	arch, _ := collectFor(t, "WRF", 7, func(s *apps.Signature) {
+		s.WallLogMu, s.WallLogSigma = math.Log(3*3600), 0.01
+	})
+	n := &arch.Nodes[0]
+	want, got := &Node{Host: n.Host}, &Node{Host: n.Host}
+	var scratch taccstats.Sample
+	for i := range n.Samples {
+		s := &n.Samples[i]
+		scratch.Time, scratch.Marker = s.Time, s.Marker
+		scratch.Records = append(scratch.Records[:0], s.Records...)
+		for j := range scratch.Records {
+			scratch.Records[j].Values = append([]uint64(nil), s.Records[j].Values...)
+		}
+		want.Add(s)
+		got.Add(&scratch)
+		for j := range scratch.Records {
+			for k := range scratch.Records[j].Values {
+				scratch.Records[j].Values[k] = math.MaxUint64
+			}
+		}
+		g, gerr := Nodes(arch.JobID, []*Node{got}, false)
+		w, werr := Nodes(arch.JobID, []*Node{want}, false)
+		sameSummary(t, g, gerr, w, werr)
+	}
+	if want.Len() < 3 {
+		t.Fatalf("only %d samples: no interval follows an overwritten one", want.Len())
 	}
 }

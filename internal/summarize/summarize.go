@@ -178,30 +178,106 @@ func Nodes(jobID string, nodes []*Node, skipBad bool) (*Summary, error) {
 	return s, nil
 }
 
-// intervalRates computes the per-second metric rates over one sample pair.
-// A missing device or a 64-bit kernel counter that decreased is an error:
-// only the 48-bit PMCs wrap within a job.
-func intervalRates(prev, cur *taccstats.Sample) (rates [apps.NumMetrics]float64, dt float64, err error) {
-	dt = float64(cur.Time - prev.Time)
-	if dt <= 0 {
-		return rates, 0, fmt.Errorf("non-increasing sample times %d -> %d", prev.Time, cur.Time)
+// The devices intervalRates reads, in schema order, and the most values
+// it keeps of one (the PMC's four).
+const (
+	devCPU = iota
+	devPMC
+	devMem
+	devNet
+	devIB
+	devNFS
+	devLLite
+	devLNet
+	devBlock
+	numDevices
+	maxValues = 4
+)
+
+// deviceNames names each device index, for error text.
+var deviceNames = [numDevices]string{
+	taccstats.DevCPU, taccstats.DevPMC, taccstats.DevMem, taccstats.DevNet, taccstats.DevIB,
+	taccstats.DevNFS, taccstats.DevLLite, taccstats.DevLNet, taccstats.DevBlock,
+}
+
+// deviceIndex returns name's device index, or -1 for a device
+// intervalRates does not read.
+func deviceIndex(name string) int {
+	switch name {
+	case taccstats.DevCPU:
+		return devCPU
+	case taccstats.DevPMC:
+		return devPMC
+	case taccstats.DevMem:
+		return devMem
+	case taccstats.DevNet:
+		return devNet
+	case taccstats.DevIB:
+		return devIB
+	case taccstats.DevNFS:
+		return devNFS
+	case taccstats.DevLLite:
+		return devLLite
+	case taccstats.DevLNet:
+		return devLNet
+	case taccstats.DevBlock:
+		return devBlock
 	}
-	delta := func(dev string, idx int, pmc bool) float64 {
-		p, c := prev.Find(dev), cur.Find(dev)
-		if p == nil || c == nil || idx >= len(p.Values) || idx >= len(c.Values) {
-			err = fmt.Errorf("missing device %s[%d]", dev, idx)
+	return -1
+}
+
+// reading is the part of a sample intervalRates reads, copied out of it:
+// the time, and each device's first record's leading values. n[d] is
+// how many values that record has (0 for a missing device); vals[d]
+// holds the first maxValues of them.
+type reading struct {
+	time int64
+	n    [numDevices]int
+	vals [numDevices][maxValues]uint64
+}
+
+// read fills r from s in one pass over its records. The first record
+// of a device wins, as a lookup by name would find it.
+func (r *reading) read(s *taccstats.Sample) {
+	r.time = s.Time
+	r.n = [numDevices]int{}
+	var seen uint16
+	for i := range s.Records {
+		rec := &s.Records[i]
+		d := deviceIndex(rec.Device)
+		if d < 0 || seen&(1<<d) != 0 {
+			continue
+		}
+		seen |= 1 << d
+		r.n[d] = len(rec.Values)
+		copy(r.vals[d][:], rec.Values)
+	}
+}
+
+// intervalRates computes the per-second metric rates over one reading
+// pair. A missing device or a 64-bit kernel counter that decreased is an
+// error: only the 48-bit PMCs wrap within a job.
+func intervalRates(prev, cur *reading) (rates [apps.NumMetrics]float64, dt float64, err error) {
+	dt = float64(cur.time - prev.time)
+	if dt <= 0 {
+		return rates, 0, fmt.Errorf("non-increasing sample times %d -> %d", prev.time, cur.time)
+	}
+	delta := func(dev int, idx int, pmc bool) float64 {
+		if idx >= prev.n[dev] || idx >= cur.n[dev] {
+			err = fmt.Errorf("missing device %s[%d]", deviceNames[dev], idx)
 			return 0
 		}
-		if !pmc && c.Values[idx] < p.Values[idx] {
-			err = fmt.Errorf("counter %s[%d] went backwards", dev, idx)
+		p, c := prev.vals[dev][idx], cur.vals[dev][idx]
+		if !pmc && c < p {
+			err = fmt.Errorf("counter %s[%d] went backwards", deviceNames[dev], idx)
 			return 0
 		}
-		return float64(taccstats.CounterDelta(p.Values[idx], c.Values[idx], pmc))
+		return float64(taccstats.CounterDelta(p, c, pmc))
 	}
 
-	du := delta(taccstats.DevCPU, 0, false)
-	ds := delta(taccstats.DevCPU, 1, false)
-	di := delta(taccstats.DevCPU, 2, false)
+	du := delta(devCPU, 0, false)
+	ds := delta(devCPU, 1, false)
+	di := delta(devCPU, 2, false)
 	total := du + ds + di
 	if total > 0 {
 		rates[apps.CPUUser] = du / total
@@ -211,10 +287,10 @@ func intervalRates(prev, cur *taccstats.Sample) (rates [apps.NumMetrics]float64,
 		rates[apps.CPUIdle] = 1
 	}
 
-	cyc := delta(taccstats.DevPMC, 0, true)
-	ins := delta(taccstats.DevPMC, 1, true)
-	l1d := delta(taccstats.DevPMC, 2, true)
-	flops := delta(taccstats.DevPMC, 3, true)
+	cyc := delta(devPMC, 0, true)
+	ins := delta(devPMC, 1, true)
+	l1d := delta(devPMC, 2, true)
+	flops := delta(devPMC, 3, true)
 	if ins > 0 {
 		rates[apps.CPI] = cyc / ins
 	}
@@ -224,35 +300,37 @@ func intervalRates(prev, cur *taccstats.Sample) (rates [apps.NumMetrics]float64,
 	rates[apps.Flops] = flops / dt
 
 	// Memory footprint is a gauge: use the closing sample's reading.
-	if rec := cur.Find(taccstats.DevMem); rec != nil && len(rec.Values) > 0 {
-		rates[apps.MemUsed] = float64(rec.Values[0])
+	if cur.n[devMem] > 0 {
+		rates[apps.MemUsed] = float64(cur.vals[devMem][0])
 	}
-	rates[apps.MemBW] = delta(taccstats.DevMem, 1, false) / dt
-	rates[apps.EthTx] = delta(taccstats.DevNet, 0, false) / dt
-	rates[apps.IBRx] = delta(taccstats.DevIB, 0, false) / dt
-	rates[apps.IBTx] = delta(taccstats.DevIB, 1, false) / dt
-	rates[apps.HomeWrite] = delta(taccstats.DevNFS, 0, false) / dt
-	rates[apps.ScratchWrite] = delta(taccstats.DevLLite, 0, false) / dt
-	rates[apps.LustreTx] = delta(taccstats.DevLNet, 0, false) / dt
-	rates[apps.DiskReadIOPS] = delta(taccstats.DevBlock, 0, false) / dt
-	rates[apps.DiskReadBytes] = delta(taccstats.DevBlock, 1, false) / dt
-	rates[apps.DiskWriteBytes] = delta(taccstats.DevBlock, 2, false) / dt
+	rates[apps.MemBW] = delta(devMem, 1, false) / dt
+	rates[apps.EthTx] = delta(devNet, 0, false) / dt
+	rates[apps.IBRx] = delta(devIB, 0, false) / dt
+	rates[apps.IBTx] = delta(devIB, 1, false) / dt
+	rates[apps.HomeWrite] = delta(devNFS, 0, false) / dt
+	rates[apps.ScratchWrite] = delta(devLLite, 0, false) / dt
+	rates[apps.LustreTx] = delta(devLNet, 0, false) / dt
+	rates[apps.DiskReadIOPS] = delta(devBlock, 0, false) / dt
+	rates[apps.DiskReadBytes] = delta(devBlock, 1, false) / dt
+	rates[apps.DiskWriteBytes] = delta(devBlock, 2, false) / dt
 	return rates, dt, err
 }
 
 // Node folds one node's samples, in time order, into the per-node
 // reduction the job summary combines: time-weighted rates, the CPU-user
 // extremes CATASTROPHE reads, and the node's span. Its state is O(1) in
-// the job's length, so a streaming consumer feeds samples as they arrive
-// and a batch one walks its archive; both get the same bits. The zero
-// value with Host set is ready to use.
+// the job's length and holds no sample: it keeps the last one as a
+// fixed-size reading of the counters the rates need, so a caller may
+// reuse a sample's arrays once Add returns. A streaming consumer feeds
+// samples as they arrive and a batch one walks its archive; both get
+// the same bits. The zero value with Host set is ready to use.
 type Node struct {
 	Host string
 
-	n     int              // samples added
-	prev  taccstats.Sample // last sample added
-	start int64            // first sample's time
-	err   error            // first interval error; sticky
+	n     int     // samples added
+	prev  reading // last sample added
+	start int64   // first sample's time
+	err   error   // first interval error; sticky
 
 	sum        [apps.NumMetrics]float64 // Σ rate·dt per metric
 	dt         float64                  // Σ dt
@@ -270,18 +348,20 @@ func (nd *Node) Len() int { return nd.n }
 // Add folds the next sample. After an interval error the fold only
 // counts samples; the error is reported by the summary.
 func (nd *Node) Add(s *taccstats.Sample) {
+	var cur reading
+	cur.read(s)
 	nd.n++
 	if nd.n == 1 {
 		nd.start = s.Time
 	} else if nd.err == nil {
-		nd.interval(s)
+		nd.interval(&cur)
 	}
-	nd.prev = *s
+	nd.prev = cur
 }
 
-// interval folds the rates from the previous sample to cur, each sum in
+// interval folds the rates from the previous reading to cur, each sum in
 // interval order.
-func (nd *Node) interval(cur *taccstats.Sample) {
+func (nd *Node) interval(cur *reading) {
 	r, dt, err := intervalRates(&nd.prev, cur)
 	if err != nil {
 		nd.err = err
@@ -299,7 +379,7 @@ func (nd *Node) interval(cur *taccstats.Sample) {
 		nd.maxU = u
 	}
 	if k := len(nd.segs); k > 0 {
-		mid := float64(nd.prev.Time+cur.Time)/2 - float64(nd.start)
+		mid := float64(nd.prev.time+cur.time)/2 - float64(nd.start)
 		seg := min(max(int(mid/nd.span*float64(k)), 0), k-1)
 		for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
 			nd.segs[seg][m] += r[m] * dt
@@ -318,7 +398,7 @@ func (nd *Node) result() (nodeStats, error) {
 	if nd.err != nil {
 		return ns, nd.err
 	}
-	ns.duration = float64(nd.prev.Time - nd.start)
+	ns.duration = float64(nd.prev.time - nd.start)
 	for m := apps.MetricID(0); m < apps.NumMetrics; m++ {
 		ns.avg[m] = nd.sum[m] / nd.dt
 	}

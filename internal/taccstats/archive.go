@@ -145,16 +145,6 @@ func Decode(r io.Reader) (*Archive, error) {
 	return a, nil
 }
 
-// Find returns the record for the named device within a sample, or nil.
-func (s *Sample) Find(device string) *Record {
-	for i := range s.Records {
-		if s.Records[i].Device == device {
-			return &s.Records[i]
-		}
-	}
-	return nil
-}
-
 // CounterDelta computes cur-prev for a counter that may have rolled over.
 // pmc marks 48-bit hardware counters; 64-bit kernel counters are assumed
 // never to wrap within a job.

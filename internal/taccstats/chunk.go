@@ -15,13 +15,19 @@ import (
 // forms of a node are bit-identical. Each direction has a fast path for
 // that exact form and hands everything else to the Archive codec:
 // AppendChunk appends into one buffer unless a sample repeats a device,
-// and DecodeChunk scans the form in place (scanChunk) and gives every
-// payload it declines to Decode. Bytes, chunks and error text are
+// and DecodeChunkInto scans the form in place (scanChunk) and gives
+// every payload it declines to Decode. Bytes, chunks and error text are
 // therefore the Archive codec's by construction.
 type Chunk struct {
 	JobID   string
 	Host    string
 	Samples []Sample
+
+	// recs and vals are the arrays the last scan into the chunk cut
+	// every Records and Values slice from. DecodeChunkInto reuses them,
+	// and Samples' array.
+	recs []Record
+	vals []uint64
 }
 
 // EncodeChunk renders a chunk in the archive text format. The result is
@@ -119,17 +125,35 @@ func appendChunk(dst []byte, c *Chunk) ([]byte, bool) {
 	return b, true
 }
 
-// DecodeChunk parses a payload written by EncodeChunk. It rejects
-// payloads that do not describe exactly one node of one job, or that
-// carry no samples — a record-bearing wire frame must bear records.
+// DecodeChunk parses a payload written by EncodeChunk into a new chunk.
+// It rejects payloads that do not describe exactly one node of one job,
+// or that carry no samples — a record-bearing wire frame must bear records.
 func DecodeChunk(b []byte) (*Chunk, error) {
-	if c, ok := scanChunk(b); ok {
-		return c, nil
+	c := new(Chunk)
+	if err := DecodeChunkInto(c, b); err != nil {
+		return nil, err
 	}
-	return decodeArchiveChunk(b)
+	return c, nil
 }
 
-// decodeArchiveChunk is DecodeChunk for every payload scanChunk
+// DecodeChunkInto is DecodeChunk into c. It overwrites whatever c held,
+// on an error too, and reuses c's arrays: a payload the scanner accepts
+// allocates nothing once c has held one at least as large, nor for a
+// job id and host equal to c's. Payloads it declines go to the archive
+// decoder, which allocates.
+func DecodeChunkInto(c *Chunk, b []byte) error {
+	if scanChunk(c, b) {
+		return nil
+	}
+	a, err := decodeArchiveChunk(b)
+	if err != nil {
+		return err
+	}
+	c.JobID, c.Host, c.Samples = a.JobID, a.Host, a.Samples
+	return nil
+}
+
+// decodeArchiveChunk is DecodeChunkInto for every payload scanChunk
 // declines: the archive decoder, then the one-node checks.
 func decodeArchiveChunk(b []byte) (*Chunk, error) {
 	a, err := Decode(bytes.NewReader(b))
@@ -152,29 +176,30 @@ func decodeArchiveChunk(b []byte) (*Chunk, error) {
 	return &Chunk{JobID: a.JobID, Host: n.Host, Samples: n.Samples}, nil
 }
 
-// scanChunk parses, in place, a payload in the form EncodeChunk writes
-// and nothing wider: "%jobid <tok>\n%host <tok>\n", then sample lines
+// scanChunk parses into c, in place, a payload in the form EncodeChunk
+// writes and nothing wider: "%jobid <tok>\n%host <tok>\n", then sample lines
 // (at most 18 digits, optionally a space and one marker token), each
 // followed by its device lines (a token opening with neither a digit
 // nor '%', then single-space-separated decimal uint64s). Tokens are
 // graphic ASCII and '\n' closes every line. It declines (ok false)
 // anything else, and any payload long enough for Decode's line scanner
-// to refuse. An accepted payload yields exactly the chunk
-// decodeArchiveChunk does, down to nil Records on a sample without
-// records and non-nil empty Values on a device without values. Every
-// Record shares one Values array and every Sample one Records array,
-// each handed out capacity-capped.
-func scanChunk(b []byte) (*Chunk, bool) {
+// to refuse, leaving c overwritten in part. An accepted payload yields
+// exactly the chunk decodeArchiveChunk does, down to nil Records on a
+// sample without records and non-nil empty Values on a device without
+// values. Every Record shares one Values array and every Sample one
+// Records array, each handed out capacity-capped; all three arrays are
+// c's own when they are large enough.
+func scanChunk(c *Chunk, b []byte) bool {
 	if len(b) >= maxLine {
-		return nil, false
+		return false
 	}
 	jobID, rest, ok := scanDirective(b, "%jobid ")
 	if !ok {
-		return nil, false
+		return false
 	}
 	host, rest, ok := scanDirective(rest, "%host ")
 	if !ok || len(rest) == 0 || !isDigit(rest[0]) {
-		return nil, false
+		return false
 	}
 	// Size every array exactly: a line opening with a digit is a sample,
 	// any other a record with one value per space.
@@ -182,7 +207,7 @@ func scanChunk(b []byte) (*Chunk, bool) {
 	for lines := rest; len(lines) > 0; {
 		i := bytes.IndexByte(lines, '\n')
 		if i <= 0 {
-			return nil, false // a blank line, or no final newline
+			return false // a blank line, or no final newline
 		}
 		if isDigit(lines[0]) {
 			nSamples++
@@ -192,9 +217,16 @@ func scanChunk(b []byte) (*Chunk, bool) {
 		}
 		lines = lines[i+1:]
 	}
-	samples := make([]Sample, 0, nSamples)
-	recs := make([]Record, 0, nRecords)
-	vals := make([]uint64, 0, nValues)
+	samples, recs, vals := c.Samples[:0], c.recs[:0], c.vals[:0]
+	if cap(samples) < nSamples {
+		samples = make([]Sample, 0, nSamples)
+	}
+	if cap(recs) < nRecords {
+		recs = make([]Record, 0, nRecords)
+	}
+	if vals == nil || cap(vals) < nValues { // never nil: Values must not be
+		vals = make([]uint64, 0, nValues)
+	}
 	first := 0 // the current sample's first record
 	for len(rest) > 0 {
 		i := bytes.IndexByte(rest, '\n')
@@ -203,7 +235,7 @@ func scanChunk(b []byte) (*Chunk, bool) {
 		if isDigit(line[0]) {
 			s, ok := scanSample(line)
 			if !ok {
-				return nil, false
+				return false
 			}
 			samples = append(samples, s)
 			first = len(recs)
@@ -214,7 +246,7 @@ func scanChunk(b []byte) (*Chunk, bool) {
 			j = len(line)
 		}
 		if !isToken(line[:j]) || line[0] == '%' {
-			return nil, false
+			return false
 		}
 		dev := deviceName(line[:j])
 		v0 := len(vals)
@@ -225,21 +257,28 @@ func scanChunk(b []byte) (*Chunk, bool) {
 			for ; j < len(line) && isDigit(line[j]); j++ {
 				d := uint64(line[j] - '0')
 				if v > math.MaxUint64/10 {
-					return nil, false
+					return false
 				}
 				if v = v*10 + d; v < d {
-					return nil, false // wrapped past MaxUint64
+					return false // wrapped past MaxUint64
 				}
 			}
 			if j == start || (j < len(line) && line[j] != ' ') {
-				return nil, false
+				return false
 			}
 			vals = append(vals, v)
 		}
 		recs = append(recs, Record{Device: dev, Values: vals[v0:len(vals):len(vals)]})
 		samples[len(samples)-1].Records = recs[first:len(recs):len(recs)]
 	}
-	return &Chunk{JobID: string(jobID), Host: string(host), Samples: samples}, true
+	c.Samples, c.recs, c.vals = samples, recs, vals
+	if string(jobID) != c.JobID {
+		c.JobID = string(jobID)
+	}
+	if string(host) != c.Host {
+		c.Host = string(host)
+	}
+	return true
 }
 
 // scanDirective reads "<prefix><tok>\n" off the front of b.

@@ -125,12 +125,18 @@ func archiveBytes(tb testing.TB, c *Chunk) []byte {
 	return buf.Bytes()
 }
 
+// exported is c without the arrays a scan keeps for reuse: the chunk
+// as its consumers see it.
+func exported(c *Chunk) Chunk { return Chunk{JobID: c.JobID, Host: c.Host, Samples: c.Samples} }
+
 // FuzzChunkScan holds both fast paths to the Archive codec. Whatever
 // scanChunk accepts, the archive decoder accepts as the DeepEqual chunk
-// (nil versus empty Records and Values included); and every chunk the
-// archive decoder yields encodes through EncodeChunk to exactly
-// Archive.Encode's bytes, and through AppendChunk to those bytes behind
-// whatever the buffer held, with or without room for them.
+// (nil versus empty Records and Values included); a decode into a chunk
+// left dirty by the bench chunk gives the fresh decode's chunk or
+// error; and every chunk the archive decoder yields encodes through
+// EncodeChunk to exactly Archive.Encode's bytes, and through AppendChunk
+// to those bytes behind whatever the buffer held, with or without room
+// for them.
 func FuzzChunkScan(f *testing.F) {
 	bench, err := EncodeChunk(benchChunk(f))
 	if err != nil {
@@ -161,13 +167,23 @@ func FuzzChunkScan(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := decodeArchiveChunk(data)
-		if got, ok := scanChunk(data); ok {
+		if got := new(Chunk); scanChunk(got, data) {
 			if wantErr != nil {
 				t.Fatalf("scanChunk accepted a payload Decode refuses (%v): %q", wantErr, data)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(exported(got), exported(want)) {
 				t.Fatalf("scanChunk and Decode disagree on %q:\nscan:   %#v\ndecode: %#v", data, got, want)
 			}
+		}
+		fresh, freshErr := DecodeChunk(data)
+		dirty, err := DecodeChunk(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeChunkInto(dirty, data); (err == nil) != (freshErr == nil) || (err != nil && err.Error() != freshErr.Error()) {
+			t.Fatalf("decode into a dirty chunk: error %v, fresh decode %v", err, freshErr)
+		} else if err == nil && !reflect.DeepEqual(exported(dirty), exported(fresh)) {
+			t.Fatalf("decode into a dirty chunk diverged on %q:\ndirty: %#v\nfresh: %#v", data, dirty, fresh)
 		}
 		if wantErr != nil {
 			return
@@ -223,7 +239,7 @@ func TestChunkDecodeDeclined(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			b := []byte(c.payload)
-			if _, ok := scanChunk(b); ok {
+			if scanChunk(new(Chunk), b) {
 				t.Fatal("scanChunk accepted a non-canonical payload")
 			}
 			want, wantErr := decodeArchiveChunk(b)
@@ -254,7 +270,7 @@ func TestAllocChunkCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := scanChunk(b); !ok {
+	if !scanChunk(new(Chunk), b) {
 		t.Fatal("scanChunk declined EncodeChunk's own output")
 	}
 	if a := testing.AllocsPerRun(100, func() { _, _ = EncodeChunk(c) }); a > 1 {
@@ -265,6 +281,41 @@ func TestAllocChunkCodec(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { _, _ = DecodeChunk(b) }); a > 8 {
 		t.Errorf("DecodeChunk: %v allocations, want <= 8", a)
+	}
+}
+
+// TestAllocChunkDecodeInto: the bench-shaped payload decodes into a
+// chunk that held a larger one of the same job and host without
+// allocating, and into the chunk DecodeChunk would return.
+func TestAllocChunkDecodeInto(t *testing.T) {
+	c := benchChunk(t)
+	b, err := EncodeChunk(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	larger := *c
+	larger.Samples = append(append([]Sample(nil), c.Samples...), c.Samples...)
+	lb, err := EncodeChunk(&larger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := DecodeChunk(lb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := DecodeChunkInto(dst, b); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("DecodeChunkInto a chunk that held a larger one: %v allocations, want 0", a)
+	}
+	fresh, err := DecodeChunk(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(exported(dst), exported(fresh)) {
+		t.Fatalf("decode into a used chunk %#v, fresh %#v", dst, fresh)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestSpoolRoundTrip(t *testing.T) {
 				t.Fatal("sample header mismatch")
 			}
 			for _, rec := range ws.Records {
-				grec := gs.Find(rec.Device)
+				grec := find(&gs, rec.Device)
 				if grec == nil || !reflect.DeepEqual(grec.Values, rec.Values) {
 					t.Fatalf("device %s mismatch", rec.Device)
 				}

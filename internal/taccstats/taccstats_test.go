@@ -22,6 +22,17 @@ func testDraw(t *testing.T, name string, seed uint64) *apps.JobDraw {
 	return a.Sig.Draw(rng.New(seed))
 }
 
+// find returns the first record of the named device within a sample,
+// or nil.
+func find(s *Sample, device string) *Record {
+	for i := range s.Records {
+		if s.Records[i].Device == device {
+			return &s.Records[i]
+		}
+	}
+	return nil
+}
+
 func TestSampleTimes(t *testing.T) {
 	// start 1000, end 2500, period 600 -> ticks at 1200, 1800, 2400
 	got := sampleTimes(1000, 2500, 600)
@@ -89,7 +100,7 @@ func TestCollectCountersMonotonicExceptPMC(t *testing.T) {
 	set := NewSchemaSet(DefaultSchemas())
 	for i := 1; i < len(n.Samples); i++ {
 		for _, rec := range n.Samples[i].Records {
-			prev := n.Samples[i-1].Find(rec.Device)
+			prev := find(&n.Samples[i-1], rec.Device)
 			sch := set[rec.Device]
 			for k, key := range sch.Keys {
 				if !key.Event || key.PMC {
@@ -143,8 +154,8 @@ func TestPMCRolloverOccursOnLongJobs(t *testing.T) {
 	n := arch.Nodes[0]
 	wraps := 0
 	for i := 1; i < len(n.Samples); i++ {
-		cur := n.Samples[i].Find(DevPMC).Values[0]
-		prev := n.Samples[i-1].Find(DevPMC).Values[0]
+		cur := find(&n.Samples[i], DevPMC).Values[0]
+		prev := find(&n.Samples[i-1], DevPMC).Values[0]
 		if cur < prev {
 			wraps++
 		}
@@ -185,7 +196,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				t.Fatal("sample header mismatch")
 			}
 			for _, rec := range ws.Records {
-				grec := gs.Find(rec.Device)
+				grec := find(&gs, rec.Device)
 				if grec == nil || !reflect.DeepEqual(grec.Values, rec.Values) {
 					t.Fatalf("record %s mismatch", rec.Device)
 				}
@@ -222,8 +233,8 @@ func TestCatastropheCollapsesCPU(t *testing.T) {
 	n := arch.Nodes[0]
 	// Per-interval CPU user rate: first interval vs last interval.
 	rate := func(i int) float64 {
-		cur := n.Samples[i].Find(DevCPU)
-		prev := n.Samples[i-1].Find(DevCPU)
+		cur := find(&n.Samples[i], DevCPU)
+		prev := find(&n.Samples[i-1], DevCPU)
 		dt := float64(n.Samples[i].Time - n.Samples[i-1].Time)
 		return float64(cur.Values[0]-prev.Values[0]) / dt
 	}
