@@ -50,6 +50,12 @@ type pendingFrame struct {
 // (client, seq). After Flush returns nil, RecordsAcked() records have
 // been accepted (and accounted) by the server — the client-side anchor
 // of the conservation join.
+//
+// Its writes ride the ack clock (Nagle's rule, with no timer): while a
+// frame flushed on the connection awaits its ack, later frames collect
+// in the connection's write buffer, and that ack's arrival flushes them
+// in one write. The server acks every frame it has processed before any
+// read that could block, so that ack always comes.
 type Client struct {
 	cfg ClientConfig
 
@@ -57,6 +63,8 @@ type Client struct {
 	changed   sync.Cond // on mu; ackLocked and teardownLocked broadcast it
 	conn      net.Conn
 	bw        *bufio.Writer
+	written   uint64 // last seq written into bw on this connection
+	flushed   uint64 // last seq flushed from bw on this connection
 	readerGen int
 	nextSeq   uint64
 	acked     uint64
@@ -145,8 +153,10 @@ func (c *Client) frameBuffer() []byte {
 }
 
 // send seals frame, a header's room and its payload, as the next
-// sequence number, enqueues it and pumps the connection until the frame
-// is at least written (acks drain asynchronously; Flush waits for them).
+// sequence number, enqueues it and writes it into the connection's
+// buffer. It flushes the buffer only when no frame flushed on this
+// connection awaits its ack; otherwise the ack flushes it (readAcks).
+// A full window flushes and waits for acks, reconnecting as Flush does.
 func (c *Client) send(ctx context.Context, ftype byte, records uint16, frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -162,7 +172,7 @@ func (c *Client) send(ctx context.Context, ftype byte, records uint16, frame []b
 	sealFrame(frame, ftype, records, c.nextSeq)
 	c.unacked = append(c.unacked, pendingFrame{seq: c.nextSeq, buf: frame, records: uint64(records)})
 	c.recordsSent.Add(uint64(records))
-	return c.writeUnsentLocked(ctx)
+	return c.writeUnsentLocked(ctx, true)
 }
 
 // Flush blocks until every sent frame is acknowledged (retrying across
@@ -188,7 +198,7 @@ func (c *Client) Close(ctx context.Context) error {
 // ack wakes it to look again; a teardown, to reconnect and replay.
 func (c *Client) drainLocked(ctx context.Context, max int) error {
 	for len(c.unacked) > max {
-		if err := c.writeUnsentLocked(ctx); err != nil {
+		if err := c.writeUnsentLocked(ctx, false); err != nil {
 			return err
 		}
 		if len(c.unacked) <= max {
@@ -218,9 +228,11 @@ func (c *Client) waitLocked(ctx context.Context) error {
 }
 
 // writeUnsentLocked connects if needed and writes every frame not yet
-// written on the current connection. A write failure tears the
+// written on the current connection into its buffer, then flushes the
+// buffer, unless hold is set and a frame flushed earlier on this
+// connection is still unacknowledged. A write failure tears the
 // connection down and retries (after backoff) until ctx expires.
-func (c *Client) writeUnsentLocked(ctx context.Context) error {
+func (c *Client) writeUnsentLocked(ctx context.Context, hold bool) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -230,23 +242,24 @@ func (c *Client) writeUnsentLocked(ctx context.Context) error {
 				return err
 			}
 		}
+		// Frames go out in order, so the unsent ones are a suffix.
+		i := len(c.unacked)
+		for i > 0 && !c.unacked[i-1].sent {
+			i--
+		}
 		ok := true
-		for i := range c.unacked {
+		for ; i < len(c.unacked); i++ {
 			p := &c.unacked[i]
-			if p.sent {
-				continue
-			}
 			if _, err := c.bw.Write(p.buf); err != nil {
 				ok = false
 				break
 			}
 			p.sent = true
+			c.written = p.seq
 			c.framesSent.Add(1)
 		}
-		if ok {
-			if err := c.bw.Flush(); err != nil {
-				ok = false
-			}
+		if ok && (!hold || c.flushed <= c.acked) {
+			ok = c.flushLocked() == nil
 		}
 		if ok {
 			return nil
@@ -254,6 +267,15 @@ func (c *Client) writeUnsentLocked(ctx context.Context) error {
 		c.teardownLocked()
 		c.backoffLocked(ctx)
 	}
+}
+
+// flushLocked writes out the connection's buffer.
+func (c *Client) flushLocked() error {
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	c.flushed = c.written
+	return nil
 }
 
 // connectLocked dials, handshakes, resynchronizes the replay buffer
@@ -269,7 +291,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 			c.backoffLocked(ctx)
 			continue
 		}
-		bw := bufio.NewWriter(conn)
+		bw := bufio.NewWriterSize(conn, connBufferSize)
 		if err := WriteFrame(bw, &Frame{Type: FrameHello, Payload: []byte(c.cfg.ID)}); err == nil {
 			err = bw.Flush()
 		} else {
@@ -297,7 +319,8 @@ func (c *Client) connectLocked(ctx context.Context) error {
 }
 
 // readAcks consumes cumulative acks until the connection dies; it
-// owns no frames, only the acked watermark.
+// owns no frames, only the acked watermark. After each ack it flushes
+// the frames written since the last flush.
 func (c *Client) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
 	var buf []byte
 	for {
@@ -316,6 +339,9 @@ func (c *Client) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
 			return
 		}
 		c.ackLocked(f.Seq)
+		if c.written > c.flushed && c.flushLocked() != nil {
+			c.teardownLocked()
+		}
 		c.mu.Unlock()
 	}
 }
@@ -350,6 +376,7 @@ func (c *Client) teardownLocked() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn, c.bw = nil, nil
+		c.written, c.flushed = 0, 0
 	}
 	c.readerGen++ // orphan any reader still blocked in ReadFrame
 	c.changed.Broadcast()

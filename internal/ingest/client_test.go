@@ -3,12 +3,16 @@ package ingest
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/taccstats"
+	"repro/internal/warehouse"
 )
 
 // tinyChunk is a two-sample chunk of one job on one host.
@@ -108,5 +112,75 @@ func TestWindowFullSurvivesDisconnect(t *testing.T) {
 	}
 	if elapsed > deadline/2 {
 		t.Fatalf("the window took %v to drain", elapsed)
+	}
+}
+
+// readCounter is a listener whose connections count their Read calls.
+type readCounter struct {
+	net.Listener
+	reads atomic.Int64
+}
+
+func (l *readCounter) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countedConn{Conn: conn, reads: &l.reads}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c *countedConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+// TestClientCoalescesBehindTheAck: k back-to-back sends with no Flush
+// all reach the server's ledger within a second, the frames written
+// while the first is unacknowledged going out when its ack lands, and
+// the server reads them in fewer than k reads.
+func TestClientCoalescesBehindTheAck(t *testing.T) {
+	srv, err := NewServer(Config{Shards: 2, Sink: warehouse.NewSharded(warehouse.ShardedConfig{}), Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &readCounter{Listener: lis}
+	go srv.Serve(counted)
+	t.Cleanup(srv.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := NewClient(ClientConfig{Addr: lis.Addr().String(), ID: "coalesce-client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(ctx)
+	const k = 64
+	for i := 0; i < k; i++ {
+		if err := c.SendChunk(ctx, tinyChunk(fmt.Sprint("coalesce-", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := c.Stats().RecordsSent
+	deadline := time.Now().Add(time.Second)
+	for srv.Ledger().Snapshot().Received != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("the server received %d of %d records within a second of the last send",
+				srv.Ledger().Snapshot().Received, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if reads := counted.reads.Load(); reads >= k {
+		t.Fatalf("%d frames took %d server reads, want fewer than %d", k, reads, k)
+	} else {
+		t.Logf("%d frames in %d server reads", k, reads)
 	}
 }
