@@ -138,3 +138,43 @@ func TestIngestFaultSpecRoundTrip(t *testing.T) {
 		t.Fatalf("want 3 armed sites, got %v", sites)
 	}
 }
+
+// TestFullQueueWaitsThenSheds: routing into a full shard queue holds the
+// connection until there is room, so a burst that outruns a slow shard
+// is delivered whole; only a shard that stays full past routeWait sheds
+// the frame, as dropped{queue_full}, and the books balance either way.
+func TestFullQueueWaitsThenSheds(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		latency time.Duration
+		frames  uint64
+		shed    uint64 // records
+	}{
+		{"burst", 5 * time.Millisecond, 8, 0},
+		{"stuck", 3 * routeWait, 3, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			faults, err := resilience.ParseFaults(1, fmt.Sprintf("ingest.shard=latency:1:%s", c.latency))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newHarness(t, Config{Shards: 1, QueueDepth: 1, Faults: faults})
+			w := dialWire(t, h.addr, "full-queue-client")
+			w.ack()
+			var burst []byte
+			for seq := uint64(1); seq <= c.frames; seq++ {
+				burst = AppendFrame(burst, validChunkFrame(t, seq, fmt.Sprint("full-", seq), "c1", 1000))
+			}
+			if _, err := w.conn.Write(burst); err != nil {
+				t.Fatal(err)
+			}
+			for got := uint64(0); got < c.frames; {
+				got = w.ack()
+			}
+			st := h.drainAndCheck()
+			if st.Ledger.Received != 2*c.frames || st.Ledger.Dropped[ReasonQueueFull] != c.shed {
+				t.Fatalf("want %d records received, %d dropped{queue_full}: %+v", 2*c.frames, c.shed, st.Ledger)
+			}
+		})
+	}
+}

@@ -17,8 +17,8 @@ const (
 	// header's claimed count is what enters the ledger — a frame that
 	// lies about its contents is still conserved.
 	ReasonDecode = "decode"
-	// ReasonQueueFull: the destination shard's queue was full and the
-	// router sheds rather than blocking the accept loop.
+	// ReasonQueueFull: the destination shard's queue stayed full for
+	// the router's whole bounded wait, and it shed the frame.
 	ReasonQueueFull = "queue_full"
 	// ReasonShard: the shard faulted (injected error or isolated panic)
 	// while applying the message.

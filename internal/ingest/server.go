@@ -23,8 +23,8 @@ type Config struct {
 	// records are owned by exactly one shard for their whole life.
 	Shards int
 	// QueueDepth bounds each shard's message queue (default 1024);
-	// routing to a full queue sheds the frame's records as
-	// dropped{queue_full} rather than blocking the read loop.
+	// routing to a full queue holds the read loop up to routeWait for
+	// room, then sheds the frame's records as dropped{queue_full}.
 	QueueDepth int
 	// IdleTimeout finalizes a job whose stream has gone quiet without a
 	// complete epilog (0 disables; drains still flush everything).
@@ -344,17 +344,29 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) ui
 	return f.Seq
 }
 
-// route enqueues a message on a shard without ever blocking the read
-// loop; false means the queue was full.
+// routeWait bounds how long routing waits for room in a full shard
+// queue. A burst that outruns its shard is held back instead: the
+// connection reads no further, so its client's acks and then its writes
+// wait. Only a shard that stays full this long sheds.
+const routeWait = 100 * time.Millisecond
+
+// route enqueues a message on a shard, waiting up to routeWait while
+// its queue is full; false means the queue stayed full.
 func (s *Server) route(shardID int, msg message) bool {
 	sh := s.shards[shardID]
 	select {
 	case sh.q <- msg:
-		s.depths[shardID].Set(float64(len(sh.q)))
-		return true
 	default:
-		return false
+		t := time.NewTimer(routeWait)
+		defer t.Stop()
+		select {
+		case sh.q <- msg:
+		case <-t.C:
+			return false
+		}
 	}
+	s.depths[shardID].Set(float64(len(sh.q)))
+	return true
 }
 
 // Drain stops the wire (closing the listener) and flushes every shard:
