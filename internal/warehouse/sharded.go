@@ -17,21 +17,31 @@ type ShardedConfig struct {
 // Sharded is a concurrency-safe warehouse: the latest cut, which holds
 // every job in job-id order with its group tables, and behind one mutex
 // what arrived since. Ingest does each record's work on the writer's
-// goroutine: it finds the job's place in the cut and folds the record
-// into the live tables, which are the cut's, forked on the first write
-// after each cut. Snapshot then only copies the cut's runs around the
-// new records, so every query runs on a point-in-time, consistent cut.
+// goroutine: it finds the job's place in the cut, files the record in
+// merge order among those since the cut, and folds it into the live
+// tables, which are the cut's, forked on the first write after each
+// cut. Snapshot then only copies the cut's runs around the new records,
+// so every query runs on a point-in-time, consistent cut.
 // Only the writer holding the mutex reads or appends the tables' slot
 // maps. Records are immutable once ingested (re-ingesting a job id swaps
 // the pointer); callers must not mutate a Record after handing it over.
 type Sharded struct {
-	mu      sync.Mutex
-	last    *WarehouseSnapshot // the latest cut; its cut and tables are never written once made
-	live    *tables            // last's tables with fresh folded in; last.tables until the first write
-	stale   [len(tableDims)]bool
-	fresh   []pending      // the records ingested since last, one per job id
-	pending map[string]int // job id -> its index in fresh
+	mu    sync.Mutex
+	last  *WarehouseSnapshot // the latest cut; its cut and tables are never written once made
+	live  *tables            // last's tables with fresh folded in; last.tables until the first write
+	stale [len(tableDims)]bool
+	// fresh holds the records ingested since last, one per job id, in
+	// merge order (by place, then job id) while there are at most
+	// maxSortedFresh of them; past that, in arrival order, with pending
+	// mapping each job id to its index, and Snapshot sorts them.
+	fresh   []pending
+	pending map[string]int
 }
+
+// maxSortedFresh bounds the records Ingest keeps in merge order, so an
+// insertion moves at most this many entries however long no one takes a
+// cut.
+const maxSortedFresh = 1024
 
 // pending is a record ingested since the last cut and its place there:
 // at is the index of the first record of the cut past its job id, or of
@@ -45,7 +55,7 @@ type pending struct {
 // NewSharded returns an empty sharded warehouse.
 func NewSharded(ShardedConfig) *Sharded {
 	last := &WarehouseSnapshot{tables: &tables{}}
-	return &Sharded{last: last, live: last.tables, pending: map[string]int{}}
+	return &Sharded{last: last, live: last.tables}
 }
 
 // Ingest folds a record into the live tables; re-ingesting a job id
@@ -59,22 +69,50 @@ func (s *Sharded) Ingest(r *Record) error {
 	if s.live == s.last.tables {
 		s.live = s.last.tables.fork()
 	}
-	if k, ok := s.pending[r.JobID]; ok {
+	i, found := slices.BinarySearchFunc(s.last.cut, r.JobID, func(x *Record, id string) int {
+		return strings.Compare(x.JobID, id)
+	})
+	p := pending{r, i, found}
+	var k int
+	var again bool
+	if s.pending == nil {
+		k, again = slices.BinarySearchFunc(s.fresh, p, mergeOrder)
+	} else {
+		k, again = s.pending[r.JobID]
+	}
+	if again {
 		s.live.replace(s.fresh[k].r, r, &s.stale)
 		s.fresh[k].r = r
 		return nil
 	}
-	i, found := slices.BinarySearchFunc(s.last.cut, r.JobID, func(x *Record, id string) int {
-		return strings.Compare(x.JobID, id)
-	})
 	if found {
 		s.live.replace(s.last.cut[i], r, &s.stale)
 	} else {
 		s.live.add(r)
 	}
+	switch {
+	case s.pending == nil && len(s.fresh) < maxSortedFresh:
+		s.fresh = slices.Insert(s.fresh, k, p)
+		return nil
+	case s.pending == nil:
+		s.pending = make(map[string]int, 2*len(s.fresh))
+		for j := range s.fresh {
+			s.pending[s.fresh[j].r.JobID] = j
+		}
+	}
 	s.pending[r.JobID] = len(s.fresh)
-	s.fresh = append(s.fresh, pending{r, i, found})
+	s.fresh = append(s.fresh, p)
 	return nil
+}
+
+// mergeOrder orders records since a cut as the merge takes them: by
+// place, then job id, so the new ids bound for one place come before the
+// replacement of the job there.
+func mergeOrder(a, b pending) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return strings.Compare(a.r.JobID, b.r.JobID)
 }
 
 // Len returns the number of ingested jobs, new ones not yet cut
@@ -94,14 +132,10 @@ func (s *Sharded) Snapshot() *WarehouseSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.fresh) > 0 {
-		// Records bound for one place of the cut are new ids below the
-		// job there, then that job's replacement: job-id order.
-		slices.SortFunc(s.fresh, func(a, b pending) int {
-			if c := cmp.Compare(a.at, b.at); c != 0 {
-				return c
-			}
-			return strings.Compare(a.r.JobID, b.r.JobID)
-		})
+		if s.pending != nil {
+			slices.SortFunc(s.fresh, mergeOrder)
+			s.pending = nil
+		}
 		cut := mergeCut(s.last.cut, s.fresh)
 		s.live.restoreExtremes(cut, &s.stale)
 		for d := range s.live {
@@ -109,7 +143,6 @@ func (s *Sharded) Snapshot() *WarehouseSnapshot {
 		}
 		s.last = &WarehouseSnapshot{Records: append(make(Records, 0, len(cut)), cut...), tables: s.live, cut: cut}
 		s.fresh, s.stale = s.fresh[:0], [len(tableDims)]bool{}
-		clear(s.pending)
 	}
 	// A copy, so a caller that reassigns its snapshot's Records leaves
 	// the next cut alone; one that writes into them reaches only the

@@ -480,6 +480,58 @@ func TestShardedCutPlaces(t *testing.T) {
 	}
 }
 
+// TestShardedCutPastSortedFresh ingests more records between two cuts
+// than Ingest keeps in merge order, in shuffled order, with new ids,
+// replacements of the cut's jobs and ids ingested twice. Each cut must
+// still hold the pointers a full sort of a Store fed the same records
+// holds, and answer from tables equal to the walk; after the cut, Ingest
+// files records in merge order again.
+func TestShardedCutPastSortedFresh(t *testing.T) {
+	r := rng.New(67)
+	s, ref := NewSharded(ShardedConfig{}), NewStore()
+	var ids []string
+	for round := 0; round < 2; round++ {
+		batch := make([]string, 0, 3*maxSortedFresh)
+		for n := 0; n < 2*maxSortedFresh; n++ {
+			batch = append(batch, fmt.Sprintf("job-%06d", r.Intn(1_000_000)))
+		}
+		for n := 0; round > 0 && n < maxSortedFresh/2; n++ {
+			batch = append(batch, ids[r.Intn(len(ids))])
+		}
+		batch = append(batch, batch[:maxSortedFresh/2]...)
+		for _, k := range r.Perm(len(batch)) {
+			rec := synthRecord(r, batch[k])
+			if err := s.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Ingest(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.pending == nil || s.Len() != ref.Len() {
+			t.Fatalf("round %d: %d records since the cut, kept in merge order: %v; Len %d, want %d",
+				round, len(s.fresh), s.pending == nil, s.Len(), ref.Len())
+		}
+		v := s.Snapshot()
+		want := ref.Records()
+		slices.SortFunc(want, func(a, b *Record) int { return strings.Compare(a.JobID, b.JobID) })
+		if !slices.Equal(v.Records, want) {
+			t.Fatalf("round %d: the cut of %d records is not the full sort's %d", round, len(v.Records), len(want))
+		}
+		checkTables(t, fmt.Sprint("round ", round), v)
+		ids = nil
+		for _, rec := range v.Records {
+			ids = append(ids, rec.JobID)
+		}
+		if err := s.Ingest(synthRecord(r, ids[0])); err != nil || s.pending != nil {
+			t.Fatalf("round %d: after the cut, an ingest (err %v) leaves records in arrival order", round, err)
+		}
+		if err := ref.Ingest(s.fresh[0].r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // aggLines renders aggregates one aggLine each.
 func aggLines(as []*Aggregate) string {
 	var b strings.Builder
