@@ -204,7 +204,7 @@ func TestBackwardsCounterIsIntervalError(t *testing.T) {
 }
 
 // TestNodeHoldsNoSample: a fold keeps nothing of the samples it is
-// given. Each sample is folded from one scratch copy that is then
+// given. Each sample is folded from one reused copy that is then
 // overwritten in place, as a caller that decodes into reused arrays
 // overwrites it, and every prefix must still summarize exactly as a
 // fold over untouched samples does.
@@ -214,19 +214,19 @@ func TestNodeHoldsNoSample(t *testing.T) {
 	})
 	n := &arch.Nodes[0]
 	want, got := &Node{Host: n.Host}, &Node{Host: n.Host}
-	var scratch taccstats.Sample
+	var reused taccstats.Sample
 	for i := range n.Samples {
 		s := &n.Samples[i]
-		scratch.Time, scratch.Marker = s.Time, s.Marker
-		scratch.Records = append(scratch.Records[:0], s.Records...)
-		for j := range scratch.Records {
-			scratch.Records[j].Values = append([]uint64(nil), s.Records[j].Values...)
+		reused.Time, reused.Marker = s.Time, s.Marker
+		reused.Records = append(reused.Records[:0], s.Records...)
+		for j := range reused.Records {
+			reused.Records[j].Values = append([]uint64(nil), s.Records[j].Values...)
 		}
 		want.Add(s)
-		got.Add(&scratch)
-		for j := range scratch.Records {
-			for k := range scratch.Records[j].Values {
-				scratch.Records[j].Values[k] = math.MaxUint64
+		got.Add(&reused)
+		for j := range reused.Records {
+			for k := range reused.Records[j].Values {
+				reused.Records[j].Values[k] = math.MaxUint64
 			}
 		}
 		g, gerr := Nodes(arch.JobID, []*Node{got}, false)
