@@ -21,7 +21,8 @@ type ShardedConfig struct {
 // merge order among those since the cut, and folds it into the live
 // tables, which are the cut's, forked on the first write after each
 // cut. Snapshot then only copies the cut's runs around the new records,
-// so every query runs on a point-in-time, consistent cut.
+// so every query runs on a point-in-time, consistent cut. Ingest takes
+// that cut itself when maxFresh records await one.
 // Only the writer holding the mutex reads or appends the tables' slot
 // maps. Records are immutable once ingested (re-ingesting a job id swaps
 // the pointer); callers must not mutate a Record after handing it over.
@@ -30,18 +31,16 @@ type Sharded struct {
 	last  *WarehouseSnapshot // the latest cut; its cut and tables are never written once made
 	live  *tables            // last's tables with fresh folded in; last.tables until the first write
 	stale [len(tableDims)]bool
-	// fresh holds the records ingested since last, one per job id, in
-	// merge order (by place, then job id) while there are at most
-	// maxSortedFresh of them; past that, in arrival order, with pending
-	// mapping each job id to its index, and Snapshot sorts them.
-	fresh   []pending
-	pending map[string]int
+	fresh []pending // the records ingested since last, one per job id, in merge order
 }
 
-// maxSortedFresh bounds the records Ingest keeps in merge order, so an
-// insertion moves at most this many entries however long no one takes a
-// cut.
-const maxSortedFresh = 1024
+// maxFresh bounds the records ingested since the last cut, so that
+// filing one in merge order moves at most this many entries however
+// long no one takes a snapshot. Each cut Ingest takes copies the whole
+// cut, so a smaller bound costs a bulk load more cuts: loading 200 000
+// jobs in job-id order ran 1.6 times as long at a bound of 1 024 as at
+// this one (2 vCPU).
+const maxFresh = 4096
 
 // pending is a record ingested since the last cut and its place there:
 // at is the index of the first record of the cut past its job id, or of
@@ -66,6 +65,9 @@ func (s *Sharded) Ingest(r *Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.fresh) == maxFresh {
+		s.cutLocked()
+	}
 	if s.live == s.last.tables {
 		s.live = s.last.tables.fork()
 	}
@@ -73,13 +75,7 @@ func (s *Sharded) Ingest(r *Record) error {
 		return strings.Compare(x.JobID, id)
 	})
 	p := pending{r, i, found}
-	var k int
-	var again bool
-	if s.pending == nil {
-		k, again = slices.BinarySearchFunc(s.fresh, p, mergeOrder)
-	} else {
-		k, again = s.pending[r.JobID]
-	}
+	k, again := slices.BinarySearchFunc(s.fresh, p, mergeOrder)
 	if again {
 		s.live.replace(s.fresh[k].r, r, &s.stale)
 		s.fresh[k].r = r
@@ -90,18 +86,7 @@ func (s *Sharded) Ingest(r *Record) error {
 	} else {
 		s.live.add(r)
 	}
-	switch {
-	case s.pending == nil && len(s.fresh) < maxSortedFresh:
-		s.fresh = slices.Insert(s.fresh, k, p)
-		return nil
-	case s.pending == nil:
-		s.pending = make(map[string]int, 2*len(s.fresh))
-		for j := range s.fresh {
-			s.pending[s.fresh[j].r.JobID] = j
-		}
-	}
-	s.pending[r.JobID] = len(s.fresh)
-	s.fresh = append(s.fresh, p)
+	s.fresh = slices.Insert(s.fresh, k, p)
 	return nil
 }
 
@@ -132,23 +117,25 @@ func (s *Sharded) Snapshot() *WarehouseSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.fresh) > 0 {
-		if s.pending != nil {
-			slices.SortFunc(s.fresh, mergeOrder)
-			s.pending = nil
-		}
-		cut := mergeCut(s.last.cut, s.fresh)
-		s.live.restoreExtremes(cut, &s.stale)
-		for d := range s.live {
-			s.live[d].compact()
-		}
-		s.last = &WarehouseSnapshot{Records: append(make(Records, 0, len(cut)), cut...), tables: s.live, cut: cut}
-		s.fresh, s.stale = s.fresh[:0], [len(tableDims)]bool{}
+		s.cutLocked()
 	}
 	// A copy, so a caller that reassigns its snapshot's Records leaves
 	// the next cut alone; one that writes into them reaches only the
 	// Records of this cut's snapshots, never the cut the next merges.
 	v := *s.last
 	return &v
+}
+
+// cutLocked makes the latest cut: last with fresh merged in, described
+// by the live tables.
+func (s *Sharded) cutLocked() {
+	cut := mergeCut(s.last.cut, s.fresh)
+	s.live.restoreExtremes(cut, &s.stale)
+	for d := range s.live {
+		s.live[d].compact()
+	}
+	s.last = &WarehouseSnapshot{Records: append(make(Records, 0, len(cut)), cut...), tables: s.live, cut: cut}
+	s.fresh, s.stale = s.fresh[:0], [len(tableDims)]bool{}
 }
 
 // Records returns the current cut, in job-id order (Snapshot's records).

@@ -480,26 +480,31 @@ func TestShardedCutPlaces(t *testing.T) {
 	}
 }
 
-// TestShardedCutPastSortedFresh ingests more records between two cuts
-// than Ingest keeps in merge order, in shuffled order, with new ids,
-// replacements of the cut's jobs and ids ingested twice. Each cut must
-// still hold the pointers a full sort of a Store fed the same records
-// holds, and answer from tables equal to the walk; after the cut, Ingest
-// files records in merge order again.
-func TestShardedCutPastSortedFresh(t *testing.T) {
+// TestShardedCutsWhenFreshIsFull ingests more records between two
+// snapshots than wait for a cut at most, in shuffled order, with new
+// ids, replacements of the cut's jobs and ids ingested twice. Ingest
+// must keep those since the cut in merge order and at most maxFresh of
+// them, taking the cut itself; the snapshot must still hold the pointers
+// a full sort of a Store fed the same records holds and answer from
+// tables equal to the walk, and the snapshot taken before must not move.
+func TestShardedCutsWhenFreshIsFull(t *testing.T) {
 	r := rng.New(67)
 	s, ref := NewSharded(ShardedConfig{}), NewStore()
+	before := s.Snapshot()
 	var ids []string
 	for round := 0; round < 2; round++ {
-		batch := make([]string, 0, 3*maxSortedFresh)
-		for n := 0; n < 2*maxSortedFresh; n++ {
+		held := slices.Clone(before.Records)
+		batch := make([]string, 0, 3*maxFresh)
+		for n := 0; n < 2*maxFresh; n++ {
 			batch = append(batch, fmt.Sprintf("job-%06d", r.Intn(1_000_000)))
 		}
-		for n := 0; round > 0 && n < maxSortedFresh/2; n++ {
+		for n := 0; round > 0 && n < maxFresh/2; n++ {
 			batch = append(batch, ids[r.Intn(len(ids))])
 		}
-		batch = append(batch, batch[:maxSortedFresh/2]...)
+		batch = append(batch, batch[:maxFresh/2]...)
+		cuts := 0
 		for _, k := range r.Perm(len(batch)) {
+			last := s.last
 			rec := synthRecord(r, batch[k])
 			if err := s.Ingest(rec); err != nil {
 				t.Fatal(err)
@@ -507,10 +512,21 @@ func TestShardedCutPastSortedFresh(t *testing.T) {
 			if err := ref.Ingest(rec); err != nil {
 				t.Fatal(err)
 			}
+			if s.last != last {
+				cuts++
+			}
+			if len(s.fresh) > maxFresh {
+				t.Fatalf("round %d: %d records since the cut", round, len(s.fresh))
+			}
+			if len(s.fresh) == maxFresh && !slices.IsSortedFunc(s.fresh, mergeOrder) {
+				t.Fatalf("round %d: the %d records since the cut are not in merge order", round, len(s.fresh))
+			}
 		}
-		if s.pending == nil || s.Len() != ref.Len() {
-			t.Fatalf("round %d: %d records since the cut, kept in merge order: %v; Len %d, want %d",
-				round, len(s.fresh), s.pending == nil, s.Len(), ref.Len())
+		if !slices.IsSortedFunc(s.fresh, mergeOrder) {
+			t.Fatalf("round %d: the %d records since the cut are not in merge order", round, len(s.fresh))
+		}
+		if cuts == 0 || s.Len() != ref.Len() {
+			t.Fatalf("round %d: Ingest took %d cuts; Len %d, want %d", round, cuts, s.Len(), ref.Len())
 		}
 		v := s.Snapshot()
 		want := ref.Records()
@@ -519,15 +535,13 @@ func TestShardedCutPastSortedFresh(t *testing.T) {
 			t.Fatalf("round %d: the cut of %d records is not the full sort's %d", round, len(v.Records), len(want))
 		}
 		checkTables(t, fmt.Sprint("round ", round), v)
-		ids = nil
+		if !slices.Equal(before.Records, held) {
+			t.Fatalf("round %d: the snapshot taken before the round moved", round)
+		}
+		checkTables(t, fmt.Sprint("round ", round, ", the snapshot before"), before)
+		before, ids = v, nil
 		for _, rec := range v.Records {
 			ids = append(ids, rec.JobID)
-		}
-		if err := s.Ingest(synthRecord(r, ids[0])); err != nil || s.pending != nil {
-			t.Fatalf("round %d: after the cut, an ingest (err %v) leaves records in arrival order", round, err)
-		}
-		if err := ref.Ingest(s.fresh[0].r); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
