@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/resilience"
+	"repro/internal/warehouse"
 )
 
 // runChaosFirehose streams a seeded workload through a server with the
@@ -176,5 +177,110 @@ func TestFullQueueWaitsThenSheds(t *testing.T) {
 				t.Fatalf("want %d records received, %d dropped{queue_full}: %+v", 2*c.frames, c.shed, st.Ledger)
 			}
 		})
+	}
+}
+
+// gateSink holds the finalize of one job until gate closes, which
+// stalls that job's shard; every other record goes straight through.
+type gateSink struct {
+	*warehouse.Sharded
+	id      string
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gateSink) Ingest(r *warehouse.Record) error {
+	if r.JobID == g.id {
+		close(g.entered)
+		<-g.gate
+	}
+	return g.Sharded.Ingest(r)
+}
+
+// TestStalledShardLeavesOthersFlowing stalls one of two shards on a job
+// whose finalize never returns, then streams jobs of both shards,
+// interleaved, over one connection. The stalled shard holds the
+// connection for one routeWait, not one a frame: every frame is acked
+// well inside a second, the stalled shard's frames past its queue shed
+// as dropped{queue_full}, and the other shard drops nothing and files
+// every one of its jobs. Once the shard is released and its queue has
+// emptied, routing to it waits for room again: a burst of its jobs
+// sheds nothing.
+func TestStalledShardLeavesOthersFlowing(t *testing.T) {
+	wh := warehouse.NewSharded(warehouse.ShardedConfig{})
+	jobs := genTestJobs(t, 29, 60, 2, 3000)
+	sink := &gateSink{Sharded: wh, id: jobs[0].meta.JobID, entered: make(chan struct{}), gate: make(chan struct{})}
+	h := newHarness(t, Config{Shards: 2, QueueDepth: 4, Sink: sink})
+	defer close(sink.gate)
+	stalled := h.srv.shardFor(sink.id)
+	var same, other []*testJob
+	for _, tj := range jobs[1:] {
+		if h.srv.shardFor(tj.meta.JobID) == stalled {
+			same = append(same, tj)
+		} else {
+			other = append(other, tj)
+		}
+	}
+	late := same[len(same)-8:]
+	same = same[:len(same)-8]
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c := h.dialClient("stall-client")
+	sendJob(ctx, t, c, jobs[0], 4)
+	select {
+	case <-sink.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stalling job never reached the sink")
+	}
+	start := time.Now()
+	framesBefore := c.Stats().FramesSent
+	for i := 0; i < max(len(same), len(other)); i++ {
+		if i < len(same) {
+			sendJob(ctx, t, c, same[i], 4)
+		}
+		if i < len(other) {
+			sendJob(ctx, t, c, other[i], 4)
+		}
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	var otherRecs uint64
+	for _, tj := range other {
+		otherRecs += tj.records
+	}
+	t.Logf("%d frames (%d jobs on the stalled shard, %d on the other) acked in %v: %.0f records/s on the other shard",
+		c.Stats().FramesSent-framesBefore, len(same), len(other), elapsed, float64(otherRecs)/elapsed.Seconds())
+	if elapsed > time.Second {
+		t.Fatalf("a stalled shard held the connection %v", elapsed)
+	}
+	sink.gate <- struct{}{} // the stalling job's finalize goes through
+	for len(h.srv.shards[stalled].q) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	shed := h.srv.Status().Ledger.Dropped[ReasonQueueFull]
+	if shed == 0 {
+		t.Fatalf("the stalled shard shed nothing: %+v", h.srv.Status().Ledger)
+	}
+	for _, tj := range late {
+		sendJob(ctx, t, c, tj, 4)
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := h.drainAndCheck()
+	if st.Ledger.Dropped[ReasonQueueFull] != shed {
+		t.Fatalf("the released shard shed %d more records", st.Ledger.Dropped[ReasonQueueFull]-shed)
+	}
+	for _, ps := range st.Ledger.PerShard {
+		if ps.Shard != stalled && ps.Dropped[ReasonQueueFull] > 0 {
+			t.Fatalf("shard %d shed records beside the stalled one: %+v", ps.Shard, ps)
+		}
+	}
+	for _, tj := range other {
+		if _, ok := lookup(wh, tj.meta.JobID); !ok {
+			t.Fatalf("job %s of the flowing shard was not filed", tj.meta.JobID)
+		}
 	}
 }

@@ -24,7 +24,8 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds each shard's message queue (default 1024);
 	// routing to a full queue holds the read loop up to routeWait for
-	// room, then sheds the frame's records as dropped{queue_full}.
+	// room, then sheds the frame's records as dropped{queue_full}, as
+	// it does at once while that shard is stalled.
 	QueueDepth int
 	// IdleTimeout finalizes a job whose stream has gone quiet without a
 	// complete epilog (0 disables; drains still flush everything).
@@ -347,21 +348,32 @@ func (s *Server) processFrame(client *clientState, f *Frame, start time.Time) ui
 // routeWait bounds how long routing waits for room in a full shard
 // queue. A burst that outruns its shard is held back instead: the
 // connection reads no further, so its client's acks and then its writes
-// wait. Only a shard that stays full this long sheds.
+// wait. A shard whose queue stays full this long is stalled: routes to
+// it shed whenever its queue is full, without waiting, until one finds
+// the queue empty, so a stalled shard holds each connection once, not
+// once a frame, and the other shards' frames keep flowing.
 const routeWait = 100 * time.Millisecond
 
 // route enqueues a message on a shard, waiting up to routeWait while
-// its queue is full; false means the queue stayed full.
+// its queue is full unless the shard is stalled; false means the
+// message was shed.
 func (s *Server) route(shardID int, msg message) bool {
 	sh := s.shards[shardID]
+	if len(sh.q) == 0 && sh.stalled.Load() {
+		sh.stalled.Store(false)
+	}
 	select {
 	case sh.q <- msg:
 	default:
+		if sh.stalled.Load() {
+			return false
+		}
 		t := time.NewTimer(routeWait)
 		defer t.Stop()
 		select {
 		case sh.q <- msg:
 		case <-t.C:
+			sh.stalled.Store(true)
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
@@ -105,6 +106,9 @@ type shard struct {
 	q    chan message
 	jobs map[string]*jobState
 	done chan struct{}
+	// stalled is set when a route found q full for a whole routeWait,
+	// and cleared when one finds q empty.
+	stalled atomic.Bool
 }
 
 func newShard(id int, srv *Server, depth int) *shard {
