@@ -63,8 +63,7 @@ type Client struct {
 	changed   sync.Cond // on mu; ackLocked and teardownLocked broadcast it
 	conn      net.Conn
 	bw        *bufio.Writer
-	written   uint64 // last seq written into bw on this connection
-	flushed   uint64 // last seq flushed from bw on this connection
+	flushed   uint64 // newest seq when bw was last flushed on this connection
 	readerGen int
 	nextSeq   uint64
 	acked     uint64
@@ -255,7 +254,6 @@ func (c *Client) writeUnsentLocked(ctx context.Context, hold bool) error {
 				break
 			}
 			p.sent = true
-			c.written = p.seq
 			c.framesSent.Add(1)
 		}
 		if ok && (!hold || c.flushed <= c.acked) {
@@ -269,12 +267,13 @@ func (c *Client) writeUnsentLocked(ctx context.Context, hold bool) error {
 	}
 }
 
-// flushLocked writes out the connection's buffer.
+// flushLocked writes out the connection's buffer, which holds every
+// frame sent so far.
 func (c *Client) flushLocked() error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	c.flushed = c.written
+	c.flushed = c.nextSeq
 	return nil
 }
 
@@ -320,7 +319,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 
 // readAcks consumes cumulative acks until the connection dies; it
 // owns no frames, only the acked watermark. After each ack it flushes
-// the frames written since the last flush.
+// the frames still in the write buffer.
 func (c *Client) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
 	var buf []byte
 	for {
@@ -339,7 +338,7 @@ func (c *Client) readAcks(conn net.Conn, br *bufio.Reader, gen int) {
 			return
 		}
 		c.ackLocked(f.Seq)
-		if c.written > c.flushed && c.flushLocked() != nil {
+		if c.bw.Buffered() > 0 && c.flushLocked() != nil {
 			c.teardownLocked()
 		}
 		c.mu.Unlock()
@@ -376,7 +375,7 @@ func (c *Client) teardownLocked() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn, c.bw = nil, nil
-		c.written, c.flushed = 0, 0
+		c.flushed = 0
 	}
 	c.readerGen++ // orphan any reader still blocked in ReadFrame
 	c.changed.Broadcast()
