@@ -431,10 +431,14 @@ func TestAllocFrameRoundTrip(t *testing.T) {
 // TestAllocIngestFrame pins a data frame's steady-state cost on the
 // server: its read into the connection's buffer, its decode into a
 // recycled chunk, its route to a shard and the shard's fold of it
-// allocate only the Frame. The frames carry eight samples each of one
-// host of one long job, whose fold stays open throughout; each run waits
-// until the shard has taken the frame, so the chunk is back in the pool
-// before the next decode.
+// allocate only the Frame, and after AllocsPerRun's warm-up run no
+// decode takes a new chunk from the pool. The frames carry eight samples
+// each of one host of one long job, whose fold stays open throughout.
+// Each run routes an empty message, which the shard takes as a no-op,
+// behind the frame and waits until the shard has taken it: the shard
+// handles its queue in order, so by then it has folded the frame and
+// returned its chunk. AllocsPerRun runs on one processor, so that chunk
+// waits in the pool for the next decode.
 func TestAllocIngestFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation; the alloc gate runs without -race")
@@ -456,9 +460,19 @@ func TestAllocIngestFrame(t *testing.T) {
 		stream = AppendFrame(stream, &Frame{Type: FrameData, Records: perFrame, Seq: uint64(frames + 1), Payload: payload})
 	}
 	client := h.srv.client("alloc-client")
-	sh := h.srv.shards[h.srv.shardFor(jobID)]
+	shardID := h.srv.shardFor(jobID)
+	sh := h.srv.shards[shardID]
 	br := bufio.NewReaderSize(bytes.NewReader(stream), connBufferSize)
 	var buf []byte
+	done, misses := 0, 0 // runs finished; decodes after the first that found the pool empty
+	newChunk := chunks.New
+	chunks.New = func() any {
+		if done > 0 {
+			misses++
+		}
+		return newChunk()
+	}
+	defer func() { chunks.New = newChunk }()
 	if a := testing.AllocsPerRun(runs, func() {
 		f, b, err := readFrame(br, 0, buf)
 		if err != nil {
@@ -468,11 +482,15 @@ func TestAllocIngestFrame(t *testing.T) {
 		if last := h.srv.processFrame(client, f, time.Now()); last != f.Seq {
 			t.Fatalf("frame %d: processed through %d", f.Seq, last)
 		}
+		if !h.srv.route(shardID, message{}) {
+			t.Fatal("the shard's queue refused the empty message")
+		}
 		for len(sh.q) > 0 {
 			runtime.Gosched()
 		}
-	}); a > 1 {
-		t.Errorf("a data frame's read, decode, route and fold: %v allocations, want at most 1 (the Frame)", a)
+		done++
+	}); a > 1 || misses > 0 {
+		t.Errorf("a data frame's read, decode, route and fold: %v allocations, want at most 1 (the Frame); %d decodes of %d found no chunk in the pool", a, misses, runs)
 	}
 	st := h.drainAndCheck()
 	if want := uint64(frames * perFrame); st.Ledger.Received != want || st.Ledger.Summarized != want {
