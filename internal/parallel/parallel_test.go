@@ -151,21 +151,26 @@ func TestEarlyExit(t *testing.T) {
 }
 
 // TestCancellation verifies external context cancellation stops dispatch
-// and surfaces ctx.Err().
+// and surfaces ctx.Err(). The first task to start cancels, and every
+// task holds its worker until the cancellation lands, so no worker can
+// claim a second task before dispatch stops: at most one task a worker
+// ever starts, however the scheduler interleaves them.
 func TestCancellation(t *testing.T) {
+	const workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
-	err := ForEachCtx(ctx, 2, 10000, func(ctx context.Context, i int) error {
-		if started.Add(1) == 5 {
+	err := ForEachCtx(ctx, workers, 10000, func(ctx context.Context, i int) error {
+		if started.Add(1) == 1 {
 			cancel()
 		}
+		<-ctx.Done()
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := started.Load(); n > 100 {
-		t.Fatalf("%d tasks started after cancellation", n)
+	if n := started.Load(); n > workers {
+		t.Fatalf("%d tasks started on %d workers; dispatch went on after cancellation", n, workers)
 	}
 }
 
