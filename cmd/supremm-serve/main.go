@@ -56,10 +56,9 @@
 // -reconcile with an addr= spec reconciles it to the record). Finalized jobs land in the same flight
 // recorder under /ingest/finalize, which the SLO objectives do not
 // count. The served warehouse is the only copy of the workload: the
-// boot models, the boot discovery fit and the lifecycle's retrains read
-// its boot cut, taken right after seeding, and POST /api/discover refits
-// over its current cut. Retraining on jobs that ran since boot means
-// replacing the boot cut with a trailing window over the current one.
+// boot model and the drift baseline read its cut right after seeding;
+// the discovery fit (at boot and on POST /api/discover) and every
+// lifecycle retrain read a trailing window of the cut current then.
 //
 // Observability: every request lands one wide event in the in-process
 // flight recorder: identity, route, status, outcome, queue/handler/row
@@ -120,12 +119,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
@@ -194,22 +191,13 @@ func main() {
 		fatal(err)
 	}
 	// The served warehouse is the only holder of the workload: seeded
-	// with the boot workload, grown by ingest. boot, its cut right after
-	// seeding, feeds the models, the discovery fit, the drift baseline
-	// and every retrain. A cut is in job-id order, the pipeline's
-	// generation order while ids stay seven digits (-jobs < 9 000 000).
-	// Retraining on jobs that ran since boot means handing the trainer a
-	// trailing window of sink.Records() instead of boot.
+	// with the boot workload, grown by ingest. The boot model trains on
+	// its cut right after seeding, in job-id order (the pipeline's
+	// generation order while ids stay seven digits, -jobs < 9 000 000);
+	// the server reads every other fit from the warehouse itself.
 	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
 	for _, rec := range res.Records {
 		if err := sink.Ingest(rec); err != nil {
-			fatal(err)
-		}
-	}
-	boot := sink.Records()
-	var ds *dataset.Dataset // the boot category dataset, built at most once
-	if *modelPath == "" || *lifecycleOn {
-		if ds, err = core.BuildDataset(boot, core.LabelByCategory, core.DefaultFeatures()); err != nil {
 			fatal(err)
 		}
 	}
@@ -221,6 +209,10 @@ func main() {
 		}
 		log.Info("loaded classifier", "algo", models.View().Model.Algo, "path", *modelPath)
 	} else {
+		ds, err := core.BuildDataset(sink.Records(), core.LabelByCategory, core.DefaultFeatures())
+		if err != nil {
+			fatal(err)
+		}
 		model, err := core.TrainJobClassifier(ds, core.PaperForest(*seed))
 		if err != nil {
 			fatal(err)
@@ -247,27 +239,9 @@ func main() {
 		log.Info("wrote model snapshot", "path", *snapshotPath)
 	}
 
-	// The discovery fit covers the population the supervised model cannot
-	// name. A thin unlabeled population is a warning, not a boot failure:
-	// POST /api/discover refits once more data lands in the warehouse.
-	discovery := core.NewDiscoveryManager(reg)
-	dm, err := core.FitDiscovery(
-		core.FeaturizeAll(boot.Filter((*warehouse.Record).Unlabeled), core.DefaultFeatures()),
-		core.FeatureNames(core.DefaultFeatures()),
-		core.DiscoveryConfig{Seed: *seed, Workers: *batchWorkers})
-	if err != nil {
-		log.Warn("discovery fit skipped", "err", err)
-	} else if _, err := discovery.Swap(dm); err != nil {
-		fatal(err)
-	} else {
-		log.Info("fitted unknown-app discovery model",
-			"rows", dm.Rows, "k", dm.K, "inertia", fmt.Sprintf("%.3f", dm.Inertia))
-	}
-
 	opts := []server.Option{
 		server.WithMetrics(reg), server.WithLogger(log),
 		server.WithModelManager(models), server.WithBatchWorkers(*batchWorkers),
-		server.WithDiscovery(discovery),
 		server.WithResilience(server.ResilienceConfig{
 			RequestTimeout: *requestTimeout,
 			MaxConcurrent:  *maxConcurrent,
@@ -289,32 +263,7 @@ func main() {
 		if lcCfg.Seed == 0 {
 			lcCfg.Seed = *seed
 		}
-		// The drift baseline freezes the boot dataset under the same
-		// featurization the champion serves.
-		champ := models.View().Model
-		if !slices.Equal(champ.Features, ds.FeatureNames) {
-			fatal(fmt.Errorf("lifecycle: loaded model's features %v do not match the warehouse featurization %v",
-				champ.Features, ds.FeatureNames))
-		}
-		base, err := lifecycle.BaselineFor(ds, champ, lcCfg.Bins)
-		if err != nil {
-			fatal(err)
-		}
-		// Every retrain reads the most recent TrainWindow labeled rows of
-		// the boot dataset. TrainChallenger copies before it scales, so
-		// the rows are shared, never written.
-		lo := ds.Len() - min(lcCfg.TrainWindow, ds.Len())
-		labels := make([]string, 0, ds.Len()-lo)
-		for i := lo; i < ds.Len(); i++ {
-			labels = append(labels, ds.Label(i))
-		}
-		trainer := func() (lifecycle.TrainResult, error) {
-			return lifecycle.TrainChallenger(ds.FeatureNames, ds.X[lo:], labels, lcCfg)
-		}
-		opts = append(opts, server.WithLifecycle(lcCfg, lifecycle.Options{
-			Trainer: trainer, Baseline: base,
-		}))
-		log.Info("lifecycle loop armed", "spec", lcCfg.Spec())
+		opts = append(opts, server.WithLifecycle(lcCfg, lifecycle.Options{}))
 	}
 	fcfg := flight.DefaultConfig()
 	fcfg.Capacity = *flightCapacity
@@ -351,6 +300,15 @@ func main() {
 		opts = append(opts, server.WithIngest(ing))
 	}
 	api := server.New(sink, nil, cfg.Machine.TotalNodes(), opts...)
+	if *lifecycleOn && api.Lifecycle() == nil {
+		fatal(errors.New("lifecycle loop rejected (see the log)"))
+	}
+	// The discovery fit covers the population the supervised model cannot
+	// name. A thin unlabeled population is a warning, not a boot failure:
+	// POST /api/discover refits once more data lands in the warehouse.
+	if _, err := api.RefitDiscovery(core.DiscoveryConfig{Seed: *seed, Workers: *batchWorkers}); err != nil {
+		log.Warn("discovery fit skipped", "err", err)
+	}
 
 	// SIGHUP hot-swaps the model from the configured path through the
 	// same breaker as the admin endpoint; a failed reload logs and keeps

@@ -24,11 +24,11 @@ func columnsView(tb testing.TB) (*Server, *core.ModelView) {
 	if _, err := mm.Swap(&core.JobClassifier{Features: names}); err != nil {
 		tb.Fatal(err)
 	}
-	dm := core.NewDiscoveryManager(nil)
-	if _, err := dm.Swap(&core.DiscoveryModel{Features: names}); err != nil {
+	s := New(nil, nil, 0, WithModelManager(mm))
+	if _, err := s.discovery.Swap(&core.DiscoveryModel{Features: names}); err != nil {
 		tb.Fatal(err)
 	}
-	return New(nil, nil, 0, WithModelManager(mm), WithDiscovery(dm)), mm.View()
+	return s, mm.View()
 }
 
 // benchValue is feature j of row i in the bench-shaped bodies: a

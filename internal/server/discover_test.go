@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/resilience"
+	"repro/internal/warehouse"
 )
 
 // discoverServer builds an instrumented server over a small pipeline
@@ -476,5 +478,54 @@ func TestChaosDiscoverRefitRefusals(t *testing.T) {
 	}
 	if got := reg.Counter("model_breaker_rejections_total").Value(); got != 0 {
 		t.Errorf("breaker rejections = %d, want 0", got)
+	}
+}
+
+// TestDiscoverRefitCapsRows fills a warehouse with discoveryRows+100
+// unlabeled jobs, the pipeline's Uncategorized/NA jobs copied under
+// fresh ids, and requires the refit to fit exactly the newest
+// discoveryRows of them: the served fit equals one over those rows.
+func TestDiscoverRefitCapsRows(t *testing.T) {
+	var unlabeled warehouse.Records
+	for _, r := range pipeline(t, 91, 200).Records {
+		if r.Unlabeled() {
+			unlabeled = append(unlabeled, r)
+		}
+	}
+	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
+	for i := 0; i < discoveryRows+100; i++ {
+		c := *unlabeled[i%len(unlabeled)]
+		c.JobID = fmt.Sprintf("%07d", 3000000+i)
+		if err := sink.Ingest(&c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(sink, nil, 6400)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	code, body := postJSON(t, srv.URL+"/api/discover", map[string]any{"k": 3, "restarts": 1, "seed": 5})
+	if code != 200 {
+		t.Fatalf("refit: status %d (%s)", code, body)
+	}
+	var reply struct{ Rows int }
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Rows != discoveryRows {
+		t.Fatalf("refit answered rows %d, want the cap %d", reply.Rows, discoveryRows)
+	}
+	newest := sink.Records()[100:]
+	if newest[0].JobID != "3000100" {
+		t.Fatalf("the newest window starts at job %s", newest[0].JobID)
+	}
+	opt := core.DefaultFeatures()
+	want, err := core.FitDiscovery(core.FeaturizeAll(newest, opt), core.FeatureNames(opt),
+		core.DiscoveryConfig{K: 3, Restarts: 1, Seed: 5, Workers: s.batchWorkers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.discovery.View().Model; !reflect.DeepEqual(got, want) {
+		t.Fatalf("served fit (rows %d, inertia %v) is not the fit over the newest %d jobs (rows %d, inertia %v)",
+			got.Rows, got.Inertia, discoveryRows, want.Rows, want.Inertia)
 	}
 }

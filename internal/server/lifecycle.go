@@ -1,54 +1,43 @@
 package server
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
 	"net/http"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/lifecycle"
+	"repro/internal/warehouse"
 )
-
-// lifecycleSetup carries the WithLifecycle arguments until New has
-// built the pieces the loop plugs into (manager, metrics, breaker,
-// fault registry).
-type lifecycleSetup struct {
-	cfg  lifecycle.Config
-	opts lifecycle.Options
-}
 
 // WithLifecycle arms the closed-loop model lifecycle: drift monitoring
 // over live classify traffic, shadow retraining, and significance-gated
 // champion–challenger promotion. Options left nil are wired to the
 // server's own pieces: Manager to the serving model manager, Registry
-// to /metrics, Faults to the server's registry, and Guard to the shared
-// control-plane breaker (the one model reloads trip). The caller
-// normally supplies Baseline and Trainer; a loop without a trainer
-// only monitors drift.
+// to /metrics, Faults to the server's registry, Guard to the shared
+// control-plane breaker (the one model reloads trip), Baseline to the
+// champion's predictions over the labelled jobs of the warehouse's cut
+// at New (the boot cut), and Trainer to a retrain over the last
+// TrainWindow labelled jobs of the cut current at each retrain.
 func WithLifecycle(cfg lifecycle.Config, opts lifecycle.Options) Option {
-	return func(s *Server) { s.lifecyclePending = &lifecycleSetup{cfg: cfg, opts: opts} }
+	return func(s *Server) { s.lifecyclePending = func() { s.initLifecycle(cfg, opts) } }
 }
 
 // initLifecycle finishes the loop's wiring once the server's manager,
 // metrics, breaker and faults exist. Called from New, after
 // initResilience and manager construction.
-func (s *Server) initLifecycle() {
-	p := s.lifecyclePending
-	if p == nil {
-		return
-	}
-	o := p.opts
-	if o.Manager == nil {
-		o.Manager = s.models
-	}
-	if o.Registry == nil {
-		o.Registry = s.metrics
-	}
-	if o.Log == nil {
-		o.Log = s.log
-	}
-	if o.Faults == nil {
-		o.Faults = s.faults
-	}
+func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
+	o.Manager = cmp.Or(o.Manager, s.models)
+	o.Registry = cmp.Or(o.Registry, s.metrics)
+	o.Log = cmp.Or(o.Log, s.log)
+	o.Faults = cmp.Or(o.Faults, s.faults)
 	if o.Guard == nil {
 		o.Guard = s.controlGuard
+	}
+	if o.Trainer == nil {
+		o.Trainer = func() (lifecycle.TrainResult, error) { return s.trainChallenger(cfg) }
 	}
 	if o.Notify == nil {
 		// A buffered poke channel: the host process (cmd/supremm-serve)
@@ -64,12 +53,55 @@ func (s *Server) initLifecycle() {
 			}
 		}
 	}
-	loop, err := lifecycle.New(p.cfg, o)
+	var err error
+	if o.Baseline == nil {
+		o.Baseline, err = s.bootBaseline(cfg.Bins)
+	}
+	if err == nil {
+		s.lifecycle, err = lifecycle.New(cfg, o)
+	}
 	if err != nil {
 		s.log.Error("lifecycle loop rejected", "err", err)
 		return
 	}
-	s.lifecycle = loop
+	s.log.Info("lifecycle loop armed", "spec", cfg.Spec())
+}
+
+// labelled keeps the jobs Lariat named: the rows a challenger trains on.
+func labelled(r *warehouse.Record) bool { return !r.Unlabeled() }
+
+// bootBaseline freezes the drift baseline from the champion's
+// predictions over the labelled jobs of the warehouse's current cut,
+// under the featurization the champion serves.
+func (s *Server) bootBaseline(bins int) (*lifecycle.Baseline, error) {
+	v := s.models.View()
+	if v == nil {
+		return nil, errors.New("lifecycle: no champion to freeze a drift baseline from")
+	}
+	ds, err := core.BuildDataset(s.store.Snapshot().Filter(labelled), core.LabelByCategory, core.DefaultFeatures())
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Equal(v.Model.Features, ds.FeatureNames) {
+		return nil, fmt.Errorf("lifecycle: champion's features %v do not match the warehouse featurization %v",
+			v.Model.Features, ds.FeatureNames)
+	}
+	return lifecycle.BaselineFor(ds, v.Model, bins)
+}
+
+// trainChallenger retrains on the last TrainWindow labelled jobs of the
+// warehouse's current cut, featurized once per retrain.
+func (s *Server) trainChallenger(cfg lifecycle.Config) (lifecycle.TrainResult, error) {
+	win := trailing(s.store.Snapshot().Filter(labelled), cfg.TrainWindow)
+	ds, err := core.BuildDataset(win, core.LabelByCategory, core.DefaultFeatures())
+	if err != nil {
+		return lifecycle.TrainResult{}, err
+	}
+	labels := make([]string, ds.Len())
+	for i := range labels {
+		labels[i] = ds.Label(i)
+	}
+	return lifecycle.TrainChallenger(ds.FeatureNames, ds.X, labels, cfg)
 }
 
 // Lifecycle exposes the loop (nil when WithLifecycle was not used); the

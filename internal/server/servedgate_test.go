@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -19,8 +21,9 @@ func servedGateConfig() lifecycle.Config {
 
 // servedGateServer boots a server over a Sharded warehouse seeded with
 // the 91/200 pipeline run, its champion trained on every labelled boot
-// job, and arms the lifecycle loop the way supremm-serve wires it.
-func servedGateServer(t *testing.T) (*Server, *warehouse.Sharded) {
+// job, and arms the lifecycle loop the way supremm-serve does: no
+// Trainer and no Baseline, so the server builds both from its warehouse.
+func servedGateServer(t *testing.T, cfg lifecycle.Config) (*Server, *warehouse.Sharded) {
 	t.Helper()
 	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
 	for _, r := range pipeline(t, 91, 200).Records {
@@ -28,30 +31,11 @@ func servedGateServer(t *testing.T) (*Server, *warehouse.Sharded) {
 			t.Fatal(err)
 		}
 	}
-	ds, err := core.BuildDataset(sink.Records(), core.LabelByCategory, core.DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
-	champ := paperForest(t, 91, 200)
 	models := core.NewModelManager(nil)
-	if _, err := models.Swap(champ); err != nil {
+	if _, err := models.Swap(paperForest(t, 91, 200)); err != nil {
 		t.Fatal(err)
 	}
-	cfg := servedGateConfig()
-	base, err := lifecycle.BaselineFor(ds, champ, cfg.Bins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo := ds.Len() - min(cfg.TrainWindow, ds.Len())
-	labels := make([]string, 0, ds.Len()-lo)
-	for i := lo; i < ds.Len(); i++ {
-		labels = append(labels, ds.Label(i))
-	}
-	trainer := func() (lifecycle.TrainResult, error) {
-		return lifecycle.TrainChallenger(ds.FeatureNames, ds.X[lo:], labels, cfg)
-	}
-	s := New(sink, nil, 6400, WithModelManager(models),
-		WithLifecycle(cfg, lifecycle.Options{Trainer: trainer, Baseline: base}))
+	s := New(sink, nil, 6400, WithModelManager(models), WithLifecycle(cfg, lifecycle.Options{}))
 	if s.Lifecycle() == nil {
 		t.Fatal("lifecycle loop rejected")
 	}
@@ -81,7 +65,7 @@ func retrainAndDecide(t *testing.T, l *lifecycle.Loop) lifecycle.Decision {
 // (accuracy 1.000), and a second retrain rebuilds the same challenger
 // and reaches the same verdict.
 func TestServedGateEvalRows(t *testing.T) {
-	s, _ := servedGateServer(t)
+	s, _ := servedGateServer(t, servedGateConfig())
 	l := s.Lifecycle()
 	first := retrainAndDecide(t, l)
 	if first.EvalRows == 0 || first.ChampAcc != 1 {
@@ -95,5 +79,70 @@ func TestServedGateEvalRows(t *testing.T) {
 	}
 	if st := l.Status(); st.Demotions != 2 || st.State != lifecycle.StateStable {
 		t.Fatalf("state %q with %d demotions, want stable after 2", st.State, st.Demotions)
+	}
+}
+
+// ingestNewer copies recs under fresh ids above every boot id
+// (2000000 + i) and ingests them: jobs that ran since boot.
+func ingestNewer(t *testing.T, sink *warehouse.Sharded, recs warehouse.Records) {
+	t.Helper()
+	for i, r := range recs {
+		c := *r
+		c.JobID = fmt.Sprintf("%07d", 2000000+i)
+		if err := sink.Ingest(&c); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDefaultTrainerReadsCurrentCut: with no Trainer supplied, a retrain
+// trains on the last TrainWindow labelled jobs of the warehouse's cut at
+// retrain time. After ingest those are jobs newer than the boot cut, and
+// the challenger is the one TrainChallenger builds from them.
+func TestDefaultTrainerReadsCurrentCut(t *testing.T) {
+	cfg := servedGateConfig()
+	cfg.TrainWindow = 64
+	s, sink := servedGateServer(t, cfg)
+	boot := sink.Records().Filter(labelled)
+	ingestNewer(t, sink, boot[:80])
+
+	win := sink.Records().Filter(labelled)[len(boot)+80-64:]
+	if win[0].JobID != "2000016" || len(win) != 64 {
+		t.Fatalf("expected window: %d jobs from %s", len(win), win[0].JobID)
+	}
+	ds, err := core.BuildDataset(win, core.LabelByCategory, core.DefaultFeatures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]string, ds.Len())
+	for i := range labels {
+		labels[i] = ds.Label(i)
+	}
+	want, err := lifecycle.TrainChallenger(ds.FeatureNames, ds.X, labels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.trainChallenger(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBytes, err := got.Model.SaveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := want.Model.SaveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) || got.Eval.Len() != want.Eval.Len() {
+		t.Fatal("the default trainer's challenger is not the one trained on the current cut's last 64 labelled jobs")
+	}
+
+	l := s.Lifecycle()
+	if err := l.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Status(); st.Retrains != 1 || !st.ChallengerReady {
+		t.Fatalf("retrain through the loop: %d retrains, challenger ready %v", st.Retrains, st.ChallengerReady)
 	}
 }

@@ -82,7 +82,7 @@ type Server struct {
 	breaker    *resilience.Breaker
 	faults     *resilience.Faults
 
-	lifecyclePending *lifecycleSetup
+	lifecyclePending func() // WithLifecycle's wiring, run once New has built its parts
 	lifecycle        *lifecycle.Loop
 	lifecycleCh      chan struct{}
 }
@@ -161,10 +161,10 @@ func New(store Warehouse, model *core.JobClassifier, machineNodes int, opts ...O
 			}
 		}
 	}
-	if s.discovery == nil {
-		s.discovery = core.NewDiscoveryManager(s.metrics)
+	s.discovery = core.NewDiscoveryManager(s.metrics)
+	if s.lifecyclePending != nil {
+		s.lifecyclePending()
 	}
-	s.initLifecycle()
 	s.declareMetrics()
 	s.initRowRoutes()
 	s.governedPath = map[string]bool{}
