@@ -55,27 +55,16 @@ func BaselineFor(d *dataset.Dataset, model *core.JobClassifier, bins int) (*Base
 	return NewBaseline(d, preds, classes, bins)
 }
 
-// TrainChallenger fits a challenger on a labeled sliding window,
-// holding out every fifth row as the promotion gate's evaluation
-// window, and rebuilds the drift baseline from the challenger's view
-// of its own training rows.
-func TrainChallenger(featNames []string, rows [][]float64, labels []string, cfg Config) (TrainResult, error) {
-	if len(rows) < 16 {
-		return TrainResult{}, fmt.Errorf("lifecycle: %d window rows is too few to retrain", len(rows))
+// TrainChallenger fits a challenger on the rows train indexes into d,
+// keeps the rows eval indexes as the promotion gate's evaluation window
+// (it may be empty), and rebuilds the drift baseline from the
+// challenger's view of its own training rows. The caller picks the
+// split: the gate must never score a model on rows it trained on.
+func TrainChallenger(d *dataset.Dataset, train, eval []int, cfg Config) (TrainResult, error) {
+	if d.Len() < 16 {
+		return TrainResult{}, fmt.Errorf("lifecycle: %d window rows is too few to retrain", d.Len())
 	}
-	full, err := dataset.New(featNames, rows, labels)
-	if err != nil {
-		return TrainResult{}, fmt.Errorf("lifecycle: challenger window: %w", err)
-	}
-	var trainIdx, evalIdx []int
-	for i := 0; i < full.Len(); i++ {
-		if i%5 == 4 {
-			evalIdx = append(evalIdx, i)
-		} else {
-			trainIdx = append(trainIdx, i)
-		}
-	}
-	trainDS, evalDS := full.Subset(trainIdx), full.Subset(evalIdx)
+	trainDS := d.Subset(train)
 	model, err := core.TrainJobClassifier(trainDS, challengerConfig(cfg.Algo, cfg.Seed))
 	if err != nil {
 		return TrainResult{}, fmt.Errorf("lifecycle: challenger train: %w", err)
@@ -84,5 +73,5 @@ func TrainChallenger(featNames []string, rows [][]float64, labels []string, cfg 
 	if err != nil {
 		return TrainResult{}, err
 	}
-	return TrainResult{Model: model, Eval: evalDS, Baseline: base}, nil
+	return TrainResult{Model: model, Eval: d.Subset(eval), Baseline: base}, nil
 }

@@ -68,9 +68,9 @@ var (
 )
 
 // TrainResult is what a Trainer hands back: the challenger, the labeled
-// evaluation window the promotion gate scores both models on, and a
-// fresh drift baseline to install if the challenger is promoted (nil
-// keeps the old baseline).
+// evaluation window the promotion gate scores both models on (empty
+// when no row is unseen by both), and a fresh drift baseline to install
+// if the challenger is promoted (nil keeps the old baseline).
 type TrainResult struct {
 	Model    *core.JobClassifier
 	Eval     *dataset.Dataset
@@ -629,9 +629,9 @@ func (l *Loop) Retrain() error {
 		l.log.Warn("lifecycle retrain failed", "err", err)
 		return err
 	}
-	if res.Model == nil || res.Eval == nil || res.Eval.Len() == 0 {
+	if res.Model == nil || res.Eval == nil {
 		l.mRetrainErr.Inc()
-		return errors.New("lifecycle: trainer returned no model or empty evaluation window")
+		return errors.New("lifecycle: trainer returned no model or no evaluation window")
 	}
 	// The promotion gate compares predictions as string labels, but the
 	// challenger's threshold sweep still scores Eval by class index, so
@@ -656,7 +656,9 @@ func (l *Loop) Retrain() error {
 // labeled evaluation window, McNemar over the disagreements, promote
 // through the guarded swap iff the challenger wins significantly by
 // the configured margin. A failed gate demotes (discards) the
-// challenger. Requires an installed challenger.
+// challenger. With an empty window the gate abstains: the challenger
+// keeps shadowing and its shadow count restarts. Requires an installed
+// challenger.
 func (l *Loop) Decide() error {
 	l.opMu.Lock()
 	defer l.opMu.Unlock()
@@ -669,6 +671,14 @@ func (l *Loop) Decide() error {
 	}
 	if champView == nil {
 		return errors.New("lifecycle: no champion loaded")
+	}
+	if evalSet.Len() == 0 {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.lastDec = &Decision{Reason: "no evaluation rows: the challenger keeps shadowing"}
+		l.shadowScored = 0
+		l.transitionLocked(StateShadowing, "gate abstained: "+l.lastDec.Reason)
+		return nil
 	}
 	dec := decide(champView.Model, challenger, evalSet, l.cfg)
 

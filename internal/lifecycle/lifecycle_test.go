@@ -73,7 +73,7 @@ func smallCfg() Config {
 func (w *testWorld) shiftedTrainResult(t *testing.T) TrainResult {
 	t.Helper()
 	rows, labels := shiftedTraffic(99, 400)
-	res, err := TrainChallenger(w.names, rows, labels, smallCfg())
+	res, err := trainEveryFifth(w.names, rows, labels, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestDecideDemotesOnTie(t *testing.T) {
 	// the gate must refuse and demote.
 	_, labels := shiftedTraffic(31, 100)
 	rows := stableTraffic(31, 100)
-	res, err := TrainChallenger(w.names, rows, labels, smallCfg())
+	res, err := trainEveryFifth(w.names, rows, labels, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +336,48 @@ func TestDecideDemotesOnTie(t *testing.T) {
 	}
 	if d := st.LastDecision; d == nil || d.Promoted || d.B != 0 || d.C != 0 {
 		t.Fatalf("tie decision: %+v", d)
+	}
+}
+
+// TestDecideAbstainsWithoutEvalRows: a challenger with no evaluation
+// row still installs, and the gate abstains instead of judging it: the
+// challenger keeps shadowing, nothing is demoted, no cooldown starts,
+// the shadow count restarts, and the decision records 0 rows and why.
+func TestDecideAbstainsWithoutEvalRows(t *testing.T) {
+	w := newTestWorld(t)
+	res := w.shiftedTrainResult(t)
+	res.Eval = res.Eval.Subset(nil)
+	cfg := smallCfg()
+	l, err := New(cfg, Options{
+		Manager: w.mgr, Baseline: w.base,
+		Trainer: func() (TrainResult, error) { return res, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range stableTraffic(41, cfg.ShadowMin) {
+		l.Observe(context.Background(), row, "class00")
+	}
+	if st := l.Status(); st.State != StatePromoting {
+		t.Fatalf("state %q after %d shadow rows, want promoting", st.State, cfg.ShadowMin)
+	}
+	gen0 := w.mgr.Generation()
+	if err := l.Decide(); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Status()
+	if st.State != StateShadowing || !st.ChallengerReady || st.Demotions != 0 || st.Promotions != 0 {
+		t.Fatalf("after an abstaining gate: %+v", st)
+	}
+	if st.CooldownLeft != 0 || st.ShadowScored != 0 || w.mgr.Generation() != gen0 {
+		t.Fatalf("abstention started a cooldown (%d), kept the shadow count (%d) or swapped the champion",
+			st.CooldownLeft, st.ShadowScored)
+	}
+	if d := st.LastDecision; d == nil || d.EvalRows != 0 || d.Promoted || d.Reason == "" {
+		t.Fatalf("abstention decision: %+v", d)
 	}
 }
 
@@ -435,7 +477,7 @@ func TestDecideScoresAcrossVocabularies(t *testing.T) {
 		rows[i] = simRow(root.Split(uint64(i)), k, 0)
 		labels[i] = fmt.Sprintf("class%02d", k)
 	}
-	res, err := TrainChallenger(w.names, rows, labels, smallCfg())
+	res, err := trainEveryFifth(w.names, rows, labels, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,10 +724,10 @@ func TestWindowPSIMatchesReference(t *testing.T) {
 	feed(second, 22, "after reset")
 }
 
-// TestTrainChallengerLeavesRowsUntouched pins what lets supremm-serve
-// hand one boot dataset's rows to every retrain: TrainChallenger never
-// writes its input rows, and a second call on the same rows trains the
-// same challenger, byte for byte, for every challenger family.
+// TestTrainChallengerLeavesRowsUntouched: TrainChallenger never writes
+// its input rows, and a second call on the same rows trains the same
+// challenger, byte for byte, for every challenger family. A retrain is
+// a function of its window alone.
 func TestTrainChallengerLeavesRowsUntouched(t *testing.T) {
 	names := newTestWorld(t).names
 	rows, labels := shiftedTraffic(5, 120)
@@ -695,7 +737,7 @@ func TestTrainChallengerLeavesRowsUntouched(t *testing.T) {
 		cfg.Algo = algo
 		var saved [2][]byte
 		for i := range saved {
-			res, err := TrainChallenger(names, rows, labels, cfg)
+			res, err := trainEveryFifth(names, rows, labels, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", algo, err)
 			}

@@ -155,6 +155,25 @@ func simRow(r *rng.Rand, k int, shift float64) []float64 {
 	return row
 }
 
+// trainEveryFifth is the simulation's split of a labeled window: every
+// fifth row is held out as the gate's evaluation rows, and the challenger
+// trains on the rest.
+func trainEveryFifth(names []string, rows [][]float64, labels []string, cfg Config) (TrainResult, error) {
+	d, err := dataset.New(names, rows, labels)
+	if err != nil {
+		return TrainResult{}, fmt.Errorf("lifecycle: challenger window: %w", err)
+	}
+	var train, eval []int
+	for i := range rows {
+		if i%5 == 4 {
+			eval = append(eval, i)
+		} else {
+			train = append(train, i)
+		}
+	}
+	return TrainChallenger(d, train, eval, cfg)
+}
+
 // simBootSet generates the champion's (unshifted) training set from
 // the same world as the live traffic: rowsPerClass rows per class,
 // one split stream per class.
@@ -218,7 +237,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		if w > n {
 			w = n
 		}
-		return TrainChallenger(train.FeatureNames, histRows[n-w:], histLabels[n-w:], lcCfg)
+		return trainEveryFifth(train.FeatureNames, histRows[n-w:], histLabels[n-w:], lcCfg)
 	}
 
 	var loop *Loop

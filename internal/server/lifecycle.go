@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
@@ -37,7 +39,8 @@ func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
 		o.Guard = s.controlGuard
 	}
 	if o.Trainer == nil {
-		o.Trainer = func() (lifecycle.TrainResult, error) { return s.trainChallenger(cfg) }
+		boot := lastJobID(s.store.Snapshot().Records)
+		o.Trainer = func() (lifecycle.TrainResult, error) { return s.trainChallenger(cfg, boot) }
 	}
 	if o.Notify == nil {
 		// A buffered poke channel: the host process (cmd/supremm-serve)
@@ -90,18 +93,47 @@ func (s *Server) bootBaseline(bins int) (*lifecycle.Baseline, error) {
 }
 
 // trainChallenger retrains on the last TrainWindow labelled jobs of the
-// warehouse's current cut, featurized once per retrain.
-func (s *Server) trainChallenger(cfg lifecycle.Config) (lifecycle.TrainResult, error) {
-	win := trailing(s.store.Snapshot().Filter(labelled), cfg.TrainWindow)
+// warehouse's current cut, featurized once per retrain and split by
+// trainWindow.
+func (s *Server) trainChallenger(cfg lifecycle.Config, boot string) (lifecycle.TrainResult, error) {
+	win, train, eval := s.trainWindow(cfg.TrainWindow, boot)
 	ds, err := core.BuildDataset(win, core.LabelByCategory, core.DefaultFeatures())
 	if err != nil {
 		return lifecycle.TrainResult{}, err
 	}
-	labels := make([]string, ds.Len())
-	for i := range labels {
-		labels[i] = ds.Label(i)
+	return lifecycle.TrainChallenger(ds, train, eval, cfg)
+}
+
+// trainWindow is a retrain's window, the last n labelled jobs of the
+// current cut, and its split. A held-out job never trains a challenger;
+// the gate scores the held-out jobs newer than boot, the boot cut's last
+// id, so no champion the server boots, reloads or promotes is ever
+// scored on a row it trained on.
+func (s *Server) trainWindow(n int, boot string) (win warehouse.Records, train, eval []int) {
+	win = trailing(s.store.Snapshot().Filter(labelled), n)
+	for i, r := range win {
+		switch {
+		case !heldOut(r.JobID):
+			train = append(train, i)
+		case r.JobID > boot:
+			eval = append(eval, i)
+		}
 	}
-	return lifecycle.TrainChallenger(ds.FeatureNames, ds.X, labels, cfg)
+	return win, train, eval
+}
+
+// heldOut holds one job in five out of every challenger, by the CRC-32
+// of its id: a fixed function, so no retrain trains on a row that
+// another retrain's gate scores.
+func heldOut(jobID string) bool { return crc32.ChecksumIEEE([]byte(jobID))%5 == 0 }
+
+// lastJobID is the newest job id of a cut, "" for an empty one. Ids
+// order as strings, as a Sharded cut does.
+func lastJobID(rs warehouse.Records) string {
+	if len(rs) == 0 {
+		return ""
+	}
+	return slices.MaxFunc(rs, func(a, b *warehouse.Record) int { return strings.Compare(a.JobID, b.JobID) }).JobID
 }
 
 // Lifecycle exposes the loop (nil when WithLifecycle was not used); the

@@ -122,7 +122,19 @@ func newLCFixture(t *testing.T, opts ...Option) *lcFixture {
 			return lifecycle.TrainResult{}, fx.trainErr
 		}
 		shiftRows, shiftLabels := lcTraffic(23, cfg.TrainWindow, true)
-		return lifecycle.TrainChallenger(fx.names, shiftRows, shiftLabels, cfg)
+		d, err := dataset.New(fx.names, shiftRows, shiftLabels)
+		if err != nil {
+			return lifecycle.TrainResult{}, err
+		}
+		var train, eval []int
+		for i := range shiftRows {
+			if i%5 == 4 {
+				eval = append(eval, i)
+			} else {
+				train = append(train, i)
+			}
+		}
+		return lifecycle.TrainChallenger(d, train, eval, cfg)
 	}
 
 	fx.reg = obs.NewRegistry()

@@ -58,28 +58,45 @@ func retrainAndDecide(t *testing.T, l *lifecycle.Loop) lifecycle.Decision {
 	return *dec
 }
 
-// TestServedGateEvalRows pins what the served gate scores. The served
-// trainer reads the labelled rows of the boot cut, the rows the boot
-// champion trained on, and holds out every fifth of them as the gate's
-// evaluation window: the champion is scored on its own training rows
-// (accuracy 1.000), and a second retrain rebuilds the same challenger
-// and reaches the same verdict.
+// TestServedGateEvalRows: the served gate never scores a model on rows
+// it trained on. At boot every labelled job trained the champion, so a
+// retrain has no evaluation row and the gate abstains: the challenger
+// keeps shadowing and nothing is demoted. Once labelled jobs newer than
+// the boot cut are ingested, the gate scores only held-out jobs among
+// them, and no challenger trains on a held-out job.
 func TestServedGateEvalRows(t *testing.T) {
-	s, _ := servedGateServer(t, servedGateConfig())
+	cfg := servedGateConfig()
+	s, sink := servedGateServer(t, cfg)
 	l := s.Lifecycle()
-	first := retrainAndDecide(t, l)
-	if first.EvalRows == 0 || first.ChampAcc != 1 {
-		t.Fatalf("boot gate: %d eval rows, champion accuracy %v; want the champion's own rows at 1.000",
-			first.EvalRows, first.ChampAcc)
+	dec := retrainAndDecide(t, l)
+	st := l.Status()
+	if dec.EvalRows != 0 || dec.Promoted || st.State != lifecycle.StateShadowing || !st.ChallengerReady ||
+		st.Demotions != 0 || st.CooldownLeft != 0 {
+		t.Fatalf("boot gate: decision %+v, state %q, ready %v, %d demotions, cooldown %d; want an abstention",
+			dec, st.State, st.ChallengerReady, st.Demotions, st.CooldownLeft)
 	}
-	second := retrainAndDecide(t, l)
-	if first.EvalRows != second.EvalRows || first.B != second.B || first.C != second.C ||
-		first.ChampAcc != second.ChampAcc || first.ChallAcc != second.ChallAcc {
-		t.Fatalf("a second retrain changed the verdict: %+v then %+v", first, second)
+
+	boot := lastJobID(sink.Records())
+	ingestNewer(t, sink, pipeline(t, 92, 200).Records)
+	win, train, eval := s.trainWindow(cfg.TrainWindow, boot)
+	if len(eval) == 0 {
+		t.Fatal("no evaluation row among the ingested jobs")
 	}
-	if st := l.Status(); st.Demotions != 2 || st.State != lifecycle.StateStable {
-		t.Fatalf("state %q with %d demotions, want stable after 2", st.State, st.Demotions)
+	for _, i := range eval {
+		if r := win[i]; r.JobID <= boot || !heldOut(r.JobID) {
+			t.Fatalf("evaluation job %s: newer than boot %v, held out %v", r.JobID, r.JobID > boot, heldOut(r.JobID))
+		}
 	}
+	for _, i := range train {
+		if heldOut(win[i].JobID) {
+			t.Fatalf("held-out job %s is a training row", win[i].JobID)
+		}
+	}
+	if dec = retrainAndDecide(t, l); dec.EvalRows != len(eval) {
+		t.Fatalf("the gate scored %d rows, want the %d held-out jobs newer than boot", dec.EvalRows, len(eval))
+	}
+	t.Logf("gate over %d held-out jobs newer than boot: champion %.3f, challenger %.3f (b=%d, c=%d)",
+		dec.EvalRows, dec.ChampAcc, dec.ChallAcc, dec.B, dec.C)
 }
 
 // ingestNewer copies recs under fresh ids above every boot id
@@ -103,26 +120,26 @@ func TestDefaultTrainerReadsCurrentCut(t *testing.T) {
 	cfg := servedGateConfig()
 	cfg.TrainWindow = 64
 	s, sink := servedGateServer(t, cfg)
-	boot := sink.Records().Filter(labelled)
-	ingestNewer(t, sink, boot[:80])
+	boot := lastJobID(sink.Records())
+	fresh := sink.Records().Filter(labelled)[:80]
+	ingestNewer(t, sink, fresh)
 
-	win := sink.Records().Filter(labelled)[len(boot)+80-64:]
-	if win[0].JobID != "2000016" || len(win) != 64 {
-		t.Fatalf("expected window: %d jobs from %s", len(win), win[0].JobID)
+	win, train, eval := s.trainWindow(cfg.TrainWindow, boot)
+	if len(win) != 64 || win[0].JobID != "2000016" || win[63].JobID != "2000079" {
+		t.Fatalf("window: %d jobs, %s to %s; want the last 64 ingested", len(win), win[0].JobID, win[len(win)-1].JobID)
+	}
+	if len(train)+len(eval) != len(win) {
+		t.Fatalf("%d training and %d evaluation rows of %d: every window job is newer than boot", len(train), len(eval), len(win))
 	}
 	ds, err := core.BuildDataset(win, core.LabelByCategory, core.DefaultFeatures())
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]string, ds.Len())
-	for i := range labels {
-		labels[i] = ds.Label(i)
-	}
-	want, err := lifecycle.TrainChallenger(ds.FeatureNames, ds.X, labels, cfg)
+	want, err := lifecycle.TrainChallenger(ds, train, eval, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.trainChallenger(cfg)
+	got, err := s.trainChallenger(cfg, boot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +151,7 @@ func TestDefaultTrainerReadsCurrentCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotBytes, wantBytes) || got.Eval.Len() != want.Eval.Len() {
+	if !bytes.Equal(gotBytes, wantBytes) || got.Eval.Len() != len(eval) {
 		t.Fatal("the default trainer's challenger is not the one trained on the current cut's last 64 labelled jobs")
 	}
 

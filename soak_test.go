@@ -213,6 +213,36 @@ func TestSoakServeUnderFaults(t *testing.T) {
 				chk.Lifecycle.Disagree, chk.Lifecycle.Errors)
 		}
 	}
+
+	// The gate never scores a model on rows it trained on. Every labelled
+	// job in the warehouse is a boot job the champion trained on, so the
+	// gate has no evaluation row: it abstains, and the challenger keeps
+	// shadowing instead of losing on the champion's own rows.
+	resp, err = http.Post(base+"/admin/lifecycle/promote", "application/json", nil)
+	if err != nil {
+		t.Fatalf("POST /admin/lifecycle/promote: %v", err)
+	}
+	var st struct {
+		State           string `json:"state"`
+		ChallengerReady bool   `json:"challengerReady"`
+		LastDecision    *struct {
+			EvalRows int    `json:"evalRows"`
+			Reason   string `json:"reason"`
+		} `json:"lastDecision"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	switch {
+	case err != nil || resp.StatusCode != http.StatusOK:
+		t.Errorf("promote after the soak: status %d, decode %v", resp.StatusCode, err)
+	case st.LastDecision == nil || st.LastDecision.EvalRows != 0:
+		t.Errorf("promote after the soak scored the champion's training rows: %+v", st.LastDecision)
+	case st.State != "shadowing" || !st.ChallengerReady:
+		t.Errorf("promote after the soak left state %q (challenger ready %v), want the challenger shadowing",
+			st.State, st.ChallengerReady)
+	default:
+		t.Logf("soak gate: %s", st.LastDecision.Reason)
+	}
 }
 
 // waitChallenger polls /api/lifecycle until the loop reports a shadow
