@@ -57,9 +57,11 @@ const (
 	FaultShadow = "lifecycle.shadow"
 )
 
-// Sentinel errors the admin endpoints map onto HTTP statuses.
+// Sentinel errors of the control-plane methods; the admin endpoints
+// answer ErrNoChallenger and ErrNoHistory with 409.
 var (
-	// ErrNoTrainer means the loop was built without a Trainer.
+	// ErrNoTrainer means the loop was built without a Trainer, which
+	// server.WithLifecycle never does.
 	ErrNoTrainer = errors.New("lifecycle: no trainer configured")
 	// ErrNoChallenger means Decide was called with nothing shadowing.
 	ErrNoChallenger = errors.New("lifecycle: no challenger to decide on")

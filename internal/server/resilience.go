@@ -192,7 +192,6 @@ func (s *Server) controlError(w http.ResponseWriter, op string, fallback int, er
 		s.writeError(w, http.StatusServiceUnavailable,
 			"%s: control-plane breaker open after repeated failures: %v", op, err)
 	case errors.Is(err, core.ErrSchemaMismatch),
-		errors.Is(err, lifecycle.ErrNoTrainer),
 		errors.Is(err, lifecycle.ErrNoChallenger),
 		errors.Is(err, lifecycle.ErrNoHistory):
 		s.writeError(w, http.StatusConflict, "%s rejected: %v", op, err)
