@@ -677,9 +677,9 @@ func (l *Loop) Decide() error {
 	if evalSet.Len() == 0 {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		l.lastDec = &Decision{Reason: "no evaluation rows: the challenger keeps shadowing"}
+		l.lastDec = &Decision{Reason: "gate abstained: no evaluation rows, the challenger keeps shadowing"}
 		l.shadowScored = 0
-		l.transitionLocked(StateShadowing, "gate abstained: "+l.lastDec.Reason)
+		l.transitionLocked(StateShadowing, l.lastDec.Reason)
 		return nil
 	}
 	dec := decide(champView.Model, challenger, evalSet, l.cfg)

@@ -105,10 +105,10 @@ func (s *Server) trainChallenger(cfg lifecycle.Config, boot string) (lifecycle.T
 }
 
 // trainWindow is a retrain's window, the last n labelled jobs of the
-// current cut, and its split. A held-out job never trains a challenger;
-// the gate scores the held-out jobs newer than boot, the boot cut's last
-// id, so no champion the server boots, reloads or promotes is ever
-// scored on a row it trained on.
+// current cut, and its split. A held-out job never trains a challenger,
+// and the gate scores only held-out jobs newer than boot, the boot cut's
+// last id: neither the boot champion nor a challenger the server trained
+// is ever scored on a row it trained on.
 func (s *Server) trainWindow(n int, boot string) (win warehouse.Records, train, eval []int) {
 	win = trailing(s.store.Snapshot().Filter(labelled), n)
 	for i, r := range win {
