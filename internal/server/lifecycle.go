@@ -74,14 +74,14 @@ func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
 func labelled(r *warehouse.Record) bool { return !r.Unlabeled() }
 
 // bootBaseline freezes the drift baseline from the champion's
-// predictions over the labelled jobs of the warehouse's current cut,
-// under the featurization the champion serves.
+// predictions over the labelled jobs of the warehouse's current cut
+// (BuildDataset skips the rest), under the champion's featurization.
 func (s *Server) bootBaseline(bins int) (*lifecycle.Baseline, error) {
 	v := s.models.View()
 	if v == nil {
 		return nil, errors.New("lifecycle: no champion to freeze a drift baseline from")
 	}
-	ds, err := core.BuildDataset(s.store.Snapshot().Filter(labelled), core.LabelByCategory, core.DefaultFeatures())
+	ds, err := core.BuildDataset(s.store.Snapshot().Records, core.LabelByCategory, core.DefaultFeatures())
 	if err != nil {
 		return nil, err
 	}
