@@ -19,6 +19,8 @@ import (
 // Loop states. The machine is strictly ordered per cycle:
 // stable -> drifting (alarm) -> shadowing (challenger live in shadow)
 // -> promoting (decision window full) -> stable (promoted or demoted).
+// A gate with no evaluation row abstains instead: promoting ->
+// shadowing, where drift is watched again and an alarm -> drifting.
 const (
 	StateStable    = "stable"
 	StateDrifting  = "drifting"
@@ -333,6 +335,12 @@ type Loop struct {
 	prevBase        *Baseline // the outgoing baseline, restored on rollback
 	prevReady       bool
 
+	// abstained marks a challenger the gate could not judge (an empty
+	// evaluation window, fixed at its retrain). It keeps shadowing, but a
+	// full shadow window no longer re-runs the gate, and drift is
+	// evaluated again, so the next alarm retrains.
+	abstained bool
+
 	ledger      Ledger
 	retrains    uint64
 	promotions  uint64
@@ -479,7 +487,8 @@ func (l *Loop) Observe(ctx context.Context, row []float64, predLabel string) {
 		chall, epoch = l.challenger, l.challengerEpoch
 	}
 	l.sinceEval++
-	if l.state == StateStable && l.cooldown == 0 && l.win.n >= l.cfg.MinRows && l.sinceEval >= l.cfg.Every {
+	monitoring := l.state == StateStable || (l.state == StateShadowing && l.abstained)
+	if monitoring && l.cooldown == 0 && l.win.n >= l.cfg.MinRows && l.sinceEval >= l.cfg.Every {
 		l.sinceEval = 0
 		l.evaluateDriftLocked()
 	}
@@ -506,7 +515,7 @@ func (l *Loop) Observe(ctx context.Context, row []float64, predLabel string) {
 		return
 	}
 	l.recordShadowLocked(fe, agree, err)
-	if l.state == StateShadowing && l.shadowScored >= uint64(l.cfg.ShadowMin) {
+	if l.state == StateShadowing && !l.abstained && l.shadowScored >= uint64(l.cfg.ShadowMin) {
 		l.transitionLocked(StatePromoting, fmt.Sprintf("shadow window full (%d scored)", l.shadowScored))
 		l.poke()
 	}
@@ -647,7 +656,7 @@ func (l *Loop) Retrain() error {
 	l.mRetrainOK.Inc()
 	l.challenger = res.Model
 	l.challengerEpoch++
-	l.evalSet = res.Eval
+	l.evalSet, l.abstained = res.Eval, false
 	l.pendingBase = res.Baseline
 	l.shadowScored = 0
 	l.transitionLocked(StateShadowing, fmt.Sprintf("challenger trained (%s, %d eval rows)", res.Model.Algo, res.Eval.Len()))
@@ -659,8 +668,9 @@ func (l *Loop) Retrain() error {
 // through the guarded swap iff the challenger wins significantly by
 // the configured margin. A failed gate demotes (discards) the
 // challenger. With an empty window the gate abstains: the challenger
-// keeps shadowing and its shadow count restarts. Requires an installed
-// challenger.
+// keeps shadowing, its shadow count restarts, and after a cooldown the
+// loop evaluates drift again, so the next alarm retrains on the cut
+// current then. Requires an installed challenger.
 func (l *Loop) Decide() error {
 	l.opMu.Lock()
 	defer l.opMu.Unlock()
@@ -678,7 +688,8 @@ func (l *Loop) Decide() error {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		l.lastDec = &Decision{Reason: "gate abstained: no evaluation rows, the challenger keeps shadowing"}
-		l.shadowScored = 0
+		l.shadowScored, l.abstained = 0, true
+		l.cooldown = l.cfg.Cooldown
 		l.transitionLocked(StateShadowing, l.lastDec.Reason)
 		return nil
 	}

@@ -341,8 +341,9 @@ func TestDecideDemotesOnTie(t *testing.T) {
 
 // TestDecideAbstainsWithoutEvalRows: a challenger with no evaluation
 // row still installs, and the gate abstains instead of judging it: the
-// challenger keeps shadowing, nothing is demoted, no cooldown starts,
-// the shadow count restarts, and the decision records 0 rows and why.
+// challenger keeps shadowing, nothing is demoted, the shadow count
+// restarts, a cooldown paces the drift monitoring that resumes, and the
+// decision records 0 rows and why.
 func TestDecideAbstainsWithoutEvalRows(t *testing.T) {
 	w := newTestWorld(t)
 	res := w.shiftedTrainResult(t)
@@ -372,13 +373,64 @@ func TestDecideAbstainsWithoutEvalRows(t *testing.T) {
 	if st.State != StateShadowing || !st.ChallengerReady || st.Demotions != 0 || st.Promotions != 0 {
 		t.Fatalf("after an abstaining gate: %+v", st)
 	}
-	if st.CooldownLeft != 0 || st.ShadowScored != 0 || w.mgr.Generation() != gen0 {
-		t.Fatalf("abstention started a cooldown (%d), kept the shadow count (%d) or swapped the champion",
-			st.CooldownLeft, st.ShadowScored)
+	if st.CooldownLeft != cfg.Cooldown || st.ShadowScored != 0 || w.mgr.Generation() != gen0 {
+		t.Fatalf("abstention left cooldown %d (want %d), kept the shadow count (%d) or swapped the champion",
+			st.CooldownLeft, cfg.Cooldown, st.ShadowScored)
 	}
 	if d := st.LastDecision; d == nil || d.EvalRows != 0 || d.Promoted || d.Reason == "" {
 		t.Fatalf("abstention decision: %+v", d)
 	}
+}
+
+// TestAbstainedAutoLoopKeepsMonitoring: an auto loop whose gate abstains
+// is not parked. The abstained challenger keeps shadowing without
+// re-running the gate on every full shadow window; once the cooldown
+// passes, drift is evaluated again, and a new alarm retrains.
+func TestAbstainedAutoLoopKeepsMonitoring(t *testing.T) {
+	w := newTestWorld(t)
+	res := w.shiftedTrainResult(t)
+	res.Eval = res.Eval.Subset(nil)
+	cfg := smallCfg()
+	l, err := New(cfg, Options{
+		Manager: w.mgr, Baseline: w.base,
+		Trainer: func() (TrainResult, error) { return res, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rows, _ := shiftedTraffic(43, 96+2*cfg.ShadowMin+cfg.Cooldown+cfg.Every)
+	feed := func(n int) {
+		w.observeAll(ctx, l, rows[:n])
+		rows = rows[n:]
+	}
+	feed(96)
+	l.Step()
+	feed(cfg.ShadowMin)
+	l.Step()
+	st := l.Status()
+	if st.Retrains != 1 || st.State != StateShadowing || st.LastDecision == nil || st.LastDecision.EvalRows != 0 {
+		t.Fatalf("after drift, retrain and a full shadow window: %+v", st)
+	}
+	events := st.DriftEvents
+
+	// A second full shadow window inside the cooldown: no new gate run,
+	// no drift evaluation yet.
+	feed(cfg.ShadowMin)
+	l.Step()
+	if st = l.Status(); st.State != StateShadowing || st.DriftEvents != events || st.Retrains != 1 {
+		t.Fatalf("inside the cooldown: %+v", st)
+	}
+
+	feed(cfg.Cooldown + cfg.Every - cfg.ShadowMin)
+	if st = l.Status(); st.State != StateDrifting || st.DriftEvents != events+1 {
+		t.Fatalf("after the cooldown: state %q, %d drift events (want %d)", st.State, st.DriftEvents, events+1)
+	}
+	l.Step()
+	if st = l.Status(); st.Retrains != 2 || st.State != StateShadowing {
+		t.Fatalf("the second alarm did not retrain: %+v", st)
+	}
+	checkLedger(t, st.Ledger)
 }
 
 func TestPromotionGuardErrorKeepsChallengerShadowing(t *testing.T) {

@@ -71,7 +71,7 @@ func TestServedGateEvalRows(t *testing.T) {
 	dec := retrainAndDecide(t, l)
 	st := l.Status()
 	if dec.EvalRows != 0 || dec.Promoted || st.State != lifecycle.StateShadowing || !st.ChallengerReady ||
-		st.Demotions != 0 || st.CooldownLeft != 0 {
+		st.Demotions != 0 || st.CooldownLeft != cfg.Cooldown {
 		t.Fatalf("boot gate: decision %+v, state %q, ready %v, %d demotions, cooldown %d; want an abstention",
 			dec, st.State, st.ChallengerReady, st.Demotions, st.CooldownLeft)
 	}
