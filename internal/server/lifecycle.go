@@ -1,13 +1,13 @@
 package server
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
@@ -31,16 +31,27 @@ func WithLifecycle(cfg lifecycle.Config, opts lifecycle.Options) Option {
 // metrics, breaker and faults exist. Called from New, after
 // initResilience and manager construction.
 func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
-	o.Manager = cmp.Or(o.Manager, s.models)
-	o.Registry = cmp.Or(o.Registry, s.metrics)
-	o.Log = cmp.Or(o.Log, s.log)
-	o.Faults = cmp.Or(o.Faults, s.faults)
+	if o.Manager == nil {
+		o.Manager = s.models
+	}
+	if o.Registry == nil {
+		o.Registry = s.metrics
+	}
+	if o.Log == nil {
+		o.Log = s.log
+	}
+	if o.Faults == nil {
+		o.Faults = s.faults
+	}
 	if o.Guard == nil {
 		o.Guard = s.controlGuard
 	}
+	// The boot cut: one snapshot for the baseline and the trainer, which
+	// reads its last id only when it first retrains.
+	boot := s.store.Snapshot().Records
 	if o.Trainer == nil {
-		boot := lastJobID(s.store.Snapshot().Records)
-		o.Trainer = func() (lifecycle.TrainResult, error) { return s.trainChallenger(cfg, boot) }
+		bootID := sync.OnceValue(func() string { return lastJobID(boot) })
+		o.Trainer = func() (lifecycle.TrainResult, error) { return s.trainChallenger(cfg, bootID()) }
 	}
 	if o.Notify == nil {
 		// A buffered poke channel: the host process (cmd/supremm-serve)
@@ -58,7 +69,7 @@ func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
 	}
 	var err error
 	if o.Baseline == nil {
-		o.Baseline, err = s.bootBaseline(cfg.Bins)
+		o.Baseline, err = s.bootBaseline(boot, cfg.Bins)
 	}
 	if err == nil {
 		s.lifecycle, err = lifecycle.New(cfg, o)
@@ -74,14 +85,14 @@ func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
 func labelled(r *warehouse.Record) bool { return !r.Unlabeled() }
 
 // bootBaseline freezes the drift baseline from the champion's
-// predictions over the labelled jobs of the warehouse's current cut
-// (BuildDataset skips the rest), under the champion's featurization.
-func (s *Server) bootBaseline(bins int) (*lifecycle.Baseline, error) {
+// predictions over the labelled jobs of the boot cut (BuildDataset
+// skips the rest), under the champion's featurization.
+func (s *Server) bootBaseline(boot warehouse.Records, bins int) (*lifecycle.Baseline, error) {
 	v := s.models.View()
 	if v == nil {
 		return nil, errors.New("lifecycle: no champion to freeze a drift baseline from")
 	}
-	ds, err := core.BuildDataset(s.store.Snapshot().Records, core.LabelByCategory, core.DefaultFeatures())
+	ds, err := core.BuildDataset(boot, core.LabelByCategory, core.DefaultFeatures())
 	if err != nil {
 		return nil, err
 	}
@@ -107,8 +118,9 @@ func (s *Server) trainChallenger(cfg lifecycle.Config, boot string) (lifecycle.T
 // trainWindow is a retrain's window, the last n labelled jobs of the
 // current cut, and its split. A held-out job never trains a challenger,
 // and the gate scores only held-out jobs newer than boot, the boot cut's
-// last id: neither the boot champion nor a challenger the server trained
-// is ever scored on a row it trained on.
+// last id: neither a champion trained on the boot cut nor a challenger
+// the server trained is ever scored on a row it trained on. A champion
+// loaded from a snapshot was trained elsewhere and is outside that.
 func (s *Server) trainWindow(n int, boot string) (win warehouse.Records, train, eval []int) {
 	win = trailing(s.store.Snapshot().Filter(labelled), n)
 	for i, r := range win {
