@@ -305,7 +305,9 @@ func main() {
 	}
 	// The discovery fit covers the population the supervised model cannot
 	// name. A thin unlabeled population is a warning, not a boot failure:
-	// POST /api/discover refits once more data lands in the warehouse.
+	// POST /api/discover refits once more data lands in the warehouse. The
+	// fit runs behind the control-plane breaker and the discover.fit fault
+	// site, as every refit does, so any failure here only warns.
 	if _, err := api.RefitDiscovery(core.DiscoveryConfig{Seed: *seed, Workers: *batchWorkers}); err != nil {
 		log.Warn("discovery fit skipped", "err", err)
 	}
