@@ -155,11 +155,11 @@ func TestDefaultTrainerReadsCurrentCut(t *testing.T) {
 		t.Fatal("the default trainer's challenger is not the one trained on the current cut's last 64 labelled jobs")
 	}
 
-	l := s.Lifecycle()
-	if err := l.Retrain(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Status(); st.Retrains != 1 || !st.ChallengerReady {
-		t.Fatalf("retrain through the loop: %d retrains, challenger ready %v", st.Retrains, st.ChallengerReady)
+	// The loop's first retrain comes after the ingest, yet it still
+	// measures "newer" from the boot cut: the gate scores the same
+	// held-out jobs.
+	dec := retrainAndDecide(t, s.Lifecycle())
+	if st := s.Lifecycle().Status(); st.Retrains != 1 || len(eval) == 0 || dec.EvalRows != len(eval) {
+		t.Fatalf("retrain through the loop: %d retrains, the gate scored %d rows, want %d", st.Retrains, dec.EvalRows, len(eval))
 	}
 }
