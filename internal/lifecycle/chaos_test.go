@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -341,5 +342,40 @@ func TestChaosLifecycleBreakerTrips(t *testing.T) {
 	}
 	if st := l.Status(); st.State != StateShadowing || st.Retrains != 1 {
 		t.Fatalf("recovered loop: %+v", st)
+	}
+}
+
+// TestChaosLifecycleFailedAutoRetrain: an auto loop whose retrain fails
+// after a drift alarm. The alarm poked the host once; the failed retrain
+// leaves the loop drifting, and drift is evaluated only while stable, so
+// however much shifted traffic follows, nothing pokes the host again,
+// no new alarm is raised and the host, which Steps on a poke, never
+// retries the trainer.
+func TestChaosLifecycleFailedAutoRetrain(t *testing.T) {
+	w := newTestWorld(t)
+	cfg := smallCfg()
+	calls, pokes := 0, 0
+	l, err := New(cfg, Options{
+		Manager: w.mgr, Baseline: w.base,
+		Trainer: func() (TrainResult, error) { calls++; return TrainResult{}, errors.New("warehouse unavailable") },
+		Notify:  func() { pokes++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rows, _ := shiftedTraffic(47, 96+cfg.Cooldown+cfg.Every)
+	w.observeAll(ctx, l, rows[:96])
+	st := l.Status()
+	if st.State != StateDrifting || pokes != 1 {
+		t.Fatalf("after shifted traffic: state %q, %d pokes; want drifting, 1", st.State, pokes)
+	}
+	events := st.DriftEvents
+	l.Step()
+	w.observeAll(ctx, l, rows[96:])
+	st = l.Status()
+	if calls != 1 || st.State != StateDrifting || pokes != 1 || st.DriftEvents != events {
+		t.Fatalf("after a failed retrain: %d trainer calls, state %q, %d pokes, %d drift events (had %d)",
+			calls, st.State, pokes, st.DriftEvents, events)
 	}
 }
