@@ -193,8 +193,10 @@ func main() {
 	// The served warehouse is the only holder of the workload: seeded
 	// with the boot workload, grown by ingest. The boot model trains on
 	// its cut right after seeding, in job-id order (the pipeline's
-	// generation order while ids stay seven digits, -jobs < 9 000 000);
-	// the server reads every other fit from the warehouse itself.
+	// generation order while ids stay seven digits, -jobs < 9 000 000),
+	// on the jobs core.HeldOut keeps, as every challenger does, so the
+	// lifecycle gate scores it on the held-out ones from the first
+	// retrain; the server reads every other fit from the warehouse.
 	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
 	for _, rec := range res.Records {
 		if err := sink.Ingest(rec); err != nil {
@@ -209,7 +211,8 @@ func main() {
 		}
 		log.Info("loaded classifier", "algo", models.View().Model.Algo, "path", *modelPath)
 	} else {
-		ds, err := core.BuildDataset(sink.Records(), core.LabelByCategory, core.DefaultFeatures())
+		train := sink.Records().Filter(func(r *warehouse.Record) bool { return !core.HeldOut(r.JobID) })
+		ds, err := core.BuildDataset(train, core.LabelByCategory, core.DefaultFeatures())
 		if err != nil {
 			fatal(err)
 		}

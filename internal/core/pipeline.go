@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sync/atomic"
 	"time"
 
@@ -223,6 +224,12 @@ func LabelByExit(r *warehouse.Record) (string, bool) {
 	}
 	return "failure", true
 }
+
+// HeldOut holds one job in five out of every model the server trains,
+// the boot champion included, by the CRC-32 of its id: a fixed
+// function, so the promotion gate scores a served model only on jobs it
+// did not train on.
+func HeldOut(jobID string) bool { return crc32.ChecksumIEEE([]byte(jobID))%5 == 0 }
 
 // BuildDataset featurizes records under a labeling function.
 func BuildDataset(records []*warehouse.Record, label LabelFunc, opt FeatureOptions) (*dataset.Dataset, error) {

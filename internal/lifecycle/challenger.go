@@ -57,7 +57,7 @@ func BaselineFor(d *dataset.Dataset, model *core.JobClassifier, bins int) (*Base
 
 // TrainChallenger fits a challenger on the rows train indexes into d,
 // keeps the rows eval indexes as the promotion gate's evaluation window
-// (it may be empty), and rebuilds the drift baseline from the
+// (Retrain refuses an empty one), and rebuilds the drift baseline from the
 // challenger's view of its own training rows. The caller picks the
 // split: the gate must never score a model on rows it trained on.
 func TrainChallenger(d *dataset.Dataset, train, eval []int, cfg Config) (TrainResult, error) {

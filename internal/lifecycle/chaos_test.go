@@ -346,11 +346,10 @@ func TestChaosLifecycleBreakerTrips(t *testing.T) {
 }
 
 // TestChaosLifecycleFailedAutoRetrain: an auto loop whose retrain fails
-// after a drift alarm. The alarm poked the host once; the failed retrain
-// leaves the loop drifting, and drift is evaluated only while stable, so
-// however much shifted traffic follows, nothing pokes the host again,
-// no new alarm is raised and the host, which Steps on a poke, never
-// retries the trainer.
+// after a drift alarm is not parked. The failure ends the cycle in
+// stable behind the cooldown, as a lost gate does; once the cooldown
+// passes, drift is evaluated again, the next alarm pokes the host,
+// which Steps on a poke, and the trainer is called again.
 func TestChaosLifecycleFailedAutoRetrain(t *testing.T) {
 	w := newTestWorld(t)
 	cfg := smallCfg()
@@ -372,10 +371,19 @@ func TestChaosLifecycleFailedAutoRetrain(t *testing.T) {
 	}
 	events := st.DriftEvents
 	l.Step()
+	if st = l.Status(); calls != 1 || st.State != StateStable || st.CooldownLeft != cfg.Cooldown || st.ChallengerReady {
+		t.Fatalf("after a failed retrain: %d trainer calls, %+v; want stable with a full cooldown", calls, st)
+	}
+	if last := st.Transitions[len(st.Transitions)-1]; last.Reason != "retrain failed: warehouse unavailable" {
+		t.Fatalf("failed retrain transition: %+v", last)
+	}
 	w.observeAll(ctx, l, rows[96:])
-	st = l.Status()
-	if calls != 1 || st.State != StateDrifting || pokes != 1 || st.DriftEvents != events {
-		t.Fatalf("after a failed retrain: %d trainer calls, state %q, %d pokes, %d drift events (had %d)",
-			calls, st.State, pokes, st.DriftEvents, events)
+	if st = l.Status(); st.State != StateDrifting || pokes != 2 || st.DriftEvents != events+1 {
+		t.Fatalf("after the cooldown: state %q, %d pokes, %d drift events (had %d); want a new alarm",
+			st.State, pokes, st.DriftEvents, events)
+	}
+	l.Step()
+	if calls != 2 {
+		t.Fatalf("the second alarm called the trainer %d times in all, want 2", calls)
 	}
 }

@@ -19,8 +19,7 @@ import (
 // Loop states. The machine is strictly ordered per cycle:
 // stable -> drifting (alarm) -> shadowing (challenger live in shadow)
 // -> promoting (decision window full) -> stable (promoted or demoted).
-// A gate with no evaluation row abstains instead: promoting ->
-// shadowing, where drift is watched again and an alarm -> drifting.
+// A failed retrain also ends a drifting cycle in stable.
 const (
 	StateStable    = "stable"
 	StateDrifting  = "drifting"
@@ -72,8 +71,8 @@ var (
 )
 
 // TrainResult is what a Trainer hands back: the challenger, the labeled
-// evaluation window the promotion gate scores both models on (empty
-// when no row is unseen by both), and a fresh drift baseline to install
+// evaluation window the promotion gate scores both models on (Retrain
+// refuses an empty one), and a fresh drift baseline to install
 // if the challenger is promoted (nil keeps the old baseline).
 type TrainResult struct {
 	Model    *core.JobClassifier
@@ -333,13 +332,6 @@ type Loop struct {
 	shadowScored    uint64    // scored rows since the current challenger installed
 	prev            *core.JobClassifier
 	prevBase        *Baseline // the outgoing baseline, restored on rollback
-	prevReady       bool
-
-	// abstained marks a challenger the gate could not judge (an empty
-	// evaluation window, fixed at its retrain). It keeps shadowing, but a
-	// full shadow window no longer re-runs the gate, and drift is
-	// evaluated again, so the next alarm retrains.
-	abstained bool
 
 	ledger      Ledger
 	retrains    uint64
@@ -487,8 +479,7 @@ func (l *Loop) Observe(ctx context.Context, row []float64, predLabel string) {
 		chall, epoch = l.challenger, l.challengerEpoch
 	}
 	l.sinceEval++
-	monitoring := l.state == StateStable || (l.state == StateShadowing && l.abstained)
-	if monitoring && l.cooldown == 0 && l.win.n >= l.cfg.MinRows && l.sinceEval >= l.cfg.Every {
+	if l.state == StateStable && l.cooldown == 0 && l.win.n >= l.cfg.MinRows && l.sinceEval >= l.cfg.Every {
 		l.sinceEval = 0
 		l.evaluateDriftLocked()
 	}
@@ -515,7 +506,7 @@ func (l *Loop) Observe(ctx context.Context, row []float64, predLabel string) {
 		return
 	}
 	l.recordShadowLocked(fe, agree, err)
-	if l.state == StateShadowing && !l.abstained && l.shadowScored >= uint64(l.cfg.ShadowMin) {
+	if l.state == StateShadowing && l.shadowScored >= uint64(l.cfg.ShadowMin) {
 		l.transitionLocked(StatePromoting, fmt.Sprintf("shadow window full (%d scored)", l.shadowScored))
 		l.poke()
 	}
@@ -615,7 +606,8 @@ func (l *Loop) Step() {
 
 // Retrain trains a challenger through the control-plane guard and
 // installs it in shadow. Callable from any state (the admin endpoint
-// forces retrains); on success the loop is shadowing.
+// forces retrains); on success the loop is shadowing. A failure ends a
+// drifting cycle in stable behind the cooldown, as a lost gate does.
 func (l *Loop) Retrain() error {
 	if l.trainer == nil {
 		return ErrNoTrainer
@@ -633,30 +625,32 @@ func (l *Loop) Retrain() error {
 			return err
 		})
 	})
+	switch {
+	case err != nil:
+	case res.Model == nil || res.Eval == nil || res.Eval.Len() == 0:
+		err = errors.New("lifecycle: trainer returned no model or no evaluation row")
+	// The promotion gate compares predictions as string labels, but the
+	// challenger's threshold sweep still scores Eval by class index, so
+	// the challenger must share the evaluation window's vocabulary.
+	case !slices.Equal(res.Model.Classes(), res.Eval.ClassNames):
+		err = fmt.Errorf("lifecycle: challenger classes %v do not match the evaluation window's %v",
+			res.Model.Classes(), res.Eval.ClassNames)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err != nil {
 		l.mRetrainErr.Inc()
 		l.log.Warn("lifecycle retrain failed", "err", err)
+		if l.state == StateDrifting {
+			l.toStableLocked("retrain failed: " + err.Error())
+		}
 		return err
-	}
-	if res.Model == nil || res.Eval == nil {
-		l.mRetrainErr.Inc()
-		return errors.New("lifecycle: trainer returned no model or no evaluation window")
-	}
-	// The promotion gate compares predictions as string labels, but the
-	// challenger's threshold sweep still scores Eval by class index, so
-	// the challenger must share the evaluation window's vocabulary.
-	if !slices.Equal(res.Model.Classes(), res.Eval.ClassNames) {
-		l.mRetrainErr.Inc()
-		return fmt.Errorf("lifecycle: challenger classes %v do not match the evaluation window's %v",
-			res.Model.Classes(), res.Eval.ClassNames)
 	}
 	l.retrains++
 	l.mRetrainOK.Inc()
 	l.challenger = res.Model
 	l.challengerEpoch++
-	l.evalSet, l.abstained = res.Eval, false
+	l.evalSet = res.Eval
 	l.pendingBase = res.Baseline
 	l.shadowScored = 0
 	l.transitionLocked(StateShadowing, fmt.Sprintf("challenger trained (%s, %d eval rows)", res.Model.Algo, res.Eval.Len()))
@@ -667,10 +661,8 @@ func (l *Loop) Retrain() error {
 // labeled evaluation window, McNemar over the disagreements, promote
 // through the guarded swap iff the challenger wins significantly by
 // the configured margin. A failed gate demotes (discards) the
-// challenger. With an empty window the gate abstains: the challenger
-// keeps shadowing, its shadow count restarts, and after a cooldown the
-// loop evaluates drift again, so the next alarm retrains on the cut
-// current then. Requires an installed challenger.
+// challenger. Requires an installed challenger, whose evaluation window
+// Retrain made sure is not empty.
 func (l *Loop) Decide() error {
 	l.opMu.Lock()
 	defer l.opMu.Unlock()
@@ -678,20 +670,11 @@ func (l *Loop) Decide() error {
 	challenger, evalSet := l.challenger, l.evalSet
 	champView := l.mgr.View()
 	l.mu.Unlock()
-	if challenger == nil || evalSet == nil {
+	if challenger == nil {
 		return ErrNoChallenger
 	}
 	if champView == nil {
 		return errors.New("lifecycle: no champion loaded")
-	}
-	if evalSet.Len() == 0 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		l.lastDec = &Decision{Reason: "gate abstained: no evaluation rows, the challenger keeps shadowing"}
-		l.shadowScored, l.abstained = 0, true
-		l.cooldown = l.cfg.Cooldown
-		l.transitionLocked(StateShadowing, l.lastDec.Reason)
-		return nil
 	}
 	dec := decide(champView.Model, challenger, evalSet, l.cfg)
 
@@ -702,10 +685,7 @@ func (l *Loop) Decide() error {
 		l.mPromoteRej.Inc()
 		l.demotions++
 		l.mDemotions.Inc()
-		l.challenger, l.evalSet, l.pendingBase = nil, nil, nil
-		l.challengerEpoch++
-		l.cooldown = l.cfg.Cooldown
-		l.transitionLocked(StateStable, "gate failed: "+dec.Reason)
+		l.toStableLocked("gate failed: " + dec.Reason)
 		return nil
 	}
 
@@ -725,8 +705,9 @@ func (l *Loop) Decide() error {
 		l.mPromoteErr.Inc()
 		l.log.Warn("lifecycle promotion failed", "err", err)
 		// The decision stands but the swap did not happen; the
-		// challenger keeps shadowing so a recovered control plane can
-		// retry the promotion.
+		// challenger keeps shadowing, and a recovered control plane
+		// retries the promotion after one more shadow window.
+		l.shadowScored = 0
 		l.transitionLocked(StateShadowing, "promotion error: "+err.Error())
 		return err
 	}
@@ -735,18 +716,24 @@ func (l *Loop) Decide() error {
 	// Exactly one generation of rollback history: the outgoing champion
 	// together with the drift baseline it was being judged against, so a
 	// rollback restores the whole monitoring regime, not just the model.
-	l.prev, l.prevBase, l.prevReady = champView.Model, l.base, true
+	l.prev, l.prevBase = champView.Model, l.base
 	if l.pendingBase != nil {
 		l.base = l.pendingBase
-		l.pendingBase = nil
 	}
 	l.win.reset(l.base)
 	l.sinceEval = 0
-	l.challenger, l.evalSet = nil, nil
+	l.toStableLocked("promoted: " + dec.Reason)
+	return nil
+}
+
+// toStableLocked ends a cycle (promotion, demotion, rollback, failed
+// retrain): the challenger goes, and drift is judged again after the
+// cooldown. Caller holds l.mu.
+func (l *Loop) toStableLocked(reason string) {
+	l.challenger, l.evalSet, l.pendingBase = nil, nil, nil
 	l.challengerEpoch++
 	l.cooldown = l.cfg.Cooldown
-	l.transitionLocked(StateStable, "promoted: "+dec.Reason)
-	return nil
+	l.transitionLocked(StateStable, reason)
 }
 
 // decide is the pure promotion gate (deterministic; the simulation
@@ -816,9 +803,9 @@ func (l *Loop) Rollback() error {
 	l.opMu.Lock()
 	defer l.opMu.Unlock()
 	l.mu.Lock()
-	prev, prevBase, ready := l.prev, l.prevBase, l.prevReady
+	prev, prevBase := l.prev, l.prevBase
 	l.mu.Unlock()
-	if !ready {
+	if prev == nil {
 		return ErrNoHistory
 	}
 	err := l.guard(func() error {
@@ -838,16 +825,11 @@ func (l *Loop) Rollback() error {
 	// Drift must be judged against the reinstated champion's own
 	// reference, not the baseline the promotion installed for the model
 	// just removed.
-	if prevBase != nil {
-		l.base = prevBase
-	}
-	l.prev, l.prevBase, l.prevReady = nil, nil, false
-	l.challenger, l.evalSet, l.pendingBase = nil, nil, nil
-	l.challengerEpoch++
+	l.base = prevBase
+	l.prev, l.prevBase = nil, nil
 	l.win.reset(l.base)
 	l.sinceEval = 0
-	l.cooldown = l.cfg.Cooldown
-	l.transitionLocked(StateStable, "rolled back to previous champion")
+	l.toStableLocked("rolled back to previous champion")
 	return nil
 }
 
@@ -876,7 +858,7 @@ func (l *Loop) Status() Status {
 		Promotions:      l.promotions,
 		Demotions:       l.demotions,
 		Rollbacks:       l.rollbacks,
-		RollbackReady:   l.prevReady,
+		RollbackReady:   l.prev != nil,
 		Ledger:          l.ledger,
 		Transitions:     append([]Transition(nil), l.transitions...),
 		LastDecision:    l.lastDec,

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ml/forest"
+	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/rng"
 	"repro/internal/testkit"
@@ -339,98 +340,33 @@ func TestDecideDemotesOnTie(t *testing.T) {
 	}
 }
 
-// TestDecideAbstainsWithoutEvalRows: a challenger with no evaluation
-// row still installs, and the gate abstains instead of judging it: the
-// challenger keeps shadowing, nothing is demoted, the shadow count
-// restarts, a cooldown paces the drift monitoring that resumes, and the
-// decision records 0 rows and why.
-func TestDecideAbstainsWithoutEvalRows(t *testing.T) {
+// TestRetrainRefusesEmptyEval: a challenger with no evaluation row
+// cannot be judged, so Retrain refuses it as it refuses a nil window:
+// a counted retrain failure that installs nothing.
+func TestRetrainRefusesEmptyEval(t *testing.T) {
 	w := newTestWorld(t)
 	res := w.shiftedTrainResult(t)
 	res.Eval = res.Eval.Subset(nil)
-	cfg := smallCfg()
-	l, err := New(cfg, Options{
-		Manager: w.mgr, Baseline: w.base,
+	reg := obs.NewRegistry()
+	l, err := New(smallCfg(), Options{
+		Manager: w.mgr, Baseline: w.base, Registry: reg,
 		Trainer: func() (TrainResult, error) { return res, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Retrain(); err != nil {
-		t.Fatal(err)
+	if err := l.Retrain(); err == nil {
+		t.Fatal("retrain with an empty evaluation window succeeded")
 	}
-	for _, row := range stableTraffic(41, cfg.ShadowMin) {
-		l.Observe(context.Background(), row, "class00")
+	if got := reg.Counter("lifecycle_retrain_total", "outcome", "error").Value(); got != 1 {
+		t.Errorf("lifecycle_retrain_total{outcome=error} = %d, want 1", got)
 	}
-	if st := l.Status(); st.State != StatePromoting {
-		t.Fatalf("state %q after %d shadow rows, want promoting", st.State, cfg.ShadowMin)
+	if st := l.Status(); st.State != StateStable || st.ChallengerReady || st.Retrains != 0 {
+		t.Fatalf("refused retrain left %+v", st)
 	}
-	gen0 := w.mgr.Generation()
-	if err := l.Decide(); err != nil {
-		t.Fatal(err)
+	if err := l.Decide(); !errors.Is(err, ErrNoChallenger) {
+		t.Fatalf("decide after a refused retrain: %v, want ErrNoChallenger", err)
 	}
-	st := l.Status()
-	if st.State != StateShadowing || !st.ChallengerReady || st.Demotions != 0 || st.Promotions != 0 {
-		t.Fatalf("after an abstaining gate: %+v", st)
-	}
-	if st.CooldownLeft != cfg.Cooldown || st.ShadowScored != 0 || w.mgr.Generation() != gen0 {
-		t.Fatalf("abstention left cooldown %d (want %d), kept the shadow count (%d) or swapped the champion",
-			st.CooldownLeft, cfg.Cooldown, st.ShadowScored)
-	}
-	if d := st.LastDecision; d == nil || d.EvalRows != 0 || d.Promoted || d.Reason == "" {
-		t.Fatalf("abstention decision: %+v", d)
-	}
-}
-
-// TestAbstainedAutoLoopKeepsMonitoring: an auto loop whose gate abstains
-// is not parked. The abstained challenger keeps shadowing without
-// re-running the gate on every full shadow window; once the cooldown
-// passes, drift is evaluated again, and a new alarm retrains.
-func TestAbstainedAutoLoopKeepsMonitoring(t *testing.T) {
-	w := newTestWorld(t)
-	res := w.shiftedTrainResult(t)
-	res.Eval = res.Eval.Subset(nil)
-	cfg := smallCfg()
-	l, err := New(cfg, Options{
-		Manager: w.mgr, Baseline: w.base,
-		Trainer: func() (TrainResult, error) { return res, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	rows, _ := shiftedTraffic(43, 96+2*cfg.ShadowMin+cfg.Cooldown+cfg.Every)
-	feed := func(n int) {
-		w.observeAll(ctx, l, rows[:n])
-		rows = rows[n:]
-	}
-	feed(96)
-	l.Step()
-	feed(cfg.ShadowMin)
-	l.Step()
-	st := l.Status()
-	if st.Retrains != 1 || st.State != StateShadowing || st.LastDecision == nil || st.LastDecision.EvalRows != 0 {
-		t.Fatalf("after drift, retrain and a full shadow window: %+v", st)
-	}
-	events := st.DriftEvents
-
-	// A second full shadow window inside the cooldown: no new gate run,
-	// no drift evaluation yet.
-	feed(cfg.ShadowMin)
-	l.Step()
-	if st = l.Status(); st.State != StateShadowing || st.DriftEvents != events || st.Retrains != 1 {
-		t.Fatalf("inside the cooldown: %+v", st)
-	}
-
-	feed(cfg.Cooldown + cfg.Every - cfg.ShadowMin)
-	if st = l.Status(); st.State != StateDrifting || st.DriftEvents != events+1 {
-		t.Fatalf("after the cooldown: state %q, %d drift events (want %d)", st.State, st.DriftEvents, events+1)
-	}
-	l.Step()
-	if st = l.Status(); st.Retrains != 2 || st.State != StateShadowing {
-		t.Fatalf("the second alarm did not retrain: %+v", st)
-	}
-	checkLedger(t, st.Ledger)
 }
 
 func TestPromotionGuardErrorKeepsChallengerShadowing(t *testing.T) {
@@ -454,6 +390,10 @@ func TestPromotionGuardErrorKeepsChallengerShadowing(t *testing.T) {
 	if err := l.Retrain(); err != nil {
 		t.Fatal(err)
 	}
+	w.observeAll(context.Background(), l, stableTraffic(44, smallCfg().ShadowMin))
+	if st := l.Status(); st.State != StatePromoting {
+		t.Fatalf("a full shadow window left state %q, want promoting", st.State)
+	}
 	guardErr = errors.New("breaker open")
 	if err := l.Decide(); err == nil {
 		t.Fatal("promotion through a failing guard succeeded")
@@ -465,8 +405,20 @@ func TestPromotionGuardErrorKeepsChallengerShadowing(t *testing.T) {
 	if w.mgr.Generation() != gen0 {
 		t.Fatal("a failed promotion must not advance the champion generation")
 	}
-	// The control plane recovers: the same challenger promotes.
+	// The control plane recovers. The shadow count restarted, so the gate
+	// runs again one full shadow window later, not on the next row.
 	guardErr = nil
+	rows := stableTraffic(45, smallCfg().ShadowMin)
+	w.observeAll(context.Background(), l, rows[1:])
+	if st := l.Status(); st.State != StateShadowing || st.ShadowScored != uint64(len(rows)-1) {
+		t.Fatalf("%d shadow rows after the failed promotion: state %q, %d scored; want shadowing",
+			len(rows)-1, st.State, st.ShadowScored)
+	}
+	w.observeAll(context.Background(), l, rows[:1])
+	if st := l.Status(); st.State != StatePromoting {
+		t.Fatalf("a full shadow window after the failed promotion left state %q, want promoting", st.State)
+	}
+	// The same challenger promotes.
 	if err := l.Decide(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"slices"
-	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
@@ -21,8 +18,8 @@ import (
 // to /metrics, Faults to the server's registry, Guard to the shared
 // control-plane breaker (the one model reloads trip), Baseline to the
 // champion's predictions over the labelled jobs of the warehouse's cut
-// at New (the boot cut), and Trainer to a retrain over the last
-// TrainWindow labelled jobs of the cut current at each retrain.
+// at New (the boot cut, taken only then), and Trainer to a retrain over
+// the last TrainWindow labelled jobs of the cut current at each retrain.
 func WithLifecycle(cfg lifecycle.Config, opts lifecycle.Options) Option {
 	return func(s *Server) { s.lifecyclePending = func() { s.initLifecycle(cfg, opts) } }
 }
@@ -46,12 +43,8 @@ func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
 	if o.Guard == nil {
 		o.Guard = s.controlGuard
 	}
-	// The boot cut: one snapshot for the baseline and the trainer, which
-	// reads its last id only when it first retrains.
-	boot := s.store.Snapshot().Records
 	if o.Trainer == nil {
-		bootID := sync.OnceValue(func() string { return lastJobID(boot) })
-		o.Trainer = func() (lifecycle.TrainResult, error) { return s.trainChallenger(cfg, bootID()) }
+		o.Trainer = func() (lifecycle.TrainResult, error) { return s.trainChallenger(cfg) }
 	}
 	if o.Notify == nil {
 		// A buffered poke channel: the host process (cmd/supremm-serve)
@@ -69,7 +62,7 @@ func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
 	}
 	var err error
 	if o.Baseline == nil {
-		o.Baseline, err = s.bootBaseline(boot, cfg.Bins)
+		o.Baseline, err = s.bootBaseline(cfg.Bins)
 	}
 	if err == nil {
 		s.lifecycle, err = lifecycle.New(cfg, o)
@@ -85,14 +78,14 @@ func (s *Server) initLifecycle(cfg lifecycle.Config, o lifecycle.Options) {
 func labelled(r *warehouse.Record) bool { return !r.Unlabeled() }
 
 // bootBaseline freezes the drift baseline from the champion's
-// predictions over the labelled jobs of the boot cut (BuildDataset
-// skips the rest), under the champion's featurization.
-func (s *Server) bootBaseline(boot warehouse.Records, bins int) (*lifecycle.Baseline, error) {
+// predictions over the labelled jobs of the boot cut, the cut at New
+// (BuildDataset skips the rest), under the champion's featurization.
+func (s *Server) bootBaseline(bins int) (*lifecycle.Baseline, error) {
 	v := s.models.View()
 	if v == nil {
 		return nil, errors.New("lifecycle: no champion to freeze a drift baseline from")
 	}
-	ds, err := core.BuildDataset(boot, core.LabelByCategory, core.DefaultFeatures())
+	ds, err := core.BuildDataset(s.store.Snapshot().Records, core.LabelByCategory, core.DefaultFeatures())
 	if err != nil {
 		return nil, err
 	}
@@ -106,8 +99,8 @@ func (s *Server) bootBaseline(boot warehouse.Records, bins int) (*lifecycle.Base
 // trainChallenger retrains on the last TrainWindow labelled jobs of the
 // warehouse's current cut, featurized once per retrain and split by
 // trainWindow.
-func (s *Server) trainChallenger(cfg lifecycle.Config, boot string) (lifecycle.TrainResult, error) {
-	win, train, eval := s.trainWindow(cfg.TrainWindow, boot)
+func (s *Server) trainChallenger(cfg lifecycle.Config) (lifecycle.TrainResult, error) {
+	win, train, eval := s.trainWindow(cfg.TrainWindow)
 	ds, err := core.BuildDataset(win, core.LabelByCategory, core.DefaultFeatures())
 	if err != nil {
 		return lifecycle.TrainResult{}, err
@@ -116,36 +109,20 @@ func (s *Server) trainChallenger(cfg lifecycle.Config, boot string) (lifecycle.T
 }
 
 // trainWindow is a retrain's window, the last n labelled jobs of the
-// current cut, and its split. A held-out job never trains a challenger,
-// and the gate scores only held-out jobs newer than boot, the boot cut's
-// last id: neither a champion trained on the boot cut nor a challenger
-// the server trained is ever scored on a row it trained on. A champion
-// loaded from a snapshot was trained elsewhere and is outside that.
-func (s *Server) trainWindow(n int, boot string) (win warehouse.Records, train, eval []int) {
+// current cut, split by core.HeldOut: the held-out jobs are the gate's
+// evaluation rows, the rest train. supremm-serve's boot champion trains
+// only on jobs it keeps too; a champion loaded from a snapshot was
+// trained elsewhere and is outside that.
+func (s *Server) trainWindow(n int) (win warehouse.Records, train, eval []int) {
 	win = trailing(s.store.Snapshot().Filter(labelled), n)
 	for i, r := range win {
-		switch {
-		case !heldOut(r.JobID):
-			train = append(train, i)
-		case r.JobID > boot:
+		if core.HeldOut(r.JobID) {
 			eval = append(eval, i)
+		} else {
+			train = append(train, i)
 		}
 	}
 	return win, train, eval
-}
-
-// heldOut holds one job in five out of every challenger, by the CRC-32
-// of its id: a fixed function, so no retrain trains on a row that
-// another retrain's gate scores.
-func heldOut(jobID string) bool { return crc32.ChecksumIEEE([]byte(jobID))%5 == 0 }
-
-// lastJobID is the newest job id of a cut, "" for an empty one. Ids
-// order as strings, as a Sharded cut does.
-func lastJobID(rs warehouse.Records) string {
-	if len(rs) == 0 {
-		return ""
-	}
-	return slices.MaxFunc(rs, func(a, b *warehouse.Record) int { return strings.Compare(a.JobID, b.JobID) }).JobID
 }
 
 // Lifecycle exposes the loop (nil when WithLifecycle was not used); the

@@ -19,10 +19,27 @@ func servedGateConfig() lifecycle.Config {
 	return cfg
 }
 
-// servedGateServer boots a server over a Sharded warehouse seeded with
-// the 91/200 pipeline run, its champion trained on every labelled boot
-// job, and arms the lifecycle loop the way supremm-serve does: no
-// Trainer and no Baseline, so the server builds both from its warehouse.
+// kept is the complement of core.HeldOut: the jobs a served model may
+// train on.
+func kept(r *warehouse.Record) bool { return !core.HeldOut(r.JobID) }
+
+// bootChampion is core.PaperForest(3) trained the way supremm-serve
+// trains its boot model: on the labelled 91/200 jobs core.HeldOut keeps.
+func bootChampion(t testing.TB) *core.JobClassifier {
+	return shared(t, "boot champion 91/200", func() (*core.JobClassifier, error) {
+		train := warehouse.Records(pipeline(t, 91, 200).Records).Filter(kept)
+		ds, err := core.BuildDataset(train, core.LabelByCategory, core.DefaultFeatures())
+		if err != nil {
+			return nil, err
+		}
+		return core.TrainJobClassifier(ds, core.PaperForest(3))
+	})
+}
+
+// servedGateServer boots a server the way supremm-serve does: a Sharded
+// warehouse seeded with the 91/200 pipeline run, the boot champion, and
+// the lifecycle loop armed with no Trainer and no Baseline, so the
+// server builds both from its warehouse.
 func servedGateServer(t *testing.T, cfg lifecycle.Config) (*Server, *warehouse.Sharded) {
 	t.Helper()
 	sink := warehouse.NewSharded(warehouse.ShardedConfig{})
@@ -32,7 +49,7 @@ func servedGateServer(t *testing.T, cfg lifecycle.Config) (*Server, *warehouse.S
 		}
 	}
 	models := core.NewModelManager(nil)
-	if _, err := models.Swap(paperForest(t, 91, 200)); err != nil {
+	if _, err := models.Swap(bootChampion(t)); err != nil {
 		t.Fatal(err)
 	}
 	s := New(sink, nil, 6400, WithModelManager(models), WithLifecycle(cfg, lifecycle.Options{}))
@@ -58,44 +75,101 @@ func retrainAndDecide(t *testing.T, l *lifecycle.Loop) lifecycle.Decision {
 	return *dec
 }
 
+// jobIDs is the set of job ids of win's rows at idx.
+func jobIDs(win warehouse.Records, idx []int) map[string]bool {
+	ids := make(map[string]bool, len(idx))
+	for _, i := range idx {
+		ids[win[i].JobID] = true
+	}
+	return ids
+}
+
+// TestServedBootGateScoresHeldOutJobs: booted the way supremm-serve
+// boots, the first retrain's gate scores every held-out labelled boot
+// job (22 of the 91/200 run), and none of them trained the champion or
+// the challenger. The verdict either keeps the champion (stable, no
+// challenger) or promotes (a new generation).
+func TestServedBootGateScoresHeldOutJobs(t *testing.T) {
+	cfg := servedGateConfig()
+	s, sink := servedGateServer(t, cfg)
+	labelledBoot := sink.Records().Filter(labelled)
+	heldOut := map[string]bool{}
+	for _, r := range labelledBoot {
+		if core.HeldOut(r.JobID) {
+			heldOut[r.JobID] = true
+		}
+	}
+	if len(heldOut) != 22 {
+		t.Fatalf("%d held-out labelled boot jobs, want 22", len(heldOut))
+	}
+	for _, r := range warehouse.Records(pipeline(t, 91, 200).Records).Filter(kept) {
+		if heldOut[r.JobID] {
+			t.Fatalf("held-out job %s trained the boot champion", r.JobID)
+		}
+	}
+
+	win, train, eval := s.trainWindow(cfg.TrainWindow)
+	if len(win) != len(labelledBoot) {
+		t.Fatalf("window of %d jobs, want all %d labelled boot jobs", len(win), len(labelledBoot))
+	}
+	evalIDs := jobIDs(win, eval)
+	if len(evalIDs) != len(heldOut) {
+		t.Fatalf("%d evaluation jobs, want the %d held-out ones", len(evalIDs), len(heldOut))
+	}
+	for id := range evalIDs {
+		if !heldOut[id] {
+			t.Fatalf("evaluation job %s is not held out", id)
+		}
+	}
+	for id := range jobIDs(win, train) {
+		if heldOut[id] {
+			t.Fatalf("held-out job %s trains the challenger", id)
+		}
+	}
+
+	l := s.Lifecycle()
+	gen0 := l.Status().Generation
+	dec := retrainAndDecide(t, l)
+	st := l.Status()
+	if dec.EvalRows != len(heldOut) || dec.B+dec.C > dec.EvalRows {
+		t.Fatalf("boot gate: %+v; want %d rows with b+c within them", dec, len(heldOut))
+	}
+	if st.State != lifecycle.StateStable || st.ChallengerReady ||
+		(dec.Promoted && st.Generation != gen0+1) || (!dec.Promoted && st.Generation != gen0) {
+		t.Fatalf("after the boot gate: state %q, ready %v, generation %d (was %d), promoted %v",
+			st.State, st.ChallengerReady, st.Generation, gen0, dec.Promoted)
+	}
+	t.Logf("boot gate over %d held-out jobs: champion %.3f, challenger %.3f (b=%d, c=%d)",
+		dec.EvalRows, dec.ChampAcc, dec.ChallAcc, dec.B, dec.C)
+}
+
 // TestServedGateEvalRows: the served gate never scores a model on rows
-// it trained on. At boot every labelled job trained the champion, so a
-// retrain has no evaluation row and the gate abstains: the challenger
-// keeps shadowing and nothing is demoted. Once labelled jobs newer than
-// the boot cut are ingested, the gate scores only held-out jobs among
-// them, and no challenger trains on a held-out job.
+// it trained on. Once labelled jobs newer than boot are ingested, a
+// retrain's window holds boot and ingested jobs alike; core.HeldOut
+// splits it, and the gate scores every held-out job in it.
 func TestServedGateEvalRows(t *testing.T) {
 	cfg := servedGateConfig()
 	s, sink := servedGateServer(t, cfg)
-	l := s.Lifecycle()
-	dec := retrainAndDecide(t, l)
-	st := l.Status()
-	if dec.EvalRows != 0 || dec.Promoted || st.State != lifecycle.StateShadowing || !st.ChallengerReady ||
-		st.Demotions != 0 || st.CooldownLeft != cfg.Cooldown {
-		t.Fatalf("boot gate: decision %+v, state %q, ready %v, %d demotions, cooldown %d; want an abstention",
-			dec, st.State, st.ChallengerReady, st.Demotions, st.CooldownLeft)
-	}
-
-	boot := lastJobID(sink.Records())
 	ingestNewer(t, sink, pipeline(t, 92, 200).Records)
-	win, train, eval := s.trainWindow(cfg.TrainWindow, boot)
-	if len(eval) == 0 {
-		t.Fatal("no evaluation row among the ingested jobs")
+	win, train, eval := s.trainWindow(cfg.TrainWindow)
+	if len(eval) == 0 || len(train)+len(eval) != len(win) {
+		t.Fatalf("%d training and %d evaluation rows of a %d-job window", len(train), len(eval), len(win))
 	}
 	for _, i := range eval {
-		if r := win[i]; r.JobID <= boot || !heldOut(r.JobID) {
-			t.Fatalf("evaluation job %s: newer than boot %v, held out %v", r.JobID, r.JobID > boot, heldOut(r.JobID))
+		if !core.HeldOut(win[i].JobID) {
+			t.Fatalf("evaluation job %s is not held out", win[i].JobID)
 		}
 	}
 	for _, i := range train {
-		if heldOut(win[i].JobID) {
+		if core.HeldOut(win[i].JobID) {
 			t.Fatalf("held-out job %s is a training row", win[i].JobID)
 		}
 	}
-	if dec = retrainAndDecide(t, l); dec.EvalRows != len(eval) {
-		t.Fatalf("the gate scored %d rows, want the %d held-out jobs newer than boot", dec.EvalRows, len(eval))
+	dec := retrainAndDecide(t, s.Lifecycle())
+	if dec.EvalRows != len(eval) {
+		t.Fatalf("the gate scored %d rows, want the window's %d held-out jobs", dec.EvalRows, len(eval))
 	}
-	t.Logf("gate over %d held-out jobs newer than boot: champion %.3f, challenger %.3f (b=%d, c=%d)",
+	t.Logf("gate over %d held-out jobs: champion %.3f, challenger %.3f (b=%d, c=%d)",
 		dec.EvalRows, dec.ChampAcc, dec.ChallAcc, dec.B, dec.C)
 }
 
@@ -114,22 +188,18 @@ func ingestNewer(t *testing.T, sink *warehouse.Sharded, recs warehouse.Records) 
 
 // TestDefaultTrainerReadsCurrentCut: with no Trainer supplied, a retrain
 // trains on the last TrainWindow labelled jobs of the warehouse's cut at
-// retrain time. After ingest those are jobs newer than the boot cut, and
-// the challenger is the one TrainChallenger builds from them.
+// retrain time. After ingest those are the newest ingested jobs, and the
+// challenger is the one TrainChallenger builds from them.
 func TestDefaultTrainerReadsCurrentCut(t *testing.T) {
 	cfg := servedGateConfig()
 	cfg.TrainWindow = 64
 	s, sink := servedGateServer(t, cfg)
-	boot := lastJobID(sink.Records())
 	fresh := sink.Records().Filter(labelled)[:80]
 	ingestNewer(t, sink, fresh)
 
-	win, train, eval := s.trainWindow(cfg.TrainWindow, boot)
+	win, train, eval := s.trainWindow(cfg.TrainWindow)
 	if len(win) != 64 || win[0].JobID != "2000016" || win[63].JobID != "2000079" {
 		t.Fatalf("window: %d jobs, %s to %s; want the last 64 ingested", len(win), win[0].JobID, win[len(win)-1].JobID)
-	}
-	if len(train)+len(eval) != len(win) {
-		t.Fatalf("%d training and %d evaluation rows of %d: every window job is newer than boot", len(train), len(eval), len(win))
 	}
 	ds, err := core.BuildDataset(win, core.LabelByCategory, core.DefaultFeatures())
 	if err != nil {
@@ -139,7 +209,7 @@ func TestDefaultTrainerReadsCurrentCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.trainChallenger(cfg, boot)
+	got, err := s.trainChallenger(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +225,7 @@ func TestDefaultTrainerReadsCurrentCut(t *testing.T) {
 		t.Fatal("the default trainer's challenger is not the one trained on the current cut's last 64 labelled jobs")
 	}
 
-	// The loop's first retrain comes after the ingest, yet it still
-	// measures "newer" from the boot cut: the gate scores the same
+	// The loop's retrain reads the same window: the gate scores its
 	// held-out jobs.
 	dec := retrainAndDecide(t, s.Lifecycle())
 	if st := s.Lifecycle().Status(); st.Retrains != 1 || len(eval) == 0 || dec.EvalRows != len(eval) {

@@ -214,35 +214,61 @@ func TestSoakServeUnderFaults(t *testing.T) {
 		}
 	}
 
-	// The gate never scores a model on rows it trained on. Every labelled
-	// job in the warehouse is a boot job the champion trained on, so the
-	// gate has no evaluation row: it abstains, and the challenger keeps
-	// shadowing instead of losing on the champion's own rows.
+	// The gate never scores a model on rows it trained on. The boot
+	// champion and the challenger both trained on the labelled jobs
+	// core.HeldOut keeps, so the gate scores the held-out ones. It either
+	// keeps the champion (the loop is stable with no challenger) or
+	// promotes (the generation advances).
+	before := lifecycleStatus(t, base)
 	resp, err = http.Post(base+"/admin/lifecycle/promote", "application/json", nil)
 	if err != nil {
 		t.Fatalf("POST /admin/lifecycle/promote: %v", err)
 	}
-	var st struct {
-		State           string `json:"state"`
-		ChallengerReady bool   `json:"challengerReady"`
-		LastDecision    *struct {
-			EvalRows int    `json:"evalRows"`
-			Reason   string `json:"reason"`
-		} `json:"lastDecision"`
-	}
+	var st soakLifecycle
 	err = json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
-	switch {
+	switch dec := st.LastDecision; {
 	case err != nil || resp.StatusCode != http.StatusOK:
 		t.Errorf("promote after the soak: status %d, decode %v", resp.StatusCode, err)
-	case st.LastDecision == nil || st.LastDecision.EvalRows != 0:
-		t.Errorf("promote after the soak scored the champion's training rows: %+v", st.LastDecision)
-	case st.State != "shadowing" || !st.ChallengerReady:
-		t.Errorf("promote after the soak left state %q (challenger ready %v), want the challenger shadowing",
+	case dec == nil || dec.EvalRows == 0 || dec.B+dec.C > dec.EvalRows:
+		t.Errorf("promote after the soak: decision %+v, want held-out rows with b+c within them", dec)
+	case dec.Promoted && st.Generation <= before.Generation:
+		t.Errorf("promoted, but the generation stayed at %d", st.Generation)
+	case !dec.Promoted && (st.State != "stable" || st.ChallengerReady):
+		t.Errorf("not promoted, but the loop is %q (challenger ready %v), want stable with no challenger",
 			st.State, st.ChallengerReady)
 	default:
-		t.Logf("soak gate: %s", st.LastDecision.Reason)
+		t.Logf("soak gate over %d held-out jobs: %s", dec.EvalRows, dec.Reason)
 	}
+}
+
+// soakLifecycle is the part of GET /api/lifecycle the soak reads.
+type soakLifecycle struct {
+	State           string `json:"state"`
+	Generation      uint64 `json:"generation"`
+	ChallengerReady bool   `json:"challengerReady"`
+	LastDecision    *struct {
+		EvalRows int    `json:"evalRows"`
+		B        int    `json:"b"`
+		C        int    `json:"c"`
+		Promoted bool   `json:"promoted"`
+		Reason   string `json:"reason"`
+	} `json:"lastDecision"`
+}
+
+// lifecycleStatus reads GET /api/lifecycle.
+func lifecycleStatus(t *testing.T, base string) soakLifecycle {
+	t.Helper()
+	resp, err := http.Get(base + "/api/lifecycle")
+	if err != nil {
+		t.Fatalf("GET /api/lifecycle: %v", err)
+	}
+	defer resp.Body.Close()
+	var st soakLifecycle
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("GET /api/lifecycle: %v", err)
+	}
+	return st
 }
 
 // waitChallenger polls /api/lifecycle until the loop reports a shadow
@@ -251,16 +277,7 @@ func waitChallenger(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/api/lifecycle")
-		if err != nil {
-			t.Fatalf("GET /api/lifecycle: %v", err)
-		}
-		var st struct {
-			ChallengerReady bool `json:"challengerReady"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err == nil && st.ChallengerReady {
+		if lifecycleStatus(t, base).ChallengerReady {
 			return
 		}
 		time.Sleep(100 * time.Millisecond)
