@@ -653,16 +653,22 @@ func TestIdleTimeoutFinalize(t *testing.T) {
 	if err := c.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
+	idle := func() uint64 {
+		return h.reg.Counter("ingest_jobs_finalized_total", "outcome", "summarized", "trigger", "idle").Value() +
+			h.reg.Counter("ingest_jobs_finalized_total", "outcome", "dropped", "trigger", "idle").Value()
+	}
+	// Close returns once the frames are acked, which is when they are
+	// routed, not when a shard has opened the job: wait for the
+	// finalization itself, since the open-job count may still read 0.
 	deadline := time.Now().Add(5 * time.Second)
-	for h.srv.Status().OpenJobs != 0 {
+	for idle() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("idle sweep never finalized the job")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := h.reg.Counter("ingest_jobs_finalized_total", "outcome", "summarized", "trigger", "idle").Value() +
-		h.reg.Counter("ingest_jobs_finalized_total", "outcome", "dropped", "trigger", "idle").Value(); got != 1 {
-		t.Fatalf("want exactly one idle finalization, got %d", got)
+	if got, open := idle(), h.srv.Status().OpenJobs; got != 1 || open != 0 {
+		t.Fatalf("want exactly one idle finalization and no open job, got %d and %v open", got, open)
 	}
 	st := h.drainAndCheck()
 	if st.Ledger.Received != 2 {
