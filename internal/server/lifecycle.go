@@ -18,8 +18,8 @@ import (
 // to /metrics, Faults to the server's registry, Guard to the shared
 // control-plane breaker (the one model reloads trip), Baseline to the
 // champion's predictions over the labelled jobs of the warehouse's cut
-// at New (the boot cut, taken only then), and Trainer to a retrain over
-// the last TrainWindow labelled jobs of the cut current at each retrain.
+// at New (the boot cut), and Trainer to a retrain over the last
+// TrainWindow labelled jobs of the cut current at each retrain.
 func WithLifecycle(cfg lifecycle.Config, opts lifecycle.Options) Option {
 	return func(s *Server) { s.lifecyclePending = func() { s.initLifecycle(cfg, opts) } }
 }
